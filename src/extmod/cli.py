@@ -227,8 +227,11 @@ def _cmd_decompose(args) -> int:
         if not check.ok:
             payload["problems"] = list(check.problems)
     if args.oracle:
-        oracle = idempotent_oracle(module, max_total_dim=args.oracle_bound,
-                                   seed=args.seed)
+        try:
+            oracle = idempotent_oracle(module, max_total_dim=args.oracle_bound,
+                                       seed=args.seed)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         payload["oracle_agrees"] = oracle.multiset() == dec.multiset()
     if args.report == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -244,6 +247,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    if args.j < 0:
+        raise CliError(f"--j must be non-negative, got {args.j}")
     module = _read_module(args.file)
     sub = filtration(module, args.j)
     if args.degree is not None:

@@ -37,8 +37,7 @@ from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
                      standard_complement, sum_space)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
-from .operators import (action_kernel, degree_part, filtration, socle,
-                        stable_intersection)
+from .operators import degree_part, filtration_trace, socle
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +55,6 @@ class Summand:
     shape: FlashShape
     bottoms: tuple[tuple, ...]
     tops: tuple[tuple[int, tuple], ...]
-
-    def labeled_vectors(self, params) -> list[tuple[str, int, tuple]]:
-        out = [(f"x{i}", self.shape.bottom_degree(i, params), v)
-               for i, v in enumerate(self.bottoms)]
-        out += [(f"y{i}" if i >= 0 else "ym1", self.shape.top_degree(i, params), v)
-                for i, v in self.tops]
-        return out
 
 
 @dataclass(frozen=True)
@@ -435,12 +427,13 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
     """
     if not m.action(E1, d).is_zero():
         raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
-    if degree_part(stable_intersection(m), d).dim:
+    trace = filtration_trace(m)
+    if degree_part(trace.stable, d).dim:
         raise ValueError("exclusion failed: the stable filtration intersection "
                          f"is nonzero at degree {d}")
-    ker1 = action_kernel(m, E1)
-    hi = intersect(degree_part(filtration(m, n), d), degree_part(ker1, d)).dim
-    lo = intersect(degree_part(filtration(m, n + 1), d), degree_part(ker1, d)).dim
+    ker1 = kernel(m.action(E1, d))
+    hi = intersect(degree_part(trace[n], d), ker1).dim
+    lo = intersect(degree_part(trace[n + 1], d), ker1).dim
     return hi - lo
 
 

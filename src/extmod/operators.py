@@ -73,10 +73,6 @@ class GradedSubspace:
 
     # -- views -------------------------------------------------------------------
 
-    def dim_at(self, d: int) -> int:
-        sub = self.spaces.get(d)
-        return sub.dim if sub is not None else 0
-
     def dims(self) -> dict[int, int]:
         return {d: s.dim for d, s in self.spaces.items() if s.dim}
 
@@ -92,12 +88,6 @@ class GradedSubspace:
             raise ValueError("subspaces of different carriers")
         return all(self.spaces[d].contains_subspace(other.spaces[d])
                    for d in self.spaces)
-
-    def contains_vector_at(self, d: int, vec) -> bool:
-        sub = self.spaces.get(d)
-        if sub is None:
-            return not any(vec)
-        return sub.contains_vector(vec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSubspace):
@@ -119,7 +109,6 @@ def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
     """Degreewise image of u under the chosen action."""
     _check_ambient(m, u)
     step = m.params.action_degree(which)
-    field = m.field
     vectors: dict[int, list[tuple]] = {}
     for d, sub in u.spaces.items():
         if sub.dim == 0 or m.dim(d + step) == 0:
@@ -142,23 +131,59 @@ def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(m.field, m.dims_by_degree, spaces)
 
 
-def _filtration_step(m: Module, u: GradedSubspace) -> GradedSubspace:
-    return op_preimage(m, E2, act_image(m, E1, u))
+def _chain(m: Module, stop: int | None = None) -> tuple[list[GradedSubspace], int | None]:
+    """F_0, F_1, ... through F_stop or through the first repeated term.
+
+    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)), so after the first step only the
+    degrees whose source moved are recomputed.  Returns the terms and the
+    stable index, or None when F_stop came first.
+    """
+    p = m.params
+    chain = [GradedSubspace.full(m)]
+    todo = m.degrees
+    while stop is None or len(chain) <= stop:
+        prev = chain[-1].spaces
+        spaces = dict(prev)
+        moved = []
+        for d in todo:
+            source = prev.get(d + p.gap)
+            n = m.dim(d + p.deg_e2)
+            target = SubspaceBasis.zero(m.field, n)
+            if source is not None and source.dim and n:
+                a = m.action(E1, d + p.gap)
+                target = SubspaceBasis.from_spanning(
+                    m.field, n, [a.apply(v) for v in source.vectors()])
+            sub = preimage_space(m.action(E2, d), target)
+            if sub != prev[d]:
+                spaces[d] = sub
+                moved.append(d)
+        chain.append(GradedSubspace(m.field, m.dims_by_degree, spaces))
+        if not moved:
+            return chain, len(chain) - 2
+        todo = [d - p.gap for d in moved if d - p.gap in spaces]
+    return chain, None
 
 
 def filtration(m: Module, j: int) -> GradedSubspace:
-    """The j-th term of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1})."""
+    """The j-th term of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}).
+
+    The chain is computed out to j or to its stabilization.
+    """
     if j < 0:
         raise ValueError("filtration index must be non-negative")
-    f = GradedSubspace.full(m)
-    for _ in range(j):
-        f = _filtration_step(m, f)
-    return f
+    chain, _ = _chain(m, j)
+    return chain[min(j, len(chain) - 1)]
 
 
 @dataclass(frozen=True)
 class FiltrationTrace:
-    """The chain F_0 >= F_1 >= ... and the first index where it stops moving."""
+    """The chain F_0 >= F_1 >= ... out to its first repeated term.
+
+    ``subspaces`` ends at index ``stable_index + 1``, the first term equal to
+    its predecessor; indexing past the end returns the stable term.
+    Consecutive terms share the SubspaceBasis object of every degree that did
+    not move.
+    """
 
     subspaces: tuple[GradedSubspace, ...]
     stable_index: int
@@ -169,29 +194,29 @@ class FiltrationTrace:
             return self.subspaces[self.stable_index]
         return self.subspaces[j]
 
+    @property
+    def stable(self) -> GradedSubspace:
+        return self.subspaces[self.stable_index]
 
-def filtration_trace(m: Module, j_max: int) -> FiltrationTrace:
-    """Compute the chain out to j_max and past it until it stabilizes.
 
-    Termination is guaranteed: the chain is weakly decreasing and the total
-    dimension is finite.
+def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
+    """Compute the chain until it stabilizes.
+
+    Step 1 computes every degree.  Step j recomputes degree d only if
+    F_{j-1}(d + gap) moved at step j-1 and reuses every other degree's
+    subspace.  The chain stops at the first step where no degree moves,
+    which comes within total_dim + 1 steps because each moving step shrinks
+    a decreasing chain.  Terms past the end are the stable term, so no depth
+    is needed; ``j_max`` is ignored and kept only so that callers passing
+    one still work.
     """
-    chain = [GradedSubspace.full(m)]
-    stable = None
-    while stable is None or len(chain) <= j_max:
-        nxt = _filtration_step(m, chain[-1])
-        if stable is None and nxt == chain[-1]:
-            stable = len(chain) - 1
-        chain.append(nxt)
-        if len(chain) > m.total_dim + j_max + 2:
-            raise AssertionError("filtration failed to stabilize")
+    chain, stable = _chain(m)
     return FiltrationTrace(tuple(chain), stable)
 
 
 def stable_intersection(m: Module) -> GradedSubspace:
     """The intersection of the whole chain (= its stable term)."""
-    trace = filtration_trace(m, 0)
-    return trace.subspaces[trace.stable_index]
+    return filtration_trace(m).stable
 
 
 def degree_part(u: GradedSubspace, d: int) -> SubspaceBasis:
@@ -246,10 +271,3 @@ def margolis_homology(m: Module, which: str) -> dict[int, int]:
 def quotient_dim_at(u: GradedSubspace, v: GradedSubspace, d: int) -> int:
     """dim of the degree-d slice of u/v for a contained pair (checked)."""
     return quotient_dim(degree_part(u, d), degree_part(v, d))
-
-
-def graded_intersect(u: GradedSubspace, v: GradedSubspace) -> GradedSubspace:
-    if u.parent_dims != v.parent_dims:
-        raise ValueError("subspaces of different carriers")
-    return GradedSubspace(u.field, u.parent_dims,
-                          {d: intersect(u.spaces[d], v.spaces[d]) for d in u.spaces})

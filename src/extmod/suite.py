@@ -15,8 +15,8 @@ from typing import Any
 from .decompose import multiplicities
 from .modules import (E1, AlgebraParams, FlashShape, Module, counterexample_stage,
                       make_flash, truncated_infinite_flash)
-from .operators import (GradedSubspace, act_image, degree_part, filtration_trace,
-                        quotient_dim_at, stable_intersection)
+from .operators import (FiltrationTrace, GradedSubspace, act_image, degree_part,
+                        filtration_trace, quotient_dim_at, stable_intersection)
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,10 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams,
     return ExclusionProbe(e1_nonzero, stable_nonzero)
 
 
-def _item_filtration_shape(sp: SuiteParams) -> CheckItem:
+def _item_filtration_shape(flashes: list[tuple[Module, FiltrationTrace]]) -> CheckItem:
     failures = []
     checked = 0
-    for n in range(sp.stage_size + 1):
-        mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        trace = filtration_trace(mod, n)
+    for n, (mod, trace) in enumerate(flashes):
         for j in range(1, n + 1):
             expected = GradedSubspace.from_labels(
                 mod, [f"y{i}" for i in range(n + 1)]
@@ -127,12 +125,11 @@ def _item_filtration_shape(sp: SuiteParams) -> CheckItem:
         not failures)
 
 
-def _item_membership(sp: SuiteParams) -> CheckItem:
+def _item_membership(sp: SuiteParams,
+                     flashes: list[tuple[Module, FiltrationTrace]]) -> CheckItem:
     failures = []
-    for n in range(sp.stage_size + 1):
-        mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        x0 = mod.basis_vector(*_position(mod, "x0"))
-        trace = filtration_trace(mod, sp.j_max)
+    for n, (mod, trace) in enumerate(flashes):
+        x0 = mod.basis_vector(*mod.label_position("x0"))
         for j in range(sp.j_max + 1):
             inside = degree_part(trace[j], 0).contains_vector(x0)
             if inside != (j <= n):
@@ -144,38 +141,22 @@ def _item_membership(sp: SuiteParams) -> CheckItem:
         not failures)
 
 
-def _position(mod: Module, label: str) -> tuple[int, int]:
-    d, i = mod.label_position(label)
-    return d, i
-
-
-def _stage_degree_zero_dims(sp: SuiteParams, stage: Module) -> list[int]:
-    trace = filtration_trace(stage, sp.j_max)
+def _stage_degree_zero_dims(sp: SuiteParams, trace: FiltrationTrace) -> list[int]:
     return [degree_part(trace[j], 0).dim for j in range(sp.j_max + 1)]
 
 
-def _membership_path_dims(sp: SuiteParams) -> list[int]:
-    # second, independent route to the same vector: per-summand membership of
-    # x_0, counted over the summands
-    counts = []
-    for j in range(sp.j_max + 1):
-        total = 0
-        for n in range(sp.stage_size + 1):
-            mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-            x0 = mod.basis_vector(*_position(mod, "x0"))
-            if degree_part(filtration_trace(mod, j)[j], 0).contains_vector(x0):
-                total += 1
-        counts.append(total)
-    return counts
-
-
 def run_checks(sp: SuiteParams) -> SuiteReport:
-    """Run all nine check items and assemble the report."""
+    """Run all nine check items, tracing each module's chain only once."""
     alg = sp.algebra
     stage = counterexample_stage(sp.stage_size, alg)
-    items = [_item_filtration_shape(sp), _item_membership(sp)]
+    flashes = []
+    for n in range(sp.stage_size + 1):
+        mod = make_flash(FlashShape.l(n, 0, 1), alg)
+        flashes.append((mod, filtration_trace(mod)))
+    items = [_item_filtration_shape(flashes), _item_membership(sp, flashes)]
 
-    vec = _stage_degree_zero_dims(sp, stage)
+    trace = filtration_trace(stage)
+    vec = _stage_degree_zero_dims(sp, trace)
     expected = [max(0, sp.stage_size + 1 - j) for j in range(sp.j_max + 1)]
     items.append(CheckItem(
         "degree-zero-dims",
@@ -184,7 +165,6 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": vec, "expected": expected},
         vec == expected))
 
-    trace = filtration_trace(stage, sp.j_max)
     diffs = [quotient_dim_at(trace[j], trace[j + 1], 0)
              for j in range(sp.stage_size + 1)]
     items.append(CheckItem(
@@ -194,7 +174,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"diffs": diffs},
         all(d == 1 for d in diffs)))
 
-    stable0 = degree_part(stable_intersection(stage), 0).dim
+    stable0 = degree_part(trace.stable, 0).dim
     items.append(CheckItem(
         "intersection",
         "the stable term of the filtration chain vanishes in degree zero "
@@ -211,8 +191,8 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
 
     trunc = truncated_infinite_flash(False, sp.effective_trunc_degree, alg)
     tmod = trunc.module
-    x0 = tmod.basis_vector(*_position(tmod, "x0"))
-    ttrace = filtration_trace(tmod, sp.j_max)
+    x0 = tmod.basis_vector(*tmod.label_position("x0"))
+    ttrace = filtration_trace(tmod)
     stuck = [j for j in range(sp.j_max + 1)
              if not degree_part(ttrace[j], 0).contains_vector(x0)]
     items.append(CheckItem(

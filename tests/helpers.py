@@ -4,7 +4,9 @@ import random
 
 from extmod.linalg import (Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
-from extmod.modules import FlashShape, Module, direct_sum, make_flash, validate
+from extmod.modules import (E1, E2, FlashShape, Module, direct_sum, make_flash,
+                            validate)
+from extmod.operators import GradedSubspace, act_image, op_preimage
 
 
 def random_matrix(field, nrows, ncols, rng):
@@ -67,3 +69,15 @@ def random_variant_b_module(params, max_total_dim, seed, degree_max=7):
     m = Module(params, dims, a1, a2)
     assert not validate(m)
     return m
+
+
+def reference_chain(m):
+    """F_0, F_1, ... through the first repeated term, recomputing every degree.
+
+    The plain definition F_j = e2^{-1}(e1 F_{j-1}) applied to whole graded
+    subspaces, for checking the chain that skips unmoved degrees.
+    """
+    chain = [GradedSubspace.full(m)]
+    while len(chain) < 2 or chain[-1] != chain[-2]:
+        chain.append(op_preimage(m, E2, act_image(m, E1, chain[-1])))
+    return chain

@@ -84,6 +84,24 @@ def test_filtration_on_stage(tmp_path, capsys):
     assert "deg 0: 4" in capsys.readouterr().out
 
 
+def test_filtration_negative_j_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, "m1.txt", make_flash(FlashShape.l(1, 0, 1), P))
+    assert main(["filtration", path, "--j", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--j" in captured.err
+
+
+def test_decompose_oracle_above_bound_exit_2(tmp_path, capsys):
+    doc = str(tmp_path / "m.txt")
+    assert main(["build", "randomize(L(3,0,1)@0 + L(4,1,1)@2 + L(2,0,0)@1, 5)",
+                 "-o", doc]) == 0
+    assert main(["decompose", doc, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "24 > 12" in captured.err
+
+
 def test_margolis(tmp_path, capsys):
     path = write_doc(tmp_path, "m2.txt", make_flash(FlashShape.l(2, 0, 1), P))
     assert main(["margolis", path, "--op", "e1"]) == 0

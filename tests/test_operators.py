@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from extmod import operators
 from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
-                            make_flash, make_free, random_basis_change, shift)
+                            make_flash, make_free, random_basis_change, shift,
+                            truncated_infinite_flash)
 from extmod.operators import (GradedSubspace, act_image, action_kernel,
                               degree_part, filtration, filtration_trace,
                               margolis_homology, op_preimage, radical, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import flash_sum, random_flash_shapes, random_variant_b_module
+from helpers import (flash_sum, random_flash_shapes, random_variant_b_module,
+                     reference_chain)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -55,12 +58,52 @@ def test_filtration_chain_decreases_and_stabilizes():
     cases += [random_variant_b_module(P, 8, seed) for seed in (1, 2)]
     cases += [random_basis_change(cases[0], 9)]
     for m in cases:
-        trace = filtration_trace(m, 4)
+        trace = filtration_trace(m)
         for j in range(len(trace.subspaces) - 1):
             assert trace.subspaces[j].contains(trace.subspaces[j + 1])
         assert trace.stable_index <= m.total_dim
         assert trace.subspaces[trace.stable_index] == \
             trace.subspaces[trace.stable_index + 1]
+
+
+@pytest.mark.parametrize("degs", [(1, 2), (1, 3), (2, 5)])
+@pytest.mark.parametrize("char", [2, 5, 0])
+def test_chain_matches_full_recomputation(char, degs):
+    params = default_params(char, *degs)
+    rng = random.Random(char * 100 + degs[1])
+    cases = [random_variant_b_module(params, 12, rng.randrange(10**6))
+             for _ in range(2)]
+    cases += [random_basis_change(flash_sum(random_flash_shapes(rng, 4, 4, 6),
+                                            params), rng.randrange(10**6))
+              for _ in range(2)]
+    cases.append(counterexample_stage(4, params))
+    cases += [truncated_infinite_flash(left, 6 * params.gap + params.deg_e2,
+                                       params).module for left in (False, True)]
+    for m in cases:
+        ref = reference_chain(m)
+        trace = filtration_trace(m)
+        assert trace.subspaces == tuple(ref)
+        assert trace.stable_index == len(ref) - 2
+        for j in range(len(ref) + 2):
+            assert filtration(m, j) == ref[min(j, len(ref) - 1)]
+        assert stable_intersection(m) == ref[-1]
+
+
+def test_chain_recomputes_only_moved_degrees(monkeypatch):
+    # step j touches degree d only if F_{j-1}(d + gap) moved; on the stage
+    # that is one degree fewer each step after the first full one
+    calls = []
+    real = operators.preimage_space
+
+    def counted(a, u):
+        calls.append(a)
+        return real(a, u)
+
+    monkeypatch.setattr(operators, "preimage_space", counted)
+    n = 10
+    stage = counterexample_stage(n, P)
+    assert filtration_trace(stage).stable_index == n + 1
+    assert len(calls) <= len(stage.degrees) + (n + 2) * (n + 3) // 2
 
 
 def test_preimage_image_adjunction():
@@ -79,7 +122,7 @@ def test_bottom_membership_law(n):
     # the canonical x0 belongs to F_j exactly while j <= n
     m = make_flash(FlashShape.l(n, 0, 1), P)
     x0 = m.basis_vector(*m.label_position("x0"))
-    trace = filtration_trace(m, n + 2)
+    trace = filtration_trace(m)
     for j in range(n + 3):
         assert degree_part(trace[j], 0).contains_vector(x0) == (j <= n)
 
@@ -88,7 +131,7 @@ def test_open_ended_flash_never_expels_x0():
     for n in (0, 1, 2, 4):
         m = make_flash(FlashShape.l(n, 0, 0), P)
         x0 = m.basis_vector(*m.label_position("x0"))
-        trace = filtration_trace(m, 2 * n + 3)
+        trace = filtration_trace(m)
         for j in range(2 * n + 4):
             assert degree_part(trace[j], 0).contains_vector(x0)
         assert stable_intersection(m) == GradedSubspace.full(m)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from extmod.modules import FlashShape, default_params
+from extmod.modules import (FlashShape, counterexample_stage, default_params,
+                            make_flash)
+from extmod.operators import degree_part, filtration, filtration_trace
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
 
@@ -33,13 +35,27 @@ def test_field_and_degree_independence(char, degs):
     assert report.passed, report.first_failure()
 
 
+def _membership_path_dims(sp):
+    # second, independent route to the same vector: per-summand membership of
+    # x_0, counted over the summands, with a separate chain for every term
+    counts = []
+    for j in range(sp.j_max + 1):
+        total = 0
+        for n in range(sp.stage_size + 1):
+            mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
+            x0 = mod.basis_vector(*mod.label_position("x0"))
+            if degree_part(filtration(mod, j), 0).contains_vector(x0):
+                total += 1
+        counts.append(total)
+    return counts
+
+
 def test_degree_zero_dims_two_paths_agree():
     # the operator chase on the direct sum against per-summand membership
-    from extmod.suite import _membership_path_dims, _stage_degree_zero_dims
-    from extmod.modules import counterexample_stage
+    from extmod.suite import _stage_degree_zero_dims
     sp = SuiteParams(4, 6, P)
-    stage = counterexample_stage(sp.stage_size, sp.algebra)
-    assert _stage_degree_zero_dims(sp, stage) == _membership_path_dims(sp)
+    trace = filtration_trace(counterexample_stage(sp.stage_size, sp.algebra))
+    assert _stage_degree_zero_dims(sp, trace) == _membership_path_dims(sp)
 
 
 def test_report_is_deterministic():
