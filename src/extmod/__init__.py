@@ -1,7 +1,7 @@
 """Exact computation with graded modules over two-generator exterior algebras."""
 
 from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
-                     preimage_space, quotient_dim, rref, sum_space)
+                     preimage_space, quotient_dim, sum_space)
 from .modules import (AlgebraParams, FlashShape, Module, counterexample_stage,
                       default_params, direct_sum, make_flash, make_free,
                       random_basis_change, shift, truncate_above,

@@ -17,9 +17,13 @@ for a pivot, entries may only be cleared in directions that an automorphism
 of the already-processed part can compensate.  That admissibility is a total
 order on the open ends: a strand whose left end is a dangling top beats every
 bottom-ended strand, longer beats shorter among bottom-ended ones and shorter
-beats longer among top-ended ones.  Every clearing updates the strand's
-realization vectors, so the finished strands are an explicit certified basis
-of the module and each strand reads off directly as one flash summand.
+beats longer among top-ended ones.  Both half-steps (e1 onto the previous
+tops, e2 onto the next tops) run the same elimination with one pivot rule:
+the weakest domain strand is matched first, to the strongest codomain strand
+it reaches, so every clearing runs from a weaker strand into a stronger one.
+Every clearing updates the strand's realization vectors, so the finished
+strands are an explicit certified basis of the module and each strand reads
+off directly as one flash summand.
 
 The idempotent oracle is an independent second route used for
 cross-validation: it knows nothing about strings and splits along Fitting
@@ -60,7 +64,6 @@ class Summand:
 @dataclass(frozen=True)
 class Decomposition:
     summands: tuple[Summand, ...]
-    residual: tuple = ()
 
     def multiset(self) -> Counter:
         return Counter(s.shape for s in self.summands)
@@ -117,13 +120,16 @@ class _Strand:
     absorb whom during elimination.
     """
 
-    __slots__ = ("left_pos", "left_is_top", "right_pos", "vectors")
+    __slots__ = ("left_pos", "right_pos", "vectors")
 
-    def __init__(self, pos: int, is_top: bool, vector: tuple):
+    def __init__(self, pos: int, vector: tuple):
         self.left_pos = pos
-        self.left_is_top = is_top
         self.right_pos = pos
         self.vectors = {pos: vector}
+
+    @property
+    def left_is_top(self) -> bool:
+        return self.left_pos % 2 == 1
 
     @property
     def strength(self) -> tuple[int, int]:
@@ -133,175 +139,102 @@ class _Strand:
             return (1, self.left_pos)
         return (0, -self.left_pos)
 
-    def extend(self, pos: int, vector: tuple) -> None:
-        assert pos == self.right_pos + 1
-        self.vectors[pos] = vector
-        self.right_pos = pos
+    def join(self, other: "_Strand") -> None:
+        """Append the strand that starts right after this one ends."""
+        if other.left_pos != self.right_pos + 1:
+            raise AssertionError("joined strands are not adjacent")
+        self.vectors.update(other.vectors)
+        self.right_pos = other.right_pos
+
+    def scale(self, c, field: Field) -> None:
+        for pos, vec in self.vectors.items():
+            self.vectors[pos] = _scale(field, vec, c)
 
     def absorb(self, other: "_Strand", c, field: Field) -> None:
         """Add c times the other strand's realization along the overlap."""
-        assert self.right_pos == other.right_pos
-        assert self.strength >= other.strength, "inadmissible elimination"
+        if self.right_pos != other.right_pos or self.strength < other.strength:
+            raise AssertionError("inadmissible elimination")
         for pos in range(max(self.left_pos, other.left_pos), self.right_pos + 1):
             self.vectors[pos] = _add_scaled(field, self.vectors[pos],
                                             other.vectors[pos], c)
 
 
-def _alpha_step(field: Field, rows: list[_Strand], top_pos: int,
-                cols: list[tuple], act: Matrix) -> list[tuple[_Strand | None, tuple]]:
-    """Match fresh bottom vectors against open tops through the e1 action.
+def _match(field: Field, act: Matrix, cod: list[_Strand],
+           dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
+    """Pair domain strands with codomain strands through one action.
 
-    Returns, per column in order, the strand it extends (or None when its
-    image was eliminated to zero, so a new strand starts there).
+    ``a[r][c]`` holds the coordinates of ``act`` applied to the last vector of
+    ``dom[c]`` over the last vectors of the codomain strands.  Row operations
+    make a codomain strand absorb another, column operations make a domain
+    strand absorb another and normalisation scales the domain strand, until
+    ``a`` is a partial identity.  Returns the (codomain, domain) pivot pairs:
+    ``act`` maps the domain strand's last vector onto the codomain strand's.
     """
-    cols = [tuple(v) for v in cols]
-    if not cols:
+    if not dom:
         return []
-    if not rows:
-        for v in cols:
-            assert not any(act.apply(v)), "action image escapes the socle layer"
-        return [(None, v) for v in cols]
-    tmat = Matrix.from_cols(field, [s.vectors[top_pos] for s in rows],
-                            nrows=act.nrows)
-    imgs = Matrix.from_cols(field, [act.apply(v) for v in cols], nrows=act.nrows)
-    coeff = tmat.solve(imgs)
-    assert coeff is not None, "socle coordinates must exist"
-    a = [list(coeff.row(i)) for i in range(len(rows))]
-    matched: list[_Strand | None] = [None] * len(cols)
-    open_cols = list(range(len(cols)))
-    active = [True] * len(rows)
-    for strength in sorted({s.strength for s in rows}, reverse=True):
-        class_rows = [ri for ri in range(len(rows))
-                      if active[ri] and rows[ri].strength == strength]
-        for ci in list(open_cols):
-            pr = next((ri for ri in class_rows if a[ri][ci]), None)
-            if pr is None:
-                continue
-            if a[pr][ci] != field.one:
-                inv = field.inv(a[pr][ci])
-                cols[ci] = _scale(field, cols[ci], inv)
-                for ri in range(len(rows)):
-                    a[ri][ci] = field.mul(a[ri][ci], inv)
-            pivot = rows[pr]
-            for ri in range(len(rows)):
-                c = a[ri][ci]
-                if ri != pr and c:
-                    # pivot's basis vector soaks up the cleared row's
-                    pivot.absorb(rows[ri], c, field)
-                    prow = a[pr]
-                    a[ri] = [field.sub(x, field.mul(c, y))
-                             for x, y in zip(a[ri], prow)]
-            for cj in range(len(cols)):
-                c2 = a[pr][cj]
-                if cj != ci and c2:
-                    cols[cj] = _add_scaled(field, cols[cj], cols[ci],
-                                           field.neg(c2))
-                    for ri in range(len(rows)):
-                        a[ri][cj] = field.sub(a[ri][cj],
-                                              field.mul(c2, a[ri][ci]))
-            matched[ci] = pivot
-            open_cols.remove(ci)
-            active[pr] = False
-            class_rows.remove(pr)
-    for ci in open_cols:
-        assert not any(a[ri][ci] for ri in range(len(rows)))
-    return list(zip(matched, cols))
-
-
-def _beta_step(field: Field, col_strands: list[_Strand], bottom_pos: int,
-               fresh_rows: list[tuple], act: Matrix) -> list[tuple[_Strand | None, tuple]]:
-    """Match open bottoms against a fresh socle layer through the e2 action.
-
-    Returns, per fresh row in order, the strand that claimed it (or None for
-    a row left untouched, which starts a dangling-top strand).
-    """
-    rows = [tuple(v) for v in fresh_rows]
-    if not rows:
-        for s in col_strands:
-            assert not any(act.apply(s.vectors[bottom_pos]))
+    imgs = [act.apply(s.vectors[s.right_pos]) for s in dom]
+    if not cod:
+        if any(map(any, imgs)):
+            raise AssertionError("action image escapes the socle layer")
         return []
-    if not col_strands:
-        return [(None, v) for v in rows]
-    rmat = Matrix.from_cols(field, rows, nrows=act.nrows)
-    imgs = Matrix.from_cols(field,
-                            [act.apply(s.vectors[bottom_pos]) for s in col_strands],
+    tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod],
                             nrows=act.nrows)
-    coeff = rmat.solve(imgs)
-    assert coeff is not None, "socle coordinates must exist"
-    b = [list(coeff.row(i)) for i in range(len(rows))]
-    claimed: list[_Strand | None] = [None] * len(rows)
-    open_rows = list(range(len(rows)))
-    done_col = [False] * len(col_strands)
-    for strength in sorted({s.strength for s in col_strands}):
-        class_cols = [ci for ci in range(len(col_strands))
-                      if not done_col[ci] and col_strands[ci].strength == strength]
-        for ci in class_cols:
-            pr = next((ri for ri in open_rows if b[ri][ci]), None)
-            if pr is None:
-                continue
-            e = b[pr][ci]
-            if e != field.one:
-                rows[pr] = _scale(field, rows[pr], e)
-                inv = field.inv(e)
-                b[pr] = [field.mul(x, inv) for x in b[pr]]
-            for ri in list(open_rows):
-                c = b[ri][ci]
-                if ri != pr and c:
-                    # fold the other fresh row into the pivot's basis vector
-                    rows[pr] = _add_scaled(field, rows[pr], rows[ri], c)
-                    prow = b[pr]
-                    b[ri] = [field.sub(x, field.mul(c, y))
-                             for x, y in zip(b[ri], prow)]
-            for cj in range(len(col_strands)):
-                c2 = b[pr][cj]
-                if cj != ci and c2:
-                    col_strands[cj].absorb(col_strands[ci], field.neg(c2), field)
-                    for ri in range(len(rows)):
-                        b[ri][cj] = field.sub(b[ri][cj],
-                                              field.mul(c2, b[ri][ci]))
-            col_strands[ci].extend(bottom_pos + 1, rows[pr])
-            claimed[pr] = col_strands[ci]
-            open_rows.remove(pr)
-            done_col[ci] = True
-    for ci in range(len(col_strands)):
-        if not done_col[ci]:
-            assert not any(b[ri][ci] for ri in range(len(rows)))
-    return list(zip(claimed, rows))
+    coeff = tmat.solve(Matrix.from_cols(field, imgs))
+    if coeff is None:
+        raise AssertionError("socle coordinates must exist")
+    a = [list(row) for row in coeff.rows]
+    free_rows = set(range(len(cod)))
+    pairs = []
+    for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
+        pr = max((ri for ri in free_rows if a[ri][ci]), default=None,
+                 key=lambda ri: (cod[ri].strength, -ri))
+        if pr is None:
+            continue
+        if a[pr][ci] != field.one:
+            inv = field.inv(a[pr][ci])
+            dom[ci].scale(inv, field)
+            for row in a:
+                row[ci] = field.mul(row[ci], inv)
+        prow = a[pr]
+        for ri, row in enumerate(a):
+            c = row[ci]
+            if ri != pr and c:
+                cod[pr].absorb(cod[ri], c, field)
+                a[ri] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, prow)]
+        # column ci is now the unit vector at pr, so clearing row pr is the
+        # whole column operation
+        for cj, c in enumerate(prow):
+            if cj != ci and c:
+                dom[cj].absorb(dom[ci], field.neg(c), field)
+                prow[cj] = field.zero
+        pairs.append((cod[pr], dom[ci]))
+        free_rows.remove(pr)
+    return pairs
 
 
-def _sweep_chain(m: Module, residue: int, bvecs: dict[int, list[tuple]],
-                 tvecs: dict[int, list[tuple]]) -> list[Summand]:
-    params = m.params
+def _sweep_chain(m: Module, residue: int,
+                 vecs: dict[int, list[tuple]]) -> list[Summand]:
+    """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos."""
     field = m.field
-    g = params.gap
-    ks = sorted(set(bvecs) | set(tvecs))
     strands: list[_Strand] = []
-    open_tops: dict[int, list[_Strand]] = {}
-    for k in range(ks[0], ks[-1] + 1):
-        bdeg = residue + k * g
-        # alpha: e1 connects B_k down-left to T_{k-1}
-        assigned = _alpha_step(field, open_tops.pop(k - 1, []), 2 * k - 1,
-                               bvecs.get(k, []), m.action(E1, bdeg))
-        open_bottoms: list[_Strand] = []
-        for strand, vec in assigned:
-            if strand is None:
-                strand = _Strand(2 * k, False, vec)
-                strands.append(strand)
-            else:
-                strand.extend(2 * k, vec)
-            open_bottoms.append(strand)
-        # beta: e2 connects B_k up-right to T_k
-        claimed = _beta_step(field, open_bottoms, 2 * k,
-                             tvecs.get(k, []), m.action(E2, bdeg))
-        nxt: list[_Strand] = []
-        for strand, vec in claimed:
-            if strand is None:
-                strand = _Strand(2 * k + 1, True, vec)
-                strands.append(strand)
-            nxt.append(strand)
-        if nxt:
-            open_tops[k] = nxt
-    return [_summand_from_strand(s, residue, params) for s in strands]
+    open_: list[_Strand] = []
+    # one position past the end checks that the last open strands are closed
+    for pos in range(min(vecs), max(vecs) + 2):
+        fresh = [_Strand(pos, v) for v in vecs.get(pos, [])]
+        deg = residue + (pos // 2) * m.params.gap
+        if pos % 2 == 0:
+            # bottoms: e1 maps the fresh strands onto the open tops
+            pairs = _match(field, m.action(E1, deg), open_, fresh)
+        else:
+            # tops: e2 maps the open bottoms onto the fresh strands
+            pairs = [(b, t) for t, b in _match(field, m.action(E2, deg), fresh, open_)]
+        joined = {}
+        for left, new in pairs:
+            left.join(new)
+            joined[new] = left
+        strands.extend(s for s in fresh if s not in joined)
+        open_ = [joined.get(s, s) for s in fresh]
+    return [_summand_from_strand(s, residue, m.params) for s in strands]
 
 
 def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
@@ -345,19 +278,18 @@ def decompose(m: Module) -> Decomposition:
         return Decomposition(())
     g = m.params.gap
     soc = socle(m)
-    chains: dict[int, tuple[dict, dict]] = {}
+    chains: dict[int, dict[int, list[tuple]]] = {}
     for d in m.degrees:
         bott = standard_complement(soc.spaces[d])
         if bott:
-            r = d % g
-            chains.setdefault(r, ({}, {}))[0][(d - r) // g] = bott
+            chains.setdefault(d % g, {})[2 * (d // g)] = bott
         tops = soc.spaces[d].vectors()
         if tops:
-            r = (d - m.params.deg_e2) % g
-            chains.setdefault(r, ({}, {}))[1][(d - m.params.deg_e2 - r) // g] = tops
+            b = d - m.params.deg_e2
+            chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops
     summands: list[Summand] = []
     for r in sorted(chains):
-        summands.extend(_sweep_chain(m, r, *chains[r]))
+        summands.extend(_sweep_chain(m, r, chains[r]))
     return Decomposition(tuple(sorted(summands, key=_summand_sort_key)))
 
 
@@ -378,8 +310,6 @@ def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
         else:
             by_degree[deg].append(vec)
 
-    if dec.residual:
-        problems.append("decomposition carries a non-empty residual")
     for si, s in enumerate(dec.summands):
         sh = s.shape
         if sh.kind != "finite":
@@ -441,54 +371,62 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
 # the independent idempotent oracle
 
 
-def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
-    """A basis of the space of degree-0 graded module endomorphisms."""
-    field = m.field
-    degrees = [d for d in m.degrees]
-    sizes = {d: m.dim(d) for d in degrees}
+def _hom_system(src: Module, dst: Module) -> tuple[list[list], dict[int, int], int]:
+    """The equations phi_{d+|e|} e = e phi_d on a degree-0 map phi: src -> dst.
+
+    The unknowns are the entries of the blocks phi_d (dst.dim(d) x src.dim(d),
+    row-major) in the order of ``src.degrees``.  Returns the equation rows,
+    each block's offset and the number of unknowns.
+    """
+    field = src.field
     offsets = {}
     nvars = 0
-    for d in degrees:
+    for d in src.degrees:
         offsets[d] = nvars
-        nvars += sizes[d] * sizes[d]
+        nvars += dst.dim(d) * src.dim(d)
     rows: list[list] = []
-    for d in degrees:
-        nd = sizes[d]
+    for d in src.degrees:
+        nd, fd = src.dim(d), dst.dim(d)
         for which in (E1, E2):
-            t = d + m.params.action_degree(which)
-            nt = sizes.get(t, 0)
-            if nt == 0:
+            t = d + src.params.action_degree(which)
+            nt, ft = src.dim(t), dst.dim(t)
+            a_src, a_dst = src.action(which, d), dst.action(which, d)
+            if ft == 0 or (a_src.is_zero() and a_dst.is_zero()):
                 continue
-            act = m.action(which, d)
-            if act.is_zero():
-                continue
-            for i in range(nt):
+            for i in range(ft):
                 for j in range(nd):
                     row = [field.zero] * nvars
                     for k in range(nt):
-                        if act[k, j]:
+                        if a_src[k, j]:
                             idx = offsets[t] + i * nt + k
-                            row[idx] = field.add(row[idx], act[k, j])
-                    for k in range(nd):
-                        if act[i, k]:
+                            row[idx] = field.add(row[idx], a_src[k, j])
+                    for k in range(fd):
+                        if a_dst[i, k]:
                             idx = offsets[d] + k * nd + j
-                            row[idx] = field.sub(row[idx], act[i, k])
+                            row[idx] = field.sub(row[idx], a_dst[i, k])
                     rows.append(row)
-    if rows:
-        ker = Matrix(field, rows, ncols=nvars).kernel_matrix()
-    else:
-        ker = Matrix.identity(field, nvars)
-    basis = []
-    for col in ker.cols():
-        phi = {}
-        for d in degrees:
-            nd = sizes[d]
-            chunk = col[offsets[d]:offsets[d] + nd * nd]
-            phi[d] = Matrix(field,
-                            tuple(tuple(chunk[i * nd:(i + 1) * nd]) for i in range(nd)),
-                            ncols=nd, _raw=True)
-        basis.append(phi)
-    return basis
+    return rows, offsets, nvars
+
+
+def _hom_blocks(src: Module, dst: Module, flat) -> dict[int, Matrix]:
+    """Cut a solution vector of :func:`_hom_system` into its blocks phi_d."""
+    out = {}
+    pos = 0
+    for d in src.degrees:
+        nd, fd = src.dim(d), dst.dim(d)
+        out[d] = Matrix(src.field,
+                        tuple(tuple(flat[pos + i * nd:pos + (i + 1) * nd])
+                              for i in range(fd)),
+                        ncols=nd, _raw=True)
+        pos += fd * nd
+    return out
+
+
+def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
+    """A basis of the space of degree-0 graded module endomorphisms."""
+    rows, _, nvars = _hom_system(m, m)
+    ker = Matrix(m.field, rows, ncols=nvars).kernel_matrix()
+    return [_hom_blocks(m, m, col) for col in ker.cols()]
 
 
 def _phi_combine(field: Field, terms: list[tuple[object, dict]]) -> dict[int, Matrix]:
@@ -506,7 +444,8 @@ def _fitting_split(m: Module, phi: dict[int, Matrix]):
     kspaces, ispaces = {}, {}
     kdim = 0
     for d, n in m.dims_by_degree.items():
-        power = phi[d].power(n_total)
+        # Fitting's lemma: the kernel and image of phi_d^k stop changing by k = n
+        power = phi[d].power(n)
         k, i = kernel(power), image(power)
         if k.dim + i.dim != n or sum_space(k, i).dim != n:
             raise AssertionError("Fitting decomposition failed to be direct")
@@ -668,71 +607,27 @@ class FreeSplit:
 
 def _solve_retraction(m: Module, fmod: Module,
                       iota: dict[int, Matrix]) -> dict[int, Matrix]:
+    """A module map r: m -> fmod with r o iota = id on the free part."""
     field = m.field
-    sizes = {d: (fmod.dim(d), m.dim(d)) for d in m.degrees}
-    offsets = {}
-    nvars = 0
+    rows, offsets, nvars = _hom_system(m, fmod)
+    rhs = [field.zero] * len(rows)
     for d in m.degrees:
-        offsets[d] = nvars
-        fd, nd = sizes[d]
-        nvars += fd * nd
-    rows: list[list] = []
-    rhs: list = []
-
-    def var(d: int, i: int, k: int) -> int:
-        return offsets[d] + i * sizes[d][1] + k
-
-    for d in m.degrees:
-        fd, nd = sizes[d]
-        for which in (E1, E2):
-            t = d + m.params.action_degree(which)
-            ft, nt = sizes.get(t, (0, 0))
-            if ft == 0 or nd == 0:
-                # r_t A = A_F r_d still constrains r_d when ft == 0 only if
-                # A_F has rows there, which it cannot
-                continue
-            am = m.action(which, d)
-            af = fmod.action(which, d)
-            for i in range(ft):
-                for j in range(nd):
-                    row = [field.zero] * nvars
-                    for k in range(nt):
-                        if am[k, j]:
-                            idx = var(t, i, k)
-                            row[idx] = field.add(row[idx], am[k, j])
-                    for k in range(fd):
-                        if af[i, k]:
-                            idx = var(d, k, j)
-                            row[idx] = field.sub(row[idx], af[i, k])
-                    rows.append(row)
-                    rhs.append(field.zero)
-        if fd == 0:
-            continue
+        fd, nd = fmod.dim(d), m.dim(d)
         im = iota[d]
         for i in range(fd):
             for j in range(fd):
                 row = [field.zero] * nvars
                 for k in range(nd):
                     if im[k, j]:
-                        idx = var(d, i, k)
+                        idx = offsets[d] + i * nd + k
                         row[idx] = field.add(row[idx], im[k, j])
                 rows.append(row)
                 rhs.append(field.one if i == j else field.zero)
-    if not rows:
-        return {d: Matrix.zeros(field, sizes[d][0], sizes[d][1]) for d in m.degrees}
     sol = Matrix(field, rows, ncols=nvars).solve(
         Matrix.from_cols(field, [tuple(rhs)]))
     if sol is None:
         raise AssertionError("no retraction onto the free part exists")
-    flat = sol.col(0)
-    out = {}
-    for d in m.degrees:
-        fd, nd = sizes[d]
-        out[d] = Matrix(field,
-                        tuple(tuple(flat[var(d, i, 0):var(d, i, 0) + nd])
-                              for i in range(fd)),
-                        ncols=nd, _raw=True)
-    return out
+    return _hom_blocks(m, fmod, sol.col(0))
 
 
 def split_free(m: Module) -> FreeSplit:
@@ -770,7 +665,8 @@ def split_free(m: Module) -> FreeSplit:
     iota = {d: Matrix.from_cols(field, iota_cols.get(d, []), nrows=m.dim(d))
             for d in m.degrees}
     for d in free_part.degrees:
-        assert iota[d].ncols == free_part.dim(d)
+        if iota[d].ncols != free_part.dim(d):
+            raise AssertionError("free generators do not fill the free part")
     retraction = _solve_retraction(m, free_part, iota)
     comp_spaces = {d: kernel(retraction[d]) for d in m.degrees}
     complement, comp_emb = _module_from_subspace(m, comp_spaces)

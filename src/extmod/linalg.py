@@ -184,10 +184,6 @@ class Matrix:
         return cls(field, rows, ncols=n, _raw=True)
 
     @classmethod
-    def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
-        return cls(field, rows, ncols=ncols)
-
-    @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None) -> "Matrix":
         cols = [tuple(field.coerce(x) for x in col) for col in cols]
         if cols:
@@ -352,13 +348,13 @@ class Matrix:
     def inverse(self) -> "Matrix | None":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        sol = self.solve(Matrix.identity(self.field, self.nrows))
-        if sol is None:
+        n = self.nrows
+        aug = [list(r1) + list(r2)
+               for r1, r2 in zip(self.rows, Matrix.identity(self.field, n).rows)]
+        # [A | I] reduces to [I | A^-1] exactly when A has full rank
+        if len(_row_reduce(self.field, aug, n)) != n:
             return None
-        # solve() returns a particular solution; it is the inverse only at full rank
-        if self.rank() != self.nrows:
-            return None
-        return sol
+        return Matrix(self.field, tuple(tuple(r[n:]) for r in aug), ncols=n, _raw=True)
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
@@ -446,20 +442,6 @@ class SubspaceBasis:
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce_vector(vec))
 
-    def coords_of(self, vec) -> tuple | None:
-        """Coefficients of vec over the canonical basis, or None if outside."""
-        f = self.field
-        w = [f.coerce(x) for x in vec]
-        coeffs = []
-        for row, pr in zip(self.echelon_rows, self.pivot_rows):
-            c = w[pr]
-            coeffs.append(c)
-            if c:
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        if any(w):
-            return None
-        return tuple(coeffs)
-
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -479,10 +461,6 @@ class SubspaceBasis:
 
 
 # -- subspace operations -------------------------------------------------------
-
-def rref(m: Matrix) -> Matrix:
-    return m.rref()
-
 
 def kernel(m: Matrix) -> SubspaceBasis:
     """The null space of m as a subspace of the domain F^ncols."""

@@ -156,10 +156,6 @@ class FlashShape:
             out[deg] = out.get(deg, 0) + 1
         return out
 
-    def shifted(self, d: int) -> "FlashShape":
-        return FlashShape(self.kind, self.bottoms, self.left_top, self.right_top,
-                          self.shift + d)
-
     def __str__(self) -> str:
         if self.kind == "free":
             return f"free@{self.shift}"

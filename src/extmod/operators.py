@@ -227,11 +227,6 @@ def degree_part(u: GradedSubspace, d: int) -> SubspaceBasis:
     return SubspaceBasis.zero(u.field, 0)
 
 
-def action_kernel(m: Module, which: str) -> GradedSubspace:
-    return GradedSubspace(m.field, m.dims_by_degree,
-                          {d: kernel(m.action(which, d)) for d in m.degrees})
-
-
 def socle(m: Module) -> GradedSubspace:
     """ker e1 intersected with ker e2, degreewise."""
     spaces = {d: intersect(kernel(m.action(E1, d)), kernel(m.action(E2, d)))

@@ -1,13 +1,21 @@
+import ast
+import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import extmod
 from extmod.decompose import (Decomposition, Summand, decompose,
-                              flash_multiplicity_at_degree, idempotent_oracle,
-                              multiplicities, split_free, verify_decomposition,
-                              verify_split_free)
-from extmod.modules import (FlashShape, counterexample_stage,
+                              endomorphism_basis, flash_multiplicity_at_degree,
+                              idempotent_oracle, multiplicities, split_free,
+                              verify_decomposition, verify_split_free)
+from extmod.linalg import Matrix
+from extmod.modules import (E1, E2, FlashShape, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
                             random_basis_change, shift, with_variant,
                             zero_module)
@@ -69,9 +77,11 @@ def test_zero_module():
 
 
 def test_round_trips_over_both_fields():
-    for trial in range(25):
+    # Q needs the domain-side scaling of the sweep on almost every pivot
+    cases = itertools.product([2, 3, 5, 0], [(1, 3), (1, 2), (2, 5)], range(3))
+    for trial, (p, degs, _) in enumerate(cases):
         rng = random.Random(4000 + trial)
-        params = default_params(rng.choice([2, 5]))
+        params = default_params(p, *degs)
         shapes = random_flash_shapes(rng)
         scrambled = random_basis_change(flash_sum(shapes, params), 8000 + trial)
         dec = decompose(scrambled)
@@ -102,7 +112,6 @@ def test_only_finite_shapes_and_dimensions_conserved():
                                     900 + trial)
         dec = decompose(m)
         assert all(s.shape.kind == "finite" for s in dec.summands)
-        assert not dec.residual
         total = {}
         for s in dec.summands:
             for d, k in s.shape.dims(m.params).items():
@@ -149,10 +158,35 @@ def test_oracle_bound():
 
 
 def test_oracle_matches_decompose():
-    for trial in range(20):
-        m = random_variant_b_module(P, 6, 7100 + trial)
-        assert decompose(m).multiset() == \
-            idempotent_oracle(m, seed=trial).multiset()
+    for params in (P, default_params(5)):
+        for trial in range(20):
+            m = random_variant_b_module(params, 6, 7100 + trial)
+            assert decompose(m).multiset() == \
+                idempotent_oracle(m, seed=trial).multiset()
+
+
+def _flatten(phi):
+    return tuple(x for d in sorted(phi) for row in phi[d].rows for x in row)
+
+
+def test_endomorphism_basis():
+    for trial in range(12):
+        rng = random.Random(7300 + trial)
+        params = default_params(rng.choice([2, 5, 0]))
+        m = random_variant_b_module(params, 8, 7400 + trial)
+        basis = endomorphism_basis(m)
+        for phi in basis:
+            for which in (E1, E2):
+                for d in m.degrees:
+                    t = d + params.action_degree(which)
+                    if m.dim(t):
+                        assert phi[t] @ m.action(which, d) == \
+                            m.action(which, d) @ phi[d]
+        ident = {d: Matrix.identity(params.field, n)
+                 for d, n in m.dims_by_degree.items()}
+        span = Matrix.from_cols(params.field, [_flatten(phi) for phi in basis])
+        assert span.solve_vector(_flatten(ident)) is not None
+        assert len(endomorphism_basis(random_basis_change(m, trial))) == len(basis)
 
 
 def test_multiplicities_examples():
@@ -234,3 +268,36 @@ def test_split_free_random_trials():
 def test_split_free_requires_variant_a():
     with pytest.raises(ValueError):
         split_free(make_flash(FlashShape.l(1, 0, 1), P))
+
+
+# -- invariant checks -----------------------------------------------------------
+
+
+def test_package_has_no_assert_statements():
+    # invariant checks raise AssertionError explicitly, so python -O keeps them
+    src = Path(extmod.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_inadmissible_absorb_raises_under_optimize():
+    code = """
+from extmod.decompose import _Strand
+from extmod.linalg import GF2
+if __debug__:
+    raise SystemExit("not running under -O")
+strong = _Strand(1, (1,))
+strong.join(_Strand(2, (1,)))
+weak = _Strand(2, (1,))
+try:
+    weak.absorb(strong, 1, GF2)
+except AssertionError:
+    print("raised")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, "raised"), out.stderr

@@ -6,8 +6,8 @@ from extmod import operators
 from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncated_infinite_flash)
-from extmod.operators import (GradedSubspace, act_image, action_kernel,
-                              degree_part, filtration, filtration_trace,
+from extmod.operators import (GradedSubspace, act_image, degree_part,
+                              filtration, filtration_trace,
                               margolis_homology, op_preimage, radical, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
@@ -204,12 +204,6 @@ def test_operators_commute_with_shift():
                    for d in right.spaces)
     assert margolis_homology(moved, E1) == \
         {d + 5: k for d, k in margolis_homology(m, E1).items()}
-
-
-def test_action_kernel():
-    m1 = make_flash(FlashShape.l(1, 0, 1), P)
-    assert action_kernel(m1, E2) == span(m1, "y0", "y1")
-    assert action_kernel(m1, E1) == span(m1, "x0", "y0", "y1")
 
 
 def test_ambient_mismatch_rejected():
