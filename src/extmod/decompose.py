@@ -28,6 +28,12 @@ off directly as one flash summand.
 The idempotent oracle is an independent second route used for
 cross-validation: it knows nothing about strings and splits along Fitting
 decompositions of graded endomorphisms found by exact linear algebra.
+
+Over variant A, free summands split off first.  Free modules over E(e1, e2)
+are injective, so the free part F spanned by lifts of the e1e2-image is a
+summand, and a complement is read off its socle: in each degree, the vectors
+v for which v, e1 v, e2 v and e1e2 v vanish at the pivot coordinates of the
+e1e2-image in their degrees (see :func:`split_free`).
 """
 
 from __future__ import annotations
@@ -371,62 +377,61 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
 # the independent idempotent oracle
 
 
-def _hom_system(src: Module, dst: Module) -> tuple[list[list], dict[int, int], int]:
-    """The equations phi_{d+|e|} e = e phi_d on a degree-0 map phi: src -> dst.
+def _hom_system(m: Module) -> tuple[list[list], int]:
+    """The equations phi_{d+|e|} e = e phi_d on a degree-0 map phi: m -> m.
 
-    The unknowns are the entries of the blocks phi_d (dst.dim(d) x src.dim(d),
-    row-major) in the order of ``src.degrees``.  Returns the equation rows,
-    each block's offset and the number of unknowns.
+    The unknowns are the entries of the blocks phi_d (row-major) in the order
+    of ``m.degrees``.  Returns the equation rows and the number of unknowns.
     """
-    field = src.field
+    field = m.field
     offsets = {}
     nvars = 0
-    for d in src.degrees:
+    for d in m.degrees:
         offsets[d] = nvars
-        nvars += dst.dim(d) * src.dim(d)
+        nvars += m.dim(d) ** 2
     rows: list[list] = []
-    for d in src.degrees:
-        nd, fd = src.dim(d), dst.dim(d)
+    for d in m.degrees:
+        nd = m.dim(d)
         for which in (E1, E2):
-            t = d + src.params.action_degree(which)
-            nt, ft = src.dim(t), dst.dim(t)
-            a_src, a_dst = src.action(which, d), dst.action(which, d)
-            if ft == 0 or (a_src.is_zero() and a_dst.is_zero()):
+            t = d + m.params.action_degree(which)
+            nt = m.dim(t)
+            act = m.action(which, d)
+            if act.is_zero():
                 continue
-            for i in range(ft):
+            for i in range(nt):
                 for j in range(nd):
                     row = [field.zero] * nvars
                     for k in range(nt):
-                        if a_src[k, j]:
+                        if act[k, j]:
                             idx = offsets[t] + i * nt + k
-                            row[idx] = field.add(row[idx], a_src[k, j])
-                    for k in range(fd):
-                        if a_dst[i, k]:
+                            row[idx] = field.add(row[idx], act[k, j])
+                    for k in range(nd):
+                        if act[i, k]:
                             idx = offsets[d] + k * nd + j
-                            row[idx] = field.sub(row[idx], a_dst[i, k])
+                            row[idx] = field.sub(row[idx], act[i, k])
                     rows.append(row)
-    return rows, offsets, nvars
+    return rows, nvars
 
 
-def _hom_blocks(src: Module, dst: Module, flat) -> dict[int, Matrix]:
+def _hom_blocks(m: Module, flat) -> dict[int, Matrix]:
     """Cut a solution vector of :func:`_hom_system` into its blocks phi_d."""
     out = {}
     pos = 0
-    for d in src.degrees:
-        nd, fd = src.dim(d), dst.dim(d)
-        out[d] = Matrix(src.field,
+    for d in m.degrees:
+        nd = m.dim(d)
+        out[d] = Matrix(m.field,
                         tuple(tuple(flat[pos + i * nd:pos + (i + 1) * nd])
-                              for i in range(fd)),
+                              for i in range(nd)),
                         ncols=nd, _raw=True)
-        pos += fd * nd
+        pos += nd * nd
     return out
 
 
 def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
     """A basis of the space of degree-0 graded module endomorphisms."""
-    rows, _, nvars = _hom_system(m, m)
+    rows, nvars = _hom_system(m)
     ker = Matrix(m.field, rows, ncols=nvars).kernel_matrix()
-    return [_hom_blocks(m, m, col) for col in ker.cols()]
+    return [_hom_blocks(m, col) for col in ker.cols()]
 
 
 def _phi_combine(field: Field, terms: list[tuple[object, dict]]) -> dict[int, Matrix]:
@@ -605,37 +610,24 @@ class FreeSplit:
     complement_embedding: dict[int, Matrix]
 
 
-def _solve_retraction(m: Module, fmod: Module,
-                      iota: dict[int, Matrix]) -> dict[int, Matrix]:
-    """A module map r: m -> fmod with r o iota = id on the free part."""
-    field = m.field
-    rows, offsets, nvars = _hom_system(m, fmod)
-    rhs = [field.zero] * len(rows)
-    for d in m.degrees:
-        fd, nd = fmod.dim(d), m.dim(d)
-        im = iota[d]
-        for i in range(fd):
-            for j in range(fd):
-                row = [field.zero] * nvars
-                for k in range(nd):
-                    if im[k, j]:
-                        idx = offsets[d] + i * nd + k
-                        row[idx] = field.add(row[idx], im[k, j])
-                rows.append(row)
-                rhs.append(field.one if i == j else field.zero)
-    sol = Matrix(field, rows, ncols=nvars).solve(
-        Matrix.from_cols(field, [tuple(rhs)]))
-    if sol is None:
-        raise AssertionError("no retraction onto the free part exists")
-    return _hom_blocks(m, fmod, sol.col(0))
-
-
 def split_free(m: Module) -> FreeSplit:
     """Split a variant-A module as free part plus an e1e2-killed complement.
 
-    Generators are lifted from the image of the composite e1 e2; the free
-    submodule they span is split off by solving for an exact module
-    retraction, whose kernel is the complement.
+    Generators are lifted from the image of the composite e1 e2 and span a
+    free submodule F.  Free modules over E(e1, e2) are injective, so F is a
+    summand, and a complement C is read off its socle.  With P_t the pivot
+    coordinates of the e1e2-image in degree t, C_d is the common kernel of the
+    coordinates P_d of v, P_{d+|e1|} of e1 v, P_{d+|e2|} of e2 v and
+    P_{d+|e1|+|e2|} of e1 e2 v, for v in degree d.  It is a complement:
+
+    - The e1e2-image is the socle of F.  Its echelon basis has a 1 at its own
+      pivot and 0 at every other pivot, so a nonzero socle vector has a
+      nonzero coordinate somewhere in P_t.
+    - C is a submodule, because every product of e1 and e2 with a monomial is
+      a monomial, up to sign, or zero.  Every nonzero submodule of a free
+      module meets its socle, so C meets F only in zero.
+    - Degree d has exactly dim F_d conditions, so dim C_d >= dim M_d - dim F_d.
+      Hence M = F + C is direct, and e1e2 C lies in C and F, so it is zero.
     """
     if m.params.variant != "A":
         raise ValueError("split_free expects a variant-A module")
@@ -646,11 +638,14 @@ def split_free(m: Module) -> FreeSplit:
     field = m.field
     d1, d2 = params.deg_e1, params.deg_e2
     gens: list[tuple[int, tuple]] = []
+    composites: dict[int, Matrix] = {}
+    pivots: dict[int, tuple[int, ...]] = {}
     for d in m.degrees:
-        composite = m.action(E1, d + d2) @ m.action(E2, d)
-        for target in image(composite).vectors():
-            lift = composite.solve_vector(target)
-            gens.append((d, lift))
+        composite = composites[d] = m.action(E1, d + d2) @ m.action(E2, d)
+        socle_part = image(composite)
+        pivots[d + d1 + d2] = socle_part.pivot_rows
+        for target in socle_part.vectors():
+            gens.append((d, composite.solve_vector(target)))
     if not gens:
         ident = {d: Matrix.identity(field, n) for d, n in m.dims_by_degree.items()}
         return FreeSplit({}, (), zero_module(params), {}, m, ident)
@@ -664,15 +659,17 @@ def split_free(m: Module) -> FreeSplit:
             iota_cols.setdefault(deg, []).append(vec)
     iota = {d: Matrix.from_cols(field, iota_cols.get(d, []), nrows=m.dim(d))
             for d in m.degrees}
-    for d in free_part.degrees:
-        if iota[d].ncols != free_part.dim(d):
-            raise AssertionError("free generators do not fill the free part")
-    retraction = _solve_retraction(m, free_part, iota)
-    comp_spaces = {d: kernel(retraction[d]) for d in m.degrees}
+    comp_spaces = {}
+    for d, n in m.dims_by_degree.items():
+        conditions = []
+        for step, act in ((0, Matrix.identity(field, n)), (d1, m.action(E1, d)),
+                          (d2, m.action(E2, d)), (d1 + d2, composites[d])):
+            conditions.extend(act.rows[i] for i in pivots.get(d + step, ()))
+        comp_spaces[d] = kernel(Matrix(field, tuple(conditions), ncols=n, _raw=True))
+        if comp_spaces[d].dim != n - free_part.dim(d):
+            raise AssertionError("the socle conditions do not cut out a complement")
     complement, comp_emb = _module_from_subspace(m, comp_spaces)
-    ranks: dict[int, int] = {}
-    for d, _ in gens:
-        ranks[d] = ranks.get(d, 0) + 1
+    ranks = dict(Counter(d for d, _ in gens))
     return FreeSplit(ranks, tuple(gens), free_part,
                      {d: iota[d] for d in m.degrees if iota[d].ncols},
                      complement, comp_emb)
@@ -707,8 +704,9 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
         comp = fs.complement_embedding[d]
         if not (m.action(E1, d + d2) @ m.action(E2, d) @ comp).is_zero():
             problems.append(f"complement is not killed by e1e2 at degree {d}")
-    for d in set(fs.free_ranks) | set(_composite_image_dims(m)):
-        want = _composite_image_dims(m).get(d, 0)
+    image_dims = _composite_image_dims(m)
+    for d in set(fs.free_ranks) | set(image_dims):
+        want = image_dims.get(d, 0)
         if fs.free_ranks.get(d, 0) != want:
             problems.append(f"free rank at degree {d} is {fs.free_ranks.get(d, 0)}, "
                             f"expected {want}")

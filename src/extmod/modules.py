@@ -483,15 +483,8 @@ def truncated_infinite_flash(left_top: bool, max_degree: int,
     m_x = max_degree // g
     m_y = (max_degree - d2) // g if max_degree >= d2 else -1
     lt_eff = left_top and d1 <= max_degree
-
-    tops = set(range(0, m_y + 1))
-    if lt_eff:
-        tops.add(-1)
-    elements = [(f"x{i}", i * g, 0, i) for i in range(m_x + 1)]
-    elements += [(_top_label(i), i * g + d2, 1, i) for i in sorted(tops)]
-    a1 = {f"x{i}": _top_label(i - 1) for i in range(m_x + 1) if i - 1 in tops}
-    a2 = {f"x{i}": _top_label(i) for i in range(m_x + 1) if i in tops}
-    mod = _assemble(params, elements, a1, a2)
+    mod = truncate_above(make_flash(FlashShape.finite(m_x + 1, left_top, True), params),
+                         max_degree)
 
     b_main = min(m_x, m_y + 1) + 1
     shapes = [FlashShape.finite(b_main, lt_eff, False)]

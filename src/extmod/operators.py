@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (SubspaceBasis, image, intersect, kernel, preimage_space,
+from .linalg import (Matrix, SubspaceBasis, image, kernel, preimage_space,
                      quotient_dim, sum_space)
 from .modules import E1, E2, Module
 
@@ -228,9 +228,10 @@ def degree_part(u: GradedSubspace, d: int) -> SubspaceBasis:
 
 
 def socle(m: Module) -> GradedSubspace:
-    """ker e1 intersected with ker e2, degreewise."""
-    spaces = {d: intersect(kernel(m.action(E1, d)), kernel(m.action(E2, d)))
-              for d in m.degrees}
+    """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
+    spaces = {d: kernel(Matrix(m.field, m.action(E1, d).rows + m.action(E2, d).rows,
+                               ncols=n, _raw=True))
+              for d, n in m.dims_by_degree.items()}
     return GradedSubspace(m.field, m.dims_by_degree, spaces)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import extmod
+from extmod import linalg
 from extmod.decompose import (Decomposition, Summand, decompose,
                               endomorphism_basis, flash_multiplicity_at_degree,
                               idempotent_oracle, multiplicities, split_free,
@@ -248,21 +249,52 @@ def test_split_free_round_trip():
 
 
 def test_split_free_random_trials():
-    for trial in range(15):
+    for trial in range(24):
         rng = random.Random(3500 + trial)
-        params = default_params(rng.choice([2, 5]), variant="A")
-        free_degrees = [rng.randint(0, 6) for _ in range(rng.randint(0, 3))]
-        shapes = random_flash_shapes(rng, 4, 4, 6)
+        # (1, 3) gives sigma = -1 away from characteristic 2
+        degs = ((1, 2), (1, 3), (2, 5))[trial % 3]
+        params = default_params((2, 3, 5, 0)[trial % 4], *degs, variant="A")
+        pb = params.with_variant("B")
+        # free summands over at most two degrees, so several share one
+        slots = [rng.randint(0, 6) for _ in range(2)]
+        free_degrees = [rng.choice(slots) for _ in range(rng.randint(0, 4))]
+        rest = [make_flash(s, pb) for s in random_flash_shapes(rng, 4, 4, 6)]
+        if trial % 2:
+            rest.append(random_variant_b_module(pb, 12, 5300 + trial))
+        rest_b = direct_sum(rest, pb)
         parts = [make_free(d, params) for d in free_degrees]
-        parts += [with_variant(make_flash(s, params.with_variant("B")), "A")
-                  for s in shapes]
-        m = random_basis_change(direct_sum(parts, params), 5100 + trial)
+        m = random_basis_change(direct_sum(parts + [with_variant(rest_b, "A")], params),
+                                5100 + trial)
         fs = split_free(m)
         assert fs.free_ranks == dict(Counter(free_degrees))
         assert verify_split_free(m, fs)
-        # complement must be e1e2-free degreewise and decompose to the flashes
+        # the complement is e1e2-killed and has the remainder's flashes
         comp = with_variant(fs.complement, "B")
-        assert multiplicities(comp) == Counter(shapes)
+        assert multiplicities(comp) == multiplicities(rest_b)
+
+
+def test_split_free_eliminations_stay_degree_sized(monkeypatch):
+    # the complement comes from one small kernel per degree, never from one
+    # system over all degrees at once
+    params = default_params(5, variant="A")
+    pb = params.with_variant("B")
+    shapes = [FlashShape.l(n, e, e2, s) for n, e, e2, s in
+              ((3, 1, 0, 0), (2, 0, 1, 1), (4, 1, 1, 2), (1, 0, 0, 3), (2, 1, 1, 0))]
+    parts = [make_free(i % 4, params) for i in range(12)]
+    parts += [with_variant(make_flash(s, pb), "A") for s in shapes]
+    m = random_basis_change(direct_sum(parts, params), 11)
+    cells = []
+    row_reduce = linalg._row_reduce
+
+    def counting(field, rows, n_pivot_cols):
+        cells.append(len(rows) * (len(rows[0]) if rows else 0))
+        return row_reduce(field, rows, n_pivot_cols)
+
+    monkeypatch.setattr(linalg, "_row_reduce", counting)
+    fs = split_free(m)
+    monkeypatch.undo()
+    assert fs.free_ranks == {0: 3, 1: 3, 2: 3, 3: 3}
+    assert max(cells) <= 3 * max(m.dims_by_degree.values()) ** 2
 
 
 def test_split_free_requires_variant_a():
