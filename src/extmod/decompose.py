@@ -644,8 +644,11 @@ def split_free(m: Module) -> FreeSplit:
         composite = composites[d] = m.action(E1, d + d2) @ m.action(E2, d)
         socle_part = image(composite)
         pivots[d + d1 + d2] = socle_part.pivot_rows
-        for target in socle_part.vectors():
-            gens.append((d, composite.solve_vector(target)))
+        if socle_part.dim:
+            # one elimination lifts every target: each column of the right-hand
+            # side gets the particular solution it would get on its own
+            lifts = composite.solve(socle_part.basis_matrix())
+            gens.extend((d, lift) for lift in lifts.cols())
     if not gens:
         ident = {d: Matrix.identity(field, n) for d, n in m.dims_by_degree.items()}
         return FreeSplit({}, (), zero_module(params), {}, m, ident)
@@ -702,7 +705,7 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
     d1, d2 = params.deg_e1, params.deg_e2
     for d in fs.complement.degrees:
         comp = fs.complement_embedding[d]
-        if not (m.action(E1, d + d2) @ m.action(E2, d) @ comp).is_zero():
+        if not (m.action(E1, d + d2) @ (m.action(E2, d) @ comp)).is_zero():
             problems.append(f"complement is not killed by e1e2 at degree {d}")
     image_dims = _composite_image_dims(m)
     for d in set(fs.free_ranks) | set(image_dims):

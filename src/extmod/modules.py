@@ -185,12 +185,16 @@ class Module:
     must not depend on them.
     """
 
-    __slots__ = ("params", "dims_by_degree", "_a1", "_a2", "labels")
+    # _violations caches validate(self).  That is sound because a Module is
+    # never mutated after construction: no code writes dims_by_degree, _a1
+    # or _a2 once __init__ has returned.
+    __slots__ = ("params", "dims_by_degree", "_a1", "_a2", "labels", "_violations")
 
     def __init__(self, params: AlgebraParams, dims: dict[int, int],
                  a1: dict[int, Matrix], a2: dict[int, Matrix],
                  labels: dict[int, tuple[str, ...]] | None = None):
         self.params = params
+        self._violations: tuple[Violation, ...] | None = None
         self.dims_by_degree = {d: n for d, n in sorted(dims.items()) if n > 0}
         self._a1 = self._normalize_actions(a1, params.deg_e1)
         self._a2 = self._normalize_actions(a2, params.deg_e2)
@@ -268,7 +272,17 @@ class Module:
 
 
 def validate(m: Module) -> list[Violation]:
-    """All failed axioms; empty exactly when m is a legal module."""
+    """All failed axioms; empty exactly when m is a legal module.
+
+    The relation products run once per module; later calls return a fresh
+    list of the cached violations.
+    """
+    if m._violations is None:
+        m._violations = tuple(_relation_violations(m))
+    return list(m._violations)
+
+
+def _relation_violations(m: Module) -> list[Violation]:
     out: list[Violation] = []
     p = m.params
     for d in m.degrees:
@@ -495,11 +509,13 @@ def truncated_infinite_flash(left_top: bool, max_degree: int,
 def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
     p = field.characteristic
     for _ in range(10000):
+        # both draws are already canonical field elements
         if p:
-            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
         else:
-            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        mat = Matrix(field, rows)
+            rows = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                         for _ in range(n))
+        mat = Matrix(field, rows, ncols=n, _raw=True)
         if mat.rank() == n:
             return mat
     raise RuntimeError("failed to sample an invertible matrix")

@@ -18,6 +18,19 @@ def random_matrix(field, nrows, ncols, rng):
     return Matrix(field, rows, ncols=ncols)
 
 
+def reference_product(a, b):
+    """a @ b entry by entry as sum(x * y), the formula every field shares."""
+    zero = a.field.zero
+    rows = [[sum((x * y for x, y in zip(row, col)), zero) for col in b.cols()]
+            for row in a.rows]
+    return Matrix(a.field, rows, ncols=b.ncols)
+
+
+def reference_apply(m, vec):
+    """m.apply(vec) entry by entry."""
+    return reference_product(m, Matrix.from_cols(m.field, [vec])).col(0)
+
+
 def random_subspace(field, ambient, rng, max_gens=None):
     gens = rng.randint(0, max_gens if max_gens is not None else ambient)
     vectors = [random_matrix(field, 1, ambient, rng).row(0) for _ in range(gens)]

@@ -10,16 +10,17 @@ from pathlib import Path
 import pytest
 
 import extmod
-from extmod import linalg
+from extmod import linalg, modules
 from extmod.decompose import (Decomposition, Summand, decompose,
                               endomorphism_basis, flash_multiplicity_at_degree,
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
-from extmod.modules import (E1, E2, FlashShape, counterexample_stage,
+from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
-                            random_basis_change, shift, with_variant,
+                            random_basis_change, shift, validate, with_variant,
                             zero_module)
+from extmod.textio import parse_module, print_module
 from helpers import flash_sum, random_flash_shapes, random_variant_b_module
 
 P = default_params()
@@ -300,6 +301,36 @@ def test_split_free_eliminations_stay_degree_sized(monkeypatch):
 def test_split_free_requires_variant_a():
     with pytest.raises(ValueError):
         split_free(make_flash(FlashShape.l(1, 0, 1), P))
+
+
+# -- validation -------------------------------------------------------------------
+
+
+def test_parsed_module_checks_relations_once(monkeypatch):
+    calls = []
+    check = modules._relation_violations
+    monkeypatch.setattr(modules, "_relation_violations",
+                        lambda m: calls.append(m) or check(m))
+    flashes = random_basis_change(flash_sum(random_flash_shapes(random.Random(5)), P), 5)
+    for m, entry in ((flashes, decompose),
+                     (make_flash(FlashShape.l(1, 0, 1), P), idempotent_oracle),
+                     (direct_sum([make_free(0, PA), make_free(2, PA)]), split_free)):
+        calls.clear()
+        entry(parse_module(print_module(m)))
+        assert len(calls) == 1, entry.__name__
+
+
+def test_invalid_module_raises_at_every_entry_point():
+    f = P.field
+    for params, entry in ((P, decompose), (P, idempotent_oracle), (PA, split_free),
+                          (P, lambda m: with_variant(m, "A"))):
+        # e1 e1 acts as the identity from degree 0 to degree 2
+        bad = Module(params, {0: 1, 1: 1, 2: 1},
+                     {0: Matrix(f, [[1]]), 1: Matrix(f, [[1]])}, {})
+        validate(bad).clear()  # must leave the cached violations intact
+        for _ in range(2):  # the second call reads the cached violations
+            with pytest.raises(ValueError, match="e1e1 fails at degree 0"):
+                entry(bad)
 
 
 # -- invariant checks -----------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
-from helpers import random_matrix, random_subspace
+from helpers import (random_matrix, random_subspace, reference_apply,
+                     reference_product)
 
 F2 = Field(2)
 F5 = Field(5)
@@ -56,6 +57,41 @@ def test_rref_idempotent_and_canonical():
                 if left.rank() == n:
                     break
             assert (left @ m).rref() == r
+
+
+def _same_shape_from_every_constructor(field, nrows, ncols, rng):
+    m = random_matrix(field, nrows, ncols, rng)
+    out = [m, Matrix.zeros(field, nrows, ncols), m.scaled(3),
+           Matrix.from_cols(field, m.cols(), nrows=nrows),
+           # results of @ arrive with their packed rows already cached
+           Matrix.identity(field, nrows) @ m,
+           random_matrix(field, nrows, 3, rng) @ random_matrix(field, 3, ncols, rng)]
+    if ncols:
+        out.append(hstack([random_matrix(field, nrows, 1, rng),
+                           random_matrix(field, nrows, ncols - 1, rng)]))
+    if nrows == ncols:
+        out.append(Matrix.identity(field, nrows))
+    return out
+
+
+# (rows, inner, columns): empty, 1 x n, n x 1 and wider than 64 columns
+PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 7, 1), (1, 1, 9),
+                  (9, 1, 1), (7, 1, 5), (5, 5, 5), (4, 70, 3), (3, 4, 70),
+                  (2, 130, 66), (66, 2, 2)]
+
+
+@pytest.mark.parametrize("field", [F2, F5], ids=["F2", "F5"])
+def test_products_match_entrywise_reference(field):
+    rng = random.Random(19)
+    for nrows, inner, ncols in PRODUCT_SHAPES:
+        lefts = _same_shape_from_every_constructor(field, nrows, inner, rng)
+        rights = _same_shape_from_every_constructor(field, inner, ncols, rng)
+        for a in lefts:
+            for b in rights:
+                assert a @ b == reference_product(a, b)
+            for _ in range(2):  # the second call reads the cached rows
+                v = random_matrix(field, 1, inner, rng).row(0)
+                assert a.apply(v) == reference_apply(a, v)
 
 
 def test_kernel_examples():
