@@ -184,8 +184,8 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
             raise AssertionError("action image escapes the socle layer")
         return []
     tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod],
-                            nrows=act.nrows)
-    coeff = tmat.solve(Matrix.from_cols(field, imgs))
+                            nrows=act.nrows, _raw=True)
+    coeff = tmat.solve(Matrix.from_cols(field, imgs, _raw=True))
     if coeff is None:
         raise AssertionError("socle coordinates must exist")
     a = [list(row) for row in coeff.rows]

@@ -12,8 +12,17 @@ the immutable matrix.  A product row is the XOR of the right factor's packed
 rows that the left row selects, and an entry of ``m.apply(v)`` is the parity
 of the set bits in ``row & v``, after Albrecht, Bard and Hart, "Algorithm
 898: Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010).
-Elimination stays on tuples: on the small blocks it mostly sees, packing and
-unpacking cost more than the XORs save.
+Elimination over F2 packs its rows the same way, once per elimination: the
+pivot search tests one bit per row, and each row update is a single XOR of
+packed ints.  Over F_p for odd p and over Q, elimination works on lists of
+entries.
+
+Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
+and the public defaults of ``Matrix.from_cols`` and
+``SubspaceBasis.from_spanning`` coerce.  Internal callers whose vectors come
+from ``apply``, ``vectors()``, ``cols()`` or an elimination are already
+canonical and pass ``_raw=True``.  The packed F2 elimination relies on this:
+it needs every entry to be 0 or 1.
 """
 
 from __future__ import annotations
@@ -118,9 +127,12 @@ def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
     """In-place reduced row echelon over the first n_pivot_cols columns.
 
     Row operations always apply to the full row width, so callers can append
-    augmented columns.  Returns the pivot column indices.
+    augmented columns.  Returns the pivot column indices.  Over F2 the rows
+    are packed (:func:`_row_reduce_f2`) and must hold canonical entries.
     """
     p = field.characteristic
+    if p == 2:
+        return _row_reduce_f2(rows, n_pivot_cols)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -153,6 +165,37 @@ def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
         r += 1
         if r == m:
             break
+    return pivots
+
+
+def _row_reduce_f2(rows: list[list], n_pivot_cols: int) -> list[int]:
+    """:func:`_row_reduce` over F2 on packed rows, with the same pivots and swaps.
+
+    The rows must hold the entries 0 and 1 only.  Each row update is one XOR
+    of packed ints; the rows are unpacked in place at the end.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    packed = [_pack(row) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(min(n_pivot_cols, n)):
+        bit = 1 << (8 * c)
+        for pr in range(r, m):
+            if packed[pr] & bit:
+                break
+        else:
+            continue
+        top = packed[pr]
+        packed[pr] = packed[r]
+        # clearing column c also zeroes the pivot row itself, so it goes back
+        packed = [x ^ top if x & bit else x for x in packed]
+        packed[r] = top
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
     return pivots
 
 
@@ -212,8 +255,11 @@ class Matrix:
         return cls(field, rows, ncols=n, _raw=True)
 
     @classmethod
-    def from_cols(cls, field: Field, cols, nrows: int | None = None) -> "Matrix":
-        cols = [tuple(field.coerce(x) for x in col) for col in cols]
+    def from_cols(cls, field: Field, cols, nrows: int | None = None,
+                  _raw: bool = False) -> "Matrix":
+        """The matrix with the given columns; ``_raw`` trusts them to be canonical."""
+        if not _raw:
+            cols = [tuple(field.coerce(x) for x in col) for col in cols]
         if cols:
             nrows = len(cols[0])
             return cls(field, tuple(zip(*cols)), ncols=len(cols), _raw=True)
@@ -365,7 +411,7 @@ class Matrix:
             for i, pc in enumerate(piv):
                 v[pc] = f.neg(red[i, fc])
             cols.append(tuple(v))
-        return Matrix.from_cols(f, cols, nrows=self.ncols)
+        return Matrix.from_cols(f, cols, nrows=self.ncols, _raw=True)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = rhs, or None if inconsistent."""
@@ -430,12 +476,18 @@ class SubspaceBasis:
         self.pivot_rows = pivot_rows
 
     @classmethod
-    def from_spanning(cls, field: Field, ambient_dim: int, vectors) -> "SubspaceBasis":
-        """Canonicalize a list of spanning vectors (or a column matrix)."""
+    def from_spanning(cls, field: Field, ambient_dim: int, vectors,
+                      _raw: bool = False) -> "SubspaceBasis":
+        """Canonicalize a list of spanning vectors (or a column matrix).
+
+        ``_raw`` trusts the vectors to hold canonical entries already.
+        """
         if isinstance(vectors, Matrix):
             if vectors.nrows != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
             vecs = vectors.cols()
+        elif _raw:
+            vecs = vectors
         else:
             vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
         for v in vecs:
@@ -463,7 +515,8 @@ class SubspaceBasis:
         return list(self.echelon_rows)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim)
+        return Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim,
+                                _raw=True)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -513,7 +566,7 @@ def kernel(m: Matrix) -> SubspaceBasis:
 
 def image(m: Matrix) -> SubspaceBasis:
     """The column space of m as a subspace of the codomain F^nrows."""
-    return SubspaceBasis.from_spanning(m.field, m.nrows, m.cols())
+    return SubspaceBasis.from_spanning(m.field, m.nrows, m)
 
 
 def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
@@ -526,7 +579,7 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
     aug = hstack([m, -u.basis_matrix()])
     ker = aug.kernel_matrix()
     heads = [col[:m.ncols] for col in ker.cols()]
-    return SubspaceBasis.from_spanning(m.field, m.ncols, heads)
+    return SubspaceBasis.from_spanning(m.field, m.ncols, heads, _raw=True)
 
 
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
@@ -538,14 +591,14 @@ def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     aug = hstack([bu, -v.basis_matrix()])
     ker = aug.kernel_matrix()
     vecs = [bu.apply(col[:bu.ncols]) for col in ker.cols()]
-    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs)
+    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs, _raw=True)
 
 
 def sum_space(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return SubspaceBasis.from_spanning(u.field, u.ambient_dim,
-                                       u.vectors() + v.vectors())
+                                       u.vectors() + v.vectors(), _raw=True)
 
 
 def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:

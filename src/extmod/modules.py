@@ -402,30 +402,31 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
         raise ValueError("direct sum of modules over different algebras")
     if len(mods) == 1:
         return mods[0]
+    # offsets[k][d]: where summand k's degree-d coordinates start in the sum
     dims: dict[int, int] = {}
+    offsets = []
     for m in mods:
+        off = {}
         for d, n in m.dims_by_degree.items():
-            dims[d] = dims.get(d, 0) + n
+            off[d] = dims.get(d, 0)
+            dims[d] = off[d] + n
+        offsets.append(off)
     field = params.field
 
     def block(which: str, step: int) -> dict[int, Matrix]:
-        out = {}
-        for d in dims:
-            nrows = dims.get(d + step, 0)
-            if nrows == 0:
-                continue
-            rows = [[field.zero] * dims[d] for _ in range(nrows)]
-            roff = coff = 0
-            for m in mods:
-                a = m.action(which, d)
-                for i in range(a.nrows):
-                    for j in range(a.ncols):
-                        if a[i, j]:
-                            rows[roff + i][coff + j] = a[i, j]
-                roff += m.dim(d + step)
-                coff += m.dim(d)
-            out[d] = Matrix(field, tuple(tuple(r) for r in rows), ncols=dims[d], _raw=True)
-        return out
+        # only stored (nonzero) blocks are placed; every other entry stays zero
+        out: dict[int, list[list]] = {}
+        for m, off in zip(mods, offsets):
+            for d, a in m.action_items(which).items():
+                rows = out.get(d)
+                if rows is None:
+                    rows = out[d] = [[field.zero] * dims[d]
+                                     for _ in range(dims[d + step])]
+                roff, coff = off[d + step], off[d]
+                for i, row in enumerate(a.rows):
+                    rows[roff + i][coff:coff + a.ncols] = row
+        return {d: Matrix(field, tuple(map(tuple, rows)), ncols=dims[d], _raw=True)
+                for d, rows in out.items()}
 
     labels = None
     if all(m.labels is not None for m in mods):
@@ -506,7 +507,9 @@ def truncated_infinite_flash(left_top: bool, max_degree: int,
     return TruncatedFlash(mod, tuple(shapes))
 
 
-def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
+def _random_invertible(field: Field, n: int,
+                       rng: random.Random) -> tuple[Matrix, Matrix]:
+    """A random invertible n x n matrix and its inverse, one elimination per draw."""
     p = field.characteristic
     for _ in range(10000):
         # both draws are already canonical field elements
@@ -516,8 +519,9 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> Matrix:
             rows = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
                          for _ in range(n))
         mat = Matrix(field, rows, ncols=n, _raw=True)
-        if mat.rank() == n:
-            return mat
+        inv = mat.inverse()
+        if inv is not None:
+            return mat, inv
     raise RuntimeError("failed to sample an invertible matrix")
 
 
@@ -528,9 +532,9 @@ def random_basis_change(m: Module, seed: int) -> Module:
     canonical basis no longer means anything.
     """
     rng = random.Random(seed)
-    change = {d: _random_invertible(m.field, n, rng)
-              for d, n in m.dims_by_degree.items()}
-    inverse = {d: c.inverse() for d, c in change.items()}
+    change, inverse = {}, {}
+    for d, n in m.dims_by_degree.items():
+        change[d], inverse[d] = _random_invertible(m.field, n, rng)
 
     def conj(which: str, step: int) -> dict[int, Matrix]:
         out = {}

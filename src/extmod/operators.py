@@ -47,11 +47,13 @@ class GradedSubspace:
                     for d, n in m.dims_by_degree.items()})
 
     @classmethod
-    def from_degree_vectors(cls, m: Module,
-                            vectors: dict[int, list[tuple]]) -> "GradedSubspace":
+    def from_degree_vectors(cls, m: Module, vectors: dict[int, list[tuple]],
+                            _raw: bool = False) -> "GradedSubspace":
+        """Degreewise spans; ``_raw`` trusts the vectors to be canonical."""
         spaces = {}
         for d, n in m.dims_by_degree.items():
-            spaces[d] = SubspaceBasis.from_spanning(m.field, n, vectors.get(d, []))
+            spaces[d] = SubspaceBasis.from_spanning(m.field, n, vectors.get(d, []),
+                                                    _raw=_raw)
         return cls(m.field, m.dims_by_degree, spaces)
 
     @classmethod
@@ -61,7 +63,7 @@ class GradedSubspace:
         for label in labels:
             d, i = m.label_position(label)
             vectors.setdefault(d, []).append(m.basis_vector(d, i))
-        return cls.from_degree_vectors(m, vectors)
+        return cls.from_degree_vectors(m, vectors, _raw=True)
 
     @classmethod
     def degree_slice(cls, m: Module, d: int) -> "GradedSubspace":
@@ -115,7 +117,7 @@ def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
             continue
         a = m.action(which, d)
         vectors[d + step] = [a.apply(v) for v in sub.vectors()]
-    return GradedSubspace.from_degree_vectors(m, vectors)
+    return GradedSubspace.from_degree_vectors(m, vectors, _raw=True)
 
 
 def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
@@ -152,7 +154,7 @@ def _chain(m: Module, stop: int | None = None) -> tuple[list[GradedSubspace], in
             if source is not None and source.dim and n:
                 a = m.action(E1, d + p.gap)
                 target = SubspaceBasis.from_spanning(
-                    m.field, n, [a.apply(v) for v in source.vectors()])
+                    m.field, n, [a.apply(v) for v in source.vectors()], _raw=True)
             sub = preimage_space(m.action(E2, d), target)
             if sub != prev[d]:
                 spaces[d] = sub

@@ -2,7 +2,7 @@
 
 import random
 
-from extmod.linalg import (Matrix, SubspaceBasis, hstack, image,
+from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
 from extmod.modules import (E1, E2, FlashShape, Module, direct_sum, make_flash,
                             validate)
@@ -29,6 +29,53 @@ def reference_product(a, b):
 def reference_apply(m, vec):
     """m.apply(vec) entry by entry."""
     return reference_product(m, Matrix.from_cols(m.field, [vec])).col(0)
+
+
+def reference_row_reduce(field, rows, n_pivot_cols):
+    """Reduced row echelon over the first n_pivot_cols columns, on lists of entries.
+
+    The elimination every field used before F2 moved to packed rows: same
+    pivot search, same swaps, same row updates, so pivots and every row,
+    augmented columns included, must come out equal.
+    """
+    p = field.characteristic
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(min(n_pivot_cols, n)):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        a = rows[r][c]
+        if a != field.one:
+            inv = field.inv(a)
+            rows[r] = [(x * inv) % p if p else x * inv for x in rows[r]]
+        top = rows[r]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p if p else x - f * y
+                           for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def count_coerce(monkeypatch):
+    """Count ``Field.coerce`` calls from now on, in a one-element list."""
+    calls = [0]
+    real = Field.coerce
+
+    def counted(field, value):
+        calls[0] += 1
+        return real(field, value)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    return calls
 
 
 def random_subspace(field, ambient, rng, max_gens=None):

@@ -21,7 +21,8 @@ from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             random_basis_change, shift, validate, with_variant,
                             zero_module)
 from extmod.textio import parse_module, print_module
-from helpers import flash_sum, random_flash_shapes, random_variant_b_module
+from helpers import (count_coerce, flash_sum, random_flash_shapes,
+                     random_variant_b_module)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -46,6 +47,15 @@ def test_scrambled_pair_round_trip():
                     make_flash(FlashShape.l(0, 0, 1), P)])
     dec = decompose(random_basis_change(m, 42))
     assert dec.multiset() == Counter([FlashShape.l(2, 0, 1), FlashShape.l(0, 0, 1)])
+
+
+def test_decompose_coerces_no_entry(monkeypatch):
+    shapes = random_flash_shapes(random.Random(4))
+    m = random_basis_change(flash_sum(shapes, P), 4)
+    calls = count_coerce(monkeypatch)
+    dec = decompose(m)
+    assert calls[0] == 0
+    assert dec.multiset() == Counter(shapes)
 
 
 def test_scrambled_mixed_shapes_round_trip():

@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
-                           intersect, kernel, preimage_space, quotient_dim,
-                           standard_complement, sum_space)
+from extmod.linalg import (Field, Matrix, SubspaceBasis, _row_reduce, hstack,
+                           image, intersect, kernel, preimage_space,
+                           quotient_dim, standard_complement, sum_space)
 from helpers import (random_matrix, random_subspace, reference_apply,
-                     reference_product)
+                     reference_product, reference_row_reduce)
 
 F2 = Field(2)
 F5 = Field(5)
@@ -94,10 +95,60 @@ def test_products_match_entrywise_reference(field):
                 assert a.apply(v) == reference_apply(a, v)
 
 
+# (rows, width, pivot columns): empty, 1 x 1, 1 x n, n x 1, square, wider
+# than 64, and augmented systems with fewer pivot columns than the width
+ELIM_SHAPES = [(0, 0, 0), (0, 4, 4), (1, 1, 1), (1, 9, 9), (9, 1, 1), (4, 4, 4),
+               (12, 12, 12), (3, 70, 70), (70, 3, 3), (20, 130, 66), (8, 12, 5),
+               (12, 8, 3), (16, 48, 16), (5, 5, 0)]
+
+
+def _eliminate_both(field, rows, n_pivot_cols):
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    piv = _row_reduce(field, got, n_pivot_cols)
+    assert piv == reference_row_reduce(field, want, n_pivot_cols)
+    assert got == want
+    return piv, got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_elimination_matches_list_reference(field):
+    rng = random.Random(11)
+    for nrows, width, npiv in ELIM_SHAPES:
+        for rank in (None, 0, 1, 3):
+            if rank is None:
+                m = random_matrix(field, nrows, width, rng)
+            else:
+                # a product through rank columns: dependent rows and zero columns
+                m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, width, rng)
+            _eliminate_both(field, m.rows, npiv)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_elimination_keeps_inconsistent_augmented_rows(field):
+    rng = random.Random(12)
+    seen = 0
+    for n, extra in ((1, 1), (4, 1), (9, 3), (30, 40), (12, 70)):
+        for _ in range(3):
+            # [A | B] with A of rank at most 2 leaves rows that reduce to [0 | *]
+            a = random_matrix(field, n, 2, rng) @ random_matrix(field, 2, n, rng)
+            aug = hstack([a, random_matrix(field, n, extra, rng)])
+            piv, rows = _eliminate_both(field, aug.rows, n)
+            seen += any(any(row[n:]) for row in rows[len(piv):])
+    assert seen
+
+
 def test_kernel_examples():
     assert kernel(Matrix.zeros(F2, 2, 2)).dim == 2
     assert kernel(Matrix.identity(F2, 2)).dim == 0
     assert kernel(Matrix(F2, [[1, 1]])).vectors() == [(1, 1)]
+
+
+def test_public_constructors_canonicalise():
+    assert SubspaceBasis.from_spanning(F5, 2, [(7, -1)]).vectors() == [(1, 2)]
+    assert Matrix.from_cols(F5, [(7, -1)]).rows == ((2,), (4,))
+    assert Matrix.from_cols(QQ, [(1, 2)]).rows == ((1,), (2,))
+    assert all(type(x) is Fraction for row in Matrix.from_cols(QQ, [(1, 2)]).rows
+               for x in row)
 
 
 def test_kernel_is_killed_by_map():

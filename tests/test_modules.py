@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from extmod import modules
 from extmod.linalg import Field, Matrix
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             counterexample_stage, default_params, direct_sum,
@@ -119,6 +120,51 @@ def test_direct_sum_associativity_on_dims():
     for which in (E1, E2):
         for d in left.degrees:
             assert left.action(which, d).rank() == right.action(which, d).rank()
+
+
+@pytest.mark.parametrize("char", CHARACTERISTICS)
+def test_direct_sum_is_block_diagonal(char):
+    # summands over variant A with odd degrees carry the scalar sigma = -1, and
+    # some degrees hold a summand with no action there
+    params = default_params(char, 1, 3, "A")
+    mods = [make_flash(FlashShape.l(2, 0, 1), params), make_free(1, params),
+            shift(make_flash(FlashShape.finite(2, True, False), params), 3),
+            make_flash(FlashShape.simple(2), params), make_free(0, params)]
+    total = direct_sum(mods)
+    for which in (E1, E2):
+        step = params.action_degree(which)
+        for d in total.degrees:
+            want = [[params.field.zero] * total.dim(d) for _ in range(total.dim(d + step))]
+            roff = coff = 0
+            for m in mods:
+                a = m.action(which, d)
+                for i in range(a.nrows):
+                    for j in range(a.ncols):
+                        want[roff + i][coff + j] = a[i, j]
+                roff += m.dim(d + step)
+                coff += m.dim(d)
+            assert total.action(which, d) == Matrix(params.field, want, ncols=total.dim(d))
+
+
+@pytest.mark.parametrize("char", CHARACTERISTICS)
+def test_random_invertible_draws_like_a_rank_test(char):
+    # sampling through inverse() must consume the random stream exactly as
+    # rejecting candidates by rank did, so seeded scrambles stay the same
+    field = Field(char)
+    for n in (1, 2, 5):
+        rng, ref = random.Random(n), random.Random(n)
+        for _ in range(4):
+            mat, inv = modules._random_invertible(field, n, rng)
+            while True:
+                if char:
+                    rows = [[ref.randrange(char) for _ in range(n)] for _ in range(n)]
+                else:
+                    rows = [[ref.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                cand = Matrix(field, rows, ncols=n)
+                if cand.rank() == n:
+                    break
+            assert mat == cand
+            assert mat @ inv == Matrix.identity(field, n)
 
 
 def test_shift():

@@ -11,8 +11,8 @@ from extmod.operators import (GradedSubspace, act_image, degree_part,
                               margolis_homology, op_preimage, radical, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import (flash_sum, random_flash_shapes, random_variant_b_module,
-                     reference_chain)
+from helpers import (count_coerce, flash_sum, random_flash_shapes,
+                     random_variant_b_module, reference_chain)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -104,6 +104,15 @@ def test_chain_recomputes_only_moved_degrees(monkeypatch):
     stage = counterexample_stage(n, P)
     assert filtration_trace(stage).stable_index == n + 1
     assert len(calls) <= len(stage.degrees) + (n + 2) * (n + 3) // 2
+
+
+def test_filtration_trace_coerces_only_scalars(monkeypatch):
+    # the chain works on vectors that apply, vectors() and elimination made
+    # canonical; what is left is the scalar -1 of -u.basis_matrix() in
+    # preimage_space
+    calls = count_coerce(monkeypatch)
+    filtration_trace(counterexample_stage(10, default_params()))
+    assert 0 < calls[0] <= 100
 
 
 def test_preimage_image_adjunction():
