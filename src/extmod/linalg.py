@@ -14,8 +14,10 @@ of the set bits in ``row & v``, after Albrecht, Bard and Hart, "Algorithm
 898: Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010).
 Elimination over F2 packs its rows the same way, once per elimination: the
 pivot search tests one bit per row, and each row update is a single XOR of
-packed ints.  Over F_p for odd p and over Q, elimination works on lists of
-entries.
+packed ints.  That pays on dense blocks, such as those of scrambled modules;
+on very sparse blocks, where few rows are ever updated, packing and unpacking
+every row costs more than list rows would.  Over F_p for odd p and over Q,
+elimination works on lists of entries.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and

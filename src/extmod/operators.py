@@ -47,13 +47,18 @@ class GradedSubspace:
                     for d, n in m.dims_by_degree.items()})
 
     @classmethod
-    def from_degree_vectors(cls, m: Module, vectors: dict[int, list[tuple]],
-                            _raw: bool = False) -> "GradedSubspace":
-        """Degreewise spans; ``_raw`` trusts the vectors to be canonical."""
+    def from_degree_vectors(cls, m: Module,
+                            vectors: dict[int, list[tuple]]) -> "GradedSubspace":
+        """Degreewise spans of vectors with canonical entries.
+
+        The vectors are not coerced: they must come from ``basis_vector``,
+        ``apply``, ``vectors()`` or an elimination.
+        """
         spaces = {}
         for d, n in m.dims_by_degree.items():
-            spaces[d] = SubspaceBasis.from_spanning(m.field, n, vectors.get(d, []),
-                                                    _raw=_raw)
+            vecs = vectors.get(d)
+            spaces[d] = (SubspaceBasis.from_spanning(m.field, n, vecs, _raw=True)
+                         if vecs else SubspaceBasis.zero(m.field, n))
         return cls(m.field, m.dims_by_degree, spaces)
 
     @classmethod
@@ -63,7 +68,7 @@ class GradedSubspace:
         for label in labels:
             d, i = m.label_position(label)
             vectors.setdefault(d, []).append(m.basis_vector(d, i))
-        return cls.from_degree_vectors(m, vectors, _raw=True)
+        return cls.from_degree_vectors(m, vectors)
 
     @classmethod
     def degree_slice(cls, m: Module, d: int) -> "GradedSubspace":
@@ -117,7 +122,7 @@ def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
             continue
         a = m.action(which, d)
         vectors[d + step] = [a.apply(v) for v in sub.vectors()]
-    return GradedSubspace.from_degree_vectors(m, vectors, _raw=True)
+    return GradedSubspace.from_degree_vectors(m, vectors)
 
 
 def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
