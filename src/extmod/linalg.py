@@ -4,7 +4,9 @@ Matrices carry their field and keep every entry in canonical reduced form:
 the least non-negative residue mod p, or a ``Fraction`` in lowest terms when
 the characteristic is 0.  Subspaces are stored as bases in reduced
 column-echelon form, which is unique per subspace, so subspace equality is
-plain equality of basis matrices.  No floating point is used anywhere.
+plain equality of basis matrices.  A kernel comes out canonical from one
+elimination, a preimage is the head of a kernel, and an intersection spans
+the image of a preimage.  No floating point is used anywhere.
 
 Over F2, ``Matrix @`` and ``Matrix.apply`` work on packed rows: each row is
 one Python int with column j in the byte at bit 8j (see ``_pack``), cached on
@@ -269,10 +271,6 @@ class Matrix:
             raise ValueError("empty column list needs an explicit row count")
         return cls.zeros(field, nrows, 0)
 
-    @classmethod
-    def column(cls, field: Field, vec) -> "Matrix":
-        return cls.from_cols(field, [tuple(vec)])
-
     # -- basic structure -----------------------------------------------------
 
     @property
@@ -375,9 +373,6 @@ class Matrix:
         rows = tuple(tuple(f.mul(c, x) for x in row) for row in self.rows)
         return Matrix(f, rows, ncols=self.ncols, _raw=True)
 
-    def __neg__(self) -> "Matrix":
-        return self.scaled(self.field.neg(self.field.one))
-
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
@@ -421,8 +416,6 @@ class Matrix:
             raise ValueError("rhs row count mismatch")
         n = self.ncols
         aug = [list(r1) + list(r2) for r1, r2 in zip(self.rows, rhs.rows)]
-        if not aug:
-            aug = []
         piv = _row_reduce(self.field, aug, n)
         for row in aug[len(piv):]:
             if any(row[n:]):
@@ -434,7 +427,7 @@ class Matrix:
         return Matrix(f, tuple(tuple(r) for r in xrows), ncols=rhs.ncols, _raw=True)
 
     def solve_vector(self, vec) -> tuple | None:
-        sol = self.solve(Matrix.column(self.field, vec))
+        sol = self.solve(Matrix.from_cols(self.field, [vec]))
         return sol.col(0) if sol is not None else None
 
     def inverse(self) -> "Matrix | None":
@@ -480,18 +473,11 @@ class SubspaceBasis:
     @classmethod
     def from_spanning(cls, field: Field, ambient_dim: int, vectors,
                       _raw: bool = False) -> "SubspaceBasis":
-        """Canonicalize a list of spanning vectors (or a column matrix).
+        """Canonicalize a list of spanning vectors.
 
         ``_raw`` trusts the vectors to hold canonical entries already.
         """
-        if isinstance(vectors, Matrix):
-            if vectors.nrows != ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-            vecs = vectors.cols()
-        elif _raw:
-            vecs = vectors
-        else:
-            vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
+        vecs = vectors if _raw else [tuple(field.coerce(x) for x in v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
@@ -562,37 +548,43 @@ class SubspaceBasis:
 # -- subspace operations -------------------------------------------------------
 
 def kernel(m: Matrix) -> SubspaceBasis:
-    """The null space of m as a subspace of the domain F^ncols."""
-    return SubspaceBasis.from_spanning(m.field, m.ncols, m.kernel_matrix())
+    """The null space of m as a subspace of the domain F^ncols.
+
+    With the columns reversed, each free column's kernel vector is nonzero
+    only there and at pivot columns before it.  Read back in order, these
+    vectors are the reduced echelon basis, each led by a 1 at its free column.
+    """
+    flipped = Matrix(m.field, tuple(row[::-1] for row in m.rows), ncols=m.ncols, _raw=True)
+    rows = tuple(col[::-1] for col in reversed(flipped.kernel_matrix().cols()))
+    return SubspaceBasis(m.field, m.ncols, rows, tuple(r.index(m.field.one) for r in rows))
 
 
 def image(m: Matrix) -> SubspaceBasis:
     """The column space of m as a subspace of the codomain F^nrows."""
-    return SubspaceBasis.from_spanning(m.field, m.nrows, m)
+    return SubspaceBasis.from_spanning(m.field, m.nrows, m.cols(), _raw=True)
 
 
 def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {v : m @ v lies in u} of the domain of m."""
+    """The subspace {v : m @ v lies in u} of the domain of m.
+
+    It is the heads of ker [m | B], B the basis matrix of u.  Only the zero
+    kernel vector has a zero head, as B's columns are independent, so the
+    kernel's echelon basis has the preimage's as heads, with the same pivots.
+    """
     if u.ambient_dim != m.nrows:
         raise ValueError(f"ambient dimension mismatch: map into F^{m.nrows}, "
                          f"subspace of F^{u.ambient_dim}")
-    if u.dim == 0:
-        return kernel(m)
-    aug = hstack([m, -u.basis_matrix()])
-    ker = aug.kernel_matrix()
-    heads = [col[:m.ncols] for col in ker.cols()]
-    return SubspaceBasis.from_spanning(m.field, m.ncols, heads, _raw=True)
+    ker = kernel(hstack([m, u.basis_matrix()]))
+    return SubspaceBasis(m.field, m.ncols, tuple(r[:m.ncols] for r in ker.echelon_rows),
+                         ker.pivot_rows)
 
 
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
+    """u ∩ v: the image under u's basis matrix of its preimage of v."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if u.dim == 0 or v.dim == 0:
-        return SubspaceBasis.zero(u.field, u.ambient_dim)
     bu = u.basis_matrix()
-    aug = hstack([bu, -v.basis_matrix()])
-    ker = aug.kernel_matrix()
-    vecs = [bu.apply(col[:bu.ncols]) for col in ker.cols()]
+    vecs = [bu.apply(x) for x in preimage_space(bu, v).echelon_rows]
     return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs, _raw=True)
 
 

@@ -63,12 +63,17 @@ class GradedSubspace:
 
     @classmethod
     def from_labels(cls, m: Module, labels) -> "GradedSubspace":
-        """Span of the named canonical basis vectors."""
-        vectors: dict[int, list[tuple]] = {}
-        for label in labels:
-            d, i = m.label_position(label)
-            vectors.setdefault(d, []).append(m.basis_vector(d, i))
-        return cls.from_degree_vectors(m, vectors)
+        """Span of the named canonical basis vectors, with no elimination.
+
+        Coordinate vectors sorted without repeats are their own echelon basis.
+        """
+        pivots = {d: [] for d in m.dims_by_degree}
+        for d, i in sorted({m.label_position(label) for label in labels}):
+            pivots[d].append(i)
+        spaces = {d: SubspaceBasis(m.field, n, tuple(m.basis_vector(d, i) for i in pivots[d]),
+                                   tuple(pivots[d]))
+                  for d, n in m.dims_by_degree.items()}
+        return cls(m.field, m.dims_by_degree, spaces)
 
     @classmethod
     def degree_slice(cls, m: Module, d: int) -> "GradedSubspace":

@@ -2,6 +2,7 @@
 
 import random
 
+from extmod import linalg
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
 from extmod.modules import (E1, E2, FlashShape, Module, direct_sum, make_flash,
@@ -76,6 +77,44 @@ def count_coerce(monkeypatch):
 
     monkeypatch.setattr(Field, "coerce", counted)
     return calls
+
+
+def count_row_reduce(monkeypatch):
+    """Count ``_row_reduce`` calls from now on, in a one-element list."""
+    calls = [0]
+    real = linalg._row_reduce
+
+    def counted(field, rows, n_pivot_cols):
+        calls[0] += 1
+        return real(field, rows, n_pivot_cols)
+
+    monkeypatch.setattr(linalg, "_row_reduce", counted)
+    return calls
+
+
+def reference_kernel(m):
+    """kernel(m) in two eliminations: the forward free-variable basis, then its
+    reduced echelon form."""
+    return SubspaceBasis.from_spanning(m.field, m.ncols, m.kernel_matrix().cols())
+
+
+def reference_preimage(m, u):
+    """{v : m @ v in u} as the canonicalised heads of ker [m | -B], B a basis of u."""
+    if u.dim == 0:
+        return reference_kernel(m)
+    ker = hstack([m, u.basis_matrix().scaled(-1)]).kernel_matrix()
+    heads = [col[:m.ncols] for col in ker.cols()]
+    return SubspaceBasis.from_spanning(m.field, m.ncols, heads)
+
+
+def reference_intersect(u, v):
+    """u ∩ v from the kernel of [Bu | -Bv], mapped through Bu."""
+    if u.dim == 0 or v.dim == 0:
+        return SubspaceBasis.zero(u.field, u.ambient_dim)
+    bu = u.basis_matrix()
+    ker = hstack([bu, v.basis_matrix().scaled(-1)]).kernel_matrix()
+    vecs = [bu.apply(col[:bu.ncols]) for col in ker.cols()]
+    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs)
 
 
 def random_subspace(field, ambient, rng, max_gens=None):

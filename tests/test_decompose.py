@@ -356,6 +356,22 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_the_standard_library():
+    # the package promises no runtime dependencies; relative imports are its own
+    src = Path(extmod.__file__).parent
+    imported = [(f"{path.name}:{node.lineno}", name)
+                for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                for name in ([alias.name for alias in node.names]
+                             if isinstance(node, ast.Import)
+                             else [node.module]
+                             if isinstance(node, ast.ImportFrom) and node.level == 0
+                             else [])]
+    assert imported
+    assert [(where, name) for where, name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
 def test_inadmissible_absorb_raises_under_optimize():
     code = """
 from extmod.decompose import _Strand

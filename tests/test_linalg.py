@@ -6,10 +6,12 @@ import pytest
 from extmod.linalg import (Field, Matrix, SubspaceBasis, _row_reduce, hstack,
                            image, intersect, kernel, preimage_space,
                            quotient_dim, standard_complement, sum_space)
-from helpers import (random_matrix, random_subspace, reference_apply,
-                     reference_product, reference_row_reduce)
+from helpers import (count_row_reduce, random_matrix, random_subspace,
+                     reference_apply, reference_intersect, reference_kernel,
+                     reference_preimage, reference_product, reference_row_reduce)
 
 F2 = Field(2)
+F3 = Field(3)
 F5 = Field(5)
 QQ = Field(0)
 FIELDS = [F2, F5, QQ]
@@ -160,6 +162,56 @@ def test_kernel_is_killed_by_map():
             assert ker.dim == m.ncols - m.rank()
             for v in ker.vectors():
                 assert not any(m.apply(v))
+
+
+def _random_block(field, nrows, ncols, rng):
+    """A random block, a rank-deficient product, or one with repeated columns."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        rank = rng.randint(0, 2)
+        return random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng)
+    m = random_matrix(field, nrows, ncols, rng)
+    if kind == 2:
+        cols = m.cols()
+        return Matrix.from_cols(field, [rng.choice(cols[:2]) for _ in cols], nrows=nrows)
+    return m
+
+
+def _assert_same(got, want):
+    # pivot_rows too: __eq__ ignores them, yet reduce_vector and
+    # standard_complement read them
+    assert ((got.ambient_dim, got.echelon_rows, got.pivot_rows)
+            == (want.ambient_dim, want.echelon_rows, want.pivot_rows))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["F2", "F3", "F5", "Q"])
+def test_subspace_operations_match_references(field):
+    rng = random.Random(31)
+    for _ in range(80):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        m = _random_block(field, nrows, ncols, rng)
+        _assert_same(kernel(m), reference_kernel(m))
+        targets = [SubspaceBasis.zero(field, nrows), SubspaceBasis.full(field, nrows),
+                   image(m), random_subspace(field, nrows, rng)]
+        for u in targets:
+            _assert_same(preimage_space(m, u), reference_preimage(m, u))
+            for v in targets:
+                _assert_same(intersect(u, v), reference_intersect(u, v))
+
+
+def test_kernel_and_preimage_eliminate_once(monkeypatch):
+    rng = random.Random(37)
+    calls = count_row_reduce(monkeypatch)
+    for field in [F2, F3, F5, QQ]:
+        for _ in range(10):
+            m = _random_block(field, rng.randint(0, 6), rng.randint(0, 6), rng)
+            u = random_subspace(field, m.nrows, rng)
+            calls[0] = 0
+            kernel(m)
+            assert calls[0] == 1
+            calls[0] = 0
+            preimage_space(m, u)
+            assert calls[0] == 1
 
 
 def test_image_examples():

@@ -11,8 +11,9 @@ from extmod.operators import (GradedSubspace, act_image, degree_part,
                               margolis_homology, op_preimage, radical, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import (count_coerce, flash_sum, random_flash_shapes,
-                     random_variant_b_module, reference_chain)
+from helpers import (count_coerce, count_row_reduce, flash_sum,
+                     random_flash_shapes, random_variant_b_module,
+                     reference_chain)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -20,6 +21,28 @@ PA = default_params(variant="A")
 
 def span(m, *labels):
     return GradedSubspace.from_labels(m, labels)
+
+
+@pytest.mark.parametrize("characteristic", [2, 5, 0], ids=["F2", "F5", "Q"])
+def test_from_labels_needs_no_elimination(monkeypatch, characteristic):
+    rng = random.Random(43)
+    params = default_params(characteristic)
+    calls = count_row_reduce(monkeypatch)
+    for k in range(20):
+        m = flash_sum(random_flash_shapes(rng, count_max=5), params)
+        names = [label for ls in m.labels.values() for label in ls]
+        # every label, or a draw with repeats that leaves some degrees out
+        labels = names if k % 5 == 0 else rng.choices(names, k=rng.randint(0, len(names)))
+        calls[0] = 0
+        got = GradedSubspace.from_labels(m, labels)
+        assert calls[0] == 0
+        vectors = {}
+        for label in labels:
+            d, i = m.label_position(label)
+            vectors.setdefault(d, []).append(m.basis_vector(d, i))
+        want = GradedSubspace.from_degree_vectors(m, vectors)
+        assert ({d: (s.echelon_rows, s.pivot_rows) for d, s in got.spaces.items()}
+                == {d: (s.echelon_rows, s.pivot_rows) for d, s in want.spaces.items()})
 
 
 def test_act_image_examples():
@@ -107,12 +130,18 @@ def test_chain_recomputes_only_moved_degrees(monkeypatch):
 
 
 def test_filtration_trace_coerces_only_scalars(monkeypatch):
-    # the chain works on vectors that apply, vectors() and elimination made
-    # canonical; what is left is the scalar -1 of -u.basis_matrix() in
-    # preimage_space
+    # the chain works only on vectors that apply, vectors() and elimination
+    # made canonical, so nothing is coerced
     calls = count_coerce(monkeypatch)
     filtration_trace(counterexample_stage(10, default_params()))
-    assert 0 < calls[0] <= 100
+    assert calls[0] == 0
+
+
+def test_filtration_trace_elimination_count(monkeypatch):
+    # one elimination for each preimage_space and each e1-image it pulls back
+    calls = count_row_reduce(monkeypatch)
+    filtration_trace(counterexample_stage(10, default_params()))
+    assert calls[0] <= 150
 
 
 def test_preimage_image_adjunction():
