@@ -14,12 +14,20 @@ the immutable matrix.  A product row is the XOR of the right factor's packed
 rows that the left row selects, and an entry of ``m.apply(v)`` is the parity
 of the set bits in ``row & v``, after Albrecht, Bard and Hart, "Algorithm
 898: Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010).
-Elimination over F2 packs its rows the same way, once per elimination: the
+Over F2 a matrix also caches its packed columns, and a ``SubspaceBasis``
+its packed echelon rows, so subspaces stay packed: a span is reduced as its
+packed vectors arrive, ``image(m, u)`` spans the XORs of the columns of m
+that each basis vector of u selects, and ``preimage_space(m, u)`` reduces
+each column of m modulo u's rows while tracking which columns it combines,
+so the columns that reduce to zero give the kernel.  Each result is built
+once in canonical form and keeps its packed rows, and membership tests
+reduce packed vectors.  Only ``kernel``, ``solve`` and the other ``Matrix``
+eliminations still pack and unpack their rows once per elimination: the
 pivot search tests one bit per row, and each row update is a single XOR of
 packed ints.  That pays on dense blocks, such as those of scrambled modules;
-on very sparse blocks, where few rows are ever updated, packing and unpacking
-every row costs more than list rows would.  Over F_p for odd p and over Q,
-elimination works on lists of entries.
+on very sparse blocks, where few rows are ever updated, packing and
+unpacking every row costs more than list rows would.  Over F_p for odd p and
+over Q, elimination works on lists of entries.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
@@ -216,19 +224,27 @@ def _unpack(packed: int, n: int) -> tuple:
     return tuple(packed.to_bytes(n, "little"))
 
 
+def _unit_rows(field: Field, n: int, indices) -> tuple:
+    """The coordinate vectors of F^n at the given indices."""
+    z, o = (field.zero,), (field.one,)
+    return tuple(z * i + o + z * (n - 1 - i) for i in indices)
+
+
 class Matrix:
     """Immutable dense matrix over a :class:`Field`.
 
     Acts on column vectors (plain tuples): ``m.apply(v)`` computes ``m @ v``.
     """
 
-    # _packed caches _pack of each row for F2 products; it is safe to keep
-    # because no method changes rows after construction
-    __slots__ = ("field", "nrows", "ncols", "rows", "_packed")
+    # _packed and _packed_c cache _pack of each row and each column for F2
+    # work; they are safe to keep because no method changes rows after
+    # construction
+    __slots__ = ("field", "nrows", "ncols", "rows", "_packed", "_packed_c")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
         self.field = field
         self._packed = None
+        self._packed_c = None
         if _raw:
             self.rows = rows
         else:
@@ -254,9 +270,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        rows = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        return cls(field, rows, ncols=n, _raw=True)
+        return cls(field, _unit_rows(field, n, range(n)), ncols=n, _raw=True)
 
     @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,
@@ -315,6 +329,13 @@ class Matrix:
         if self._packed is None:
             self._packed = tuple(map(_pack, self.rows))
         return self._packed
+
+    def _packed_cols(self) -> tuple[int, ...]:
+        """The columns packed by :func:`_pack`, computed on first use (F2 only)."""
+        if self._packed_c is None:
+            self._packed_c = (tuple(map(_pack, zip(*self.rows))) if self.nrows
+                              else (0,) * self.ncols)
+        return self._packed_c
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -462,13 +483,15 @@ class SubspaceBasis:
     view required by matrix operations is ``basis_matrix()``.
     """
 
-    __slots__ = ("field", "ambient_dim", "echelon_rows", "pivot_rows")
+    # _packed caches _pack of each echelon row for F2 work, as in Matrix
+    __slots__ = ("field", "ambient_dim", "echelon_rows", "pivot_rows", "_packed")
 
     def __init__(self, field: Field, ambient_dim: int, echelon_rows: tuple, pivot_rows: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
         self.echelon_rows = echelon_rows
         self.pivot_rows = pivot_rows
+        self._packed = None
 
     @classmethod
     def from_spanning(cls, field: Field, ambient_dim: int, vectors,
@@ -481,6 +504,8 @@ class SubspaceBasis:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
+        if field.characteristic == 2:
+            return _span_f2(field, ambient_dim, map(_pack, vecs))
         rows = [list(v) for v in vecs]
         piv = _row_reduce(field, rows, ambient_dim)
         kept = tuple(tuple(r) for r in rows[:len(piv)])
@@ -492,8 +517,24 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        ident = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, ident.rows, tuple(range(ambient_dim)))
+        return cls.coordinate(field, ambient_dim, range(ambient_dim))
+
+    @classmethod
+    def coordinate(cls, field: Field, ambient_dim: int, indices) -> "SubspaceBasis":
+        """The span of the coordinate vectors at increasing distinct indices.
+
+        Such vectors are their own echelon basis, so nothing is eliminated.
+        """
+        indices = tuple(indices)
+        return cls(field, ambient_dim, _unit_rows(field, ambient_dim, indices), indices)
+
+    @classmethod
+    def _from_packed(cls, field: Field, ambient_dim: int, packed, pivots) -> "SubspaceBasis":
+        """The subspace with these packed F2 echelon rows, which it keeps."""
+        sub = cls(field, ambient_dim, tuple(_unpack(r, ambient_dim) for r in packed),
+                  tuple(pivots))
+        sub._packed = tuple(packed)
+        return sub
 
     @property
     def dim(self) -> int:
@@ -512,25 +553,48 @@ class SubspaceBasis:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def reduce_vector(self, vec) -> tuple:
-        """Residue of vec after subtracting its projection onto the basis."""
-        f = self.field
-        w = [f.coerce(x) for x in vec]
-        if len(w) != self.ambient_dim:
+    def _packed_rows(self) -> tuple[int, ...]:
+        """The echelon rows packed by :func:`_pack`, computed on first use (F2 only)."""
+        if self._packed is None:
+            self._packed = tuple(map(_pack, self.echelon_rows))
+        return self._packed
+
+    def _reduce_packed(self, v: int) -> int:
+        """Residue of a packed F2 vector; one pass, as the rows are reduced."""
+        for row, pr in zip(self._packed_rows(), self.pivot_rows):
+            if v >> (8 * pr) & 1:
+                v ^= row
+        return v
+
+    def reduce_vector(self, vec, _raw: bool = False) -> tuple:
+        """Residue of vec after subtracting its projection onto the basis.
+
+        ``_raw`` trusts vec to hold canonical entries already.
+        """
+        if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        f = self.field
+        if not _raw:
+            vec = tuple(f.coerce(x) for x in vec)
+        if f.characteristic == 2:
+            return _unpack(self._reduce_packed(_pack(vec)), self.ambient_dim)
+        w = vec
         for row, pr in zip(self.echelon_rows, self.pivot_rows):
             c = w[pr]
             if c:
                 w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
         return tuple(w)
 
-    def contains_vector(self, vec) -> bool:
-        return not any(self.reduce_vector(vec))
+    def contains_vector(self, vec, _raw: bool = False) -> bool:
+        """Membership of vec; ``_raw`` trusts it to hold canonical entries."""
+        return not any(self.reduce_vector(vec, _raw))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.echelon_rows)
+        if self.field.characteristic == 2:
+            return not any(map(self._reduce_packed, other._packed_rows()))
+        return all(self.contains_vector(v, _raw=True) for v in other.echelon_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceBasis):
@@ -559,9 +623,74 @@ def kernel(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(m.field, m.ncols, rows, tuple(r.index(m.field.one) for r in rows))
 
 
-def image(m: Matrix) -> SubspaceBasis:
-    """The column space of m as a subspace of the codomain F^nrows."""
-    return SubspaceBasis.from_spanning(m.field, m.nrows, m.cols(), _raw=True)
+def _span_f2(field: Field, ambient_dim: int, vectors) -> SubspaceBasis:
+    """The span of packed F2 vectors, kept in reduced echelon form as it grows.
+
+    Each row is keyed by its pivot bit, the lowest one it has set.  A new
+    vector is cleared at every pivot in one pass, as each row is zero at the
+    other pivots; if anything is left, its lowest bit is cleared from the
+    rows and it joins them.
+    """
+    rows: dict[int, int] = {}
+    for v in vectors:
+        for bit, row in rows.items():
+            if v & bit:
+                v ^= row
+        if v:
+            low = v & -v
+            for bit, row in rows.items():
+                if row & low:
+                    rows[bit] = row ^ v
+            rows[low] = v
+    bits = sorted(rows)
+    return SubspaceBasis._from_packed(field, ambient_dim, [rows[b] for b in bits],
+                                      [b.bit_length() // 8 for b in bits])
+
+
+def image(m: Matrix, u: SubspaceBasis | None = None) -> SubspaceBasis:
+    """The span of m applied to u (the whole domain by default), in F^nrows.
+
+    Over F2 each basis vector of u selects the packed columns of m to XOR.
+    """
+    if u is not None and u.ambient_dim != m.ncols:
+        raise ValueError(f"ambient dimension mismatch: map from F^{m.ncols}, "
+                         f"subspace of F^{u.ambient_dim}")
+    if m.field.characteristic == 2:
+        cols = m._packed_cols()
+        vecs = cols if u is None else [reduce(xor, compress(cols, v), 0)
+                                       for v in u.echelon_rows]
+        return _span_f2(m.field, m.nrows, vecs)
+    vecs = m.cols() if u is None else [m.apply(v) for v in u.echelon_rows]
+    return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _raw=True)
+
+
+def _preimage_f2(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
+    """:func:`preimage_space` over F2, on the packed columns of m.
+
+    u's rows seed a basis keyed by lowest set bit, each entry carrying the
+    combination of m's columns it stands for (none for u's rows).  Taken last
+    to first, a column of m that reduces to zero gives a kernel vector led by
+    its own index and otherwise nonzero only at later columns that joined the
+    basis, never at another such index: the reduced echelon basis.
+    """
+    n = m.ncols
+    basis = {1 << 8 * pr: (row, 0) for pr, row in zip(u.pivot_rows, u._packed_rows())}
+    found = []
+    for j, col in zip(range(n - 1, -1, -1), reversed(m._packed_cols())):
+        comb = 1 << 8 * j
+        while col:
+            low = col & -col
+            hit = basis.get(low)
+            if hit is None:
+                basis[low] = (col, comb)
+                break
+            col ^= hit[0]
+            comb ^= hit[1]
+        else:
+            found.append((j, comb))
+    found.reverse()
+    return SubspaceBasis._from_packed(m.field, n, [c for _, c in found],
+                                      [j for j, _ in found])
 
 
 def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
@@ -570,10 +699,13 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
     It is the heads of ker [m | B], B the basis matrix of u.  Only the zero
     kernel vector has a zero head, as B's columns are independent, so the
     kernel's echelon basis has the preimage's as heads, with the same pivots.
+    Over F2 the same basis comes from the packed columns (:func:`_preimage_f2`).
     """
     if u.ambient_dim != m.nrows:
         raise ValueError(f"ambient dimension mismatch: map into F^{m.nrows}, "
                          f"subspace of F^{u.ambient_dim}")
+    if m.field.characteristic == 2:
+        return _preimage_f2(m, u)
     ker = kernel(hstack([m, u.basis_matrix()]))
     return SubspaceBasis(m.field, m.ncols, tuple(r[:m.ncols] for r in ker.echelon_rows),
                          ker.pivot_rows)
@@ -584,8 +716,7 @@ def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     bu = u.basis_matrix()
-    vecs = [bu.apply(x) for x in preimage_space(bu, v).echelon_rows]
-    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs, _raw=True)
+    return image(bu, preimage_space(bu, v))
 
 
 def sum_space(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
@@ -606,11 +737,6 @@ def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
 
 def standard_complement(u: SubspaceBasis) -> list[tuple]:
     """Coordinate vectors at the non-pivot positions: a complement basis of u."""
-    f = u.field
-    comp = []
-    for i in range(u.ambient_dim):
-        if i not in u.pivot_rows:
-            v = [f.zero] * u.ambient_dim
-            v[i] = f.one
-            comp.append(tuple(v))
-    return comp
+    pivots = set(u.pivot_rows)
+    return list(_unit_rows(u.field, u.ambient_dim,
+                           (i for i in range(u.ambient_dim) if i not in pivots)))

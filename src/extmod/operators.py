@@ -47,31 +47,23 @@ class GradedSubspace:
                     for d, n in m.dims_by_degree.items()})
 
     @classmethod
-    def from_degree_vectors(cls, m: Module,
-                            vectors: dict[int, list[tuple]]) -> "GradedSubspace":
-        """Degreewise spans of vectors with canonical entries.
-
-        The vectors are not coerced: they must come from ``basis_vector``,
-        ``apply``, ``vectors()`` or an elimination.
-        """
-        spaces = {}
-        for d, n in m.dims_by_degree.items():
-            vecs = vectors.get(d)
-            spaces[d] = (SubspaceBasis.from_spanning(m.field, n, vecs, _raw=True)
-                         if vecs else SubspaceBasis.zero(m.field, n))
-        return cls(m.field, m.dims_by_degree, spaces)
-
-    @classmethod
     def from_labels(cls, m: Module, labels) -> "GradedSubspace":
         """Span of the named canonical basis vectors, with no elimination.
 
         Coordinate vectors sorted without repeats are their own echelon basis.
+        Labels resolve through one map per call, which keeps the first
+        position of a repeated label, as ``label_position`` does.
         """
+        positions: dict[str, tuple[int, int]] = {}
+        for d, ls in (m.labels or {}).items():
+            for i, label in enumerate(ls):
+                positions.setdefault(label, (d, i))
         pivots = {d: [] for d in m.dims_by_degree}
-        for d, i in sorted({m.label_position(label) for label in labels}):
+        # label_position raises the KeyError for a label the map lacks
+        for d, i in sorted({positions.get(label) or m.label_position(label)
+                            for label in labels}):
             pivots[d].append(i)
-        spaces = {d: SubspaceBasis(m.field, n, tuple(m.basis_vector(d, i) for i in pivots[d]),
-                                   tuple(pivots[d]))
+        spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
                   for d, n in m.dims_by_degree.items()}
         return cls(m.field, m.dims_by_degree, spaces)
 
@@ -121,13 +113,11 @@ def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
     """Degreewise image of u under the chosen action."""
     _check_ambient(m, u)
     step = m.params.action_degree(which)
-    vectors: dict[int, list[tuple]] = {}
+    spaces = {d: SubspaceBasis.zero(m.field, n) for d, n in m.dims_by_degree.items()}
     for d, sub in u.spaces.items():
-        if sub.dim == 0 or m.dim(d + step) == 0:
-            continue
-        a = m.action(which, d)
-        vectors[d + step] = [a.apply(v) for v in sub.vectors()]
-    return GradedSubspace.from_degree_vectors(m, vectors)
+        if sub.dim and m.dim(d + step):
+            spaces[d + step] = image(m.action(which, d), sub)
+    return GradedSubspace(m.field, m.dims_by_degree, spaces)
 
 
 def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
@@ -162,9 +152,7 @@ def _chain(m: Module, stop: int | None = None) -> tuple[list[GradedSubspace], in
             n = m.dim(d + p.deg_e2)
             target = SubspaceBasis.zero(m.field, n)
             if source is not None and source.dim and n:
-                a = m.action(E1, d + p.gap)
-                target = SubspaceBasis.from_spanning(
-                    m.field, n, [a.apply(v) for v in source.vectors()], _raw=True)
+                target = image(m.action(E1, d + p.gap), source)
             sub = preimage_space(m.action(E2, d), target)
             if sub != prev[d]:
                 spaces[d] = sub

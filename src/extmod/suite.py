@@ -131,7 +131,7 @@ def _item_membership(sp: SuiteParams,
     for n, (mod, trace) in enumerate(flashes):
         x0 = mod.basis_vector(*mod.label_position("x0"))
         for j in range(sp.j_max + 1):
-            inside = degree_part(trace[j], 0).contains_vector(x0)
+            inside = degree_part(trace[j], 0).contains_vector(x0, _raw=True)
             if inside != (j <= n):
                 failures.append([n, j])
     return CheckItem(
@@ -194,7 +194,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
     x0 = tmod.basis_vector(*tmod.label_position("x0"))
     ttrace = filtration_trace(tmod)
     stuck = [j for j in range(sp.j_max + 1)
-             if not degree_part(ttrace[j], 0).contains_vector(x0)]
+             if not degree_part(ttrace[j], 0).contains_vector(x0, _raw=True)]
     items.append(CheckItem(
         "infinite-flash-contrast",
         "after truncating the right-infinite flash, x_0 stays in F_j for "

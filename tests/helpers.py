@@ -92,10 +92,18 @@ def count_row_reduce(monkeypatch):
     return calls
 
 
+def reference_span(field, ambient_dim, vectors):
+    """The canonical basis of a span, by the list elimination over every field."""
+    rows = [[field.coerce(x) for x in v] for v in vectors]
+    pivots = reference_row_reduce(field, rows, ambient_dim)
+    return SubspaceBasis(field, ambient_dim, tuple(tuple(r) for r in rows[:len(pivots)]),
+                         tuple(pivots))
+
+
 def reference_kernel(m):
     """kernel(m) in two eliminations: the forward free-variable basis, then its
     reduced echelon form."""
-    return SubspaceBasis.from_spanning(m.field, m.ncols, m.kernel_matrix().cols())
+    return reference_span(m.field, m.ncols, m.kernel_matrix().cols())
 
 
 def reference_preimage(m, u):
@@ -104,7 +112,7 @@ def reference_preimage(m, u):
         return reference_kernel(m)
     ker = hstack([m, u.basis_matrix().scaled(-1)]).kernel_matrix()
     heads = [col[:m.ncols] for col in ker.cols()]
-    return SubspaceBasis.from_spanning(m.field, m.ncols, heads)
+    return reference_span(m.field, m.ncols, heads)
 
 
 def reference_intersect(u, v):
@@ -114,7 +122,12 @@ def reference_intersect(u, v):
     bu = u.basis_matrix()
     ker = hstack([bu, v.basis_matrix().scaled(-1)]).kernel_matrix()
     vecs = [bu.apply(col[:bu.ncols]) for col in ker.cols()]
-    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, vecs)
+    return reference_span(u.field, u.ambient_dim, vecs)
+
+
+def reference_image_of(m, u):
+    """The span of m applied to u: apply each basis vector, then canonicalise."""
+    return reference_span(m.field, m.nrows, [m.apply(v) for v in u.vectors()])
 
 
 def random_subspace(field, ambient, rng, max_gens=None):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from extmod.linalg import (Field, Matrix, SubspaceBasis, _row_reduce, hstack,
-                           image, intersect, kernel, preimage_space,
+from extmod.linalg import (Field, Matrix, SubspaceBasis, _pack, _row_reduce,
+                           hstack, image, intersect, kernel, preimage_space,
                            quotient_dim, standard_complement, sum_space)
-from helpers import (count_row_reduce, random_matrix, random_subspace,
-                     reference_apply, reference_intersect, reference_kernel,
-                     reference_preimage, reference_product, reference_row_reduce)
+from helpers import (count_coerce, count_row_reduce, random_matrix, random_subspace,
+                     reference_apply, reference_image_of, reference_intersect,
+                     reference_kernel, reference_preimage, reference_product,
+                     reference_row_reduce, reference_span)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -177,11 +178,32 @@ def _random_block(field, nrows, ncols, rng):
     return m
 
 
-def _assert_same(got, want):
+def _assert_same(got, want, packed=False):
     # pivot_rows too: __eq__ ignores them, yet reduce_vector and
     # standard_complement read them
     assert ((got.ambient_dim, got.echelon_rows, got.pivot_rows)
             == (want.ambient_dim, want.echelon_rows, want.pivot_rows))
+    if packed and got.field == F2:
+        # built on packed rows, an F2 result keeps them
+        assert got._packed == tuple(map(_pack, got.echelon_rows))
+
+
+def _check_against_references(m, u_extra, rng):
+    """kernel, image, preimage, image of a subspace and intersection against
+    their references, for zero, full, image and random targets."""
+    field, nrows, ncols = m.field, m.nrows, m.ncols
+    _assert_same(kernel(m), reference_kernel(m))
+    _assert_same(image(m), reference_image_of(m, SubspaceBasis.full(field, ncols)), True)
+    domain = [SubspaceBasis.zero(field, ncols), SubspaceBasis.full(field, ncols),
+              kernel(m), random_subspace(field, ncols, rng)]
+    for w in domain:
+        _assert_same(image(m, w), reference_image_of(m, w), True)
+    targets = [SubspaceBasis.zero(field, nrows), SubspaceBasis.full(field, nrows),
+               image(m), *u_extra]
+    for u in targets:
+        _assert_same(preimage_space(m, u), reference_preimage(m, u), True)
+        for v in targets:
+            _assert_same(intersect(u, v), reference_intersect(u, v), True)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["F2", "F3", "F5", "Q"])
@@ -190,16 +212,31 @@ def test_subspace_operations_match_references(field):
     for _ in range(80):
         nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
         m = _random_block(field, nrows, ncols, rng)
-        _assert_same(kernel(m), reference_kernel(m))
-        targets = [SubspaceBasis.zero(field, nrows), SubspaceBasis.full(field, nrows),
-                   image(m), random_subspace(field, nrows, rng)]
-        for u in targets:
-            _assert_same(preimage_space(m, u), reference_preimage(m, u))
-            for v in targets:
-                _assert_same(intersect(u, v), reference_intersect(u, v))
+        _check_against_references(m, [random_subspace(field, nrows, rng)], rng)
+
+
+def test_f2_wide_subspace_operations_match_references():
+    # packed rows and columns wider than 64 entries, next to empty shapes
+    rng = random.Random(41)
+    shapes = [(0, 0), (0, 70), (70, 0), (1, 90), (90, 1), (65, 66), (80, 72), (72, 130)]
+    for nrows, ncols in shapes:
+        m = _random_block(F2, nrows, ncols, rng)
+        low_rank = random_subspace(F2, nrows, rng, max_gens=3)
+        _check_against_references(m, [random_subspace(F2, nrows, rng), low_rank], rng)
+
+
+def test_f2_from_spanning_matches_list_elimination():
+    # over F2 spans are reduced on packed rows, elsewhere by _row_reduce itself
+    rng = random.Random(47)
+    for ambient in (0, 1, 5, 64, 65, 100):
+        for gens in (0, 1, ambient // 2, ambient + 3):
+            vectors = [random_matrix(F2, 1, ambient, rng).row(0) for _ in range(gens)]
+            _assert_same(SubspaceBasis.from_spanning(F2, ambient, vectors),
+                         reference_span(F2, ambient, vectors), True)
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
+    # over F2 preimage_space works on packed columns with no elimination
     rng = random.Random(37)
     calls = count_row_reduce(monkeypatch)
     for field in [F2, F3, F5, QQ]:
@@ -211,7 +248,7 @@ def test_kernel_and_preimage_eliminate_once(monkeypatch):
             assert calls[0] == 1
             calls[0] = 0
             preimage_space(m, u)
-            assert calls[0] == 1
+            assert calls[0] == (0 if field == F2 else 1)
 
 
 def test_image_examples():
@@ -219,6 +256,12 @@ def test_image_examples():
     assert image(Matrix(F2, [[1, 0], [1, 0]])).vectors() == [(1, 1)]
     inv = Matrix(F5, [[1, 2], [3, 2]])
     assert image(inv).is_full()
+    swap = Matrix(F2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    line = SubspaceBasis.from_spanning(F2, 3, [(1, 0, 0)])
+    assert image(swap, line).vectors() == [(0, 1, 0)]
+    assert image(swap, SubspaceBasis.zero(F2, 3)).is_zero()
+    with pytest.raises(ValueError):
+        image(swap, SubspaceBasis.full(F2, 2))
 
 
 def test_preimage_examples():
@@ -272,6 +315,29 @@ def test_lattice_dimension_formula():
             assert u.dim + v.dim == both.dim + total.dim
             assert u.contains_subspace(both)
             assert total.contains_subspace(v)
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+def test_membership_of_canonical_data_coerces_nothing(monkeypatch, field):
+    rng = random.Random(53)
+    pairs = []
+    for _ in range(20):
+        u = random_subspace(field, 6, rng)
+        pairs.append((sum_space(u, random_subspace(field, 6, rng)), u))
+    calls = count_coerce(monkeypatch)
+    for big, small in pairs:
+        assert quotient_dim(big, small) == big.dim - small.dim
+        assert all(big.contains_vector(v, _raw=True) for v in small.vectors())
+    assert calls[0] == 0
+
+
+def test_membership_coerces_outside_vectors():
+    assert SubspaceBasis.from_spanning(F2, 1, [(1,)]).contains_vector((3,))
+    assert not SubspaceBasis.zero(F2, 1).contains_vector((3,))
+    assert SubspaceBasis.from_spanning(F5, 2, [(1, 2)]).contains_vector((6, -3))
+    assert SubspaceBasis.from_spanning(F2, 2, [(1, 1)]).reduce_vector((3, 0)) == (0, 1)
+    with pytest.raises(ValueError):
+        SubspaceBasis.full(F2, 2).contains_vector((1, 0, 0))
 
 
 def test_quotient_requires_containment():
