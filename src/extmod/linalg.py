@@ -15,13 +15,15 @@ rows that the left row selects, and an entry of ``m.apply(v)`` is the parity
 of the set bits in ``row & v``, after Albrecht, Bard and Hart, "Algorithm
 898: Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010).
 Over F2 a matrix also caches its packed columns, and a ``SubspaceBasis``
-its packed echelon rows, so subspaces stay packed: a span is reduced as its
-packed vectors arrive, ``image(m, u)`` spans the XORs of the columns of m
-that each basis vector of u selects, and ``preimage_space(m, u)`` reduces
-each column of m modulo u's rows while tracking which columns it combines,
-so the columns that reduce to zero give the kernel.  Each result is built
-once in canonical form and keeps its packed rows, and membership tests
-reduce packed vectors.  Only ``kernel``, ``solve`` and the other ``Matrix``
+its packed echelon rows, so subspaces stay packed.  Every F2 span, image
+and preimage is one ``SubspaceBasis.from_spanning`` of packed vectors:
+``image(m, u)`` spans the XORs of the columns of m that each basis vector of
+u selects, and ``preimage_space(m, u)`` spans u's rows together with each
+column of m tagged by its index, and reads the preimage off the vectors
+whose column part cancels.  Each result is built once in canonical form and
+keeps its packed rows, which are unpacked only when asked for, and
+membership tests reduce packed vectors.  Only ``kernel``, ``solve`` and the
+other ``Matrix``
 eliminations still pack and unpack their rows once per elimination: the
 pivot search tests one bit per row, and each row update is a single XOR of
 packed ints.  That pays on dense blocks, such as those of scrambled modules;
@@ -39,6 +41,7 @@ it needs every entry to be 0 or 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -483,23 +486,27 @@ class SubspaceBasis:
     view required by matrix operations is ``basis_matrix()``.
     """
 
-    # _packed caches _pack of each echelon row for F2 work, as in Matrix
-    __slots__ = ("field", "ambient_dim", "echelon_rows", "pivot_rows", "_packed")
+    # over F2, _packed holds _pack of each echelon row; either of _rows and
+    # _packed is derived from the other on first use
+    __slots__ = ("field", "ambient_dim", "pivot_rows", "_rows", "_packed")
 
     def __init__(self, field: Field, ambient_dim: int, echelon_rows: tuple, pivot_rows: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.echelon_rows = echelon_rows
         self.pivot_rows = pivot_rows
+        self._rows = echelon_rows
         self._packed = None
 
     @classmethod
     def from_spanning(cls, field: Field, ambient_dim: int, vectors,
-                      _raw: bool = False) -> "SubspaceBasis":
+                      _raw: bool = False, _packed: bool = False) -> "SubspaceBasis":
         """Canonicalize a list of spanning vectors.
 
-        ``_raw`` trusts the vectors to hold canonical entries already.
+        ``_raw`` trusts the vectors to hold canonical entries already, and
+        ``_packed`` takes F2 vectors packed by :func:`_pack`.
         """
+        if _packed:
+            return _span_f2(field, ambient_dim, vectors)
         vecs = vectors if _raw else [tuple(field.coerce(x) for x in v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
@@ -526,26 +533,34 @@ class SubspaceBasis:
         Such vectors are their own echelon basis, so nothing is eliminated.
         """
         indices = tuple(indices)
+        if field.characteristic == 2:
+            return cls._from_packed(field, ambient_dim, [1 << 8 * i for i in indices], indices)
         return cls(field, ambient_dim, _unit_rows(field, ambient_dim, indices), indices)
 
     @classmethod
     def _from_packed(cls, field: Field, ambient_dim: int, packed, pivots) -> "SubspaceBasis":
-        """The subspace with these packed F2 echelon rows, which it keeps."""
-        sub = cls(field, ambient_dim, tuple(_unpack(r, ambient_dim) for r in packed),
-                  tuple(pivots))
+        """The subspace with these packed F2 echelon rows, unpacked on first use."""
+        sub = cls(field, ambient_dim, None, tuple(pivots))
         sub._packed = tuple(packed)
         return sub
 
     @property
+    def echelon_rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(_unpack(r, self.ambient_dim) for r in self._packed)
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.echelon_rows)
+        return len(self.pivot_rows)
 
     def vectors(self) -> list[tuple]:
         return list(self.echelon_rows)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim,
-                                _raw=True)
+        m = Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim, _raw=True)
+        m._packed_c = self._packed  # its columns are the echelon rows
+        return m
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -599,11 +614,16 @@ class SubspaceBasis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
+        if self._packed is not None and other._packed is not None:
+            mine, theirs = self._packed, other._packed
+        else:
+            mine, theirs = self.echelon_rows, other.echelon_rows
         return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and self.echelon_rows == other.echelon_rows)
+                and mine == theirs)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.echelon_rows))
+        # equal subspaces share their pivots, whichever form holds their rows
+        return hash((self.field, self.ambient_dim, self.pivot_rows))
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim {self.dim} of F^{self.ambient_dim})"
@@ -624,25 +644,35 @@ def kernel(m: Matrix) -> SubspaceBasis:
 
 
 def _span_f2(field: Field, ambient_dim: int, vectors) -> SubspaceBasis:
-    """The span of packed F2 vectors, kept in reduced echelon form as it grows.
+    """The span of packed F2 vectors, in reduced echelon form.
 
-    Each row is keyed by its pivot bit, the lowest one it has set.  A new
-    vector is cleared at every pivot in one pass, as each row is zero at the
-    other pivots; if anything is left, its lowest bit is cleared from the
-    rows and it joins them.
+    Rows are keyed by their pivot bit, the lowest one they have set.  Each
+    vector is cleared at its lowest bit by the row with that pivot until it
+    is zero or has a pivot of its own.  Then, from the last pivot to the
+    first, each row is cleared at the later pivots by their rows, which are
+    reduced by then.
     """
     rows: dict[int, int] = {}
     for v in vectors:
-        for bit, row in rows.items():
-            if v & bit:
-                v ^= row
-        if v:
+        while v:
             low = v & -v
-            for bit, row in rows.items():
-                if row & low:
-                    rows[bit] = row ^ v
-            rows[low] = v
-    bits = sorted(rows)
+            row = rows.get(low)
+            if row is None:
+                rows[low] = v
+                break
+            v ^= row
+    bits = sorted(rows, reverse=True)
+    later = 0  # the pivots after the current one
+    for bit in bits:
+        v = rows[bit]
+        hits = v & later
+        while hits:
+            low = hits & -hits
+            v ^= rows[low]
+            hits ^= low
+        rows[bit] = v
+        later |= bit
+    bits.reverse()
     return SubspaceBasis._from_packed(field, ambient_dim, [rows[b] for b in bits],
                                       [b.bit_length() // 8 for b in bits])
 
@@ -659,38 +689,9 @@ def image(m: Matrix, u: SubspaceBasis | None = None) -> SubspaceBasis:
         cols = m._packed_cols()
         vecs = cols if u is None else [reduce(xor, compress(cols, v), 0)
                                        for v in u.echelon_rows]
-        return _span_f2(m.field, m.nrows, vecs)
+        return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _packed=True)
     vecs = m.cols() if u is None else [m.apply(v) for v in u.echelon_rows]
     return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _raw=True)
-
-
-def _preimage_f2(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
-    """:func:`preimage_space` over F2, on the packed columns of m.
-
-    u's rows seed a basis keyed by lowest set bit, each entry carrying the
-    combination of m's columns it stands for (none for u's rows).  Taken last
-    to first, a column of m that reduces to zero gives a kernel vector led by
-    its own index and otherwise nonzero only at later columns that joined the
-    basis, never at another such index: the reduced echelon basis.
-    """
-    n = m.ncols
-    basis = {1 << 8 * pr: (row, 0) for pr, row in zip(u.pivot_rows, u._packed_rows())}
-    found = []
-    for j, col in zip(range(n - 1, -1, -1), reversed(m._packed_cols())):
-        comb = 1 << 8 * j
-        while col:
-            low = col & -col
-            hit = basis.get(low)
-            if hit is None:
-                basis[low] = (col, comb)
-                break
-            col ^= hit[0]
-            comb ^= hit[1]
-        else:
-            found.append((j, comb))
-    found.reverse()
-    return SubspaceBasis._from_packed(m.field, n, [c for _, c in found],
-                                      [j for j, _ in found])
 
 
 def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
@@ -699,13 +700,28 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
     It is the heads of ker [m | B], B the basis matrix of u.  Only the zero
     kernel vector has a zero head, as B's columns are independent, so the
     kernel's echelon basis has the preimage's as heads, with the same pivots.
-    Over F2 the same basis comes from the packed columns (:func:`_preimage_f2`).
+
+    Over F2 it is read off one span of packed vectors: u's rows, and each
+    column j of m with the unit vector e_j appended past its nrows entries.
+    The vectors of that span that are zero in the first nrows entries are
+    (0, v) for v in the preimage, so the echelon rows with pivots past them
+    are the preimage's, shifted.
     """
     if u.ambient_dim != m.nrows:
         raise ValueError(f"ambient dimension mismatch: map into F^{m.nrows}, "
                          f"subspace of F^{u.ambient_dim}")
     if m.field.characteristic == 2:
-        return _preimage_f2(m, u)
+        shift = 8 * m.nrows
+        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._packed_cols())]
+        # last column first: a column whose head cancels then has its own tag as
+        # its lowest bit, as it only picks up the tags of later columns
+        tagged.reverse()
+        span = SubspaceBasis.from_spanning(m.field, m.nrows + m.ncols,
+                                           [*u._packed_rows(), *tagged], _packed=True)
+        head = bisect_left(span.pivot_rows, m.nrows)
+        return SubspaceBasis._from_packed(m.field, m.ncols,
+                                          [r >> shift for r in span._packed[head:]],
+                                          [pr - m.nrows for pr in span.pivot_rows[head:]])
     ker = kernel(hstack([m, u.basis_matrix()]))
     return SubspaceBasis(m.field, m.ncols, tuple(r[:m.ncols] for r in ker.echelon_rows),
                          ker.pivot_rows)
@@ -737,6 +753,11 @@ def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
 
 def standard_complement(u: SubspaceBasis) -> list[tuple]:
     """Coordinate vectors at the non-pivot positions: a complement basis of u."""
-    pivots = set(u.pivot_rows)
-    return list(_unit_rows(u.field, u.ambient_dim,
-                           (i for i in range(u.ambient_dim) if i not in pivots)))
+    f = u.field
+    comp = []
+    for i in range(u.ambient_dim):
+        if i not in u.pivot_rows:
+            v = [f.zero] * u.ambient_dim
+            v[i] = f.one
+            comp.append(tuple(v))
+    return comp

@@ -183,6 +183,8 @@ def _assert_same(got, want, packed=False):
     # standard_complement read them
     assert ((got.ambient_dim, got.echelon_rows, got.pivot_rows)
             == (want.ambient_dim, want.echelon_rows, want.pivot_rows))
+    # want's rows are lists, got's may be packed only
+    assert got == want and hash(got) == hash(want)
     if packed and got.field == F2:
         # built on packed rows, an F2 result keeps them
         assert got._packed == tuple(map(_pack, got.echelon_rows))
@@ -225,6 +227,20 @@ def test_f2_wide_subspace_operations_match_references():
         _check_against_references(m, [random_subspace(F2, nrows, rng), low_rank], rng)
 
 
+def test_f2_equality_and_basis_matrix_read_packed_rows():
+    # an F2 result keeps packed rows and unpacks them only when asked
+    a = SubspaceBasis.from_spanning(F2, 3, [(1, 1, 0)])
+    b = SubspaceBasis.from_spanning(F2, 3, [(1, 0, 1)])
+    assert a.pivot_rows == b.pivot_rows and a != b
+    listed = SubspaceBasis(F2, 3, ((1, 1, 0),), (0,))
+    assert a == listed and listed == a and hash(a) == hash(listed)
+    assert (SubspaceBasis.coordinate(F2, 3, [0, 2])
+            == SubspaceBasis.from_spanning(F2, 3, [(0, 0, 1), (1, 0, 0)]))
+    u = SubspaceBasis.from_spanning(F2, 4, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)])
+    bu = u.basis_matrix()
+    assert bu._packed_cols() == tuple(map(_pack, bu.cols()))
+
+
 def test_f2_from_spanning_matches_list_elimination():
     # over F2 spans are reduced on packed rows, elsewhere by _row_reduce itself
     rng = random.Random(47)
@@ -236,7 +252,7 @@ def test_f2_from_spanning_matches_list_elimination():
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
-    # over F2 preimage_space works on packed columns with no elimination
+    # over F2 preimage_space spans packed vectors with no _row_reduce
     rng = random.Random(37)
     calls = count_row_reduce(monkeypatch)
     for field in [F2, F3, F5, QQ]:
@@ -249,6 +265,29 @@ def test_kernel_and_preimage_eliminate_once(monkeypatch):
             calls[0] = 0
             preimage_space(m, u)
             assert calls[0] == (0 if field == F2 else 1)
+
+
+def test_f2_image_and_preimage_eliminate_once_in_from_spanning(monkeypatch):
+    # from_spanning is the one F2 span elimination, so each call shows there
+    rng = random.Random(41)
+    calls = [0]
+    span = SubspaceBasis.from_spanning.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return span(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SubspaceBasis, "from_spanning", classmethod(counted))
+    for _ in range(10):
+        m = _random_block(F2, rng.randint(0, 6), rng.randint(0, 6), rng)
+        u = random_subspace(F2, m.nrows, rng)
+        w = random_subspace(F2, m.ncols, rng)
+        calls[0] = 0
+        preimage_space(m, u)
+        assert calls[0] == 1
+        calls[0] = 0
+        image(m, w)
+        assert calls[0] == 1
 
 
 def test_image_examples():
