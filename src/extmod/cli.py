@@ -75,6 +75,11 @@ def _as_variant_b(m: Module) -> Module:
 # ---------------------------------------------------------------------------
 # shape expression language for `build`
 
+# The most basis vectors one shape term may create.  A term's dimension grows
+# with its own numbers, so one large number would otherwise exhaust memory
+# before anything else is checked.
+MAX_TERM_DIM = 100_000
+
 
 class _ExprParser:
     """Recursive descent for sums of shape terms and module transforms.
@@ -132,8 +137,17 @@ class _ExprParser:
             parts.append(self.term())
         return direct_sum(parts, self.params)
 
+    def check_dim(self, start: int, dim: int) -> None:
+        """Reject the term that began at ``start`` if it would exceed MAX_TERM_DIM."""
+        if dim > MAX_TERM_DIM:
+            term = self.text[start:self.pos]
+            self.pos = start
+            self.fail(f"term {term!r} has dimension {dim}, "
+                      f"above the limit of {MAX_TERM_DIM}")
+
     def term(self) -> Module:
         self.skip_ws()
+        start = self.pos
         if self.eat("L("):
             n = self.integer()
             self.expect(",")
@@ -145,7 +159,9 @@ class _ExprParser:
             at = self.integer()
             if n < 0 or eps not in (0, 1) or eps2 not in (0, 1):
                 self.fail("L(n,e,e') needs n >= 0 and flags 0/1")
-            return make_flash(FlashShape.l(n, eps, eps2, at), self.params)
+            shape = FlashShape.l(n, eps, eps2, at)
+            self.check_dim(start, shape.total_dim)
+            return make_flash(shape, self.params)
         if self.eat("free"):
             self.expect("@")
             at = self.integer()
@@ -160,6 +176,10 @@ class _ExprParser:
             self.expect(")")
             self.expect("@trunc=")
             cutoff = self.integer()
+            if cutoff >= 0:
+                # the untruncated flash that truncated_infinite_flash builds first
+                self.check_dim(start, FlashShape.finite(cutoff // self.params.gap + 1,
+                                                        bool(eps), True).total_dim)
             return truncated_infinite_flash(bool(eps), cutoff, self.params).module
         if self.eat("shift("):
             inner = self.expr()

@@ -42,9 +42,11 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
-from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
-                     standard_complement, sum_space)
+from .linalg import (GF2, Field, Matrix, SubspaceBasis, _pack, _unpack, image,
+                     intersect, kernel, standard_complement, sum_space)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
 from .operators import degree_part, filtration_trace, socle
@@ -123,12 +125,13 @@ class _Strand:
 
     Even positions 2k are bottoms B_k, odd positions 2k+1 are tops T_k.
     ``strength`` is the admissibility class of the open strand: who may
-    absorb whom during elimination.
+    absorb whom during elimination.  Over F2 the vectors are packed by
+    :func:`~extmod.linalg._pack`.
     """
 
     __slots__ = ("left_pos", "right_pos", "vectors")
 
-    def __init__(self, pos: int, vector: tuple):
+    def __init__(self, pos: int, vector):
         self.left_pos = pos
         self.right_pos = pos
         self.vectors = {pos: vector}
@@ -157,12 +160,37 @@ class _Strand:
             self.vectors[pos] = _scale(field, vec, c)
 
     def absorb(self, other: "_Strand", c, field: Field) -> None:
-        """Add c times the other strand's realization along the overlap."""
+        """Add c times the other strand's realization along the overlap.
+
+        Over F2, c is 1 and each position takes one XOR of packed vectors.
+        """
         if self.right_pos != other.right_pos or self.strength < other.strength:
             raise AssertionError("inadmissible elimination")
-        for pos in range(max(self.left_pos, other.left_pos), self.right_pos + 1):
-            self.vectors[pos] = _add_scaled(field, self.vectors[pos],
-                                            other.vectors[pos], c)
+        mine, theirs = self.vectors, other.vectors
+        overlap = range(max(self.left_pos, other.left_pos), self.right_pos + 1)
+        if field.characteristic == 2:
+            for pos in overlap:
+                mine[pos] ^= theirs[pos]
+        else:
+            for pos in overlap:
+                mine[pos] = _add_scaled(field, mine[pos], theirs[pos], c)
+
+
+def _pivots(cod: list[_Strand], dom: list[_Strand], column):
+    """The pivot rule of both fields: (ci, pr) pairs, one at a time.
+
+    Domain strands go weakest first, and each takes the strongest codomain
+    strand not yet taken, by ``(strength, -index)``, whose entry
+    ``column(ci)[pr]`` is nonzero.  ``column`` is read only when column ci
+    is due, after the caller has eliminated the earlier pivots.
+    """
+    rows = sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True)
+    for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
+        col = column(ci)
+        pr = next((r for r in rows if col[r]), None)
+        if pr is not None:
+            rows.remove(pr)
+            yield ci, pr
 
 
 def _match(field: Field, act: Matrix, cod: list[_Strand],
@@ -178,6 +206,8 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     """
     if not dom:
         return []
+    if field.characteristic == 2:
+        return _match_f2(act, cod, dom)
     imgs = [act.apply(s.vectors[s.right_pos]) for s in dom]
     if not cod:
         if any(map(any, imgs)):
@@ -189,13 +219,8 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     if coeff is None:
         raise AssertionError("socle coordinates must exist")
     a = [list(row) for row in coeff.rows]
-    free_rows = set(range(len(cod)))
     pairs = []
-    for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
-        pr = max((ri for ri in free_rows if a[ri][ci]), default=None,
-                 key=lambda ri: (cod[ri].strength, -ri))
-        if pr is None:
-            continue
+    for ci, pr in _pivots(cod, dom, lambda c: [row[c] for row in a]):
         if a[pr][ci] != field.one:
             inv = field.inv(a[pr][ci])
             dom[ci].scale(inv, field)
@@ -214,19 +239,70 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
                 dom[cj].absorb(dom[ci], field.neg(c), field)
                 prow[cj] = field.zero
         pairs.append((cod[pr], dom[ci]))
-        free_rows.remove(pr)
+    return pairs
+
+
+def _match_f2(act: Matrix, cod: list[_Strand],
+              dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
+    """:func:`_match` over F2, on strands with packed vectors.
+
+    An image is the XOR of the action's packed columns that the vector
+    selects.  Its coordinates are the tags left after reducing it by one span
+    of the codomain strands' last vectors, the i-th tagged by a 1 at entry
+    nrows + i.  ``a[r]`` is row r as one bitmask, entry c at bit 8c, so a row
+    operation is one XOR; every nonzero entry is 1, so nothing is scaled.
+    """
+    cols, n = act._packed_cols(), act.ncols
+    imgs = [reduce(xor, itertools.compress(cols, v.to_bytes(n, "little")), 0)
+            for v in (s.vectors[s.right_pos] for s in dom)]
+    if not cod:
+        if any(imgs):
+            raise AssertionError("action image escapes the socle layer")
+        return []
+    shift = 8 * act.nrows
+    span = SubspaceBasis.from_spanning(
+        GF2, act.nrows + len(cod),
+        [s.vectors[s.right_pos] | 1 << shift + 8 * i for i, s in enumerate(cod)],
+        _packed=True)
+    coords = []
+    for v in map(span._reduce_packed, imgs):
+        if v & (1 << shift) - 1:
+            raise AssertionError("socle coordinates must exist")
+        coords.append((v >> shift).to_bytes(len(cod), "little"))
+    a = [_pack(row) for row in zip(*coords)]
+    pairs = []
+    for ci, pr in _pivots(cod, dom, lambda c: [row >> 8 * c & 1 for row in a]):
+        bit = 1 << 8 * ci
+        prow = a[pr]
+        for ri, row in enumerate(a):
+            if ri != pr and row & bit:
+                cod[pr].absorb(cod[ri], 1, GF2)
+                a[ri] = row ^ prow
+        # column ci is now the unit vector at pr, so clearing row pr is the
+        # whole column operation
+        rest = prow ^ bit
+        while rest:
+            low = rest & -rest
+            dom[low.bit_length() // 8].absorb(dom[ci], 1, GF2)
+            rest ^= low
+        a[pr] = bit
+        pairs.append((cod[pr], dom[ci]))
     return pairs
 
 
 def _sweep_chain(m: Module, residue: int,
                  vecs: dict[int, list[tuple]]) -> list[Summand]:
-    """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos."""
+    """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos.
+
+    Over F2 the strands hold packed vectors, unpacked once per summand.
+    """
     field = m.field
+    f2 = field.characteristic == 2
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # one position past the end checks that the last open strands are closed
     for pos in range(min(vecs), max(vecs) + 2):
-        fresh = [_Strand(pos, v) for v in vecs.get(pos, [])]
+        fresh = [_Strand(pos, _pack(v) if f2 else v) for v in vecs.get(pos, [])]
         deg = residue + (pos // 2) * m.params.gap
         if pos % 2 == 0:
             # bottoms: e1 maps the fresh strands onto the open tops
@@ -240,12 +316,22 @@ def _sweep_chain(m: Module, residue: int,
             joined[new] = left
         strands.extend(s for s in fresh if s not in joined)
         open_ = [joined.get(s, s) for s in fresh]
-    return [_summand_from_strand(s, residue, m.params) for s in strands]
+    widths = {pos: len(v[0]) for pos, v in vecs.items()} if f2 else None
+    return [_summand_from_strand(s, residue, m.params, widths) for s in strands]
 
 
-def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
-    evens = sorted(p for p in strand.vectors if p % 2 == 0)
-    odds = sorted(p for p in strand.vectors if p % 2)
+def _summand_from_strand(strand: _Strand, residue: int, params,
+                         widths: dict[int, int] | None = None) -> Summand:
+    """The summand a finished strand reads off as.
+
+    ``widths`` gives the vector length at each position of a packed F2
+    strand, whose vectors are unpacked here.
+    """
+    vectors = strand.vectors
+    if widths is not None:
+        vectors = {pos: _unpack(v, widths[pos]) for pos, v in vectors.items()}
+    evens = sorted(p for p in vectors if p % 2 == 0)
+    odds = sorted(p for p in vectors if p % 2)
 
     def bottom_deg(pos: int) -> int:
         return residue + (pos // 2) * params.gap
@@ -256,15 +342,14 @@ def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
     if not evens:
         # a socle vector nothing maps onto: a simple summand
         (pos,) = odds
-        return Summand(FlashShape.simple(top_deg(pos)),
-                       (strand.vectors[pos],), ())
+        return Summand(FlashShape.simple(top_deg(pos)), (vectors[pos],), ())
     k0 = evens[0] // 2
     shape = FlashShape.finite(len(evens),
                               left_top=strand.left_is_top,
                               right_top=strand.right_pos % 2 == 1,
                               shift=bottom_deg(evens[0]))
-    bottoms = tuple(strand.vectors[p] for p in evens)
-    tops = tuple(((p - 1) // 2 - k0, strand.vectors[p]) for p in odds)
+    bottoms = tuple(vectors[p] for p in evens)
+    tops = tuple(((p - 1) // 2 - k0, vectors[p]) for p in odds)
     return Summand(shape, bottoms, tops)
 
 

@@ -20,16 +20,16 @@ and preimage is one ``SubspaceBasis.from_spanning`` of packed vectors:
 ``image(m, u)`` spans the XORs of the columns of m that each basis vector of
 u selects, and ``preimage_space(m, u)`` spans u's rows together with each
 column of m tagged by its index, and reads the preimage off the vectors
-whose column part cancels.  Each result is built once in canonical form and
-keeps its packed rows, which are unpacked only when asked for, and
-membership tests reduce packed vectors.  Only ``kernel``, ``solve`` and the
-other ``Matrix``
-eliminations still pack and unpack their rows once per elimination: the
-pivot search tests one bit per row, and each row update is a single XOR of
-packed ints.  That pays on dense blocks, such as those of scrambled modules;
-on very sparse blocks, where few rows are ever updated, packing and
-unpacking every row costs more than list rows would.  Over F_p for odd p and
-over Q, elimination works on lists of entries.
+whose column part cancels; ``kernel(m)`` is the preimage of zero.  Each
+result is built once in canonical form and keeps its packed rows, which are
+unpacked only when asked for, and membership tests reduce packed vectors.
+Only ``solve``, ``rank``, ``inverse`` and the other ``Matrix`` eliminations
+still pack and unpack their rows once per elimination: the pivot search
+tests one bit per row, and each row update is a single XOR of packed ints.
+That pays on dense blocks, such as those of scrambled modules; on very
+sparse blocks, where few rows are ever updated, packing and unpacking every
+row costs more than list rows would.  Over F_p for odd p and over Q,
+elimination works on lists of entries.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
@@ -313,7 +313,7 @@ class Matrix:
         return Matrix(self.field, tuple(zip(*self.rows)), ncols=self.nrows, _raw=True)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -634,10 +634,14 @@ class SubspaceBasis:
 def kernel(m: Matrix) -> SubspaceBasis:
     """The null space of m as a subspace of the domain F^ncols.
 
-    With the columns reversed, each free column's kernel vector is nonzero
-    only there and at pivot columns before it.  Read back in order, these
-    vectors are the reduced echelon basis, each led by a 1 at its free column.
+    Over F2 it is the preimage of zero, one span of m's packed columns.
+    Elsewhere, with the columns reversed, each free column's kernel vector is
+    nonzero only there and at pivot columns before it.  Read back in order,
+    these vectors are the reduced echelon basis, each led by a 1 at its free
+    column.
     """
+    if m.field.characteristic == 2:
+        return preimage_space(m, SubspaceBasis.zero(m.field, m.nrows))
     flipped = Matrix(m.field, tuple(row[::-1] for row in m.rows), ncols=m.ncols, _raw=True)
     rows = tuple(col[::-1] for col in reversed(flipped.kernel_matrix().cols()))
     return SubspaceBasis(m.field, m.ncols, rows, tuple(r.index(m.field.one) for r in rows))

@@ -130,6 +130,61 @@ def reference_image_of(m, u):
     return reference_span(m.field, m.nrows, [m.apply(v) for v in u.vectors()])
 
 
+def reference_match(field, act, cod, dom):
+    """The chain sweep's strand matcher as every field ran it before F2 moved
+    to packed vectors: tuple vectors, ``Matrix.solve`` for the coordinates and
+    row operations on lists.  Returns the (codomain, domain) pivot pairs, and
+    updates the strands' vectors in place as ``decompose._match`` does."""
+
+    def absorb(strand, other, c):
+        if strand.right_pos != other.right_pos or strand.strength < other.strength:
+            raise AssertionError("inadmissible elimination")
+        for pos in range(max(strand.left_pos, other.left_pos), strand.right_pos + 1):
+            strand.vectors[pos] = tuple(field.add(x, field.mul(c, y)) for x, y
+                                        in zip(strand.vectors[pos], other.vectors[pos]))
+
+    if not dom:
+        return []
+    imgs = [act.apply(s.vectors[s.right_pos]) for s in dom]
+    if not cod:
+        if any(map(any, imgs)):
+            raise AssertionError("action image escapes the socle layer")
+        return []
+    tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod],
+                            nrows=act.nrows, _raw=True)
+    coeff = tmat.solve(Matrix.from_cols(field, imgs, _raw=True))
+    if coeff is None:
+        raise AssertionError("socle coordinates must exist")
+    a = [list(row) for row in coeff.rows]
+    free_rows = set(range(len(cod)))
+    pairs = []
+    for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
+        pr = max((ri for ri in free_rows if a[ri][ci]), default=None,
+                 key=lambda ri: (cod[ri].strength, -ri))
+        if pr is None:
+            continue
+        if a[pr][ci] != field.one:
+            inv = field.inv(a[pr][ci])
+            vecs = dom[ci].vectors
+            for pos, vec in vecs.items():
+                vecs[pos] = tuple(field.mul(inv, x) for x in vec)
+            for row in a:
+                row[ci] = field.mul(row[ci], inv)
+        prow = a[pr]
+        for ri, row in enumerate(a):
+            c = row[ci]
+            if ri != pr and c:
+                absorb(cod[pr], cod[ri], c)
+                a[ri] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, prow)]
+        for cj, c in enumerate(prow):
+            if cj != ci and c:
+                absorb(dom[cj], dom[ci], field.neg(c))
+                prow[cj] = field.zero
+        pairs.append((cod[pr], dom[ci]))
+        free_rows.remove(pr)
+    return pairs
+
+
 def random_subspace(field, ambient, rng, max_gens=None):
     gens = rng.randint(0, max_gens if max_gens is not None else ambient)
     vectors = [random_matrix(field, 1, ambient, rng).row(0) for _ in range(gens)]

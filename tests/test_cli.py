@@ -1,6 +1,8 @@
 import json
 
-from extmod.cli import main
+import pytest
+
+from extmod.cli import MAX_TERM_DIM, main
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
 
@@ -51,6 +53,19 @@ def test_build_free_infers_variant_a(capsys):
 def test_build_bad_expression(capsys):
     assert main(["build", "L(1,0)@0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, term", [
+    ("L(100000000,0,0)@0", "L(100000000,0,0)@0"),
+    ("inf(0)@trunc=100000000", "inf(0)@trunc=100000000"),
+    ("randomize(simple@0 + shift(L(50000,1,1)@2, 1))", "L(50000,1,1)@2"),
+])
+def test_build_rejects_oversized_term(capsys, expr, term):
+    # checked against the term's own numbers, before anything is allocated
+    assert main(["build", expr]) == 2
+    err = capsys.readouterr().err
+    assert f"term {term!r} has dimension" in err
+    assert f"above the limit of {MAX_TERM_DIM}" in err
 
 
 def test_build_inf_expression(capsys):

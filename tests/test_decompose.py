@@ -1,4 +1,5 @@
 import ast
+import importlib
 import itertools
 import os
 import random
@@ -11,21 +12,23 @@ import pytest
 
 import extmod
 from extmod import linalg, modules
-from extmod.decompose import (Decomposition, Summand, decompose,
+from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose,
                               endomorphism_basis, flash_multiplicity_at_degree,
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
-from extmod.linalg import Matrix
+from extmod.linalg import Matrix, _pack, _unpack
 from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
                             random_basis_change, shift, validate, with_variant,
                             zero_module)
 from extmod.textio import parse_module, print_module
 from helpers import (count_coerce, flash_sum, random_flash_shapes,
-                     random_variant_b_module)
+                     random_variant_b_module, reference_match)
 
 P = default_params()
 PA = default_params(variant="A")
+# the package exports the function decompose under the module's name
+decompose_mod = importlib.import_module("extmod.decompose")
 
 ALL_FLAG_SHAPES = [FlashShape.finite(b, lt, rt)
                    for b in (1, 2, 3)
@@ -56,6 +59,79 @@ def test_decompose_coerces_no_entry(monkeypatch):
     dec = decompose(m)
     assert calls[0] == 0
     assert dec.multiset() == Counter(shapes)
+
+
+def _copy_strand(s, widths=None):
+    """A copy of a strand; with ``widths``, its packed F2 vectors unpacked."""
+    out = _Strand(s.left_pos, None)
+    out.right_pos = s.right_pos
+    out.vectors = {pos: v if widths is None else _unpack(v, widths[pos])
+                   for pos, v in s.vectors.items()}
+    return out
+
+
+def _match_calls(monkeypatch, m):
+    """Every ``_match`` call of ``decompose(m)``: the action, copies of the
+    strands as they came in, and the vector length at each chain position."""
+    calls = []
+    widths = [None]
+    sweep, match = decompose_mod._sweep_chain, decompose_mod._match
+
+    def sweep_recording(mod, residue, vecs):
+        widths[0] = {pos: len(v[0]) for pos, v in vecs.items()}
+        return sweep(mod, residue, vecs)
+
+    def match_recording(field, act, cod, dom):
+        calls.append((act, [_copy_strand(s) for s in cod],
+                      [_copy_strand(s) for s in dom], widths[0]))
+        return match(field, act, cod, dom)
+
+    monkeypatch.setattr(decompose_mod, "_sweep_chain", sweep_recording)
+    monkeypatch.setattr(decompose_mod, "_match", match_recording)
+    decompose(m)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_match_equals_list_reference(monkeypatch, char):
+    # over F2 the strands hold packed vectors, which the reference gets unpacked
+    params = default_params(char)
+    field = params.field
+    rng = random.Random(61)
+    mods = [random_basis_change(flash_sum(random_flash_shapes(rng, count_max=20), params), s)
+            for s in range(6)]
+    if char == 2:
+        # 70 tops y0 in degree 3: more than 64 rows and codomain strands
+        wide = [FlashShape.l(rng.randrange(1, 3), rng.randrange(2), rng.randrange(2))
+                for _ in range(70)]
+        mods.append(random_basis_change(flash_sum(wide, params), 7))
+    most_rows = most_cod = 0
+    for m in mods:
+        for act, cod, dom, widths in _match_calls(monkeypatch, m):
+            unpack = widths if char == 2 else None
+            want_cod = [_copy_strand(s, unpack) for s in cod]
+            want_dom = [_copy_strand(s, unpack) for s in dom]
+            want = reference_match(field, act, want_cod, want_dom)
+            got = _match(field, act, cod, dom)
+            assert ([(cod.index(c), dom.index(d)) for c, d in got]
+                    == [(want_cod.index(c), want_dom.index(d)) for c, d in want])
+            assert ([_copy_strand(s, unpack).vectors for s in cod + dom]
+                    == [s.vectors for s in want_cod + want_dom])
+            most_rows, most_cod = max(most_rows, act.nrows), max(most_cod, len(cod))
+    if char == 2:
+        assert most_rows > 64 and most_cod > 64
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_match_rejects_images_off_the_socle_coordinates(char):
+    field = default_params(char).field
+    vector = _pack if char == 2 else tuple
+    with pytest.raises(AssertionError, match="action image escapes the socle layer"):
+        _match(field, Matrix(field, [[1]]), [], [_Strand(0, vector((1,)))])
+    with pytest.raises(AssertionError, match="socle coordinates must exist"):
+        _match(field, Matrix.identity(field, 2), [_Strand(1, vector((1, 0)))],
+               [_Strand(0, vector((0, 1)))])
 
 
 def test_scrambled_mixed_shapes_round_trip():
@@ -375,12 +451,13 @@ def test_package_imports_only_the_standard_library():
 def test_inadmissible_absorb_raises_under_optimize():
     code = """
 from extmod.decompose import _Strand
-from extmod.linalg import GF2
+from extmod.linalg import GF2, _pack
 if __debug__:
     raise SystemExit("not running under -O")
-strong = _Strand(1, (1,))
-strong.join(_Strand(2, (1,)))
-weak = _Strand(2, (1,))
+# over F2 the sweep's strands hold packed vectors
+strong = _Strand(1, _pack((1,)))
+strong.join(_Strand(2, _pack((1,))))
+weak = _Strand(2, _pack((1,)))
 try:
     weak.absorb(strong, 1, GF2)
 except AssertionError:

@@ -194,7 +194,7 @@ def _check_against_references(m, u_extra, rng):
     """kernel, image, preimage, image of a subspace and intersection against
     their references, for zero, full, image and random targets."""
     field, nrows, ncols = m.field, m.nrows, m.ncols
-    _assert_same(kernel(m), reference_kernel(m))
+    _assert_same(kernel(m), reference_kernel(m), True)
     _assert_same(image(m), reference_image_of(m, SubspaceBasis.full(field, ncols)), True)
     domain = [SubspaceBasis.zero(field, ncols), SubspaceBasis.full(field, ncols),
               kernel(m), random_subspace(field, ncols, rng)]
@@ -252,7 +252,7 @@ def test_f2_from_spanning_matches_list_elimination():
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
-    # over F2 preimage_space spans packed vectors with no _row_reduce
+    # over F2 kernel and preimage_space span packed vectors with no _row_reduce
     rng = random.Random(37)
     calls = count_row_reduce(monkeypatch)
     for field in [F2, F3, F5, QQ]:
@@ -261,7 +261,7 @@ def test_kernel_and_preimage_eliminate_once(monkeypatch):
             u = random_subspace(field, m.nrows, rng)
             calls[0] = 0
             kernel(m)
-            assert calls[0] == 1
+            assert calls[0] == (0 if field == F2 else 1)
             calls[0] = 0
             preimage_space(m, u)
             assert calls[0] == (0 if field == F2 else 1)
