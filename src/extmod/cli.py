@@ -122,7 +122,14 @@ class _ExprParser:
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        try:
+            return int(digits)
+        except ValueError:
+            # int() converts at most sys.get_int_max_str_digits() digits
+            self.pos = start
+            self.fail(f"integer {digits[:12]}... has {len(digits.lstrip('+-'))} digits, "
+                      f"above the limit of {sys.get_int_max_str_digits()}")
 
     def parse(self) -> Module:
         mod = self.expr()

@@ -390,52 +390,80 @@ def multiplicities(m: Module) -> Counter:
 
 
 def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
-    """Certificate check: degreewise basis plus the exact flash relations."""
-    params = m.params
-    problems: list[str] = []
-    by_degree: dict[int, list[tuple]] = {d: [] for d in m.degrees}
+    """Certificate check: degreewise basis plus the exact flash relations.
 
-    def put(tag: str, deg: int, vec: tuple) -> None:
+    Each realization vector is coerced once, where it enters; over F2 it is
+    packed there too, and an action applied to it is the XOR of the
+    action's packed columns that it selects.
+    """
+    params, field = m.params, m.field
+    f2 = field.characteristic == 2
+    nonzero = bool if f2 else any
+    problems: list[str] = []
+    by_degree: dict[int, list] = {d: [] for d in m.degrees}
+
+    def enter(deg: int, vec):
+        """vec in canonical form, packed over F2, or None if it does not fit degree deg."""
         if m.dim(deg) != len(vec) or m.dim(deg) == 0:
+            return None
+        vec = tuple(map(field.coerce, vec))
+        return _pack(vec) if f2 else vec
+
+    def put(tag: str, deg: int, vec) -> None:
+        if vec is None:
             problems.append(f"{tag}: vector does not fit degree {deg}")
         else:
             by_degree[deg].append(vec)
 
+    def act(which: str, deg: int, vec):
+        a = m.action(which, deg)
+        if f2:
+            return reduce(xor, itertools.compress(a._packed_cols(),
+                                                  vec.to_bytes(a.ncols, "little")), 0)
+        return a.apply(vec)
+
+    entered = []  # (index, shape, bottoms, tops) of the summands whose relations are checked
     for si, s in enumerate(dec.summands):
         sh = s.shape
         if sh.kind != "finite":
             problems.append(f"summand {si}: non-finite shape {sh}")
             continue
-        if len(s.bottoms) != sh.bottoms or sorted(i for i, _ in s.tops) != sh.top_indices():
+        if len(s.bottoms) != sh.bottoms:
             problems.append(f"summand {si}: vector count does not match {sh}")
             continue
-        for i, v in enumerate(s.bottoms):
-            put(f"summand {si} x{i}", sh.bottom_degree(i, params), v)
-        for i, v in s.tops:
-            put(f"summand {si} y{i}", sh.top_degree(i, params), v)
-    for d, vecs in by_degree.items():
-        if len(vecs) != m.dim(d):
-            problems.append(f"degree {d}: {len(vecs)} vectors for dimension {m.dim(d)}")
-        elif Matrix.from_cols(m.field, vecs, nrows=m.dim(d)).rank() != m.dim(d):
-            problems.append(f"degree {d}: realization vectors are dependent")
-    for si, s in enumerate(dec.summands):
-        sh = s.shape
-        if sh.kind != "finite" or len(s.bottoms) != sh.bottoms:
+        xs = [enter(sh.bottom_degree(i, params), v) for i, v in enumerate(s.bottoms)]
+        ys = [(i, enter(sh.top_degree(i, params), v)) for i, v in s.tops]
+        entered.append((si, sh, xs, ys))
+        if sorted(i for i, _ in ys) != sh.top_indices():
+            problems.append(f"summand {si}: vector count does not match {sh}")
             continue
-        tops = dict(s.tops)
-        for i, x in enumerate(s.bottoms):
+        for i, x in enumerate(xs):
+            put(f"summand {si} x{i}", sh.bottom_degree(i, params), x)
+        for i, y in ys:
+            put(f"summand {si} y{i}", sh.top_degree(i, params), y)
+    for d, vecs in by_degree.items():
+        n = m.dim(d)
+        if len(vecs) != n:
+            problems.append(f"degree {d}: {len(vecs)} vectors for dimension {n}")
+        elif SubspaceBasis.from_spanning(field, n, vecs, _raw=True, _packed=f2).dim != n:
+            problems.append(f"degree {d}: realization vectors are dependent")
+    # a vector that does not fit its degree has no image to check
+    for si, sh, xs, ys in entered:
+        tops = dict(ys)
+        for i, x in enumerate(xs):
+            if x is None:
+                continue
             d = sh.bottom_degree(i, params)
             for which, ti in ((E1, i - 1), (E2, i)):
-                got = m.action(which, d).apply(x)
-                want = tops.get(ti)
-                if want is None:
-                    if any(got):
+                got = act(which, d, x)
+                if ti not in tops:
+                    if nonzero(got):
                         problems.append(f"summand {si}: {which} x{i} should vanish")
-                elif tuple(got) != tuple(want):
+                elif got != tops[ti]:
                     problems.append(f"summand {si}: {which} x{i} != y{ti}")
-        for ti, y in s.tops:
+        for ti, y in ys:
             d = sh.top_degree(ti, params)
-            if any(m.action(E1, d).apply(y)) or any(m.action(E2, d).apply(y)):
+            if y is not None and (nonzero(act(E1, d, y)) or nonzero(act(E2, d, y))):
                 problems.append(f"summand {si}: y{ti} is not in the socle")
     return VerifyResult(not problems, tuple(problems))
 

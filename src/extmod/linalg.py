@@ -23,9 +23,12 @@ column of m tagged by its index, and reads the preimage off the vectors
 whose column part cancels; ``kernel(m)`` is the preimage of zero.  Each
 result is built once in canonical form and keeps its packed rows, which are
 unpacked only when asked for, and membership tests reduce packed vectors.
-Only ``solve``, ``rank``, ``inverse`` and the other ``Matrix`` eliminations
-still pack and unpack their rows once per elimination: the pivot search
-tests one bit per row, and each row update is a single XOR of packed ints.
+``Matrix`` eliminations run one Gauss-Jordan loop on packed rows
+(:func:`_eliminate_f2`): the pivot search tests one bit per row, and each
+row update is a single XOR of packed ints.  ``rank`` runs it on the cached
+packed rows and unpacks nothing, and ``inverse`` runs it on those rows each
+tagged with its identity entry and unpacks only the inverse.  Only ``solve``
+and ``rref_pivots`` still pack and unpack every row once per elimination.
 That pays on dense blocks, such as those of scrambled modules; on very
 sparse blocks, where few rows are ever updated, packing and unpacking every
 row costs more than list rows would.  Over F_p for odd p and over Q,
@@ -49,14 +52,34 @@ from itertools import compress
 from operator import xor
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 2017), so no characteristic at or above it is accepted.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -72,6 +95,9 @@ class Field:
 
     def __post_init__(self) -> None:
         p = self.characteristic
+        if p >= PRIME_TEST_BOUND:
+            raise ValueError(f"characteristic {p} is at or above {PRIME_TEST_BOUND}, "
+                             f"the bound below which primality is tested")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
@@ -186,15 +212,28 @@ def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
 def _row_reduce_f2(rows: list[list], n_pivot_cols: int) -> list[int]:
     """:func:`_row_reduce` over F2 on packed rows, with the same pivots and swaps.
 
-    The rows must hold the entries 0 and 1 only.  Each row update is one XOR
-    of packed ints; the rows are unpacked in place at the end.
+    The rows must hold the entries 0 and 1 only; they are packed, reduced
+    by :func:`_eliminate_f2` and unpacked in place.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     packed = [_pack(row) for row in rows]
+    pivots = _eliminate_f2(packed, min(n_pivot_cols, n))
+    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
+    return pivots
+
+
+def _eliminate_f2(packed: list[int], n_pivot_cols: int) -> list[int]:
+    """In-place reduced row echelon of packed F2 rows over their first n_pivot_cols entries.
+
+    The pivot search tests one bit per row and each row update is one XOR.
+    Returns the pivot column indices.
+    """
+    m = len(packed)
     pivots: list[int] = []
     r = 0
-    for c in range(min(n_pivot_cols, n)):
+    for c in range(n_pivot_cols):
+        if r == m:
+            break
         bit = 1 << (8 * c)
         for pr in range(r, m):
             if packed[pr] & bit:
@@ -204,13 +243,10 @@ def _row_reduce_f2(rows: list[list], n_pivot_cols: int) -> list[int]:
         top = packed[pr]
         packed[pr] = packed[r]
         # clearing column c also zeroes the pivot row itself, so it goes back
-        packed = [x ^ top if x & bit else x for x in packed]
+        packed[:] = [x ^ top if x & bit else x for x in packed]
         packed[r] = top
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
     return pivots
 
 
@@ -418,6 +454,8 @@ class Matrix:
         return self.rref_pivots()[0]
 
     def rank(self) -> int:
+        if self.field.characteristic == 2:
+            return len(_eliminate_f2(list(self._packed_rows()), self.ncols))
         return len(self.rref_pivots()[1])
 
     def kernel_matrix(self) -> "Matrix":
@@ -458,9 +496,18 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
+        # [A | I] reduces to [I | A^-1] exactly when A has full rank
+        if self.field.characteristic == 2:
+            shift = 8 * n
+            aug = [row | 1 << shift + 8 * i for i, row in enumerate(self._packed_rows())]
+            if len(_eliminate_f2(aug, n)) != n:
+                return None
+            packed = tuple(r >> shift for r in aug)
+            out = Matrix(self.field, tuple(_unpack(r, n) for r in packed), ncols=n, _raw=True)
+            out._packed = packed
+            return out
         aug = [list(r1) + list(r2)
                for r1, r2 in zip(self.rows, Matrix.identity(self.field, n).rows)]
-        # [A | I] reduces to [I | A^-1] exactly when A has full rank
         if len(_row_reduce(self.field, aug, n)) != n:
             return None
         return Matrix(self.field, tuple(tuple(r[n:]) for r in aug), ncols=n, _raw=True)

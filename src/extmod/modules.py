@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .linalg import Field, Matrix
@@ -507,17 +508,55 @@ def truncated_infinite_flash(left_top: bool, max_degree: int,
     return TruncatedFlash(mod, tuple(shapes))
 
 
+@cache
+def _draw_tables(n: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments that turn a word's top byte into randrange(n)'s draw.
+
+    The table keeps the byte's top k = n.bit_length() bits; the delete set
+    holds the bytes whose draw is >= n, which randrange rejects.
+    """
+    k = n.bit_length()
+    table = bytes(b >> (8 - k) for b in range(256))
+    return table, bytes(b for b in range(256) if table[b] >= n)
+
+
+def _draws(rng: random.Random, n: int, count: int):
+    """The values of ``count`` calls of ``rng.randrange(n)``, leaving rng as they would.
+
+    randrange(n) takes the top k = n.bit_length() bits of one 32-bit
+    Mersenne Twister word, and takes another word while the value is >= n.
+    For n < 256 those bits lie in the word's top byte, and
+    ``getrandbits(32 * need)`` returns exactly ``need`` words, little-endian.
+    Each value takes at least one word, so asking for one word per missing
+    value never reads past the last word the calls would take.  The result
+    is ``bytes`` for n < 256 and a list of ints otherwise.
+    """
+    if n >= 256:
+        return [rng.randrange(n) for _ in range(count)]
+    table, delete = _draw_tables(n)
+    out = b""
+    while len(out) < count:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(table, delete)
+    return out
+
+
 def _random_invertible(field: Field, n: int,
                        rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random invertible n x n matrix and its inverse, one elimination per draw."""
+    """A random invertible n x n matrix and its inverse, one elimination per draw.
+
+    Candidates are drawn row by row, each entry as ``rng.randrange(p)`` over
+    F_p and ``rng.randint(-3, 3)`` over Q would draw it.
+    """
     p = field.characteristic
     for _ in range(10000):
         # both draws are already canonical field elements
-        if p:
-            rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        else:
-            rows = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-                         for _ in range(n))
+        values = _draws(rng, p or 7, n * n)
+        if not p:
+            # randint(-3, 3) is -3 + randrange(7)
+            values = [Fraction(v - 3) for v in values]
+        rows = tuple(tuple(values[i:i + n]) for i in range(0, n * n, n))
         mat = Matrix(field, rows, ncols=n, _raw=True)
         inv = mat.inverse()
         if inv is not None:
@@ -529,7 +568,9 @@ def random_basis_change(m: Module, seed: int) -> Module:
     """Conjugate all actions by a seeded random degreewise change of basis.
 
     The result is isomorphic to the input; labels are dropped because the
-    canonical basis no longer means anything.
+    canonical basis no longer means anything.  The random stream is the one
+    ``random.Random(seed).randrange`` gives, so a seed always yields the same
+    module.
     """
     rng = random.Random(seed)
     change, inverse = {}, {}

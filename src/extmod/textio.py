@@ -62,7 +62,12 @@ def parse_module(text: str) -> Module:
         if tokens[0] == "field":
             if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
                 raise DocumentError(lineno, "expected: field <characteristic>")
-            header["field"] = int(tokens[1])
+            try:
+                header["field"] = int(tokens[1])
+            except ValueError:
+                # more digits than int() converts, so far above any tested prime
+                raise DocumentError(lineno, f"field characteristic of {len(tokens[1])} "
+                                            f"characters is too long") from None
         elif tokens[0] == "deg" and len(tokens) == 3 and tokens[1] in (E1, E2):
             try:
                 header[tokens[1]] = int(tokens[2])
@@ -140,8 +145,10 @@ def parse_module(text: str) -> Module:
             terms = _split_terms(expr)
         except ValueError:
             raise DocumentError(lineno, f"malformed combination {expr!r}") from None
-        rows = mats[op].setdefault(
-            sdeg, [[field.zero] * dims[sdeg] for _ in range(dims.get(tdeg, 0))])
+        rows = mats[op].get(sdeg)
+        if rows is None:
+            rows = mats[op][sdeg] = [[field.zero] * dims[sdeg]
+                                     for _ in range(dims.get(tdeg, 0))]
         for term in terms:
             if "*" in term:
                 coeff_s, name = term.split("*", 1)

@@ -1,6 +1,7 @@
 """Seeded random generators shared across the test modules."""
 
 import random
+from fractions import Fraction
 
 from extmod import linalg
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
@@ -64,6 +65,27 @@ def reference_row_reduce(field, rows, n_pivot_cols):
         if r == m:
             break
     return pivots
+
+
+def reference_random_invertible(field, n, rng):
+    """``modules._random_invertible`` as it drew before its draws were batched.
+
+    One ``rng.randrange(p)`` per entry over F_p and one ``rng.randint(-3, 3)``
+    over Q, row by row, and the inverse read off the list elimination of
+    [A | I]; a candidate of lower rank is drawn again.
+    """
+    p = field.characteristic
+    for _ in range(10000):
+        if p:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        aug = [row + [field.one if j == i else field.zero for j in range(n)]
+               for i, row in enumerate(rows)]
+        if len(reference_row_reduce(field, aug, n)) == n:
+            return (Matrix(field, rows, ncols=n),
+                    Matrix(field, [row[n:] for row in aug], ncols=n))
+    raise RuntimeError("failed to sample an invertible matrix")
 
 
 def count_coerce(monkeypatch):

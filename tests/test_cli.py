@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from extmod.cli import MAX_TERM_DIM, main
+from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
 
@@ -43,6 +45,74 @@ def test_build_deterministic_randomize(capsys):
     with_global = capsys.readouterr().out
     assert main(["build", "randomize(L(1,0,1)@0, 4)"]) == 0
     assert capsys.readouterr().out == with_global
+
+
+GOLDEN_BASIS = ("deg e1 1\ndeg e2 3\nalgebra B\n"
+                "basis v0_0 0\nbasis v0_1 0\nbasis v2_0 2\n"
+                "basis v3_0 3\nbasis v3_1 3\nbasis v5_0 5\n")
+GOLDEN_RANDOMIZE = {
+    2: "field 2\n" + GOLDEN_BASIS + ("e1 v2_0 = v3_0 + v3_1\n"
+                                     "e2 v0_0 = v3_1\n"
+                                     "e2 v0_1 = v3_0 + v3_1\n"
+                                     "e2 v2_0 = v5_0\n"),
+    5: "field 5\n" + GOLDEN_BASIS + ("e1 v2_0 = v3_1\n"
+                                     "e2 v0_0 = 3*v3_0 + v3_1\n"
+                                     "e2 v0_1 = 3*v3_0\n"
+                                     "e2 v2_0 = 3*v5_0\n"),
+}
+
+
+@pytest.mark.parametrize("char", sorted(GOLDEN_RANDOMIZE))
+def test_build_randomize_golden(capsys, char):
+    # a seed names one module for good: the scramble's random stream is pinned
+    assert main(["build", "randomize(L(1,0,1)@0 + L(0,0,1)@0, 11)",
+                 "--field", str(char)]) == 0
+    assert capsys.readouterr().out == GOLDEN_RANDOMIZE[char]
+
+
+OVERLONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("expr, offset", [
+    ("L(1,0,1)@" + OVERLONG, 9),
+    ("randomize(simple@0, " + OVERLONG + ")", 20),
+], ids=["shift", "seed"])
+def test_build_rejects_overlong_integer(capsys, expr, offset):
+    # int() converts at most 4300 digits; a longer number is an input error
+    assert main(["build", expr]) == 2
+    err = capsys.readouterr().err
+    assert f"offset {offset}: integer 100000000000... has 5001 digits" in err
+    assert "Traceback" not in err
+
+
+# 10**24 + 7 is prime and 10**24 + 9 composite, both below the bound up to
+# which primality is tested; 2**89 - 1 is a prime above it
+PRIME_CASES = [("2^32+15", 2**32 + 15, None), ("10^24+7", 10**24 + 7, None),
+               ("10^24+9", 10**24 + 9, "must be 0 or a prime"),
+               ("2^89-1", 2**89 - 1, f"at or above {PRIME_TEST_BOUND}")]
+
+
+@pytest.mark.parametrize("source, char, message", [
+    *[pytest.param(source, str(char), message, id=f"{source}-{name}")
+      for source in ("--field", "document") for name, char, message in PRIME_CASES],
+    pytest.param("--field", OVERLONG, "invalid int value", id="--field-10^5000"),
+    pytest.param("document", OVERLONG, "field characteristic of 5001 characters is too long",
+                 id="document-10^5000"),
+])
+def test_characteristic_primality_is_bounded(tmp_path, capsys, source, char, message):
+    start = time.perf_counter()
+    if source == "--field":
+        code = main(["build", "simple@0", "--field", char])
+    else:
+        path = tmp_path / "m.txt"
+        path.write_text(f"field {char}\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis x 0\n")
+        code = main(["decompose", str(path)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and message in err, err
 
 
 def test_build_free_infers_variant_a(capsys):

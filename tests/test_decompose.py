@@ -230,6 +230,91 @@ def test_verify_rejects_tampering():
     assert not verify_decomposition(m, crossed)
 
 
+CERT_SHAPES = [FlashShape.l(1, 0, 1), FlashShape.l(0, 0, 1), FlashShape.l(0, 0, 1, 3)]
+
+
+def _tampered_certificates(m):
+    """Each tampering of a canonical flash sum's certificate, by name.
+
+    The sum of CERT_SHAPES has dimensions {0: 2, 2: 1, 3: 3, 5: 1, 6: 1};
+    degree 3 holds two tops and the bottom of the third summand.
+    """
+    def vec(label):
+        return m.basis_vector(*m.label_position(label))
+
+    a, b, c = [Summand(sh, tuple(vec(f"s{k}.x{i}") for i in range(sh.bottoms)),
+                       tuple((i, vec(f"s{k}.y{i}")) for i in sh.top_indices()))
+               for k, sh in enumerate(CERT_SHAPES)]
+    field = m.field
+    (_, ya), (_, yb) = a.tops[0], b.tops[0]
+    mixed = tuple(field.add(x, y) for x, y in zip(ya, yb))
+
+    def uncoerced(s):
+        # the same entries plus the characteristic: equal in the field, not as ints
+        def lift(v):
+            return tuple(x + field.characteristic for x in v)
+        return Summand(s.shape, tuple(map(lift, s.bottoms)),
+                       tuple((i, lift(v)) for i, v in s.tops))
+
+    return {
+        "intact": [a, b, c],
+        "uncoerced": [uncoerced(a), uncoerced(b), uncoerced(c)],
+        "misfit bottom": [Summand(a.shape, (a.bottoms[0], a.bottoms[1] + (0,)), a.tops), b, c],
+        "misfit top": [a, Summand(b.shape, b.bottoms, ((0, yb[:-1]),)), c],
+        "vector count": [Summand(a.shape, a.bottoms, a.tops[:1]), b, c],
+        "non-finite": [a, b, Summand(FlashShape.right_infinite(False, 3), c.bottoms, c.tops)],
+        "dependent": [a, Summand(b.shape, a.bottoms[:1], b.tops), c],
+        "wrong image": [a, Summand(b.shape, b.bottoms, ((0, mixed),)), c],
+        "zero top": [a, Summand(b.shape, b.bottoms, ((0, (0,) * len(yb)),)), c],
+        "should vanish": [Summand(FlashShape.l(1, 0, 0), a.bottoms, a.tops[:1]),
+                          Summand(FlashShape.simple(5), (a.tops[1][1],), ()), b, c],
+        "top off the socle": [a, Summand(b.shape, b.bottoms, ((0, c.bottoms[0]),)),
+                              Summand(c.shape, (yb,), c.tops)],
+    }
+
+
+CERT_PROBLEMS = {
+    "intact": (),
+    "uncoerced": (),
+    "misfit bottom": ("summand 0 x1: vector does not fit degree 2",
+                      "degree 2: 0 vectors for dimension 1"),
+    "misfit top": ("summand 1 y0: vector does not fit degree 3",
+                   "degree 3: 2 vectors for dimension 3",
+                   "summand 1: e2 x0 != y0"),
+    "vector count": ("summand 0: vector count does not match L(1,0,1)@0",
+                     "degree 0: 1 vectors for dimension 2",
+                     "degree 2: 0 vectors for dimension 1",
+                     "degree 3: 2 vectors for dimension 3",
+                     "degree 5: 0 vectors for dimension 1",
+                     "summand 0: e2 x1 should vanish"),
+    "non-finite": ("summand 2: non-finite shape L(inf,0)@3",
+                   "degree 3: 2 vectors for dimension 3",
+                   "degree 6: 0 vectors for dimension 1"),
+    "dependent": ("degree 0: realization vectors are dependent",
+                  "summand 1: e2 x0 != y0"),
+    "wrong image": ("summand 1: e2 x0 != y0",),
+    "zero top": ("degree 3: realization vectors are dependent",
+                 "summand 1: e2 x0 != y0"),
+    "should vanish": ("summand 0: e2 x1 should vanish",),
+    "top off the socle": ("summand 1: e2 x0 != y0",
+                          "summand 1: y0 is not in the socle",
+                          "summand 2: e2 x0 != y0"),
+}
+
+
+@pytest.mark.parametrize("case", CERT_PROBLEMS)
+@pytest.mark.parametrize("char", [2, 3])
+def test_verify_reports_each_problem(char, case):
+    # every problem is reported, in order, and none raises: a vector that does
+    # not fit its degree is reported, not applied
+    params = default_params(char)
+    m = flash_sum(CERT_SHAPES, params)
+    dec = Decomposition(tuple(_tampered_certificates(m)[case]))
+    got = verify_decomposition(m, dec)
+    assert got.problems == CERT_PROBLEMS[case]
+    assert got.ok == (case in ("intact", "uncoerced"))
+
+
 def test_oracle_trivial_cases():
     m1 = make_flash(FlashShape.l(1, 0, 1), P)
     assert idempotent_oracle(m1).multiset() == Counter([FlashShape.l(1, 0, 1)])
@@ -446,6 +531,28 @@ def test_package_imports_only_the_standard_library():
     assert imported
     assert [(where, name) for where, name in imported
             if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_package_loads_only_the_standard_library_at_runtime():
+    # the import-statement scan above misses imports made through importlib or
+    # by a dependency; this loads every module and checks what arrived
+    code = """
+import pkgutil, sys
+before = set(sys.modules)
+import extmod
+for info in pkgutil.iter_modules(extmod.__path__):
+    __import__(f"extmod.{info.name}")
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(name for name in loaded
+             if name != "extmod" and name not in sys.stdlib_module_names))
+print(len([name for name in sys.modules if name.startswith("extmod.")]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    foreign, count = out.stdout.split("\n")[:2]
+    assert (out.returncode, foreign) == (0, "[]"), out.stderr
+    assert int(count) == len(list(Path(extmod.__file__).parent.glob("[!_]*.py")))
 
 
 def test_inadmissible_absorb_raises_under_optimize():

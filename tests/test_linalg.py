@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from extmod.linalg import (Field, Matrix, SubspaceBasis, _pack, _row_reduce,
-                           hstack, image, intersect, kernel, preimage_space,
+from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime,
+                           _pack, _row_reduce, hstack, image, intersect, kernel, preimage_space,
                            quotient_dim, standard_complement, sum_space)
 from helpers import (count_coerce, count_row_reduce, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
@@ -23,6 +23,25 @@ def test_field_rejects_composite_characteristic():
         Field(6)
     with pytest.raises(ValueError):
         Field(1)
+
+
+def test_is_prime_is_exact_below_the_bound():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if _is_prime(n) != trial_division(n)] == []
+    # the least strong pseudoprimes to the first 4, 8, 11 and 12 prime bases,
+    # and primes across the tested range
+    for n in (3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 10**24 + 7):
+        assert _is_prime(n)
+    # the bound is the least strong pseudoprime to the first 13 prime bases:
+    # the test calls it prime, which is why a field refuses it
+    assert _is_prime(PRIME_TEST_BOUND)
+    with pytest.raises(ValueError, match="at or above"):
+        Field(PRIME_TEST_BOUND)
 
 
 def test_field_arithmetic_is_canonical():
@@ -432,6 +451,36 @@ def test_solve_and_inverse():
             rhs = random_matrix(field, n, 2, rng)
             sol = m.solve(rhs)
             assert m @ sol == rhs
+
+
+def test_f2_inverse_and_rank_match_list_reference():
+    # random, singular (a product through fewer columns) and wider-than-64
+    # blocks; the inverse caches its packed rows
+    rng = random.Random(31)
+    seen_singular = seen_invertible = 0
+    for n in (0, 1, 2, 3, 8, 30, 65, 70):
+        for inner in (None, max(n - 1, 0), n // 3):
+            for _ in range(2):
+                if inner is None:
+                    m = random_matrix(F2, n, n, rng)
+                else:
+                    m = random_matrix(F2, n, inner, rng) @ random_matrix(F2, inner, n, rng)
+                aug = [list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(m.rows)]
+                rank = len(reference_row_reduce(F2, aug, n))
+                assert m.rank() == rank
+                inv = m.inverse()
+                if rank < n:
+                    assert inv is None
+                    seen_singular += 1
+                    continue
+                seen_invertible += 1
+                assert inv == Matrix(F2, [row[n:] for row in aug], ncols=n)
+                assert inv._packed == tuple(map(_pack, inv.rows))
+        for nrows, ncols in ((n, 2 * n + 1), (2 * n + 1, n)):
+            m = random_matrix(F2, nrows, ncols, rng)
+            assert m.rank() == len(reference_row_reduce(F2, [list(r) for r in m.rows], ncols))
+    assert seen_singular and seen_invertible
 
 
 def test_solve_detects_inconsistency():

@@ -9,6 +9,7 @@ from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, validate,
                             with_variant, zero_module)
+from helpers import reference_random_invertible
 
 P = default_params()
 PA = default_params(variant="A")
@@ -165,6 +166,29 @@ def test_random_invertible_draws_like_a_rank_test(char):
                     break
             assert mat == cand
             assert mat @ inv == Matrix.identity(field, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 128, 255, 256, 1000, 4294967311])
+def test_draws_match_randrange(n):
+    # the same values and the same generator state as one randrange per value
+    rng, ref = random.Random(n), random.Random(n)
+    for count in (0, 1, 2, 31, 500):
+        assert list(modules._draws(rng, n, count)) == [ref.randrange(n) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("char", [2, 3, 5, 7, 0, 257, 4294967311])
+def test_random_invertible_matches_per_entry_reference(char):
+    # batched draws must give every seeded scramble the matrices, inverses and
+    # generator state of one randrange per entry; F2 also runs past 64 columns
+    field = Field(char)
+    sizes = list(range(1, 14)) + ([65, 70] if char == 2 else [])
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert modules._random_invertible(field, n, rng) == \
+                reference_random_invertible(field, n, ref)
+        assert rng.random() == ref.random()
 
 
 def test_shift():
