@@ -42,11 +42,9 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
-from .linalg import (GF2, Field, Matrix, SubspaceBasis, _pack, _unpack, image,
-                     intersect, kernel, standard_complement, sum_space)
+from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
+                     standard_complement, sum_space)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
 from .operators import degree_part, filtration_trace, socle
@@ -99,24 +97,6 @@ def _summand_sort_key(s: Summand):
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (carrier coordinates as tuples)
-
-
-def _add_scaled(field: Field, a: tuple, b: tuple, c) -> tuple:
-    p = field.characteristic
-    if p:
-        return tuple((x + c * y) % p for x, y in zip(a, b))
-    return tuple(x + c * y for x, y in zip(a, b))
-
-
-def _scale(field: Field, a: tuple, c) -> tuple:
-    p = field.characteristic
-    if p:
-        return tuple((c * x) % p for x in a)
-    return tuple(c * x for x in a)
-
-
-# ---------------------------------------------------------------------------
 # the chain sweep
 
 
@@ -125,8 +105,9 @@ class _Strand:
 
     Even positions 2k are bottoms B_k, odd positions 2k+1 are tops T_k.
     ``strength`` is the admissibility class of the open strand: who may
-    absorb whom during elimination.  Over F2 the vectors are packed by
-    :func:`~extmod.linalg._pack`.
+    absorb whom during elimination.  While the sweep runs, the vectors are in
+    the family layout of the module's field (packed ints over F2, tuples
+    elsewhere), and every update goes through that family.
     """
 
     __slots__ = ("left_pos", "right_pos", "vectors")
@@ -155,29 +136,21 @@ class _Strand:
         self.vectors.update(other.vectors)
         self.right_pos = other.right_pos
 
-    def scale(self, c, field: Field) -> None:
+    def scale(self, c, family) -> None:
         for pos, vec in self.vectors.items():
-            self.vectors[pos] = _scale(field, vec, c)
+            self.vectors[pos] = family.scale(vec, c)
 
-    def absorb(self, other: "_Strand", c, field: Field) -> None:
-        """Add c times the other strand's realization along the overlap.
-
-        Over F2, c is 1 and each position takes one XOR of packed vectors.
-        """
+    def absorb(self, other: "_Strand", c, family) -> None:
+        """Add c times the other strand's realization along the overlap."""
         if self.right_pos != other.right_pos or self.strength < other.strength:
             raise AssertionError("inadmissible elimination")
         mine, theirs = self.vectors, other.vectors
-        overlap = range(max(self.left_pos, other.left_pos), self.right_pos + 1)
-        if field.characteristic == 2:
-            for pos in overlap:
-                mine[pos] ^= theirs[pos]
-        else:
-            for pos in overlap:
-                mine[pos] = _add_scaled(field, mine[pos], theirs[pos], c)
+        for pos in range(max(self.left_pos, other.left_pos), self.right_pos + 1):
+            mine[pos] = family.add_scaled(mine[pos], theirs[pos], c)
 
 
 def _pivots(cod: list[_Strand], dom: list[_Strand], column):
-    """The pivot rule of both fields: (ci, pr) pairs, one at a time.
+    """The pivot rule: (ci, pr) pairs, one at a time.
 
     Domain strands go weakest first, and each takes the strongest codomain
     strand not yet taken, by ``(strength, -index)``, whose entry
@@ -197,95 +170,54 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
            dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
     """Pair domain strands with codomain strands through one action.
 
-    ``a[r][c]`` holds the coordinates of ``act`` applied to the last vector of
-    ``dom[c]`` over the last vectors of the codomain strands.  Row operations
-    make a codomain strand absorb another, column operations make a domain
-    strand absorb another and normalisation scales the domain strand, until
-    ``a`` is a partial identity.  Returns the (codomain, domain) pivot pairs:
-    ``act`` maps the domain strand's last vector onto the codomain strand's.
+    ``a[r]`` holds row r of the coordinates of ``act`` applied to the last
+    vectors of the domain strands over the last vectors of the codomain
+    strands, entry c for ``dom[c]``, as a vector in the field's family layout.
+    Row operations make a codomain strand absorb another, column operations
+    make a domain strand absorb another and normalisation scales the domain
+    strand, until ``a`` is a partial identity.  The pivot column is scaled
+    only through the coefficients of the row operations, and over F2, where
+    every nonzero entry is 1, nothing is scaled at all.  Returns the
+    (codomain, domain) pivot pairs: ``act`` maps the domain strand's last
+    vector onto the codomain strand's.
     """
     if not dom:
         return []
-    if field.characteristic == 2:
-        return _match_f2(act, cod, dom)
-    imgs = [act.apply(s.vectors[s.right_pos]) for s in dom]
+    fam = field._family
+    imgs = [fam.apply(act, s.vectors[s.right_pos]) for s in dom]
     if not cod:
-        if any(map(any, imgs)):
+        if any(map(fam.nonzero, imgs)):
             raise AssertionError("action image escapes the socle layer")
         return []
-    tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod],
-                            nrows=act.nrows, _raw=True)
-    coeff = tmat.solve(Matrix.from_cols(field, imgs, _raw=True))
+    n = act.nrows
+    tmat = Matrix.from_cols(field, [fam.unpack(s.vectors[s.right_pos], n) for s in cod],
+                            nrows=n, _raw=True)
+    coeff = tmat.solve(Matrix.from_cols(field, [fam.unpack(v, n) for v in imgs], _raw=True))
     if coeff is None:
         raise AssertionError("socle coordinates must exist")
-    a = [list(row) for row in coeff.rows]
+    # solve returns its rows in the family layout already
+    a = list(fam.rows(coeff))
+    entry, one = fam.entry, field.one
     pairs = []
-    for ci, pr in _pivots(cod, dom, lambda c: [row[c] for row in a]):
-        if a[pr][ci] != field.one:
-            inv = field.inv(a[pr][ci])
-            dom[ci].scale(inv, field)
-            for row in a:
-                row[ci] = field.mul(row[ci], inv)
+    for ci, pr in _pivots(cod, dom, lambda c: [entry(row, c) for row in a]):
         prow = a[pr]
+        inv = one
+        if entry(prow, ci) != one:
+            inv = field.inv(entry(prow, ci))
+            dom[ci].scale(inv, fam)
         for ri, row in enumerate(a):
-            c = row[ci]
-            if ri != pr and c:
-                cod[pr].absorb(cod[ri], c, field)
-                a[ri] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, prow)]
+            x = entry(row, ci)
+            if ri != pr and x:
+                c = field.mul(x, inv)
+                cod[pr].absorb(cod[ri], c, fam)
+                a[ri] = fam.add_scaled(row, prow, field.neg(c))
         # column ci is now the unit vector at pr, so clearing row pr is the
         # whole column operation
-        for cj, c in enumerate(prow):
+        for cj in range(len(dom)):
+            c = entry(prow, cj)
             if cj != ci and c:
-                dom[cj].absorb(dom[ci], field.neg(c), field)
-                prow[cj] = field.zero
-        pairs.append((cod[pr], dom[ci]))
-    return pairs
-
-
-def _match_f2(act: Matrix, cod: list[_Strand],
-              dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
-    """:func:`_match` over F2, on strands with packed vectors.
-
-    An image is the XOR of the action's packed columns that the vector
-    selects.  Its coordinates are the tags left after reducing it by one span
-    of the codomain strands' last vectors, the i-th tagged by a 1 at entry
-    nrows + i.  ``a[r]`` is row r as one bitmask, entry c at bit 8c, so a row
-    operation is one XOR; every nonzero entry is 1, so nothing is scaled.
-    """
-    cols, n = act._packed_cols(), act.ncols
-    imgs = [reduce(xor, itertools.compress(cols, v.to_bytes(n, "little")), 0)
-            for v in (s.vectors[s.right_pos] for s in dom)]
-    if not cod:
-        if any(imgs):
-            raise AssertionError("action image escapes the socle layer")
-        return []
-    shift = 8 * act.nrows
-    span = SubspaceBasis.from_spanning(
-        GF2, act.nrows + len(cod),
-        [s.vectors[s.right_pos] | 1 << shift + 8 * i for i, s in enumerate(cod)],
-        _packed=True)
-    coords = []
-    for v in map(span._reduce_packed, imgs):
-        if v & (1 << shift) - 1:
-            raise AssertionError("socle coordinates must exist")
-        coords.append((v >> shift).to_bytes(len(cod), "little"))
-    a = [_pack(row) for row in zip(*coords)]
-    pairs = []
-    for ci, pr in _pivots(cod, dom, lambda c: [row >> 8 * c & 1 for row in a]):
-        bit = 1 << 8 * ci
-        prow = a[pr]
-        for ri, row in enumerate(a):
-            if ri != pr and row & bit:
-                cod[pr].absorb(cod[ri], 1, GF2)
-                a[ri] = row ^ prow
-        # column ci is now the unit vector at pr, so clearing row pr is the
-        # whole column operation
-        rest = prow ^ bit
-        while rest:
-            low = rest & -rest
-            dom[low.bit_length() // 8].absorb(dom[ci], 1, GF2)
-            rest ^= low
-        a[pr] = bit
+                dom[cj].absorb(dom[ci], field.neg(c), fam)
+        a[pr] = fam.unit(ci, len(dom))
         pairs.append((cod[pr], dom[ci]))
     return pairs
 
@@ -294,15 +226,16 @@ def _sweep_chain(m: Module, residue: int,
                  vecs: dict[int, list[tuple]]) -> list[Summand]:
     """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos.
 
-    Over F2 the strands hold packed vectors, unpacked once per summand.
+    The strands hold vectors in the field's family layout, unpacked once per
+    finished strand.
     """
     field = m.field
-    f2 = field.characteristic == 2
+    fam = field._family
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # one position past the end checks that the last open strands are closed
     for pos in range(min(vecs), max(vecs) + 2):
-        fresh = [_Strand(pos, _pack(v) if f2 else v) for v in vecs.get(pos, [])]
+        fresh = [_Strand(pos, fam.pack(v)) for v in vecs.get(pos, [])]
         deg = residue + (pos // 2) * m.params.gap
         if pos % 2 == 0:
             # bottoms: e1 maps the fresh strands onto the open tops
@@ -316,20 +249,14 @@ def _sweep_chain(m: Module, residue: int,
             joined[new] = left
         strands.extend(s for s in fresh if s not in joined)
         open_ = [joined.get(s, s) for s in fresh]
-    widths = {pos: len(v[0]) for pos, v in vecs.items()} if f2 else None
-    return [_summand_from_strand(s, residue, m.params, widths) for s in strands]
+    for s in strands:
+        s.vectors = {pos: fam.unpack(v, len(vecs[pos][0])) for pos, v in s.vectors.items()}
+    return [_summand_from_strand(s, residue, m.params) for s in strands]
 
 
-def _summand_from_strand(strand: _Strand, residue: int, params,
-                         widths: dict[int, int] | None = None) -> Summand:
-    """The summand a finished strand reads off as.
-
-    ``widths`` gives the vector length at each position of a packed F2
-    strand, whose vectors are unpacked here.
-    """
+def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
+    """The summand a finished strand, with its vectors unpacked, reads off as."""
     vectors = strand.vectors
-    if widths is not None:
-        vectors = {pos: _unpack(v, widths[pos]) for pos, v in vectors.items()}
     evens = sorted(p for p in vectors if p % 2 == 0)
     odds = sorted(p for p in vectors if p % 2)
 
@@ -392,35 +319,25 @@ def multiplicities(m: Module) -> Counter:
 def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
     """Certificate check: degreewise basis plus the exact flash relations.
 
-    Each realization vector is coerced once, where it enters; over F2 it is
-    packed there too, and an action applied to it is the XOR of the
-    action's packed columns that it selects.
+    Each realization vector is coerced once, where it enters, into the family
+    layout of the module's field, where the relations are checked.
     """
     params, field = m.params, m.field
-    f2 = field.characteristic == 2
-    nonzero = bool if f2 else any
+    fam = field._family
     problems: list[str] = []
     by_degree: dict[int, list] = {d: [] for d in m.degrees}
 
     def enter(deg: int, vec):
-        """vec in canonical form, packed over F2, or None if it does not fit degree deg."""
+        """vec in canonical form and family layout, or None if it does not fit degree deg."""
         if m.dim(deg) != len(vec) or m.dim(deg) == 0:
             return None
-        vec = tuple(map(field.coerce, vec))
-        return _pack(vec) if f2 else vec
+        return fam.coerce(vec)
 
     def put(tag: str, deg: int, vec) -> None:
         if vec is None:
             problems.append(f"{tag}: vector does not fit degree {deg}")
         else:
             by_degree[deg].append(vec)
-
-    def act(which: str, deg: int, vec):
-        a = m.action(which, deg)
-        if f2:
-            return reduce(xor, itertools.compress(a._packed_cols(),
-                                                  vec.to_bytes(a.ncols, "little")), 0)
-        return a.apply(vec)
 
     entered = []  # (index, shape, bottoms, tops) of the summands whose relations are checked
     for si, s in enumerate(dec.summands):
@@ -445,7 +362,7 @@ def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
         n = m.dim(d)
         if len(vecs) != n:
             problems.append(f"degree {d}: {len(vecs)} vectors for dimension {n}")
-        elif SubspaceBasis.from_spanning(field, n, vecs, _raw=True, _packed=f2).dim != n:
+        elif SubspaceBasis.from_spanning(field, n, vecs, _raw=True).dim != n:
             problems.append(f"degree {d}: realization vectors are dependent")
     # a vector that does not fit its degree has no image to check
     for si, sh, xs, ys in entered:
@@ -455,15 +372,16 @@ def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
                 continue
             d = sh.bottom_degree(i, params)
             for which, ti in ((E1, i - 1), (E2, i)):
-                got = act(which, d, x)
+                got = fam.apply(m.action(which, d), x)
                 if ti not in tops:
-                    if nonzero(got):
+                    if fam.nonzero(got):
                         problems.append(f"summand {si}: {which} x{i} should vanish")
                 elif got != tops[ti]:
                     problems.append(f"summand {si}: {which} x{i} != y{ti}")
         for ti, y in ys:
             d = sh.top_degree(ti, params)
-            if y is not None and (nonzero(act(E1, d, y)) or nonzero(act(E2, d, y))):
+            if y is not None and any(fam.nonzero(fam.apply(m.action(which, d), y))
+                                     for which in (E1, E2)):
                 problems.append(f"summand {si}: y{ti} is not in the socle")
     return VerifyResult(not problems, tuple(problems))
 

@@ -8,38 +8,38 @@ plain equality of basis matrices.  A kernel comes out canonical from one
 elimination, a preimage is the head of a kernel, and an intersection spans
 the image of a preimage.  No floating point is used anywhere.
 
-Over F2, ``Matrix @`` and ``Matrix.apply`` work on packed rows: each row is
-one Python int with column j in the byte at bit 8j (see ``_pack``), cached on
-the immutable matrix.  A product row is the XOR of the right factor's packed
-rows that the left row selects, and an entry of ``m.apply(v)`` is the parity
-of the set bits in ``row & v``, after Albrecht, Bard and Hart, "Algorithm
-898: Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010).
-Over F2 a matrix also caches its packed columns, and a ``SubspaceBasis``
-its packed echelon rows, so subspaces stay packed.  Every F2 span, image
-and preimage is one ``SubspaceBasis.from_spanning`` of packed vectors:
-``image(m, u)`` spans the XORs of the columns of m that each basis vector of
-u selects, and ``preimage_space(m, u)`` spans u's rows together with each
-column of m tagged by its index, and reads the preimage off the vectors
-whose column part cancels; ``kernel(m)`` is the preimage of zero.  Each
-result is built once in canonical form and keeps its packed rows, which are
-unpacked only when asked for, and membership tests reduce packed vectors.
-``Matrix`` eliminations run one Gauss-Jordan loop on packed rows
-(:func:`_eliminate_f2`): the pivot search tests one bit per row, and each
-row update is a single XOR of packed ints.  ``rank`` runs it on the cached
-packed rows and unpacks nothing, and ``inverse`` runs it on those rows each
-tagged with its identity entry and unpacks only the inverse.  Only ``solve``
-and ``rref_pivots`` still pack and unpack every row once per elimination.
-That pays on dense blocks, such as those of scrambled modules; on very
-sparse blocks, where few rows are ever updated, packing and unpacking every
-row costs more than list rows would.  Over F_p for odd p and over Q,
-elimination works on lists of entries.
+Vectors take one of two layouts, chosen once per ``Field`` from its
+characteristic (``Field._family``).  Over F2 a vector is one int with entry
+j in the byte at bit 8j (:class:`_PackedF2`): ``int.from_bytes`` packs it in
+C, and adding two vectors is one XOR, which never carries between bytes.
+Over F_p for odd p and over Q it is a tuple of canonical entries
+(:class:`_Entries`).  The family does all that depends on the layout, and
+``Matrix`` eliminations and products, ``SubspaceBasis``, ``image``,
+``kernel``, ``preimage_space`` and the chain sweep of :mod:`extmod.decompose`
+are written once over it, looking it up once per call.  A ``Matrix`` keeps
+tuple rows and caches its packed F2 rows and columns; a ``SubspaceBasis``
+keeps its rows in the family layout only.  ``rref_pivots`` packs and unpacks
+every row over F2, which pays on dense blocks, such as those of scrambled
+modules; on very sparse blocks, where few rows are ever updated, list rows
+would cost less.
+
+Where the cheapest algorithm differs, each family keeps its own.  An F2
+product row is the XOR of the packed rows of the right factor that the left
+row selects, and m @ v the XOR of the packed columns of m that v selects,
+after Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication of
+dense matrices over GF(2)" (ACM TOMS 2010); on tuples both are dot products.
+An F2 preimage of u under m spans u's rows with each column of m tagged by
+its index, and keeps the tags of the vectors whose column part cancels.  On
+tuples it is the head of ker [m | B], B the basis matrix of u, from one
+elimination with the columns reversed: the tagged span has about twice the
+entries to eliminate.  In both families a kernel is the preimage of zero.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
 ``SubspaceBasis.from_spanning`` coerce.  Internal callers whose vectors come
 from ``apply``, ``vectors()``, ``cols()`` or an elimination are already
-canonical and pass ``_raw=True``.  The packed F2 elimination relies on this:
-it needs every entry to be 0 or 1.
+canonical and pass ``_raw=True``.  The packed F2 layout relies on this: it
+needs every entry to be 0 or 1.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import xor
+from operator import mul, xor
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -100,6 +100,8 @@ class Field:
                              f"the bound below which primality is tested")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+        # the one place that picks a vector layout
+        object.__setattr__(self, "_family", _PackedF2(self) if p == 2 else _Entries(self))
 
     @property
     def zero(self):
@@ -160,20 +162,306 @@ class Field:
         return self.coerce(int(token))
 
 
+# -- vector layouts ------------------------------------------------------------
+#
+# Both families answer the same calls.  A vector is in family layout and holds
+# canonical entries, and n is its length where the layout does not carry it.
+
+
+class _PackedF2:
+    """F2 vectors as ints, entry j in the byte at bit 8j.
+
+    Every nonzero scalar is 1, so a nonzero multiple of a vector is the
+    vector itself: ``add_scaled`` is one XOR and ``scale`` keeps its argument.
+    """
+
+    nonzero = bool
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    @staticmethod
+    def pack(vec) -> int:
+        return int.from_bytes(bytes(vec), "little")
+
+    @staticmethod
+    def unpack(v: int, n: int) -> tuple:
+        return tuple(v.to_bytes(n, "little"))
+
+    def coerce(self, vec) -> int:
+        """An outside vector, packed with each entry reduced mod 2.
+
+        ``bytes`` packs a vector of small non-negative ints in C, and one mask
+        test accepts it when no byte exceeds 1; anything else is coerced
+        entry by entry.
+        """
+        try:
+            v = int.from_bytes(bytes(vec), "little")
+            if not v & int.from_bytes(b"\xfe" * len(vec), "little"):
+                return v
+        except (TypeError, ValueError):
+            pass
+        return self.pack(map(self.field.coerce, vec))
+
+    @staticmethod
+    def entry(v: int, j: int) -> int:
+        return v >> 8 * j & 1
+
+    @staticmethod
+    def unit(i: int, n: int) -> int:
+        return 1 << 8 * i
+
+    @staticmethod
+    def join(a: int, b: int, n: int) -> int:
+        """The vector a of length n followed by b."""
+        return a | b << 8 * n
+
+    @staticmethod
+    def tail(v: int, n: int) -> int:
+        return v >> 8 * n
+
+    @staticmethod
+    def add_scaled(a: int, b: int, c) -> int:
+        return a ^ b if c else a
+
+    @staticmethod
+    def scale(a: int, c) -> int:
+        return a if c else 0
+
+    def rows(self, m: "Matrix") -> tuple[int, ...]:
+        """The packed rows of m, cached on the immutable matrix."""
+        if m._frows is None:
+            m._frows = tuple(map(self.pack, m.rows))
+        return m._frows
+
+    def cols(self, m: "Matrix") -> tuple[int, ...]:
+        """The packed columns of m, cached on the immutable matrix."""
+        if m._fcols is None:
+            m._fcols = tuple(map(self.pack, zip(*m.rows))) if m.nrows else (0,) * m.ncols
+        return m._fcols
+
+    def apply(self, m: "Matrix", v: int) -> int:
+        """m @ v: the XOR of the packed columns of m that v selects."""
+        return reduce(xor, compress(self.cols(m), v.to_bytes(m.ncols, "little")), 0)
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
+        """The rows of a @ b: each the XOR of the packed rows of b that a row of a selects."""
+        brows = self.rows(b)
+        return tuple(reduce(xor, compress(brows, arow), 0) for arow in a.rows)
+
+    @staticmethod
+    def reduce(sub: "SubspaceBasis", v: int) -> int:
+        """Residue of v against sub's echelon rows; one pass, as they are reduced."""
+        for row, pr in zip(sub._rows, sub.pivot_rows):
+            if v >> 8 * pr & 1:
+                v ^= row
+        return v
+
+    @staticmethod
+    def eliminate(rows: list[int], n_pivot_cols: int) -> list[int]:
+        """In-place reduced row echelon over the first n_pivot_cols entries.
+
+        The pivot search tests one bit per row and each row update is one
+        XOR.  Returns the pivot column indices.
+        """
+        m = len(rows)
+        pivots: list[int] = []
+        r = 0
+        for c in range(n_pivot_cols):
+            if r == m:
+                break
+            bit = 1 << (8 * c)
+            for pr in range(r, m):
+                if rows[pr] & bit:
+                    break
+            else:
+                continue
+            top = rows[pr]
+            rows[pr] = rows[r]
+            # clearing column c also zeroes the pivot row itself, so it goes back
+            rows[:] = [x ^ top if x & bit else x for x in rows]
+            rows[r] = top
+            pivots.append(c)
+            r += 1
+        return pivots
+
+    @staticmethod
+    def span(vectors, n: int) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors.
+
+        Rows are keyed by their pivot bit, the lowest one they have set.  Each
+        vector is cleared at its lowest bit by the row with that pivot until
+        it is zero or has a pivot of its own.  Then, from the last pivot to
+        the first, each row is cleared at the later pivots by their rows,
+        which are reduced by then.
+        """
+        rows: dict[int, int] = {}
+        for v in vectors:
+            while v:
+                low = v & -v
+                row = rows.get(low)
+                if row is None:
+                    rows[low] = v
+                    break
+                v ^= row
+        bits = sorted(rows, reverse=True)
+        later = 0  # the pivots after the current one
+        for bit in bits:
+            v = rows[bit]
+            hits = v & later
+            while hits:
+                low = hits & -hits
+                v ^= rows[low]
+                hits ^= low
+            rows[bit] = v
+            later |= bit
+        bits.reverse()
+        return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[int], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}, read off one span.
+
+        The span is of u's rows and of each column j of m with the unit
+        vector e_j appended past its nrows entries.  The vectors of that span
+        that are zero in the first nrows entries are (0, v) for v in the
+        preimage, so the echelon rows with pivots past them are the
+        preimage's, shifted.
+        """
+        shift = 8 * m.nrows
+        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(self.cols(m))]
+        # last column first: a column whose head cancels then has its own tag as
+        # its lowest bit, as it only picks up the tags of later columns
+        tagged.reverse()
+        span = SubspaceBasis.from_spanning(self.field, m.nrows + m.ncols,
+                                           [*u._rows, *tagged], _raw=True)
+        head = bisect_left(span.pivot_rows, m.nrows)
+        return ([r >> shift for r in span._rows[head:]],
+                [pr - m.nrows for pr in span.pivot_rows[head:]])
+
+
+class _Entries:
+    """Vectors over F_p for odd p and over Q, as tuples of canonical entries."""
+
+    nonzero = any
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.characteristic
+
+    @staticmethod
+    def pack(vec) -> tuple:
+        return tuple(vec)
+
+    @staticmethod
+    def unpack(v: tuple, n: int) -> tuple:
+        return v
+
+    def coerce(self, vec) -> tuple:
+        return tuple(map(self.field.coerce, vec))
+
+    @staticmethod
+    def entry(v: tuple, j: int):
+        return v[j]
+
+    def unit(self, i: int, n: int) -> tuple:
+        z = (self.field.zero,)
+        return z * i + (self.field.one,) + z * (n - 1 - i)
+
+    @staticmethod
+    def join(a: tuple, b: tuple, n: int) -> tuple:
+        return a + b
+
+    @staticmethod
+    def tail(v: tuple, n: int) -> tuple:
+        return v[n:]
+
+    def add_scaled(self, a: tuple, b: tuple, c) -> tuple:
+        """a + c * b."""
+        p = self.p
+        if p:
+            return tuple([(x + c * y) % p for x, y in zip(a, b)])
+        return tuple([x + c * y for x, y in zip(a, b)])
+
+    def scale(self, a: tuple, c) -> tuple:
+        p = self.p
+        if p:
+            return tuple([(c * x) % p for x in a])
+        return tuple([c * x for x in a])
+
+    @staticmethod
+    def rows(m: "Matrix") -> tuple[tuple, ...]:
+        return m.rows
+
+    @staticmethod
+    def cols(m: "Matrix") -> tuple[tuple, ...]:
+        """The columns of m; cached only where they come for free."""
+        if m._fcols is not None:
+            return m._fcols
+        return tuple(zip(*m.rows)) if m.nrows else ((),) * m.ncols
+
+    def _dots(self, rows, v: tuple) -> tuple:
+        """The dot products of v with each of the rows."""
+        p = self.p
+        if p:
+            return tuple([sum(map(mul, row, v)) % p for row in rows])
+        return tuple([sum(map(mul, row, v), self.field.zero) for row in rows])
+
+    def apply(self, m: "Matrix", v: tuple) -> tuple:
+        return self._dots(m.rows, v)
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
+        bcols = self.cols(b)
+        return tuple(self._dots(bcols, row) for row in a.rows)
+
+    def reduce(self, sub: "SubspaceBasis", v: tuple) -> tuple:
+        """Residue of v against sub's echelon rows; one pass, as they are reduced."""
+        for row, pr in zip(sub._rows, sub.pivot_rows):
+            c = v[pr]
+            if c:
+                v = self.add_scaled(v, row, -c)
+        return v
+
+    def eliminate(self, rows: list, n_pivot_cols: int) -> list[int]:
+        """:func:`_row_reduce`, leaving every row a tuple."""
+        pivots = _row_reduce(self.field, rows, n_pivot_cols)
+        rows[:] = map(tuple, rows)
+        return pivots
+
+    def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
+        rows = list(vectors)
+        pivots = self.eliminate(rows, n)
+        return rows[:len(pivots)], pivots
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[tuple], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
+
+        B is the basis matrix of u.  With the columns of [m | B] reversed,
+        each free column's kernel vector is nonzero only there and at pivot
+        columns before it.  Read back in order, these vectors are the reduced
+        echelon basis of the kernel, each led by a 1 at its free column.
+        Only the zero kernel vector has a zero head, as B's columns are
+        independent, so the heads are the preimage's echelon basis, with the
+        same pivots.
+        """
+        brows = zip(*u._rows) if u._rows else [()] * m.nrows
+        flipped = Matrix(self.field, tuple((row + b)[::-1] for row, b in zip(m.rows, brows)),
+                         ncols=m.ncols + u.dim, _raw=True)
+        heads = [col[::-1][:m.ncols] for col in reversed(flipped.kernel_matrix().cols())]
+        one = self.field.one
+        return heads, [h.index(one) for h in heads]
+
+
 QQ = Field(0)
 GF2 = Field(2)
 
 
 def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
-    """In-place reduced row echelon over the first n_pivot_cols columns.
+    """In-place reduced row echelon over the first n_pivot_cols columns, on lists of entries.
 
     Row operations always apply to the full row width, so callers can append
-    augmented columns.  Returns the pivot column indices.  Over F2 the rows
-    are packed (:func:`_row_reduce_f2`) and must hold canonical entries.
+    augmented columns.  Returns the pivot column indices.
     """
     p = field.characteristic
-    if p == 2:
-        return _row_reduce_f2(rows, n_pivot_cols)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -209,81 +497,21 @@ def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
     return pivots
 
 
-def _row_reduce_f2(rows: list[list], n_pivot_cols: int) -> list[int]:
-    """:func:`_row_reduce` over F2 on packed rows, with the same pivots and swaps.
-
-    The rows must hold the entries 0 and 1 only; they are packed, reduced
-    by :func:`_eliminate_f2` and unpacked in place.
-    """
-    n = len(rows[0]) if rows else 0
-    packed = [_pack(row) for row in rows]
-    pivots = _eliminate_f2(packed, min(n_pivot_cols, n))
-    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
-    return pivots
-
-
-def _eliminate_f2(packed: list[int], n_pivot_cols: int) -> list[int]:
-    """In-place reduced row echelon of packed F2 rows over their first n_pivot_cols entries.
-
-    The pivot search tests one bit per row and each row update is one XOR.
-    Returns the pivot column indices.
-    """
-    m = len(packed)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_pivot_cols):
-        if r == m:
-            break
-        bit = 1 << (8 * c)
-        for pr in range(r, m):
-            if packed[pr] & bit:
-                break
-        else:
-            continue
-        top = packed[pr]
-        packed[pr] = packed[r]
-        # clearing column c also zeroes the pivot row itself, so it goes back
-        packed[:] = [x ^ top if x & bit else x for x in packed]
-        packed[r] = top
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _pack(row) -> int:
-    """An F2 row or vector as one int, entry j in the byte at bit 8j.
-
-    One byte per entry lets ``int.from_bytes`` and ``int.to_bytes`` pack and
-    unpack without a Python-level loop; XOR never carries between bytes.
-    """
-    return int.from_bytes(bytes(row), "little")
-
-
-def _unpack(packed: int, n: int) -> tuple:
-    return tuple(packed.to_bytes(n, "little"))
-
-
-def _unit_rows(field: Field, n: int, indices) -> tuple:
-    """The coordinate vectors of F^n at the given indices."""
-    z, o = (field.zero,), (field.one,)
-    return tuple(z * i + o + z * (n - 1 - i) for i in indices)
-
-
 class Matrix:
     """Immutable dense matrix over a :class:`Field`.
 
     Acts on column vectors (plain tuples): ``m.apply(v)`` computes ``m @ v``.
     """
 
-    # _packed and _packed_c cache _pack of each row and each column for F2
-    # work; they are safe to keep because no method changes rows after
-    # construction
-    __slots__ = ("field", "nrows", "ncols", "rows", "_packed", "_packed_c")
+    # _frows and _fcols cache the rows and columns in the field's family
+    # layout where the family wants them kept; they are safe to keep because
+    # no method changes rows after construction
+    __slots__ = ("field", "nrows", "ncols", "rows", "_frows", "_fcols")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
         self.field = field
-        self._packed = None
-        self._packed_c = None
+        self._frows = None
+        self._fcols = None
         if _raw:
             self.rows = rows
         else:
@@ -291,7 +519,7 @@ class Matrix:
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+            if len(set(map(len, self.rows))) > 1:
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != self.ncols:
                 raise ValueError("ncols does not match row length")
@@ -309,7 +537,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, _unit_rows(field, n, range(n)), ncols=n, _raw=True)
+        unit = field._family.unit
+        return cls._from_family(field, [unit(i, n) for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,
@@ -323,6 +552,14 @@ class Matrix:
         if nrows is None:
             raise ValueError("empty column list needs an explicit row count")
         return cls.zeros(field, nrows, 0)
+
+    @classmethod
+    def _from_family(cls, field: Field, frows, ncols: int) -> "Matrix":
+        """The matrix with these rows in the field's family layout, which it keeps."""
+        unpack = field._family.unpack
+        out = cls(field, tuple(unpack(r, ncols) for r in frows), ncols=ncols, _raw=True)
+        out._frows = tuple(frows)
+        return out
 
     # -- basic structure -----------------------------------------------------
 
@@ -363,75 +600,38 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field.characteristic}, {self.nrows}x{self.ncols})"
 
-    def _packed_rows(self) -> tuple[int, ...]:
-        """The rows packed by :func:`_pack`, computed on first use (F2 only)."""
-        if self._packed is None:
-            self._packed = tuple(map(_pack, self.rows))
-        return self._packed
-
-    def _packed_cols(self) -> tuple[int, ...]:
-        """The columns packed by :func:`_pack`, computed on first use (F2 only)."""
-        if self._packed_c is None:
-            self._packed_c = (tuple(map(_pack, zip(*self.rows))) if self.nrows
-                              else (0,) * self.ncols)
-        return self._packed_c
-
     # -- arithmetic ------------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        p = self.field.characteristic
-        if p == 2:
-            brows = other._packed_rows()
-            n = other.ncols
-            packed = tuple(reduce(xor, compress(brows, arow), 0) for arow in self.rows)
-            out = Matrix(self.field, tuple(_unpack(r, n) for r in packed), ncols=n, _raw=True)
-            out._packed = packed
-            return out
-        bcols = other.cols()
-        if p:
-            rows = tuple(
-                tuple(sum(a * b for a, b in zip(arow, bcol)) % p for bcol in bcols)
-                for arow in self.rows)
-        else:
-            rows = tuple(
-                tuple(sum((a * b for a, b in zip(arow, bcol)), Fraction(0)) for bcol in bcols)
-                for arow in self.rows)
-        return Matrix(self.field, rows, ncols=other.ncols, _raw=True)
+        return Matrix._from_family(self.field, self.field._family.product(self, other),
+                                   other.ncols)
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        p = self.field.characteristic
-        if p == 2:
-            v = _pack(vec)
-            return tuple((row & v).bit_count() & 1 for row in self._packed_rows())
-        if p:
-            return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.rows)
-        return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.rows)
+        fam = self.field._family
+        return fam.unpack(fam.apply(self, fam.pack(vec)), self.nrows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        f = self.field
-        rows = tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.rows, other.rows))
-        return Matrix(f, rows, ncols=self.ncols, _raw=True)
+        return self._plus(other, self.field.one)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, self.field.neg(self.field.one))
+
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        f = self.field
-        rows = tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.rows, other.rows))
-        return Matrix(f, rows, ncols=self.ncols, _raw=True)
+        fam = self.field._family
+        rows = [fam.add_scaled(a, b, c) for a, b in zip(fam.rows(self), fam.rows(other))]
+        return Matrix._from_family(self.field, rows, self.ncols)
 
     def scaled(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        rows = tuple(tuple(f.mul(c, x) for x in row) for row in self.rows)
-        return Matrix(f, rows, ncols=self.ncols, _raw=True)
+        fam, c = self.field._family, self.field.coerce(c)
+        return Matrix._from_family(self.field, [fam.scale(row, c) for row in fam.rows(self)],
+                                   self.ncols)
 
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -444,19 +644,18 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def rref_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = [list(r) for r in self.rows]
-        piv = _row_reduce(self.field, rows, self.ncols)
-        return Matrix(self.field, tuple(tuple(r) for r in rows),
-                      ncols=self.ncols, _raw=True), tuple(piv)
+        fam = self.field._family
+        rows = list(fam.rows(self))
+        piv = fam.eliminate(rows, self.ncols)
+        return Matrix._from_family(self.field, rows, self.ncols), tuple(piv)
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form (canonical for the row space)."""
         return self.rref_pivots()[0]
 
     def rank(self) -> int:
-        if self.field.characteristic == 2:
-            return len(_eliminate_f2(list(self._packed_rows()), self.ncols))
-        return len(self.rref_pivots()[1])
+        fam = self.field._family
+        return len(fam.eliminate(list(fam.rows(self)), self.ncols))
 
     def kernel_matrix(self) -> "Matrix":
         """Columns span the null space {v : self @ v = 0}."""
@@ -473,20 +672,23 @@ class Matrix:
         return Matrix.from_cols(f, cols, nrows=self.ncols, _raw=True)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
-        """A particular solution X of self @ X = rhs, or None if inconsistent."""
+        """A particular solution X of self @ X = rhs, or None if inconsistent.
+
+        One elimination of the rows of [self | rhs], joined in the family layout.
+        """
         if rhs.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
+        fam = self.field._family
         n = self.ncols
-        aug = [list(r1) + list(r2) for r1, r2 in zip(self.rows, rhs.rows)]
-        piv = _row_reduce(self.field, aug, n)
-        for row in aug[len(piv):]:
-            if any(row[n:]):
-                return None
-        f = self.field
-        xrows = [[f.zero] * rhs.ncols for _ in range(n)]
-        for i, pc in enumerate(piv):
-            xrows[pc] = aug[i][n:]
-        return Matrix(f, tuple(tuple(r) for r in xrows), ncols=rhs.ncols, _raw=True)
+        aug = [fam.join(a, b, n) for a, b in zip(fam.rows(self), fam.rows(rhs))]
+        piv = fam.eliminate(aug, n)
+        # rows past the pivots are zero on the left, so only their right side can be nonzero
+        if any(map(fam.nonzero, aug[len(piv):])):
+            return None
+        x = [fam.pack((self.field.zero,) * rhs.ncols)] * n
+        for row, pc in zip(aug, piv):
+            x[pc] = fam.tail(row, n)
+        return Matrix._from_family(self.field, x, rhs.ncols)
 
     def solve_vector(self, vec) -> tuple | None:
         sol = self.solve(Matrix.from_cols(self.field, [vec]))
@@ -495,22 +697,13 @@ class Matrix:
     def inverse(self) -> "Matrix | None":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        fam = self.field._family
         n = self.nrows
         # [A | I] reduces to [I | A^-1] exactly when A has full rank
-        if self.field.characteristic == 2:
-            shift = 8 * n
-            aug = [row | 1 << shift + 8 * i for i, row in enumerate(self._packed_rows())]
-            if len(_eliminate_f2(aug, n)) != n:
-                return None
-            packed = tuple(r >> shift for r in aug)
-            out = Matrix(self.field, tuple(_unpack(r, n) for r in packed), ncols=n, _raw=True)
-            out._packed = packed
-            return out
-        aug = [list(r1) + list(r2)
-               for r1, r2 in zip(self.rows, Matrix.identity(self.field, n).rows)]
-        if len(_row_reduce(self.field, aug, n)) != n:
+        aug = [fam.join(row, fam.unit(i, n), n) for i, row in enumerate(fam.rows(self))]
+        if len(fam.eliminate(aug, n)) != n:
             return None
-        return Matrix(self.field, tuple(tuple(r[n:]) for r in aug), ncols=n, _raw=True)
+        return Matrix._from_family(self.field, [fam.tail(row, n) for row in aug], n)
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
@@ -529,45 +722,47 @@ class SubspaceBasis:
 
     The basis is held as the reduced row-echelon form of the spanning vectors
     written as rows, so ``vectors()`` returns the canonical basis and two
-    subspaces are equal iff their stored data is equal.  The column-matrix
-    view required by matrix operations is ``basis_matrix()``.
+    subspaces are equal iff their stored data is equal.  The rows are kept in
+    the field's family layout only, and unpacked to tuples when asked for.
+    The column-matrix view required by matrix operations is
+    ``basis_matrix()``.
     """
 
-    # over F2, _packed holds _pack of each echelon row; either of _rows and
-    # _packed is derived from the other on first use
-    __slots__ = ("field", "ambient_dim", "pivot_rows", "_rows", "_packed")
+    __slots__ = ("field", "ambient_dim", "pivot_rows", "_rows")
 
-    def __init__(self, field: Field, ambient_dim: int, echelon_rows: tuple, pivot_rows: tuple):
+    def __init__(self, field: Field, ambient_dim: int, echelon_rows, pivot_rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.pivot_rows = pivot_rows
-        self._rows = echelon_rows
-        self._packed = None
+        self.pivot_rows = tuple(pivot_rows)
+        self._rows = tuple(map(field._family.pack, echelon_rows))
+
+    @classmethod
+    def _from_family(cls, field: Field, ambient_dim: int, rows, pivots) -> "SubspaceBasis":
+        """The subspace with these echelon rows, already in the family layout."""
+        sub = cls.__new__(cls)
+        sub.field, sub.ambient_dim = field, ambient_dim
+        sub.pivot_rows, sub._rows = tuple(pivots), tuple(rows)
+        return sub
 
     @classmethod
     def from_spanning(cls, field: Field, ambient_dim: int, vectors,
-                      _raw: bool = False, _packed: bool = False) -> "SubspaceBasis":
+                      _raw: bool = False) -> "SubspaceBasis":
         """Canonicalize a list of spanning vectors.
 
-        ``_raw`` trusts the vectors to hold canonical entries already, and
-        ``_packed`` takes F2 vectors packed by :func:`_pack`.
+        ``_raw`` trusts the vectors to hold canonical entries already, in the
+        field's family layout.
         """
-        if _packed:
-            return _span_f2(field, ambient_dim, vectors)
-        vecs = vectors if _raw else [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
+        fam = field._family
+        if not _raw:
+            vectors = list(vectors)
+            if any(len(v) != ambient_dim for v in vectors):
                 raise ValueError("ambient dimension mismatch")
-        if field.characteristic == 2:
-            return _span_f2(field, ambient_dim, map(_pack, vecs))
-        rows = [list(v) for v in vecs]
-        piv = _row_reduce(field, rows, ambient_dim)
-        kept = tuple(tuple(r) for r in rows[:len(piv)])
-        return cls(field, ambient_dim, kept, tuple(piv))
+            vectors = [fam.coerce(v) for v in vectors]
+        return cls._from_family(field, ambient_dim, *fam.span(vectors, ambient_dim))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        return cls(field, ambient_dim, (), ())
+        return cls._from_family(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
@@ -580,22 +775,14 @@ class SubspaceBasis:
         Such vectors are their own echelon basis, so nothing is eliminated.
         """
         indices = tuple(indices)
-        if field.characteristic == 2:
-            return cls._from_packed(field, ambient_dim, [1 << 8 * i for i in indices], indices)
-        return cls(field, ambient_dim, _unit_rows(field, ambient_dim, indices), indices)
-
-    @classmethod
-    def _from_packed(cls, field: Field, ambient_dim: int, packed, pivots) -> "SubspaceBasis":
-        """The subspace with these packed F2 echelon rows, unpacked on first use."""
-        sub = cls(field, ambient_dim, None, tuple(pivots))
-        sub._packed = tuple(packed)
-        return sub
+        unit = field._family.unit
+        return cls._from_family(field, ambient_dim, [unit(i, ambient_dim) for i in indices],
+                                indices)
 
     @property
     def echelon_rows(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(_unpack(r, self.ambient_dim) for r in self._packed)
-        return self._rows
+        unpack, n = self.field._family.unpack, self.ambient_dim
+        return tuple(unpack(r, n) for r in self._rows)
 
     @property
     def dim(self) -> int:
@@ -606,7 +793,7 @@ class SubspaceBasis:
 
     def basis_matrix(self) -> Matrix:
         m = Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim, _raw=True)
-        m._packed_c = self._packed  # its columns are the echelon rows
+        m._fcols = self._rows  # its columns are the echelon rows
         return m
 
     def is_zero(self) -> bool:
@@ -615,19 +802,6 @@ class SubspaceBasis:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _packed_rows(self) -> tuple[int, ...]:
-        """The echelon rows packed by :func:`_pack`, computed on first use (F2 only)."""
-        if self._packed is None:
-            self._packed = tuple(map(_pack, self.echelon_rows))
-        return self._packed
-
-    def _reduce_packed(self, v: int) -> int:
-        """Residue of a packed F2 vector; one pass, as the rows are reduced."""
-        for row, pr in zip(self._packed_rows(), self.pivot_rows):
-            if v >> (8 * pr) & 1:
-                v ^= row
-        return v
-
     def reduce_vector(self, vec, _raw: bool = False) -> tuple:
         """Residue of vec after subtracting its projection onto the basis.
 
@@ -635,17 +809,9 @@ class SubspaceBasis:
         """
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        f = self.field
-        if not _raw:
-            vec = tuple(f.coerce(x) for x in vec)
-        if f.characteristic == 2:
-            return _unpack(self._reduce_packed(_pack(vec)), self.ambient_dim)
-        w = vec
-        for row, pr in zip(self.echelon_rows, self.pivot_rows):
-            c = w[pr]
-            if c:
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        return tuple(w)
+        fam = self.field._family
+        v = fam.pack(vec) if _raw else fam.coerce(vec)
+        return fam.unpack(fam.reduce(self, v), self.ambient_dim)
 
     def contains_vector(self, vec, _raw: bool = False) -> bool:
         """Membership of vec; ``_raw`` trusts it to hold canonical entries."""
@@ -654,22 +820,16 @@ class SubspaceBasis:
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self.field.characteristic == 2:
-            return not any(map(self._reduce_packed, other._packed_rows()))
-        return all(self.contains_vector(v, _raw=True) for v in other.echelon_rows)
+        fam = self.field._family
+        return not any(fam.nonzero(fam.reduce(self, r)) for r in other._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
-        if self._packed is not None and other._packed is not None:
-            mine, theirs = self._packed, other._packed
-        else:
-            mine, theirs = self.echelon_rows, other.echelon_rows
         return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and mine == theirs)
+                and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        # equal subspaces share their pivots, whichever form holds their rows
         return hash((self.field, self.ambient_dim, self.pivot_rows))
 
     def __repr__(self) -> str:
@@ -679,103 +839,26 @@ class SubspaceBasis:
 # -- subspace operations -------------------------------------------------------
 
 def kernel(m: Matrix) -> SubspaceBasis:
-    """The null space of m as a subspace of the domain F^ncols.
-
-    Over F2 it is the preimage of zero, one span of m's packed columns.
-    Elsewhere, with the columns reversed, each free column's kernel vector is
-    nonzero only there and at pivot columns before it.  Read back in order,
-    these vectors are the reduced echelon basis, each led by a 1 at its free
-    column.
-    """
-    if m.field.characteristic == 2:
-        return preimage_space(m, SubspaceBasis.zero(m.field, m.nrows))
-    flipped = Matrix(m.field, tuple(row[::-1] for row in m.rows), ncols=m.ncols, _raw=True)
-    rows = tuple(col[::-1] for col in reversed(flipped.kernel_matrix().cols()))
-    return SubspaceBasis(m.field, m.ncols, rows, tuple(r.index(m.field.one) for r in rows))
-
-
-def _span_f2(field: Field, ambient_dim: int, vectors) -> SubspaceBasis:
-    """The span of packed F2 vectors, in reduced echelon form.
-
-    Rows are keyed by their pivot bit, the lowest one they have set.  Each
-    vector is cleared at its lowest bit by the row with that pivot until it
-    is zero or has a pivot of its own.  Then, from the last pivot to the
-    first, each row is cleared at the later pivots by their rows, which are
-    reduced by then.
-    """
-    rows: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            low = v & -v
-            row = rows.get(low)
-            if row is None:
-                rows[low] = v
-                break
-            v ^= row
-    bits = sorted(rows, reverse=True)
-    later = 0  # the pivots after the current one
-    for bit in bits:
-        v = rows[bit]
-        hits = v & later
-        while hits:
-            low = hits & -hits
-            v ^= rows[low]
-            hits ^= low
-        rows[bit] = v
-        later |= bit
-    bits.reverse()
-    return SubspaceBasis._from_packed(field, ambient_dim, [rows[b] for b in bits],
-                                      [b.bit_length() // 8 for b in bits])
+    """The null space of m as a subspace of the domain F^ncols: the preimage of zero."""
+    return preimage_space(m, SubspaceBasis.zero(m.field, m.nrows))
 
 
 def image(m: Matrix, u: SubspaceBasis | None = None) -> SubspaceBasis:
-    """The span of m applied to u (the whole domain by default), in F^nrows.
-
-    Over F2 each basis vector of u selects the packed columns of m to XOR.
-    """
+    """The span of m applied to u (the whole domain by default), in F^nrows."""
     if u is not None and u.ambient_dim != m.ncols:
         raise ValueError(f"ambient dimension mismatch: map from F^{m.ncols}, "
                          f"subspace of F^{u.ambient_dim}")
-    if m.field.characteristic == 2:
-        cols = m._packed_cols()
-        vecs = cols if u is None else [reduce(xor, compress(cols, v), 0)
-                                       for v in u.echelon_rows]
-        return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _packed=True)
-    vecs = m.cols() if u is None else [m.apply(v) for v in u.echelon_rows]
+    fam = m.field._family
+    vecs = fam.cols(m) if u is None else [fam.apply(m, r) for r in u._rows]
     return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _raw=True)
 
 
 def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {v : m @ v lies in u} of the domain of m.
-
-    It is the heads of ker [m | B], B the basis matrix of u.  Only the zero
-    kernel vector has a zero head, as B's columns are independent, so the
-    kernel's echelon basis has the preimage's as heads, with the same pivots.
-
-    Over F2 it is read off one span of packed vectors: u's rows, and each
-    column j of m with the unit vector e_j appended past its nrows entries.
-    The vectors of that span that are zero in the first nrows entries are
-    (0, v) for v in the preimage, so the echelon rows with pivots past them
-    are the preimage's, shifted.
-    """
+    """The subspace {v : m @ v lies in u} of the domain of m."""
     if u.ambient_dim != m.nrows:
         raise ValueError(f"ambient dimension mismatch: map into F^{m.nrows}, "
                          f"subspace of F^{u.ambient_dim}")
-    if m.field.characteristic == 2:
-        shift = 8 * m.nrows
-        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._packed_cols())]
-        # last column first: a column whose head cancels then has its own tag as
-        # its lowest bit, as it only picks up the tags of later columns
-        tagged.reverse()
-        span = SubspaceBasis.from_spanning(m.field, m.nrows + m.ncols,
-                                           [*u._packed_rows(), *tagged], _packed=True)
-        head = bisect_left(span.pivot_rows, m.nrows)
-        return SubspaceBasis._from_packed(m.field, m.ncols,
-                                          [r >> shift for r in span._packed[head:]],
-                                          [pr - m.nrows for pr in span.pivot_rows[head:]])
-    ker = kernel(hstack([m, u.basis_matrix()]))
-    return SubspaceBasis(m.field, m.ncols, tuple(r[:m.ncols] for r in ker.echelon_rows),
-                         ker.pivot_rows)
+    return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u))
 
 
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
@@ -789,8 +872,7 @@ def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
 def sum_space(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.from_spanning(u.field, u.ambient_dim,
-                                       u.vectors() + v.vectors(), _raw=True)
+    return SubspaceBasis.from_spanning(u.field, u.ambient_dim, u._rows + v._rows, _raw=True)
 
 
 def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
@@ -804,11 +886,6 @@ def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
 
 def standard_complement(u: SubspaceBasis) -> list[tuple]:
     """Coordinate vectors at the non-pivot positions: a complement basis of u."""
-    f = u.field
-    comp = []
-    for i in range(u.ambient_dim):
-        if i not in u.pivot_rows:
-            v = [f.zero] * u.ambient_dim
-            v[i] = f.one
-            comp.append(tuple(v))
-    return comp
+    fam, n = u.field._family, u.ambient_dim
+    pivots = set(u.pivot_rows)
+    return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]

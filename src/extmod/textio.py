@@ -189,6 +189,21 @@ def _module_labels(m: Module) -> dict[int, tuple[str, ...]]:
             for d, n in m.dims_by_degree.items()}
 
 
+def _action_columns(m: Module, labels: dict, which: str):
+    """(source, terms) for each basis vector the action does not kill.
+
+    terms lists (target, coefficient) for the nonzero entries of the source's
+    column, in basis order.  Both printers read the actions through this.
+    """
+    step = m.params.action_degree(which)
+    for d in m.degrees:
+        targets = labels.get(d + step, ())
+        for src, col in zip(labels[d], zip(*m.action(which, d).rows)):
+            terms = [(tgt, c) for tgt, c in zip(targets, col) if c]
+            if terms:
+                yield src, terms
+
+
 def print_module(m: Module) -> str:
     """Canonical document for a module; parsing it back reproduces m."""
     params = m.params
@@ -202,20 +217,10 @@ def print_module(m: Module) -> str:
             lines.append(f"basis {name} {d}")
     field = params.field
     for which in (E1, E2):
-        step = params.action_degree(which)
-        for d in m.degrees:
-            act = m.action(which, d)
-            if act.is_zero():
-                continue
-            for j, src in enumerate(labels[d]):
-                terms = []
-                for i, tgt in enumerate(labels[d + step]):
-                    c = act[i, j]
-                    if c:
-                        terms.append(tgt if c == field.one
-                                     else f"{field.format_scalar(c)}*{tgt}")
-                if terms:
-                    lines.append(f"{which} {src} = " + " + ".join(terms))
+        for src, terms in _action_columns(m, labels, which):
+            lines.append(f"{which} {src} = " + " + ".join(
+                tgt if c == field.one else f"{field.format_scalar(c)}*{tgt}"
+                for tgt, c in terms))
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +229,6 @@ def to_dot(m: Module) -> str:
 
     e1 edges are solid, e2 edges bold; node order is deterministic.
     """
-    params = m.params
     labels = _module_labels(m)
     lines = ["digraph module {", "  rankdir=LR;"]
     for d in m.degrees:
@@ -233,16 +237,10 @@ def to_dot(m: Module) -> str:
     field = m.field
     styles = {E1: "solid", E2: "bold"}
     for which in (E1, E2):
-        step = params.action_degree(which)
-        for d in m.degrees:
-            act = m.action(which, d)
-            for j, src in enumerate(labels[d]):
-                for i, tgt in enumerate(labels.get(d + step, ())):
-                    c = act[i, j]
-                    if c:
-                        tag = which if c == field.one \
-                            else f"{which} ({field.format_scalar(c)})"
-                        lines.append(f'  "{src}" -> "{tgt}" '
-                                     f'[label="{tag}", style={styles[which]}];')
+        for src, terms in _action_columns(m, labels, which):
+            for tgt, c in terms:
+                tag = which if c == field.one else f"{which} ({field.format_scalar(c)})"
+                lines.append(f'  "{src}" -> "{tgt}" '
+                             f'[label="{tag}", style={styles[which]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose
                               endomorphism_basis, flash_multiplicity_at_degree,
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
-from extmod.linalg import Matrix, _pack, _unpack
+from extmod.linalg import Matrix
 from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
                             random_basis_change, shift, validate, with_variant,
@@ -61,11 +61,21 @@ def test_decompose_coerces_no_entry(monkeypatch):
     assert dec.multiset() == Counter(shapes)
 
 
-def _copy_strand(s, widths=None):
-    """A copy of a strand; with ``widths``, its packed F2 vectors unpacked."""
+def test_f2_certificate_coerces_no_entry(monkeypatch):
+    # decompose leaves canonical vectors, which the F2 certificate packs whole
+    shapes = random_flash_shapes(random.Random(6), count_max=20)
+    m = random_basis_change(flash_sum(shapes, P), 6)
+    dec = decompose(m)
+    calls = count_coerce(monkeypatch)
+    assert verify_decomposition(m, dec)
+    assert calls[0] == 0
+
+
+def _copy_strand(s, unpack=None):
+    """A copy of a strand; with ``unpack(pos, v)``, its vectors unpacked."""
     out = _Strand(s.left_pos, None)
     out.right_pos = s.right_pos
-    out.vectors = {pos: v if widths is None else _unpack(v, widths[pos])
+    out.vectors = {pos: v if unpack is None else unpack(pos, v)
                    for pos, v in s.vectors.items()}
     return out
 
@@ -93,9 +103,10 @@ def _match_calls(monkeypatch, m):
     return calls
 
 
-@pytest.mark.parametrize("char", [2, 3])
+@pytest.mark.parametrize("char", [2, 3, 5, 0])
 def test_match_equals_list_reference(monkeypatch, char):
-    # over F2 the strands hold packed vectors, which the reference gets unpacked
+    # the strands hold vectors in the family layout (packed over F2), which
+    # the reference gets unpacked
     params = default_params(char)
     field = params.field
     rng = random.Random(61)
@@ -109,7 +120,9 @@ def test_match_equals_list_reference(monkeypatch, char):
     most_rows = most_cod = 0
     for m in mods:
         for act, cod, dom, widths in _match_calls(monkeypatch, m):
-            unpack = widths if char == 2 else None
+            def unpack(pos, v, widths=widths):
+                return field._family.unpack(v, widths[pos])
+
             want_cod = [_copy_strand(s, unpack) for s in cod]
             want_dom = [_copy_strand(s, unpack) for s in dom]
             want = reference_match(field, act, want_cod, want_dom)
@@ -123,10 +136,10 @@ def test_match_equals_list_reference(monkeypatch, char):
         assert most_rows > 64 and most_cod > 64
 
 
-@pytest.mark.parametrize("char", [2, 3])
+@pytest.mark.parametrize("char", [2, 3, 5, 0])
 def test_match_rejects_images_off_the_socle_coordinates(char):
     field = default_params(char).field
-    vector = _pack if char == 2 else tuple
+    vector = field._family.pack
     with pytest.raises(AssertionError, match="action image escapes the socle layer"):
         _match(field, Matrix(field, [[1]]), [], [_Strand(0, vector((1,)))])
     with pytest.raises(AssertionError, match="socle coordinates must exist"):
@@ -555,18 +568,53 @@ print(len([name for name in sys.modules if name.startswith("extmod.")]))
     assert int(count) == len(list(Path(extmod.__file__).parent.glob("[!_]*.py")))
 
 
+def test_only_linalg_chooses_a_vector_layout():
+    # the vector layout is picked from the characteristic in linalg alone: no
+    # other module tests for characteristic 2 or imports linalg's private
+    # names or GF2
+    src = Path(extmod.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text())
+        # names bound to a characteristic, as in p = field.characteristic
+        bound = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "characteristic"
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+        def is_characteristic(node):
+            return ((isinstance(node, ast.Attribute) and node.attr == "characteristic")
+                    or (isinstance(node, ast.Name) and node.id in bound))
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(map(is_characteristic, operands))
+                        and any(isinstance(o, ast.Constant) and o.value == 2 for o in operands)):
+                    found.append(f"{path.name}:{node.lineno}: compares a characteristic with 2")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "linalg"
+                  and node.level == 1):
+                found.extend(f"{path.name}:{node.lineno}: imports {alias.name} from .linalg"
+                             for alias in node.names
+                             if alias.name.startswith("_") or alias.name == "GF2")
+    assert found == []
+
+
 def test_inadmissible_absorb_raises_under_optimize():
     code = """
 from extmod.decompose import _Strand
-from extmod.linalg import GF2, _pack
+from extmod.linalg import GF2
 if __debug__:
     raise SystemExit("not running under -O")
 # over F2 the sweep's strands hold packed vectors
-strong = _Strand(1, _pack((1,)))
-strong.join(_Strand(2, _pack((1,))))
-weak = _Strand(2, _pack((1,)))
+fam = GF2._family
+strong = _Strand(1, fam.pack((1,)))
+strong.join(_Strand(2, fam.pack((1,))))
+weak = _Strand(2, fam.pack((1,)))
 try:
-    weak.absorb(strong, 1, GF2)
+    weak.absorb(strong, 1, fam)
 except AssertionError:
     print("raised")
 """

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime,
-                           _pack, _row_reduce, hstack, image, intersect, kernel, preimage_space,
+                           _row_reduce, hstack, image, intersect, kernel, preimage_space,
                            quotient_dim, standard_complement, sum_space)
 from helpers import (count_coerce, count_row_reduce, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
@@ -202,11 +202,11 @@ def _assert_same(got, want, packed=False):
     # standard_complement read them
     assert ((got.ambient_dim, got.echelon_rows, got.pivot_rows)
             == (want.ambient_dim, want.echelon_rows, want.pivot_rows))
-    # want's rows are lists, got's may be packed only
+    # want was built from tuples, got from vectors in the family layout
     assert got == want and hash(got) == hash(want)
-    if packed and got.field == F2:
-        # built on packed rows, an F2 result keeps them
-        assert got._packed == tuple(map(_pack, got.echelon_rows))
+    if packed:
+        # a result keeps its rows in the family layout only: packed over F2
+        assert got._rows == tuple(map(got.field._family.pack, got.echelon_rows))
 
 
 def _check_against_references(m, u_extra, rng):
@@ -257,7 +257,7 @@ def test_f2_equality_and_basis_matrix_read_packed_rows():
             == SubspaceBasis.from_spanning(F2, 3, [(0, 0, 1), (1, 0, 0)]))
     u = SubspaceBasis.from_spanning(F2, 4, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)])
     bu = u.basis_matrix()
-    assert bu._packed_cols() == tuple(map(_pack, bu.cols()))
+    assert F2._family.cols(bu) == tuple(map(F2._family.pack, bu.cols()))
 
 
 def test_f2_from_spanning_matches_list_elimination():
@@ -476,11 +476,81 @@ def test_f2_inverse_and_rank_match_list_reference():
                     continue
                 seen_invertible += 1
                 assert inv == Matrix(F2, [row[n:] for row in aug], ncols=n)
-                assert inv._packed == tuple(map(_pack, inv.rows))
+                assert inv._frows == tuple(map(F2._family.pack, inv.rows))
         for nrows, ncols in ((n, 2 * n + 1), (2 * n + 1, n)):
             m = random_matrix(F2, nrows, ncols, rng)
             assert m.rank() == len(reference_row_reduce(F2, [list(r) for r in m.rows], ncols))
     assert seen_singular and seen_invertible
+
+
+def _reference_solve(field, a, b):
+    """X with a @ X = b read off the list elimination of [a | b], or None."""
+    n = a.ncols
+    aug = [list(r1) + list(r2) for r1, r2 in zip(a.rows, b.rows)]
+    piv = reference_row_reduce(field, aug, n)
+    if any(any(row[n:]) for row in aug[len(piv):]):
+        return None
+    x = [[field.zero] * b.ncols for _ in range(n)]
+    for i, pc in enumerate(piv):
+        x[pc] = aug[i][n:]
+    return Matrix(field, x, ncols=b.ncols)
+
+
+# (rows, columns): empty either way, 1 x n, n x 1, square, and wider or
+# taller than 64 entries; Q stays small, as its entries grow
+SOLVE_SHAPES = {F2: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
+                     (66, 66), (20, 130)],
+                F5: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
+                     (66, 66), (20, 130)],
+                QQ: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
+                     (12, 12)]}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_matrix_eliminations_match_list_reference(field):
+    # rref_pivots, rank, inverse, solve and solve_vector against the list
+    # elimination, on random and rank-deficient blocks with consistent and
+    # inconsistent right-hand sides
+    rng = random.Random(59)
+    seen = {"none": 0, "solved": 0, "singular": 0, "inverse": 0}
+    for nrows, ncols in SOLVE_SHAPES[field]:
+        for rank in (None, 0, 2):
+            if rank is None:
+                m = random_matrix(field, nrows, ncols, rng)
+            else:
+                m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng)
+            rows = [list(r) for r in m.rows]
+            piv = reference_row_reduce(field, rows, ncols)
+            assert m.rref_pivots() == (Matrix(field, rows, ncols=ncols), tuple(piv))
+            assert m.rank() == len(piv)
+            if nrows == ncols:
+                aug = [list(r) + [field.one if j == i else field.zero for j in range(nrows)]
+                       for i, r in enumerate(m.rows)]
+                full = len(reference_row_reduce(field, aug, nrows)) == nrows
+                want = Matrix(field, [r[nrows:] for r in aug], ncols=nrows) if full else None
+                assert m.inverse() == want
+                seen["inverse" if full else "singular"] += 1
+            for rhs in (random_matrix(field, nrows, 3, rng),
+                        m @ random_matrix(field, ncols, 2, rng),
+                        random_matrix(field, nrows, 0, rng)):
+                want = _reference_solve(field, m, rhs)
+                assert m.solve(rhs) == want
+                seen["none" if want is None else "solved"] += 1
+            vec = random_matrix(field, 1, nrows, rng).row(0)
+            want = _reference_solve(field, m, Matrix.from_cols(field, [vec], nrows=nrows))
+            assert m.solve_vector(vec) == (None if want is None else want.col(0))
+    assert all(seen.values()), seen
+
+
+def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(F5, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(F5, ((1, 2), (3,)), _raw=True)
+    with pytest.raises(ValueError, match="ncols does not match row length"):
+        Matrix(F5, [[1, 2], [3, 4]], ncols=3)
+    with pytest.raises(ValueError, match="explicit column count"):
+        Matrix(F5, [])
 
 
 def test_solve_detects_inconsistency():

@@ -140,3 +140,120 @@ def test_to_dot_deterministic_with_autolabels():
     assert m.labels is None
     assert to_dot(m) == to_dot(m)
     assert '"v0_0"' in to_dot(m)
+
+
+# the document and DOT output of one module per field family, pinned as text:
+# multi-term lines, and nonunit coefficients over F5 and Q
+GOLDEN_SOURCE = """\
+field {f}
+deg e1 1
+deg e2 3
+algebra B
+basis a 0, b 0, c 2, y 3, z 3
+e1 c = y + {c}*z
+e2 a = {c}*y + z
+e2 b = {c}*z
+"""
+
+DOC_F2 = """\
+field 2
+deg e1 1
+deg e2 3
+algebra B
+basis a 0
+basis b 0
+basis c 2
+basis y 3
+basis z 3
+e1 c = y + z
+e2 a = y + z
+e2 b = z
+"""
+
+DOC_F2_DOT = """\
+digraph module {
+  rankdir=LR;
+  "a" [label="a (0)"];
+  "b" [label="b (0)"];
+  "c" [label="c (2)"];
+  "y" [label="y (3)"];
+  "z" [label="z (3)"];
+  "c" -> "y" [label="e1", style=solid];
+  "c" -> "z" [label="e1", style=solid];
+  "a" -> "y" [label="e2", style=bold];
+  "a" -> "z" [label="e2", style=bold];
+  "b" -> "z" [label="e2", style=bold];
+}
+"""
+
+DOC_F5 = """\
+field 5
+deg e1 1
+deg e2 3
+algebra B
+basis a 0
+basis b 0
+basis c 2
+basis y 3
+basis z 3
+e1 c = y + 3*z
+e2 a = 3*y + z
+e2 b = 3*z
+"""
+
+DOC_F5_DOT = """\
+digraph module {
+  rankdir=LR;
+  "a" [label="a (0)"];
+  "b" [label="b (0)"];
+  "c" [label="c (2)"];
+  "y" [label="y (3)"];
+  "z" [label="z (3)"];
+  "c" -> "y" [label="e1", style=solid];
+  "c" -> "z" [label="e1 (3)", style=solid];
+  "a" -> "y" [label="e2 (3)", style=bold];
+  "a" -> "z" [label="e2", style=bold];
+  "b" -> "z" [label="e2 (3)", style=bold];
+}
+"""
+
+DOC_Q = """\
+field 0
+deg e1 1
+deg e2 3
+algebra B
+basis a 0
+basis b 0
+basis c 2
+basis y 3
+basis z 3
+e1 c = y + -1/2*z
+e2 a = -1/2*y + z
+e2 b = -1/2*z
+"""
+
+DOC_Q_DOT = """\
+digraph module {
+  rankdir=LR;
+  "a" [label="a (0)"];
+  "b" [label="b (0)"];
+  "c" [label="c (2)"];
+  "y" [label="y (3)"];
+  "z" [label="z (3)"];
+  "c" -> "y" [label="e1", style=solid];
+  "c" -> "z" [label="e1 (-1/2)", style=solid];
+  "a" -> "y" [label="e2 (-1/2)", style=bold];
+  "a" -> "z" [label="e2", style=bold];
+  "b" -> "z" [label="e2 (-1/2)", style=bold];
+}
+"""
+
+
+@pytest.mark.parametrize("field, coefficient, document, dot",
+                         [(2, "1", DOC_F2, DOC_F2_DOT), (5, "3", DOC_F5, DOC_F5_DOT),
+                          (0, "-1/2", DOC_Q, DOC_Q_DOT)], ids=["F2", "F5", "Q"])
+def test_printers_match_golden_text(field, coefficient, document, dot):
+    m = parse_module(GOLDEN_SOURCE.format(f=field, c=coefficient))
+    assert print_module(m) == document
+    assert to_dot(m) == dot
+    assert print_module(parse_module(document)) == document
