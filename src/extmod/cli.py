@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -79,6 +80,8 @@ def _as_variant_b(m: Module) -> Module:
 # with its own numbers, so one large number would otherwise exhaust memory
 # before anything else is checked.
 MAX_TERM_DIM = 100_000
+# \d is what int() reads: decimal digits, not superscripts
+INTEGER = re.compile(r"[+-]?\d+")
 
 
 class _ExprParser:
@@ -115,21 +118,18 @@ class _ExprParser:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        match = INTEGER.match(self.text, self.pos)
+        if match is None:
             self.fail("expected an integer")
-        digits = self.text[start:self.pos]
+        digits = match[0]
         try:
-            return int(digits)
+            value = int(digits)
         except ValueError:
             # int() converts at most sys.get_int_max_str_digits() digits
-            self.pos = start
             self.fail(f"integer {digits[:12]}... has {len(digits.lstrip('+-'))} digits, "
                       f"above the limit of {sys.get_int_max_str_digits()}")
+        self.pos = match.end()
+        return value
 
     def parse(self) -> Module:
         mod = self.expr()

@@ -461,7 +461,8 @@ def _hom_blocks(m: Module, flat) -> dict[int, Matrix]:
 def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
     """A basis of the space of degree-0 graded module endomorphisms."""
     rows, nvars = _hom_system(m)
-    ker = Matrix(m.field, rows, ncols=nvars).kernel_matrix()
+    # _hom_system makes every entry with Field.add and Field.sub: canonical
+    ker = Matrix(m.field, tuple(map(tuple, rows)), ncols=nvars, _raw=True).kernel_matrix()
     return [_hom_blocks(m, col) for col in ker.cols()]
 
 

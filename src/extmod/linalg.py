@@ -18,10 +18,15 @@ Over F_p for odd p and over Q it is a tuple of canonical entries
 ``kernel``, ``preimage_space`` and the chain sweep of :mod:`extmod.decompose`
 are written once over it, looking it up once per call.  A ``Matrix`` keeps
 tuple rows and caches its packed F2 rows and columns; a ``SubspaceBasis``
-keeps its rows in the family layout only.  ``rref_pivots`` packs and unpacks
-every row over F2, which pays on dense blocks, such as those of scrambled
-modules; on very sparse blocks, where few rows are ever updated, list rows
-would cost less.
+keeps its rows in the family layout only.
+
+Each family has one elimination, ``span``: the reduced echelon rows and
+pivots of the span of some vectors.  Over F2 each vector is cleared at its
+lowest set bit by the row with that pivot; on tuples it is
+:func:`_row_reduce`.  Every ``Matrix`` elimination is one span of its rows:
+``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
+``solve`` spans the rows of [A | B] at full width, which is inconsistent
+exactly when a pivot falls in B.  ``inverse`` solves against the identity.
 
 Where the cheapest algorithm differs, each family keeps its own.  An F2
 product row is the XOR of the packed rows of the right factor that the left
@@ -258,34 +263,6 @@ class _PackedF2:
         return v
 
     @staticmethod
-    def eliminate(rows: list[int], n_pivot_cols: int) -> list[int]:
-        """In-place reduced row echelon over the first n_pivot_cols entries.
-
-        The pivot search tests one bit per row and each row update is one
-        XOR.  Returns the pivot column indices.
-        """
-        m = len(rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(n_pivot_cols):
-            if r == m:
-                break
-            bit = 1 << (8 * c)
-            for pr in range(r, m):
-                if rows[pr] & bit:
-                    break
-            else:
-                continue
-            top = rows[pr]
-            rows[pr] = rows[r]
-            # clearing column c also zeroes the pivot row itself, so it goes back
-            rows[:] = [x ^ top if x & bit else x for x in rows]
-            rows[r] = top
-            pivots.append(c)
-            r += 1
-        return pivots
-
-    @staticmethod
     def span(vectors, n: int) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors.
 
@@ -421,16 +398,11 @@ class _Entries:
                 v = self.add_scaled(v, row, -c)
         return v
 
-    def eliminate(self, rows: list, n_pivot_cols: int) -> list[int]:
-        """:func:`_row_reduce`, leaving every row a tuple."""
-        pivots = _row_reduce(self.field, rows, n_pivot_cols)
-        rows[:] = map(tuple, rows)
-        return pivots
-
     def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
+        """The reduced echelon rows and pivots of the span, by :func:`_row_reduce`."""
         rows = list(vectors)
-        pivots = self.eliminate(rows, n)
-        return rows[:len(pivots)], pivots
+        pivots = _row_reduce(self.field, rows)
+        return list(map(tuple, rows[:len(pivots)])), pivots
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[tuple], list[int]]:
         """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
@@ -455,18 +427,17 @@ QQ = Field(0)
 GF2 = Field(2)
 
 
-def _row_reduce(field: Field, rows: list[list], n_pivot_cols: int) -> list[int]:
-    """In-place reduced row echelon over the first n_pivot_cols columns, on lists of entries.
+def _row_reduce(field: Field, rows: list[list]) -> list[int]:
+    """In-place reduced row echelon form of rows of entries; returns the pivot columns.
 
-    Row operations always apply to the full row width, so callers can append
-    augmented columns.  Returns the pivot column indices.
+    Rows that are updated become lists; the others keep their type.
     """
     p = field.characteristic
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
     r = 0
-    for c in range(min(n_pivot_cols, n)):
+    for c in range(n):
         pr = None
         for i in range(r, m):
             if rows[i][c]:
@@ -645,8 +616,8 @@ class Matrix:
 
     def rref_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
         fam = self.field._family
-        rows = list(fam.rows(self))
-        piv = fam.eliminate(rows, self.ncols)
+        rows, piv = fam.span(fam.rows(self), self.ncols)
+        rows += [fam.pack((self.field.zero,) * self.ncols)] * (self.nrows - len(piv))
         return Matrix._from_family(self.field, rows, self.ncols), tuple(piv)
 
     def rref(self) -> "Matrix":
@@ -655,7 +626,7 @@ class Matrix:
 
     def rank(self) -> int:
         fam = self.field._family
-        return len(fam.eliminate(list(fam.rows(self)), self.ncols))
+        return len(fam.span(fam.rows(self), self.ncols)[1])
 
     def kernel_matrix(self) -> "Matrix":
         """Columns span the null space {v : self @ v = 0}."""
@@ -674,19 +645,19 @@ class Matrix:
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = rhs, or None if inconsistent.
 
-        One elimination of the rows of [self | rhs], joined in the family layout.
+        One span of the rows of [self | rhs], joined in the family layout; it
+        is inconsistent exactly when a pivot falls in rhs's columns.
         """
         if rhs.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
         fam = self.field._family
         n = self.ncols
         aug = [fam.join(a, b, n) for a, b in zip(fam.rows(self), fam.rows(rhs))]
-        piv = fam.eliminate(aug, n)
-        # rows past the pivots are zero on the left, so only their right side can be nonzero
-        if any(map(fam.nonzero, aug[len(piv):])):
+        rows, piv = fam.span(aug, n + rhs.ncols)
+        if piv and piv[-1] >= n:
             return None
         x = [fam.pack((self.field.zero,) * rhs.ncols)] * n
-        for row, pc in zip(aug, piv):
+        for row, pc in zip(rows, piv):
             x[pc] = fam.tail(row, n)
         return Matrix._from_family(self.field, x, rhs.ncols)
 
@@ -697,13 +668,7 @@ class Matrix:
     def inverse(self) -> "Matrix | None":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        fam = self.field._family
-        n = self.nrows
-        # [A | I] reduces to [I | A^-1] exactly when A has full rank
-        aug = [fam.join(row, fam.unit(i, n), n) for i, row in enumerate(fam.rows(self))]
-        if len(fam.eliminate(aug, n)) != n:
-            return None
-        return Matrix._from_family(self.field, [fam.tail(row, n) for row in aug], n)
+        return self.solve(Matrix.identity(self.field, self.nrows))
 
 
 def hstack(mats: list[Matrix]) -> Matrix:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .decompose import multiplicities
-from .modules import (E1, AlgebraParams, FlashShape, Module, counterexample_stage,
-                      make_flash, truncated_infinite_flash)
+from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
+                      truncated_infinite_flash)
 from .operators import (FiltrationTrace, GradedSubspace, act_image, degree_part,
                         filtration_trace, quotient_dim_at, stable_intersection)
 
@@ -148,11 +148,12 @@ def _stage_degree_zero_dims(sp: SuiteParams, trace: FiltrationTrace) -> list[int
 def run_checks(sp: SuiteParams) -> SuiteReport:
     """Run all nine check items, tracing each module's chain only once."""
     alg = sp.algebra
-    stage = counterexample_stage(sp.stage_size, alg)
     flashes = []
     for n in range(sp.stage_size + 1):
         mod = make_flash(FlashShape.l(n, 0, 1), alg)
         flashes.append((mod, filtration_trace(mod)))
+    # counterexample_stage, from the flashes already made
+    stage = direct_sum([mod for mod, _ in flashes])
     items = [_item_filtration_shape(flashes), _item_membership(sp, flashes)]
 
     trace = filtration_trace(stage)

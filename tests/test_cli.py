@@ -73,15 +73,19 @@ def test_build_randomize_golden(capsys, char):
 OVERLONG = "1" + "0" * 5000
 
 
-@pytest.mark.parametrize("expr, offset", [
-    ("L(1,0,1)@" + OVERLONG, 9),
-    ("randomize(simple@0, " + OVERLONG + ")", 20),
-], ids=["shift", "seed"])
-def test_build_rejects_overlong_integer(capsys, expr, offset):
+@pytest.mark.parametrize("expr, offset, message", [
     # int() converts at most 4300 digits; a longer number is an input error
+    ("L(1,0,1)@" + OVERLONG, 9, "integer 100000000000... has 5001 digits"),
+    ("randomize(simple@0, " + OVERLONG + ")", 20, "integer 100000000000... has 5001 digits"),
+    # a sign needs digits after it
+    ("L(+,0,1)@0", 2, "expected an integer"),
+    ("shift(L(1,0,1)@0, -)", 18, "expected an integer"),
+    ("L(\u00b2,0,1)@0", 2, "expected an integer"),
+], ids=["shift", "seed", "sign-in-flash", "sign-in-shift", "superscript"])
+def test_build_rejects_bad_integer(capsys, expr, offset, message):
     assert main(["build", expr]) == 2
     err = capsys.readouterr().err
-    assert f"offset {offset}: integer 100000000000... has 5001 digits" in err
+    assert f"offset {offset}: {message}" in err
     assert "Traceback" not in err
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime,
-                           _row_reduce, hstack, image, intersect, kernel, preimage_space,
-                           quotient_dim, standard_complement, sum_space)
+from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
+                           _is_prime, _PackedF2, _row_reduce, hstack, image, intersect,
+                           kernel, preimage_space, quotient_dim, standard_complement,
+                           sum_space)
 from helpers import (count_coerce, count_row_reduce, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
                      reference_kernel, reference_preimage, reference_product,
@@ -117,17 +118,17 @@ def test_products_match_entrywise_reference(field):
                 assert a.apply(v) == reference_apply(a, v)
 
 
-# (rows, width, pivot columns): empty, 1 x 1, 1 x n, n x 1, square, wider
-# than 64, and augmented systems with fewer pivot columns than the width
-ELIM_SHAPES = [(0, 0, 0), (0, 4, 4), (1, 1, 1), (1, 9, 9), (9, 1, 1), (4, 4, 4),
-               (12, 12, 12), (3, 70, 70), (70, 3, 3), (20, 130, 66), (8, 12, 5),
-               (12, 8, 3), (16, 48, 16), (5, 5, 0)]
+# (rows, width): empty, 1 x 1, 1 x n, n x 1, square, wider than 64, and
+# wider or taller than square
+ELIM_SHAPES = [(0, 0), (0, 4), (1, 1), (1, 9), (9, 1), (4, 4), (12, 12), (3, 70),
+               (70, 3), (20, 130), (8, 12), (12, 8), (16, 48), (5, 5)]
 
 
-def _eliminate_both(field, rows, n_pivot_cols):
+def _eliminate_both(field, rows):
+    # full width: the list reference over every column of the rows
     got, want = [list(r) for r in rows], [list(r) for r in rows]
-    piv = _row_reduce(field, got, n_pivot_cols)
-    assert piv == reference_row_reduce(field, want, n_pivot_cols)
+    piv = _row_reduce(field, got)
+    assert piv == reference_row_reduce(field, want, len(want[0]) if want else 0)
     assert got == want
     return piv, got
 
@@ -135,14 +136,14 @@ def _eliminate_both(field, rows, n_pivot_cols):
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_elimination_matches_list_reference(field):
     rng = random.Random(11)
-    for nrows, width, npiv in ELIM_SHAPES:
+    for nrows, width in ELIM_SHAPES:
         for rank in (None, 0, 1, 3):
             if rank is None:
                 m = random_matrix(field, nrows, width, rng)
             else:
                 # a product through rank columns: dependent rows and zero columns
                 m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, width, rng)
-            _eliminate_both(field, m.rows, npiv)
+            _eliminate_both(field, m.rows)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
@@ -151,11 +152,12 @@ def test_elimination_keeps_inconsistent_augmented_rows(field):
     seen = 0
     for n, extra in ((1, 1), (4, 1), (9, 3), (30, 40), (12, 70)):
         for _ in range(3):
-            # [A | B] with A of rank at most 2 leaves rows that reduce to [0 | *]
+            # [A | B] with A of rank at most 2 leaves rows that reduce to [0 | *],
+            # which keep a pivot in B's columns
             a = random_matrix(field, n, 2, rng) @ random_matrix(field, 2, n, rng)
             aug = hstack([a, random_matrix(field, n, extra, rng)])
-            piv, rows = _eliminate_both(field, aug.rows, n)
-            seen += any(any(row[n:]) for row in rows[len(piv):])
+            piv, rows = _eliminate_both(field, aug.rows)
+            seen += bool(piv) and piv[-1] >= n
     assert seen
 
 
@@ -540,6 +542,58 @@ def test_matrix_eliminations_match_list_reference(field):
             want = _reference_solve(field, m, Matrix.from_cols(field, [vec], nrows=nrows))
             assert m.solve_vector(vec) == (None if want is None else want.col(0))
     assert all(seen.values()), seen
+
+
+def _count_span(monkeypatch, field):
+    """Count the calls of the field family's ``span``, in a one-element list."""
+    fam, calls = field._family, [0]
+    span = fam.span
+
+    def counted(vectors, n):
+        calls[0] += 1
+        return span(vectors, n)
+
+    monkeypatch.setattr(fam, "span", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
+    # on random and rank-deficient blocks, with consistent and inconsistent
+    # right-hand sides, singular and invertible
+    rng = random.Random(61)
+    calls = _count_span(monkeypatch, field)
+
+    def once(op, *args):
+        calls[0] = 0
+        out = op(*args)
+        assert calls[0] == 1
+        return out
+
+    seen = {"singular": 0, "inverse": 0, "none": 0, "solved": 0}
+    for nrows, ncols in SOLVE_SHAPES[field]:
+        for rank in (None, 0, 2):
+            if rank is None:
+                m = random_matrix(field, nrows, ncols, rng)
+            else:
+                m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng)
+            once(m.rref_pivots)
+            once(m.rank)
+            once(m.kernel_matrix)
+            for rhs in (random_matrix(field, nrows, 3, rng),
+                        m @ random_matrix(field, ncols, 2, rng)):
+                seen["none" if once(m.solve, rhs) is None else "solved"] += 1
+            if nrows == ncols:
+                seen["singular" if once(m.inverse) is None else "inverse"] += 1
+    assert all(seen.values()), seen
+
+
+def test_families_answer_the_same_calls_with_one_elimination():
+    public = [{name for name in vars(cls) if not name.startswith("_")}
+              for cls in (_PackedF2, _Entries)]
+    assert public[0] == public[1]
+    assert "span" in public[0]
+    assert not hasattr(_PackedF2, "eliminate") and not hasattr(_Entries, "eliminate")
 
 
 def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from extmod import modules, suite
 from extmod.modules import (FlashShape, counterexample_stage, default_params,
                             make_flash)
 from extmod.operators import degree_part, filtration, filtration_trace
@@ -56,6 +57,23 @@ def test_degree_zero_dims_two_paths_agree():
     sp = SuiteParams(4, 6, P)
     trace = filtration_trace(counterexample_stage(sp.stage_size, sp.algebra))
     assert _stage_degree_zero_dims(sp, trace) == _membership_path_dims(sp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_stage_is_summed_from_the_flashes_already_made(monkeypatch, n):
+    # N+1 closed flashes, summed into the stage, N+1 open flashes and one
+    # for the truncated right-infinite flash
+    calls = [0]
+    real = modules.make_flash
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "make_flash", counted)
+    monkeypatch.setattr(suite, "make_flash", counted)
+    assert run_checks(SuiteParams(n, n + 1, P)).passed
+    assert calls[0] == 2 * n + 3
 
 
 def test_report_is_deterministic():
