@@ -43,8 +43,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
-                     standard_complement, sum_space)
+from .linalg import (Field, Matrix, SubspaceBasis, hstack, image, intersect, kernel,
+                     standard_complement, sum_space, vstack)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
 from .operators import degree_part, filtration_trace, socle
@@ -189,14 +189,16 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
         if any(map(fam.nonzero, imgs)):
             raise AssertionError("action image escapes the socle layer")
         return []
-    n = act.nrows
-    tmat = Matrix.from_cols(field, [fam.unpack(s.vectors[s.right_pos], n) for s in cod],
-                            nrows=n, _raw=True)
-    coeff = tmat.solve(Matrix.from_cols(field, [fam.unpack(v, n) for v in imgs], _raw=True))
-    if coeff is None:
+    k = len(cod)
+    # one span of the rows of [T | B], with the codomain strands' last vectors
+    # as the columns of T and the images as those of B
+    rows, piv = fam.span(fam.transpose([s.vectors[s.right_pos] for s in cod] + imgs,
+                                       act.nrows), k + len(dom))
+    # T's columns are independent, so the coordinates exist exactly when T's
+    # columns are the pivots; then row r is the unit vector at r followed by a[r]
+    if piv != list(range(k)):
         raise AssertionError("socle coordinates must exist")
-    # solve returns its rows in the family layout already
-    a = list(fam.rows(coeff))
+    a = [fam.tail(row, k) for row in rows]
     entry, one = fam.entry, field.one
     pairs = []
     for ci, pr in _pivots(cod, dom, lambda c: [entry(row, c) for row in a]):
@@ -450,9 +452,7 @@ def _hom_blocks(m: Module, flat) -> dict[int, Matrix]:
     pos = 0
     for d in m.degrees:
         nd = m.dim(d)
-        out[d] = Matrix(m.field,
-                        tuple(tuple(flat[pos + i * nd:pos + (i + 1) * nd])
-                              for i in range(nd)),
+        out[d] = Matrix(m.field, [flat[pos + i * nd:pos + (i + 1) * nd] for i in range(nd)],
                         ncols=nd, _raw=True)
         pos += nd * nd
     return out
@@ -462,7 +462,7 @@ def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
     """A basis of the space of degree-0 graded module endomorphisms."""
     rows, nvars = _hom_system(m)
     # _hom_system makes every entry with Field.add and Field.sub: canonical
-    ker = Matrix(m.field, tuple(map(tuple, rows)), ncols=nvars, _raw=True).kernel_matrix()
+    ker = Matrix(m.field, rows, ncols=nvars, _raw=True).kernel_matrix()
     return [_hom_blocks(m, col) for col in ker.cols()]
 
 
@@ -696,11 +696,10 @@ def split_free(m: Module) -> FreeSplit:
             for d in m.degrees}
     comp_spaces = {}
     for d, n in m.dims_by_degree.items():
-        conditions = []
-        for step, act in ((0, Matrix.identity(field, n)), (d1, m.action(E1, d)),
-                          (d2, m.action(E2, d)), (d1 + d2, composites[d])):
-            conditions.extend(act.rows[i] for i in pivots.get(d + step, ()))
-        comp_spaces[d] = kernel(Matrix(field, tuple(conditions), ncols=n, _raw=True))
+        acts = ((0, Matrix.identity(field, n)), (d1, m.action(E1, d)),
+                (d2, m.action(E2, d)), (d1 + d2, composites[d]))
+        comp_spaces[d] = kernel(vstack([act.select_rows(pivots.get(d + step, ()))
+                                        for step, act in acts]))
         if comp_spaces[d].dim != n - free_part.dim(d):
             raise AssertionError("the socle conditions do not cut out a complement")
     complement, comp_emb = _module_from_subspace(m, comp_spaces)
@@ -716,13 +715,11 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
     field = m.field
     params = m.params
     for d in m.degrees:
-        free_cols = fs.free_embedding.get(d)
-        cols = (free_cols.cols() if free_cols is not None else [])
-        comp = fs.complement_embedding.get(d)
-        cols = cols + (comp.cols() if comp is not None else [])
-        if len(cols) != m.dim(d):
-            problems.append(f"degree {d}: {len(cols)} vectors for dimension {m.dim(d)}")
-        elif Matrix.from_cols(field, cols, nrows=m.dim(d)).rank() != m.dim(d):
+        parts = [emb[d] for emb in (fs.free_embedding, fs.complement_embedding) if d in emb]
+        count = sum(part.ncols for part in parts)
+        if count != m.dim(d):
+            problems.append(f"degree {d}: {count} vectors for dimension {m.dim(d)}")
+        elif count and hstack(parts).rank() != count:
             problems.append(f"degree {d}: free + complement is not a direct sum")
     for which in (E1, E2):
         step = params.action_degree(which)

@@ -17,8 +17,11 @@ Over F_p for odd p and over Q it is a tuple of canonical entries
 ``Matrix`` eliminations and products, ``SubspaceBasis``, ``image``,
 ``kernel``, ``preimage_space`` and the chain sweep of :mod:`extmod.decompose`
 are written once over it, looking it up once per call.  A ``Matrix`` keeps
-tuple rows and caches its packed F2 rows and columns; a ``SubspaceBasis``
-keeps its rows in the family layout only.
+its rows, and a ``SubspaceBasis`` its echelon rows, in the family layout
+only; ``rows``, ``cols()`` and entry reads unpack them.  The columns of a
+``Matrix`` are one ``transpose`` of its rows, made on first use and cached
+for what reads columns: an image, a product on tuples, m @ v and preimages
+over F2.  ``from_cols`` keeps the columns it is given as that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  Over F2 each vector is cleared at its
@@ -41,10 +44,10 @@ entries to eliminate.  In both families a kernel is the preimage of zero.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
-``SubspaceBasis.from_spanning`` coerce.  Internal callers whose vectors come
-from ``apply``, ``vectors()``, ``cols()`` or an elimination are already
-canonical and pass ``_raw=True``.  The packed F2 layout relies on this: it
-needs every entry to be 0 or 1.
+``SubspaceBasis.from_spanning`` coerce.  Callers whose entries are already
+canonical pass ``_raw=True``: tuples to ``Matrix(...)``, which packs them,
+and vectors in the family layout to ``from_cols`` and ``from_spanning``.  The
+packed F2 layout relies on this: it needs every entry to be 0 or 1.
 """
 
 from __future__ import annotations
@@ -233,26 +236,23 @@ class _PackedF2:
     def scale(a: int, c) -> int:
         return a if c else 0
 
-    def rows(self, m: "Matrix") -> tuple[int, ...]:
-        """The packed rows of m, cached on the immutable matrix."""
-        if m._frows is None:
-            m._frows = tuple(map(self.pack, m.rows))
-        return m._frows
+    @staticmethod
+    def transpose(vectors, n: int) -> tuple[int, ...]:
+        """The n columns of vectors of length n: column j is every n-th byte from byte j."""
+        data = b"".join(v.to_bytes(n, "little") for v in vectors)
+        return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
 
-    def cols(self, m: "Matrix") -> tuple[int, ...]:
-        """The packed columns of m, cached on the immutable matrix."""
-        if m._fcols is None:
-            m._fcols = tuple(map(self.pack, zip(*m.rows))) if m.nrows else (0,) * m.ncols
-        return m._fcols
-
-    def apply(self, m: "Matrix", v: int) -> int:
+    @staticmethod
+    def apply(m: "Matrix", v: int) -> int:
         """m @ v: the XOR of the packed columns of m that v selects."""
-        return reduce(xor, compress(self.cols(m), v.to_bytes(m.ncols, "little")), 0)
+        return reduce(xor, compress(m._columns(), v.to_bytes(m.ncols, "little")), 0)
 
-    def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
+    @staticmethod
+    def product(a: "Matrix", b: "Matrix") -> tuple[int, ...]:
         """The rows of a @ b: each the XOR of the packed rows of b that a row of a selects."""
-        brows = self.rows(b)
-        return tuple(reduce(xor, compress(brows, arow), 0) for arow in a.rows)
+        brows, n = b._rows, a.ncols
+        return tuple(reduce(xor, compress(brows, arow.to_bytes(n, "little")), 0)
+                     for arow in a._rows)
 
     @staticmethod
     def reduce(sub: "SubspaceBasis", v: int) -> int:
@@ -305,7 +305,7 @@ class _PackedF2:
         preimage's, shifted.
         """
         shift = 8 * m.nrows
-        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(self.cols(m))]
+        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._columns())]
         # last column first: a column whose head cancels then has its own tag as
         # its lowest bit, as it only picks up the tags of later columns
         tagged.reverse()
@@ -366,15 +366,9 @@ class _Entries:
         return tuple([c * x for x in a])
 
     @staticmethod
-    def rows(m: "Matrix") -> tuple[tuple, ...]:
-        return m.rows
-
-    @staticmethod
-    def cols(m: "Matrix") -> tuple[tuple, ...]:
-        """The columns of m; cached only where they come for free."""
-        if m._fcols is not None:
-            return m._fcols
-        return tuple(zip(*m.rows)) if m.nrows else ((),) * m.ncols
+    def transpose(vectors, n: int) -> tuple[tuple, ...]:
+        """The n columns of the vectors of length n written as rows."""
+        return tuple(zip(*vectors)) if vectors else ((),) * n
 
     def _dots(self, rows, v: tuple) -> tuple:
         """The dot products of v with each of the rows."""
@@ -384,11 +378,11 @@ class _Entries:
         return tuple([sum(map(mul, row, v), self.field.zero) for row in rows])
 
     def apply(self, m: "Matrix", v: tuple) -> tuple:
-        return self._dots(m.rows, v)
+        return self._dots(m._rows, v)
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
-        bcols = self.cols(b)
-        return tuple(self._dots(bcols, row) for row in a.rows)
+        bcols = b._columns()
+        return tuple(self._dots(bcols, row) for row in a._rows)
 
     def reduce(self, sub: "SubspaceBasis", v: tuple) -> tuple:
         """Residue of v against sub's echelon rows; one pass, as they are reduced."""
@@ -415,9 +409,9 @@ class _Entries:
         independent, so the heads are the preimage's echelon basis, with the
         same pivots.
         """
-        brows = zip(*u._rows) if u._rows else [()] * m.nrows
-        flipped = Matrix(self.field, tuple((row + b)[::-1] for row, b in zip(m.rows, brows)),
-                         ncols=m.ncols + u.dim, _raw=True)
+        brows = self.transpose(u._rows, m.nrows)
+        flipped = Matrix._from_family(self.field, [(row + b)[::-1] for row, b
+                                                   in zip(m._rows, brows)], m.ncols + u.dim)
         heads = [col[::-1][:m.ncols] for col in reversed(flipped.kernel_matrix().cols())]
         one = self.field.one
         return heads, [h.index(one) for h in heads]
@@ -471,40 +465,38 @@ def _row_reduce(field: Field, rows: list[list]) -> list[int]:
 class Matrix:
     """Immutable dense matrix over a :class:`Field`.
 
-    Acts on column vectors (plain tuples): ``m.apply(v)`` computes ``m @ v``.
+    The rows are kept once, in the field's family layout; ``rows``, ``row``,
+    ``col``, ``cols()`` and ``m[i, j]`` read them as tuples of canonical
+    entries.  Acts on column vectors (plain tuples): ``m.apply(v)`` computes
+    ``m @ v``.
     """
 
-    # _frows and _fcols cache the rows and columns in the field's family
-    # layout where the family wants them kept; they are safe to keep because
-    # no method changes rows after construction
-    __slots__ = ("field", "nrows", "ncols", "rows", "_frows", "_fcols")
+    # _fcols caches the columns in the family layout, made by one transpose
+    # of the rows on first use; safe because no method changes the rows
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
-        self.field = field
-        self._frows = None
-        self._fcols = None
-        if _raw:
-            self.rows = rows
-        else:
-            self.rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if len(set(map(len, self.rows))) > 1:
+        """A matrix from rows of entries; ``_raw`` trusts them to be canonical sequences."""
+        rows = tuple(rows if _raw else map(tuple, rows))
+        if rows:
+            if len(set(map(len, rows))) > 1:
                 raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            if ncols is not None and ncols != len(rows[0]):
                 raise ValueError("ncols does not match row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+            ncols = len(rows[0])
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        fam = field._family
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        self._rows = tuple(map(fam.pack if _raw else fam.coerce, rows))
+        self._fcols = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple((z,) * ncols for _ in range(nrows)), ncols=ncols, _raw=True)
+        return cls._from_family(field, (field._family.pack((field.zero,) * ncols),) * nrows,
+                                ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -514,59 +506,74 @@ class Matrix:
     @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,
                   _raw: bool = False) -> "Matrix":
-        """The matrix with the given columns; ``_raw`` trusts them to be canonical."""
-        if not _raw:
-            cols = [tuple(field.coerce(x) for x in col) for col in cols]
-        if cols:
-            nrows = len(cols[0])
-            return cls(field, tuple(zip(*cols)), ncols=len(cols), _raw=True)
-        if nrows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls.zeros(field, nrows, 0)
+        """The matrix with the given columns, which it keeps as its column cache.
+
+        ``_raw`` trusts them to hold canonical entries already, in the field's
+        family layout, and then needs nrows.
+        """
+        if _raw:
+            return cls._from_family(field, cols, nrows).transpose()
+        return cls(field, cols, ncols=nrows).transpose()
 
     @classmethod
-    def _from_family(cls, field: Field, frows, ncols: int) -> "Matrix":
+    def _from_family(cls, field: Field, rows, ncols: int) -> "Matrix":
         """The matrix with these rows in the field's family layout, which it keeps."""
-        unpack = field._family.unpack
-        out = cls(field, tuple(unpack(r, ncols) for r in frows), ncols=ncols, _raw=True)
-        out._frows = tuple(frows)
+        out = cls.__new__(cls)
+        out.field, out.ncols, out._rows, out._fcols = field, ncols, tuple(rows), None
+        out.nrows = len(out._rows)
         return out
 
     # -- basic structure -----------------------------------------------------
+
+    def _columns(self) -> tuple:
+        """The columns in the family layout, cached on first use."""
+        if self._fcols is None:
+            self._fcols = self.field._family.transpose(self._rows, self.ncols)
+        return self._fcols
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        unpack, n = self.field._family.unpack, self.ncols
+        return tuple(unpack(r, n) for r in self._rows)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.field._family.entry(self._rows[i], j)
 
     def row(self, i) -> tuple:
-        return self.rows[i]
+        return self.field._family.unpack(self._rows[i], self.ncols)
 
     def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return self.field._family.unpack(self._columns()[j], self.nrows)
 
     def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
+        unpack, n = self.field._family.unpack, self.nrows
+        return [unpack(c, n) for c in self._columns()]
+
+    def select_rows(self, indices) -> "Matrix":
+        """The matrix of the rows at the given indices, in that order."""
+        return Matrix._from_family(self.field, [self._rows[i] for i in indices], self.ncols)
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0 or self.ncols == 0:
-            return Matrix.zeros(self.field, self.ncols, self.nrows)
-        return Matrix(self.field, tuple(zip(*self.rows)), ncols=self.nrows, _raw=True)
+        out = Matrix._from_family(self.field, self._columns(), self.nrows)
+        out._fcols = self._rows
+        return out
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(map(self.field._family.nonzero, self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.shape == other.shape
-                and self.rows == other.rows)
+                and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.characteristic}, {self.nrows}x{self.ncols})"
@@ -596,12 +603,12 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         fam = self.field._family
-        rows = [fam.add_scaled(a, b, c) for a, b in zip(fam.rows(self), fam.rows(other))]
+        rows = [fam.add_scaled(a, b, c) for a, b in zip(self._rows, other._rows)]
         return Matrix._from_family(self.field, rows, self.ncols)
 
     def scaled(self, c) -> "Matrix":
         fam, c = self.field._family, self.field.coerce(c)
-        return Matrix._from_family(self.field, [fam.scale(row, c) for row in fam.rows(self)],
+        return Matrix._from_family(self.field, [fam.scale(row, c) for row in self._rows],
                                    self.ncols)
 
     def power(self, k: int) -> "Matrix":
@@ -616,7 +623,7 @@ class Matrix:
 
     def rref_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
         fam = self.field._family
-        rows, piv = fam.span(fam.rows(self), self.ncols)
+        rows, piv = fam.span(self._rows, self.ncols)
         rows += [fam.pack((self.field.zero,) * self.ncols)] * (self.nrows - len(piv))
         return Matrix._from_family(self.field, rows, self.ncols), tuple(piv)
 
@@ -625,22 +632,21 @@ class Matrix:
         return self.rref_pivots()[0]
 
     def rank(self) -> int:
-        fam = self.field._family
-        return len(fam.span(fam.rows(self), self.ncols)[1])
+        return len(self.field._family.span(self._rows, self.ncols)[1])
 
     def kernel_matrix(self) -> "Matrix":
         """Columns span the null space {v : self @ v = 0}."""
-        red, piv = self.rref_pivots()
-        free = [c for c in range(self.ncols) if c not in piv]
-        f = self.field
+        f, n = self.field, self.ncols
+        fam = f._family
+        red, piv = fam.span(self._rows, n)
         cols = []
-        for fc in free:
-            v = [f.zero] * self.ncols
+        for fc in (c for c in range(n) if c not in piv):
+            v = [f.zero] * n
             v[fc] = f.one
-            for i, pc in enumerate(piv):
-                v[pc] = f.neg(red[i, fc])
-            cols.append(tuple(v))
-        return Matrix.from_cols(f, cols, nrows=self.ncols, _raw=True)
+            for row, pc in zip(red, piv):
+                v[pc] = f.neg(fam.entry(row, fc))
+            cols.append(fam.pack(v))
+        return Matrix.from_cols(f, cols, nrows=n, _raw=True)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -652,7 +658,7 @@ class Matrix:
             raise ValueError("rhs row count mismatch")
         fam = self.field._family
         n = self.ncols
-        aug = [fam.join(a, b, n) for a, b in zip(fam.rows(self), fam.rows(rhs))]
+        aug = [fam.join(a, b, n) for a, b in zip(self._rows, rhs._rows)]
         rows, piv = fam.span(aug, n + rhs.ncols)
         if piv and piv[-1] >= n:
             return None
@@ -671,15 +677,19 @@ class Matrix:
         return self.solve(Matrix.identity(self.field, self.nrows))
 
 
-def hstack(mats: list[Matrix]) -> Matrix:
+def vstack(mats: list[Matrix]) -> Matrix:
+    """The matrices stacked from top to bottom."""
     if not mats:
-        raise ValueError("hstack of nothing")
-    field = mats[0].field
-    nrows = mats[0].nrows
-    if any(m.nrows != nrows or m.field != field for m in mats):
-        raise ValueError("hstack row count / field mismatch")
-    rows = tuple(tuple(x for m in mats for x in m.rows[i]) for i in range(nrows))
-    return Matrix(field, rows, ncols=sum(m.ncols for m in mats), _raw=True)
+        raise ValueError("stack of nothing")
+    field, ncols = mats[0].field, mats[0].ncols
+    if any(m.ncols != ncols or m.field != field for m in mats):
+        raise ValueError("cannot stack matrices of different fields or mismatched sizes")
+    return Matrix._from_family(field, [r for m in mats for r in m._rows], ncols)
+
+
+def hstack(mats: list[Matrix]) -> Matrix:
+    """The matrices side by side: the transpose of their transposes stacked."""
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 class SubspaceBasis:
@@ -757,15 +767,10 @@ class SubspaceBasis:
         return list(self.echelon_rows)
 
     def basis_matrix(self) -> Matrix:
-        m = Matrix.from_cols(self.field, self.echelon_rows, nrows=self.ambient_dim, _raw=True)
-        m._fcols = self._rows  # its columns are the echelon rows
-        return m
+        return Matrix.from_cols(self.field, self._rows, nrows=self.ambient_dim, _raw=True)
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
 
     def reduce_vector(self, vec, _raw: bool = False) -> tuple:
         """Residue of vec after subtracting its projection onto the basis.
@@ -814,7 +819,7 @@ def image(m: Matrix, u: SubspaceBasis | None = None) -> SubspaceBasis:
         raise ValueError(f"ambient dimension mismatch: map from F^{m.ncols}, "
                          f"subspace of F^{u.ambient_dim}")
     fam = m.field._family
-    vecs = fam.cols(m) if u is None else [fam.apply(m, r) for r in u._rows]
+    vecs = m._columns() if u is None else [fam.apply(m, r) for r in u._rows]
     return SubspaceBasis.from_spanning(m.field, m.nrows, vecs, _raw=True)
 
 

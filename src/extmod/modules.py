@@ -340,9 +340,7 @@ def _assemble(params: AlgebraParams, elements: list[tuple[str, int, int, int]],
             rows = mats.setdefault(d, [[field.zero] * dims[d]
                                        for _ in range(dims.get(d + step, 0))])
             rows[i][j] = field.one
-        return {d: Matrix(field, tuple(tuple(r) for r in rows),
-                          ncols=dims[d], _raw=True)
-                for d, rows in mats.items()}
+        return {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats.items()}
 
     labels = {d: tuple(ls) for d, ls in by_degree.items()}
     return Module(params, dims, build(a1_arrows, params.deg_e1),
@@ -426,8 +424,7 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
                 roff, coff = off[d + step], off[d]
                 for i, row in enumerate(a.rows):
                     rows[roff + i][coff:coff + a.ncols] = row
-        return {d: Matrix(field, tuple(map(tuple, rows)), ncols=dims[d], _raw=True)
-                for d, rows in out.items()}
+        return {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in out.items()}
 
     labels = None
     if all(m.labels is not None for m in mods):
@@ -556,7 +553,7 @@ def _random_invertible(field: Field, n: int,
         if not p:
             # randint(-3, 3) is -3 + randrange(7)
             values = [Fraction(v - 3) for v in values]
-        rows = tuple(tuple(values[i:i + n]) for i in range(0, n * n, n))
+        rows = [values[i:i + n] for i in range(0, n * n, n)]
         mat = Matrix(field, rows, ncols=n, _raw=True)
         inv = mat.inverse()
         if inv is not None:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, SubspaceBasis, image, kernel, preimage_space,
-                     quotient_dim, sum_space)
+from .linalg import (SubspaceBasis, image, kernel, preimage_space, quotient_dim,
+                     sum_space, vstack)
 from .modules import E1, E2, Module
 
 
@@ -65,14 +65,6 @@ class GradedSubspace:
             pivots[d].append(i)
         spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
                   for d, n in m.dims_by_degree.items()}
-        return cls(m.field, m.dims_by_degree, spaces)
-
-    @classmethod
-    def degree_slice(cls, m: Module, d: int) -> "GradedSubspace":
-        """Everything in one degree, zero elsewhere."""
-        spaces = {deg: (SubspaceBasis.full(m.field, n) if deg == d
-                        else SubspaceBasis.zero(m.field, n))
-                  for deg, n in m.dims_by_degree.items()}
         return cls(m.field, m.dims_by_degree, spaces)
 
     # -- views -------------------------------------------------------------------
@@ -229,9 +221,8 @@ def degree_part(u: GradedSubspace, d: int) -> SubspaceBasis:
 
 def socle(m: Module) -> GradedSubspace:
     """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
-    spaces = {d: kernel(Matrix(m.field, m.action(E1, d).rows + m.action(E2, d).rows,
-                               ncols=n, _raw=True))
-              for d, n in m.dims_by_degree.items()}
+    spaces = {d: kernel(vstack([m.action(E1, d), m.action(E2, d)]))
+              for d in m.dims_by_degree}
     return GradedSubspace(m.field, m.dims_by_degree, spaces)
 
 

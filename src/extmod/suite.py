@@ -15,8 +15,8 @@ from typing import Any
 from .decompose import multiplicities
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
-from .operators import (FiltrationTrace, GradedSubspace, act_image, degree_part,
-                        filtration_trace, quotient_dim_at, stable_intersection)
+from .operators import (FiltrationTrace, GradedSubspace, degree_part, filtration_trace,
+                        quotient_dim_at, stable_intersection)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dim": stable0},
         stable0 == 0))
 
-    e1_deg0 = act_image(stage, E1, GradedSubspace.degree_slice(stage, 0)).total_dim
+    e1_deg0 = stage.action(E1, 0).rank()
     items.append(CheckItem(
         "e1-degree-zero",
         "e1 kills the entire degree-zero part of the stage",

@@ -167,10 +167,8 @@ def parse_module(text: str) -> Module:
                     lineno, f"degree inconsistency: {op} raises degree by {step}, "
                     f"but {name!r} sits in degree {tdeg_got}, not {tdeg}")
             rows[trow][scol] = field.add(rows[trow][scol], coeff)
-    a1 = {d: Matrix(field, tuple(tuple(r) for r in rows),
-                    ncols=dims[d], _raw=True) for d, rows in mats[E1].items()}
-    a2 = {d: Matrix(field, tuple(tuple(r) for r in rows),
-                    ncols=dims[d], _raw=True) for d, rows in mats[E2].items()}
+    a1 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E1].items()}
+    a2 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E2].items()}
     module = Module(params, dims, a1, a2,
                     labels={d: tuple(ls) for d, ls in by_degree.items()})
     for violation in validate(module):
@@ -198,7 +196,7 @@ def _action_columns(m: Module, labels: dict, which: str):
     step = m.params.action_degree(which)
     for d in m.degrees:
         targets = labels.get(d + step, ())
-        for src, col in zip(labels[d], zip(*m.action(which, d).rows)):
+        for src, col in zip(labels[d], m.action(which, d).cols()):
             terms = [(tgt, c) for tgt, c in zip(targets, col) if c]
             if terms:
                 yield src, terms

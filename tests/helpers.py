@@ -172,9 +172,8 @@ def reference_match(field, act, cod, dom):
         if any(map(any, imgs)):
             raise AssertionError("action image escapes the socle layer")
         return []
-    tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod],
-                            nrows=act.nrows, _raw=True)
-    coeff = tmat.solve(Matrix.from_cols(field, imgs, _raw=True))
+    tmat = Matrix.from_cols(field, [s.vectors[s.right_pos] for s in cod])
+    coeff = tmat.solve(Matrix.from_cols(field, imgs))
     if coeff is None:
         raise AssertionError("socle coordinates must exist")
     a = [list(row) for row in coeff.rows]

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -227,6 +228,33 @@ def test_paper_check_json_schema(capsys):
     assert doc["params"]["deg_e1"] == 2
     assert {frozenset(item) for item in doc["items"]} == \
         {frozenset({"id", "quote", "data", "pass"})}
+
+
+@pytest.mark.parametrize("argv, flag, dim", [
+    (["--N", "315", "--jmax", "316"], "--N 315", 316 * 317),
+    (["--N", "100000000", "--jmax", "100000001"], "--N 100000000", 100000001 * 100000002),
+    # degrees 1,3 have gap 2: the flash truncated at 2 jmax + 3 has 2 (jmax + 2)
+    # basis vectors
+    (["--N", "4", "--jmax", "49999"], "--jmax 49999", 100002),
+    (["--N", "4", "--jmax", "100000000"], "--jmax 100000000", 200000004),
+    (["--N", "4", "--jmax", "100000000", "--field", "5", "--degs", "2,5"],
+     "--jmax 100000000", 200000004),
+    (["--N", "4", "--jmax", "6", "--trunc", "100000000"], "--trunc 100000000", 100000002),
+])
+def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
+    # checked against the numbers alone, before anything is built
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["paper-check", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{flag} makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}" in err
 
 
 def test_paper_check_usage_errors(capsys):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,19 @@ def test_split_free_round_trip():
     assert recovered == Counter([FlashShape.l(1, 0, 1)])
 
 
+def test_verify_split_free_reports_a_bad_basis():
+    flat = with_variant(make_flash(FlashShape.l(1, 0, 1), P), "A")
+    m = random_basis_change(direct_sum([make_free(0, PA), flat]), 21)
+    fs = split_free(m)
+    # degree 0 holds one free and one complement vector
+    free0, comp = fs.free_embedding[0], fs.complement_embedding
+    twice = verify_split_free(m, replace(fs, complement_embedding={**comp, 0: free0}))
+    assert "degree 0: free + complement is not a direct sum" in twice.problems
+    emptied = {**comp, 0: Matrix.zeros(m.field, 2, 0)}
+    short = verify_split_free(m, replace(fs, complement_embedding=emptied))
+    assert "degree 0: 1 vectors for dimension 2" in short.problems
+
+
 def test_split_free_random_trials():
     for trial in range(24):
         rng = random.Random(3500 + trial)
@@ -585,10 +599,16 @@ print(len([name for name in sys.modules if name.startswith("extmod.")]))
     assert int(count) == len(list(Path(extmod.__file__).parent.glob("[!_]*.py")))
 
 
+# the attributes that hold the vectors of a Matrix or SubspaceBasis in the
+# family layout; _from_family and _columns build or read them
+STORAGE = {"_rows", "_fcols", "_frows"}
+
+
 def test_only_linalg_chooses_a_vector_layout():
     # the vector layout is picked from the characteristic in linalg alone: no
-    # other module tests for characteristic 2 or imports linalg's private
-    # names or GF2
+    # other module tests for characteristic 2, imports linalg's private names
+    # or GF2, reads the rows or columns a Matrix or SubspaceBasis stores, or
+    # builds one from them
     src = Path(extmod.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -616,6 +636,11 @@ def test_only_linalg_chooses_a_vector_layout():
                 found.extend(f"{path.name}:{node.lineno}: imports {alias.name} from .linalg"
                              for alias in node.names
                              if alias.name.startswith("_") or alias.name == "GF2")
+            elif isinstance(node, ast.Attribute) and node.attr in STORAGE:
+                found.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("_from_family", "_columns")):
+                found.append(f"{path.name}:{node.lineno}: calls .{node.func.attr}")
     assert found == []
 
 

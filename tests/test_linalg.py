@@ -259,7 +259,9 @@ def test_f2_equality_and_basis_matrix_read_packed_rows():
             == SubspaceBasis.from_spanning(F2, 3, [(0, 0, 1), (1, 0, 0)]))
     u = SubspaceBasis.from_spanning(F2, 4, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)])
     bu = u.basis_matrix()
-    assert F2._family.cols(bu) == tuple(map(F2._family.pack, bu.cols()))
+    # the column cache is the echelon rows, kept as they are
+    assert bu._columns() is u._rows
+    assert bu._columns() == tuple(map(F2._family.pack, bu.cols()))
 
 
 def test_f2_from_spanning_matches_list_elimination():
@@ -314,8 +316,8 @@ def test_f2_image_and_preimage_eliminate_once_in_from_spanning(monkeypatch):
 def test_image_examples():
     assert image(Matrix.zeros(F2, 2, 2)).dim == 0
     assert image(Matrix(F2, [[1, 0], [1, 0]])).vectors() == [(1, 1)]
-    inv = Matrix(F5, [[1, 2], [3, 2]])
-    assert image(inv).is_full()
+    onto = image(Matrix(F5, [[1, 2], [3, 2]]))
+    assert onto.dim == onto.ambient_dim
     swap = Matrix(F2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     line = SubspaceBasis.from_spanning(F2, 3, [(1, 0, 0)])
     assert image(swap, line).vectors() == [(0, 1, 0)]
@@ -329,7 +331,8 @@ def test_preimage_examples():
     full = SubspaceBasis.full(F2, 2)
     zero = SubspaceBasis.zero(F2, 2)
     line = SubspaceBasis.from_spanning(F2, 2, [(1, 0)])
-    assert preimage_space(ident, full).is_full()
+    pulled = preimage_space(ident, full)
+    assert pulled.dim == pulled.ambient_dim
     assert preimage_space(ident, zero) == kernel(ident)
     assert preimage_space(ident, line) == line
 
@@ -346,7 +349,8 @@ def test_preimage_galois_properties():
             for v in pre.vectors():
                 assert u.contains_vector(m.apply(v))
             # pulling back the full image recovers the whole domain
-            assert preimage_space(m, image(m)).is_full()
+            pulled = preimage_space(m, image(m))
+            assert pulled.dim == pulled.ambient_dim
 
 
 def test_preimage_dimension_mismatch():
@@ -436,7 +440,7 @@ def test_standard_complement():
             comp = standard_complement(u)
             assert len(comp) == ambient - u.dim
             joined = sum_space(u, SubspaceBasis.from_spanning(field, ambient, comp))
-            assert joined.is_full()
+            assert joined.dim == joined.ambient_dim
 
 
 def test_solve_and_inverse():
@@ -457,7 +461,7 @@ def test_solve_and_inverse():
 
 def test_f2_inverse_and_rank_match_list_reference():
     # random, singular (a product through fewer columns) and wider-than-64
-    # blocks; the inverse caches its packed rows
+    # blocks; the inverse keeps its rows packed
     rng = random.Random(31)
     seen_singular = seen_invertible = 0
     for n in (0, 1, 2, 3, 8, 30, 65, 70):
@@ -478,7 +482,7 @@ def test_f2_inverse_and_rank_match_list_reference():
                     continue
                 seen_invertible += 1
                 assert inv == Matrix(F2, [row[n:] for row in aug], ncols=n)
-                assert inv._frows == tuple(map(F2._family.pack, inv.rows))
+                assert inv._rows == tuple(map(F2._family.pack, inv.rows))
         for nrows, ncols in ((n, 2 * n + 1), (2 * n + 1, n)):
             m = random_matrix(F2, nrows, ncols, rng)
             assert m.rank() == len(reference_row_reduce(F2, [list(r) for r in m.rows], ncols))
@@ -588,6 +592,120 @@ def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     assert all(seen.values()), seen
 
 
+def _plain_solve(field, a, b, n):
+    """X with a @ X = b, for lists of entries with n columns in a, by the list
+    elimination of [a | b]; None if inconsistent."""
+    width = len(b[0]) if b else 0
+    aug = [list(r1) + list(r2) for r1, r2 in zip(a, b)]
+    piv = reference_row_reduce(field, aug, n)
+    if any(any(row[n:]) for row in aug[len(piv):]):
+        return None
+    x = [(field.zero,) * width] * n
+    for row, pc in zip(aug, piv):
+        x[pc] = tuple(row[n:])
+    return tuple(x)
+
+
+def _check_views(m, ref, ncols):
+    """Every tuple view, entry, equality, hash, transpose and is_zero of m
+    against ref, the rows of m as plain tuples of canonical entries."""
+    field = m.field
+    p = field.characteristic
+    refcols = tuple(zip(*ref)) if ref else ((),) * ncols
+    assert m.shape == (len(ref), ncols)
+    assert all(type(x) is int and 0 <= x < p if p else type(x) is Fraction
+               for row in ref for x in row)
+    assert m.rows == ref
+    assert tuple(m.row(i) for i in range(m.nrows)) == ref
+    assert tuple(m.cols()) == refcols
+    assert tuple(m.col(j) for j in range(ncols)) == refcols
+    assert all(m[i, j] == x and type(m[i, j]) is type(x)
+               for i, row in enumerate(ref) for j, x in enumerate(row))
+    plain = Matrix(field, ref, ncols=ncols)
+    assert m == plain and hash(m) == hash(plain)
+    assert m.transpose().rows == refcols and m.transpose() == Matrix(field, refcols,
+                                                                     ncols=len(ref))
+    assert m.is_zero() == (not any(map(any, ref)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_matrix_views_match_plain_tuples(field):
+    # a matrix keeps its rows once, in the family layout; what it shows must be
+    # what a matrix of plain tuples would show, from every constructor and for
+    # empty shapes either way
+    rng = random.Random(67)
+    c = field.coerce
+
+    def raw(nrows, ncols):
+        return [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+
+    def canon(rows):
+        return tuple(tuple(map(c, row)) for row in rows)
+
+    def unit_rows(n):
+        return tuple(tuple(c(int(i == j)) for j in range(n)) for i in range(n))
+
+    seen = {"solved": 0, "none": 0, "inverse": 0, "singular": 0}
+    for nrows, ncols in ((0, 0), (0, 4), (4, 0), (1, 5), (5, 1), (4, 4), (9, 70), (70, 9)):
+        rows = raw(nrows, ncols)
+        _check_views(Matrix(field, rows, ncols=ncols), canon(rows), ncols)
+        cols = raw(ncols, nrows)
+        _check_views(Matrix.from_cols(field, cols, nrows=nrows),
+                     tuple(zip(*canon(cols))) if cols else ((),) * nrows, ncols)
+        _check_views(Matrix.zeros(field, nrows, ncols), ((c(0),) * ncols,) * nrows, ncols)
+        _check_views(Matrix.identity(field, nrows), unit_rows(nrows), nrows)
+        a, b = canon(raw(nrows, ncols)), canon(raw(ncols, 3))
+        prod = tuple(tuple(c(sum(x * row[k] for x, row in zip(arow, b))) for k in range(3))
+                     for arow in a)
+        _check_views(Matrix(field, a, ncols=ncols) @ Matrix(field, b, ncols=3), prod, 3)
+        m = Matrix(field, a, ncols=ncols)
+        for rhs in (canon(raw(nrows, 2)), prod, canon(raw(nrows, 0))):
+            want = _plain_solve(field, a, rhs, ncols)
+            got = m.solve(Matrix(field, rhs, ncols=len(rhs[0]) if rhs else 0))
+            if want is None:
+                assert got is None
+            else:
+                _check_views(got, want, len(rhs[0]) if rhs else 0)
+            seen["none" if want is None else "solved"] += 1
+        # square: as drawn, and singular with its first row repeated last
+        for sq in ((a, a[:-1] + a[:1]) if nrows == ncols else ()):
+            want = _plain_solve(field, sq, unit_rows(nrows), nrows)
+            got = Matrix(field, sq, ncols=ncols).inverse()
+            if len(reference_row_reduce(field, [list(r) for r in sq], nrows)) < nrows:
+                assert got is None
+                seen["singular"] += 1
+            else:
+                _check_views(got, want, nrows)
+                seen["inverse"] += 1
+        u = random_subspace(field, nrows, rng)
+        _check_views(u.basis_matrix(),
+                     tuple(zip(*u.vectors())) if u.dim else ((),) * nrows, u.dim)
+    assert all(seen.values()), seen
+
+
+def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
+    # rows stay packed from construction through elimination and product
+    calls = [0]
+    unpack = _PackedF2.unpack
+
+    def counted(v, n):
+        calls[0] += 1
+        return unpack(v, n)
+
+    monkeypatch.setattr(_PackedF2, "unpack", staticmethod(counted))
+    rng = random.Random(71)
+    for n in (0, 1, 5, 70):
+        inv = Matrix.identity(F2, n).inverse()
+        m = random_matrix(F2, n, n + 3, rng)
+        calls[0] = 0
+        assert inv == Matrix.identity(F2, n)
+        prod = inv @ m @ m.transpose()
+        assert prod == m @ m.transpose()
+        assert calls[0] == 0
+    # the views unpack, so the counter sees them
+    assert prod.rows and calls[0] == n
+
+
 def test_families_answer_the_same_calls_with_one_elimination():
     public = [{name for name in vars(cls) if not name.startswith("_")}
               for cls in (_PackedF2, _Entries)]
@@ -603,6 +721,9 @@ def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():
         Matrix(F5, ((1, 2), (3,)), _raw=True)
     with pytest.raises(ValueError, match="ncols does not match row length"):
         Matrix(F5, [[1, 2], [3, 4]], ncols=3)
+    # columns are checked as the rows of the transpose
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix.from_cols(F2, [[1, 0], [1]])
     with pytest.raises(ValueError, match="explicit column count"):
         Matrix(F5, [])
 
@@ -615,7 +736,8 @@ def test_solve_detects_inconsistency():
 
 def test_empty_shapes():
     z = Matrix.zeros(F2, 0, 3)
-    assert kernel(z).is_full()
+    ker = kernel(z)
+    assert ker.dim == ker.ambient_dim
     assert image(z).ambient_dim == 0
     assert z.rref().shape == (0, 3)
     tall = Matrix.zeros(F2, 3, 0)
