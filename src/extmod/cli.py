@@ -16,7 +16,7 @@ import re
 import sys
 import tempfile
 
-from .decompose import (idempotent_oracle, decompose, split_free,
+from .decompose import (InternalError, idempotent_oracle, decompose, split_free,
                         verify_decomposition, verify_split_free)
 from .linalg import Field
 from .modules import (E1, E2, AlgebraParams, FlashShape, Module, direct_sum,
@@ -455,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -82,6 +82,13 @@ class Decomposition:
                          for shape, mult in sorted(counts.items()))
 
 
+class InternalError(AssertionError):
+    """A failed invariant check: a defect of this package, not of its input.
+
+    Raised explicitly, so that ``python -O`` keeps the check.
+    """
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
@@ -132,7 +139,7 @@ class _Strand:
     def join(self, other: "_Strand") -> None:
         """Append the strand that starts right after this one ends."""
         if other.left_pos != self.right_pos + 1:
-            raise AssertionError("joined strands are not adjacent")
+            raise InternalError("joined strands are not adjacent")
         self.vectors.update(other.vectors)
         self.right_pos = other.right_pos
 
@@ -143,7 +150,7 @@ class _Strand:
     def absorb(self, other: "_Strand", c, family) -> None:
         """Add c times the other strand's realization along the overlap."""
         if self.right_pos != other.right_pos or self.strength < other.strength:
-            raise AssertionError("inadmissible elimination")
+            raise InternalError("inadmissible elimination")
         mine, theirs = self.vectors, other.vectors
         for pos in range(max(self.left_pos, other.left_pos), self.right_pos + 1):
             mine[pos] = family.add_scaled(mine[pos], theirs[pos], c)
@@ -187,7 +194,7 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     imgs = [fam.apply(act, s.vectors[s.right_pos]) for s in dom]
     if not cod:
         if any(map(fam.nonzero, imgs)):
-            raise AssertionError("action image escapes the socle layer")
+            raise InternalError("action image escapes the socle layer")
         return []
     k = len(cod)
     # one span of the rows of [T | B], with the codomain strands' last vectors
@@ -197,7 +204,7 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     # T's columns are independent, so the coordinates exist exactly when T's
     # columns are the pivots; then row r is the unit vector at r followed by a[r]
     if piv != list(range(k)):
-        raise AssertionError("socle coordinates must exist")
+        raise InternalError("socle coordinates must exist")
     a = [fam.tail(row, k) for row in rows]
     entry, one = fam.entry, field.one
     pairs = []
@@ -485,7 +492,7 @@ def _fitting_split(m: Module, phi: dict[int, Matrix]):
         power = phi[d].power(n)
         k, i = kernel(power), image(power)
         if k.dim + i.dim != n or sum_space(k, i).dim != n:
-            raise AssertionError("Fitting decomposition failed to be direct")
+            raise InternalError("Fitting decomposition failed to be direct")
         kspaces[d], ispaces[d] = k, i
         kdim += k.dim
     if kdim == 0 or kdim == n_total:
@@ -506,7 +513,7 @@ def _module_from_subspace(m: Module, spaces: dict[int, SubspaceBasis]):
                 continue
             sol = emb[d + step].solve(m.action(which, d) @ emb[d])
             if sol is None:
-                raise AssertionError("subspace is not closed under the actions")
+                raise InternalError("subspace is not closed under the actions")
             out[d] = sol
         return out
 
@@ -546,17 +553,17 @@ def _canonical_leaf(cur: Module, emb: dict[int, Matrix]) -> Summand:
     soc = socle(cur)
     bdegs = [d for d in cur.degrees if soc.spaces[d].dim < cur.dim(d)]
     if not bdegs:
-        raise AssertionError("socle-only module of dimension > 1 is decomposable")
+        raise InternalError("socle-only module of dimension > 1 is decomposable")
     g = params.gap
     shift = min(bdegs)
     b = sum(cur.dim(d) - soc.spaces[d].dim for d in bdegs)
     if bdegs != [shift + i * g for i in range(b)]:
-        raise AssertionError("leaf generators do not sit on a single ladder")
+        raise InternalError("leaf generators do not sit on a single ladder")
     left_top = not cur.action(E1, shift).is_zero()
     right_top = not cur.action(E2, shift + (b - 1) * g).is_zero()
     shape = FlashShape.finite(b, left_top, right_top, shift)
     if shape.dims(params) != cur.dims_by_degree:
-        raise AssertionError(f"leaf dimensions do not match shape {shape}")
+        raise InternalError(f"leaf dimensions do not match shape {shape}")
     xs = [standard_complement(soc.spaces[shift])[0]]
     tops: dict[int, tuple] = {}
     if left_top:
@@ -566,11 +573,11 @@ def _canonical_leaf(cur: Module, emb: dict[int, Matrix]) -> Summand:
         y = cur.action(E2, d).apply(xs[i])
         if i < b - 1:
             if not any(y):
-                raise AssertionError("flash walk broke at a middle top")
+                raise InternalError("flash walk broke at a middle top")
             tops[i] = y
             nxt = cur.action(E1, d + g).solve_vector(y)
             if nxt is None:
-                raise AssertionError("flash walk has no next bottom")
+                raise InternalError("flash walk has no next bottom")
             xs.append(nxt)
         elif right_top:
             tops[i] = y
@@ -618,7 +625,7 @@ def idempotent_oracle(m: Module, max_total_dim: int = 12, seed: int = 0) -> Deco
     dec = Decomposition(tuple(sorted(out, key=_summand_sort_key)))
     check = verify_decomposition(m, dec)
     if not check:
-        raise AssertionError("oracle certificate failed: " + "; ".join(check.problems))
+        raise InternalError("oracle certificate failed: " + "; ".join(check.problems))
     return dec
 
 
@@ -701,7 +708,7 @@ def split_free(m: Module) -> FreeSplit:
         comp_spaces[d] = kernel(vstack([act.select_rows(pivots.get(d + step, ()))
                                         for step, act in acts]))
         if comp_spaces[d].dim != n - free_part.dim(d):
-            raise AssertionError("the socle conditions do not cut out a complement")
+            raise InternalError("the socle conditions do not cut out a complement")
     complement, comp_emb = _module_from_subspace(m, comp_spaces)
     ranks = dict(Counter(d for d, _ in gens))
     return FreeSplit(ranks, tuple(gens), free_part,
@@ -733,8 +740,10 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
                 problems.append(f"free embedding does not commute with {which} at {d}")
     d1, d2 = params.deg_e1, params.deg_e2
     for d in fs.complement.degrees:
-        comp = fs.complement_embedding[d]
-        if not (m.action(E1, d + d2) @ (m.action(E2, d) @ comp)).is_zero():
+        comp = fs.complement_embedding.get(d)
+        if comp is None:
+            problems.append(f"complement embedding missing at degree {d}")
+        elif not (m.action(E1, d + d2) @ (m.action(E2, d) @ comp)).is_zero():
             problems.append(f"complement is not killed by e1e2 at degree {d}")
     image_dims = _composite_image_dims(m)
     for d in set(fs.free_ranks) | set(image_dims):

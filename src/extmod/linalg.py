@@ -41,6 +41,14 @@ its index, and keeps the tags of the vectors whose column part cancels.  On
 tuples it is the head of ker [m | B], B the basis matrix of u, from one
 elimination with the columns reversed: the tagged span has about twice the
 entries to eliminate.  In both families a kernel is the preimage of zero.
+Over Q products and eliminations run on integer numerators, as FLINT's
+``fmpq_mat`` does through ``fmpz_mat``: each row and column is scaled once
+to its least common denominator (:func:`_numerators`), so a product entry
+is one integer dot product over one ``Fraction``, and :func:`_row_reduce`
+eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp.
+1968), dividing each pivot row by its pivot at the end.  The integers live
+only inside one product or one elimination; a Q vector is a tuple of
+``Fraction``s everywhere else.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
@@ -57,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import gcd, lcm
 from operator import mul, xor
 
 
@@ -370,19 +379,24 @@ class _Entries:
         """The n columns of the vectors of length n written as rows."""
         return tuple(zip(*vectors)) if vectors else ((),) * n
 
-    def _dots(self, rows, v: tuple) -> tuple:
-        """The dot products of v with each of the rows."""
+    def _dots(self, rows, cols) -> tuple[tuple, ...]:
+        """For each of the rows, the tuple of its dot products with each of cols.
+
+        Over Q each row and column is scaled to integers once, so a dot
+        product is one integer sum and one ``Fraction``.
+        """
         p = self.p
         if p:
-            return tuple([sum(map(mul, row, v)) % p for row in rows])
-        return tuple([sum(map(mul, row, v), self.field.zero) for row in rows])
+            return tuple(tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows)
+        cols = list(map(_numerators, cols))
+        return tuple(tuple([Fraction(sum(map(mul, ints, c)), den * d) for c, d in cols])
+                     for ints, den in map(_numerators, rows))
 
     def apply(self, m: "Matrix", v: tuple) -> tuple:
-        return self._dots(m._rows, v)
+        return self._dots((v,), m._rows)[0]
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
-        bcols = b._columns()
-        return tuple(self._dots(bcols, row) for row in a._rows)
+        return self._dots(a._rows, b._columns())
 
     def reduce(self, sub: "SubspaceBasis", v: tuple) -> tuple:
         """Residue of v against sub's echelon rows; one pass, as they are reduced."""
@@ -421,12 +435,26 @@ QQ = Field(0)
 GF2 = Field(2)
 
 
+def _numerators(vec) -> tuple[list[int], int]:
+    """A rational vector as integer numerators over the lcm of its denominators, and that lcm."""
+    den = lcm(*[x.denominator for x in vec])
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 def _row_reduce(field: Field, rows: list[list]) -> list[int]:
     """In-place reduced row echelon form of rows of entries; returns the pivot columns.
 
-    Rows that are updated become lists; the others keep their type.
+    Over F_p each pivot row is scaled to a leading 1 and cleared from the
+    others; rows that are updated become lists, the others keep their type.
+    Over Q the rows are reduced as integer numerators, fraction-free: a row
+    with f at the pivot column of the row with pivot a becomes
+    (a/g)*row - (f/g)*top for g = gcd(a, f), then is divided by the gcd of
+    its entries.  Each row stays a nonzero multiple of the row the F_p steps
+    would give, so the pivots agree, and every row is written back as a list
+    of ``Fraction``s, each pivot row divided by its pivot.
     """
     p = field.characteristic
+    work = rows if p else [_numerators(row)[0] for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -434,31 +462,34 @@ def _row_reduce(field: Field, rows: list[list]) -> list[int]:
     for c in range(n):
         pr = None
         for i in range(r, m):
-            if rows[i][c]:
+            if work[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        a = rows[r][c]
-        if a != field.one:
+        work[r], work[pr] = work[pr], work[r]
+        a = work[r][c]
+        if p and a != field.one:
             inv = field.inv(a)
-            if p:
-                rows[r] = [(x * inv) % p for x in rows[r]]
-            else:
-                rows[r] = [x * inv for x in rows[r]]
-        top = rows[r]
+            work[r] = [(x * inv) % p for x in work[r]]
+        top = work[r]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
+            if i != r and work[i][c]:
+                f = work[i][c]
                 if p:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+                    work[i] = [(x - f * y) % p for x, y in zip(work[i], top)]
                 else:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+                    g = gcd(a, f)
+                    row = [a // g * x - f // g * y for x, y in zip(work[i], top)]
+                    g = gcd(*row)
+                    work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == m:
             break
+    if not p:
+        rows[:] = ([[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
+                   + [[Fraction(0)] * n for _ in range(m - r)])
     return pivots
 
 
@@ -690,6 +721,23 @@ def vstack(mats: list[Matrix]) -> Matrix:
 def hstack(mats: list[Matrix]) -> Matrix:
     """The matrices side by side: the transpose of their transposes stacked."""
     return vstack([m.transpose() for m in mats]).transpose()
+
+
+def place_blocks(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
+    """The nrows x ncols matrix holding each (i, j, block) with its top left entry at (i, j).
+
+    Entries no block covers are zero, and no two blocks may share a row.
+    Each block row is placed in the family layout between zero vectors joined
+    on either side: over F2 that is a shift and an OR.
+    """
+    fam = field._family
+    rows = [fam.pack((field.zero,) * ncols)] * nrows
+    for i, j, block in blocks:
+        right = j + block.ncols
+        before, after = (fam.pack((field.zero,) * k) for k in (j, ncols - right))
+        rows[i:i + block.nrows] = [fam.join(fam.join(before, r, j), after, right)
+                                   for r in block._rows]
+    return Matrix._from_family(field, rows, ncols)
 
 
 class SubspaceBasis:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, place_blocks
 
 E1 = "e1"
 E2 = "e2"
@@ -414,17 +414,12 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
 
     def block(which: str, step: int) -> dict[int, Matrix]:
         # only stored (nonzero) blocks are placed; every other entry stays zero
-        out: dict[int, list[list]] = {}
+        placed: dict[int, list] = {}
         for m, off in zip(mods, offsets):
             for d, a in m.action_items(which).items():
-                rows = out.get(d)
-                if rows is None:
-                    rows = out[d] = [[field.zero] * dims[d]
-                                     for _ in range(dims[d + step])]
-                roff, coff = off[d + step], off[d]
-                for i, row in enumerate(a.rows):
-                    rows[roff + i][coff:coff + a.ncols] = row
-        return {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in out.items()}
+                placed.setdefault(d, []).append((off[d + step], off[d], a))
+        return {d: place_blocks(field, dims[d + step], dims[d], blocks)
+                for d, blocks in placed.items()}
 
     labels = None
     if all(m.labels is not None for m in mods):

@@ -20,6 +20,18 @@ def random_matrix(field, nrows, ncols, rng):
     return Matrix(field, rows, ncols=ncols)
 
 
+def random_fraction_matrix(nrows, ncols, rng):
+    """A matrix over Q of small fractions, about one entry in fifty over a
+    denominator near 10**20."""
+    def entry():
+        if rng.random() < 0.02:
+            return Fraction(rng.randint(-9, 9), 10**20 + rng.randint(-99, 99))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    return Matrix(Field(0), [[entry() for _ in range(ncols)] for _ in range(nrows)],
+                  ncols=ncols)
+
+
 def reference_product(a, b):
     """a @ b entry by entry as sum(x * y), the formula every field shares."""
     zero = a.field.zero
@@ -98,6 +110,18 @@ def count_coerce(monkeypatch):
         return real(field, value)
 
     monkeypatch.setattr(Field, "coerce", counted)
+    return calls
+
+
+def count_fraction_arithmetic(monkeypatch):
+    """Count calls of ``Fraction`` +, - and *, either operand first, in a one-element list."""
+    calls = [0]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def counted(a, b, real=getattr(Fraction, name)):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
     return calls
 
 

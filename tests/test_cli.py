@@ -192,6 +192,21 @@ def test_decompose_oracle_above_bound_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "24 > 12" in captured.err
 
 
+def test_failed_invariant_check_exit_2(tmp_path, capsys):
+    # the sampled oracle over Q misses a split on this scrambled sum and
+    # fails its own invariant check; the run reports it instead of a traceback
+    doc = str(tmp_path / "m.txt")
+    expr = ("randomize(L(0,1,1)@1 + L(2,1,0)@2 + L(2,0,1)@5 + L(0,1,0)@3 "
+            "+ L(0,0,1)@1, 287157568)")
+    assert main(["build", expr, "--field", "0", "-o", doc]) == 0
+    capsys.readouterr()
+    code = main(["--report", "json", "decompose", doc, "--certify", "--oracle",
+                 "--oracle-bound", "19"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: internal check failed: leaf dimensions do not match shape L(1,1,0)@1\n"
+
+
 def test_margolis(tmp_path, capsys):
     path = write_doc(tmp_path, "m2.txt", make_flash(FlashShape.l(2, 0, 1), P))
     assert main(["margolis", path, "--op", "e1"]) == 0

@@ -462,6 +462,11 @@ def test_verify_split_free_reports_a_bad_basis():
     emptied = {**comp, 0: Matrix.zeros(m.field, 2, 0)}
     short = verify_split_free(m, replace(fs, complement_embedding=emptied))
     assert "degree 0: 1 vectors for dimension 2" in short.problems
+    # a certificate missing a degree of the complement is reported, not a crash
+    dropped = {d: e for d, e in comp.items() if d != 0}
+    missing = verify_split_free(m, replace(fs, complement_embedding=dropped))
+    assert missing.ok is False
+    assert "complement embedding missing at degree 0" in missing.problems
 
 
 def test_split_free_random_trials():

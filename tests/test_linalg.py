@@ -7,7 +7,8 @@ from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entr
                            _is_prime, _PackedF2, _row_reduce, hstack, image, intersect,
                            kernel, preimage_space, quotient_dim, standard_complement,
                            sum_space)
-from helpers import (count_coerce, count_row_reduce, random_matrix, random_subspace,
+from helpers import (count_coerce, count_fraction_arithmetic, count_row_reduce,
+                     random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
                      reference_kernel, reference_preimage, reference_product,
                      reference_row_reduce, reference_span)
@@ -83,16 +84,23 @@ def test_rref_idempotent_and_canonical():
             assert (left @ m).rref() == r
 
 
+def _draw(field, nrows, ncols, rng):
+    """random_matrix, with fractional entries over Q."""
+    if field.characteristic:
+        return random_matrix(field, nrows, ncols, rng)
+    return random_fraction_matrix(nrows, ncols, rng)
+
+
 def _same_shape_from_every_constructor(field, nrows, ncols, rng):
-    m = random_matrix(field, nrows, ncols, rng)
+    m = _draw(field, nrows, ncols, rng)
     out = [m, Matrix.zeros(field, nrows, ncols), m.scaled(3),
            Matrix.from_cols(field, m.cols(), nrows=nrows),
            # results of @ arrive with their packed rows already cached
            Matrix.identity(field, nrows) @ m,
-           random_matrix(field, nrows, 3, rng) @ random_matrix(field, 3, ncols, rng)]
+           _draw(field, nrows, 3, rng) @ _draw(field, 3, ncols, rng)]
     if ncols:
-        out.append(hstack([random_matrix(field, nrows, 1, rng),
-                           random_matrix(field, nrows, ncols - 1, rng)]))
+        out.append(hstack([_draw(field, nrows, 1, rng),
+                           _draw(field, nrows, ncols - 1, rng)]))
     if nrows == ncols:
         out.append(Matrix.identity(field, nrows))
     return out
@@ -104,7 +112,11 @@ PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 7, 1), (1, 1, 
                   (2, 130, 66), (66, 2, 2)]
 
 
-@pytest.mark.parametrize("field", [F2, F5], ids=["F2", "F5"])
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_products_match_entrywise_reference(field):
     rng = random.Random(19)
     for nrows, inner, ncols in PRODUCT_SHAPES:
@@ -112,10 +124,14 @@ def test_products_match_entrywise_reference(field):
         rights = _same_shape_from_every_constructor(field, inner, ncols, rng)
         for a in lefts:
             for b in rights:
-                assert a @ b == reference_product(a, b)
+                got = a @ b
+                assert got == reference_product(a, b)
+                assert field.characteristic or _all_fractions(got.rows)
             for _ in range(2):  # the second call reads the cached rows
-                v = random_matrix(field, 1, inner, rng).row(0)
-                assert a.apply(v) == reference_apply(a, v)
+                v = _draw(field, 1, inner, rng).row(0)
+                got = a.apply(v)
+                assert got == reference_apply(a, v)
+                assert field.characteristic or _all_fractions([got])
 
 
 # (rows, width): empty, 1 x 1, 1 x n, n x 1, square, wider than 64, and
@@ -130,6 +146,8 @@ def _eliminate_both(field, rows):
     piv = _row_reduce(field, got)
     assert piv == reference_row_reduce(field, want, len(want[0]) if want else 0)
     assert got == want
+    # over Q every row comes back as Fractions, zero rows included
+    assert field.characteristic or _all_fractions(got)
     return piv, got
 
 
@@ -144,6 +162,41 @@ def test_elimination_matches_list_reference(field):
                 # a product through rank columns: dependent rows and zero columns
                 m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, width, rng)
             _eliminate_both(field, m.rows)
+
+
+def test_rational_elimination_from_fractions_matches_list_reference():
+    rng = random.Random(13)
+    for nrows, width in ELIM_SHAPES:
+        for rank in (None, 0, 1, 3):
+            if rank is None:
+                m = random_fraction_matrix(nrows, width, rng)
+            else:
+                m = random_fraction_matrix(nrows, rank, rng) @ random_fraction_matrix(
+                    rank, width, rng)
+            _eliminate_both(QQ, m.rows)
+
+
+def test_rational_products_and_eliminations_run_no_fraction_arithmetic(monkeypatch):
+    # over Q they work on integer numerators; Fraction only builds the
+    # entries they return
+    rng = random.Random(53)
+    cases = []
+    for nrows, ncols in ((0, 3), (3, 0), (1, 1), (5, 5), (6, 9), (9, 6), (12, 12)):
+        for rank in (None, 2):
+            a = (random_fraction_matrix(nrows, ncols, rng) if rank is None else
+                 random_fraction_matrix(nrows, rank, rng)
+                 @ random_fraction_matrix(rank, ncols, rng))
+            cases.append((a, random_fraction_matrix(ncols, 4, rng),
+                          random_fraction_matrix(1, ncols, rng).row(0),
+                          random_fraction_matrix(nrows, 2, rng),
+                          SubspaceBasis.from_spanning(
+                              QQ, nrows, random_fraction_matrix(2, nrows, rng).rows)))
+    calls = count_fraction_arithmetic(monkeypatch)
+    for a, b, v, rhs, u in cases:
+        a @ b, a.apply(v), a.rank(), a.solve(rhs), kernel(a), preimage_space(a, u)
+        if a.nrows == a.ncols:
+            a.inverse()
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])

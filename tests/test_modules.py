@@ -9,7 +9,7 @@ from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, validate,
                             with_variant, zero_module)
-from helpers import reference_random_invertible
+from helpers import random_flash_shapes, reference_random_invertible
 
 P = default_params()
 PA = default_params(variant="A")
@@ -109,6 +109,43 @@ def test_direct_sum_empty_and_mismatch():
     with pytest.raises(ValueError):
         direct_sum([make_flash(FlashShape.simple(), P),
                     make_flash(FlashShape.simple(), default_params(5))])
+
+
+def _list_built_sum_blocks(mods, which):
+    """The blocks of direct_sum(mods) for one action, placed entry by entry in lists."""
+    field, step = mods[0].field, mods[0].params.action_degree(which)
+    dims, offsets = {}, []
+    for m in mods:
+        off = {}
+        for d, n in m.dims_by_degree.items():
+            off[d] = dims.get(d, 0)
+            dims[d] = off[d] + n
+        offsets.append(off)
+    out = {}
+    for m, off in zip(mods, offsets):
+        for d, a in m.action_items(which).items():
+            rows = out.setdefault(d, [[field.zero] * dims[d] for _ in range(dims[d + step])])
+            for i, row in enumerate(a.rows):
+                rows[off[d + step] + i][off[d]:off[d] + a.ncols] = row
+    return {d: Matrix(field, rows, ncols=dims[d]) for d, rows in out.items()}
+
+
+@pytest.mark.parametrize("char", CHARACTERISTICS)
+def test_direct_sum_matches_list_built_blocks(char):
+    # scrambled sums of shifted flashes leave each other's degrees empty or
+    # share them, and the zero module is empty in every degree
+    rng = random.Random(61)
+    params = default_params(char)
+    for _ in range(8):
+        mods = [random_basis_change(direct_sum([make_flash(shape, params) for shape in
+                                                random_flash_shapes(rng, 3, 3, 6)], params),
+                                    rng.randrange(1000))
+                for _ in range(rng.randint(1, 4))]
+        mods.insert(rng.randrange(len(mods) + 1), zero_module(params))
+        total = direct_sum(mods)
+        assert total.dims_by_degree == direct_sum(mods[::-1]).dims_by_degree
+        for which in (E1, E2):
+            assert total.action_items(which) == _list_built_sum_blocks(mods, which)
 
 
 def test_direct_sum_associativity_on_dims():
