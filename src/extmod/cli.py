@@ -10,6 +10,7 @@ parse errors.  Output is deterministic for a fixed argv.
 from __future__ import annotations
 
 import argparse
+from collections.abc import Callable
 import json
 import os
 import re
@@ -76,10 +77,13 @@ def _as_variant_b(m: Module) -> Module:
 # ---------------------------------------------------------------------------
 # shape expression language for `build`
 
-# The most basis vectors one shape term may create.  A term's dimension grows
-# with its own numbers, so one large number would otherwise exhaust memory
-# before anything else is checked.
+# The most basis vectors one build expression may create.  A term's dimension
+# grows with its own numbers, and a sum's with its length, so they are counted
+# from the text before anything is built; memory would otherwise run out first.
 MAX_TERM_DIM = 100_000
+# The largest degree randomize may scramble: it draws a dense n x n change of
+# basis, and inverts it, for a degree of dimension n.
+MAX_RANDOMIZE_DIM = 256
 # \d is what int() reads: decimal digits, not superscripts
 INTEGER = re.compile(r"[+-]?\d+")
 
@@ -132,29 +136,45 @@ class _ExprParser:
         return value
 
     def parse(self) -> Module:
-        mod = self.expr()
+        """The module the whole text describes, built only once every term is checked."""
+        _, build = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("trailing input")
-        return mod
+        return build()
 
-    def expr(self) -> Module:
-        parts = [self.term()]
+    def expr(self, used: int = 0) -> tuple[int, Callable[[], Module]]:
+        """A sum of terms after ``used`` basis vectors outside it: dimension and builder."""
+        dim, build = self.term(used)
+        builds = [build]
         while self.eat("+"):
-            parts.append(self.term())
-        return direct_sum(parts, self.params)
+            more, build = self.term(used + dim)
+            dim += more
+            builds.append(build)
+        return dim, lambda: direct_sum([b() for b in builds], self.params)
 
-    def check_dim(self, start: int, dim: int) -> None:
-        """Reject the term that began at ``start`` if it would exceed MAX_TERM_DIM."""
-        if dim > MAX_TERM_DIM:
+    def sized(self, start: int, used: int, dim: int, build) -> tuple[int, Callable[[], Module]]:
+        """The term that began at ``start``, unless its dimension, after ``used``
+        basis vectors before it, takes the sum past MAX_TERM_DIM."""
+        if used + dim > MAX_TERM_DIM:
             term = self.text[start:self.pos]
             self.pos = start
-            self.fail(f"term {term!r} has dimension {dim}, "
+            total = f", which takes the sum to {used + dim}" if used else ""
+            self.fail(f"term {term!r} has dimension {dim}{total}, "
                       f"above the limit of {MAX_TERM_DIM}")
+        return dim, build
 
-    def term(self) -> Module:
+    def term(self, used: int) -> tuple[int, Callable[[], Module]]:
+        """One term after ``used`` basis vectors: its dimension and its builder.
+
+        Dimensions come from the numbers alone, so the whole expression is
+        checked before anything is built.  A transform counts the terms inside
+        it, and a truncation the dimension of what it truncates, which is
+        built first.
+        """
         self.skip_ws()
         start = self.pos
+        params = self.params
         if self.eat("L("):
             n = self.integer()
             self.expect(",")
@@ -167,44 +187,55 @@ class _ExprParser:
             if n < 0 or eps not in (0, 1) or eps2 not in (0, 1):
                 self.fail("L(n,e,e') needs n >= 0 and flags 0/1")
             shape = FlashShape.l(n, eps, eps2, at)
-            self.check_dim(start, shape.total_dim)
-            return make_flash(shape, self.params)
+            return self.sized(start, used, shape.total_dim, lambda: make_flash(shape, params))
         if self.eat("free"):
             self.expect("@")
             at = self.integer()
-            if self.params.variant != "A":
+            if params.variant != "A":
                 self.fail("free@d needs variant A (pass --variant A)")
-            return make_free(at, self.params)
+            # 1, e1, e2 and e1e2 times the generator
+            return self.sized(start, used, 4, lambda: make_free(at, params))
         if self.eat("simple"):
             self.expect("@")
-            return make_flash(FlashShape.simple(self.integer()), self.params)
+            shape = FlashShape.simple(self.integer())
+            return self.sized(start, used, shape.total_dim, lambda: make_flash(shape, params))
         if self.eat("inf("):
             eps = self.integer()
             self.expect(")")
             self.expect("@trunc=")
             cutoff = self.integer()
-            if cutoff >= 0:
-                # the untruncated flash that truncated_infinite_flash builds first
-                self.check_dim(start, FlashShape.finite(cutoff // self.params.gap + 1,
-                                                        bool(eps), True).total_dim)
-            return truncated_infinite_flash(bool(eps), cutoff, self.params).module
+            # the untruncated flash that truncated_infinite_flash builds first
+            dim = (FlashShape.finite(cutoff // params.gap + 1, bool(eps), True).total_dim
+                   if cutoff >= 0 else 0)
+            return self.sized(start, used, dim, lambda: truncated_infinite_flash(
+                bool(eps), cutoff, params).module)
         if self.eat("shift("):
-            inner = self.expr()
+            dim, inner = self.expr(used)
             self.expect(",")
             by = self.integer()
             self.expect(")")
-            return shift(inner, by)
+            return dim, lambda: shift(inner(), by)
         if self.eat("truncate("):
-            inner = self.expr()
+            dim, inner = self.expr(used)
             self.expect(",")
             cutoff = self.integer()
             self.expect(")")
-            return truncate_above(inner, cutoff)
+            return dim, lambda: truncate_above(inner(), cutoff)
         if self.eat("randomize("):
-            inner = self.expr()
+            dim, inner = self.expr(used)
             seed = self.integer() if self.eat(",") else self.default_seed
             self.expect(")")
-            return random_basis_change(inner, seed)
+
+            def randomized() -> Module:
+                mod = inner()
+                d, n = max(mod.dims_by_degree.items(), key=lambda dn: dn[1], default=(0, 0))
+                if n > MAX_RANDOMIZE_DIM:
+                    self.pos = start
+                    self.fail(f"randomize would scramble degree {d} of dimension {n}, "
+                              f"above the limit of {MAX_RANDOMIZE_DIM}")
+                return random_basis_change(mod, seed)
+
+            return dim, randomized
         self.fail("expected a shape term")
 
 

@@ -113,8 +113,8 @@ class _Strand:
     Even positions 2k are bottoms B_k, odd positions 2k+1 are tops T_k.
     ``strength`` is the admissibility class of the open strand: who may
     absorb whom during elimination.  While the sweep runs, the vectors are in
-    the family layout of the module's field (packed ints over F2, tuples
-    elsewhere), and every update goes through that family.
+    the family layout of the module's field (packed ints over F_p for p <= 13,
+    tuples elsewhere), and every update goes through that family.
     """
 
     __slots__ = ("left_pos", "right_pos", "vectors")

@@ -8,39 +8,51 @@ plain equality of basis matrices.  A kernel comes out canonical from one
 elimination, a preimage is the head of a kernel, and an intersection spans
 the image of a preimage.  No floating point is used anywhere.
 
-Vectors take one of two layouts, chosen once per ``Field`` from its
-characteristic (``Field._family``).  Over F2 a vector is one int with entry
-j in the byte at bit 8j (:class:`_PackedF2`): ``int.from_bytes`` packs it in
-C, and adding two vectors is one XOR, which never carries between bytes.
-Over F_p for odd p and over Q it is a tuple of canonical entries
-(:class:`_Entries`).  The family does all that depends on the layout, and
-``Matrix`` eliminations and products, ``SubspaceBasis``, ``image``,
-``kernel``, ``preimage_space`` and the chain sweep of :mod:`extmod.decompose`
-are written once over it, looking it up once per call.  A ``Matrix`` keeps
-its rows, and a ``SubspaceBasis`` its echelon rows, in the family layout
-only; ``rows``, ``cols()`` and entry reads unpack them.  The columns of a
-``Matrix`` are one ``transpose`` of its rows, made on first use and cached
-for what reads columns: an image, a product on tuples, m @ v and preimages
-over F2.  ``from_cols`` keeps the columns it is given as that cache.
+Vectors take one of three layouts, chosen once per ``Field`` from its
+characteristic (``Field._family``).  Over F_p for p <= 13 a vector is one int
+with entry j in the byte at bit 8j (:class:`_PackedFp`): ``int.from_bytes``
+packs it in C.  A row update a + c * b of canonical vectors is one big-int
+multiply-add, which carries nothing between bytes because each lane is at
+most (p - 1) + (p - 1)**2 < 256; one ``bytes.translate`` with the table of
+x % p reduces it.  A linear combination (a product row, m @ v, a residue, a
+back substitution) adds terms c * b to an accumulator and reduces it only
+when one more term could take a lane past 255, the delayed reduction of
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  F2
+shares that layout (:class:`_PackedF2`), and adding two vectors there is
+one XOR, which never carries.  Over F_p for p >= 17 and over Q a vector is a
+tuple of canonical entries (:class:`_Entries`).  The family does all that
+depends on the layout, and ``Matrix`` eliminations and products,
+``SubspaceBasis``, ``image``, ``kernel``, ``preimage_space`` and the chain
+sweep of :mod:`extmod.decompose` are written once over it, looking it up
+once per call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its
+echelon rows, in the family layout only; ``rows``, ``cols()`` and entry
+reads unpack them.  The columns of a ``Matrix`` are one ``transpose`` of its
+rows, made on first use and cached for what reads columns: an image, a
+product on tuples, m @ v and packed preimages.  ``from_cols`` keeps the
+columns it is given as that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
-pivots of the span of some vectors.  Over F2 each vector is cleared at its
-lowest set bit by the row with that pivot; on tuples it is
-:func:`_row_reduce`.  Every ``Matrix`` elimination is one span of its rows:
-``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
-``solve`` spans the rows of [A | B] at full width, which is inconsistent
-exactly when a pivot falls in B.  ``inverse`` solves against the identity.
+pivots of the span of some vectors.  On bytes each vector is cleared at its
+lowest nonzero entry by the row with that pivot, one XOR over F2 and one
+multiply-add over odd p, and the rows are back-substituted from the last
+pivot to the first; on tuples it is :func:`_row_reduce`.  Every ``Matrix``
+elimination is one span of its rows: ``rank`` counts the pivots,
+``rref_pivots`` pads the rows with zero rows, and ``solve`` spans the rows
+of [A | B] at full width, which is inconsistent exactly when a pivot falls
+in B.  ``inverse`` solves against the identity.
 
-Where the cheapest algorithm differs, each family keeps its own.  An F2
-product row is the XOR of the packed rows of the right factor that the left
-row selects, and m @ v the XOR of the packed columns of m that v selects,
-after Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication of
-dense matrices over GF(2)" (ACM TOMS 2010); on tuples both are dot products.
-An F2 preimage of u under m spans u's rows with each column of m tagged by
-its index, and keeps the tags of the vectors whose column part cancels.  On
-tuples it is the head of ker [m | B], B the basis matrix of u, from one
-elimination with the columns reversed: the tagged span has about twice the
-entries to eliminate.  In both families a kernel is the preimage of zero.
+Where the cheapest algorithm differs, each family keeps its own.  On bytes a
+product row combines the packed rows of the right factor with the entries of
+the left row, and m @ v the packed columns of m with the entries of v; over
+F2 that is the XOR of the rows or columns selected, after Albrecht, Bard and
+Hart, "Algorithm 898: Efficient multiplication of dense matrices over GF(2)"
+(ACM TOMS 2010).  On tuples both are dot products.  A packed preimage of u
+under m spans u's rows with each column of m tagged by its index, and keeps
+the tags of the vectors whose column part cancels.  On tuples it is the head
+of ker [m | B], B the basis matrix of u, from one elimination with the
+columns reversed: the tagged span has about twice the entries to eliminate.
+In every family a kernel is the preimage of zero.
 Over Q products and eliminations run on integer numerators, as FLINT's
 ``fmpq_mat`` does through ``fmpz_mat``: each row and column is scaled once
 to its least common denominator (:func:`_numerators`), so a product entry
@@ -55,7 +67,8 @@ and the public defaults of ``Matrix.from_cols`` and
 ``SubspaceBasis.from_spanning`` coerce.  Callers whose entries are already
 canonical pass ``_raw=True``: tuples to ``Matrix(...)``, which packs them,
 and vectors in the family layout to ``from_cols`` and ``from_spanning``.  The
-packed F2 layout relies on this: it needs every entry to be 0 or 1.
+packed layouts rely on this: they need every entry below p, which also keeps
+equality and hashing of packed vectors exact.
 """
 
 from __future__ import annotations
@@ -117,8 +130,10 @@ class Field:
                              f"the bound below which primality is tested")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
-        # the one place that picks a vector layout
-        object.__setattr__(self, "_family", _PackedF2(self) if p == 2 else _Entries(self))
+        # the one place that picks a vector layout: bytes while a lane of
+        # a + c * b, at most (p - 1) + (p - 1)**2, fits in one
+        family = _PackedF2 if p == 2 else _PackedFp if 0 < p * (p - 1) < 256 else _Entries
+        object.__setattr__(self, "_family", family(self))
 
     @property
     def zero(self):
@@ -181,21 +196,29 @@ class Field:
 
 # -- vector layouts ------------------------------------------------------------
 #
-# Both families answer the same calls.  A vector is in family layout and holds
+# The families answer the same calls.  A vector is in family layout and holds
 # canonical entries, and n is its length where the layout does not carry it.
 
 
-class _PackedF2:
-    """F2 vectors as ints, entry j in the byte at bit 8j.
+class _PackedFp:
+    """F_p vectors for p <= 13 as ints, entry j in the byte (lane) at bit 8j.
 
-    Every nonzero scalar is 1, so a nonzero multiple of a vector is the
-    vector itself: ``add_scaled`` is one XOR and ``scale`` keeps its argument.
+    A row update a + c * b is one big-int multiply-add, its lanes at most
+    (p - 1) + (p - 1)**2 < 256, reduced by one ``bytes.translate``; a linear
+    combination is reduced only when one more term could take a lane past
+    255.  Every vector a method returns has its lanes reduced.
     """
 
     nonzero = bool
 
     def __init__(self, field: Field):
         self.field = field
+        p = self.p = field.characteristic
+        self._mod = bytes(x % p for x in range(256))
+        self._inv = [0, *(pow(c, -1, p) for c in range(1, p))]
+        # the terms c * b, each adding at most (p - 1)**2 to a lane, that an
+        # accumulator of reduced lanes takes before a lane could pass 255
+        self._room = (256 - p) // (p - 1) ** 2
 
     @staticmethod
     def pack(vec) -> int:
@@ -206,23 +229,19 @@ class _PackedF2:
         return tuple(v.to_bytes(n, "little"))
 
     def coerce(self, vec) -> int:
-        """An outside vector, packed with each entry reduced mod 2.
+        """An outside vector, packed with each entry reduced mod p.
 
-        ``bytes`` packs a vector of small non-negative ints in C, and one mask
-        test accepts it when no byte exceeds 1; anything else is coerced
-        entry by entry.
+        ``bytes`` packs a vector of ints in [0, 256) in C and ``translate``
+        reduces it; anything else is coerced entry by entry.
         """
         try:
-            v = int.from_bytes(bytes(vec), "little")
-            if not v & int.from_bytes(b"\xfe" * len(vec), "little"):
-                return v
+            return int.from_bytes(bytes(vec).translate(self._mod), "little")
         except (TypeError, ValueError):
-            pass
-        return self.pack(map(self.field.coerce, vec))
+            return self.pack(map(self.field.coerce, vec))
 
     @staticmethod
     def entry(v: int, j: int) -> int:
-        return v >> 8 * j & 1
+        return v >> 8 * j & 255
 
     @staticmethod
     def unit(i: int, n: int) -> int:
@@ -237,6 +256,124 @@ class _PackedF2:
     def tail(v: int, n: int) -> int:
         return v >> 8 * n
 
+    def _reduced(self, v: int) -> int:
+        """v with every lane, each below 256, reduced mod p."""
+        return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "little")
+                              .translate(self._mod), "little")
+
+    def add_scaled(self, a: int, b: int, c) -> int:
+        """a + c * b."""
+        return self._reduced(a + c * b) if c else a
+
+    def scale(self, a: int, c) -> int:
+        return self._reduced(c * a)
+
+    def _combine(self, vectors, coeffs) -> int:
+        """The sum of c * v over the vectors and their coefficients, reduced."""
+        acc, room = 0, self._room
+        for c, v in zip(compress(coeffs, coeffs), compress(vectors, coeffs)):
+            if not room:
+                acc, room = self._reduced(acc), self._room
+            acc += c * v
+            room -= 1
+        return self._reduced(acc)
+
+    @staticmethod
+    def transpose(vectors, n: int) -> tuple[int, ...]:
+        """The n columns of vectors of length n: column j is every n-th byte from byte j."""
+        data = b"".join(v.to_bytes(n, "little") for v in vectors)
+        return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
+
+    def apply(self, m: "Matrix", v: int) -> int:
+        """m @ v: the packed columns of m combined with v's entries."""
+        return self._combine(m._columns(), v.to_bytes(m.ncols, "little"))
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
+        """The rows of a @ b: the packed rows of b combined with a row of a's entries."""
+        brows, n = b._rows, a.ncols
+        return tuple(self._combine(brows, arow.to_bytes(n, "little")) for arow in a._rows)
+
+    def reduce(self, sub: "SubspaceBasis", v: int) -> int:
+        """Residue of v against sub's echelon rows.
+
+        The rows are reduced, so each is zero at the others' pivots, and v's
+        entry at a row's pivot is the multiple of the row to subtract.
+        """
+        p = self.p
+        return self._combine((v, *sub._rows),
+                             bytes([1, *(-(v >> 8 * pr & 255) % p for pr in sub.pivot_rows)]))
+
+    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors.
+
+        Rows are keyed by their pivot, the lane of their lowest set bit, and
+        stored with a 1 there.  Each vector is cleared at its lowest lane,
+        holding c, by adding p - c times the row with that pivot, until it is
+        zero or has a pivot of its own.  Then, from the last pivot to the
+        first, each row is cleared at the later pivots in one combination of
+        their rows, which are reduced by then.
+        """
+        p, inv, reduced = self.p, self._inv, self._reduced
+        rows: dict[int, int] = {}
+        for v in vectors:
+            while v:
+                lane = ((v & -v).bit_length() - 1) >> 3
+                c = v >> 8 * lane & 255
+                row = rows.get(lane)
+                if row is None:
+                    rows[lane] = v if c == 1 else reduced(inv[c] * v)
+                    break
+                v = reduced(v + (p - c) * row)
+        lanes = sorted(rows, reverse=True)
+        later = 0  # the lanes of the pivots after the current one
+        for lane in lanes:
+            v = rows[lane]
+            hits = v & later
+            terms, coeffs = [v], [1]
+            while hits:
+                k = ((hits & -hits).bit_length() - 1) >> 3
+                c = hits >> 8 * k & 255
+                hits ^= c << 8 * k
+                terms.append(rows[k])
+                coeffs.append(p - c)
+            if len(terms) > 1:
+                rows[lane] = self._combine(terms, coeffs)
+            later |= 255 << 8 * lane
+        lanes.reverse()
+        return [rows[k] for k in lanes], lanes
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[int], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}, read off one span.
+
+        The span is of u's rows and of each column j of m with the unit
+        vector e_j appended past its nrows entries.  The vectors of that span
+        that are zero in the first nrows entries are (0, v) for v in the
+        preimage, so the echelon rows with pivots past them are the
+        preimage's, shifted.
+        """
+        shift = 8 * m.nrows
+        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._columns())]
+        # last column first: a column whose head cancels then has its own tag as
+        # its lowest entry, as it only picks up the tags of later columns
+        tagged.reverse()
+        span = SubspaceBasis.from_spanning(self.field, m.nrows + m.ncols,
+                                           [*u._rows, *tagged], _raw=True)
+        head = bisect_left(span.pivot_rows, m.nrows)
+        return ([r >> shift for r in span._rows[head:]],
+                [pr - m.nrows for pr in span.pivot_rows[head:]])
+
+
+class _PackedF2(_PackedFp):
+    """F2 vectors on the same layout, where adding two vectors is one XOR.
+
+    Every nonzero scalar is 1, so a nonzero multiple of a vector is the
+    vector itself: ``add_scaled`` is one XOR, ``scale`` keeps its argument
+    and a combination is the XOR of the vectors with a nonzero coefficient,
+    after Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication
+    of dense matrices over GF(2)" (ACM TOMS 2010).  XOR never carries
+    between bytes, so nothing is ever reduced.
+    """
+
     @staticmethod
     def add_scaled(a: int, b: int, c) -> int:
         return a ^ b if c else a
@@ -246,22 +383,8 @@ class _PackedF2:
         return a if c else 0
 
     @staticmethod
-    def transpose(vectors, n: int) -> tuple[int, ...]:
-        """The n columns of vectors of length n: column j is every n-th byte from byte j."""
-        data = b"".join(v.to_bytes(n, "little") for v in vectors)
-        return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
-
-    @staticmethod
-    def apply(m: "Matrix", v: int) -> int:
-        """m @ v: the XOR of the packed columns of m that v selects."""
-        return reduce(xor, compress(m._columns(), v.to_bytes(m.ncols, "little")), 0)
-
-    @staticmethod
-    def product(a: "Matrix", b: "Matrix") -> tuple[int, ...]:
-        """The rows of a @ b: each the XOR of the packed rows of b that a row of a selects."""
-        brows, n = b._rows, a.ncols
-        return tuple(reduce(xor, compress(brows, arow.to_bytes(n, "little")), 0)
-                     for arow in a._rows)
+    def _combine(vectors, coeffs) -> int:
+        return reduce(xor, compress(vectors, coeffs), 0)
 
     @staticmethod
     def reduce(sub: "SubspaceBasis", v: int) -> int:
@@ -271,8 +394,7 @@ class _PackedF2:
                 v ^= row
         return v
 
-    @staticmethod
-    def span(vectors, n: int) -> tuple[list[int], list[int]]:
+    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors.
 
         Rows are keyed by their pivot bit, the lowest one they have set.  Each
@@ -304,29 +426,9 @@ class _PackedF2:
         bits.reverse()
         return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
 
-    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[int], list[int]]:
-        """Echelon rows and pivots of {v : m @ v in u}, read off one span.
-
-        The span is of u's rows and of each column j of m with the unit
-        vector e_j appended past its nrows entries.  The vectors of that span
-        that are zero in the first nrows entries are (0, v) for v in the
-        preimage, so the echelon rows with pivots past them are the
-        preimage's, shifted.
-        """
-        shift = 8 * m.nrows
-        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._columns())]
-        # last column first: a column whose head cancels then has its own tag as
-        # its lowest bit, as it only picks up the tags of later columns
-        tagged.reverse()
-        span = SubspaceBasis.from_spanning(self.field, m.nrows + m.ncols,
-                                           [*u._rows, *tagged], _raw=True)
-        head = bisect_left(span.pivot_rows, m.nrows)
-        return ([r >> shift for r in span._rows[head:]],
-                [pr - m.nrows for pr in span.pivot_rows[head:]])
-
 
 class _Entries:
-    """Vectors over F_p for odd p and over Q, as tuples of canonical entries."""
+    """Vectors over F_p for p >= 17 and over Q, as tuples of canonical entries."""
 
     nonzero = any
 

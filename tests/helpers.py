@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-from extmod import linalg
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
 from extmod.modules import (E1, E2, FlashShape, Module, direct_sum, make_flash,
@@ -125,16 +124,25 @@ def count_fraction_arithmetic(monkeypatch):
     return calls
 
 
-def count_row_reduce(monkeypatch):
-    """Count ``_row_reduce`` calls from now on, in a one-element list."""
+def count_span(monkeypatch, field, cells=None):
+    """Count calls of the ``span`` of field's family from now on, in a one-element list.
+
+    The count covers every field of that family, as each ``Field`` has its own
+    family object.  With ``cells``, each call also appends its number of
+    vectors times their length.
+    """
     calls = [0]
-    real = linalg._row_reduce
+    cls = type(field._family)
+    real = cls.span
 
-    def counted(field, rows):
+    def counted(fam, vectors, n):
+        vectors = list(vectors)
         calls[0] += 1
-        return real(field, rows)
+        if cells is not None:
+            cells.append(len(vectors) * n)
+        return real(fam, vectors, n)
 
-    monkeypatch.setattr(linalg, "_row_reduce", counted)
+    monkeypatch.setattr(cls, "span", counted)
     return calls
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from extmod.cli import MAX_TERM_DIM, main
+from extmod.cli import MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
 from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
@@ -143,6 +143,58 @@ def test_build_rejects_oversized_term(capsys, expr, term):
     assert f"above the limit of {MAX_TERM_DIM}" in err
 
 
+def _traced_main(argv):
+    """main(argv), its exit code, its seconds and its peak traced allocation."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, time.perf_counter() - start, peak
+
+
+# L(n,1,1) has 2n + 3 basis vectors, inf(0)@trunc=D with gap 2 has D + 2,
+# free@d 4 and simple@d 1
+SUM_CASES = [
+    (["L(30000,1,1)@0 + L(30000,1,1)@0"], "L(30000,1,1)@0", 60003, 120006),
+    (["simple@0 + shift(L(30000,1,1)@0 + L(30000,0,1)@0, 2)"], "L(30000,0,1)@0", 60002, 120006),
+    (["randomize(truncate(L(40000,1,1)@0, 3) + inf(0)@trunc=40000, 7)"],
+     "inf(0)@trunc=40000", 40002, 120005),
+    (["--variant", "A", "L(49998,1,1)@0 + free@3"], "free@3", 4, 100003),
+    (["L(49998,1,1)@0 + simple@0 + simple@1"], "simple@1", 1, 100001),
+]
+
+
+@pytest.mark.parametrize("argv, term, dim, total", SUM_CASES,
+                         ids=[case[1] for case in SUM_CASES])
+def test_build_rejects_an_oversized_sum(capsys, argv, term, dim, total):
+    # the running sum is checked against the terms' numbers, at the term that
+    # crosses the limit, before anything is built
+    code, seconds, peak = _traced_main(["build", *argv])
+    assert seconds < 1.0 and peak < 1_000_000
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"offset {argv[-1].rindex(term)}: term {term!r} has dimension {dim}, which takes "
+            f"the sum to {total}, above the limit of {MAX_TERM_DIM}") in err
+
+
+@pytest.mark.parametrize("expr, degree", [
+    ("randomize(" + " + ".join(["simple@0"] * (MAX_RANDOMIZE_DIM + 1)) + ")", 0),
+    ("randomize(simple@0 + shift(" + " + ".join(["simple@3"] * (MAX_RANDOMIZE_DIM + 1))
+     + ", 1), 5)", 4),
+], ids=["one-degree", "shifted"])
+def test_build_rejects_randomizing_an_oversized_degree(capsys, expr, degree):
+    # checked before the dense change of basis is drawn
+    code, seconds, peak = _traced_main(["build", expr])
+    assert seconds < 1.0 and peak < 1_000_000
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"offset 0: randomize would scramble degree {degree} of dimension "
+            f"{MAX_RANDOMIZE_DIM + 1}, above the limit of {MAX_RANDOMIZE_DIM}") in err
+
+
 def test_build_inf_expression(capsys):
     assert main(["build", "inf(0)@trunc=7"]) == 0
     m = parse_module(capsys.readouterr().out)
@@ -258,15 +310,8 @@ def test_paper_check_json_schema(capsys):
 ])
 def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     # checked against the numbers alone, before anything is built
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        code = main(["paper-check", *argv])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
-    assert peak < 1_000_000
+    code, seconds, peak = _traced_main(["paper-check", *argv])
+    assert seconds < 1.0 and peak < 1_000_000
     err = capsys.readouterr().err
     assert code == 2
     assert f"{flag} makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}" in err

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import extmod
-from extmod import linalg, modules
+from extmod import modules
 from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose,
                               endomorphism_basis, flash_multiplicity_at_degree,
                               idempotent_oracle, multiplicities, split_free,
@@ -23,7 +23,7 @@ from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             random_basis_change, shift, validate, with_variant,
                             zero_module)
 from extmod.textio import parse_module, print_module
-from helpers import (count_coerce, flash_sum, random_flash_shapes,
+from helpers import (count_coerce, count_span, flash_sum, random_flash_shapes,
                      random_variant_b_module, reference_match)
 
 P = default_params()
@@ -104,9 +104,9 @@ def _match_calls(monkeypatch, m):
     return calls
 
 
-@pytest.mark.parametrize("char", [2, 3, 5, 0])
+@pytest.mark.parametrize("char", [2, 3, 5, 17, 0])
 def test_match_equals_list_reference(monkeypatch, char):
-    # the strands hold vectors in the family layout (packed over F2), which
+    # the strands hold vectors in the family layout (packed for p <= 13), which
     # the reference gets unpacked
     params = default_params(char)
     field = params.field
@@ -137,7 +137,7 @@ def test_match_equals_list_reference(monkeypatch, char):
         assert most_rows > 64 and most_cod > 64
 
 
-@pytest.mark.parametrize("char", [2, 3, 5, 0])
+@pytest.mark.parametrize("char", [2, 3, 5, 17, 0])
 def test_match_rejects_images_off_the_socle_coordinates(char):
     field = default_params(char).field
     vector = field._family.pack
@@ -376,7 +376,7 @@ def test_endomorphism_basis():
         assert len(endomorphism_basis(random_basis_change(m, trial))) == len(basis)
 
 
-@pytest.mark.parametrize("char", [5, 0], ids=["F5", "Q"])
+@pytest.mark.parametrize("char", [5, 17, 0], ids=["F5", "F17", "Q"])
 def test_endomorphism_basis_coerces_no_entry(monkeypatch, char):
     # the equation rows are made canonical, so the oracle's system is not coerced
     params = default_params(char)
@@ -496,7 +496,8 @@ def test_split_free_random_trials():
 
 def test_split_free_eliminations_stay_degree_sized(monkeypatch):
     # the complement comes from one small kernel per degree, never from one
-    # system over all degrees at once
+    # system over all degrees at once; a span's cells are its vectors times
+    # their length
     params = default_params(5, variant="A")
     pb = params.with_variant("B")
     shapes = [FlashShape.l(n, e, e2, s) for n, e, e2, s in
@@ -505,13 +506,7 @@ def test_split_free_eliminations_stay_degree_sized(monkeypatch):
     parts += [with_variant(make_flash(s, pb), "A") for s in shapes]
     m = random_basis_change(direct_sum(parts, params), 11)
     cells = []
-    row_reduce = linalg._row_reduce
-
-    def counting(field, rows):
-        cells.append(len(rows) * (len(rows[0]) if rows else 0))
-        return row_reduce(field, rows)
-
-    monkeypatch.setattr(linalg, "_row_reduce", counting)
+    count_span(monkeypatch, params.field, cells)
     fs = split_free(m)
     monkeypatch.undo()
     assert fs.free_ranks == {0: 3, 1: 3, 2: 3, 3: 3}

@@ -4,20 +4,23 @@ from fractions import Fraction
 import pytest
 
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _is_prime, _PackedF2, _row_reduce, hstack, image, intersect,
-                           kernel, preimage_space, quotient_dim, standard_complement,
-                           sum_space)
-from helpers import (count_coerce, count_fraction_arithmetic, count_row_reduce,
+                           _is_prime, _PackedF2, _PackedFp, _row_reduce, hstack, image,
+                           intersect, kernel, preimage_space, quotient_dim,
+                           standard_complement, sum_space)
+from helpers import (count_coerce, count_fraction_arithmetic, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
                      reference_kernel, reference_preimage, reference_product,
                      reference_row_reduce, reference_span)
 
 F2 = Field(2)
-F3 = Field(3)
-F5 = Field(5)
+F3, F5, F7, F11, F13, F17 = map(Field, (3, 5, 7, 11, 13, 17))
 QQ = Field(0)
-FIELDS = [F2, F5, QQ]
+# F5 runs on packed bytes like F2, F17 on tuples like Q
+FIELDS = [F2, F5, F17, QQ]
+IDS = ["F2", "F5", "F17", "Q"]
+# the odd primes whose vectors are packed
+PACKED_ODD = [F3, F5, F7, F11, F13]
 
 
 def test_field_rejects_composite_characteristic():
@@ -116,7 +119,7 @@ def _all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_products_match_entrywise_reference(field):
     rng = random.Random(19)
     for nrows, inner, ncols in PRODUCT_SHAPES:
@@ -151,7 +154,7 @@ def _eliminate_both(field, rows):
     return piv, got
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_elimination_matches_list_reference(field):
     rng = random.Random(11)
     for nrows, width in ELIM_SHAPES:
@@ -199,7 +202,7 @@ def test_rational_products_and_eliminations_run_no_fraction_arithmetic(monkeypat
     assert calls[0] == 0
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_elimination_keeps_inconsistent_augmented_rows(field):
     rng = random.Random(12)
     seen = 0
@@ -260,7 +263,7 @@ def _assert_same(got, want, packed=False):
     # want was built from tuples, got from vectors in the family layout
     assert got == want and hash(got) == hash(want)
     if packed:
-        # a result keeps its rows in the family layout only: packed over F2
+        # a result keeps its rows in the family layout only: packed for p <= 13
         assert got._rows == tuple(map(got.field._family.pack, got.echelon_rows))
 
 
@@ -282,7 +285,7 @@ def _check_against_references(m, u_extra, rng):
             _assert_same(intersect(u, v), reference_intersect(u, v), True)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["F2", "F3", "F5", "Q"])
+@pytest.mark.parametrize("field", [F2, F3, F5, F17, QQ], ids=["F2", "F3", "F5", "F17", "Q"])
 def test_subspace_operations_match_references(field):
     rng = random.Random(31)
     for _ in range(80):
@@ -318,7 +321,7 @@ def test_f2_equality_and_basis_matrix_read_packed_rows():
 
 
 def test_f2_from_spanning_matches_list_elimination():
-    # over F2 spans are reduced on packed rows, elsewhere by _row_reduce itself
+    # over F2 spans are reduced by XOR on packed rows
     rng = random.Random(47)
     for ambient in (0, 1, 5, 64, 65, 100):
         for gens in (0, 1, ambient // 2, ambient + 3):
@@ -328,19 +331,20 @@ def test_f2_from_spanning_matches_list_elimination():
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
-    # over F2 kernel and preimage_space span packed vectors with no _row_reduce
+    # each is one call of the family's span, over every layout
     rng = random.Random(37)
-    calls = count_row_reduce(monkeypatch)
-    for field in [F2, F3, F5, QQ]:
+    for field in [F2, F3, F5, F13, F17, QQ]:
+        calls = count_span(monkeypatch, field)
         for _ in range(10):
             m = _random_block(field, rng.randint(0, 6), rng.randint(0, 6), rng)
             u = random_subspace(field, m.nrows, rng)
             calls[0] = 0
             kernel(m)
-            assert calls[0] == (0 if field == F2 else 1)
+            assert calls[0] == 1
             calls[0] = 0
             preimage_space(m, u)
-            assert calls[0] == (0 if field == F2 else 1)
+            assert calls[0] == 1
+        monkeypatch.undo()
 
 
 def test_f2_image_and_preimage_eliminate_once_in_from_spanning(monkeypatch):
@@ -434,7 +438,7 @@ def test_lattice_dimension_formula():
             assert total.contains_subspace(v)
 
 
-@pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_membership_of_canonical_data_coerces_nothing(monkeypatch, field):
     rng = random.Random(53)
     pairs = []
@@ -557,15 +561,14 @@ def _reference_solve(field, a, b):
 
 # (rows, columns): empty either way, 1 x n, n x 1, square, and wider or
 # taller than 64 entries; Q stays small, as its entries grow
-SOLVE_SHAPES = {F2: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
-                     (66, 66), (20, 130)],
-                F5: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
-                     (66, 66), (20, 130)],
+FP_SOLVE_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
+                   (66, 66), (20, 130)]
+SOLVE_SHAPES = {**{f: FP_SOLVE_SHAPES for f in [F2, *PACKED_ODD, F17]},
                 QQ: [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 6), (3, 70), (70, 3),
                      (12, 12)]}
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_matrix_eliminations_match_list_reference(field):
     # rref_pivots, rank, inverse, solve and solve_vector against the list
     # elimination, on random and rank-deficient blocks with consistent and
@@ -601,25 +604,12 @@ def test_matrix_eliminations_match_list_reference(field):
     assert all(seen.values()), seen
 
 
-def _count_span(monkeypatch, field):
-    """Count the calls of the field family's ``span``, in a one-element list."""
-    fam, calls = field._family, [0]
-    span = fam.span
-
-    def counted(vectors, n):
-        calls[0] += 1
-        return span(vectors, n)
-
-    monkeypatch.setattr(fam, "span", counted)
-    return calls
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", [F2, F5, F13, F17, QQ], ids=["F2", "F5", "F13", "F17", "Q"])
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
     # right-hand sides, singular and invertible
     rng = random.Random(61)
-    calls = _count_span(monkeypatch, field)
+    calls = count_span(monkeypatch, field)
 
     def once(op, *args):
         calls[0] = 0
@@ -681,7 +671,7 @@ def _check_views(m, ref, ncols):
     assert m.is_zero() == (not any(map(any, ref)))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_matrix_views_match_plain_tuples(field):
     # a matrix keeps its rows once, in the family layout; what it shows must be
     # what a matrix of plain tuples would show, from every constructor and for
@@ -760,11 +750,162 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 
 def test_families_answer_the_same_calls_with_one_elimination():
-    public = [{name for name in vars(cls) if not name.startswith("_")}
-              for cls in (_PackedF2, _Entries)]
-    assert public[0] == public[1]
+    public = [{name for name in dir(cls) if not name.startswith("_")}
+              for cls in (_PackedF2, _PackedFp, _Entries)]
+    assert public[0] == public[1] == public[2]
     assert "span" in public[0]
-    assert not hasattr(_PackedF2, "eliminate") and not hasattr(_Entries, "eliminate")
+    assert not any(hasattr(cls, "eliminate") for cls in (_PackedF2, _PackedFp, _Entries))
+    # F2 shares the byte layout and keeps its own XOR row updates
+    assert issubclass(_PackedF2, _PackedFp)
+    assert {"add_scaled", "scale", "_combine", "reduce", "span"} <= set(vars(_PackedF2))
+
+
+def test_layout_follows_the_characteristic():
+    # bytes while a lane of a + c * b, at most (p - 1) + (p - 1)**2, fits in one
+    assert type(F2._family) is _PackedF2
+    assert all(type(Field(p)._family) is _PackedFp for p in (3, 5, 7, 11, 13))
+    assert all(type(Field(p)._family) is _Entries for p in (0, 17, 19, 257, 2**31 - 1))
+
+
+# -- packed odd primes -----------------------------------------------------------
+
+
+def _odd_blocks(field, nrows, ncols, rng):
+    """A random block, one of rank at most 2, one with every entry p - 1, and
+    one of entries 1 and p - 1, where a row update a + c * b fills a lane up
+    to (p - 1) + (p - 1)**2 (156 at p = 13)."""
+    top = field.characteristic - 1
+    return [random_matrix(field, nrows, ncols, rng),
+            random_matrix(field, nrows, 2, rng) @ random_matrix(field, 2, ncols, rng),
+            Matrix(field, [[top] * ncols] * nrows, ncols=ncols),
+            Matrix(field, [[rng.choice((1, top)) for _ in range(ncols)] for _ in range(nrows)],
+                   ncols=ncols)]
+
+
+def _list_kernel(field, rows, n):
+    """The null space of rows of length n: a vector per free column of the list
+    elimination, canonicalised by the list elimination."""
+    rows = [list(r) for r in rows]
+    piv = reference_row_reduce(field, rows, n)
+    vecs = []
+    for fc in (c for c in range(n) if c not in piv):
+        v = [field.zero] * n
+        v[fc] = field.one
+        for row, pc in zip(rows, piv):
+            v[pc] = field.neg(row[fc])
+        vecs.append(v)
+    return reference_span(field, n, vecs)
+
+
+def _list_preimage(field, m, u):
+    """{v : m @ v in u} as the heads of the list kernel of [m | B], B a basis of u."""
+    basis = u.vectors()
+    aug = [list(row) + [b[i] for b in basis] for i, row in enumerate(m.rows)]
+    heads = [v[:m.ncols] for v in _list_kernel(field, aug, m.ncols + u.dim).vectors()]
+    return reference_span(field, m.ncols, heads)
+
+
+def _list_residue(field, u, vec):
+    """vec less, for each echelon row of u, its entry at the row's pivot times the row."""
+    p = field.characteristic
+    v = [x % p for x in vec]
+    for row, pr in zip(u.echelon_rows, u.pivot_rows):
+        c = v[pr]
+        v = [(x - c * y) % p for x, y in zip(v, row)]
+    return tuple(v)
+
+
+# long combinations, which pass the accumulator's reduce points (after 63
+# terms at p = 3, 15 at p = 5 and 1 at p = 13): rows of 300 entries for m @ v
+# and products, and rank 66 for residues and back substitution
+LONG_SHAPES = [(4, 300), (66, 70)]
+
+
+@pytest.mark.parametrize("field", PACKED_ODD, ids=["F3", "F5", "F7", "F11", "F13"])
+def test_packed_odd_primes_match_list_reference(field):
+    # span, rref_pivots, solve, inverse, kernel, preimage_space, @, apply,
+    # reduce_vector and contains_subspace against the list elimination and
+    # the entrywise references
+    rng = random.Random(79 + field.characteristic)
+    top = field.characteristic - 1
+    seen = {"none": 0, "solved": 0, "singular": 0, "inverse": 0}
+    for nrows, ncols in ELIM_SHAPES + LONG_SHAPES:
+        for m in _odd_blocks(field, nrows, ncols, rng):
+            rows = [list(r) for r in m.rows]
+            piv = reference_row_reduce(field, rows, ncols)
+            assert m.rref_pivots() == (Matrix(field, rows, ncols=ncols), tuple(piv))
+            span = SubspaceBasis.from_spanning(field, ncols, m.rows)
+            _assert_same(span, SubspaceBasis(field, ncols, rows[:len(piv)], piv), True)
+            if ncols - nrows <= 40:  # the list kernel is slow where it is wide
+                _assert_same(kernel(m), _list_kernel(field, m.rows, ncols), True)
+                for u in (random_subspace(field, nrows, rng, max_gens=3),
+                          SubspaceBasis.from_spanning(field, nrows, m.cols()[:2])):
+                    _assert_same(preimage_space(m, u), _list_preimage(field, m, u), True)
+            for rhs in (random_matrix(field, nrows, 3, rng),
+                        m @ random_matrix(field, ncols, 2, rng)):
+                want = _reference_solve(field, m, rhs)
+                assert m.solve(rhs) == want
+                seen["none" if want is None else "solved"] += 1
+            if nrows == ncols:
+                ident = Matrix.identity(field, nrows)
+                want = _reference_solve(field, m, ident)
+                assert m.inverse() == want
+                seen["singular" if want is None else "inverse"] += 1
+            for v in (random_matrix(field, 1, ncols, rng).row(0), (top,) * ncols):
+                assert m.apply(v) == reference_apply(m, v)
+            for b in (random_matrix(field, ncols, 3, rng),
+                      Matrix(field, [[top] * 3] * ncols, ncols=3)):
+                assert m @ b == reference_product(m, b)
+            for w in (random_matrix(field, 1, ncols, rng).row(0), (top,) * ncols):
+                assert span.reduce_vector(w) == _list_residue(field, span, w)
+            other = SubspaceBasis.from_spanning(field, ncols, m.rows[:2]
+                                                + random_matrix(field, 1, ncols, rng).rows)
+            both = [list(r) for r in span.vectors() + other.vectors()]
+            contained = len(reference_row_reduce(field, both, ncols)) == span.dim
+            assert span.contains_subspace(other) == contained
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", PACKED_ODD, ids=["F3", "F5", "F7", "F11", "F13"])
+def test_packed_odd_primes_store_reduced_lanes(field):
+    # equality and hashing compare packed ints, so every stored lane must be
+    # the canonical residue: below p, and no lane past the vector's length
+    p = field.characteristic
+    fam = field._family
+
+    def reduced(vectors, n):
+        return all(v.bit_length() <= 8 * n and max(v.to_bytes(n, "little"), default=0) < p
+                   for v in vectors)
+
+    rng = random.Random(83 + p)
+    for nrows, ncols in ((1, 1), (5, 9), (9, 300), (40, 40)):
+        worst = Matrix(field, [[p - 1] * ncols] * nrows, ncols=ncols)
+        for m in (random_matrix(field, nrows, ncols, rng), worst):
+            assert reduced(m._rows, ncols)
+            assert reduced(SubspaceBasis.from_spanning(field, ncols, m.rows)._rows, ncols)
+            assert reduced(m.rref_pivots()[0]._rows, ncols)
+            for b in (random_matrix(field, ncols, 4, rng),
+                      Matrix(field, [[p - 1] * 4] * ncols, ncols=4)):
+                assert reduced((m @ b)._rows, 4)
+            for v in (random_matrix(field, 1, ncols, rng).row(0), (p - 1,) * ncols):
+                assert reduced([fam.apply(m, fam.pack(v))], nrows)
+            for c in range(p):
+                assert reduced(m.scaled(c)._rows, ncols)
+                assert reduced([fam.add_scaled(a, b, c) for a, b in zip(m._rows, worst._rows)],
+                               ncols)
+            assert reduced((m + worst)._rows, ncols) and reduced((m - worst)._rows, ncols)
+
+
+def test_packed_coerce_reduces_outside_values():
+    # bytes packs entries in [0, 256) and translate reduces them; anything
+    # else is coerced entry by entry
+    assert Matrix(F5, [[7, -1]]).rows == ((2, 4),)
+    assert Matrix(F13, [[255, 13, 26, 14]]).rows == ((8, 0, 0, 1),)
+    assert Matrix(F13, [[300, -14, Fraction(1, 2)]]).rows == ((1, 12, 7),)
+    assert Matrix(F2, [[3, 2, 255, True]]).rows == ((1, 0, 1, 1),)
+    assert SubspaceBasis.from_spanning(F7, 2, [(8, 255)]).vectors() == [(1, 3)]
+    assert SubspaceBasis.from_spanning(F7, 2, [(1, 3)]).contains_vector((-6, 10))
+    assert SubspaceBasis.from_spanning(F11, 2, [(1, 0)]).reduce_vector((12, 256)) == (0, 3)
 
 
 def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():
