@@ -112,6 +112,77 @@ def test_bad_syntax_reports_line():
     assert err.value.line == 5
 
 
+# every bad-document case with its exact message and line: each of BAD_LINES
+# is line 6 of a document that starts with HEAD, over every field family, and
+# BAD_DOCUMENTS are whole documents
+HEAD = "field {f}\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis x0 0, x1 2, y0 3, y1 5\n"
+BAD_LINES = [
+    ("trailing plus", "e1 x1 = y0 +", "malformed combination 'y0 +'"),
+    ("empty combination", "e1 x1 =", "malformed combination ''"),
+    ("empty term", "e1 x1 = y0 + + y1", "malformed combination 'y0 + + y1'"),
+    ("bad coefficient", "e1 x1 = a*y0", "bad coefficient 'a'"),
+    ("unknown unit name", "e1 x1 = zz", "unknown basis name 'zz'"),
+    ("unknown name after known", "e1 x1 = y0 + zz", "unknown basis name 'zz'"),
+    ("unknown scaled name", "e1 x1 = 2*zz", "unknown basis name 'zz'"),
+    ("unknown source", "e1 zz = y0", "unknown basis name 'zz'"),
+    ("degree inconsistency", "e1 x0 = x1",
+     "degree inconsistency: e1 raises degree by 1, but 'x1' sits in degree 2, not 1"),
+    ("scaled degree inconsistency", "e1 x1 = y0 + 3*y1",
+     "degree inconsistency: e1 raises degree by 1, but 'y1' sits in degree 5, not 3"),
+    ("no equals sign", "e1 x1 y0", "action line needs '='"),
+    ("two sources", "e1 x1 x0 = y0", "expected: e1|e2 <name> = <combination>"),
+    ("unrecognized directive", "nonsense here", "unrecognized directive 'nonsense'"),
+]
+FRACTIONAL = ("fractional coefficient", "e1 x1 = 1/2*y0", "bad coefficient '1/2'")
+BAD_DOCUMENTS = [
+    ("duplicate action", HEAD.format(f=2) + "e2 x0 = y0\ne2 x0 = y0\n", 7, "duplicate action for e2 x0"),
+    ("relation violation", "field 2\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, b 1, c 2\n"
+     "e1 a = b\ne1 b = c\n", 6,
+     "relation violation: e1e1 fails at degree 0"),
+    ("zero denominator", HEAD.format(f=0) + "e1 x1 = 1/0*y0\n", 6, "bad coefficient '1/0'"),
+    ("double fraction", HEAD.format(f=0) + "e1 x1 = 1/2/3*y0\n", 6, "bad coefficient '1/2/3'"),
+    ("missing header", "field 2\ndeg e1 1\nalgebra B\n", 1, "missing header line: deg e2"),
+    ("field arity", "field 2 3\n", 1, "expected: field <characteristic>"),
+    ("field not a number", "field x\n", 1, "expected: field <characteristic>"),
+    ("field too long", "field " + "9" * 5000 + "\n", 1,
+     "field characteristic of 5000 characters is too long"),
+    ("bad degree for e1", "deg e1 x\n", 1, "bad degree for e1"),
+    ("bad algebra", "algebra C\n", 1, "expected: algebra A|B"),
+    ("empty basis", "basis\n", 1, "empty basis declaration"),
+    ("basis arity", "basis a\n", 1, "expected 'name degree', got 'a'"),
+    ("bad basis name", "basis 1a 0\n", 1, "bad basis name '1a'"),
+    ("bad basis degree", "basis a x\n", 1, "bad degree 'x'"),
+    ("duplicate basis name", "basis a 0, a 1\n", 1, "duplicate basis name 'a'"),
+    ("deg without value", "field 2\ndeg e1 1\ndeg e2\nalgebra B\n", 3,
+     "unrecognized directive 'deg'"),
+    ("deg extra token", "field 2\ndeg e1 1\ndeg e2 3 4\nalgebra B\n", 3,
+     "unrecognized directive 'deg'"),
+    ("field not prime", "deg e1 1\ndeg e2 3\nfield 4\nalgebra B\n", 1,
+     "characteristic must be 0 or a prime, got 4"),
+    ("degrees out of order", "field 2\ndeg e1 3\ndeg e2 1\nalgebra B\n", 1,
+     "generator degrees must satisfy 0 < |e1| < |e2|, got 3, 1"),
+    ("degree zero", "field 2\ndeg e2 1\ndeg e1 0\nalgebra B\n", 1,
+     "generator degrees must satisfy 0 < |e1| < |e2|, got 0, 1"),
+]
+
+
+def bad_cases():
+    for f in (2, 5, 17, 0):
+        lines = BAD_LINES if f == 0 else [*BAD_LINES, FRACTIONAL]
+        for name, line, message in lines:
+            yield pytest.param(HEAD.format(f=f) + line + "\n", 6, message, id=f"{name}-F{f}")
+    for name, doc, line, message in BAD_DOCUMENTS:
+        yield pytest.param(doc, line, message, id=name)
+
+
+@pytest.mark.parametrize("doc, line, message", bad_cases())
+def test_bad_document_message_and_line(doc, line, message):
+    with pytest.raises(DocumentError) as err:
+        parse_module(doc)
+    assert (err.value.line, err.value.message) == (line, message)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_rational_coefficients():
     doc = ("field 0\ndeg e1 1\ndeg e2 3\nalgebra B\n"
            "basis a 0, b 3\n"
