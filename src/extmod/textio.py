@@ -24,6 +24,7 @@ Printing a module and parsing the result reproduces it exactly.
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from .linalg import Field, Matrix
 from .modules import E1, E2, AlgebraParams, Module, validate
@@ -48,8 +49,15 @@ def _split_terms(expr: str) -> list[str]:
 
 
 def parse_module(text: str) -> Module:
-    """Parse a module document; validates the result before returning it."""
-    header: dict[str, int | str] = {}
+    """Parse a module document; validates the result before returning it.
+
+    Each source's column is built once, in the field's family layout, from
+    its action line.  A line whose terms all have coefficient 1 is the tally
+    of its names' unit vectors, looked up per target degree (on the byte
+    layouts one XOR or C-level sum); any other line, and any line with a
+    fault, is read term by term.
+    """
+    header: dict[str, tuple[int | str, int]] = {}  # key: (value, line)
     basis: list[tuple[str, int, int]] = []  # (name, degree, line)
     actions: list[tuple[str, str, str, int]] = []  # (op, source, expr, line)
     names: dict[str, int] = {}
@@ -58,26 +66,16 @@ def parse_module(text: str) -> Module:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if tokens[0] == "field":
-            if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
-                raise DocumentError(lineno, "expected: field <characteristic>")
-            try:
-                header["field"] = int(tokens[1])
-            except ValueError:
-                # more digits than int() converts, so far above any tested prime
-                raise DocumentError(lineno, f"field characteristic of {len(tokens[1])} "
-                                            f"characters is too long") from None
-        elif tokens[0] == "deg" and len(tokens) == 3 and tokens[1] in (E1, E2):
-            try:
-                header[tokens[1]] = int(tokens[2])
-            except ValueError:
-                raise DocumentError(lineno, f"bad degree for {tokens[1]}") from None
-        elif tokens[0] == "algebra":
-            if len(tokens) != 2 or tokens[1] not in ("A", "B"):
-                raise DocumentError(lineno, "expected: algebra A|B")
-            header["variant"] = tokens[1]
-        elif tokens[0] == "basis":
+        head = line.split(None, 1)[0]
+        if head in (E1, E2):
+            if "=" not in line:
+                raise DocumentError(lineno, "action line needs '='")
+            lhs, expr = line.split("=", 1)
+            parts = lhs.split()
+            if len(parts) != 2:
+                raise DocumentError(lineno, "expected: e1|e2 <name> = <combination>")
+            actions.append((head, parts[1], expr.strip(), lineno))
+        elif head == "basis":
             body = line[len("basis"):].strip()
             if not body:
                 raise DocumentError(lineno, "empty basis declaration")
@@ -97,27 +95,45 @@ def parse_module(text: str) -> Module:
                     raise DocumentError(lineno, f"duplicate basis name {name!r}")
                 names[name] = lineno
                 basis.append((name, deg, lineno))
-        elif tokens[0] in (E1, E2):
-            if "=" not in line:
-                raise DocumentError(lineno, "action line needs '='")
-            lhs, expr = line.split("=", 1)
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise DocumentError(lineno, "expected: e1|e2 <name> = <combination>")
-            actions.append((parts[0], parts[1], expr.strip(), lineno))
         else:
-            raise DocumentError(lineno, f"unrecognized directive {tokens[0]!r}")
+            tokens = line.split()
+            if head == "field":
+                if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
+                    raise DocumentError(lineno, "expected: field <characteristic>")
+                try:
+                    header["field"] = (int(tokens[1]), lineno)
+                except ValueError:
+                    # more digits than int() converts, so far above any tested prime
+                    raise DocumentError(lineno, f"field characteristic of {len(tokens[1])} "
+                                                f"characters is too long") from None
+            elif head == "deg":
+                if len(tokens) != 3 or tokens[1] not in (E1, E2):
+                    raise DocumentError(lineno, "expected: deg e1|e2 <degree>")
+                try:
+                    header[tokens[1]] = (int(tokens[2]), lineno)
+                except ValueError:
+                    raise DocumentError(lineno, f"bad degree for {tokens[1]}") from None
+            elif head == "algebra":
+                if len(tokens) != 2 or tokens[1] not in ("A", "B"):
+                    raise DocumentError(lineno, "expected: algebra A|B")
+                header["variant"] = (tokens[1], lineno)
+            else:
+                raise DocumentError(lineno, f"unrecognized directive {head!r}")
 
     for key, desc in (("field", "field"), (E1, "deg e1"), (E2, "deg e2"),
                       ("variant", "algebra")):
         if key not in header:
             raise DocumentError(1, f"missing header line: {desc}")
+    (p, p_line), (d1, d1_line), (d2, d2_line) = header["field"], header[E1], header[E2]
     try:
-        params = AlgebraParams(Field(int(header["field"])),
-                               int(header[E1]), int(header[E2]),
-                               str(header["variant"]))
+        field = Field(p)
     except ValueError as exc:
-        raise DocumentError(1, str(exc)) from None
+        raise DocumentError(p_line, str(exc)) from None
+    try:
+        params = AlgebraParams(field, d1, d2, header["variant"][0])
+    except ValueError as exc:
+        # |e1| is at fault when it is not positive, |e2| when it is not above |e1|
+        raise DocumentError(d1_line if d1 <= 0 else d2_line, str(exc)) from None
 
     by_degree: dict[int, list[str]] = {}
     position: dict[str, tuple[int, int]] = {}
@@ -127,28 +143,37 @@ def parse_module(text: str) -> Module:
         slot.append(name)
     dims = {d: len(ls) for d, ls in by_degree.items()}
 
-    field = params.field
-    mats: dict[str, dict[int, list[list]]] = {E1: {}, E2: {}}
-    seen: set[tuple[str, str]] = set()
-    action_lines: dict[tuple[str, int], int] = {}
+    fam, zero, one = field._family, field.zero, field.one
+    # the unit vector of each name, as the family tallies them, by degree
+    units = {d: dict(zip(ls, fam.units(len(ls)))) for d, ls in by_degree.items()}
+    steps = {E1: params.deg_e1, E2: params.deg_e2}
+    cols: dict[str, dict[int, list]] = {E1: {}, E2: {}}
+    seen: dict[str, set[str]] = {E1: set(), E2: set()}  # the sources given so far
     for op, src, expr, lineno in actions:
         if src not in position:
             raise DocumentError(lineno, f"unknown basis name {src!r}")
-        if (op, src) in seen:
+        if src in seen[op]:
             raise DocumentError(lineno, f"duplicate action for {op} {src}")
-        seen.add((op, src))
+        seen[op].add(src)
         sdeg, scol = position[src]
-        action_lines.setdefault((op, sdeg), lineno)
-        step = params.action_degree(op)
+        step = steps[op]
         tdeg = sdeg + step
+        ntarget = dims.get(tdeg, 0)
+        block = cols[op].get(sdeg)
+        if block is None:
+            block = cols[op][sdeg] = [fam.pack((zero,) * ntarget)] * dims[sdeg]
+        named = units.get(tdeg)
+        if named is not None and "*" not in expr:
+            try:
+                block[scol] = fam.tally([named[t.strip()] for t in expr.split("+")], ntarget)
+                continue
+            except KeyError:
+                pass  # an empty term or a name not in tdeg: the loop below names it
         try:
             terms = _split_terms(expr)
         except ValueError:
             raise DocumentError(lineno, f"malformed combination {expr!r}") from None
-        rows = mats[op].get(sdeg)
-        if rows is None:
-            rows = mats[op][sdeg] = [[field.zero] * dims[sdeg]
-                                     for _ in range(dims.get(tdeg, 0))]
+        col = [zero] * ntarget
         for term in terms:
             if "*" in term:
                 coeff_s, name = term.split("*", 1)
@@ -158,7 +183,7 @@ def parse_module(text: str) -> Module:
                 except (ValueError, ZeroDivisionError):
                     raise DocumentError(lineno, f"bad coefficient {coeff_s!r}") from None
             else:
-                coeff, name = field.one, term
+                coeff, name = one, term
             if name not in position:
                 raise DocumentError(lineno, f"unknown basis name {name!r}")
             tdeg_got, trow = position[name]
@@ -166,17 +191,18 @@ def parse_module(text: str) -> Module:
                 raise DocumentError(
                     lineno, f"degree inconsistency: {op} raises degree by {step}, "
                     f"but {name!r} sits in degree {tdeg_got}, not {tdeg}")
-            rows[trow][scol] = field.add(rows[trow][scol], coeff)
-    a1 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E1].items()}
-    a2 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E2].items()}
-    module = Module(params, dims, a1, a2,
+            col[trow] = field.add(col[trow], coeff) if col[trow] else coeff
+        block[scol] = fam.pack(col)
+    mats = {op: {d: Matrix.from_cols(field, block, nrows=dims.get(d + steps[op], 0), _raw=True)
+                 for d, block in blocks.items()} for op, blocks in cols.items()}
+    module = Module(params, dims, mats[E1], mats[E2],
                     labels={d: tuple(ls) for d, ls in by_degree.items()})
     for violation in validate(module):
-        first = sorted(actions, key=lambda a: a[3])
-        lineno = action_lines.get((E1, violation.degree),
-                                  action_lines.get((E2, violation.degree),
-                                                   first[0][3] if first else 1))
-        raise DocumentError(lineno, f"relation violation: {violation}")
+        # the first e1 line from the failing degree, else its first e2 line
+        at = [ln for want in (E1, E2) for op, src, _, ln in actions
+              if op == want and position[src][0] == violation.degree]
+        raise DocumentError(at[0] if at else actions[0][3] if actions else 1,
+                            f"relation violation: {violation}")
     return module
 
 
@@ -187,23 +213,23 @@ def _module_labels(m: Module) -> dict[int, tuple[str, ...]]:
             for d, n in m.dims_by_degree.items()}
 
 
-def _action_columns(m: Module, labels: dict, which: str):
-    """(source, terms) for each basis vector the action does not kill.
+def _action_blocks(m: Module, labels: dict, which: str):
+    """(sources, targets, columns) for each action block the module stores.
 
-    terms lists (target, coefficient) for the nonzero entries of the source's
-    column, in basis order.  Both printers read the actions through this.
+    The columns are the block's columns as tuples of entries, aligned with
+    the target labels.  Both printers read the actions through this.
     """
     step = m.params.action_degree(which)
-    for d in m.degrees:
-        targets = labels.get(d + step, ())
-        for src, col in zip(labels[d], m.action(which, d).cols()):
-            terms = [(tgt, c) for tgt, c in zip(targets, col) if c]
-            if terms:
-                yield src, terms
+    for d, act in m.action_items(which).items():
+        yield labels[d], labels[d + step], act.cols()
 
 
 def print_module(m: Module) -> str:
-    """Canonical document for a module; parsing it back reproduces m."""
+    """Canonical document for a module; parsing it back reproduces m.
+
+    A column of 0s and 1s is written as the join of its target names; only
+    other columns format each coefficient.
+    """
     params = m.params
     labels = _module_labels(m)
     lines = [f"field {params.field.characteristic}",
@@ -211,14 +237,21 @@ def print_module(m: Module) -> str:
              f"deg e2 {params.deg_e2}",
              f"algebra {params.variant}"]
     for d in m.degrees:
-        for name in labels[d]:
-            lines.append(f"basis {name} {d}")
+        lines.extend(f"basis {name} {d}" for name in labels[d])
     field = params.field
     for which in (E1, E2):
-        for src, terms in _action_columns(m, labels, which):
-            lines.append(f"{which} {src} = " + " + ".join(
-                tgt if c == field.one else f"{field.format_scalar(c)}*{tgt}"
-                for tgt, c in terms))
+        for sources, targets, cols in _action_blocks(m, labels, which):
+            n = len(targets)
+            for src, col in zip(sources, cols):
+                zeros = col.count(0)
+                if zeros == n:
+                    continue
+                if zeros + col.count(1) == n:
+                    terms = compress(targets, col)
+                else:
+                    terms = (tgt if c == field.one else f"{field.format_scalar(c)}*{tgt}"
+                             for tgt, c in zip(targets, col) if c)
+                lines.append(f"{which} {src} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
 
 
@@ -235,10 +268,12 @@ def to_dot(m: Module) -> str:
     field = m.field
     styles = {E1: "solid", E2: "bold"}
     for which in (E1, E2):
-        for src, terms in _action_columns(m, labels, which):
-            for tgt, c in terms:
-                tag = which if c == field.one else f"{which} ({field.format_scalar(c)})"
-                lines.append(f'  "{src}" -> "{tgt}" '
-                             f'[label="{tag}", style={styles[which]}];')
+        for sources, targets, cols in _action_blocks(m, labels, which):
+            for src, col in zip(sources, cols):
+                for tgt, c in zip(targets, col):
+                    if c:
+                        tag = which if c == field.one else f"{which} ({field.format_scalar(c)})"
+                        lines.append(f'  "{src}" -> "{tgt}" '
+                                     f'[label="{tag}", style={styles[which]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

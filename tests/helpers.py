@@ -1,13 +1,15 @@
 """Seeded random generators shared across the test modules."""
 
 import random
+import re
 from fractions import Fraction
 
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
-from extmod.modules import (E1, E2, FlashShape, Module, direct_sum, make_flash,
-                            validate)
+from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, direct_sum,
+                            make_flash, validate)
 from extmod.operators import GradedSubspace, act_image, op_preimage
+from extmod.textio import DocumentError
 
 
 def random_matrix(field, nrows, ncols, rng):
@@ -301,3 +303,151 @@ def reference_chain(m):
     while len(chain) < 2 or chain[-1] != chain[-2]:
         chain.append(op_preimage(m, E2, act_image(m, E1, chain[-1])))
     return chain
+
+
+_REFERENCE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*$")
+
+
+def _reference_split_terms(expr: str) -> list[str]:
+    parts = [t.strip() for t in expr.split("+")]
+    if any(not t for t in parts):
+        raise ValueError("empty term")
+    return parts
+
+
+def reference_parse_module(text: str) -> Module:
+    """``textio.parse_module`` as it read documents into dense lists of lists.
+
+    Each action block is a list of rows of entries, every term added with
+    ``Field.add``, then packed by ``Matrix``; for checking the parser that
+    builds each column in the family layout as it reads.
+    """
+    header: dict[str, int | str] = {}
+    basis: list[tuple[str, int, int]] = []  # (name, degree, line)
+    actions: list[tuple[str, str, str, int]] = []  # (op, source, expr, line)
+    names: dict[str, int] = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "field":
+            if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
+                raise DocumentError(lineno, "expected: field <characteristic>")
+            try:
+                header["field"] = int(tokens[1])
+            except ValueError:
+                # more digits than int() converts, so far above any tested prime
+                raise DocumentError(lineno, f"field characteristic of {len(tokens[1])} "
+                                            f"characters is too long") from None
+        elif tokens[0] == "deg" and len(tokens) == 3 and tokens[1] in (E1, E2):
+            try:
+                header[tokens[1]] = int(tokens[2])
+            except ValueError:
+                raise DocumentError(lineno, f"bad degree for {tokens[1]}") from None
+        elif tokens[0] == "algebra":
+            if len(tokens) != 2 or tokens[1] not in ("A", "B"):
+                raise DocumentError(lineno, "expected: algebra A|B")
+            header["variant"] = tokens[1]
+        elif tokens[0] == "basis":
+            body = line[len("basis"):].strip()
+            if not body:
+                raise DocumentError(lineno, "empty basis declaration")
+            for chunk in body.split(","):
+                parts = chunk.split()
+                if len(parts) != 2:
+                    raise DocumentError(lineno,
+                                        f"expected 'name degree', got {chunk.strip()!r}")
+                name, deg_s = parts
+                if not _REFERENCE_NAME.match(name):
+                    raise DocumentError(lineno, f"bad basis name {name!r}")
+                try:
+                    deg = int(deg_s)
+                except ValueError:
+                    raise DocumentError(lineno, f"bad degree {deg_s!r}") from None
+                if name in names:
+                    raise DocumentError(lineno, f"duplicate basis name {name!r}")
+                names[name] = lineno
+                basis.append((name, deg, lineno))
+        elif tokens[0] in (E1, E2):
+            if "=" not in line:
+                raise DocumentError(lineno, "action line needs '='")
+            lhs, expr = line.split("=", 1)
+            parts = lhs.split()
+            if len(parts) != 2:
+                raise DocumentError(lineno, "expected: e1|e2 <name> = <combination>")
+            actions.append((parts[0], parts[1], expr.strip(), lineno))
+        else:
+            raise DocumentError(lineno, f"unrecognized directive {tokens[0]!r}")
+
+    for key, desc in (("field", "field"), (E1, "deg e1"), (E2, "deg e2"),
+                      ("variant", "algebra")):
+        if key not in header:
+            raise DocumentError(1, f"missing header line: {desc}")
+    try:
+        params = AlgebraParams(Field(int(header["field"])),
+                               int(header[E1]), int(header[E2]),
+                               str(header["variant"]))
+    except ValueError as exc:
+        raise DocumentError(1, str(exc)) from None
+
+    by_degree: dict[int, list[str]] = {}
+    position: dict[str, tuple[int, int]] = {}
+    for name, deg, _ in basis:
+        slot = by_degree.setdefault(deg, [])
+        position[name] = (deg, len(slot))
+        slot.append(name)
+    dims = {d: len(ls) for d, ls in by_degree.items()}
+
+    field = params.field
+    mats: dict[str, dict[int, list[list]]] = {E1: {}, E2: {}}
+    seen: set[tuple[str, str]] = set()
+    action_lines: dict[tuple[str, int], int] = {}
+    for op, src, expr, lineno in actions:
+        if src not in position:
+            raise DocumentError(lineno, f"unknown basis name {src!r}")
+        if (op, src) in seen:
+            raise DocumentError(lineno, f"duplicate action for {op} {src}")
+        seen.add((op, src))
+        sdeg, scol = position[src]
+        action_lines.setdefault((op, sdeg), lineno)
+        step = params.action_degree(op)
+        tdeg = sdeg + step
+        try:
+            terms = _reference_split_terms(expr)
+        except ValueError:
+            raise DocumentError(lineno, f"malformed combination {expr!r}") from None
+        rows = mats[op].get(sdeg)
+        if rows is None:
+            rows = mats[op][sdeg] = [[field.zero] * dims[sdeg]
+                                     for _ in range(dims.get(tdeg, 0))]
+        for term in terms:
+            if "*" in term:
+                coeff_s, name = term.split("*", 1)
+                name = name.strip()
+                try:
+                    coeff = field.parse_scalar(coeff_s)
+                except (ValueError, ZeroDivisionError):
+                    raise DocumentError(lineno, f"bad coefficient {coeff_s!r}") from None
+            else:
+                coeff, name = field.one, term
+            if name not in position:
+                raise DocumentError(lineno, f"unknown basis name {name!r}")
+            tdeg_got, trow = position[name]
+            if tdeg_got != tdeg:
+                raise DocumentError(
+                    lineno, f"degree inconsistency: {op} raises degree by {step}, "
+                    f"but {name!r} sits in degree {tdeg_got}, not {tdeg}")
+            rows[trow][scol] = field.add(rows[trow][scol], coeff)
+    a1 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E1].items()}
+    a2 = {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats[E2].items()}
+    module = Module(params, dims, a1, a2,
+                    labels={d: tuple(ls) for d, ls in by_degree.items()})
+    for violation in validate(module):
+        first = sorted(actions, key=lambda a: a[3])
+        lineno = action_lines.get((E1, violation.degree),
+                                  action_lines.get((E2, violation.degree),
+                                                   first[0][3] if first else 1))
+        raise DocumentError(lineno, f"relation violation: {violation}")
+    return module

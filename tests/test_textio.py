@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from extmod.modules import (FlashShape, counterexample_stage, default_params,
+from extmod.modules import (E1, E2, FlashShape, counterexample_stage, default_params,
                             make_flash, make_free, random_basis_change,
                             truncated_infinite_flash)
-from extmod.textio import DocumentError, parse_module, print_module, to_dot
+from extmod.textio import (DocumentError, _module_labels, parse_module, print_module,
+                           to_dot)
+from helpers import flash_sum, random_flash_shapes, reference_parse_module
 
 P = default_params()
 
@@ -139,6 +143,11 @@ BAD_DOCUMENTS = [
     ("relation violation", "field 2\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, b 1, c 2\n"
      "e1 a = b\ne1 b = c\n", 6,
      "relation violation: e1e1 fails at degree 0"),
+    # a violation is reported at the first e1 line from its degree, else the first e2 line
+    ("relation violation past an e2 line", HEAD.format(f=2).replace("y1 5", "y1 5, c 1")
+     + "e2 x0 = y0\ne1 c = x1\ne1 x0 = c\n", 8, "relation violation: e1e1 fails at degree 0"),
+    ("relation violation by e2", HEAD.format(f=2).replace("y1 5", "y1 5, z 6")
+     + "e2 x1 = y1\ne2 y0 = z\ne2 x0 = y0\n", 8, "relation violation: e2e2 fails at degree 0"),
     ("zero denominator", HEAD.format(f=0) + "e1 x1 = 1/0*y0\n", 6, "bad coefficient '1/0'"),
     ("double fraction", HEAD.format(f=0) + "e1 x1 = 1/2/3*y0\n", 6, "bad coefficient '1/2/3'"),
     ("missing header", "field 2\ndeg e1 1\nalgebra B\n", 1, "missing header line: deg e2"),
@@ -154,14 +163,19 @@ BAD_DOCUMENTS = [
     ("bad basis degree", "basis a x\n", 1, "bad degree 'x'"),
     ("duplicate basis name", "basis a 0, a 1\n", 1, "duplicate basis name 'a'"),
     ("deg without value", "field 2\ndeg e1 1\ndeg e2\nalgebra B\n", 3,
-     "unrecognized directive 'deg'"),
+     "expected: deg e1|e2 <degree>"),
     ("deg extra token", "field 2\ndeg e1 1\ndeg e2 3 4\nalgebra B\n", 3,
-     "unrecognized directive 'deg'"),
-    ("field not prime", "deg e1 1\ndeg e2 3\nfield 4\nalgebra B\n", 1,
+     "expected: deg e1|e2 <degree>"),
+    ("deg of no generator", "field 2\ndeg e1 1\ndeg e3 3\nalgebra B\n", 3,
+     "expected: deg e1|e2 <degree>"),
+    # a header value is reported at its own line
+    ("field not prime", "deg e1 1\ndeg e2 3\nfield 4\nalgebra B\n", 3,
      "characteristic must be 0 or a prime, got 4"),
-    ("degrees out of order", "field 2\ndeg e1 3\ndeg e2 1\nalgebra B\n", 1,
+    ("degrees out of order", "field 2\ndeg e1 3\ndeg e2 1\nalgebra B\n", 3,
      "generator degrees must satisfy 0 < |e1| < |e2|, got 3, 1"),
-    ("degree zero", "field 2\ndeg e2 1\ndeg e1 0\nalgebra B\n", 1,
+    ("degrees equal", "field 2\ndeg e2 2\nalgebra B\ndeg e1 2\n", 2,
+     "generator degrees must satisfy 0 < |e1| < |e2|, got 2, 2"),
+    ("degree zero", "field 2\ndeg e2 1\ndeg e1 0\nalgebra B\n", 3,
      "generator degrees must satisfy 0 < |e1| < |e2|, got 0, 1"),
 ]
 
@@ -181,6 +195,78 @@ def test_bad_document_message_and_line(doc, line, message):
         parse_module(doc)
     assert (err.value.line, err.value.message) == (line, message)
     assert str(err.value) == f"line {line}: {message}"
+
+
+def _assert_parsers_agree(doc):
+    got, want = parse_module(doc), reference_parse_module(doc)
+    for op in (E1, E2):
+        assert got.action_items(op) == want.action_items(op)
+    assert got == want and got.labels == want.labels
+    return got
+
+
+def _restated(m, rng):
+    """A document for m with every action line written another way: terms in
+    random order, coefficients off their canonical residue or in lowest terms,
+    split into repeated terms, and spacing varied."""
+    p = m.field.characteristic
+    labels = _module_labels(m)
+    head = [line for line in print_module(m).splitlines()
+            if not line.startswith(("e1 ", "e2 "))]
+    acts = []
+    for which in (E1, E2):
+        step = m.params.action_degree(which)
+        for d, act in m.action_items(which).items():
+            targets, sources = labels[d + step], labels[d]
+            for src, col in zip(sources, act.cols()):
+                terms = []
+                for tgt, c in zip(targets, col):
+                    if not c:
+                        continue
+                    way = rng.randrange(3)
+                    if way == 0 and p and c < 5:
+                        terms += [tgt] * c
+                    elif way == 0 and not p:
+                        terms += [tgt, f"{c - 1}*{tgt}"]
+                    elif way == 1 and p:
+                        terms.append(f"{c + p * rng.randrange(1, 30)}*{tgt}")
+                    elif way == 1:
+                        terms.append(f"{c.numerator * 3}/{c.denominator * 3}*{tgt}")
+                    else:
+                        terms.append(f"{c - p if p else c}*{tgt}")
+                if terms:
+                    rng.shuffle(terms)
+                    plus = rng.choice(("+", " + ", "  +"))
+                    acts.append(f"{which} {src} ={plus.join(terms)}")
+    rng.shuffle(acts)
+    return "\n".join(head + acts) + "\n"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 0], ids=["F2", "F3", "F5", "F13", "F17", "Q"])
+def test_parser_matches_list_reference_on_scrambled_documents(p):
+    # the columns built in the family layout against the dense list-of-lists
+    # parser, on build documents and on the same modules restated
+    params = default_params(p)
+    rng = random.Random(101 + p)
+    for seed in range(4):
+        shapes = random_flash_shapes(rng, count_max=6, bottoms_max=5, shift_max=6)
+        m = random_basis_change(flash_sum(shapes, params), seed)
+        assert _assert_parsers_agree(print_module(m)) == m
+        assert _assert_parsers_agree(_restated(m, rng)) == m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 0])
+@pytest.mark.parametrize("term", ["y", "12*y", "y + z"])
+def test_repeated_names_pass_a_lane_room(p, term):
+    # 300 repeats of one term take a byte lane far past 255 unless the sum is
+    # reduced in time; the lane of z sits next to y's, so a carry would show
+    doc = ("field {p}\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, y 3, z 3\ne2 a = "
+           .format(p=p) + " + ".join([term] * 300) + "\n")
+    m = _assert_parsers_agree(doc)
+    coeff = 12 if "*" in term else 1
+    want = (coeff * 300, 300 if "z" in term else 0)
+    field = m.field
+    assert m.action(E2, 0).col(0) == tuple(field.coerce(c) for c in want)
 
 
 def test_rational_coefficients():
@@ -214,7 +300,7 @@ def test_to_dot_deterministic_with_autolabels():
 
 
 # the document and DOT output of one module per field family, pinned as text:
-# multi-term lines, and nonunit coefficients over F5 and Q
+# multi-term lines, and nonunit coefficients over F5, F17 and Q
 GOLDEN_SOURCE = """\
 field {f}
 deg e1 1
@@ -288,6 +374,37 @@ digraph module {
 }
 """
 
+DOC_F17 = """\
+field 17
+deg e1 1
+deg e2 3
+algebra B
+basis a 0
+basis b 0
+basis c 2
+basis y 3
+basis z 3
+e1 c = y + 16*z
+e2 a = 16*y + z
+e2 b = 16*z
+"""
+
+DOC_F17_DOT = """\
+digraph module {
+  rankdir=LR;
+  "a" [label="a (0)"];
+  "b" [label="b (0)"];
+  "c" [label="c (2)"];
+  "y" [label="y (3)"];
+  "z" [label="z (3)"];
+  "c" -> "y" [label="e1", style=solid];
+  "c" -> "z" [label="e1 (16)", style=solid];
+  "a" -> "y" [label="e2 (16)", style=bold];
+  "a" -> "z" [label="e2", style=bold];
+  "b" -> "z" [label="e2 (16)", style=bold];
+}
+"""
+
 DOC_Q = """\
 field 0
 deg e1 1
@@ -322,7 +439,8 @@ digraph module {
 
 @pytest.mark.parametrize("field, coefficient, document, dot",
                          [(2, "1", DOC_F2, DOC_F2_DOT), (5, "3", DOC_F5, DOC_F5_DOT),
-                          (0, "-1/2", DOC_Q, DOC_Q_DOT)], ids=["F2", "F5", "Q"])
+                          (17, "-1", DOC_F17, DOC_F17_DOT), (0, "-1/2", DOC_Q, DOC_Q_DOT)],
+                         ids=["F2", "F5", "F17", "Q"])
 def test_printers_match_golden_text(field, coefficient, document, dot):
     m = parse_module(GOLDEN_SOURCE.format(f=field, c=coefficient))
     assert print_module(m) == document
