@@ -5,8 +5,7 @@ import pytest
 
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
                            _GroupedFp, _is_prime, _PackedF2, _PackedFp, _row_reduce,
-                           hstack, image,
-                           intersect, kernel, preimage_space, quotient_dim,
+                           hstack, image, intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
 from helpers import (count_coerce, count_fraction_arithmetic, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,

@@ -139,7 +139,8 @@ BAD_LINES = [
 ]
 FRACTIONAL = ("fractional coefficient", "e1 x1 = 1/2*y0", "bad coefficient '1/2'")
 BAD_DOCUMENTS = [
-    ("duplicate action", HEAD.format(f=2) + "e2 x0 = y0\ne2 x0 = y0\n", 7, "duplicate action for e2 x0"),
+    ("duplicate action", HEAD.format(f=2) + "e2 x0 = y0\ne2 x0 = y0\n", 7,
+     "duplicate action for e2 x0"),
     ("relation violation", "field 2\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, b 1, c 2\n"
      "e1 a = b\ne1 b = c\n", 6,
      "relation violation: e1e1 fails at degree 0"),
