@@ -18,9 +18,7 @@ x % p reduces it.  A linear combination (a product row, m @ v, a residue, a
 back substitution) adds terms c * b to an accumulator and reduces it only
 when one more term could take a lane past 255, the delayed reduction of
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  At
-p = 11 and 13, where that is after one or two terms, a combination first
-sums the vectors of each coefficient in C (:class:`_GroupedFp`).  F2
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  F2
 shares that layout (:class:`_PackedF2`), and adding two vectors there is
 one XOR, which never carries.  Over F_p for p >= 17 and over Q a vector is a
 tuple of canonical entries (:class:`_Entries`).  The family does all that
@@ -135,8 +133,7 @@ class Field:
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
         # the one place that picks a vector layout: bytes while a lane of
         # a + c * b, at most (p - 1) + (p - 1)**2, fits in one
-        family = (_PackedF2 if p == 2 else _PackedFp if 0 < p < 11
-                  else _GroupedFp if 0 < p * (p - 1) < 256 else _Entries)
+        family = _PackedF2 if p == 2 else _PackedFp if 0 < p * (p - 1) < 256 else _Entries
         object.__setattr__(self, "_family", family(self))
 
     @property
@@ -189,14 +186,13 @@ class Field:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def parse_scalar(self, token: str):
-        p = self.characteristic
+        token = token.strip()
         if "/" in token:
-            if p:
-                raise ValueError(f"fractional coefficient {token.strip()!r} "
-                                 f"in prime characteristic")
+            if self.characteristic:
+                raise ValueError(f"fractional coefficient {token!r} in prime characteristic")
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
-        return int(token) % p if p else Fraction(int(token))
+        return self.coerce(int(token))
 
 
 # -- vector layouts ------------------------------------------------------------
@@ -224,8 +220,6 @@ class _PackedFp:
         # the terms c * b, each adding at most (p - 1)**2 to a lane, that an
         # accumulator of reduced lanes takes before a lane could pass 255
         self._room = (256 - p) // (p - 1) ** 2
-        # the reduced vectors a plain sum takes on top of a reduced accumulator
-        self._per_sum = 255 // (p - 1) - 1
 
     @staticmethod
     def pack(vec) -> int:
@@ -275,22 +269,18 @@ class _PackedFp:
     def scale(self, a: int, c) -> int:
         return self._reduced(c * a)
 
-    @staticmethod
-    def units(n: int) -> list[int]:
-        """The n unit vectors of length n, as ``tally`` takes them."""
-        return [1 << 8 * i for i in range(n)]
+    def tally(self, rows, n: int) -> int:
+        """The sum of the unit vectors of length n at a list of rows.
 
-    def tally(self, units, n: int) -> int:
-        """The sum of a list of unit vectors of length n, each taken from ``units``."""
-        return self._sum(units)
-
-    def _sum(self, vectors) -> int:
-        """The sum of a list of vectors, reduced once per plain ``sum`` a lane has room for."""
-        if len(vectors) == 1:
-            return vectors[0]
-        acc, k = 0, self._per_sum
-        for i in range(0, len(vectors), k):
-            acc = self._reduced(sum(vectors[i:i + k], acc))
+        A lane reaches p only when there are p rows or more; then a plain
+        ``sum`` of 256 - p of them on top of reduced lanes is reduced once.
+        """
+        p = self.p
+        if len(rows) < p:
+            return sum([1 << 8 * i for i in rows])
+        acc, k = 0, 256 - p
+        for i in range(0, len(rows), k):
+            acc = self._reduced(sum([1 << 8 * r for r in rows[i:i + k]], acc))
         return acc
 
     def _combine(self, vectors, coeffs) -> int:
@@ -388,49 +378,6 @@ class _PackedFp:
                 [pr - m.nrows for pr in span.pivot_rows[head:]])
 
 
-class _GroupedFp(_PackedFp):
-    """F_p for p = 11 and 13 on the same layout, where a combination groups its terms.
-
-    A reduced accumulator has room for only two terms c * b at p = 11 and
-    one at p = 13, so adding term by term reduces after almost every term.
-    Here the vectors of each coefficient are summed first, and each sum is
-    multiplied by its coefficient once.  At p <= 7 the few reductions this
-    saves cost less than forming the groups on blocks of 16 columns, so
-    those primes add term by term.
-    """
-
-    def __init__(self, field: Field):
-        super().__init__(field)
-        # for each coefficient c, the table that keeps 1 where a byte is c
-        self._picks = [bytes(x == c for x in range(256)) for c in range(self.p)]
-
-    def _combine(self, vectors, coeffs) -> int:
-        """The sum of c * v over a sequence of vectors and their coefficients, reduced.
-
-        The vectors of each coefficient are picked out by a ``translate`` and
-        summed in C.  ``bound``, the most a lane of the accumulator can hold,
-        says when to reduce it.
-        """
-        coeffs = bytes(coeffs)
-        top, picks, reduced = self.p - 1, self._picks, self._reduced
-        acc = bound = 0
-        for c in set(coeffs):
-            if not c:
-                continue
-            k = coeffs.count(c)
-            if k == 1:
-                s = vectors[coeffs.index(c)]
-            elif top + c * k * top <= 255:
-                s = sum(compress(vectors, coeffs.translate(picks[c])))
-            else:
-                s, k = self._sum(list(compress(vectors, coeffs.translate(picks[c])))), 1
-            if bound + c * k * top > 255:
-                acc, bound = reduced(acc), top
-            acc += c * s
-            bound += c * k * top
-        return reduced(acc) if bound > top else acc
-
-
 class _PackedF2(_PackedFp):
     """F2 vectors on the same layout, where adding two vectors is one XOR.
 
@@ -451,8 +398,8 @@ class _PackedF2(_PackedFp):
         return a if c else 0
 
     @staticmethod
-    def _sum(vectors) -> int:
-        return reduce(xor, vectors, 0)
+    def tally(rows, n: int) -> int:
+        return reduce(xor, [1 << 8 * i for i in rows], 0)
 
     @staticmethod
     def _combine(vectors, coeffs) -> int:
@@ -527,16 +474,11 @@ class _Entries:
         z = (self.field.zero,)
         return z * i + (self.field.one,) + z * (n - 1 - i)
 
-    @staticmethod
-    def units(n: int) -> range:
-        """The n unit vectors of length n, as ``tally`` takes them: by their index."""
-        return range(n)
-
-    def tally(self, units, n: int) -> tuple:
-        """The sum of a list of unit vectors of length n, each taken from ``units``."""
+    def tally(self, rows, n: int) -> tuple:
+        """The sum of the unit vectors of length n at a list of rows."""
         f = self.field
         vec = [f.zero] * n
-        for i, k in Counter(units).items():
+        for i, k in Counter(rows).items():
             vec[i] = f.coerce(k)
         return tuple(vec)
 

@@ -53,9 +53,9 @@ def parse_module(text: str) -> Module:
 
     Each source's column is built once, in the field's family layout, from
     its action line.  A line whose terms all have coefficient 1 is the tally
-    of its names' unit vectors, looked up per target degree (on the byte
-    layouts one XOR or C-level sum); any other line, and any line with a
-    fault, is read term by term.
+    of its names' rows, looked up per target degree (on the byte layouts
+    one XOR or C-level sum of unit vectors); any other line, and any line
+    with a fault, is read term by term.
     """
     header: dict[str, tuple[int | str, int]] = {}  # key: (value, line)
     basis: list[tuple[str, int, int]] = []  # (name, degree, line)
@@ -137,15 +137,15 @@ def parse_module(text: str) -> Module:
 
     by_degree: dict[int, list[str]] = {}
     position: dict[str, tuple[int, int]] = {}
+    row_of: dict[int, dict[str, int]] = {}  # by degree, the row of each name
     for name, deg, _ in basis:
         slot = by_degree.setdefault(deg, [])
         position[name] = (deg, len(slot))
+        row_of.setdefault(deg, {})[name] = len(slot)
         slot.append(name)
     dims = {d: len(ls) for d, ls in by_degree.items()}
 
     fam, zero, one = field._family, field.zero, field.one
-    # the unit vector of each name, as the family tallies them, by degree
-    units = {d: dict(zip(ls, fam.units(len(ls)))) for d, ls in by_degree.items()}
     steps = {E1: params.deg_e1, E2: params.deg_e2}
     cols: dict[str, dict[int, list]] = {E1: {}, E2: {}}
     seen: dict[str, set[str]] = {E1: set(), E2: set()}  # the sources given so far
@@ -162,10 +162,10 @@ def parse_module(text: str) -> Module:
         block = cols[op].get(sdeg)
         if block is None:
             block = cols[op][sdeg] = [fam.pack((zero,) * ntarget)] * dims[sdeg]
-        named = units.get(tdeg)
-        if named is not None and "*" not in expr:
+        rows = row_of.get(tdeg)
+        if rows is not None and "*" not in expr:
             try:
-                block[scol] = fam.tally([named[t.strip()] for t in expr.split("+")], ntarget)
+                block[scol] = fam.tally([rows[t.strip()] for t in expr.split("+")], ntarget)
                 continue
             except KeyError:
                 pass  # an empty term or a name not in tdeg: the loop below names it

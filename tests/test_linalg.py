@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _GroupedFp, _is_prime, _PackedF2, _PackedFp, _row_reduce,
-                           hstack, image, intersect, kernel, preimage_space, quotient_dim,
+                           _is_prime, _PackedF2, _PackedFp, _row_reduce, hstack, image,
+                           intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
 from helpers import (count_coerce, count_fraction_arithmetic, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,
@@ -763,11 +763,7 @@ def test_families_answer_the_same_calls_with_one_elimination():
 def test_layout_follows_the_characteristic():
     # bytes while a lane of a + c * b, at most (p - 1) + (p - 1)**2, fits in one
     assert type(F2._family) is _PackedF2
-    # and combinations group their terms by coefficient where a lane has
-    # room for at most two terms c * b
-    assert all(type(Field(p)._family) is _PackedFp for p in (3, 5, 7))
-    assert all(type(Field(p)._family) is _GroupedFp for p in (11, 13))
-    assert issubclass(_GroupedFp, _PackedFp) and set(vars(_GroupedFp)) >= {"_combine"}
+    assert all(type(Field(p)._family) is _PackedFp for p in (3, 5, 7, 11, 13))
     assert all(type(Field(p)._family) is _Entries for p in (0, 17, 19, 257, 2**31 - 1))
 
 
@@ -871,11 +867,11 @@ def test_packed_odd_primes_match_list_reference(field):
 
 
 @pytest.mark.parametrize("field", [F11, F13], ids=["F11", "F13"])
-def test_grouped_combinations_match_list_reference(field):
-    # at p = 11 and 13 a combination sums the vectors of each coefficient
-    # first: runs of one coefficient longer than a plain sum may take, and
-    # back substitutions with many terms, against the list elimination, the
-    # entrywise product and the term by term combination
+def test_long_combinations_match_list_reference(field):
+    # at p = 11 and 13 a lane has room for one or two terms c * b between
+    # reductions: long combinations of one coefficient and of top lanes, and
+    # eliminations and products with many terms, against the list elimination
+    # and the entrywise product
     p = field.characteristic
     fam = field._family
     rng = random.Random(89 + p)
@@ -888,7 +884,6 @@ def test_grouped_combinations_match_list_reference(field):
             want = tuple(sum(c * x for c, x in zip(coeffs, col)) % p
                          for col in zip(*(fam.unpack(v, n) for v in vecs)))
             assert fam.unpack(fam._combine(vecs, coeffs), n) == want
-            assert fam._combine(vecs, bytes(coeffs)) == _PackedFp._combine(fam, vecs, coeffs)
     for nrows, ncols in ((16, 16), (64, 64), (70, 90), (30, 200)):
         for m in [random_matrix(field, nrows, ncols, rng),
                   Matrix(field, [[rng.choice((1, p - 1)) for _ in range(ncols)]

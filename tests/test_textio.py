@@ -259,15 +259,18 @@ def test_parser_matches_list_reference_on_scrambled_documents(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 0])
 @pytest.mark.parametrize("term", ["y", "12*y", "y + z"])
 def test_repeated_names_pass_a_lane_room(p, term):
-    # 300 repeats of one term take a byte lane far past 255 unless the sum is
-    # reduced in time; the lane of z sits next to y's, so a carry would show
-    doc = ("field {p}\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, y 3, z 3\ne2 a = "
-           .format(p=p) + " + ".join([term] * 300) + "\n")
-    m = _assert_parsers_agree(doc)
-    coeff = 12 if "*" in term else 1
-    want = (coeff * 300, 300 if "z" in term else 0)
-    field = m.field
-    assert m.action(E2, 0).col(0) == tuple(field.coerce(c) for c in want)
+    # p repeats of one term first reach p in a lane; 3000 take a byte lane
+    # far past 255 unless the sum is reduced in time, and a reduction one
+    # term late takes the lane of y past 255 at every p <= 13.  The lane of
+    # z sits next to y's, so a carry shows
+    for count in (p or 1, 3000):
+        doc = ("field {p}\ndeg e1 1\ndeg e2 3\nalgebra B\nbasis a 0, y 3, z 3\ne2 a = "
+               .format(p=p) + " + ".join([term] * count) + "\n")
+        m = _assert_parsers_agree(doc)
+        coeff = 12 if "*" in term else 1
+        want = (coeff * count, count if "z" in term else 0)
+        field = m.field
+        assert m.action(E2, 0).col(0) == tuple(field.coerce(c) for c in want)
 
 
 def test_rational_coefficients():
