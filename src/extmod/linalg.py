@@ -272,13 +272,10 @@ class _PackedFp:
     def tally(self, rows, n: int) -> int:
         """The sum of the unit vectors of length n at a list of rows.
 
-        A lane reaches p only when there are p rows or more; then a plain
-        ``sum`` of 256 - p of them on top of reduced lanes is reduced once.
+        A plain ``sum`` of 256 - p of them on top of reduced lanes fits in
+        a byte, so it is reduced once per that many rows.
         """
-        p = self.p
-        if len(rows) < p:
-            return sum([1 << 8 * i for i in rows])
-        acc, k = 0, 256 - p
+        acc, k = 0, 256 - self.p
         for i in range(0, len(rows), k):
             acc = self._reduced(sum([1 << 8 * r for r in rows[i:i + k]], acc))
         return acc
