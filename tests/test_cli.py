@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
 
 P = default_params()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_doc(tmp_path, name, module):
@@ -284,6 +286,20 @@ def test_paper_check_passes(capsys):
     out = capsys.readouterr().out
     assert "ALL ITEMS PASS" in out
     assert out.count("[PASS]") == 9
+
+
+@pytest.mark.parametrize("field, degs, name", [
+    ("2", "1,3", "F2_1-3"), ("5", "2,5", "F5_2-5"), ("0", "1,3", "Q_1-3")])
+def test_paper_check_json_golden(capsys, field, degs, name):
+    assert main(["--report", "json", "paper-check", "--N", "6", "--jmax", "8",
+                 "--field", field, "--degs", degs]) == 0
+    golden = (GOLDEN / f"paper_check_N6_{name}.json").read_text()
+    assert capsys.readouterr().out == golden
+
+
+def test_paper_check_text_golden(capsys):
+    assert main(["paper-check", "--N", "4", "--jmax", "6"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "paper_check_N4.txt").read_text()
 
 
 def test_paper_check_json_schema(capsys):

@@ -5,7 +5,8 @@ import pytest
 from extmod import modules, suite
 from extmod.modules import (FlashShape, counterexample_stage, default_params,
                             make_flash)
-from extmod.operators import degree_part, filtration, filtration_trace
+from extmod.operators import (FiltrationTrace, degree_part, filtration,
+                              filtration_trace)
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
 
@@ -74,6 +75,29 @@ def test_stage_is_summed_from_the_flashes_already_made(monkeypatch, n):
     monkeypatch.setattr(suite, "make_flash", counted)
     assert run_checks(SuiteParams(n, n + 1, P)).passed
     assert calls[0] == 2 * n + 3
+
+
+def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
+    # L(2,0,1) gets its chain shifted by one step: F'_j = F_{j+1}, so
+    # F'_1 and F'_2 miss their expected span and x_0 leaves F'_j at j = 2
+    wrong = make_flash(FlashShape.l(2, 0, 1), P)
+
+    def traced(m):
+        trace = filtration_trace(m)
+        if m == wrong:
+            return FiltrationTrace(trace.subspaces[1:], trace.stable_index - 1)
+        return trace
+
+    monkeypatch.setattr(suite, "filtration_trace", traced)
+    doc = run_checks(SuiteParams(4, 6, P)).to_json_dict()
+    items = {item["id"]: item for item in doc["items"]}
+    assert items["filtration-shape"]["data"] == {"cases": 10,
+                                                 "failures": [[2, 1], [2, 2]]}
+    assert items["membership"]["data"] == {"cases": 35, "failures": [[2, 2]]}
+    assert not items["filtration-shape"]["pass"]
+    assert not items["membership"]["pass"]
+    assert all(item["pass"] for item in doc["items"][2:])
+    assert doc["pass"] is False
 
 
 def test_report_is_deterministic():
