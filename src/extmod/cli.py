@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 from collections.abc import Callable
+from functools import cache
 import json
 import os
 import re
@@ -406,6 +407,7 @@ def _cmd_diagram(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extmod",

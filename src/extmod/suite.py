@@ -106,39 +106,38 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams,
     return ExclusionProbe(e1_nonzero, stable_nonzero)
 
 
-def _item_filtration_shape(flashes: list[tuple[Module, FiltrationTrace]]) -> CheckItem:
-    failures = []
-    checked = 0
-    for n, (mod, trace) in enumerate(flashes):
+def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
+    """The stage, and two items read off each summand's trace as soon as it is made."""
+    mods, shape_failures, member_failures = [], [], []
+    for n in range(sp.stage_size + 1):
+        mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
+        trace = filtration_trace(mod)
         for j in range(1, n + 1):
             expected = GradedSubspace.from_labels(
                 mod, [f"y{i}" for i in range(n + 1)]
                 + [f"x{i}" for i in range(n - j + 1)])
-            checked += 1
             if trace[j] != expected:
-                failures.append([n, j])
-    return CheckItem(
-        "filtration-shape",
-        "on the closed flash with bottoms x_0..x_n, F_j is spanned by every "
-        "top together with x_0..x_{n-j}, for 0 < j <= n",
-        {"cases": checked, "failures": failures},
-        not failures)
-
-
-def _item_membership(sp: SuiteParams,
-                     flashes: list[tuple[Module, FiltrationTrace]]) -> CheckItem:
-    failures = []
-    for n, (mod, trace) in enumerate(flashes):
+                shape_failures.append([n, j])
         x0 = mod.basis_vector(*mod.label_position("x0"))
         for j in range(sp.j_max + 1):
             inside = degree_part(trace[j], 0).contains_vector(x0, _raw=True)
             if inside != (j <= n):
-                failures.append([n, j])
-    return CheckItem(
-        "membership",
-        "x_0 of the closed flash L(n,0,1) lies in F_j exactly when j <= n",
-        {"cases": (sp.stage_size + 1) * (sp.j_max + 1), "failures": failures},
-        not failures)
+                member_failures.append([n, j])
+        mods.append(mod)
+    # counterexample_stage, from the flashes already made
+    return direct_sum(mods), [
+        CheckItem(
+            "filtration-shape",
+            "on the closed flash with bottoms x_0..x_n, F_j is spanned by every "
+            "top together with x_0..x_{n-j}, for 0 < j <= n",
+            {"cases": sum(range(sp.stage_size + 1)), "failures": shape_failures},
+            not shape_failures),
+        CheckItem(
+            "membership",
+            "x_0 of the closed flash L(n,0,1) lies in F_j exactly when j <= n",
+            {"cases": (sp.stage_size + 1) * (sp.j_max + 1),
+             "failures": member_failures},
+            not member_failures)]
 
 
 def _stage_degree_zero_dims(sp: SuiteParams, trace: FiltrationTrace) -> list[int]:
@@ -148,13 +147,7 @@ def _stage_degree_zero_dims(sp: SuiteParams, trace: FiltrationTrace) -> list[int
 def run_checks(sp: SuiteParams) -> SuiteReport:
     """Run all nine check items, tracing each module's chain only once."""
     alg = sp.algebra
-    flashes = []
-    for n in range(sp.stage_size + 1):
-        mod = make_flash(FlashShape.l(n, 0, 1), alg)
-        flashes.append((mod, filtration_trace(mod)))
-    # counterexample_stage, from the flashes already made
-    stage = direct_sum([mod for mod, _ in flashes])
-    items = [_item_filtration_shape(flashes), _item_membership(sp, flashes)]
+    stage, items = _closed_flash_items(sp)
 
     trace = filtration_trace(stage)
     vec = _stage_degree_zero_dims(sp, trace)
@@ -218,6 +211,8 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": open_end_dims},
         all(d > 0 for d in open_end_dims)))
 
+    # drop the traces first: their memory would add to the census peak
+    del trace, ttrace
     census = multiplicities(stage)
     expected_census = {FlashShape.l(n, 0, 1): 1 for n in range(sp.stage_size + 1)}
     clean = all(sh.kind == "finite" and not sh.left_top for sh in census)

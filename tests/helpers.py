@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
-from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, direct_sum,
-                            make_flash, validate)
+from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
+                            direct_sum, make_flash, validate)
 from extmod.operators import GradedSubspace, act_image, op_preimage
 from extmod.textio import DocumentError
 
@@ -303,6 +303,32 @@ def reference_chain(m):
     while len(chain) < 2 or chain[-1] != chain[-2]:
         chain.append(op_preimage(m, E2, act_image(m, E1, chain[-1])))
     return chain
+
+
+def reference_relation_violations(m: Module) -> list[Violation]:
+    """``modules._relation_violations`` as it multiplied every action pair.
+
+    An absent block stands in as a zero matrix, so every product runs.
+    """
+    out: list[Violation] = []
+    p = m.params
+    for d in m.degrees:
+        a1_d = m.action(E1, d)
+        a2_d = m.action(E2, d)
+        if not (m.action(E1, d + p.deg_e1) @ a1_d).is_zero():
+            out.append(Violation("e1e1", d))
+        if not (m.action(E2, d + p.deg_e2) @ a2_d).is_zero():
+            out.append(Violation("e2e2", d))
+        e1e2 = m.action(E1, d + p.deg_e2) @ a2_d
+        e2e1 = m.action(E2, d + p.deg_e1) @ a1_d
+        if p.variant == "B":
+            if not e1e2.is_zero():
+                out.append(Violation("e1e2", d))
+            if not e2e1.is_zero():
+                out.append(Violation("e2e1", d))
+        elif e2e1 != e1e2.scaled(p.sigma):
+            out.append(Violation("e1e2-commute", d))
+    return out
 
 
 _REFERENCE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*$")

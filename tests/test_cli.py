@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from extmod import cli
 from extmod.cli import MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
 from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
@@ -337,6 +338,33 @@ def test_paper_check_usage_errors(capsys):
     assert main(["paper-check", "--N", "3", "--jmax", "3"]) == 2
     assert main(["paper-check", "--N", "2", "--jmax", "4",
                  "--field", "6"]) == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["paper-check", "--N", "1", "--jmax", "2"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("first, code", [
+    (["paper-check", "--N", "x", "--jmax", "4"], 2),
+    (["no-such-command"], 2),
+    (["--help"], 0),
+    (["paper-check", "--help"], 0),
+    (["--report", "text", "paper-check", "--N", "1", "--jmax", "2",
+      "--field", "5", "--degs", "2,5"], 0),
+])
+def test_a_reused_parser_keeps_nothing_from_the_previous_call(capsys, first, code):
+    argv = ["--report", "json", "paper-check", "--N", "2", "--jmax", "4"]
+    cli._build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main(first) == code
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_cli_deterministic_output(tmp_path, capsys):

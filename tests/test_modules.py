@@ -9,7 +9,8 @@ from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, validate,
                             with_variant, zero_module)
-from helpers import random_flash_shapes, reference_random_invertible
+from helpers import (random_flash_shapes, reference_random_invertible,
+                     reference_relation_violations)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -310,6 +311,79 @@ def test_validate_catches_broken_relations():
                    {0: Matrix(f, [[1]])},
                    {1: Matrix(f, [[1]])})
     assert [(v.relation, v.degree) for v in validate(mixed)] == [("e2e1", 0)]
+
+
+def _broken_modules():
+    f, one = P.field, Matrix(P.field, [[1]])
+    p3 = default_params(3, variant="A")  # sigma = -1 = 2 over F3
+    f3 = p3.field
+    yield pytest.param(Module(P, {0: 1, 1: 1, 2: 1}, {0: one, 1: one}, {}), ["e1e1"],
+                       id="e1e1")
+    yield pytest.param(Module(P, {0: 1, 3: 1, 6: 1}, {}, {0: one, 3: one}), ["e2e2"],
+                       id="e2e2")
+    yield pytest.param(Module(P, {0: 1, 3: 1, 4: 1}, {3: one}, {0: one}), ["e1e2"],
+                       id="e1e2")
+    yield pytest.param(Module(P, {0: 1, 1: 1, 4: 1}, {0: one}, {1: one}), ["e2e1"],
+                       id="e2e1")
+    # e1 e2 is nonzero while e2 e1 has an absent factor
+    yield pytest.param(Module(PA, {0: 1, 3: 1, 4: 1}, {3: one}, {0: one}),
+                       ["e1e2-commute"], id="commute-absent")
+    # both sides stored: e2 e1 = 1 against sigma e1 e2 = 2, then 2 against 2
+    for c, expected in ((1, ["e1e2-commute"]), (2, [])):
+        yield pytest.param(Module(p3, {0: 1, 1: 1, 3: 1, 4: 1},
+                                  {0: Matrix(f3, [[1]]), 3: Matrix(f3, [[1]])},
+                                  {0: Matrix(f3, [[1]]), 1: Matrix(f3, [[c]])}),
+                           expected, id=f"commute-{c}")
+    # both factors stored, product zero
+    yield pytest.param(Module(P, {0: 2, 1: 2, 2: 1},
+                              {0: Matrix(f, [[1, 0], [0, 0]]), 1: Matrix(f, [[0, 1]])}, {}),
+                       [], id="zero-product")
+
+
+@pytest.mark.parametrize("m, expected", _broken_modules())
+def test_relation_violations_match_the_product_of_every_pair(m, expected):
+    found = modules._relation_violations(m)
+    assert found == reference_relation_violations(m)
+    assert [v.relation for v in found] == expected
+
+
+@pytest.mark.parametrize("char", [2, 3, 0])
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_relation_violations_match_reference_on_random_blocks(char, variant):
+    # random blocks, about a third of them absent, entries in {-1, 0, 1}
+    params = default_params(char, variant=variant)
+    rng = random.Random(f"{char}{variant}")
+    seen = set()
+    for _ in range(80):
+        dims = {d: rng.randint(0, 2) for d in range(8)}
+
+        def blocks(step):
+            return {d: Matrix(params.field, [[rng.randint(-1, 1) for _ in range(n)]
+                                             for _ in range(dims.get(d + step, 0))])
+                    for d, n in dims.items()
+                    if n and dims.get(d + step) and rng.random() < 0.65}
+
+        m = Module(params, dims, blocks(params.deg_e1), blocks(params.deg_e2))
+        found = modules._relation_violations(m)
+        assert found == reference_relation_violations(m)
+        seen.update(v.relation for v in found)
+    assert seen == ({"e1e1", "e2e2", "e1e2", "e2e1"} if variant == "B"
+                    else {"e1e1", "e2e2", "e1e2-commute"})
+
+
+def test_relation_check_skips_absent_blocks(monkeypatch):
+    # every relation product on a closed flash has an absent factor
+    products = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: products.append(1) or real(a, b))
+    for params in (P, PA):
+        flash = make_flash(FlashShape.l(3, 0, 1), params)
+        products.clear()
+        assert modules._relation_violations(flash) == []
+        assert len(products) == 0
+        assert reference_relation_violations(flash) == []
+        assert len(products) == 32  # four products in each of eight degrees
 
 
 def test_variant_conversion():

@@ -1,8 +1,10 @@
 import json
+import weakref
 
 import pytest
 
 from extmod import modules, suite
+from extmod.decompose import multiplicities
 from extmod.modules import (FlashShape, counterexample_stage, default_params,
                             make_flash)
 from extmod.operators import (FiltrationTrace, degree_part, filtration,
@@ -98,6 +100,35 @@ def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
     assert not items["membership"]["pass"]
     assert all(item["pass"] for item in doc["items"][2:])
     assert doc["pass"] is False
+
+
+def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
+    # at most one closed flash's trace is alive when the next is made, and no
+    # trace at all when the census decomposes the stage
+    sp = SuiteParams(5, 7, P)
+    closed = [make_flash(FlashShape.l(n, 0, 1), P) for n in range(sp.stage_size + 1)]
+    made, alive_at_flash, alive_at_census = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in made)
+
+    def traced(m):
+        if m in closed:
+            alive_at_flash.append(alive())
+        trace = filtration_trace(m)
+        made.append(weakref.ref(trace))
+        return trace
+
+    def census(m):
+        alive_at_census.append(alive())
+        return multiplicities(m)
+
+    monkeypatch.setattr(suite, "filtration_trace", traced)
+    monkeypatch.setattr(suite, "multiplicities", census)
+    assert run_checks(sp).passed
+    assert len(alive_at_flash) == sp.stage_size + 1
+    assert max(alive_at_flash) <= 1
+    assert alive_at_census == [0]
 
 
 def test_report_is_deterministic():
