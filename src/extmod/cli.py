@@ -369,14 +369,14 @@ def _cmd_paper_check(args) -> int:
         sp = SuiteParams(args.N, args.jmax, algebra, args.trunc)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    # the largest modules run_checks builds: the stage, and the flash it
-    # truncates at effective_trunc_degree, which --trunc sets, or else --jmax
+    # the largest modules run_checks builds: the stage, and the flash it truncates
     flash = FlashShape.finite(sp.effective_trunc_degree // algebra.gap + 1, False, True)
-    trunc = ("--jmax", args.jmax) if args.trunc is None else ("--trunc", args.trunc)
-    for (flag, value), dim in ((("--N", args.N), (args.N + 1) * (args.N + 2)),
-                               (trunc, flash.total_dim)):
+    trunc = f"--trunc {args.trunc}" if args.trunc is not None else (
+        f"--jmax {args.jmax} and --degs {args.degs} set the default truncation degree "
+        f"jmax*gap + |e2| = {sp.effective_trunc_degree}, which")
+    for what, dim in ((f"--N {args.N}", (args.N + 1) * (args.N + 2)), (trunc, flash.total_dim)):
         if dim > MAX_TERM_DIM:
-            raise CliError(f"{flag} {value} makes a module of dimension {dim}, "
+            raise CliError(f"{what} makes a module of dimension {dim}, "
                            f"above the limit of {MAX_TERM_DIM}")
     report = run_checks(sp)
     if args.report == "json":

@@ -46,27 +46,6 @@ class GradedSubspace:
                    {d: SubspaceBasis.zero(m.field, n)
                     for d, n in m.dims_by_degree.items()})
 
-    @classmethod
-    def from_labels(cls, m: Module, labels) -> "GradedSubspace":
-        """Span of the named canonical basis vectors, with no elimination.
-
-        Coordinate vectors sorted without repeats are their own echelon basis.
-        Labels resolve through one map per call, which keeps the first
-        position of a repeated label, as ``label_position`` does.
-        """
-        positions: dict[str, tuple[int, int]] = {}
-        for d, ls in (m.labels or {}).items():
-            for i, label in enumerate(ls):
-                positions.setdefault(label, (d, i))
-        pivots = {d: [] for d in m.dims_by_degree}
-        # label_position raises the KeyError for a label the map lacks
-        for d, i in sorted({positions.get(label) or m.label_position(label)
-                            for label in labels}):
-            pivots[d].append(i)
-        spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
-                  for d, n in m.dims_by_degree.items()}
-        return cls(m.field, m.dims_by_degree, spaces)
-
     # -- views -------------------------------------------------------------------
 
     def dims(self) -> dict[int, int]:

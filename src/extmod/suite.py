@@ -10,13 +10,16 @@ finite stage, where it is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_not
 from typing import Any
 
 from .decompose import multiplicities
+from .linalg import SubspaceBasis
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
-from .operators import (FiltrationTrace, GradedSubspace, degree_part, filtration_trace,
-                        quotient_dim_at, stable_intersection)
+from .operators import (FiltrationTrace, degree_part, filtration_trace, quotient_dim_at,
+                        stable_intersection)
 
 
 @dataclass(frozen=True)
@@ -107,20 +110,35 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams,
 
 
 def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
-    """The stage, and two items read off each summand's trace as soon as it is made."""
+    """The stage, and two items read off each summand's trace as soon as it is made.
+
+    Step j compares only the degrees where the expected F_j or the trace's object
+    moved, or where step j-1 failed: the rest hold the objects matched at j-1.
+    """
     mods, shape_failures, member_failures = [], [], []
     for n in range(sp.stage_size + 1):
         mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
         trace = filtration_trace(mod)
+        field, dims = mod.field, mod.dims_by_degree
+        # a flash's labels are distinct and name its whole basis
+        at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
+        expected = {d: SubspaceBasis.full(field, k) for d, k in dims.items()}
+        prev, failed = {}, []  # so step 1 compares every degree
         for j in range(1, n + 1):
-            expected = GradedSubspace.from_labels(
-                mod, [f"y{i}" for i in range(n + 1)]
-                + [f"x{i}" for i in range(n - j + 1)])
-            if trace[j] != expected:
+            moved, i = at[f"x{n - j + 1}"]
+            expected[moved] = SubspaceBasis.coordinate(
+                field, dims[moved], [k for k in expected[moved].pivot_rows if k != i])
+            cur = trace[j].spaces
+            replaced = compress(cur, map(is_not, cur.values(), map(prev.get, cur)))
+            failed = [d for d in {moved, *failed, *replaced} if cur.get(d) != expected.get(d)]
+            if failed or trace[j].parent_dims != dims:
                 shape_failures.append([n, j])
-        x0 = mod.basis_vector(*mod.label_position("x0"))
+            prev = cur
+        x0, seen = mod.basis_vector(*at["x0"]), None
         for j in range(sp.j_max + 1):
-            inside = degree_part(trace[j], 0).contains_vector(x0, _raw=True)
+            sub = degree_part(trace[j], 0)
+            if sub is not seen:  # consecutive terms share the unmoved degree 0
+                seen, inside = sub, sub.contains_vector(x0, _raw=True)
             if inside != (j <= n):
                 member_failures.append([n, j])
         mods.append(mod)

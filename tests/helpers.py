@@ -8,7 +8,7 @@ from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            standard_complement, sum_space)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
                             direct_sum, make_flash, validate)
-from extmod.operators import GradedSubspace, act_image, op_preimage
+from extmod.operators import GradedSubspace, act_image, degree_part, op_preimage
 from extmod.textio import DocumentError
 
 
@@ -303,6 +303,46 @@ def reference_chain(m):
     while len(chain) < 2 or chain[-1] != chain[-2]:
         chain.append(op_preimage(m, E2, act_image(m, E1, chain[-1])))
     return chain
+
+
+def from_labels(m: Module, labels) -> GradedSubspace:
+    """Span of the named canonical basis vectors, with no elimination.
+
+    Coordinate vectors sorted without repeats are their own echelon basis.
+    Labels resolve through one map per call, which keeps the first position
+    of a repeated label, as ``label_position`` does.
+    """
+    positions: dict[str, tuple[int, int]] = {}
+    for d, ls in (m.labels or {}).items():
+        for i, label in enumerate(ls):
+            positions.setdefault(label, (d, i))
+    pivots = {d: [] for d in m.dims_by_degree}
+    # label_position raises the KeyError for a label the map lacks
+    for d, i in sorted({positions.get(label) or m.label_position(label)
+                        for label in labels}):
+        pivots[d].append(i)
+    spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
+              for d, n in m.dims_by_degree.items()}
+    return GradedSubspace(m.field, m.dims_by_degree, spaces)
+
+
+def reference_flash_failures(mod: Module, trace, n: int, j_max: int):
+    """``filtration-shape`` and ``membership`` failures of L(n,0,1), in full.
+
+    Every F_j is compared with its whole expected span in every degree, and
+    x_0 is tested against every term, as ``suite`` did before it compared
+    only the degrees that move.
+    """
+    shape = []
+    for j in range(1, n + 1):
+        expected = from_labels(mod, [f"y{i}" for i in range(n + 1)]
+                               + [f"x{i}" for i in range(n - j + 1)])
+        if trace[j] != expected:
+            shape.append([n, j])
+    x0 = mod.basis_vector(*mod.label_position("x0"))
+    member = [[n, j] for j in range(j_max + 1)
+              if degree_part(trace[j], 0).contains_vector(x0, _raw=True) != (j <= n)]
+    return shape, member
 
 
 def reference_relation_violations(m: Module) -> list[Violation]:

@@ -1,10 +1,14 @@
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
+import extmod
 from extmod import cli
 from extmod.cli import MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
 from extmod.linalg import PRIME_TEST_BOUND
@@ -324,6 +328,9 @@ def test_paper_check_json_schema(capsys):
     (["--N", "4", "--jmax", "100000000", "--field", "5", "--degs", "2,5"],
      "--jmax 100000000", 200000004),
     (["--N", "4", "--jmax", "6", "--trunc", "100000000"], "--trunc 100000000", 100000002),
+    # --degs alone drives the default truncation degree 5*3 + 1000003 = 1000018
+    (["--N", "3", "--jmax", "5", "--degs", "1000000,1000003"],
+     "--jmax 5 and --degs 1000000,1000003", 666680),
 ])
 def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     # checked against the numbers alone, before anything is built
@@ -331,7 +338,11 @@ def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     assert seconds < 1.0 and peak < 1_000_000
     err = capsys.readouterr().err
     assert code == 2
-    assert f"{flag} makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}" in err
+    assert err.startswith(f"error: {flag} ")
+    assert err.endswith(f" makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}\n")
+    # without --trunc, the message names the default truncation degree it used
+    if flag.startswith("--jmax"):
+        assert " and --degs " in err and " set the default truncation degree jmax*gap + |e2| = " in err
 
 
 def test_paper_check_usage_errors(capsys):
@@ -365,6 +376,17 @@ def test_a_reused_parser_keeps_nothing_from_the_previous_call(capsys, first, cod
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == fresh
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
+    runs = [subprocess.run([sys.executable, "-m", module, "paper-check", "--N", "2",
+                            "--jmax", "3"], env=env, capture_output=True, text=True,
+                           timeout=60)
+            for module in ("extmod", "extmod.cli")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.endswith("ALL ITEMS PASS\n")
 
 
 def test_cli_deterministic_output(tmp_path, capsys):

@@ -12,7 +12,7 @@ from extmod.operators import (GradedSubspace, act_image, degree_part,
                               margolis_homology, op_preimage, radical, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import (count_coerce, count_span, flash_sum,
+from helpers import (count_coerce, count_span, flash_sum, from_labels,
                      random_flash_shapes, random_variant_b_module,
                      reference_chain)
 
@@ -21,7 +21,7 @@ PA = default_params(variant="A")
 
 
 def span(m, *labels):
-    return GradedSubspace.from_labels(m, labels)
+    return from_labels(m, labels)
 
 
 @pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
@@ -35,7 +35,7 @@ def test_from_labels_needs_no_elimination(monkeypatch, characteristic):
         # every label, or a draw with repeats that leaves some degrees out
         labels = names if k % 5 == 0 else rng.choices(names, k=rng.randint(0, len(names)))
         calls[0] = 0
-        got = GradedSubspace.from_labels(m, labels)
+        got = from_labels(m, labels)
         assert calls[0] == 0
         vectors = {}
         for label in labels:
@@ -50,11 +50,11 @@ def test_from_labels_needs_no_elimination(monkeypatch, characteristic):
 def test_from_labels_keeps_label_errors():
     m = make_flash(FlashShape.l(2, 0, 1), P)
     with pytest.raises(KeyError, match="no basis vector labeled 'z9'"):
-        GradedSubspace.from_labels(m, ["x0", "z9"])
+        from_labels(m, ["x0", "z9"])
     bare = random_basis_change(m, 3)
     with pytest.raises(KeyError, match="carries no basis labels"):
-        GradedSubspace.from_labels(bare, ["x0"])
-    assert GradedSubspace.from_labels(bare, []).is_zero()
+        from_labels(bare, ["x0"])
+    assert from_labels(bare, []).is_zero()
 
 
 def test_act_image_examples():
@@ -215,7 +215,7 @@ def test_socle_and_radical():
     simple = make_flash(FlashShape.simple(), P)
     assert socle(simple) == GradedSubspace.full(simple)
     free = make_free(0, PA)
-    assert radical(free) == GradedSubspace.from_labels(
+    assert radical(free) == from_labels(
         free, ["e1g", "e2g", "e1e2g"])
     for seed in range(4):
         m = random_variant_b_module(P, 9, 200 + seed)

@@ -5,12 +5,14 @@ import pytest
 
 from extmod import modules, suite
 from extmod.decompose import multiplicities
+from extmod.linalg import SubspaceBasis
 from extmod.modules import (FlashShape, counterexample_stage, default_params,
                             make_flash)
-from extmod.operators import (FiltrationTrace, degree_part, filtration,
-                              filtration_trace)
+from extmod.operators import (FiltrationTrace, GradedSubspace, degree_part,
+                              filtration, filtration_trace)
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
+from helpers import reference_flash_failures
 
 P = default_params()
 
@@ -100,6 +102,109 @@ def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
     assert not items["membership"]["pass"]
     assert all(item["pass"] for item in doc["items"][2:])
     assert doc["pass"] is False
+
+
+def _replaced(trace, d, js):
+    """trace with one wrong object, the zero subspace, at degree d of every term in js."""
+    terms = list(trace.subspaces)
+    t = terms[0]
+    wrong = SubspaceBasis.zero(t.field, t.parent_dims[d])
+    for j in js:
+        terms[j] = GradedSubspace(t.field, t.parent_dims, {**terms[j].spaces, d: wrong})
+    return FiltrationTrace(tuple(terms), trace.stable_index)
+
+
+def _degree(m, label):
+    return m.label_position(label)[0]
+
+
+# each maps (flash, n, its trace) to the trace the suite is handed
+PERTURBATIONS = {
+    "correct": lambda m, n, t: t,
+    "shifted": lambda m, n, t: (FiltrationTrace(t.subspaces[1:], t.stable_index - 1)
+                                if n == 2 else t),
+    # wrong at one j as a fresh object, and right again at j + 1
+    "one-term": lambda m, n, t: _replaced(t, _degree(m, "x1"), [2]) if n == 4 else t,
+    # one wrong object shared by j and j + 1, where neither the trace nor the
+    # expectation moves: only the failure carried from j finds it at j + 1
+    "carried": lambda m, n, t: _replaced(t, _degree(m, "x1"), [1, 2]) if n == 4 else t,
+    # one wrong degree-0 object shared by j and j + 1, which membership tests once
+    "degree-zero": lambda m, n, t: _replaced(t, _degree(m, "x0"), [1, 2]) if n == 4 else t,
+    # wrong from j = 2 on at a top, which the expectation never drops
+    "unmoved-degree": lambda m, n, t: (_replaced(t, _degree(m, f"y{n}"),
+                                                 range(2, len(t.subspaces)))
+                                       if n == 4 else t),
+    # wrong from F_0 on, which is never reported itself
+    "from-f0": lambda m, n, t: _replaced(t, _degree(m, "y0"), [0, 1]) if n == 4 else t,
+}
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("char, degs", [(2, (1, 3)), (3, (1, 3)), (5, (2, 5)), (0, (1, 3))],
+                         ids=["F2", "F3", "F5", "Q"])
+def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturbation):
+    # the flash items compare only the degrees that move; the reference
+    # compares every degree of every term, on the same traces
+    sp = SuiteParams(5, 7, default_params(char, *degs))
+    perturb = PERTURBATIONS[perturbation]
+    want_shape, want_member = [], []
+
+    def traced(m):
+        n = len(want_shape)
+        trace = perturb(m, n, filtration_trace(m))
+        shape, member = reference_flash_failures(m, trace, n, sp.j_max)
+        want_shape.append(shape)
+        want_member.append(member)
+        return trace
+
+    monkeypatch.setattr(suite, "filtration_trace", traced)
+    _, items = suite._closed_flash_items(sp)
+    shape, member = (item.data["failures"] for item in items)
+    assert shape == sum(want_shape, [])
+    assert member == sum(want_member, [])
+    assert bool(shape) == (perturbation != "correct")
+
+
+def test_flash_items_cost_is_linear_in_n(monkeypatch):
+    # coordinate subspaces built and subspaces compared by the two flash
+    # items, and x_0 membership tests, flash by flash, leaving out the traces
+    counts, tracing, at_trace = [0, 0], [False], []
+    real_coordinate, real_eq = SubspaceBasis.coordinate.__func__, SubspaceBasis.__eq__
+    real_contains = SubspaceBasis.contains_vector
+
+    def coordinate(cls, *args):
+        counts[0] += not tracing[0]
+        return real_coordinate(cls, *args)
+
+    def eq(a, b):
+        counts[0] += not tracing[0]
+        return real_eq(a, b)
+
+    def contains_vector(sub, *args, **kwargs):
+        counts[1] += 1
+        return real_contains(sub, *args, **kwargs)
+
+    def traced(m):
+        at_trace.append(list(counts))
+        tracing[0] = True
+        try:
+            return filtration_trace(m)
+        finally:
+            tracing[0] = False
+
+    monkeypatch.setattr(SubspaceBasis, "coordinate", classmethod(coordinate))
+    monkeypatch.setattr(SubspaceBasis, "__eq__", eq)
+    monkeypatch.setattr(SubspaceBasis, "contains_vector", contains_vector)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
+    _, items = suite._closed_flash_items(SuiteParams(8, 10, P))
+    assert all(item.passed for item in items)
+    at_trace.append(list(counts))
+    per_flash = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(at_trace, at_trace[1:])]
+    # the full comparison makes 4 n (n + 1) such calls, 288 at n = 8, and
+    # j_max + 1 = 11 membership tests; degree 0 of a closed flash's chain
+    # holds two distinct subspaces, the whole degree and zero
+    assert all(calls <= 6 * (n + 1) and tests <= 2
+               for n, (calls, tests) in enumerate(per_flash)), per_flash
 
 
 def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
