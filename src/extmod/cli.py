@@ -186,6 +186,7 @@ class _ExprParser:
             self.expect("@")
             at = self.integer()
             if n < 0 or eps not in (0, 1) or eps2 not in (0, 1):
+                self.pos = start
                 self.fail("L(n,e,e') needs n >= 0 and flags 0/1")
             shape = FlashShape.l(n, eps, eps2, at)
             return self.sized(start, used, shape.total_dim, lambda: make_flash(shape, params))
@@ -205,6 +206,9 @@ class _ExprParser:
             self.expect(")")
             self.expect("@trunc=")
             cutoff = self.integer()
+            if eps not in (0, 1):
+                self.pos = start
+                self.fail("inf(e) needs flag 0/1")
             # the untruncated flash that truncated_infinite_flash builds first
             dim = (FlashShape.finite(cutoff // params.gap + 1, bool(eps), True).total_dim
                    if cutoff >= 0 else 0)

@@ -289,6 +289,12 @@ def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
     return Summand(shape, bottoms, tops)
 
 
+def _require_valid(m: Module) -> None:
+    bad = validate(m)
+    if bad:
+        raise ValueError("invalid module: " + "; ".join(map(str, bad)))
+
+
 def decompose(m: Module) -> Decomposition:
     """Split a valid finite variant-B module into lightning flashes.
 
@@ -298,9 +304,7 @@ def decompose(m: Module) -> Decomposition:
     """
     if m.params.variant != "B":
         raise ValueError("decompose works over variant B; run split_free first")
-    bad = validate(m)
-    if bad:
-        raise ValueError("invalid module: " + "; ".join(map(str, bad)))
+    _require_valid(m)
     if m.total_dim == 0:
         return Decomposition(())
     g = m.params.gap
@@ -601,9 +605,7 @@ def idempotent_oracle(m: Module, max_total_dim: int = 12, seed: int = 0) -> Deco
     if m.total_dim > max_total_dim:
         raise ValueError(f"oracle bound exceeded: dimension {m.total_dim} > "
                          f"{max_total_dim}")
-    bad = validate(m)
-    if bad:
-        raise ValueError("invalid module: " + "; ".join(map(str, bad)))
+    _require_valid(m)
     rng = random.Random(seed)
     out: list[Summand] = []
 
@@ -670,9 +672,7 @@ def split_free(m: Module) -> FreeSplit:
     """
     if m.params.variant != "A":
         raise ValueError("split_free expects a variant-A module")
-    bad = validate(m)
-    if bad:
-        raise ValueError("invalid module: " + "; ".join(map(str, bad)))
+    _require_valid(m)
     params = m.params
     field = m.field
     d1, d2 = params.deg_e1, params.deg_e2

@@ -3,11 +3,16 @@
 Degreewise subspaces, action images, e2-preimages, the decreasing filtration
 F_0 = M, F_j = e2^{-1}(e1 F_{j-1}) with its stabilization, degree slices,
 socle and radical, and Margolis homology ker(e)/im(e) for either generator.
+
+A graded subspace is its per-degree spaces; its carrier is read off their
+ambient dimensions.  One generator builds the chain: ``filtration_trace``
+runs it to the first repeated term, and ``filtration(m, j)`` stops at term j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .linalg import (SubspaceBasis, image, kernel, preimage_space, quotient_dim,
                      sum_space, vstack)
@@ -17,34 +22,27 @@ from .modules import E1, E2, Module
 class GradedSubspace:
     """A per-degree subspace of a module's carrier, canonical in every degree."""
 
-    __slots__ = ("field", "parent_dims", "spaces")
+    __slots__ = ("field", "spaces")
 
-    def __init__(self, field, parent_dims: dict[int, int],
-                 spaces: dict[int, SubspaceBasis]):
+    def __init__(self, field, spaces: dict[int, SubspaceBasis]):
         self.field = field
-        self.parent_dims = dict(parent_dims)
-        self.spaces = {}
-        for d, n in self.parent_dims.items():
-            sub = spaces.get(d)
-            if sub is None:
-                raise ValueError(f"missing subspace at degree {d}")
-            if sub.ambient_dim != n:
-                raise ValueError(f"ambient mismatch at degree {d}")
-            self.spaces[d] = sub
+        self.spaces = dict(spaces)
+
+    @property
+    def parent_dims(self) -> dict[int, int]:
+        return {d: s.ambient_dim for d, s in self.spaces.items()}
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def full(cls, m: Module) -> "GradedSubspace":
-        return cls(m.field, m.dims_by_degree,
-                   {d: SubspaceBasis.full(m.field, n)
-                    for d, n in m.dims_by_degree.items()})
+        return cls(m.field, {d: SubspaceBasis.full(m.field, n)
+                             for d, n in m.dims_by_degree.items()})
 
     @classmethod
     def zero(cls, m: Module) -> "GradedSubspace":
-        return cls(m.field, m.dims_by_degree,
-                   {d: SubspaceBasis.zero(m.field, n)
-                    for d, n in m.dims_by_degree.items()})
+        return cls(m.field, {d: SubspaceBasis.zero(m.field, n)
+                             for d, n in m.dims_by_degree.items()})
 
     # -- views -------------------------------------------------------------------
 
@@ -67,7 +65,8 @@ class GradedSubspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSubspace):
             return NotImplemented
-        return self.parent_dims == other.parent_dims and self.spaces == other.spaces
+        # SubspaceBasis.__eq__ compares the ambient dimensions too
+        return self.spaces == other.spaces
 
     __hash__ = None
 
@@ -88,7 +87,7 @@ def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
     for d, sub in u.spaces.items():
         if sub.dim and m.dim(d + step):
             spaces[d + step] = image(m.action(which, d), sub)
-    return GradedSubspace(m.field, m.dims_by_degree, spaces)
+    return GradedSubspace(m.field, spaces)
 
 
 def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
@@ -101,49 +100,7 @@ def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
         target = u.spaces.get(d + step,
                               SubspaceBasis.zero(field, m.dim(d + step)))
         spaces[d] = preimage_space(m.action(which, d), target)
-    return GradedSubspace(m.field, m.dims_by_degree, spaces)
-
-
-def _chain(m: Module, stop: int | None = None) -> tuple[list[GradedSubspace], int | None]:
-    """F_0, F_1, ... through F_stop or through the first repeated term.
-
-    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)), so after the first step only the
-    degrees whose source moved are recomputed.  Returns the terms and the
-    stable index, or None when F_stop came first.
-    """
-    p = m.params
-    chain = [GradedSubspace.full(m)]
-    todo = m.degrees
-    while stop is None or len(chain) <= stop:
-        prev = chain[-1].spaces
-        spaces = dict(prev)
-        moved = []
-        for d in todo:
-            source = prev.get(d + p.gap)
-            n = m.dim(d + p.deg_e2)
-            target = SubspaceBasis.zero(m.field, n)
-            if source is not None and source.dim and n:
-                target = image(m.action(E1, d + p.gap), source)
-            sub = preimage_space(m.action(E2, d), target)
-            if sub != prev[d]:
-                spaces[d] = sub
-                moved.append(d)
-        chain.append(GradedSubspace(m.field, m.dims_by_degree, spaces))
-        if not moved:
-            return chain, len(chain) - 2
-        todo = [d - p.gap for d in moved if d - p.gap in spaces]
-    return chain, None
-
-
-def filtration(m: Module, j: int) -> GradedSubspace:
-    """The j-th term of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}).
-
-    The chain is computed out to j or to its stabilization.
-    """
-    if j < 0:
-        raise ValueError("filtration index must be non-negative")
-    chain, _ = _chain(m, j)
-    return chain[min(j, len(chain) - 1)]
+    return GradedSubspace(m.field, spaces)
 
 
 @dataclass(frozen=True)
@@ -170,19 +127,51 @@ class FiltrationTrace:
         return self.subspaces[self.stable_index]
 
 
-def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
-    """Compute the chain until it stabilizes.
+def _terms(m: Module):
+    """Yield F_0, F_1, ... through the first term equal to its predecessor.
 
-    Step 1 computes every degree.  Step j recomputes degree d only if
-    F_{j-1}(d + gap) moved at step j-1 and reuses every other degree's
-    subspace.  The chain stops at the first step where no degree moves,
-    which comes within total_dim + 1 steps because each moving step shrinks
-    a decreasing chain.  Terms past the end are the stable term, so no depth
-    is needed; ``j_max`` is ignored and kept only so that callers passing
-    one still work.
+    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  Step 1 computes every degree.
+    Step j recomputes degree d only if F_{j-1}(d + gap) moved at step j-1 and
+    reuses every other degree's subspace.  Some step moves no degree within
+    total_dim + 1 steps, because each moving step shrinks a decreasing chain.
     """
-    chain, stable = _chain(m)
-    return FiltrationTrace(tuple(chain), stable)
+    p = m.params
+    term = GradedSubspace.full(m)
+    yield term
+    todo = m.degrees
+    while True:
+        prev = term.spaces
+        term = GradedSubspace(m.field, prev)
+        moved = []
+        for d in todo:
+            source = prev.get(d + p.gap)
+            n = m.dim(d + p.deg_e2)
+            target = SubspaceBasis.zero(m.field, n)
+            if source is not None and source.dim and n:
+                target = image(m.action(E1, d + p.gap), source)
+            sub = preimage_space(m.action(E2, d), target)
+            if sub != prev[d]:
+                term.spaces[d] = sub
+                moved.append(d)
+        yield term
+        if not moved:
+            return
+        todo = [d - p.gap for d in moved if d - p.gap in prev]
+
+
+def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
+    """The chain to its first repeated term; ``j_max`` is ignored, kept for old callers."""
+    chain = tuple(_terms(m))
+    return FiltrationTrace(chain, len(chain) - 2)
+
+
+def filtration(m: Module, j: int) -> GradedSubspace:
+    """Term j of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}); builds only F_0 .. F_j."""
+    if j < 0:
+        raise ValueError("filtration index must be non-negative")
+    for term in islice(_terms(m), j + 1):
+        pass
+    return term
 
 
 def stable_intersection(m: Module) -> GradedSubspace:
@@ -202,7 +191,7 @@ def socle(m: Module) -> GradedSubspace:
     """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
     spaces = {d: kernel(vstack([m.action(E1, d), m.action(E2, d)]))
               for d in m.dims_by_degree}
-    return GradedSubspace(m.field, m.dims_by_degree, spaces)
+    return GradedSubspace(m.field, spaces)
 
 
 def radical(m: Module) -> GradedSubspace:
@@ -216,7 +205,7 @@ def radical(m: Module) -> GradedSubspace:
             if m.dim(d - step):
                 parts = sum_space(parts, image(m.action(which, d - step)))
         spaces[d] = parts
-    return GradedSubspace(m.field, m.dims_by_degree, spaces)
+    return GradedSubspace(m.field, spaces)
 
 
 def margolis_homology(m: Module, which: str) -> dict[int, int]:

@@ -323,7 +323,7 @@ def from_labels(m: Module, labels) -> GradedSubspace:
         pivots[d].append(i)
     spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
               for d, n in m.dims_by_degree.items()}
-    return GradedSubspace(m.field, m.dims_by_degree, spaces)
+    return GradedSubspace(m.field, spaces)
 
 
 def reference_flash_failures(mod: Module, trace, n: int, j_max: int):

@@ -1,0 +1,30 @@
+"""The benchmark tracer still finds every function it hooks.
+
+``bench/tracing.py`` wraps the package's functions by name.  Entering the
+tracer raises ``KeyError`` if a traced ``Matrix`` or ``SubspaceBasis`` method
+is gone, but a renamed module-level function would only lose its counter
+hook, silently.  This loads the tracer from its file, without writing
+bytecode next to it, and checks both.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from extmod import operators
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_every_tracer_hook_wraps_a_function(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = operators.filtration_trace
+    tracer = tracing.Tracer()
+    with tracer:
+        assert operators.filtration_trace is not original
+    assert operators.filtration_trace is original
+    assert set(tracer._hooks) <= set(tracer.names), \
+        sorted(set(tracer._hooks) - set(tracer.names))

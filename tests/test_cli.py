@@ -89,7 +89,13 @@ OVERLONG = "1" + "0" * 5000
     ("L(+,0,1)@0", 2, "expected an integer"),
     ("shift(L(1,0,1)@0, -)", 18, "expected an integer"),
     ("L(\u00b2,0,1)@0", 2, "expected an integer"),
-], ids=["shift", "seed", "sign-in-flash", "sign-in-shift", "superscript"])
+    # a flag outside 0/1, or a negative n, is reported at the start of its term
+    ("inf(2)@trunc=5", 0, "inf(e) needs flag 0/1"),
+    ("simple@0 + inf(-1)@trunc=5", 11, "inf(e) needs flag 0/1"),
+    ("L(1,2,0)@0", 0, "L(n,e,e') needs n >= 0 and flags 0/1"),
+    ("shift(L(-1,0,1)@0, 1)", 6, "L(n,e,e') needs n >= 0 and flags 0/1"),
+], ids=["shift", "seed", "sign-in-flash", "sign-in-shift", "superscript",
+        "inf-flag-2", "inf-flag-minus-1", "L-flag-2", "L-n-minus-1"])
 def test_build_rejects_bad_integer(capsys, expr, offset, message):
     assert main(["build", expr]) == 2
     err = capsys.readouterr().err

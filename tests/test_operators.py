@@ -142,6 +142,28 @@ def test_chain_recomputes_only_moved_degrees(monkeypatch):
     assert len(stage.degrees) <= len(calls) <= len(stage.degrees) + (n + 2) * (n + 3) // 2
 
 
+def test_filtration_builds_only_terms_up_to_j(monkeypatch):
+    # one long flash moves one degree per step for n + 1 steps; term j must
+    # cost its own j steps, not the whole chain
+    calls = []
+    real = operators.preimage_space
+
+    def counted(a, u):
+        calls.append(a)
+        return real(a, u)
+
+    monkeypatch.setattr(operators, "preimage_space", counted)
+    n = 40
+    m = make_flash(FlashShape.l(n, 0, 1), P)
+    assert len(filtration_trace(m).subspaces) == n + 3
+    assert len(calls) >= len(m.degrees) + n
+    for j in (0, 1, 2, 5):
+        calls.clear()
+        filtration(m, j)
+        # step 1 pulls back every degree, each later step the one that moved
+        assert len(calls) == (len(m.degrees) + j - 1 if j else 0), j
+
+
 def test_filtration_trace_coerces_only_scalars(monkeypatch):
     # the chain works only on vectors that apply, vectors() and elimination
     # made canonical, so nothing is coerced
@@ -166,7 +188,7 @@ def test_preimage_image_adjunction():
     rng = random.Random(6)
     for seed in range(5):
         m = random_variant_b_module(P, 8, 100 + seed)
-        u = GradedSubspace(m.field, m.dims_by_degree, {
+        u = GradedSubspace(m.field, {
             d: SubspaceBasis.coordinate(m.field, n, [rng.randrange(n)] if rng.random() < 0.6
                                         else [])
             for d, n in m.dims_by_degree.items()})
@@ -268,3 +290,20 @@ def test_ambient_mismatch_rejected():
     m2 = make_flash(FlashShape.l(2, 0, 1), P)
     with pytest.raises(ValueError):
         act_image(m2, E1, GradedSubspace.full(m1))
+
+
+def test_carrier_is_read_off_the_spaces():
+    # every constructor and operator yields a subspace of the module's own
+    # carrier, read off the ambient dimensions of its spaces
+    m = random_basis_change(flash_sum(random_flash_shapes(random.Random(8), 4, 4, 6), P), 3)
+    u = GradedSubspace.full(m)
+    made = [u, GradedSubspace.zero(m), act_image(m, E1, u), op_preimage(m, E2, u),
+            socle(m), radical(m), *filtration_trace(m).subspaces]
+    assert all(v.parent_dims == m.dims_by_degree for v in made)
+    # one degree's ambient dimension differs: unequal, and not comparable
+    d = max(m.dims_by_degree, key=m.dim)
+    wider = GradedSubspace(m.field, {**u.spaces, d: SubspaceBasis.zero(m.field, m.dim(d) + 1)})
+    narrower = GradedSubspace(m.field, {**u.spaces, d: SubspaceBasis.zero(m.field, m.dim(d))})
+    assert wider != narrower
+    with pytest.raises(ValueError, match="different carriers"):
+        wider.contains(narrower)

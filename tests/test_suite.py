@@ -110,7 +110,15 @@ def _replaced(trace, d, js):
     t = terms[0]
     wrong = SubspaceBasis.zero(t.field, t.parent_dims[d])
     for j in js:
-        terms[j] = GradedSubspace(t.field, t.parent_dims, {**terms[j].spaces, d: wrong})
+        terms[j] = GradedSubspace(t.field, {**terms[j].spaces, d: wrong})
+    return FiltrationTrace(tuple(terms), trace.stable_index)
+
+
+def _without(trace, d, j):
+    """trace whose term j lacks degree d's key."""
+    terms = list(trace.subspaces)
+    terms[j] = GradedSubspace(terms[j].field,
+                              {k: s for k, s in terms[j].spaces.items() if k != d})
     return FiltrationTrace(tuple(terms), trace.stable_index)
 
 
@@ -134,6 +142,8 @@ PERTURBATIONS = {
     "unmoved-degree": lambda m, n, t: (_replaced(t, _degree(m, f"y{n}"),
                                                  range(2, len(t.subspaces)))
                                        if n == 4 else t),
+    # one term lacks a degree: no degree compares unequal, the key set differs
+    "missing-degree": lambda m, n, t: _without(t, _degree(m, "x1"), 2) if n == 4 else t,
     # wrong from F_0 on, which is never reported itself
     "from-f0": lambda m, n, t: _replaced(t, _degree(m, "y0"), [0, 1]) if n == 4 else t,
 }
