@@ -11,10 +11,10 @@ from .operators import (FiltrationTrace, GradedSubspace, act_image, degree_part,
                         filtration, filtration_trace, margolis_homology,
                         op_preimage, radical, socle, stable_intersection)
 from .decompose import (Decomposition, FreeSplit, Summand, decompose,
-                        flash_multiplicity_at_degree, idempotent_oracle,
-                        multiplicities, split_free, verify_decomposition,
-                        verify_split_free)
-from .suite import ExclusionProbe, SuiteParams, SuiteReport, exclusion_probe, run_checks
+                        idempotent_oracle, multiplicities, split_free,
+                        verify_decomposition, verify_split_free)
+from .suite import (ExclusionProbe, SuiteParams, SuiteReport, exclusion_probe,
+                    flash_multiplicity_at_degree, run_checks)
 from .textio import DocumentError, parse_module, print_module, to_dot
 
 __version__ = "0.1.0"

@@ -43,11 +43,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, SubspaceBasis, hstack, image, intersect, kernel,
+from .linalg import (Field, Matrix, SubspaceBasis, hstack, image, kernel,
                      standard_complement, sum_space, vstack)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
-from .operators import degree_part, filtration_trace, socle
+from .operators import socle
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +399,6 @@ def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
     return VerifyResult(not problems, tuple(problems))
 
 
-def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
-    """Multiplicity of the closed flash L(n,0,1) based at degree d.
-
-    Valid when only such flashes touch degree d; the two exclusion probes are
-    checked first and reported on failure.
-    """
-    if not m.action(E1, d).is_zero():
-        raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
-    trace = filtration_trace(m)
-    if degree_part(trace.stable, d).dim:
-        raise ValueError("exclusion failed: the stable filtration intersection "
-                         f"is nonzero at degree {d}")
-    ker1 = kernel(m.action(E1, d))
-    hi = intersect(degree_part(trace[n], d), ker1).dim
-    lo = intersect(degree_part(trace[n + 1], d), ker1).dim
-    return hi - lo
-
-
 # ---------------------------------------------------------------------------
 # the independent idempotent oracle
 
@@ -644,7 +626,6 @@ class FreeSplit:
     """
 
     free_ranks: dict[int, int]
-    generators: tuple[tuple[int, tuple], ...]
     free_part: Module
     free_embedding: dict[int, Matrix]
     complement: Module
@@ -690,7 +671,7 @@ def split_free(m: Module) -> FreeSplit:
             gens.extend((d, lift) for lift in lifts.cols())
     if not gens:
         ident = {d: Matrix.identity(field, n) for d, n in m.dims_by_degree.items()}
-        return FreeSplit({}, (), zero_module(params), {}, m, ident)
+        return FreeSplit({}, zero_module(params), {}, m, ident)
     free_part = direct_sum([make_free(d, params) for d, _ in gens])
     iota_cols: dict[int, list[tuple]] = {}
     for d, gv in gens:
@@ -711,7 +692,7 @@ def split_free(m: Module) -> FreeSplit:
             raise InternalError("the socle conditions do not cut out a complement")
     complement, comp_emb = _module_from_subspace(m, comp_spaces)
     ranks = dict(Counter(d for d, _ in gens))
-    return FreeSplit(ranks, tuple(gens), free_part,
+    return FreeSplit(ranks, free_part,
                      {d: iota[d] for d in m.degrees if iota[d].ncols},
                      complement, comp_emb)
 
@@ -728,22 +709,23 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
             problems.append(f"degree {d}: {count} vectors for dimension {m.dim(d)}")
         elif count and hstack(parts).rank() != count:
             problems.append(f"degree {d}: free + complement is not a direct sum")
-    for which in (E1, E2):
-        step = params.action_degree(which)
-        for d in fs.free_part.degrees:
-            lhs = m.action(which, d) @ fs.free_embedding.get(
-                d, Matrix.zeros(field, m.dim(d), 0))
-            target = fs.free_embedding.get(
-                d + step, Matrix.zeros(field, m.dim(d + step), fs.free_part.dim(d + step)))
-            rhs = target @ fs.free_part.action(which, d)
-            if lhs != rhs:
-                problems.append(f"free embedding does not commute with {which} at {d}")
-    d1, d2 = params.deg_e1, params.deg_e2
+    for name, part, emb in (("free", fs.free_part, fs.free_embedding),
+                            ("complement", fs.complement, fs.complement_embedding)):
+        for d in part.degrees:
+            if d not in emb:
+                problems.append(f"{name} embedding missing at degree {d}")
+                continue
+            for which in (E1, E2):
+                step = params.action_degree(which)
+                target = emb.get(d + step, Matrix.zeros(field, m.dim(d + step),
+                                                        part.dim(d + step)))
+                if m.action(which, d) @ emb[d] != target @ part.action(which, d):
+                    problems.append(f"{name} embedding does not commute with {which} at {d}")
+    # with both embeddings commuting and jointly a basis, the complement's own
+    # e1e2 vanishes exactly when m's does on its image
+    d2 = params.deg_e2
     for d in fs.complement.degrees:
-        comp = fs.complement_embedding.get(d)
-        if comp is None:
-            problems.append(f"complement embedding missing at degree {d}")
-        elif not (m.action(E1, d + d2) @ (m.action(E2, d) @ comp)).is_zero():
+        if not (fs.complement.action(E1, d + d2) @ fs.complement.action(E2, d)).is_zero():
             problems.append(f"complement is not killed by e1e2 at degree {d}")
     image_dims = _composite_image_dims(m)
     for d in set(fs.free_ranks) | set(image_dims):

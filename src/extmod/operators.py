@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .linalg import (SubspaceBasis, image, kernel, preimage_space, quotient_dim,
-                     sum_space, vstack)
+from .linalg import SubspaceBasis, image, kernel, preimage_space, sum_space, vstack
 from .modules import E1, E2, Module
 
 
@@ -222,7 +221,3 @@ def margolis_homology(m: Module, which: str) -> dict[int, int]:
             out[d] = k - i
     return out
 
-
-def quotient_dim_at(u: GradedSubspace, v: GradedSubspace, d: int) -> int:
-    """dim of the degree-d slice of u/v for a contained pair (checked)."""
-    return quotient_dim(degree_part(u, d), degree_part(v, d))

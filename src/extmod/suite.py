@@ -2,9 +2,14 @@
 
 Builds finite stages of the direct sum of all closed flashes L(n,0,1),
 runs every dimension, membership and exclusion check of the splitting
-argument, and assembles a structured report.  The genuinely infinite product
-is out of computational reach; every quantitative statement below concerns a
-finite stage, where it is exact.
+argument, and assembles a structured report.  Both steps of the paper's
+argument live here: ``exclusion_probe`` decides which flash shapes can reach
+degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
+there as dim(F_n ∩ ker e1) - dim(F_{n+1} ∩ ker e1).  The genuinely infinite
+product is out of computational reach; every quantitative statement below
+concerns a finite stage, where it is exact.  The one infinite flash the suite
+contrasts with the stage is cut at degree j_max * gap + |e2|, derived from the
+stage parameters.
 """
 
 from __future__ import annotations
@@ -15,21 +20,19 @@ from operator import is_not
 from typing import Any
 
 from .decompose import multiplicities
-from .linalg import SubspaceBasis
+from .linalg import SubspaceBasis, intersect, kernel, quotient_dim
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
-from .operators import (FiltrationTrace, degree_part, filtration_trace, quotient_dim_at,
-                        stable_intersection)
+from .operators import FiltrationTrace, degree_part, filtration_trace, stable_intersection
 
 
 @dataclass(frozen=True)
 class SuiteParams:
-    """Stage size, filtration depth, truncation cutoff and the algebra."""
+    """Stage size, filtration depth and the algebra."""
 
     stage_size: int
     j_max: int
     algebra: AlgebraParams
-    trunc_degree: int | None = None
 
     def __post_init__(self) -> None:
         if self.stage_size < 0:
@@ -37,18 +40,10 @@ class SuiteParams:
         if self.j_max < self.stage_size + 1:
             raise ValueError("j_max must be at least stage_size + 1 so the "
                              "degree-zero chain visibly reaches zero")
-        if self.trunc_degree is not None and self.trunc_degree < self.min_trunc_degree:
-            raise ValueError(f"truncation degree must be at least "
-                             f"{self.min_trunc_degree} to hold j_max bottoms")
 
     @property
-    def min_trunc_degree(self) -> int:
-        return self.j_max * self.algebra.gap
-
-    @property
-    def effective_trunc_degree(self) -> int:
-        if self.trunc_degree is not None:
-            return self.trunc_degree
+    def trunc_degree(self) -> int:
+        """The right-infinite flash's cutoff: it keeps the tops joining x_0 to x_{j_max+1}."""
         return self.j_max * self.algebra.gap + self.algebra.deg_e2
 
 
@@ -87,18 +82,16 @@ class ExclusionProbe:
     stable_intersection_at_bottom_nonzero: bool
 
 
-def exclusion_probe(shape: FlashShape, params: AlgebraParams,
-                    trunc_degree: int | None = None) -> ExclusionProbe:
+def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
     """The two degree-zero probes deciding which shapes can reach the bottom.
 
-    The shape is rebased at degree 0; right-infinite flashes are realized by
-    a truncation (default cutoff: eight bottoms worth of degrees).
+    The shape is rebased at degree 0; a right-infinite flash is realized by
+    its truncation at eight bottoms' worth of degrees, 8 * gap + |e2|.
     """
     based = FlashShape(shape.kind, shape.bottoms, shape.left_top,
                        shape.right_top, 0)
     if based.kind == "right_infinite":
-        cutoff = trunc_degree if trunc_degree is not None \
-            else 8 * params.gap + params.deg_e2
+        cutoff = 8 * params.gap + params.deg_e2
         mod = truncated_infinite_flash(based.left_top, cutoff, params).module
     elif based.kind == "finite":
         mod = make_flash(based, params)
@@ -107,6 +100,24 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams,
     e1_nonzero = not mod.action(E1, 0).is_zero()
     stable_nonzero = degree_part(stable_intersection(mod), 0).dim > 0
     return ExclusionProbe(e1_nonzero, stable_nonzero)
+
+
+def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
+    """Multiplicity of the closed flash L(n,0,1) based at degree d.
+
+    Valid when only such flashes touch degree d; the two exclusion probes are
+    checked first and reported on failure.
+    """
+    if not m.action(E1, d).is_zero():
+        raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
+    trace = filtration_trace(m)
+    if degree_part(trace.stable, d).dim:
+        raise ValueError("exclusion failed: the stable filtration intersection "
+                         f"is nonzero at degree {d}")
+    ker1 = kernel(m.action(E1, d))
+    hi = intersect(degree_part(trace[n], d), ker1).dim
+    lo = intersect(degree_part(trace[n + 1], d), ker1).dim
+    return hi - lo
 
 
 def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
@@ -179,7 +190,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": vec, "expected": expected},
         vec == expected))
 
-    diffs = [quotient_dim_at(trace[j], trace[j + 1], 0)
+    diffs = [quotient_dim(degree_part(trace[j], 0), degree_part(trace[j + 1], 0))
              for j in range(sp.stage_size + 1)]
     items.append(CheckItem(
         "quotient-dims",
@@ -203,7 +214,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"image_dim": e1_deg0},
         e1_deg0 == 0))
 
-    trunc = truncated_infinite_flash(False, sp.effective_trunc_degree, alg)
+    trunc = truncated_infinite_flash(False, sp.trunc_degree, alg)
     tmod = trunc.module
     x0 = tmod.basis_vector(*tmod.label_position("x0"))
     ttrace = filtration_trace(tmod)
@@ -247,7 +258,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
     params_desc = {
         "stage_size": sp.stage_size,
         "j_max": sp.j_max,
-        "trunc_degree": sp.effective_trunc_degree,
+        "trunc_degree": sp.trunc_degree,
         "field": alg.field.characteristic,
         "deg_e1": alg.deg_e1,
         "deg_e2": alg.deg_e2,

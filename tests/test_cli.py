@@ -333,7 +333,6 @@ def test_paper_check_json_schema(capsys):
     (["--N", "4", "--jmax", "100000000"], "--jmax 100000000", 200000004),
     (["--N", "4", "--jmax", "100000000", "--field", "5", "--degs", "2,5"],
      "--jmax 100000000", 200000004),
-    (["--N", "4", "--jmax", "6", "--trunc", "100000000"], "--trunc 100000000", 100000002),
     # --degs alone drives the default truncation degree 5*3 + 1000003 = 1000018
     (["--N", "3", "--jmax", "5", "--degs", "1000000,1000003"],
      "--jmax 5 and --degs 1000000,1000003", 666680),
@@ -346,7 +345,7 @@ def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     assert code == 2
     assert err.startswith(f"error: {flag} ")
     assert err.endswith(f" makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}\n")
-    # without --trunc, the message names the default truncation degree it used
+    # a truncation too large is named by the flags that derive its degree
     if flag.startswith("--jmax"):
         assert " and --degs " in err and " set the default truncation degree jmax*gap + |e2| = " in err
 
@@ -355,6 +354,9 @@ def test_paper_check_usage_errors(capsys):
     assert main(["paper-check", "--N", "3", "--jmax", "3"]) == 2
     assert main(["paper-check", "--N", "2", "--jmax", "4",
                  "--field", "6"]) == 2
+    # the truncation degree is derived from --jmax and --degs, never set
+    assert main(["paper-check", "--N", "2", "--jmax", "4", "--trunc", "20"]) == 2
+    assert "unrecognized arguments: --trunc 20" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_per_process(capsys):
@@ -415,6 +417,13 @@ def test_missing_file_exit_2(capsys):
     assert main(["decompose", "/nonexistent/nothing.txt"]) == 2
 
 
+def test_non_utf8_document_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bytes.txt"
+    bad.write_bytes(bytes(range(128, 256)) * 2)
+    assert main(["decompose", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+
 def test_variant_a_with_free_part_rejected_by_decompose(tmp_path, capsys):
     assert main(["build", "free@0", "-o", str(tmp_path / "f.txt")]) == 0
     assert main(["decompose", str(tmp_path / "f.txt")]) == 2
@@ -442,3 +451,17 @@ def test_failed_write_leaves_no_file(tmp_path, capsys):
     # a good expression but an unwritable target also exits 2, file-free
     assert main(["build", "L(1,0,1)@0", "-o", str(target)]) == 2
     assert not target.exists()
+    # an existing directory as the target: the write fails at the final rename
+    doc = str(tmp_path / "fa.txt")
+    assert main(["build", "randomize(free@0 + L(1,0,1)@0, 3)", "-o", doc]) == 0
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "keep.txt").write_text("kept\n")
+    capsys.readouterr()
+    for argv in (["build", "simple@0", "-o", str(taken)],
+                 ["split-free", doc, "--complement-out", str(taken)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
+        assert [p.name for p in taken.iterdir()] == ["keep.txt"]
+        assert (taken / "keep.txt").read_text() == "kept\n"
+        assert not list(tmp_path.glob(".extmod-*"))

@@ -14,14 +14,14 @@ import pytest
 import extmod
 from extmod import modules
 from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose,
-                              endomorphism_basis, flash_multiplicity_at_degree,
-                              idempotent_oracle, multiplicities, split_free,
-                              verify_decomposition, verify_split_free)
+                              endomorphism_basis, idempotent_oracle, multiplicities,
+                              split_free, verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
 from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
                             random_basis_change, shift, validate, with_variant,
                             zero_module)
+from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
 from helpers import (count_coerce, count_span, flash_sum, random_flash_shapes,
                      random_variant_b_module, reference_match)
@@ -467,6 +467,18 @@ def test_verify_split_free_reports_a_bad_basis():
     missing = verify_split_free(m, replace(fs, complement_embedding=dropped))
     assert missing.ok is False
     assert "complement embedding missing at degree 0" in missing.problems
+
+
+def test_verify_split_free_reports_a_wrong_complement():
+    flash = with_variant(make_flash(FlashShape.l(2, 0, 1), P), "A")
+    m = random_basis_change(direct_sum([make_free(0, PA), flash]), 5)
+    fs = split_free(m)
+    # the same carrier, but neither generator acts
+    inert = Module(PA, fs.complement.dims_by_degree, {}, {})
+    check = verify_split_free(m, replace(fs, complement=inert))
+    assert check.ok is False
+    assert any(p.startswith("complement embedding does not commute with e")
+               for p in check.problems)
 
 
 def test_split_free_random_trials():

@@ -267,9 +267,9 @@ def test_params_invariants():
         SuiteParams(-1, 3, P)
     with pytest.raises(ValueError):
         SuiteParams(3, 3, P)  # chain would not visibly reach zero
-    with pytest.raises(ValueError):
-        SuiteParams(2, 4, P, trunc_degree=3)  # too short for j_max bottoms
-    assert SuiteParams(2, 4, P).effective_trunc_degree == 4 * P.gap + P.deg_e2
+    assert SuiteParams(2, 4, P).trunc_degree == 4 * P.gap + P.deg_e2
+    with pytest.raises(TypeError):
+        SuiteParams(2, 4, P, 3)  # the truncation is derived, not set
 
 
 @pytest.mark.parametrize("n", range(4))
