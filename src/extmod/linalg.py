@@ -1,6 +1,6 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
-Matrices carry their field and keep every entry in canonical reduced form:
+Matrices carry their field and read every entry in canonical reduced form:
 the least non-negative residue mod p, or a ``Fraction`` in lowest terms when
 the characteristic is 0.  Subspaces are stored as bases in reduced
 column-echelon form, which is unique per subspace, so subspace equality is
@@ -8,7 +8,7 @@ plain equality of basis matrices.  A kernel comes out canonical from one
 elimination, a preimage is the head of a kernel, and an intersection spans
 the image of a preimage.  No floating point is used anywhere.
 
-Vectors take one of three layouts, chosen once per ``Field`` from its
+Vectors take one of four layouts, chosen once per ``Field`` from its
 characteristic (``Field._family``).  Over F_p for p <= 13 a vector is one int
 with entry j in the byte at bit 8j (:class:`_PackedFp`): ``int.from_bytes``
 packs it in C.  A row update a + c * b of canonical vectors is one big-int
@@ -20,55 +20,62 @@ when one more term could take a lane past 255, the delayed reduction of
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  F2
 shares that layout (:class:`_PackedF2`), and adding two vectors there is
-one XOR, which never carries.  Over F_p for p >= 17 and over Q a vector is a
-tuple of canonical entries (:class:`_Entries`).  The family does all that
-depends on the layout, and ``Matrix`` eliminations and products,
-``SubspaceBasis``, ``image``, ``kernel``, ``preimage_space`` and the chain
-sweep of :mod:`extmod.decompose` are written once over it, looking it up
-once per call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its
-echelon rows, in the family layout only; ``rows``, ``cols()`` and entry
-reads unpack them.  The columns of a ``Matrix`` are one ``transpose`` of its
-rows, made on first use and cached for what reads columns: an image, a
-product on tuples, m @ v and packed preimages.  ``from_cols`` keeps the
-columns it is given as that cache.
+one XOR, which never carries.  Over F_p for p >= 17 a vector is a tuple of
+canonical entries (:class:`_Entries`).  Over Q it is ``(nums, den)``
+(:class:`_Rationals`): a tuple of integer numerators over one positive
+denominator, with ``gcd(den, *nums) == 1``, a normal form that keeps
+equality and hashing exact, as FLINT's ``fmpq_mat`` keeps integers through
+``fmpz_mat``.  The family does all that depends on the layout, and
+``Matrix`` eliminations and products, ``SubspaceBasis``, ``image``,
+``kernel``, ``preimage_space`` and the chain sweep of
+:mod:`extmod.decompose` are written once over it, looking it up once per
+call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its echelon
+rows, in the family layout only; ``rows``, ``cols()`` and entry reads unpack
+them.  The columns of a ``Matrix`` are one ``transpose`` of its rows, made on
+first use and cached for what reads columns: an image, a product on tuples
+or on Q rows, m @ v and packed preimages.  ``from_cols`` keeps the columns
+it is given as that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  On bytes each vector is cleared at its
 lowest nonzero entry by the row with that pivot, one XOR over F2 and one
 multiply-add over odd p, and the rows are back-substituted from the last
-pivot to the first; on tuples it is :func:`_row_reduce`.  Every ``Matrix``
-elimination is one span of its rows: ``rank`` counts the pivots,
-``rref_pivots`` pads the rows with zero rows, and ``solve`` spans the rows
-of [A | B] at full width, which is inconsistent exactly when a pivot falls
-in B.  ``inverse`` solves against the identity.
+pivot to the first; on tuples it is :func:`_row_reduce`.  Over Q it is
+:func:`_integer_rref`, fraction-free on primitive integer rows (Bareiss,
+Math. Comp. 1968), and each pivot row comes out as ``(row, pivot)``, already
+in normal form.  Every ``Matrix`` elimination is one span of its rows:
+``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
+``solve`` spans the rows of [A | B] at full width, which is inconsistent
+exactly when a pivot falls in B.  ``inverse`` solves against the identity.
 
 Where the cheapest algorithm differs, each family keeps its own.  On bytes a
 product row combines the packed rows of the right factor with the entries of
 the left row, and m @ v the packed columns of m with the entries of v; over
 F2 that is the XOR of the rows or columns selected, after Albrecht, Bard and
 Hart, "Algorithm 898: Efficient multiplication of dense matrices over GF(2)"
-(ACM TOMS 2010).  On tuples both are dot products.  A packed preimage of u
-under m spans u's rows with each column of m tagged by its index, and keeps
-the tags of the vectors whose column part cancels.  On tuples it is the head
+(ACM TOMS 2010).  On tuples and on Q rows both are dot products, over Q one
+integer dot product per entry.  A packed preimage of u under m spans u's
+rows with each column of m tagged by its index, and keeps the tags of the
+vectors whose column part cancels.  On tuples and on Q rows it is the head
 of ker [m | B], B the basis matrix of u, from one elimination with the
 columns reversed: the tagged span has about twice the entries to eliminate.
-In every family a kernel is the preimage of zero.
-Over Q products and eliminations run on integer numerators, as FLINT's
-``fmpq_mat`` does through ``fmpz_mat``: each row and column is scaled once
-to its least common denominator (:func:`_numerators`), so a product entry
-is one integer dot product over one ``Fraction``, and :func:`_row_reduce`
-eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp.
-1968), dividing each pivot row by its pivot at the end.  The integers live
-only inside one product or one elimination; a Q vector is a tuple of
-``Fraction``s everywhere else.
+Over Q the heads are read off the integer echelon rows.  In every family a
+kernel is the preimage of zero.
+
+Over Q a ``Fraction`` is built only where an entry leaves the layout:
+``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
+``reduce_vector`` unpack, and the family's ``entry`` reads one scalar, as
+``kernel_matrix`` and the sweep's pivot rule do.  Products, eliminations,
+preimages and row updates run on integers alone.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
 ``SubspaceBasis.from_spanning`` coerce.  Callers whose entries are already
-canonical pass ``_raw=True``: tuples to ``Matrix(...)``, which packs them,
-and vectors in the family layout to ``from_cols`` and ``from_spanning``.  The
-packed layouts rely on this: they need every entry below p, which also keeps
-equality and hashing of packed vectors exact.
+canonical pass ``_raw=True``: tuples to ``Matrix(...)``, which packs them
+(over Q their entries may be ints or ``Fraction``s), and vectors in the
+family layout to ``from_cols`` and ``from_spanning``.  The packed layouts
+rely on this: they need every entry below p, which also keeps equality and
+hashing of packed vectors exact.
 """
 
 from __future__ import annotations
@@ -114,12 +121,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class Field:
     """F_p for a prime p, or the rational numbers when characteristic is 0.
 
     Elements are plain ints in ``[0, p)`` for prime characteristic and
-    ``Fraction`` values in characteristic 0.
+    ``Fraction`` values in characteristic 0; ``zero`` and ``one`` over Q are
+    shared constants, so reading them builds nothing.  The field picks its
+    vector layout: packed bytes for p <= 13, with XOR rows over F2, tuples of
+    entries for p >= 17, and integer rows over one denominator for Q.
     """
 
     characteristic: int
@@ -133,16 +146,17 @@ class Field:
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
         # the one place that picks a vector layout: bytes while a lane of
         # a + c * b, at most (p - 1) + (p - 1)**2, fits in one
-        family = _PackedF2 if p == 2 else _PackedFp if 0 < p * (p - 1) < 256 else _Entries
+        family = (_PackedF2 if p == 2 else _PackedFp if 0 < p * (p - 1) < 256
+                  else _Entries if p else _Rationals)
         object.__setattr__(self, "_family", family(self))
 
     @property
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0 if self.characteristic else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1 if self.characteristic else _Q_ONE
 
     def coerce(self, value):
         """Reduce an integer (or exact rational) to canonical form."""
@@ -178,12 +192,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
-
-    def format_scalar(self, a) -> str:
-        if self.characteristic:
-            return str(a)
-        f = Fraction(a)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def parse_scalar(self, token: str):
         token = token.strip()
@@ -444,7 +452,7 @@ class _PackedF2(_PackedFp):
 
 
 class _Entries:
-    """Vectors over F_p for p >= 17 and over Q, as tuples of canonical entries."""
+    """Vectors over F_p for p >= 17, as tuples of canonical entries."""
 
     nonzero = any
 
@@ -490,15 +498,11 @@ class _Entries:
     def add_scaled(self, a: tuple, b: tuple, c) -> tuple:
         """a + c * b."""
         p = self.p
-        if p:
-            return tuple([(x + c * y) % p for x, y in zip(a, b)])
-        return tuple([x + c * y for x, y in zip(a, b)])
+        return tuple([(x + c * y) % p for x, y in zip(a, b)])
 
     def scale(self, a: tuple, c) -> tuple:
         p = self.p
-        if p:
-            return tuple([(c * x) % p for x in a])
-        return tuple([c * x for x in a])
+        return tuple([(c * x) % p for x in a])
 
     @staticmethod
     def transpose(vectors, n: int) -> tuple[tuple, ...]:
@@ -506,17 +510,9 @@ class _Entries:
         return tuple(zip(*vectors)) if vectors else ((),) * n
 
     def _dots(self, rows, cols) -> tuple[tuple, ...]:
-        """For each of the rows, the tuple of its dot products with each of cols.
-
-        Over Q each row and column is scaled to integers once, so a dot
-        product is one integer sum and one ``Fraction``.
-        """
+        """For each of the rows, the tuple of its dot products with each of cols."""
         p = self.p
-        if p:
-            return tuple(tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows)
-        cols = list(map(_numerators, cols))
-        return tuple(tuple([Fraction(sum(map(mul, ints, c)), den * d) for c, d in cols])
-                     for ints, den in map(_numerators, rows))
+        return tuple(tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows)
 
     def apply(self, m: "Matrix", v: tuple) -> tuple:
         return self._dots((v,), m._rows)[0]
@@ -557,30 +553,270 @@ class _Entries:
         return heads, [h.index(one) for h in heads]
 
 
+class _Rationals:
+    """Q vectors as integer numerators over one positive denominator.
+
+    A vector is ``(nums, den)``: a tuple of ints and an int den > 0 with
+    ``gcd(den, *nums) == 1``, entry j being nums[j] / den.  That normal form
+    is unique, so equality and hashing of vectors stay exact.  Every call but
+    ``unpack`` and ``entry`` runs on ints; scalars may be ``Fraction``s or
+    ints, read through their numerator and denominator.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    @staticmethod
+    def nonzero(v) -> bool:
+        return any(v[0])
+
+    @staticmethod
+    def pack(vec) -> tuple[tuple, int]:
+        """Entries in lowest terms over the lcm of their denominators.
+
+        That is the normal form: a prime that divides the lcm divides it as
+        often as the denominator of some entry, whose numerator it does not
+        divide and whose multiplier lcm // denominator it does not divide.
+        """
+        den = lcm(*[x.denominator for x in vec])
+        if den == 1:
+            return tuple([x.numerator for x in vec]), 1
+        return tuple([x.numerator * (den // x.denominator) for x in vec]), den
+
+    @staticmethod
+    def unpack(v, n: int) -> tuple:
+        nums, den = v
+        if den == 1:
+            return tuple(map(Fraction, nums))
+        return tuple([Fraction(x, den) for x in nums])
+
+    def coerce(self, vec) -> tuple[tuple, int]:
+        return self.pack(list(map(self.field.coerce, vec)))
+
+    @staticmethod
+    def entry(v, j: int) -> Fraction:
+        x = v[0][j]
+        return Fraction(x, v[1]) if x else _Q_ZERO
+
+    @staticmethod
+    def unit(i: int, n: int) -> tuple[tuple, int]:
+        return (0,) * i + (1,) + (0,) * (n - 1 - i), 1
+
+    @staticmethod
+    def tally(rows, n: int) -> tuple[tuple, int]:
+        """The sum of the unit vectors of length n at a list of rows."""
+        vec = [0] * n
+        for i, k in Counter(rows).items():
+            vec[i] = k
+        return tuple(vec), 1
+
+    @staticmethod
+    def join(a, b, n: int) -> tuple[tuple, int]:
+        """a followed by b over the lcm of their denominators, which keeps the normal form."""
+        (x, d), (y, e) = a, b
+        if d == e:
+            return x + y, d
+        den = lcm(d, e)
+        return (tuple([u * (den // d) for u in x] + [w * (den // e) for w in y]), den)
+
+    @staticmethod
+    def tail(v, n: int) -> tuple[tuple, int]:
+        return _normal(v[0][n:], v[1])
+
+    @staticmethod
+    def add_scaled(a, b, c) -> tuple[tuple, int]:
+        """a + c * b, over the lcm of a's denominator and that of c * b."""
+        if not c:
+            return a
+        (x, d), (y, e) = a, b
+        e *= c.denominator
+        den = lcm(d, e)
+        s, t = den // d, c.numerator * (den // e)
+        if s == 1:
+            return _normal([u + t * w for u, w in zip(x, y)], den)
+        return _normal([s * u + t * w for u, w in zip(x, y)], den)
+
+    @staticmethod
+    def scale(a, c) -> tuple[tuple, int]:
+        x, d = a
+        if not c:
+            return (0,) * len(x), 1
+        t = c.numerator
+        return _normal([t * u for u in x], d * c.denominator)
+
+    @staticmethod
+    def transpose(vectors, n: int) -> tuple[tuple, ...]:
+        """The n columns of the vectors of length n written as rows."""
+        if not vectors:
+            return (((), 1),) * n
+        dens = [d for _, d in vectors]
+        return tuple(_ratios(col, dens) for col in zip(*[x for x, _ in vectors]))
+
+    @staticmethod
+    def _dots(rows, cols) -> tuple[tuple, ...]:
+        """For each of the rows, the vector of its dot products with each of cols.
+
+        Each entry is one integer dot product over the product of the two
+        denominators.
+        """
+        nums, dens = [x for x, _ in cols], [e for _, e in cols]
+        return tuple(_ratios([sum(map(mul, x, c)) for c in nums], [d * e for e in dens])
+                     for x, d in rows)
+
+    def apply(self, m: "Matrix", v) -> tuple[tuple, int]:
+        """m @ v.
+
+        When at most half of v's entries are nonzero, the columns of m they
+        select are combined over the lcm of those columns' denominators, as
+        the byte layouts combine packed columns; otherwise each entry is a
+        dot product with a row of m.
+        """
+        nums, den = v
+        if 2 * nums.count(0) < len(nums):
+            return self._dots((v,), m._rows)[0]
+        used = [(c, col) for c, col in zip(nums, m._columns()) if c]
+        common = lcm(*[e for _, (_, e) in used])
+        acc = [0] * m.nrows
+        for c, (y, e) in used:
+            t = c * (common // e)
+            acc = [a + t * w for a, w in zip(acc, y)]
+        return _normal(acc, den * common)
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
+        return self._dots(a._rows, b._columns())
+
+    @staticmethod
+    def reduce(sub: "SubspaceBasis", v) -> tuple[tuple, int]:
+        """Residue of v against sub's echelon rows.
+
+        The rows are reduced, each with its pivot entry equal to its
+        denominator, so v's entry at a row's pivot is the multiple of the row
+        to subtract; the subtraction runs over the lcm of the rows used.
+        """
+        x, d = v
+        hits = [(row, x[pr]) for row, pr in zip(sub._rows, sub.pivot_rows) if x[pr]]
+        if not hits:
+            return v
+        den = lcm(*[e for (_, e), _ in hits])
+        acc = [den * u for u in x] if den != 1 else x
+        for (y, e), c in hits:
+            t = c * (den // e)
+            acc = [u - t * w for u, w in zip(acc, y)]
+        return _normal(acc, d * den)
+
+    def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
+        """The reduced echelon rows and pivots of the span, by :func:`_integer_rref`."""
+        rows, pivots = _integer_rref([list(x) for x, _ in vectors], n)
+        return [(tuple(row), row[c]) for row, c in zip(rows, pivots)], pivots
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[tuple], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
+
+        B is the basis matrix of u, and each row of [m | B] is brought to
+        integers and reversed.  In the reduced echelon rows of those, the
+        first u.dim columns, B's, are all pivots, as B's columns are
+        independent.  Each free column fc past them gives the kernel vector
+        that is 1 at fc and -row[fc] / row[pc] at each pivot column pc of a
+        row; its head, the part past B read back in order, is the preimage's
+        echelon row with its pivot at the column fc came from.
+        """
+        k, width = u.dim, m.ncols + u.dim
+        brows = self.transpose(u._rows, m.nrows)
+        rows, pivots = self.span([(self.join(a, b, m.ncols)[0][::-1], 1)
+                                  for a, b in zip(m._rows, brows)], width)
+        past_b = list(zip(rows, pivots))[bisect_left(pivots, k):]
+        free = sorted(set(range(k, width)).difference(pivots), reverse=True)
+        out = []
+        for fc in free:
+            hits = [(x, e, pc) for (x, e), pc in past_b if x[fc]]
+            den = lcm(*[e for _, e, _ in hits])
+            nums = [0] * m.ncols
+            nums[width - 1 - fc] = den
+            for x, e, pc in hits:
+                nums[width - 1 - pc] = -x[fc] * (den // e)
+            out.append(_normal(nums, den))
+        return out, [width - 1 - fc for fc in free]
+
+
 QQ = Field(0)
 GF2 = Field(2)
 
 
-def _numerators(vec) -> tuple[list[int], int]:
-    """A rational vector as integer numerators over the lcm of its denominators, and that lcm."""
-    den = lcm(*[x.denominator for x in vec])
-    return [x.numerator * (den // x.denominator) for x in vec], den
+def _normal(nums, den: int) -> tuple[tuple, int]:
+    """The vector nums / den, for den > 0, in normal form: their common factor divided out."""
+    g = gcd(den, *nums) if den != 1 else 1
+    if g == 1:
+        return tuple(nums), den
+    return tuple([x // g for x in nums]), den // g
+
+
+def _ratios(nums, dens) -> tuple[tuple, int]:
+    """The vector of entries nums[j] / dens[j], each den > 0, in normal form.
+
+    Each entry is brought to lowest terms and the vector written over the
+    lcm of their denominators, as in ``_Rationals.pack``.
+    """
+    if dens.count(1) == len(dens):
+        return tuple(nums), 1
+    gs = list(map(gcd, nums, dens))
+    qs = [e // g for e, g in zip(dens, gs)]
+    den = lcm(*qs)
+    return tuple([x // g * (den // q) for x, g, q in zip(nums, gs, qs)]), den
+
+
+def _integer_rref(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced echelon rows of integer rows of length n, fraction-free, and their pivots.
+
+    A row with f at the pivot column of the row with pivot a becomes
+    (a/g)*row - (f/g)*top for g = gcd(a, f), then is divided by the gcd of
+    its entries (Bareiss, Math. Comp. 1968).  A row is divided by the gcd of
+    its entries, and negated if its pivot is negative, when it becomes a
+    pivot row, so every pivot row stays primitive with a positive pivot: as
+    a rational row over its pivot it is in normal form.  Each row stays a
+    nonzero multiple of the row the F_p steps would give, so the pivots
+    agree.  ``rows`` is reordered and updated in place; the pivot rows come
+    first.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        g = gcd(*top)
+        if top[c] < 0:
+            g = -g
+        if g != 1:
+            top = rows[r] = [x // g for x in top]
+        a = top[c]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                g = gcd(a, f)
+                row = [a // g * x - f // g * y for x, y in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
 
 
 def _row_reduce(field: Field, rows: list[list]) -> list[int]:
-    """In-place reduced row echelon form of rows of entries; returns the pivot columns.
+    """In-place reduced row echelon form of rows of F_p entries; returns the pivot columns.
 
-    Over F_p each pivot row is scaled to a leading 1 and cleared from the
-    others; rows that are updated become lists, the others keep their type.
-    Over Q the rows are reduced as integer numerators, fraction-free: a row
-    with f at the pivot column of the row with pivot a becomes
-    (a/g)*row - (f/g)*top for g = gcd(a, f), then is divided by the gcd of
-    its entries.  Each row stays a nonzero multiple of the row the F_p steps
-    would give, so the pivots agree, and every row is written back as a list
-    of ``Fraction``s, each pivot row divided by its pivot.
+    Each pivot row is scaled to a leading 1 and cleared from the others;
+    rows that are updated become lists, the others keep their type.
     """
     p = field.characteristic
-    work = rows if p else [_numerators(row)[0] for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -588,34 +824,25 @@ def _row_reduce(field: Field, rows: list[list]) -> list[int]:
     for c in range(n):
         pr = None
         for i in range(r, m):
-            if work[i][c]:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        a = work[r][c]
-        if p and a != field.one:
-            inv = field.inv(a)
-            work[r] = [(x * inv) % p for x in work[r]]
-        top = work[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        a = rows[r][c]
+        if a != 1:
+            inv = pow(a, -1, p)
+            rows[r] = [(x * inv) % p for x in rows[r]]
+        top = rows[r]
         for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                if p:
-                    work[i] = [(x - f * y) % p for x, y in zip(work[i], top)]
-                else:
-                    g = gcd(a, f)
-                    row = [a // g * x - f // g * y for x, y in zip(work[i], top)]
-                    g = gcd(*row)
-                    work[i] = [x // g for x in row] if g > 1 else row
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == m:
             break
-    if not p:
-        rows[:] = ([[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
-                   + [[Fraction(0)] * n for _ in range(m - r)])
     return pivots
 
 
@@ -710,6 +937,17 @@ class Matrix:
     def cols(self) -> list[tuple]:
         unpack, n = self.field._family.unpack, self.nrows
         return [unpack(c, n) for c in self._columns()]
+
+    def integer_cols(self) -> list[tuple[tuple, int]]:
+        """The columns as (entries, den): integers over one positive denominator.
+
+        Over Q these are the stored columns, so no ``Fraction`` is built;
+        over F_p they are the residues over 1.
+        """
+        if not self.field.characteristic:
+            return list(self._columns())
+        unpack, n = self.field._family.unpack, self.nrows
+        return [(unpack(c, n), 1) for c in self._columns()]
 
     def select_rows(self, indices) -> "Matrix":
         """The matrix of the rows at the given indices, in that order."""

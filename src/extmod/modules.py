@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -545,11 +544,11 @@ def _random_invertible(field: Field, n: int,
     """
     p = field.characteristic
     for _ in range(10000):
-        # both draws are already canonical field elements
+        # both draws are already canonical field elements: an int is an
+        # exact rational, and randint(-3, 3) is -3 + randrange(7)
         values = _draws(rng, p or 7, n * n)
         if not p:
-            # randint(-3, 3) is -3 + randrange(7)
-            values = [Fraction(v - 3) for v in values]
+            values = [v - 3 for v in values]
         rows = [values[i:i + n] for i in range(0, n * n, n)]
         mat = Matrix(field, rows, ncols=n, _raw=True)
         inv = mat.inverse()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress
+from math import gcd
 
 from .linalg import Field, Matrix
 from .modules import E1, E2, AlgebraParams, Module, validate
@@ -216,12 +217,19 @@ def _module_labels(m: Module) -> dict[int, tuple[str, ...]]:
 def _action_blocks(m: Module, labels: dict, which: str):
     """(sources, targets, columns) for each action block the module stores.
 
-    The columns are the block's columns as tuples of entries, aligned with
-    the target labels.  Both printers read the actions through this.
+    Each column is (entries, den) from ``Matrix.integer_cols``, its entries
+    aligned with the target labels.  Both printers read the actions through
+    this.
     """
     step = m.params.action_degree(which)
     for d, act in m.action_items(which).items():
-        yield labels[d], labels[d + step], act.cols()
+        yield labels[d], labels[d + step], act.integer_cols()
+
+
+def _ratio(x: int, den: int) -> str:
+    """The scalar x / den in lowest terms, written as a document writes it."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def print_module(m: Module) -> str:
@@ -238,18 +246,17 @@ def print_module(m: Module) -> str:
              f"algebra {params.variant}"]
     for d in m.degrees:
         lines.extend(f"basis {name} {d}" for name in labels[d])
-    field = params.field
     for which in (E1, E2):
         for sources, targets, cols in _action_blocks(m, labels, which):
             n = len(targets)
-            for src, col in zip(sources, cols):
+            for src, (col, den) in zip(sources, cols):
                 zeros = col.count(0)
                 if zeros == n:
                     continue
-                if zeros + col.count(1) == n:
+                if zeros + col.count(den) == n:
                     terms = compress(targets, col)
                 else:
-                    terms = (tgt if c == field.one else f"{field.format_scalar(c)}*{tgt}"
+                    terms = (tgt if c == den else f"{_ratio(c, den)}*{tgt}"
                              for tgt, c in zip(targets, col) if c)
                 lines.append(f"{which} {src} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
@@ -265,14 +272,13 @@ def to_dot(m: Module) -> str:
     for d in m.degrees:
         for name in labels[d]:
             lines.append(f'  "{name}" [label="{name} ({d})"];')
-    field = m.field
     styles = {E1: "solid", E2: "bold"}
     for which in (E1, E2):
         for sources, targets, cols in _action_blocks(m, labels, which):
-            for src, col in zip(sources, cols):
+            for src, (col, den) in zip(sources, cols):
                 for tgt, c in zip(targets, col):
                     if c:
-                        tag = which if c == field.one else f"{which} ({field.format_scalar(c)})"
+                        tag = which if c == den else f"{which} ({_ratio(c, den)})"
                         lines.append(f'  "{src}" -> "{tgt}" '
                                      f'[label="{tag}", style={styles[which]}];')
     lines.append("}")

@@ -126,6 +126,23 @@ def count_fraction_arithmetic(monkeypatch):
     return calls
 
 
+def count_fraction_new(monkeypatch):
+    """Count ``Fraction`` constructions from now on, in a one-element list.
+
+    Every ``Fraction`` a constructor call or an arithmetic operator returns
+    goes through ``Fraction.__new__``.
+    """
+    calls = [0]
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
 def count_span(monkeypatch, field, cells=None):
     """Count calls of the ``span`` of field's family from now on, in a one-element list.
 

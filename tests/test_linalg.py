@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _is_prime, _PackedF2, _PackedFp, _row_reduce, hstack, image,
-                           intersect, kernel, preimage_space, quotient_dim,
+                           _is_prime, _PackedF2, _PackedFp, _Rationals, _row_reduce, hstack,
+                           image, intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
-from helpers import (count_coerce, count_fraction_arithmetic, count_span,
+from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
                      reference_kernel, reference_preimage, reference_product,
@@ -145,9 +146,21 @@ ELIM_SHAPES = [(0, 0), (0, 4), (1, 1), (1, 9), (9, 1), (4, 4), (12, 12), (3, 70)
 
 def _eliminate_both(field, rows):
     # full width: the list reference over every column of the rows
-    got, want = [list(r) for r in rows], [list(r) for r in rows]
-    piv = _row_reduce(field, got)
-    assert piv == reference_row_reduce(field, want, len(want[0]) if want else 0)
+    n = len(rows[0]) if rows else 0
+    want = [list(r) for r in rows]
+    want_piv = reference_row_reduce(field, want, n)
+    if field.characteristic:
+        got = [list(r) for r in rows]
+        piv = _row_reduce(field, got)
+    else:
+        # Q eliminates in its family's span, which returns only the pivot
+        # rows, each primitive over a positive denominator
+        fam = field._family
+        red, piv = fam.span([fam.pack(r) for r in rows], n)
+        assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in red)
+        got = ([list(fam.unpack(v, n)) for v in red]
+               + [[field.zero] * n for _ in range(len(rows) - len(piv))])
+    assert piv == want_piv
     assert got == want
     # over Q every row comes back as Fractions, zero rows included
     assert field.characteristic or _all_fractions(got)
@@ -200,6 +213,35 @@ def test_rational_products_and_eliminations_run_no_fraction_arithmetic(monkeypat
         if a.nrows == a.ncols:
             a.inverse()
     assert calls[0] == 0
+
+
+def test_rational_kernels_build_no_fraction(monkeypatch):
+    # a Q vector is integers over one denominator from end to end, so the
+    # kernels build no Fraction on inputs already built: the family's apply
+    # is m @ v short of the public view, which unpacks to Fractions
+    rng = random.Random(59)
+    fam = QQ._family
+    cases = []
+    for nrows, ncols in ((0, 3), (3, 0), (1, 1), (5, 5), (6, 9), (9, 6), (12, 12)):
+        for rank in (None, 2):
+            a = (random_fraction_matrix(nrows, ncols, rng) if rank is None else
+                 random_fraction_matrix(nrows, rank, rng)
+                 @ random_fraction_matrix(rank, ncols, rng))
+            u, w = (SubspaceBasis.from_spanning(QQ, n, random_fraction_matrix(2, n, rng).rows)
+                    for n in (nrows, ncols))
+            row, other = random_fraction_matrix(2, ncols, rng)._rows
+            cases.append((a, random_fraction_matrix(ncols, 4, rng), row, other,
+                          random_fraction_matrix(nrows, 2, rng), u, w, Fraction(-3, 7)))
+    built = count_fraction_new(monkeypatch)
+    arithmetic = count_fraction_arithmetic(monkeypatch)
+    for a, b, v, x, rhs, u, w, c in cases:
+        a @ b, fam.apply(a, v), a.rank(), a.solve(rhs), kernel(a), preimage_space(a, u)
+        im = image(a)
+        image(a, w), intersect(u, im), sum_space(u, im), im.contains_subspace(u)
+        fam.add_scaled(v, x, c), fam.scale(v, c), fam.reduce(w, v)
+        if a.nrows == a.ncols:
+            a.inverse()
+    assert (built[0], arithmetic[0]) == (0, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -662,6 +704,10 @@ def _check_views(m, ref, ncols):
     assert tuple(m.row(i) for i in range(m.nrows)) == ref
     assert tuple(m.cols()) == refcols
     assert tuple(m.col(j) for j in range(ncols)) == refcols
+    # integers over one positive denominator, the least one for the column
+    ints = m.integer_cols()
+    assert all(type(den) is int and den > 0 and gcd(den, *col) == 1 for col, den in ints)
+    assert [tuple(Fraction(x, den) for x in col) for col, den in ints] == list(refcols)
     assert all(m[i, j] == x and type(m[i, j]) is type(x)
                for i, row in enumerate(ref) for j, x in enumerate(row))
     plain = Matrix(field, ref, ncols=ncols)
@@ -750,11 +796,11 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 
 def test_families_answer_the_same_calls_with_one_elimination():
-    public = [{name for name in dir(cls) if not name.startswith("_")}
-              for cls in (_PackedF2, _PackedFp, _Entries)]
-    assert public[0] == public[1] == public[2]
+    families = (_PackedF2, _PackedFp, _Entries, _Rationals)
+    public = [{name for name in dir(cls) if not name.startswith("_")} for cls in families]
+    assert public[0] == public[1] == public[2] == public[3]
     assert "span" in public[0]
-    assert not any(hasattr(cls, "eliminate") for cls in (_PackedF2, _PackedFp, _Entries))
+    assert not any(hasattr(cls, "eliminate") for cls in families)
     # F2 shares the byte layout and keeps its own XOR row updates
     assert issubclass(_PackedF2, _PackedFp)
     assert {"add_scaled", "scale", "_combine", "reduce", "span"} <= set(vars(_PackedF2))
@@ -764,7 +810,9 @@ def test_layout_follows_the_characteristic():
     # bytes while a lane of a + c * b, at most (p - 1) + (p - 1)**2, fits in one
     assert type(F2._family) is _PackedF2
     assert all(type(Field(p)._family) is _PackedFp for p in (3, 5, 7, 11, 13))
-    assert all(type(Field(p)._family) is _Entries for p in (0, 17, 19, 257, 2**31 - 1))
+    # integer rows over one denominator for Q, tuples of entries for p >= 17
+    assert type(QQ._family) is _Rationals
+    assert all(type(Field(p)._family) is _Entries for p in (17, 19, 257, 2**31 - 1))
 
 
 # -- packed odd primes -----------------------------------------------------------
