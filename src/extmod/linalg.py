@@ -53,14 +53,15 @@ product row combines the packed rows of the right factor with the entries of
 the left row, and m @ v the packed columns of m with the entries of v; over
 F2 that is the XOR of the rows or columns selected, after Albrecht, Bard and
 Hart, "Algorithm 898: Efficient multiplication of dense matrices over GF(2)"
-(ACM TOMS 2010).  On tuples and on Q rows both are dot products, over Q one
-integer dot product per entry.  A packed preimage of u under m spans u's
-rows with each column of m tagged by its index, and keeps the tags of the
-vectors whose column part cancels.  On tuples and on Q rows it is the head
-of ker [m | B], B the basis matrix of u, from one elimination with the
-columns reversed: the tagged span has about twice the entries to eliminate.
-Over Q the heads are read off the integer echelon rows.  In every family a
-kernel is the preimage of zero.
+(ACM TOMS 2010).  On tuples both are dot products.  On Q rows a product
+entry is one integer dot product, and m @ v combines the columns of m that
+v selects while at most half of v is nonzero.  A packed preimage of u under
+m spans u's rows with each column of m tagged by its index, and keeps the
+tags of the vectors whose column part cancels.  On tuples and on Q rows it
+is the head of ker [m | B], B the basis matrix of u, from one elimination
+with the columns reversed: the tagged span has about twice the entries to
+eliminate.  Over Q the heads are read off the integer echelon rows.  In
+every family a kernel is the preimage of zero.
 
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
