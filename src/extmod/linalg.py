@@ -626,24 +626,34 @@ class _Rationals:
 
     @staticmethod
     def add_scaled(a, b, c) -> tuple[tuple, int]:
-        """a + c * b, over the lcm of a's denominator and that of c * b."""
+        """a + c * b, over the lcm of a's denominator and that of c * b.
+
+        With c's numerator cancelled against b's denominator, the sum can
+        share a factor with its denominator only at a prime of both
+        denominators or of c's denominator, so ``_normal`` looks for one only
+        there: a vector whose denominator has grown large is not run through
+        a gcd of its size on every update.
+        """
         if not c:
             return a
         (x, d), (y, e) = a, b
-        e *= c.denominator
-        den = lcm(d, e)
-        s, t = den // d, c.numerator * (den // e)
-        if s == 1:
-            return _normal([u + t * w for u, w in zip(x, y)], den)
-        return _normal([s * u + t * w for u, w in zip(x, y)], den)
+        num, cd = c.numerator, c.denominator
+        g = gcd(num, e)
+        f = e // g * cd
+        h = gcd(d, f)
+        s, t = f // h, num // g * (d // h)
+        return _normal([s * u + t * w for u, w in zip(x, y)], d // h * f, h * cd)
 
     @staticmethod
     def scale(a, c) -> tuple[tuple, int]:
+        """c * a; only a prime of c's denominator can be left to cancel."""
         x, d = a
         if not c:
             return (0,) * len(x), 1
-        t = c.numerator
-        return _normal([t * u for u in x], d * c.denominator)
+        num, cd = c.numerator, c.denominator
+        g = gcd(num, d)
+        t = num // g
+        return _normal([t * u for u in x], d // g * cd, cd)
 
     @staticmethod
     def transpose(vectors, n: int) -> tuple[tuple, ...]:
@@ -743,9 +753,22 @@ QQ = Field(0)
 GF2 = Field(2)
 
 
-def _normal(nums, den: int) -> tuple[tuple, int]:
-    """The vector nums / den, for den > 0, in normal form: their common factor divided out."""
-    g = gcd(den, *nums) if den != 1 else 1
+def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
+    """The vector nums / den, for den > 0, in normal form: their common factor divided out.
+
+    Given h, with every prime that can divide den and all of nums at once,
+    and den more than twice h's length, the common factor is sought only in
+    the part of den made of h's primes, which stays small while h does,
+    however large den is.
+    """
+    part = den
+    if h is not None and den.bit_length() > 2 * h.bit_length():
+        part, r, rest = 1, gcd(den, h), den
+        while r != 1:
+            part *= r
+            rest //= r
+            r = gcd(rest, r)
+    g = gcd(part, *nums) if part != 1 else 1
     if g == 1:
         return tuple(nums), den
     return tuple([x // g for x in nums]), den // g

@@ -96,6 +96,26 @@ def test_row_updates_match_fractions(rows, c, zero):
     assert _normal(got) and got == FAM.pack([c * x for x in a])
 
 
+@given(st.lists(ENTRIES["large"], min_size=1, max_size=6), st.data())
+def test_row_updates_cancel_at_the_primes_of_short_denominators(u, data):
+    # a's denominator is several times longer than those of b and c, where
+    # add_scaled seeks a common factor only at their primes: the part over
+    # p that c * b takes back out, and the factor q that c's numerator
+    # shares with b's denominator, must still be divided out
+    p, q = (data.draw(st.integers(10**20 - 99, 10**20 + 99)) for _ in range(2))
+    k, m = data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9).filter(bool))
+    over_p = tuple(Fraction(m * (j + 1), p) for j in range(len(u)))
+    a = FAM.pack([x + y for x, y in zip(u, over_p)])
+    got = FAM.add_scaled(a, FAM.pack(over_p), Fraction(-1))
+    assert _normal(got) and got == FAM.pack(u)
+    over_q = tuple(Fraction(m * j, q) for j in range(len(u)))
+    c = Fraction(q * k, m)
+    got = FAM.add_scaled(FAM.pack(u), FAM.pack(over_q), c)
+    assert _normal(got) and got == FAM.pack([x + c * y for x, y in zip(u, over_q)])
+    got = FAM.scale(FAM.pack(over_q), c)
+    assert _normal(got) and got == FAM.pack([c * y for y in over_q])
+
+
 @st.composite
 def product_pairs(draw):
     nrows, inner, ncols = (draw(st.integers(0, 5)) for _ in range(3))
