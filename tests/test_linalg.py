@@ -239,6 +239,8 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         im = image(a)
         image(a, w), intersect(u, im), sum_space(u, im), im.contains_subspace(u)
         fam.add_scaled(v, x, c), fam.scale(v, c), fam.reduce(w, v)
+        if a.ncols:
+            fam.apply(a, fam.unit(0, a.ncols))  # a sparse vector combines columns
         if a.nrows == a.ncols:
             a.inverse()
     assert (built[0], arithmetic[0]) == (0, 0)
