@@ -24,14 +24,14 @@ one XOR, which never carries.  Over F_p for p >= 17 a vector is a tuple of
 canonical entries (:class:`_Entries`).  Over Q it is ``(nums, den)``
 (:class:`_Rationals`): a tuple of integer numerators over one positive
 denominator, with ``gcd(den, *nums) == 1``, a normal form that keeps
-equality and hashing exact, as FLINT's ``fmpq_mat`` keeps integers through
-``fmpz_mat``.  The family does all that depends on the layout, and
-``Matrix`` eliminations and products, ``SubspaceBasis``, ``image``,
-``kernel``, ``preimage_space`` and the chain sweep of
-:mod:`extmod.decompose` are written once over it, looking it up once per
-call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its echelon
-rows, in the family layout only; ``rows``, ``cols()`` and entry reads unpack
-them.  The columns of a ``Matrix`` are one ``transpose`` of its rows, made on
+equality and hashing exact; FLINT's ``fmpq_mat`` likewise runs products and
+eliminations on integer matrices (``fmpz_mat``).  The family does all that
+depends on the layout, and ``Matrix`` eliminations and products,
+``SubspaceBasis``, ``image``, ``kernel``, ``preimage_space`` and the chain
+sweep of :mod:`extmod.decompose` are written once over it, looking it up
+once per call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its
+echelon rows, in the family layout only; ``rows``, ``cols()`` and entry
+reads unpack them.  The columns of a ``Matrix`` are one ``transpose`` of its rows, made on
 first use and cached for what reads columns: an image, a product on tuples
 or on Q rows, m @ v and packed preimages.  ``from_cols`` keeps the columns
 it is given as that cache.
