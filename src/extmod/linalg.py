@@ -67,7 +67,8 @@ Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
 ``reduce_vector`` unpack, and the family's ``entry`` reads one scalar, as
 ``kernel_matrix`` and the sweep's pivot rule do.  Products, eliminations,
-preimages and row updates run on integers alone.
+preimages and row updates run on integers alone, and ``written_cols()``
+writes each entry as a document does straight from the integers.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
@@ -237,6 +238,8 @@ class _PackedFp:
     @staticmethod
     def unpack(v: int, n: int) -> tuple:
         return tuple(v.to_bytes(n, "little"))
+
+    written = unpack
 
     def coerce(self, vec) -> int:
         """An outside vector, packed with each entry reduced mod p.
@@ -469,6 +472,8 @@ class _Entries:
     def unpack(v: tuple, n: int) -> tuple:
         return v
 
+    written = unpack
+
     def coerce(self, vec) -> tuple:
         return tuple(map(self.field.coerce, vec))
 
@@ -573,16 +578,7 @@ class _Rationals:
 
     @staticmethod
     def pack(vec) -> tuple[tuple, int]:
-        """Entries in lowest terms over the lcm of their denominators.
-
-        That is the normal form: a prime that divides the lcm divides it as
-        often as the denominator of some entry, whose numerator it does not
-        divide and whose multiplier lcm // denominator it does not divide.
-        """
-        den = lcm(*[x.denominator for x in vec])
-        if den == 1:
-            return tuple([x.numerator for x in vec]), 1
-        return tuple([x.numerator * (den // x.denominator) for x in vec]), den
+        return _ratios([x.numerator for x in vec], [x.denominator for x in vec])
 
     @staticmethod
     def unpack(v, n: int) -> tuple:
@@ -590,6 +586,18 @@ class _Rationals:
         if den == 1:
             return tuple(map(Fraction, nums))
         return tuple([Fraction(x, den) for x in nums])
+
+    @staticmethod
+    def written(v, n: int) -> tuple:
+        """The entries as a document writes them: an int, or "a/b" in lowest terms."""
+        nums, den = v
+        if den == 1:
+            return nums
+        out = []
+        for x in nums:
+            g = gcd(x, den)
+            out.append(x // g if g == den else f"{x // g}/{den // g}")
+        return tuple(out)
 
     def coerce(self, vec) -> tuple[tuple, int]:
         return self.pack(list(map(self.field.coerce, vec)))
@@ -757,12 +765,11 @@ def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
     """The vector nums / den, for den > 0, in normal form: their common factor divided out.
 
     Given h, with every prime that can divide den and all of nums at once,
-    and den more than twice h's length, the common factor is sought only in
-    the part of den made of h's primes, which stays small while h does,
-    however large den is.
+    the common factor is sought only in the part of den made of h's primes,
+    which stays small while h does, however large den is.
     """
     part = den
-    if h is not None and den.bit_length() > 2 * h.bit_length():
+    if h is not None:
         part, r, rest = 1, gcd(den, h), den
         while r != 1:
             part *= r
@@ -778,7 +785,10 @@ def _ratios(nums, dens) -> tuple[tuple, int]:
     """The vector of entries nums[j] / dens[j], each den > 0, in normal form.
 
     Each entry is brought to lowest terms and the vector written over the
-    lcm of their denominators, as in ``_Rationals.pack``.
+    lcm of their denominators.  That is the normal form: a prime that
+    divides the lcm divides it as often as the denominator of some entry,
+    whose numerator it does not divide and whose multiplier lcm //
+    denominator it does not divide.
     """
     if dens.count(1) == len(dens):
         return tuple(nums), 1
@@ -962,16 +972,11 @@ class Matrix:
         unpack, n = self.field._family.unpack, self.nrows
         return [unpack(c, n) for c in self._columns()]
 
-    def integer_cols(self) -> list[tuple[tuple, int]]:
-        """The columns as (entries, den): integers over one positive denominator.
-
-        Over Q these are the stored columns, so no ``Fraction`` is built;
-        over F_p they are the residues over 1.
-        """
-        if not self.field.characteristic:
-            return list(self._columns())
-        unpack, n = self.field._family.unpack, self.nrows
-        return [(unpack(c, n), 1) for c in self._columns()]
+    def written_cols(self) -> list[tuple]:
+        """The columns with each entry as a document writes it: an int, or
+        the string "a/b" in lowest terms; over Q no ``Fraction`` is built."""
+        written, n = self.field._family.written, self.nrows
+        return [written(c, n) for c in self._columns()]
 
     def select_rows(self, indices) -> "Matrix":
         """The matrix of the rows at the given indices, in that order."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress
-from math import gcd
 
 from .linalg import Field, Matrix
 from .modules import E1, E2, AlgebraParams, Module, validate
@@ -217,19 +216,13 @@ def _module_labels(m: Module) -> dict[int, tuple[str, ...]]:
 def _action_blocks(m: Module, labels: dict, which: str):
     """(sources, targets, columns) for each action block the module stores.
 
-    Each column is (entries, den) from ``Matrix.integer_cols``, its entries
-    aligned with the target labels.  Both printers read the actions through
-    this.
+    The columns are the block's columns with each entry as a document
+    writes it (``Matrix.written_cols``), aligned with the target labels.
+    Both printers read the actions through this.
     """
     step = m.params.action_degree(which)
     for d, act in m.action_items(which).items():
-        yield labels[d], labels[d + step], act.integer_cols()
-
-
-def _ratio(x: int, den: int) -> str:
-    """The scalar x / den in lowest terms, written as a document writes it."""
-    g = gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
+        yield labels[d], labels[d + step], act.written_cols()
 
 
 def print_module(m: Module) -> str:
@@ -249,14 +242,14 @@ def print_module(m: Module) -> str:
     for which in (E1, E2):
         for sources, targets, cols in _action_blocks(m, labels, which):
             n = len(targets)
-            for src, (col, den) in zip(sources, cols):
+            for src, col in zip(sources, cols):
                 zeros = col.count(0)
                 if zeros == n:
                     continue
-                if zeros + col.count(den) == n:
+                if zeros + col.count(1) == n:
                     terms = compress(targets, col)
                 else:
-                    terms = (tgt if c == den else f"{_ratio(c, den)}*{tgt}"
+                    terms = (tgt if c == 1 else f"{c}*{tgt}"
                              for tgt, c in zip(targets, col) if c)
                 lines.append(f"{which} {src} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
@@ -275,10 +268,10 @@ def to_dot(m: Module) -> str:
     styles = {E1: "solid", E2: "bold"}
     for which in (E1, E2):
         for sources, targets, cols in _action_blocks(m, labels, which):
-            for src, (col, den) in zip(sources, cols):
+            for src, col in zip(sources, cols):
                 for tgt, c in zip(targets, col):
                     if c:
-                        tag = which if c == den else f"{which} ({_ratio(c, den)})"
+                        tag = which if c == 1 else f"{which} ({c})"
                         lines.append(f'  "{src}" -> "{tgt}" '
                                      f'[label="{tag}", style={styles[which]}];')
     lines.append("}")

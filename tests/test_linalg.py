@@ -706,10 +706,12 @@ def _check_views(m, ref, ncols):
     assert tuple(m.row(i) for i in range(m.nrows)) == ref
     assert tuple(m.cols()) == refcols
     assert tuple(m.col(j) for j in range(ncols)) == refcols
-    # integers over one positive denominator, the least one for the column
-    ints = m.integer_cols()
-    assert all(type(den) is int and den > 0 and gcd(den, *col) == 1 for col, den in ints)
-    assert [tuple(Fraction(x, den) for x in col) for col, den in ints] == list(refcols)
+    # each entry as a document writes it: an int, or "a/b" in lowest terms
+    written = m.written_cols()
+    assert [tuple(map(str, col)) for col in written] == [tuple(map(str, col))
+                                                         for col in refcols]
+    assert all(type(x) is (int if Fraction(y).denominator == 1 else str)
+               for col, refcol in zip(written, refcols) for x, y in zip(col, refcol))
     assert all(m[i, j] == x and type(m[i, j]) is type(x)
                for i, row in enumerate(ref) for j, x in enumerate(row))
     plain = Matrix(field, ref, ncols=ncols)

@@ -12,6 +12,10 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, strategies as st
 
 from extmod.linalg import Field, Matrix, SubspaceBasis, preimage_space
