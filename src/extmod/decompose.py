@@ -242,8 +242,10 @@ def _sweep_chain(m: Module, residue: int,
     fam = field._family
     strands: list[_Strand] = []
     open_: list[_Strand] = []
-    # one position past the end checks that the last open strands are closed
-    for pos in range(min(vecs), max(vecs) + 2):
+    # a position with no vectors after one with none has nothing to match, so
+    # only the occupied positions run, each with the one after it, which
+    # checks that the strands open there are closed
+    for pos in sorted({*vecs, *(p + 1 for p in vecs)}):
         fresh = [_Strand(pos, fam.pack(v)) for v in vecs.get(pos, [])]
         deg = residue + (pos // 2) * m.params.gap
         if pos % 2 == 0:

@@ -89,7 +89,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import mul, xor
+from operator import index, mul, xor
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -161,15 +161,28 @@ class Field:
         return 1 if self.characteristic else _Q_ONE
 
     def coerce(self, value):
-        """Reduce an integer (or exact rational) to canonical form."""
+        """Reduce an integer or a ``Fraction`` to canonical form.
+
+        An integer is an int, a bool or anything with ``__index__``.  Any
+        other value, a float or a ``Decimal`` too, is a ``TypeError``: no
+        entry is truncated or approximated.
+        """
         p = self.characteristic
-        if p == 0:
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator not invertible mod {p}")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        return int(value) % p
+        # ints first: isinstance against Fraction, an ABC, is slow when it fails
+        if type(value) is not int:
+            if isinstance(value, Fraction):
+                if p == 0:
+                    # a Fraction is immutable, so an exact one is its own copy
+                    return value if type(value) is Fraction else Fraction(value)
+                if value.denominator % p == 0:
+                    raise ZeroDivisionError(f"denominator not invertible mod {p}")
+                return value.numerator * pow(value.denominator, -1, p) % p
+            try:
+                value = index(value)
+            except TypeError:
+                raise TypeError(f"field entries are integers or Fractions, "
+                                f"not {type(value).__name__} {value!r}") from None
+        return value % p if p else Fraction(value)
 
     def add(self, a, b):
         p = self.characteristic
@@ -883,10 +896,9 @@ def _row_reduce(field: Field, rows: list[list]) -> list[int]:
 class Matrix:
     """Immutable dense matrix over a :class:`Field`.
 
-    The rows are kept once, in the field's family layout; ``rows``, ``row``,
-    ``col``, ``cols()`` and ``m[i, j]`` read them as tuples of canonical
-    entries.  Acts on column vectors (plain tuples): ``m.apply(v)`` computes
-    ``m @ v``.
+    The rows are kept once, in the field's family layout; ``rows``, ``col``,
+    ``cols()`` and ``m[i, j]`` read them as tuples of canonical entries.
+    Acts on column vectors (plain tuples): ``m.apply(v)`` computes ``m @ v``.
     """
 
     # _fcols caches the columns in the family layout, made by one transpose
@@ -961,9 +973,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.field._family.entry(self._rows[i], j)
-
-    def row(self, i) -> tuple:
-        return self.field._family.unpack(self._rows[i], self.ncols)
 
     def col(self, j) -> tuple:
         return self.field._family.unpack(self._columns()[j], self.nrows)

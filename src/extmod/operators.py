@@ -1,12 +1,13 @@
 """Operator calculus on graded modules.
 
-Degreewise subspaces, action images, e2-preimages, the decreasing filtration
-F_0 = M, F_j = e2^{-1}(e1 F_{j-1}) with its stabilization, degree slices,
-socle and radical, and Margolis homology ker(e)/im(e) for either generator.
+The decreasing filtration F_0 = M, F_j = e2^{-1}(e1 F_{j-1}) with its
+stabilization, degree slices, the socle, and Margolis homology ker(e)/im(e)
+for either generator.
 
 A graded subspace is its per-degree spaces; its carrier is read off their
-ambient dimensions.  One generator builds the chain: ``filtration_trace``
-runs it to the first repeated term, and ``filtration(m, j)`` stops at term j.
+ambient dimensions.  One generator builds the chain, and it is the only
+image and preimage route here: ``filtration_trace`` runs it to the first
+repeated term, and ``filtration(m, j)`` stops at term j.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .linalg import SubspaceBasis, image, kernel, preimage_space, sum_space, vstack
+from .linalg import SubspaceBasis, image, kernel, preimage_space, vstack
 from .modules import E1, E2, Module
 
 
@@ -27,39 +28,13 @@ class GradedSubspace:
         self.field = field
         self.spaces = dict(spaces)
 
-    @property
-    def parent_dims(self) -> dict[int, int]:
-        return {d: s.ambient_dim for d, s in self.spaces.items()}
-
-    # -- constructors -----------------------------------------------------------
-
     @classmethod
     def full(cls, m: Module) -> "GradedSubspace":
         return cls(m.field, {d: SubspaceBasis.full(m.field, n)
                              for d, n in m.dims_by_degree.items()})
 
-    @classmethod
-    def zero(cls, m: Module) -> "GradedSubspace":
-        return cls(m.field, {d: SubspaceBasis.zero(m.field, n)
-                             for d, n in m.dims_by_degree.items()})
-
-    # -- views -------------------------------------------------------------------
-
     def dims(self) -> dict[int, int]:
         return {d: s.dim for d, s in self.spaces.items() if s.dim}
-
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.spaces.values())
-
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
-    def contains(self, other: "GradedSubspace") -> bool:
-        if self.parent_dims != other.parent_dims:
-            raise ValueError("subspaces of different carriers")
-        return all(self.spaces[d].contains_subspace(other.spaces[d])
-                   for d in self.spaces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSubspace):
@@ -71,35 +46,6 @@ class GradedSubspace:
 
     def __repr__(self) -> str:
         return f"GradedSubspace({self.dims()})"
-
-
-def _check_ambient(m: Module, u: GradedSubspace) -> None:
-    if u.parent_dims != m.dims_by_degree:
-        raise ValueError("graded subspace does not live in this module's carrier")
-
-
-def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
-    """Degreewise image of u under the chosen action."""
-    _check_ambient(m, u)
-    step = m.params.action_degree(which)
-    spaces = {d: SubspaceBasis.zero(m.field, n) for d, n in m.dims_by_degree.items()}
-    for d, sub in u.spaces.items():
-        if sub.dim and m.dim(d + step):
-            spaces[d + step] = image(m.action(which, d), sub)
-    return GradedSubspace(m.field, spaces)
-
-
-def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
-    """Degreewise {v : (action) v lies in u}; always contains the kernel."""
-    _check_ambient(m, u)
-    step = m.params.action_degree(which)
-    field = m.field
-    spaces = {}
-    for d, n in m.dims_by_degree.items():
-        target = u.spaces.get(d + step,
-                              SubspaceBasis.zero(field, m.dim(d + step)))
-        spaces[d] = preimage_space(m.action(which, d), target)
-    return GradedSubspace(m.field, spaces)
 
 
 @dataclass(frozen=True)
@@ -190,20 +136,6 @@ def socle(m: Module) -> GradedSubspace:
     """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
     spaces = {d: kernel(vstack([m.action(E1, d), m.action(E2, d)]))
               for d in m.dims_by_degree}
-    return GradedSubspace(m.field, spaces)
-
-
-def radical(m: Module) -> GradedSubspace:
-    """im e1 + im e2, degreewise."""
-    p = m.params
-    field = m.field
-    spaces = {}
-    for d, n in m.dims_by_degree.items():
-        parts = SubspaceBasis.zero(field, n)
-        for which, step in ((E1, p.deg_e1), (E2, p.deg_e2)):
-            if m.dim(d - step):
-                parts = sum_space(parts, image(m.action(which, d - step)))
-        spaces[d] = parts
     return GradedSubspace(m.field, spaces)
 
 

@@ -5,10 +5,10 @@ import re
 from fractions import Fraction
 
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
-                           standard_complement, sum_space)
+                           preimage_space, standard_complement, sum_space)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
                             direct_sum, make_flash, validate)
-from extmod.operators import GradedSubspace, act_image, degree_part, op_preimage
+from extmod.operators import GradedSubspace, degree_part
 from extmod.textio import DocumentError
 
 
@@ -259,7 +259,7 @@ def reference_match(field, act, cod, dom):
 
 def random_subspace(field, ambient, rng, max_gens=None):
     gens = rng.randint(0, max_gens if max_gens is not None else ambient)
-    vectors = [random_matrix(field, 1, ambient, rng).row(0) for _ in range(gens)]
+    vectors = [random_matrix(field, 1, ambient, rng).rows[0] for _ in range(gens)]
     return SubspaceBasis.from_spanning(field, ambient, vectors)
 
 
@@ -308,6 +308,67 @@ def random_variant_b_module(params, max_total_dim, seed, degree_max=7):
     m = Module(params, dims, a1, a2)
     assert not validate(m)
     return m
+
+
+def parent_dims(u: GradedSubspace) -> dict[int, int]:
+    """The carrier of a graded subspace: the ambient dimension of each degree."""
+    return {d: s.ambient_dim for d, s in u.spaces.items()}
+
+
+def zero_subspace(m: Module) -> GradedSubspace:
+    """The zero subspace of m's carrier."""
+    return GradedSubspace(m.field, {d: SubspaceBasis.zero(m.field, n)
+                                    for d, n in m.dims_by_degree.items()})
+
+
+def contains(u: GradedSubspace, v: GradedSubspace) -> bool:
+    """Whether v lies in u, degree by degree; both must share one carrier."""
+    if parent_dims(u) != parent_dims(v):
+        raise ValueError("subspaces of different carriers")
+    return all(u.spaces[d].contains_subspace(v.spaces[d]) for d in u.spaces)
+
+
+def _check_ambient(m: Module, u: GradedSubspace) -> None:
+    if parent_dims(u) != m.dims_by_degree:
+        raise ValueError("graded subspace does not live in this module's carrier")
+
+
+def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
+    """Degreewise image of u under the chosen action."""
+    _check_ambient(m, u)
+    step = m.params.action_degree(which)
+    spaces = {d: SubspaceBasis.zero(m.field, n) for d, n in m.dims_by_degree.items()}
+    for d, sub in u.spaces.items():
+        if sub.dim and m.dim(d + step):
+            spaces[d + step] = image(m.action(which, d), sub)
+    return GradedSubspace(m.field, spaces)
+
+
+def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
+    """Degreewise {v : (action) v lies in u}; always contains the kernel."""
+    _check_ambient(m, u)
+    step = m.params.action_degree(which)
+    field = m.field
+    spaces = {}
+    for d, n in m.dims_by_degree.items():
+        target = u.spaces.get(d + step,
+                              SubspaceBasis.zero(field, m.dim(d + step)))
+        spaces[d] = preimage_space(m.action(which, d), target)
+    return GradedSubspace(m.field, spaces)
+
+
+def radical(m: Module) -> GradedSubspace:
+    """im e1 + im e2, degreewise."""
+    p = m.params
+    field = m.field
+    spaces = {}
+    for d, n in m.dims_by_degree.items():
+        parts = SubspaceBasis.zero(field, n)
+        for which, step in ((E1, p.deg_e1), (E2, p.deg_e2)):
+            if m.dim(d - step):
+                parts = sum_space(parts, image(m.action(which, d - step)))
+        spaces[d] = parts
+    return GradedSubspace(m.field, spaces)
 
 
 def reference_chain(m):

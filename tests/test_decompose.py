@@ -148,6 +148,26 @@ def test_match_rejects_images_off_the_socle_coordinates(char):
                [_Strand(0, vector((0, 1)))])
 
 
+def test_sweep_visits_only_occupied_positions(monkeypatch):
+    # two simples 10**5 degrees apart: the sweep matches at each occupied
+    # chain position and the one after it, not at every position between
+    text = print_module(direct_sum([make_flash(FlashShape.simple(0), P),
+                                    make_flash(FlashShape.simple(100000), P)]))
+    m = parse_module(text)
+    calls = [0]
+    match = decompose_mod._match
+
+    def counted(*args):
+        calls[0] += 1
+        return match(*args)
+
+    monkeypatch.setattr(decompose_mod, "_match", counted)
+    dec = decompose(m)
+    assert 0 < calls[0] <= 2 * m.total_dim
+    assert dec.multiset() == Counter([FlashShape.simple(0), FlashShape.simple(100000)])
+    assert verify_decomposition(m, dec)
+
+
 def test_scrambled_mixed_shapes_round_trip():
     m = direct_sum([make_flash(FlashShape.l(2, 0, 1), P),
                     shift(make_flash(FlashShape.finite(2, True, False), P), 4)])

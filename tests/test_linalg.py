@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -132,7 +133,7 @@ def test_products_match_entrywise_reference(field):
                 assert got == reference_product(a, b)
                 assert field.characteristic or _all_fractions(got.rows)
             for _ in range(2):  # the second call reads the cached rows
-                v = _draw(field, 1, inner, rng).row(0)
+                v = _draw(field, 1, inner, rng).rows[0]
                 got = a.apply(v)
                 assert got == reference_apply(a, v)
                 assert field.characteristic or _all_fractions([got])
@@ -203,7 +204,7 @@ def test_rational_products_and_eliminations_run_no_fraction_arithmetic(monkeypat
                  random_fraction_matrix(nrows, rank, rng)
                  @ random_fraction_matrix(rank, ncols, rng))
             cases.append((a, random_fraction_matrix(ncols, 4, rng),
-                          random_fraction_matrix(1, ncols, rng).row(0),
+                          random_fraction_matrix(1, ncols, rng).rows[0],
                           random_fraction_matrix(nrows, 2, rng),
                           SubspaceBasis.from_spanning(
                               QQ, nrows, random_fraction_matrix(2, nrows, rng).rows)))
@@ -369,7 +370,7 @@ def test_f2_from_spanning_matches_list_elimination():
     rng = random.Random(47)
     for ambient in (0, 1, 5, 64, 65, 100):
         for gens in (0, 1, ambient // 2, ambient + 3):
-            vectors = [random_matrix(F2, 1, ambient, rng).row(0) for _ in range(gens)]
+            vectors = [random_matrix(F2, 1, ambient, rng).rows[0] for _ in range(gens)]
             _assert_same(SubspaceBasis.from_spanning(F2, ambient, vectors),
                          reference_span(F2, ambient, vectors), True)
 
@@ -642,7 +643,7 @@ def test_matrix_eliminations_match_list_reference(field):
                 want = _reference_solve(field, m, rhs)
                 assert m.solve(rhs) == want
                 seen["none" if want is None else "solved"] += 1
-            vec = random_matrix(field, 1, nrows, rng).row(0)
+            vec = random_matrix(field, 1, nrows, rng).rows[0]
             want = _reference_solve(field, m, Matrix.from_cols(field, [vec], nrows=nrows))
             assert m.solve_vector(vec) == (None if want is None else want.col(0))
     assert all(seen.values()), seen
@@ -703,7 +704,6 @@ def _check_views(m, ref, ncols):
     assert all(type(x) is int and 0 <= x < p if p else type(x) is Fraction
                for row in ref for x in row)
     assert m.rows == ref
-    assert tuple(m.row(i) for i in range(m.nrows)) == ref
     assert tuple(m.cols()) == refcols
     assert tuple(m.col(j) for j in range(ncols)) == refcols
     # each entry as a document writes it: an int, or "a/b" in lowest terms
@@ -903,12 +903,12 @@ def test_packed_odd_primes_match_list_reference(field):
                 want = _reference_solve(field, m, ident)
                 assert m.inverse() == want
                 seen["singular" if want is None else "inverse"] += 1
-            for v in (random_matrix(field, 1, ncols, rng).row(0), (top,) * ncols):
+            for v in (random_matrix(field, 1, ncols, rng).rows[0], (top,) * ncols):
                 assert m.apply(v) == reference_apply(m, v)
             for b in (random_matrix(field, ncols, 3, rng),
                       Matrix(field, [[top] * 3] * ncols, ncols=3)):
                 assert m @ b == reference_product(m, b)
-            for w in (random_matrix(field, 1, ncols, rng).row(0), (top,) * ncols):
+            for w in (random_matrix(field, 1, ncols, rng).rows[0], (top,) * ncols):
                 assert span.reduce_vector(w) == _list_residue(field, span, w)
             other = SubspaceBasis.from_spanning(field, ncols, m.rows[:2]
                                                 + random_matrix(field, 1, ncols, rng).rows)
@@ -968,7 +968,7 @@ def test_packed_odd_primes_store_reduced_lanes(field):
             for b in (random_matrix(field, ncols, 4, rng),
                       Matrix(field, [[p - 1] * 4] * ncols, ncols=4)):
                 assert reduced((m @ b)._rows, 4)
-            for v in (random_matrix(field, 1, ncols, rng).row(0), (p - 1,) * ncols):
+            for v in (random_matrix(field, 1, ncols, rng).rows[0], (p - 1,) * ncols):
                 assert reduced([fam.apply(m, fam.pack(v))], nrows)
             for c in range(p):
                 assert reduced(m.scaled(c)._rows, ncols)
@@ -987,6 +987,32 @@ def test_packed_coerce_reduces_outside_values():
     assert SubspaceBasis.from_spanning(F7, 2, [(8, 255)]).vectors() == [(1, 3)]
     assert SubspaceBasis.from_spanning(F7, 2, [(1, 3)]).contains_vector((-6, 10))
     assert SubspaceBasis.from_spanning(F11, 2, [(1, 0)]).reduce_vector((12, 256)) == (0, 3)
+
+
+class _Three:
+    """An integer that is not an int: it has ``__index__``."""
+
+    def __index__(self):
+        return 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_coerce_takes_only_integers_and_fractions(field):
+    p = field.characteristic
+    row = [3, True, _Three(), Fraction(3, 7)]
+    want = ((3 % p, 1, 3 % p, 3 * pow(7, -1, p) % p) if p
+            else (Fraction(3), Fraction(1), Fraction(3), Fraction(3, 7)))
+    assert Matrix(field, [row]).rows == (want,)
+    assert Matrix.from_cols(field, [row]).cols() == [want]
+    assert SubspaceBasis.from_spanning(field, 4, [row]).contains_vector(want)
+    # nothing is truncated or approximated, not even an integral float
+    for bad in (0.5, 2.9, 2.0, 0.1, Decimal("1"), Decimal("0.1"), "1"):
+        with pytest.raises(TypeError, match="integers or Fractions"):
+            field.coerce(bad)
+        with pytest.raises(TypeError, match="integers or Fractions"):
+            Matrix(field, [[1, bad]])
+        with pytest.raises(TypeError, match="integers or Fractions"):
+            SubspaceBasis.from_spanning(field, 2, [(1, 0), (bad, 1)])
 
 
 def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():

@@ -7,14 +7,14 @@ from extmod.linalg import SubspaceBasis
 from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncated_infinite_flash)
-from extmod.operators import (GradedSubspace, act_image, degree_part,
-                              filtration, filtration_trace,
-                              margolis_homology, op_preimage, radical, socle,
+from extmod.operators import (GradedSubspace, degree_part, filtration,
+                              filtration_trace, margolis_homology, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import (count_coerce, count_span, flash_sum, from_labels,
+from helpers import (act_image, contains, count_coerce, count_span, flash_sum,
+                     from_labels, op_preimage, parent_dims, radical,
                      random_flash_shapes, random_variant_b_module,
-                     reference_chain)
+                     reference_chain, zero_subspace)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -54,7 +54,7 @@ def test_from_labels_keeps_label_errors():
     bare = random_basis_change(m, 3)
     with pytest.raises(KeyError, match="carries no basis labels"):
         from_labels(bare, ["x0"])
-    assert from_labels(bare, []).is_zero()
+    assert not from_labels(bare, []).dims()
 
 
 def test_act_image_examples():
@@ -62,7 +62,7 @@ def test_act_image_examples():
     assert act_image(m2, E1, GradedSubspace.full(m2)) == span(m2, "y0", "y1")
     m1 = make_flash(FlashShape.l(1, 0, 1), P)
     assert act_image(m1, E2, GradedSubspace.full(m1)) == span(m1, "y0", "y1")
-    assert act_image(m1, E1, GradedSubspace.zero(m1)).is_zero()
+    assert not act_image(m1, E1, zero_subspace(m1)).dims()
 
 
 def test_op_preimage_examples():
@@ -75,7 +75,7 @@ def test_op_preimage_examples():
         assert pre == span(m, *everything_but_xn)
     m1 = make_flash(FlashShape.l(1, 0, 1), P)
     assert op_preimage(m1, E2, GradedSubspace.full(m1)) == GradedSubspace.full(m1)
-    assert op_preimage(m1, E2, GradedSubspace.zero(m1)) == span(m1, "y0", "y1")
+    assert op_preimage(m1, E2, zero_subspace(m1)) == span(m1, "y0", "y1")
 
 
 def test_filtration_examples():
@@ -95,14 +95,14 @@ def test_filtration_chain_decreases_and_stabilizes():
     for m in cases:
         trace = filtration_trace(m)
         for j in range(len(trace.subspaces) - 1):
-            assert trace.subspaces[j].contains(trace.subspaces[j + 1])
+            assert contains(trace.subspaces[j], trace.subspaces[j + 1])
         assert trace.stable_index <= m.total_dim
         assert trace.subspaces[trace.stable_index] == \
             trace.subspaces[trace.stable_index + 1]
 
 
 @pytest.mark.parametrize("degs", [(1, 2), (1, 3), (2, 5)])
-@pytest.mark.parametrize("char", [2, 5, 0])
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
 def test_chain_matches_full_recomputation(char, degs):
     params = default_params(char, *degs)
     rng = random.Random(char * 100 + degs[1])
@@ -192,8 +192,8 @@ def test_preimage_image_adjunction():
             d: SubspaceBasis.coordinate(m.field, n, [rng.randrange(n)] if rng.random() < 0.6
                                         else [])
             for d, n in m.dims_by_degree.items()})
-        assert op_preimage(m, E2, act_image(m, E2, u)).contains(u)
-        assert u.contains(act_image(m, E2, op_preimage(m, E2, u)))
+        assert contains(op_preimage(m, E2, act_image(m, E2, u)), u)
+        assert contains(u, act_image(m, E2, op_preimage(m, E2, u)))
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -220,7 +220,7 @@ def test_stable_intersection_examples():
     stage = counterexample_stage(3, P)
     assert degree_part(stable_intersection(stage), 0).dim == 0
     from extmod.modules import zero_module
-    assert stable_intersection(zero_module(P)).is_zero()
+    assert not stable_intersection(zero_module(P)).dims()
 
 
 def test_degree_part_examples():
@@ -241,7 +241,7 @@ def test_socle_and_radical():
         free, ["e1g", "e2g", "e1e2g"])
     for seed in range(4):
         m = random_variant_b_module(P, 9, 200 + seed)
-        assert socle(m).contains(radical(m))
+        assert contains(socle(m), radical(m))
 
 
 def test_margolis_examples():
@@ -297,13 +297,13 @@ def test_carrier_is_read_off_the_spaces():
     # carrier, read off the ambient dimensions of its spaces
     m = random_basis_change(flash_sum(random_flash_shapes(random.Random(8), 4, 4, 6), P), 3)
     u = GradedSubspace.full(m)
-    made = [u, GradedSubspace.zero(m), act_image(m, E1, u), op_preimage(m, E2, u),
+    made = [u, zero_subspace(m), act_image(m, E1, u), op_preimage(m, E2, u),
             socle(m), radical(m), *filtration_trace(m).subspaces]
-    assert all(v.parent_dims == m.dims_by_degree for v in made)
+    assert all(parent_dims(v) == m.dims_by_degree for v in made)
     # one degree's ambient dimension differs: unequal, and not comparable
     d = max(m.dims_by_degree, key=m.dim)
     wider = GradedSubspace(m.field, {**u.spaces, d: SubspaceBasis.zero(m.field, m.dim(d) + 1)})
     narrower = GradedSubspace(m.field, {**u.spaces, d: SubspaceBasis.zero(m.field, m.dim(d))})
     assert wider != narrower
     with pytest.raises(ValueError, match="different carriers"):
-        wider.contains(narrower)
+        contains(wider, narrower)

@@ -108,7 +108,7 @@ def _replaced(trace, d, js):
     """trace with one wrong object, the zero subspace, at degree d of every term in js."""
     terms = list(trace.subspaces)
     t = terms[0]
-    wrong = SubspaceBasis.zero(t.field, t.parent_dims[d])
+    wrong = SubspaceBasis.zero(t.field, t.spaces[d].ambient_dim)
     for j in js:
         terms[j] = GradedSubspace(t.field, {**terms[j].spaces, d: wrong})
     return FiltrationTrace(tuple(terms), trace.stable_index)
