@@ -396,8 +396,6 @@ def _cmd_paper_check(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    if args.format != "dot":
-        raise CliError(f"unsupported diagram format {args.format!r}")
     module = _read_module(args.file)
     text = to_dot(module)
     if args.output:
@@ -467,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="emit a zigzag diagram")
     p.add_argument("file")
-    p.add_argument("--format", default="dot")
+    p.add_argument("--format", default="dot", choices=("dot",))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_diagram)
     return parser

@@ -1222,20 +1222,16 @@ class SubspaceBasis:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def reduce_vector(self, vec, _raw: bool = False) -> tuple:
-        """Residue of vec after subtracting its projection onto the basis.
-
-        ``_raw`` trusts vec to hold canonical entries already.
-        """
+    def reduce_vector(self, vec) -> tuple:
+        """Residue of vec after subtracting its projection onto the basis."""
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         fam = self.field._family
-        v = fam.pack(vec) if _raw else fam.coerce(vec)
-        return fam.unpack(fam.reduce(self, v), self.ambient_dim)
+        return fam.unpack(fam.reduce(self, fam.coerce(vec)), self.ambient_dim)
 
-    def contains_vector(self, vec, _raw: bool = False) -> bool:
-        """Membership of vec; ``_raw`` trusts it to hold canonical entries."""
-        return not any(self.reduce_vector(vec, _raw))
+    def contains_vector(self, vec) -> bool:
+        """Whether vec lies in the span."""
+        return not any(self.reduce_vector(vec))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:

@@ -243,21 +243,6 @@ class Module:
     def action_items(self, which: str) -> dict[int, Matrix]:
         return dict(self._a1 if which == E1 else self._a2)
 
-    def label_position(self, label: str) -> tuple[int, int]:
-        """(degree, index within degree) of a labeled basis vector."""
-        if self.labels is None:
-            raise KeyError("module carries no basis labels")
-        for d, ls in self.labels.items():
-            if label in ls:
-                return d, ls.index(label)
-        raise KeyError(f"no basis vector labeled {label!r}")
-
-    def basis_vector(self, degree: int, index: int) -> tuple:
-        f = self.field
-        v = [f.zero] * self.dim(degree)
-        v[index] = f.one
-        return tuple(v)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Module):
             return NotImplemented

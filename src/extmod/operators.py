@@ -145,11 +145,12 @@ def margolis_homology(m: Module, which: str) -> dict[int, int]:
     Only nonzero entries appear in the result.
     """
     step = m.params.action_degree(which)
+    # one rank per block, for the kernel at d and the image at d + step; absent blocks are zero
+    ranks = {d: a.rank() for d, a in m.action_items(which).items()}
     out = {}
     for d in m.degrees:
-        k = m.dim(d) - m.action(which, d).rank()
-        i = m.action(which, d - step).rank() if m.dim(d - step) else 0
-        if k - i:
-            out[d] = k - i
+        h = m.dim(d) - ranks.get(d, 0) - ranks.get(d - step, 0)
+        if h:
+            out[d] = h
     return out
 

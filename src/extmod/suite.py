@@ -5,7 +5,7 @@ runs every dimension, membership and exclusion check of the splitting
 argument, and assembles a structured report.  Both steps of the paper's
 argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
-there as dim(F_n ∩ ker e1) - dim(F_{n+1} ∩ ker e1).  The genuinely infinite
+there as dim F_n - dim F_{n+1}, where e1 is zero.  The genuinely infinite
 product is out of computational reach; every quantitative statement below
 concerns a finite stage, where it is exact.  The one infinite flash the suite
 contrasts with the stage is cut at degree j_max * gap + |e2|, derived from the
@@ -20,10 +20,10 @@ from operator import is_not
 from typing import Any
 
 from .decompose import multiplicities
-from .linalg import SubspaceBasis, intersect, kernel, quotient_dim
+from .linalg import SubspaceBasis, quotient_dim
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
-from .operators import FiltrationTrace, degree_part, filtration_trace, stable_intersection
+from .operators import _terms, degree_part, filtration_trace, stable_intersection
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
     """Multiplicity of the closed flash L(n,0,1) based at degree d.
 
     Valid when only such flashes touch degree d; the two exclusion probes are
-    checked first and reported on failure.
+    checked first and reported on failure.  With e1 zero on degree d, ker e1
+    is the whole degree, so the count is dim F_n(d) - dim F_{n+1}(d).
     """
     if not m.action(E1, d).is_zero():
         raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
@@ -114,10 +115,17 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
     if degree_part(trace.stable, d).dim:
         raise ValueError("exclusion failed: the stable filtration intersection "
                          f"is nonzero at degree {d}")
-    ker1 = kernel(m.action(E1, d))
-    hi = intersect(degree_part(trace[n], d), ker1).dim
-    lo = intersect(degree_part(trace[n + 1], d), ker1).dim
-    return hi - lo
+    return degree_part(trace[n], d).dim - degree_part(trace[n + 1], d).dim
+
+
+def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]:
+    """Degree 0 of F_0 .. F_{j_max} and of the stable term.
+
+    ``terms`` is a chain out to its first repeated term, read one term at a
+    time; only each term's degree-0 slice is kept.
+    """
+    zero = [degree_part(t, 0) for t in terms]
+    return [zero[min(j, len(zero) - 1)] for j in range(j_max + 1)], zero[-1]
 
 
 def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
@@ -147,13 +155,9 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
             if failed or cur.keys() != dims.keys():
                 shape_failures.append([n, j])
             prev = cur
-        x0, seen = mod.basis_vector(*at["x0"]), None
-        for j in range(sp.j_max + 1):
-            sub = degree_part(trace[j], 0)
-            if sub is not seen:  # consecutive terms share the unmoved degree 0
-                seen, inside = sub, sub.contains_vector(x0, _raw=True)
-            if inside != (j <= n):
-                member_failures.append([n, j])
+        # x_0 alone spans degree 0, so it lies in F_j exactly when F_j(0) is nonzero
+        zero, _ = _degree_zero(trace.subspaces, sp.j_max)
+        member_failures += [[n, j] for j, sub in enumerate(zero) if (sub.dim > 0) != (j <= n)]
         mods.append(mod)
     # counterexample_stage, from the flashes already made
     return direct_sum(mods), [
@@ -171,17 +175,14 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
             not member_failures)]
 
 
-def _stage_degree_zero_dims(sp: SuiteParams, trace: FiltrationTrace) -> list[int]:
-    return [degree_part(trace[j], 0).dim for j in range(sp.j_max + 1)]
-
-
 def run_checks(sp: SuiteParams) -> SuiteReport:
-    """Run all nine check items, tracing each module's chain only once."""
+    """Run all nine check items, walking each module's chain only once."""
     alg = sp.algebra
     stage, items = _closed_flash_items(sp)
 
-    trace = filtration_trace(stage)
-    vec = _stage_degree_zero_dims(sp, trace)
+    # every stage item below the census reads degree 0 alone: walk the chain, keep no term
+    zero, stable = _degree_zero(_terms(stage), sp.j_max)
+    vec = [sub.dim for sub in zero]
     expected = [max(0, sp.stage_size + 1 - j) for j in range(sp.j_max + 1)]
     items.append(CheckItem(
         "degree-zero-dims",
@@ -190,8 +191,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": vec, "expected": expected},
         vec == expected))
 
-    diffs = [quotient_dim(degree_part(trace[j], 0), degree_part(trace[j + 1], 0))
-             for j in range(sp.stage_size + 1)]
+    diffs = [quotient_dim(zero[j], zero[j + 1]) for j in range(sp.stage_size + 1)]
     items.append(CheckItem(
         "quotient-dims",
         "each consecutive degree-zero filtration quotient on the stage is "
@@ -199,13 +199,12 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"diffs": diffs},
         all(d == 1 for d in diffs)))
 
-    stable0 = degree_part(trace.stable, 0).dim
     items.append(CheckItem(
         "intersection",
         "the stable term of the filtration chain vanishes in degree zero "
         "on the stage",
-        {"dim": stable0},
-        stable0 == 0))
+        {"dim": stable.dim},
+        stable.dim == 0))
 
     e1_deg0 = stage.action(E1, 0).rank()
     items.append(CheckItem(
@@ -215,11 +214,9 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         e1_deg0 == 0))
 
     trunc = truncated_infinite_flash(False, sp.trunc_degree, alg)
-    tmod = trunc.module
-    x0 = tmod.basis_vector(*tmod.label_position("x0"))
-    ttrace = filtration_trace(tmod)
-    stuck = [j for j in range(sp.j_max + 1)
-             if not degree_part(ttrace[j], 0).contains_vector(x0, _raw=True)]
+    # with no left top, x_0 alone spans degree 0 of the truncation too
+    zero, _ = _degree_zero(_terms(trunc.module), sp.j_max)
+    stuck = [j for j, sub in enumerate(zero) if not sub.dim]
     items.append(CheckItem(
         "infinite-flash-contrast",
         "after truncating the right-infinite flash, x_0 stays in F_j for "
@@ -242,8 +239,6 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": open_end_dims},
         all(d > 0 for d in open_end_dims)))
 
-    # drop the traces first: their memory would add to the census peak
-    del trace, ttrace
     census = multiplicities(stage)
     expected_census = {FlashShape.l(n, 0, 1): 1 for n in range(sp.stage_size + 1)}
     clean = all(sh.kind == "finite" and not sh.left_top for sh in census)

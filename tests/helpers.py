@@ -383,6 +383,25 @@ def reference_chain(m):
     return chain
 
 
+def label_position(m: Module, label: str) -> tuple[int, int]:
+    """(degree, index within degree) of the first basis vector with this label."""
+    if m.labels is None:
+        raise KeyError("module carries no basis labels")
+    for d, ls in m.labels.items():
+        if label in ls:
+            return d, ls.index(label)
+    raise KeyError(f"no basis vector labeled {label!r}")
+
+
+def basis_vector(m: Module, label: str) -> tuple:
+    """The canonical basis vector with this label, in its degree's coordinates."""
+    d, i = label_position(m, label)
+    f = m.field
+    v = [f.zero] * m.dim(d)
+    v[i] = f.one
+    return tuple(v)
+
+
 def from_labels(m: Module, labels) -> GradedSubspace:
     """Span of the named canonical basis vectors, with no elimination.
 
@@ -396,7 +415,7 @@ def from_labels(m: Module, labels) -> GradedSubspace:
             positions.setdefault(label, (d, i))
     pivots = {d: [] for d in m.dims_by_degree}
     # label_position raises the KeyError for a label the map lacks
-    for d, i in sorted({positions.get(label) or m.label_position(label)
+    for d, i in sorted({positions.get(label) or label_position(m, label)
                         for label in labels}):
         pivots[d].append(i)
     spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
@@ -417,9 +436,9 @@ def reference_flash_failures(mod: Module, trace, n: int, j_max: int):
                                + [f"x{i}" for i in range(n - j + 1)])
         if trace[j] != expected:
             shape.append([n, j])
-    x0 = mod.basis_vector(*mod.label_position("x0"))
+    x0 = basis_vector(mod, "x0")
     member = [[n, j] for j in range(j_max + 1)
-              if degree_part(trace[j], 0).contains_vector(x0, _raw=True) != (j <= n)]
+              if degree_part(trace[j], 0).contains_vector(x0) != (j <= n)]
     return shape, member
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import extmod
-from extmod import modules
+from extmod import linalg, modules, operators, suite
 from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose,
                               endomorphism_basis, idempotent_oracle, multiplicities,
                               split_free, verify_decomposition, verify_split_free)
@@ -23,8 +23,8 @@ from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             zero_module)
 from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
-from helpers import (count_coerce, count_span, flash_sum, random_flash_shapes,
-                     random_variant_b_module, reference_match)
+from helpers import (basis_vector, count_coerce, count_span, flash_sum,
+                     random_flash_shapes, random_variant_b_module, reference_match)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -274,7 +274,7 @@ def _tampered_certificates(m):
     degree 3 holds two tops and the bottom of the third summand.
     """
     def vec(label):
-        return m.basis_vector(*m.label_position(label))
+        return basis_vector(m, label)
 
     a, b, c = [Summand(sh, tuple(vec(f"s{k}.x{i}") for i in range(sh.bottoms)),
                        tuple((i, vec(f"s{k}.y{i}")) for i in sh.top_indices()))
@@ -442,6 +442,31 @@ def test_flash_multiplicity_exclusions():
     open_end = make_flash(FlashShape.l(2, 0, 0), P)
     with pytest.raises(ValueError, match="stable"):
         flash_multiplicity_at_degree(open_end, 0, 2)
+
+
+def test_flash_multiplicity_spans_nothing_outside_its_trace(monkeypatch):
+    # e1 vanishes on the degree, so ker e1 is the whole degree and the count
+    # reads dim F_n - dim F_{n+1} off the trace: no kernel, no intersection
+    outside, tracing = [0], [False]
+    real_preimage, real_trace = linalg.preimage_space, suite.filtration_trace
+
+    def preimage(*args):
+        outside[0] += not tracing[0]
+        return real_preimage(*args)
+
+    def traced(m):
+        tracing[0] = True
+        try:
+            return real_trace(m)
+        finally:
+            tracing[0] = False
+
+    for module in (linalg, operators):
+        monkeypatch.setattr(module, "preimage_space", preimage)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
+    stage = counterexample_stage(4, P)
+    assert [flash_multiplicity_at_degree(stage, 0, n) for n in range(6)] == [1] * 5 + [0]
+    assert outside == [0]
 
 
 # -- split_free ---------------------------------------------------------------

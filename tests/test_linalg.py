@@ -493,7 +493,6 @@ def test_membership_of_canonical_data_coerces_nothing(monkeypatch, field):
     calls = count_coerce(monkeypatch)
     for big, small in pairs:
         assert quotient_dim(big, small) == big.dim - small.dim
-        assert all(big.contains_vector(v, _raw=True) for v in small.vectors())
     assert calls[0] == 0
 
 

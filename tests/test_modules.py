@@ -9,7 +9,7 @@ from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, validate,
                             with_variant, zero_module)
-from helpers import (random_flash_shapes, reference_random_invertible,
+from helpers import (label_position, random_flash_shapes, reference_random_invertible,
                      reference_relation_violations)
 
 P = default_params()
@@ -72,7 +72,7 @@ def test_flash_shape_dimension_law(char, degs):
                 assert m.total_dim == 2 * bottoms - 1 + lt + rt == shape.total_dim
                 # every bottom sits on the arithmetic ladder
                 for i in range(bottoms):
-                    d, _ = m.label_position(f"x{i}")
+                    d, _ = label_position(m, f"x{i}")
                     assert d == shape.shift + i * params.gap
 
 
@@ -81,7 +81,7 @@ def test_free_module():
     assert m.dims_by_degree == {0: 1, 1: 1, 3: 1, 4: 1}
     assert not validate(m)
     # e1 applied to the e1-layer vector dies
-    d, _ = m.label_position("e1g")
+    d, _ = label_position(m, "e1g")
     assert m.action(E1, d).is_zero()
 
 

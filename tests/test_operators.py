@@ -3,7 +3,7 @@ import random
 import pytest
 
 from extmod import operators
-from extmod.linalg import SubspaceBasis
+from extmod.linalg import Matrix, SubspaceBasis
 from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncated_infinite_flash)
@@ -11,10 +11,10 @@ from extmod.operators import (GradedSubspace, degree_part, filtration,
                               filtration_trace, margolis_homology, socle,
                               stable_intersection)
 from extmod.modules import counterexample_stage
-from helpers import (act_image, contains, count_coerce, count_span, flash_sum,
-                     from_labels, op_preimage, parent_dims, radical,
-                     random_flash_shapes, random_variant_b_module,
-                     reference_chain, zero_subspace)
+from helpers import (act_image, basis_vector, contains, count_coerce, count_span,
+                     flash_sum, from_labels, label_position, op_preimage,
+                     parent_dims, radical, random_flash_shapes,
+                     random_variant_b_module, reference_chain, zero_subspace)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -39,8 +39,8 @@ def test_from_labels_needs_no_elimination(monkeypatch, characteristic):
         assert calls[0] == 0
         vectors = {}
         for label in labels:
-            d, i = m.label_position(label)
-            vectors.setdefault(d, []).append(m.basis_vector(d, i))
+            d, _ = label_position(m, label)
+            vectors.setdefault(d, []).append(basis_vector(m, label))
         want = {d: SubspaceBasis.from_spanning(m.field, n, vectors.get(d, []))
                 for d, n in m.dims_by_degree.items()}
         assert ({d: (s.echelon_rows, s.pivot_rows) for d, s in got.spaces.items()}
@@ -200,7 +200,7 @@ def test_preimage_image_adjunction():
 def test_bottom_membership_law(n):
     # the canonical x0 belongs to F_j exactly while j <= n
     m = make_flash(FlashShape.l(n, 0, 1), P)
-    x0 = m.basis_vector(*m.label_position("x0"))
+    x0 = basis_vector(m, "x0")
     trace = filtration_trace(m)
     for j in range(n + 3):
         assert degree_part(trace[j], 0).contains_vector(x0) == (j <= n)
@@ -209,7 +209,7 @@ def test_bottom_membership_law(n):
 def test_open_ended_flash_never_expels_x0():
     for n in (0, 1, 2, 4):
         m = make_flash(FlashShape.l(n, 0, 0), P)
-        x0 = m.basis_vector(*m.label_position("x0"))
+        x0 = basis_vector(m, "x0")
         trace = filtration_trace(m)
         for j in range(2 * n + 4):
             assert degree_part(trace[j], 0).contains_vector(x0)
@@ -270,6 +270,22 @@ def test_margolis_additive_and_invariant():
             assert margolis_homology(total, which) == summed
             scrambled = random_basis_change(total, 300 + seed)
             assert margolis_homology(scrambled, which) == summed
+
+
+@pytest.mark.parametrize("which", [E1, E2])
+def test_margolis_ranks_each_block_once(monkeypatch, which):
+    # a block's rank serves both the kernel at its source and the image at its target
+    m = random_basis_change(flash_sum(random_flash_shapes(random.Random(9), 6, 5, 6), P), 11)
+    want = margolis_homology(m, which)
+    ranked, real_rank = [], Matrix.rank
+
+    def rank(a):
+        ranked.append(a)  # held, so no two blocks share an id
+        return real_rank(a)
+
+    monkeypatch.setattr(Matrix, "rank", rank)
+    assert margolis_homology(m, which) == want
+    assert len({id(a) for a in ranked}) == len(ranked) <= len(m.action_items(which))
 
 
 def test_operators_commute_with_shift():

@@ -22,6 +22,7 @@ UNCALLED = {
                        "in paper-check",
     "flash_multiplicity_at_degree": "the count beside the exclusion probe, "
                                     "waiting for the same caller",
+    "intersect": "aim 1 and item 1's microbench measure it as a kernel",
 }
 
 

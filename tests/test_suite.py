@@ -3,16 +3,16 @@ import weakref
 
 import pytest
 
-from extmod import modules, suite
+from extmod import modules, operators, suite
 from extmod.decompose import multiplicities
 from extmod.linalg import SubspaceBasis
 from extmod.modules import (FlashShape, counterexample_stage, default_params,
-                            make_flash)
-from extmod.operators import (FiltrationTrace, GradedSubspace, degree_part,
+                            make_flash, truncated_infinite_flash)
+from extmod.operators import (FiltrationTrace, GradedSubspace, _terms, degree_part,
                               filtration, filtration_trace)
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
-from helpers import reference_flash_failures
+from helpers import basis_vector, label_position, reference_flash_failures
 
 P = default_params()
 
@@ -49,7 +49,7 @@ def _membership_path_dims(sp):
         total = 0
         for n in range(sp.stage_size + 1):
             mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-            x0 = mod.basis_vector(*mod.label_position("x0"))
+            x0 = basis_vector(mod, "x0")
             if degree_part(filtration(mod, j), 0).contains_vector(x0):
                 total += 1
         counts.append(total)
@@ -57,11 +57,67 @@ def _membership_path_dims(sp):
 
 
 def test_degree_zero_dims_two_paths_agree():
-    # the operator chase on the direct sum against per-summand membership
-    from extmod.suite import _stage_degree_zero_dims
+    # the walked chain of the direct sum against per-summand membership
     sp = SuiteParams(4, 6, P)
-    trace = filtration_trace(counterexample_stage(sp.stage_size, sp.algebra))
-    assert _stage_degree_zero_dims(sp, trace) == _membership_path_dims(sp)
+    zero, _ = suite._degree_zero(_terms(counterexample_stage(sp.stage_size, sp.algebra)),
+                                 sp.j_max)
+    assert [sub.dim for sub in zero] == _membership_path_dims(sp)
+
+
+class _Held(GradedSubspace):
+    __slots__ = ("__weakref__",)
+
+
+def test_the_stage_chain_is_walked_not_stored(monkeypatch):
+    # the stage items read degree 0 alone: while the chain is walked only the
+    # term read and the one it steps from are alive, and the stage is never traced
+    sp = SuiteParams(6, 8, P)
+    stages, traced, alive = [], [], []
+    real_sum, real_trace = suite.direct_sum, suite.filtration_trace
+
+    def summed(mods):
+        stages.append(real_sum(mods))
+        return stages[-1]
+
+    def trace(m):
+        traced.append(m)
+        return real_trace(m)
+
+    def walked(m):
+        held = []
+        for term in _terms(m):
+            held.append(weakref.ref(kept := _Held(term.field, term.spaces)))
+            if stages and m is stages[0]:
+                alive.append(sum(ref() is not None for ref in held))
+            yield kept
+
+    monkeypatch.setattr(suite, "direct_sum", summed)
+    monkeypatch.setattr(suite, "filtration_trace", trace)
+    # filtration_trace walks the chain through operators._terms
+    monkeypatch.setattr(operators, "_terms", walked)
+    monkeypatch.setattr(suite, "_terms", walked, raising=False)
+    assert run_checks(sp).passed
+    assert len(alive) >= sp.stage_size + 2
+    assert max(alive) <= 2
+    assert all(m is not stages[0] for m in traced)
+
+
+# the algebras the flash items are tested over
+ALGEBRAS = pytest.mark.parametrize(
+    "char, degs", [(2, (1, 3)), (3, (1, 3)), (5, (2, 5)), (0, (1, 3))],
+    ids=["F2", "F3", "F5", "Q"])
+
+
+@ALGEBRAS
+def test_x0_alone_spans_degree_zero(char, degs):
+    # why membership and the contrast read x_0 in F_j as dim F_j(0) > 0
+    params = default_params(char, *degs)
+    mods = [make_flash(FlashShape.l(n, 0, 1), params) for n in range(9)]
+    mods += [truncated_infinite_flash(False, SuiteParams(n, n + 1, params).trunc_degree,
+                                      params).module for n in range(9)]
+    for m in mods:
+        assert m.dim(0) == 1
+        assert label_position(m, "x0") == (0, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
@@ -123,7 +179,7 @@ def _without(trace, d, j):
 
 
 def _degree(m, label):
-    return m.label_position(label)[0]
+    return label_position(m, label)[0]
 
 
 # each maps (flash, n, its trace) to the trace the suite is handed
@@ -150,8 +206,7 @@ PERTURBATIONS = {
 
 
 @pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
-@pytest.mark.parametrize("char, degs", [(2, (1, 3)), (3, (1, 3)), (5, (2, 5)), (0, (1, 3))],
-                         ids=["F2", "F3", "F5", "Q"])
+@ALGEBRAS
 def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturbation):
     # the flash items compare only the degrees that move; the reference
     # compares every degree of every term, on the same traces
@@ -177,7 +232,7 @@ def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturba
 
 def test_flash_items_cost_is_linear_in_n(monkeypatch):
     # coordinate subspaces built and subspaces compared by the two flash
-    # items, and x_0 membership tests, flash by flash, leaving out the traces
+    # items, and vector membership tests, flash by flash, leaving out the traces
     counts, tracing, at_trace = [0, 0], [False], []
     real_coordinate, real_eq = SubspaceBasis.coordinate.__func__, SubspaceBasis.__eq__
     real_contains = SubspaceBasis.contains_vector
@@ -211,9 +266,8 @@ def test_flash_items_cost_is_linear_in_n(monkeypatch):
     at_trace.append(list(counts))
     per_flash = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(at_trace, at_trace[1:])]
     # the full comparison makes 4 n (n + 1) such calls, 288 at n = 8, and
-    # j_max + 1 = 11 membership tests; degree 0 of a closed flash's chain
-    # holds two distinct subspaces, the whole degree and zero
-    assert all(calls <= 6 * (n + 1) and tests <= 2
+    # j_max + 1 = 11 membership tests; membership reads dim F_j(0) instead
+    assert all(calls <= 6 * (n + 1) and tests == 0
                for n, (calls, tests) in enumerate(per_flash)), per_flash
 
 
