@@ -7,9 +7,8 @@ from .modules import (AlgebraParams, FlashShape, Module, counterexample_stage,
                       random_basis_change, shift, truncate_above,
                       truncated_infinite_flash, validate, with_variant,
                       zero_module)
-from .operators import (FiltrationTrace, GradedSubspace, degree_part, filtration,
-                        filtration_trace, margolis_homology, socle,
-                        stable_intersection)
+from .operators import (FiltrationTrace, filtration, filtration_trace,
+                        margolis_homology, socle, stable_intersection)
 from .decompose import (Decomposition, FreeSplit, Summand, decompose,
                         idempotent_oracle, multiplicities, split_free,
                         verify_decomposition, verify_split_free)

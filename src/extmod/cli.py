@@ -24,7 +24,7 @@ from .linalg import Field
 from .modules import (E1, E2, AlgebraParams, FlashShape, Module, direct_sum,
                       make_flash, make_free, random_basis_change, shift,
                       truncate_above, truncated_infinite_flash, with_variant)
-from .operators import degree_part, filtration, margolis_homology
+from .operators import filtration, margolis_homology
 from .suite import SuiteParams, run_checks
 from .textio import DocumentError, parse_module, print_module, to_dot
 
@@ -315,13 +315,13 @@ def _cmd_filtration(args) -> int:
     module = _read_module(args.file)
     sub = filtration(module, args.j)
     if args.degree is not None:
-        dim = degree_part(sub, args.degree).dim
+        dim = sub[args.degree].dim if args.degree in sub else 0
         if args.report == "json":
             print(json.dumps({"j": args.j, "degree": args.degree, "dim": dim}))
         else:
             print(f"dim {dim}")
         return 0
-    dims = {str(d): n for d, n in sorted(sub.dims().items())}
+    dims = {str(d): s.dim for d, s in sorted(sub.items()) if s.dim}
     if args.report == "json":
         print(json.dumps({"j": args.j, "dims": dims}))
     else:

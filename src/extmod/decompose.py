@@ -313,10 +313,10 @@ def decompose(m: Module) -> Decomposition:
     soc = socle(m)
     chains: dict[int, dict[int, list[tuple]]] = {}
     for d in m.degrees:
-        bott = standard_complement(soc.spaces[d])
+        bott = standard_complement(soc[d])
         if bott:
             chains.setdefault(d % g, {})[2 * (d // g)] = bott
-        tops = soc.spaces[d].vectors()
+        tops = soc[d].vectors()
         if tops:
             b = d - m.params.deg_e2
             chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops
@@ -539,12 +539,12 @@ def _canonical_leaf(cur: Module, emb: dict[int, Matrix]) -> Summand:
         (d,) = cur.degrees
         return Summand(FlashShape.simple(d), (emb[d].col(0),), ())
     soc = socle(cur)
-    bdegs = [d for d in cur.degrees if soc.spaces[d].dim < cur.dim(d)]
+    bdegs = [d for d in cur.degrees if soc[d].dim < cur.dim(d)]
     if not bdegs:
         raise InternalError("socle-only module of dimension > 1 is decomposable")
     g = params.gap
     shift = min(bdegs)
-    b = sum(cur.dim(d) - soc.spaces[d].dim for d in bdegs)
+    b = sum(cur.dim(d) - soc[d].dim for d in bdegs)
     if bdegs != [shift + i * g for i in range(b)]:
         raise InternalError("leaf generators do not sit on a single ladder")
     left_top = not cur.action(E1, shift).is_zero()
@@ -552,7 +552,7 @@ def _canonical_leaf(cur: Module, emb: dict[int, Matrix]) -> Summand:
     shape = FlashShape.finite(b, left_top, right_top, shift)
     if shape.dims(params) != cur.dims_by_degree:
         raise InternalError(f"leaf dimensions do not match shape {shape}")
-    xs = [standard_complement(soc.spaces[shift])[0]]
+    xs = [standard_complement(soc[shift])[0]]
     tops: dict[int, tuple] = {}
     if left_top:
         tops[-1] = cur.action(E1, shift).apply(xs[0])

@@ -1205,22 +1205,15 @@ class SubspaceBasis:
                                 indices)
 
     @property
-    def echelon_rows(self) -> tuple:
-        unpack, n = self.field._family.unpack, self.ambient_dim
-        return tuple(unpack(r, n) for r in self._rows)
-
-    @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
     def vectors(self) -> list[tuple]:
-        return list(self.echelon_rows)
+        unpack, n = self.field._family.unpack, self.ambient_dim
+        return [unpack(r, n) for r in self._rows]
 
     def basis_matrix(self) -> Matrix:
         return Matrix.from_cols(self.field, self._rows, nrows=self.ambient_dim, _raw=True)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def reduce_vector(self, vec) -> tuple:
         """Residue of vec after subtracting its projection onto the basis."""

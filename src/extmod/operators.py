@@ -1,51 +1,21 @@
 """Operator calculus on graded modules.
 
 The decreasing filtration F_0 = M, F_j = e2^{-1}(e1 F_{j-1}) with its
-stabilization, degree slices, the socle, and Margolis homology ker(e)/im(e)
-for either generator.
+stabilization, the socle, and Margolis homology ker(e)/im(e) for either
+generator.
 
-A graded subspace is its per-degree spaces; its carrier is read off their
-ambient dimensions.  One generator builds the chain, and it is the only
-image and preimage route here: ``filtration_trace`` runs it to the first
-repeated term, and ``filtration(m, j)`` stops at term j.
+A graded subspace is a dict from degree to ``SubspaceBasis``; its carrier is
+read off their ambient dimensions.  One generator builds the chain, and it is
+the only image and preimage route here: ``filtration_trace`` runs it to the
+first repeated term, and ``filtration(m, j)`` stops at term j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .linalg import SubspaceBasis, image, kernel, preimage_space, vstack
 from .modules import E1, E2, Module
-
-
-class GradedSubspace:
-    """A per-degree subspace of a module's carrier, canonical in every degree."""
-
-    __slots__ = ("field", "spaces")
-
-    def __init__(self, field, spaces: dict[int, SubspaceBasis]):
-        self.field = field
-        self.spaces = dict(spaces)
-
-    @classmethod
-    def full(cls, m: Module) -> "GradedSubspace":
-        return cls(m.field, {d: SubspaceBasis.full(m.field, n)
-                             for d, n in m.dims_by_degree.items()})
-
-    def dims(self) -> dict[int, int]:
-        return {d: s.dim for d, s in self.spaces.items() if s.dim}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedSubspace):
-            return NotImplemented
-        # SubspaceBasis.__eq__ compares the ambient dimensions too
-        return self.spaces == other.spaces
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GradedSubspace({self.dims()})"
 
 
 @dataclass(frozen=True)
@@ -58,17 +28,17 @@ class FiltrationTrace:
     not move.
     """
 
-    subspaces: tuple[GradedSubspace, ...]
+    subspaces: tuple[dict[int, SubspaceBasis], ...]
     stable_index: int
 
-    def __getitem__(self, j: int) -> GradedSubspace:
+    def __getitem__(self, j: int) -> dict[int, SubspaceBasis]:
         # after stabilization every term equals the stable one
         if j >= len(self.subspaces):
             return self.subspaces[self.stable_index]
         return self.subspaces[j]
 
     @property
-    def stable(self) -> GradedSubspace:
+    def stable(self) -> dict[int, SubspaceBasis]:
         return self.subspaces[self.stable_index]
 
 
@@ -81,12 +51,11 @@ def _terms(m: Module):
     total_dim + 1 steps, because each moving step shrinks a decreasing chain.
     """
     p = m.params
-    term = GradedSubspace.full(m)
+    term = {d: SubspaceBasis.full(m.field, n) for d, n in m.dims_by_degree.items()}
     yield term
     todo = m.degrees
     while True:
-        prev = term.spaces
-        term = GradedSubspace(m.field, prev)
+        prev, term = term, dict(term)
         moved = []
         for d in todo:
             source = prev.get(d + p.gap)
@@ -96,7 +65,7 @@ def _terms(m: Module):
                 target = image(m.action(E1, d + p.gap), source)
             sub = preimage_space(m.action(E2, d), target)
             if sub != prev[d]:
-                term.spaces[d] = sub
+                term[d] = sub
                 moved.append(d)
         yield term
         if not moved:
@@ -110,33 +79,27 @@ def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
     return FiltrationTrace(chain, len(chain) - 2)
 
 
-def filtration(m: Module, j: int) -> GradedSubspace:
-    """Term j of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}); builds only F_0 .. F_j."""
+def filtration(m: Module, j: int) -> dict[int, SubspaceBasis]:
+    """Term j of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}); builds only F_0 .. F_j.
+
+    Past the first repeated term every term is the stable one.
+    """
     if j < 0:
         raise ValueError("filtration index must be non-negative")
-    for term in islice(_terms(m), j + 1):
-        pass
+    for i, term in enumerate(_terms(m)):
+        if i == j:
+            break
     return term
 
 
-def stable_intersection(m: Module) -> GradedSubspace:
+def stable_intersection(m: Module) -> dict[int, SubspaceBasis]:
     """The intersection of the whole chain (= its stable term)."""
     return filtration_trace(m).stable
 
 
-def degree_part(u: GradedSubspace, d: int) -> SubspaceBasis:
-    """The degree-d slice of a graded subspace."""
-    sub = u.spaces.get(d)
-    if sub is not None:
-        return sub
-    return SubspaceBasis.zero(u.field, 0)
-
-
-def socle(m: Module) -> GradedSubspace:
+def socle(m: Module) -> dict[int, SubspaceBasis]:
     """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
-    spaces = {d: kernel(vstack([m.action(E1, d), m.action(E2, d)]))
-              for d in m.dims_by_degree}
-    return GradedSubspace(m.field, spaces)
+    return {d: kernel(vstack([m.action(E1, d), m.action(E2, d)])) for d in m.degrees}
 
 
 def margolis_homology(m: Module, which: str) -> dict[int, int]:

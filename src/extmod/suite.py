@@ -23,7 +23,7 @@ from .decompose import multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
-from .operators import _terms, degree_part, filtration_trace, stable_intersection
+from .operators import _terms, filtration_trace, stable_intersection
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
     else:
         raise ValueError("probe applies to finite or right-infinite shapes")
     e1_nonzero = not mod.action(E1, 0).is_zero()
-    stable_nonzero = degree_part(stable_intersection(mod), 0).dim > 0
+    stable_nonzero = stable_intersection(mod)[0].dim > 0
     return ExclusionProbe(e1_nonzero, stable_nonzero)
 
 
@@ -111,11 +111,13 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
     """
     if not m.action(E1, d).is_zero():
         raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
+    if not m.dim(d):
+        return 0
     trace = filtration_trace(m)
-    if degree_part(trace.stable, d).dim:
+    if trace.stable[d].dim:
         raise ValueError("exclusion failed: the stable filtration intersection "
                          f"is nonzero at degree {d}")
-    return degree_part(trace[n], d).dim - degree_part(trace[n + 1], d).dim
+    return trace[n][d].dim - trace[n + 1][d].dim
 
 
 def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]:
@@ -124,7 +126,7 @@ def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]
     ``terms`` is a chain out to its first repeated term, read one term at a
     time; only each term's degree-0 slice is kept.
     """
-    zero = [degree_part(t, 0) for t in terms]
+    zero = [t[0] for t in terms]
     return [zero[min(j, len(zero) - 1)] for j in range(j_max + 1)], zero[-1]
 
 
@@ -147,7 +149,7 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
             moved, i = at[f"x{n - j + 1}"]
             expected[moved] = SubspaceBasis.coordinate(
                 field, dims[moved], [k for k in expected[moved].pivot_rows if k != i])
-            cur = trace[j].spaces
+            cur = trace[j]
             replaced = compress(cur, map(is_not, cur.values(), map(prev.get, cur)))
             failed = [d for d in {moved, *failed, *replaced} if cur.get(d) != expected.get(d)]
             # step 1 compared every degree, ambient dimension included, and an
@@ -227,10 +229,10 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
                  "open right ends make the chain stall at the whole module"},
         not stuck))
 
-    open_end_dims = []
-    for n in range(sp.stage_size + 1):
-        mod = make_flash(FlashShape.l(n, 0, 0), alg)
-        open_end_dims.append(degree_part(stable_intersection(mod), 0).dim)
+    # x_0 alone spans degree 0 of L(n,0,0)@0, so the probe's flag is the dimension
+    open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg)
+                         .stable_intersection_at_bottom_nonzero)
+                     for n in range(sp.stage_size + 1)]
     items.append(CheckItem(
         "open-end-exclusion",
         "for flashes with an open right end the stable intersection is "

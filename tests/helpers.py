@@ -8,7 +8,6 @@ from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            preimage_space, standard_complement, sum_space)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
                             direct_sum, make_flash, validate)
-from extmod.operators import GradedSubspace, degree_part
 from extmod.textio import DocumentError
 
 
@@ -310,54 +309,62 @@ def random_variant_b_module(params, max_total_dim, seed, degree_max=7):
     return m
 
 
-def parent_dims(u: GradedSubspace) -> dict[int, int]:
+def parent_dims(u: dict[int, SubspaceBasis]) -> dict[int, int]:
     """The carrier of a graded subspace: the ambient dimension of each degree."""
-    return {d: s.ambient_dim for d, s in u.spaces.items()}
+    return {d: s.ambient_dim for d, s in u.items()}
 
 
-def zero_subspace(m: Module) -> GradedSubspace:
+def dims(u: dict[int, SubspaceBasis]) -> dict[int, int]:
+    """The nonzero dimensions of a graded subspace, by degree."""
+    return {d: s.dim for d, s in u.items() if s.dim}
+
+
+def full(m: Module) -> dict[int, SubspaceBasis]:
+    """The whole of m's carrier."""
+    return {d: SubspaceBasis.full(m.field, n) for d, n in m.dims_by_degree.items()}
+
+
+def zero_subspace(m: Module) -> dict[int, SubspaceBasis]:
     """The zero subspace of m's carrier."""
-    return GradedSubspace(m.field, {d: SubspaceBasis.zero(m.field, n)
-                                    for d, n in m.dims_by_degree.items()})
+    return {d: SubspaceBasis.zero(m.field, n) for d, n in m.dims_by_degree.items()}
 
 
-def contains(u: GradedSubspace, v: GradedSubspace) -> bool:
+def contains(u: dict[int, SubspaceBasis], v: dict[int, SubspaceBasis]) -> bool:
     """Whether v lies in u, degree by degree; both must share one carrier."""
     if parent_dims(u) != parent_dims(v):
         raise ValueError("subspaces of different carriers")
-    return all(u.spaces[d].contains_subspace(v.spaces[d]) for d in u.spaces)
+    return all(u[d].contains_subspace(v[d]) for d in u)
 
 
-def _check_ambient(m: Module, u: GradedSubspace) -> None:
+def _check_ambient(m: Module, u: dict[int, SubspaceBasis]) -> None:
     if parent_dims(u) != m.dims_by_degree:
         raise ValueError("graded subspace does not live in this module's carrier")
 
 
-def act_image(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
+def act_image(m: Module, which: str, u: dict[int, SubspaceBasis]) -> dict[int, SubspaceBasis]:
     """Degreewise image of u under the chosen action."""
     _check_ambient(m, u)
     step = m.params.action_degree(which)
     spaces = {d: SubspaceBasis.zero(m.field, n) for d, n in m.dims_by_degree.items()}
-    for d, sub in u.spaces.items():
+    for d, sub in u.items():
         if sub.dim and m.dim(d + step):
             spaces[d + step] = image(m.action(which, d), sub)
-    return GradedSubspace(m.field, spaces)
+    return spaces
 
 
-def op_preimage(m: Module, which: str, u: GradedSubspace) -> GradedSubspace:
+def op_preimage(m: Module, which: str, u: dict[int, SubspaceBasis]) -> dict[int, SubspaceBasis]:
     """Degreewise {v : (action) v lies in u}; always contains the kernel."""
     _check_ambient(m, u)
     step = m.params.action_degree(which)
     field = m.field
     spaces = {}
     for d, n in m.dims_by_degree.items():
-        target = u.spaces.get(d + step,
-                              SubspaceBasis.zero(field, m.dim(d + step)))
+        target = u.get(d + step, SubspaceBasis.zero(field, m.dim(d + step)))
         spaces[d] = preimage_space(m.action(which, d), target)
-    return GradedSubspace(m.field, spaces)
+    return spaces
 
 
-def radical(m: Module) -> GradedSubspace:
+def radical(m: Module) -> dict[int, SubspaceBasis]:
     """im e1 + im e2, degreewise."""
     p = m.params
     field = m.field
@@ -368,7 +375,7 @@ def radical(m: Module) -> GradedSubspace:
             if m.dim(d - step):
                 parts = sum_space(parts, image(m.action(which, d - step)))
         spaces[d] = parts
-    return GradedSubspace(m.field, spaces)
+    return spaces
 
 
 def reference_chain(m):
@@ -377,7 +384,7 @@ def reference_chain(m):
     The plain definition F_j = e2^{-1}(e1 F_{j-1}) applied to whole graded
     subspaces, for checking the chain that skips unmoved degrees.
     """
-    chain = [GradedSubspace.full(m)]
+    chain = [full(m)]
     while len(chain) < 2 or chain[-1] != chain[-2]:
         chain.append(op_preimage(m, E2, act_image(m, E1, chain[-1])))
     return chain
@@ -402,7 +409,7 @@ def basis_vector(m: Module, label: str) -> tuple:
     return tuple(v)
 
 
-def from_labels(m: Module, labels) -> GradedSubspace:
+def from_labels(m: Module, labels) -> dict[int, SubspaceBasis]:
     """Span of the named canonical basis vectors, with no elimination.
 
     Coordinate vectors sorted without repeats are their own echelon basis.
@@ -418,9 +425,8 @@ def from_labels(m: Module, labels) -> GradedSubspace:
     for d, i in sorted({positions.get(label) or label_position(m, label)
                         for label in labels}):
         pivots[d].append(i)
-    spaces = {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
-              for d, n in m.dims_by_degree.items()}
-    return GradedSubspace(m.field, spaces)
+    return {d: SubspaceBasis.coordinate(m.field, n, pivots[d])
+            for d, n in m.dims_by_degree.items()}
 
 
 def reference_flash_failures(mod: Module, trace, n: int, j_max: int):
@@ -438,7 +444,7 @@ def reference_flash_failures(mod: Module, trace, n: int, j_max: int):
             shape.append([n, j])
     x0 = basis_vector(mod, "x0")
     member = [[n, j] for j in range(j_max + 1)
-              if degree_part(trace[j], 0).contains_vector(x0) != (j <= n)]
+              if trace[j][0].contains_vector(x0) != (j <= n)]
     return shape, member
 
 

@@ -237,6 +237,17 @@ def test_filtration_on_stage(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "dim 4"
     assert main(["filtration", path, "--j", "1"]) == 0
     assert "deg 0: 4" in capsys.readouterr().out
+    # a degree the stage lacks
+    assert main(["filtration", path, "--j", "1", "--degree", "999"]) == 0
+    assert capsys.readouterr().out == "dim 0\n"
+    assert main(["--report", "json", "filtration", path, "--j", "1", "--degree", "999"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"j": 1, "degree": 999, "dim": 0}
+    # the chain stops at its first repeated term, so any j past it, even one
+    # at or above sys.maxsize, reads the stable term: the tops
+    for j in ("40", str(sys.maxsize), "99999999999999999999"):
+        assert main(["--report", "json", "filtration", path, "--j", j]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == \
+            {"3": 5, "5": 4, "7": 3, "9": 2, "11": 1}
 
 
 def test_filtration_negative_j_exit_2(tmp_path, capsys):

@@ -18,10 +18,8 @@ UNCALLED = {
     "default_params": "bench/test_bench.py builds its algebras with it",
     "counterexample_stage": "run_checks makes the stage from the flashes it has "
                             "already built; calling it would build them twice",
-    "exclusion_probe": "the paper's exclusion argument, waiting for a caller "
-                       "in paper-check",
     "flash_multiplicity_at_degree": "the count beside the exclusion probe, "
-                                    "waiting for the same caller",
+                                    "waiting for a caller in paper-check",
     "intersect": "aim 1 and item 1's microbench measure it as a kernel",
 }
 
