@@ -82,6 +82,9 @@ def _as_variant_b(m: Module) -> Module:
 # grows with its own numbers, and a sum's with its length, so they are counted
 # from the text before anything is built; memory would otherwise run out first.
 MAX_TERM_DIM = 100_000
+# The most transforms (shift, truncate, randomize) one build expression may
+# nest, checked while parsing: the parser and the builders recurse per level.
+MAX_NESTING = 100
 # The largest degree randomize may scramble: it draws a dense n x n change of
 # basis, and inverts it, for a degree of dimension n.
 MAX_RANDOMIZE_DIM = 256
@@ -102,6 +105,7 @@ class _ExprParser:
         self.pos = 0
         self.params = params
         self.default_seed = default_seed
+        self.depth = 0  # the transforms open at pos
 
     def fail(self, message: str):
         raise CliError(f"build expression, offset {self.pos}: {message}")
@@ -165,6 +169,16 @@ class _ExprParser:
                       f"above the limit of {MAX_TERM_DIM}")
         return dim, build
 
+    def nested(self, start: int, used: int) -> tuple[int, Callable[[], Module]]:
+        """The expression inside the transform that began at ``start``."""
+        if self.depth == MAX_NESTING:
+            self.pos = start
+            self.fail(f"transforms nest deeper than the limit of {MAX_NESTING}")
+        self.depth += 1
+        inside = self.expr(used)
+        self.depth -= 1
+        return inside
+
     def term(self, used: int) -> tuple[int, Callable[[], Module]]:
         """One term after ``used`` basis vectors: its dimension and its builder.
 
@@ -215,19 +229,19 @@ class _ExprParser:
             return self.sized(start, used, dim, lambda: truncated_infinite_flash(
                 bool(eps), cutoff, params).module)
         if self.eat("shift("):
-            dim, inner = self.expr(used)
+            dim, inner = self.nested(start, used)
             self.expect(",")
             by = self.integer()
             self.expect(")")
             return dim, lambda: shift(inner(), by)
         if self.eat("truncate("):
-            dim, inner = self.expr(used)
+            dim, inner = self.nested(start, used)
             self.expect(",")
             cutoff = self.integer()
             self.expect(")")
             return dim, lambda: truncate_above(inner(), cutoff)
         if self.eat("randomize("):
-            dim, inner = self.expr(used)
+            dim, inner = self.nested(start, used)
             seed = self.integer() if self.eat(",") else self.default_seed
             self.expect(")")
 
@@ -474,11 +488,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # a reader that closed standard output early is met here, not at
+            # exit; stdout is None when the process started without one
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    except BrokenPipeError:
+        # what is left to write goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all output was written", file=sys.stderr)
+        return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -231,12 +231,17 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     return pairs
 
 
-def _sweep_chain(m: Module, residue: int,
-                 vecs: dict[int, list[tuple]]) -> list[Summand]:
+def _degree(residue: int, pos: int, params) -> int:
+    """The degree of chain position pos: B_k at 2k is V in degree
+    residue + k*gap, and T_k at 2k + 1 is W in that degree plus |e2|."""
+    return residue + (pos // 2) * params.gap + pos % 2 * params.deg_e2
+
+
+def _sweep_chain(m: Module, residue: int, vecs: dict[int, list]) -> list[Summand]:
     """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos.
 
-    The strands hold vectors in the field's family layout, unpacked once per
-    finished strand.
+    The vectors come in the field's family layout, which the strands keep
+    until each finished strand is unpacked once.
     """
     field = m.field
     fam = field._family
@@ -246,14 +251,15 @@ def _sweep_chain(m: Module, residue: int,
     # only the occupied positions run, each with the one after it, which
     # checks that the strands open there are closed
     for pos in sorted({*vecs, *(p + 1 for p in vecs)}):
-        fresh = [_Strand(pos, fam.pack(v)) for v in vecs.get(pos, [])]
-        deg = residue + (pos // 2) * m.params.gap
+        fresh = [_Strand(pos, v) for v in vecs.get(pos, [])]
         if pos % 2 == 0:
             # bottoms: e1 maps the fresh strands onto the open tops
-            pairs = _match(field, m.action(E1, deg), open_, fresh)
+            act = m.action(E1, _degree(residue, pos, m.params))
+            pairs = _match(field, act, open_, fresh)
         else:
             # tops: e2 maps the open bottoms onto the fresh strands
-            pairs = [(b, t) for t, b in _match(field, m.action(E2, deg), fresh, open_)]
+            act = m.action(E2, _degree(residue, pos - 1, m.params))
+            pairs = [(b, t) for t, b in _match(field, act, fresh, open_)]
         joined = {}
         for left, new in pairs:
             left.join(new)
@@ -261,7 +267,8 @@ def _sweep_chain(m: Module, residue: int,
         strands.extend(s for s in fresh if s not in joined)
         open_ = [joined.get(s, s) for s in fresh]
     for s in strands:
-        s.vectors = {pos: fam.unpack(v, len(vecs[pos][0])) for pos, v in s.vectors.items()}
+        s.vectors = {pos: fam.unpack(v, m.dim(_degree(residue, pos, m.params)))
+                     for pos, v in s.vectors.items()}
     return [_summand_from_strand(s, residue, m.params) for s in strands]
 
 
@@ -270,22 +277,15 @@ def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
     vectors = strand.vectors
     evens = sorted(p for p in vectors if p % 2 == 0)
     odds = sorted(p for p in vectors if p % 2)
-
-    def bottom_deg(pos: int) -> int:
-        return residue + (pos // 2) * params.gap
-
-    def top_deg(pos: int) -> int:
-        return residue + ((pos - 1) // 2) * params.gap + params.deg_e2
-
     if not evens:
         # a socle vector nothing maps onto: a simple summand
         (pos,) = odds
-        return Summand(FlashShape.simple(top_deg(pos)), (vectors[pos],), ())
+        return Summand(FlashShape.simple(_degree(residue, pos, params)), (vectors[pos],), ())
     k0 = evens[0] // 2
     shape = FlashShape.finite(len(evens),
                               left_top=strand.left_is_top,
                               right_top=strand.right_pos % 2 == 1,
-                              shift=bottom_deg(evens[0]))
+                              shift=_degree(residue, evens[0], params))
     bottoms = tuple(vectors[p] for p in evens)
     tops = tuple(((p - 1) // 2 - k0, vectors[p]) for p in odds)
     return Summand(shape, bottoms, tops)
@@ -310,13 +310,16 @@ def decompose(m: Module) -> Decomposition:
     if m.total_dim == 0:
         return Decomposition(())
     g = m.params.gap
+    pack = m.field._family.pack
     soc = socle(m)
-    chains: dict[int, dict[int, list[tuple]]] = {}
+    # the vectors of each chain position in the family layout, which the
+    # sweep keeps: no tuple of them outlives this loop
+    chains: dict[int, dict[int, list]] = {}
     for d in m.degrees:
-        bott = standard_complement(soc[d])
+        bott = [pack(v) for v in standard_complement(soc[d])]
         if bott:
             chains.setdefault(d % g, {})[2 * (d // g)] = bott
-        tops = soc[d].vectors()
+        tops = [pack(v) for v in soc[d].vectors()]
         if tops:
             b = d - m.params.deg_e2
             chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops

@@ -14,8 +14,8 @@ with entry j in the byte at bit 8j (:class:`_PackedFp`): ``int.from_bytes``
 packs it in C.  A row update a + c * b of canonical vectors is one big-int
 multiply-add, which carries nothing between bytes because each lane is at
 most (p - 1) + (p - 1)**2 < 256; one ``bytes.translate`` with the table of
-x % p reduces it.  A linear combination (a product row, m @ v, a residue, a
-back substitution) adds terms c * b to an accumulator and reduces it only
+x % p reduces it.  A linear combination (a product row, m @ v, a back
+substitution) adds terms c * b to an accumulator and reduces it only
 when one more term could take a lane past 255, the delayed reduction of
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  F2
@@ -63,12 +63,19 @@ with the columns reversed: the tagged span has about twice the entries to
 eliminate.  Over Q the heads are read off the integer echelon rows.  In
 every family a kernel is the preimage of zero.
 
+A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
+rows in every layout, through the family's ``entry`` and ``add_scaled``: the
+rows are reduced, so each row is subtracted once, times the vector's entry at
+its pivot.  Containment is a span dimension: u contains w exactly when
+``sum_space(u, w)`` has u's dimension.
+
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
 ``reduce_vector`` unpack, and the family's ``entry`` reads one scalar, as
-``kernel_matrix`` and the sweep's pivot rule do.  Products, eliminations,
-preimages and row updates run on integers alone, and ``written_cols()``
-writes each entry as a document does straight from the integers.
+``kernel_matrix``, ``reduce_vector`` and the sweep's pivot rule do.
+Products, eliminations, containment, preimages and row updates run on
+integers alone, and ``written_cols()`` writes each entry as a document does
+straight from the integers.
 
 Entries are coerced to canonical form once, where data enters: ``Matrix(...)``
 and the public defaults of ``Matrix.from_cols`` and
@@ -330,16 +337,6 @@ class _PackedFp:
         brows, n = b._rows, a.ncols
         return tuple(self._combine(brows, arow.to_bytes(n, "little")) for arow in a._rows)
 
-    def reduce(self, sub: "SubspaceBasis", v: int) -> int:
-        """Residue of v against sub's echelon rows.
-
-        The rows are reduced, so each is zero at the others' pivots, and v's
-        entry at a row's pivot is the multiple of the row to subtract.
-        """
-        p = self.p
-        return self._combine((v, *sub._rows),
-                             bytes([1, *(-(v >> 8 * pr & 255) % p for pr in sub.pivot_rows)]))
-
     def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors.
 
@@ -426,14 +423,6 @@ class _PackedF2(_PackedFp):
     @staticmethod
     def _combine(vectors, coeffs) -> int:
         return reduce(xor, compress(vectors, coeffs), 0)
-
-    @staticmethod
-    def reduce(sub: "SubspaceBasis", v: int) -> int:
-        """Residue of v against sub's echelon rows; one pass, as they are reduced."""
-        for row, pr in zip(sub._rows, sub.pivot_rows):
-            if v >> 8 * pr & 1:
-                v ^= row
-        return v
 
     def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors.
@@ -538,14 +527,6 @@ class _Entries:
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
         return self._dots(a._rows, b._columns())
-
-    def reduce(self, sub: "SubspaceBasis", v: tuple) -> tuple:
-        """Residue of v against sub's echelon rows; one pass, as they are reduced."""
-        for row, pr in zip(sub._rows, sub.pivot_rows):
-            c = v[pr]
-            if c:
-                v = self.add_scaled(v, row, -c)
-        return v
 
     def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
         """The reduced echelon rows and pivots of the span, by :func:`_row_reduce`."""
@@ -716,25 +697,6 @@ class _Rationals:
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
         return self._dots(a._rows, b._columns())
-
-    @staticmethod
-    def reduce(sub: "SubspaceBasis", v) -> tuple[tuple, int]:
-        """Residue of v against sub's echelon rows.
-
-        The rows are reduced, each with its pivot entry equal to its
-        denominator, so v's entry at a row's pivot is the multiple of the row
-        to subtract; the subtraction runs over the lcm of the rows used.
-        """
-        x, d = v
-        hits = [(row, x[pr]) for row, pr in zip(sub._rows, sub.pivot_rows) if x[pr]]
-        if not hits:
-            return v
-        den = lcm(*[e for (_, e), _ in hits])
-        acc = [den * u for u in x] if den != 1 else x
-        for (y, e), c in hits:
-            t = c * (den // e)
-            acc = [u - t * w for u, w in zip(acc, y)]
-        return _normal(acc, d * den)
 
     def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
         """The reduced echelon rows and pivots of the span, by :func:`_integer_rref`."""
@@ -1216,21 +1178,28 @@ class SubspaceBasis:
         return Matrix.from_cols(self.field, self._rows, nrows=self.ambient_dim, _raw=True)
 
     def reduce_vector(self, vec) -> tuple:
-        """Residue of vec after subtracting its projection onto the basis."""
+        """Residue of vec after subtracting its projection onto the basis.
+
+        The rows are reduced, so one pass subtracts each, times v's entry at its pivot.
+        """
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        fam = self.field._family
-        return fam.unpack(fam.reduce(self, fam.coerce(vec)), self.ambient_dim)
+        f = self.field
+        fam = f._family
+        v = fam.coerce(vec)
+        for row, pr in zip(self._rows, self.pivot_rows):
+            c = fam.entry(v, pr)
+            if c:
+                v = fam.add_scaled(v, row, f.neg(c))
+        return fam.unpack(v, self.ambient_dim)
 
     def contains_vector(self, vec) -> bool:
         """Whether vec lies in the span."""
         return not any(self.reduce_vector(vec))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        fam = self.field._family
-        return not any(fam.nonzero(fam.reduce(self, r)) for r in other._rows)
+        """Whether other lies in the span: whether adding it leaves the dimension."""
+        return sum_space(self, other).dim == self.dim
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceBasis):

@@ -10,7 +10,7 @@ import pytest
 
 import extmod
 from extmod import cli
-from extmod.cli import MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
+from extmod.cli import MAX_NESTING, MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
 from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
@@ -206,6 +206,29 @@ def test_build_rejects_randomizing_an_oversized_degree(capsys, expr, degree):
     assert code == 2
     assert (f"offset 0: randomize would scramble degree {degree} of dimension "
             f"{MAX_RANDOMIZE_DIM + 1}, above the limit of {MAX_RANDOMIZE_DIM}") in err
+
+
+def _nested(transforms, inner="simple@0"):
+    """inner inside the transforms, the first outermost, each written as
+    (name, argument)."""
+    for name, arg in reversed(transforms):
+        inner = f"{name}({inner}, {arg})"
+    return inner
+
+
+def test_build_nests_transforms_up_to_the_limit(capsys):
+    # checked while parsing, before the recursion of parser or builders runs deep
+    assert main(["build", _nested([("shift", 1)] * MAX_NESTING)]) == 0
+    assert parse_module(capsys.readouterr().out).dim(MAX_NESTING) == 1
+    mixed = [("randomize", 3), ("truncate", 20), ("shift", -1)] * (MAX_NESTING // 3)
+    assert main(["build", _nested(mixed, "L(2,1,1)@0")]) == 0
+    assert parse_module(capsys.readouterr().out).total_dim == 7
+    for depth in (MAX_NESTING + 1, 330, 5000):
+        code, seconds, _ = _traced_main(["build", _nested([("shift", 1)] * depth)])
+        assert code == 2 and seconds < 1.0
+        assert capsys.readouterr().err == (
+            f"error: build expression, offset {len('shift(') * MAX_NESTING}: "
+            f"transforms nest deeper than the limit of {MAX_NESTING}\n")
 
 
 def test_build_inf_expression(capsys):
@@ -406,6 +429,23 @@ def test_python_dash_m_runs_the_command_line():
     assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith("ALL ITEMS PASS\n")
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_closed_stdout_exits_2_without_a_traceback(report):
+    # the pipe's reader is gone before the first write, as when `| head -c 20`
+    # has read its bytes; the error is met in main, not at the exit flush
+    env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "extmod", "--report", report,
+                              "paper-check", "--N", "2", "--jmax", "3"], stdout=write,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (
+        2, "error: standard output was closed before all output was written\n")
 
 
 def test_cli_deterministic_output(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 import extmod
 from extmod import linalg, modules, operators, suite
-from extmod.decompose import (Decomposition, Summand, _match, _Strand, decompose,
+from extmod.decompose import (Decomposition, Summand, _degree, _match, _Strand, decompose,
                               endomorphism_basis, idempotent_oracle, multiplicities,
                               split_free, verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
@@ -89,7 +89,7 @@ def _match_calls(monkeypatch, m):
     sweep, match = decompose_mod._sweep_chain, decompose_mod._match
 
     def sweep_recording(mod, residue, vecs):
-        widths[0] = {pos: len(v[0]) for pos, v in vecs.items()}
+        widths[0] = {pos: mod.dim(_degree(residue, pos, mod.params)) for pos in vecs}
         return sweep(mod, residue, vecs)
 
     def match_recording(field, act, cod, dom):
@@ -102,6 +102,30 @@ def _match_calls(monkeypatch, m):
     decompose(m)
     monkeypatch.undo()
     return calls
+
+
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+def test_chains_hand_the_sweep_family_layout_vectors(monkeypatch, char):
+    # decompose packs each chain vector as it reads it, so the sweep packs
+    # nothing and no tuple of a vector is held beside its strand's
+    params = default_params(char)
+    fam = params.field._family
+    m = random_basis_change(flash_sum(random_flash_shapes(random.Random(67)), params), 67)
+    chains = []
+    sweep = decompose_mod._sweep_chain
+
+    def sweep_recording(mod, residue, vecs):
+        chains.append((residue, vecs))
+        return sweep(mod, residue, vecs)
+
+    monkeypatch.setattr(decompose_mod, "_sweep_chain", sweep_recording)
+    decompose(m)
+    vectors = [(m.dim(_degree(residue, pos, params)), v)
+               for residue, vecs in chains for pos, vs in vecs.items() for v in vs]
+    assert len(vectors) == m.total_dim
+    assert all(fam.pack(fam.unpack(v, n)) == v for n, v in vectors)
+    if char == 2:
+        assert all(type(v) is int for _, v in vectors)
 
 
 @pytest.mark.parametrize("char", [2, 3, 5, 17, 0])

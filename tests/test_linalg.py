@@ -239,7 +239,7 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         a @ b, fam.apply(a, v), a.rank(), a.solve(rhs), kernel(a), preimage_space(a, u)
         im = image(a)
         image(a, w), intersect(u, im), sum_space(u, im), im.contains_subspace(u)
-        fam.add_scaled(v, x, c), fam.scale(v, c), fam.reduce(w, v)
+        fam.add_scaled(v, x, c), fam.scale(v, c)
         if a.ncols:
             fam.apply(a, fam.unit(0, a.ncols))  # a sparse vector combines columns
         if a.nrows == a.ncols:
@@ -313,8 +313,9 @@ def _assert_same(got, want, packed=False):
 
 
 def _check_against_references(m, u_extra, rng):
-    """kernel, image, preimage, image of a subspace and intersection against
-    their references, for zero, full, image and random targets."""
+    """kernel, image, preimage, image of a subspace, intersection, residue and
+    containment against their references, for zero, full, image and random
+    targets."""
     field, nrows, ncols = m.field, m.nrows, m.ncols
     _assert_same(kernel(m), reference_kernel(m), True)
     _assert_same(image(m), reference_image_of(m, SubspaceBasis.full(field, ncols)), True)
@@ -326,8 +327,13 @@ def _check_against_references(m, u_extra, rng):
                image(m), *u_extra]
     for u in targets:
         _assert_same(preimage_space(m, u), reference_preimage(m, u), True)
+        for w in (*m.cols(), random_matrix(field, 1, nrows, rng).rows[0]):
+            assert u.reduce_vector(w) == _list_residue(field, u, w)
         for v in targets:
             _assert_same(intersect(u, v), reference_intersect(u, v), True)
+            both = [list(r) for r in u.vectors() + v.vectors()]
+            contained = len(reference_row_reduce(field, both, nrows)) == u.dim
+            assert u.contains_subspace(v) == contained
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F17, QQ], ids=["F2", "F3", "F5", "F17", "Q"])
@@ -806,7 +812,7 @@ def test_families_answer_the_same_calls_with_one_elimination():
     assert not any(hasattr(cls, "eliminate") for cls in families)
     # F2 shares the byte layout and keeps its own XOR row updates
     assert issubclass(_PackedF2, _PackedFp)
-    assert {"add_scaled", "scale", "_combine", "reduce", "span"} <= set(vars(_PackedF2))
+    assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_PackedF2))
 
 
 def test_layout_follows_the_characteristic():
@@ -858,11 +864,10 @@ def _list_preimage(field, m, u):
 
 def _list_residue(field, u, vec):
     """vec less, for each echelon row of u, its entry at the row's pivot times the row."""
-    p = field.characteristic
-    v = [x % p for x in vec]
+    v = list(map(field.coerce, vec))
     for row, pr in zip(u.vectors(), u.pivot_rows):
         c = v[pr]
-        v = [(x - c * y) % p for x, y in zip(v, row)]
+        v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
     return tuple(v)
 
 
