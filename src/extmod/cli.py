@@ -18,8 +18,8 @@ import re
 import sys
 import tempfile
 
-from .decompose import (InternalError, idempotent_oracle, decompose, split_free,
-                        verify_decomposition, verify_split_free)
+from .decompose import (InternalError, OracleInconclusive, idempotent_oracle, decompose,
+                        split_free, verify_decomposition, verify_split_free)
 from .linalg import Field
 from .modules import (E1, E2, AlgebraParams, FlashShape, Module, direct_sum,
                       make_flash, make_free, random_basis_change, shift,
@@ -307,7 +307,7 @@ def _cmd_decompose(args) -> int:
         try:
             oracle = idempotent_oracle(module, max_total_dim=args.oracle_bound,
                                        seed=args.seed)
-        except ValueError as exc:
+        except (ValueError, OracleInconclusive) as exc:
             raise CliError(str(exc)) from None
         payload["oracle_agrees"] = oracle.multiset() == dec.multiset()
     if args.report == "json":
@@ -486,16 +486,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        # the process started with fd 1 closed: every print would be dropped
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     parser = _build_parser()
     try:
         try:
             args = parser.parse_args(argv)
             return args.func(args)
         finally:
-            # a reader that closed standard output early is met here, not at
-            # exit; stdout is None when the process started without one
-            if sys.stdout is not None:
-                sys.stdout.flush()
+            # a reader that closed standard output early is met here, not at exit
+            sys.stdout.flush()
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except BrokenPipeError:

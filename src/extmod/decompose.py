@@ -89,6 +89,11 @@ class InternalError(AssertionError):
     """
 
 
+class OracleInconclusive(RuntimeError):
+    """The oracle sampled its candidate endomorphisms and none of them split
+    a module that is not a flash; another seed draws other candidates."""
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
@@ -511,6 +516,11 @@ def _module_from_subspace(m: Module, spaces: dict[int, SubspaceBasis]):
     return Module(m.params, dims, induced(E1), induced(E2)), emb
 
 
+def _enumerated(p: int, r: int) -> bool:
+    """Whether the candidates are every combination of r endomorphisms over F_p, not a sample."""
+    return p > 0 and p ** r <= 4096
+
+
 def _split_candidates(m: Module, endos: list[dict[int, Matrix]],
                       rng: random.Random):
     field = m.field
@@ -524,7 +534,7 @@ def _split_candidates(m: Module, endos: list[dict[int, Matrix]],
             if i != j:
                 yield {d: endos[i][d] @ endos[j][d] for d in endos[i]}
     r = len(endos)
-    if p and p ** r <= 4096:
+    if _enumerated(p, r):
         for coeffs in itertools.product(range(p), repeat=r):
             if any(coeffs):
                 yield _phi_combine(field, list(zip(coeffs, endos)))
@@ -585,7 +595,9 @@ def idempotent_oracle(m: Module, max_total_dim: int = 12, seed: int = 0) -> Deco
     Independent of the string-specific sweep: splits along Fitting
     decompositions of endomorphisms (exhaustively enumerated over small
     coefficient spaces, otherwise sampled), recursing until no candidate
-    splits.  The result is verified before it is returned.
+    splits.  The result is verified before it is returned.  A piece that no
+    sampled candidate splits and that is not a flash raises
+    :class:`OracleInconclusive`.
     """
     if m.params.variant != "B":
         raise ValueError("the oracle works over variant B")
@@ -600,7 +612,9 @@ def idempotent_oracle(m: Module, max_total_dim: int = 12, seed: int = 0) -> Deco
         if cur.total_dim == 0:
             return
         endos = endomorphism_basis(cur)
+        tried = 0
         for phi in _split_candidates(cur, endos, rng):
+            tried += 1
             split = _fitting_split(cur, phi)
             if split is None:
                 continue
@@ -608,7 +622,15 @@ def idempotent_oracle(m: Module, max_total_dim: int = 12, seed: int = 0) -> Deco
                 sub, sub_emb = _module_from_subspace(cur, spaces)
                 rec(sub, {d: emb[d] @ sub_emb[d] for d in sub.dims_by_degree})
             return
-        out.append(_canonical_leaf(cur, emb))
+        try:
+            out.append(_canonical_leaf(cur, emb))
+        except InternalError as exc:
+            if _enumerated(cur.field.characteristic, len(endos)):
+                raise
+            raise OracleInconclusive(
+                f"oracle inconclusive: {tried} candidate endomorphisms, most of them "
+                f"drawn at random, split no piece of dimension {cur.total_dim}, and "
+                f"that piece is not a flash ({exc}); try another --seed") from None
 
     rec(m, {d: Matrix.identity(m.field, n) for d, n in m.dims_by_degree.items()})
     dec = Decomposition(tuple(sorted(out, key=_summand_sort_key)))

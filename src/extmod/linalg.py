@@ -48,20 +48,23 @@ in normal form.  Every ``Matrix`` elimination is one span of its rows:
 ``solve`` spans the rows of [A | B] at full width, which is inconsistent
 exactly when a pivot falls in B.  ``inverse`` solves against the identity.
 
-Where the cheapest algorithm differs, each family keeps its own.  On bytes a
-product row combines the packed rows of the right factor with the entries of
-the left row, and m @ v the packed columns of m with the entries of v; over
-F2 that is the XOR of the rows or columns selected, after Albrecht, Bard and
-Hart, "Algorithm 898: Efficient multiplication of dense matrices over GF(2)"
-(ACM TOMS 2010).  On tuples both are dot products.  On Q rows a product
-entry is one integer dot product, and m @ v combines the columns of m that
-v selects while at most half of v is nonzero.  A packed preimage of u under
-m spans u's rows with each column of m tagged by its index, and keeps the
-tags of the vectors whose column part cancels.  On tuples and on Q rows it
-is the head of ker [m | B], B the basis matrix of u, from one elimination
-with the columns reversed: the tagged span has about twice the entries to
-eliminate.  Over Q the heads are read off the integer echelon rows.  In
-every family a kernel is the preimage of zero.
+Where the cheapest algorithm differs, the byte and the tuple layouts keep
+their own.  On bytes a product row combines the packed rows of the right
+factor with the entries of the left row, and m @ v the packed columns of m
+with the entries of v; over F2 that is the XOR of the rows or columns
+selected, after Albrecht, Bard and Hart, "Algorithm 898: Efficient
+multiplication of dense matrices over GF(2)" (ACM TOMS 2010).  A packed
+preimage of u under m spans u's rows with each column of m tagged by its
+index, and keeps the tags of the vectors whose column part cancels.  The two
+tuple layouts share one base, :class:`_IntRows`, which reads a vector as
+integer numerators over a denominator (1 over F_p) and writes products,
+m @ v, preimages and tallies once.  A product entry is one integer dot
+product, and m @ v combines the columns of m that v selects while at most
+half of v is nonzero.  A preimage is the head of ker [m | B], B the basis
+matrix of u, read off the integer echelon rows of one span of [m | B] with
+its columns reversed; a pivot is 1 over F_p, so a head entry there is one
+modular negation.  The tagged span would have about twice the entries to
+eliminate.  In every family a kernel is the preimage of zero.
 
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
@@ -457,14 +460,140 @@ class _PackedF2(_PackedFp):
         return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
 
 
-class _Entries:
-    """Vectors over F_p for p >= 17, as tuples of canonical entries."""
+def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
+    """The vector nums / den, for den > 0, in normal form: their common factor divided out.
 
-    nonzero = any
+    Given h, with every prime that can divide den and all of nums at once,
+    the common factor is sought only in the part of den made of h's primes,
+    which stays small while h does, however large den is.
+    """
+    part = den
+    if h is not None:
+        part, r, rest = 1, gcd(den, h), den
+        while r != 1:
+            part *= r
+            rest //= r
+            r = gcd(rest, r)
+    g = gcd(part, *nums) if part != 1 else 1
+    if g == 1:
+        return tuple(nums), den
+    return tuple([x // g for x in nums]), den // g
+
+
+def _ratios(nums, dens) -> tuple[tuple, int]:
+    """The vector of entries nums[j] / dens[j], each den > 0, in normal form.
+
+    Each entry is brought to lowest terms and the vector written over the
+    lcm of their denominators.  That is the normal form: a prime that
+    divides the lcm divides it as often as the denominator of some entry,
+    whose numerator it does not divide and whose multiplier lcm //
+    denominator it does not divide.
+    """
+    if dens.count(1) == len(dens):
+        return tuple(nums), 1
+    gs = list(map(gcd, nums, dens))
+    qs = [e // g for e, g in zip(dens, gs)]
+    den = lcm(*qs)
+    return tuple([x // g * (den // q) for x, g, q in zip(nums, gs, qs)]), den
+
+
+class _IntRows:
+    """What the two tuple layouts share: a vector read as integer numerators
+    over a denominator, which is 1 over F_p.
+
+    ``_read`` reads a vector that way, ``_write`` writes numerators over one
+    denominator back to the layout, and ``_write_ratios`` numerators over a
+    denominator each; products, m @ v, preimages, tallies and tails are
+    written once over those three.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.p = field.characteristic
+
+    def _split(self, vectors) -> tuple[tuple, tuple]:
+        """The numerators and the denominators of the vectors, read in one pass."""
+        return tuple(zip(*map(self._read, vectors))) or ((), ())
+
+    def tail(self, v, n: int):
+        nums, den = self._read(v)
+        return self._write(nums[n:], den)
+
+    def tally(self, rows, n: int):
+        """The sum of the unit vectors of length n at a list of rows."""
+        vec = [0] * n
+        for i, k in Counter(rows).items():
+            vec[i] = k
+        return self._write(vec, 1)
+
+    def _dots(self, rows, cols) -> tuple:
+        """For each of the rows, the vector of its dot products with each of cols.
+
+        Each entry is one integer dot product over the product of the two
+        denominators.
+        """
+        cnums, cdens = self._split(cols)
+        write = self._write_ratios
+        return tuple(write([sum(map(mul, x, c)) for c in cnums],
+                           cdens if d == 1 else [d * e for e in cdens])
+                     for x, d in zip(*self._split(rows)))
+
+    def apply(self, m: "Matrix", v):
+        """m @ v.
+
+        When at most half of v's entries are nonzero, the columns of m they
+        select are combined over the lcm of those columns' denominators, as
+        the byte layouts combine packed columns; otherwise each entry is a
+        dot product with a row of m.
+        """
+        nums, den = self._read(v)
+        if 2 * nums.count(0) < len(nums):
+            return self._dots((v,), m._rows)[0]
+        cols = list(map(self._read, compress(m._columns(), nums)))
+        common = lcm(*[e for _, e in cols])
+        acc = [0] * m.nrows
+        for c, (y, e) in zip(compress(nums, nums), cols):
+            t = c * (common // e)
+            acc = [a + t * w for a, w in zip(acc, y)]
+        return self._write(acc, den * common)
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple:
+        return self._dots(a._rows, b._columns())
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list, list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
+
+        B is the basis matrix of u, and each row of [m | B] is brought to
+        integers and reversed.  In the reduced echelon rows of those, the
+        first u.dim columns, B's, are all pivots, as B's columns are
+        independent.  Each free column fc past them gives the kernel vector
+        that is 1 at fc and -row[fc] / row[pc] at each pivot column pc of a
+        row (over F_p row[pc] is 1); its head, the part past B read back in
+        order, is the preimage's echelon row with its pivot at the column fc
+        came from.
+        """
+        k, width = u.dim, m.ncols + u.dim
+        brows = self.transpose(u._rows, m.nrows)
+        joined, _ = self._split([self.join(a, b, m.ncols) for a, b in zip(m._rows, brows)])
+        rows, pivots = self.span([self._write(x[::-1], 1) for x in joined], width)
+        past_b = list(zip(self._split(rows)[0], pivots))[bisect_left(pivots, k):]
+        free = sorted(set(range(k, width)).difference(pivots), reverse=True)
+        out = []
+        for fc in free:
+            hits = [(x, pc) for x, pc in past_b if x[fc]]
+            den = lcm(*[x[pc] for x, pc in hits])
+            nums = [0] * m.ncols
+            nums[width - 1 - fc] = den
+            for x, pc in hits:
+                nums[width - 1 - pc] = -x[fc] * (den // x[pc])
+            out.append(self._write(nums, den))
+        return out, [width - 1 - fc for fc in free]
+
+
+class _Entries(_IntRows):
+    """Vectors over F_p for p >= 17, as tuples of canonical entries."""
+
+    nonzero = any
 
     @staticmethod
     def pack(vec) -> tuple:
@@ -483,25 +612,13 @@ class _Entries:
     def entry(v: tuple, j: int):
         return v[j]
 
-    def unit(self, i: int, n: int) -> tuple:
-        z = (self.field.zero,)
-        return z * i + (self.field.one,) + z * (n - 1 - i)
-
-    def tally(self, rows, n: int) -> tuple:
-        """The sum of the unit vectors of length n at a list of rows."""
-        f = self.field
-        vec = [f.zero] * n
-        for i, k in Counter(rows).items():
-            vec[i] = f.coerce(k)
-        return tuple(vec)
+    @staticmethod
+    def unit(i: int, n: int) -> tuple:
+        return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
     @staticmethod
     def join(a: tuple, b: tuple, n: int) -> tuple:
         return a + b
-
-    @staticmethod
-    def tail(v: tuple, n: int) -> tuple:
-        return v[n:]
 
     def add_scaled(self, a: tuple, b: tuple, c) -> tuple:
         """a + c * b."""
@@ -517,16 +634,16 @@ class _Entries:
         """The n columns of the vectors of length n written as rows."""
         return tuple(zip(*vectors)) if vectors else ((),) * n
 
-    def _dots(self, rows, cols) -> tuple[tuple, ...]:
-        """For each of the rows, the tuple of its dot products with each of cols."""
+    @staticmethod
+    def _read(v: tuple) -> tuple[tuple, int]:
+        return v, 1
+
+    def _write(self, nums, den) -> tuple:
+        """nums over den, or over dens entry by entry: every denominator is 1 over F_p."""
         p = self.p
-        return tuple(tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows)
+        return tuple([x % p for x in nums])
 
-    def apply(self, m: "Matrix", v: tuple) -> tuple:
-        return self._dots((v,), m._rows)[0]
-
-    def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
-        return self._dots(a._rows, b._columns())
+    _write_ratios = _write
 
     def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
         """The reduced echelon rows and pivots of the span, by :func:`_row_reduce`."""
@@ -534,26 +651,8 @@ class _Entries:
         pivots = _row_reduce(self.field, rows)
         return list(map(tuple, rows[:len(pivots)])), pivots
 
-    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[tuple], list[int]]:
-        """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
 
-        B is the basis matrix of u.  With the columns of [m | B] reversed,
-        each free column's kernel vector is nonzero only there and at pivot
-        columns before it.  Read back in order, these vectors are the reduced
-        echelon basis of the kernel, each led by a 1 at its free column.
-        Only the zero kernel vector has a zero head, as B's columns are
-        independent, so the heads are the preimage's echelon basis, with the
-        same pivots.
-        """
-        brows = self.transpose(u._rows, m.nrows)
-        flipped = Matrix._from_family(self.field, [(row + b)[::-1] for row, b
-                                                   in zip(m._rows, brows)], m.ncols + u.dim)
-        heads = [col[::-1][:m.ncols] for col in reversed(flipped.kernel_matrix().cols())]
-        one = self.field.one
-        return heads, [h.index(one) for h in heads]
-
-
-class _Rationals:
+class _Rationals(_IntRows):
     """Q vectors as integer numerators over one positive denominator.
 
     A vector is ``(nums, den)``: a tuple of ints and an int den > 0 with
@@ -562,9 +661,6 @@ class _Rationals:
     ``unpack`` and ``entry`` runs on ints; scalars may be ``Fraction``s or
     ints, read through their numerator and denominator.
     """
-
-    def __init__(self, field: Field):
-        self.field = field
 
     @staticmethod
     def nonzero(v) -> bool:
@@ -606,14 +702,6 @@ class _Rationals:
         return (0,) * i + (1,) + (0,) * (n - 1 - i), 1
 
     @staticmethod
-    def tally(rows, n: int) -> tuple[tuple, int]:
-        """The sum of the unit vectors of length n at a list of rows."""
-        vec = [0] * n
-        for i, k in Counter(rows).items():
-            vec[i] = k
-        return tuple(vec), 1
-
-    @staticmethod
     def join(a, b, n: int) -> tuple[tuple, int]:
         """a followed by b over the lcm of their denominators, which keeps the normal form."""
         (x, d), (y, e) = a, b
@@ -621,10 +709,6 @@ class _Rationals:
             return x + y, d
         den = lcm(d, e)
         return (tuple([u * (den // d) for u in x] + [w * (den // e) for w in y]), den)
-
-    @staticmethod
-    def tail(v, n: int) -> tuple[tuple, int]:
-        return _normal(v[0][n:], v[1])
 
     @staticmethod
     def add_scaled(a, b, c) -> tuple[tuple, int]:
@@ -662,118 +746,25 @@ class _Rationals:
         """The n columns of the vectors of length n written as rows."""
         if not vectors:
             return (((), 1),) * n
-        dens = [d for _, d in vectors]
-        return tuple(_ratios(col, dens) for col in zip(*[x for x, _ in vectors]))
+        nums, dens = zip(*vectors)
+        return tuple(_ratios(col, dens) for col in zip(*nums))
 
-    @staticmethod
-    def _dots(rows, cols) -> tuple[tuple, ...]:
-        """For each of the rows, the vector of its dot products with each of cols.
-
-        Each entry is one integer dot product over the product of the two
-        denominators.
-        """
-        nums, dens = [x for x, _ in cols], [e for _, e in cols]
-        return tuple(_ratios([sum(map(mul, x, c)) for c in nums], [d * e for e in dens])
-                     for x, d in rows)
-
-    def apply(self, m: "Matrix", v) -> tuple[tuple, int]:
-        """m @ v.
-
-        When at most half of v's entries are nonzero, the columns of m they
-        select are combined over the lcm of those columns' denominators, as
-        the byte layouts combine packed columns; otherwise each entry is a
-        dot product with a row of m.
-        """
-        nums, den = v
-        if 2 * nums.count(0) < len(nums):
-            return self._dots((v,), m._rows)[0]
-        used = [(c, col) for c, col in zip(nums, m._columns()) if c]
-        common = lcm(*[e for _, (_, e) in used])
-        acc = [0] * m.nrows
-        for c, (y, e) in used:
-            t = c * (common // e)
-            acc = [a + t * w for a, w in zip(acc, y)]
-        return _normal(acc, den * common)
-
-    def product(self, a: "Matrix", b: "Matrix") -> tuple[tuple, ...]:
-        return self._dots(a._rows, b._columns())
+    # a vector is (nums, den) already, and tuple returns a tuple as it is
+    _read = tuple
+    _write = staticmethod(_normal)
+    _write_ratios = staticmethod(_ratios)
 
     def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
         """The reduced echelon rows and pivots of the span, by :func:`_integer_rref`."""
-        rows, pivots = _integer_rref([list(x) for x, _ in vectors], n)
+        rows, pivots = _integer_rref([x for x, _ in vectors], n)
         return [(tuple(row), row[c]) for row, c in zip(rows, pivots)], pivots
-
-    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[tuple], list[int]]:
-        """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
-
-        B is the basis matrix of u, and each row of [m | B] is brought to
-        integers and reversed.  In the reduced echelon rows of those, the
-        first u.dim columns, B's, are all pivots, as B's columns are
-        independent.  Each free column fc past them gives the kernel vector
-        that is 1 at fc and -row[fc] / row[pc] at each pivot column pc of a
-        row; its head, the part past B read back in order, is the preimage's
-        echelon row with its pivot at the column fc came from.
-        """
-        k, width = u.dim, m.ncols + u.dim
-        brows = self.transpose(u._rows, m.nrows)
-        rows, pivots = self.span([(self.join(a, b, m.ncols)[0][::-1], 1)
-                                  for a, b in zip(m._rows, brows)], width)
-        past_b = list(zip(rows, pivots))[bisect_left(pivots, k):]
-        free = sorted(set(range(k, width)).difference(pivots), reverse=True)
-        out = []
-        for fc in free:
-            hits = [(x, e, pc) for (x, e), pc in past_b if x[fc]]
-            den = lcm(*[e for _, e, _ in hits])
-            nums = [0] * m.ncols
-            nums[width - 1 - fc] = den
-            for x, e, pc in hits:
-                nums[width - 1 - pc] = -x[fc] * (den // e)
-            out.append(_normal(nums, den))
-        return out, [width - 1 - fc for fc in free]
 
 
 QQ = Field(0)
 GF2 = Field(2)
 
 
-def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
-    """The vector nums / den, for den > 0, in normal form: their common factor divided out.
-
-    Given h, with every prime that can divide den and all of nums at once,
-    the common factor is sought only in the part of den made of h's primes,
-    which stays small while h does, however large den is.
-    """
-    part = den
-    if h is not None:
-        part, r, rest = 1, gcd(den, h), den
-        while r != 1:
-            part *= r
-            rest //= r
-            r = gcd(rest, r)
-    g = gcd(part, *nums) if part != 1 else 1
-    if g == 1:
-        return tuple(nums), den
-    return tuple([x // g for x in nums]), den // g
-
-
-def _ratios(nums, dens) -> tuple[tuple, int]:
-    """The vector of entries nums[j] / dens[j], each den > 0, in normal form.
-
-    Each entry is brought to lowest terms and the vector written over the
-    lcm of their denominators.  That is the normal form: a prime that
-    divides the lcm divides it as often as the denominator of some entry,
-    whose numerator it does not divide and whose multiplier lcm //
-    denominator it does not divide.
-    """
-    if dens.count(1) == len(dens):
-        return tuple(nums), 1
-    gs = list(map(gcd, nums, dens))
-    qs = [e // g for e, g in zip(dens, gs)]
-    den = lcm(*qs)
-    return tuple([x // g * (den // q) for x, g, q in zip(nums, gs, qs)]), den
-
-
-def _integer_rref(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+def _integer_rref(rows: list, n: int) -> tuple[list, list[int]]:
     """The reduced echelon rows of integer rows of length n, fraction-free, and their pivots.
 
     A row with f at the pivot column of the row with pivot a becomes
@@ -783,8 +774,8 @@ def _integer_rref(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[
     pivot row, so every pivot row stays primitive with a positive pivot: as
     a rational row over its pivot it is in normal form.  Each row stays a
     nonzero multiple of the row the F_p steps would give, so the pivots
-    agree.  ``rows`` is reordered and updated in place; the pivot rows come
-    first.
+    agree.  ``rows`` is reordered and updated in place, each row replaced
+    rather than changed, so rows may be tuples; the pivot rows come first.
     """
     m = len(rows)
     pivots: list[int] = []

@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 import extmod
 from extmod import cli
 from extmod.cli import MAX_NESTING, MAX_RANDOMIZE_DIM, MAX_TERM_DIM, main
+from extmod.decompose import InternalError
 from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
@@ -291,19 +293,37 @@ def test_decompose_oracle_above_bound_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "24 > 12" in captured.err
 
 
-def test_failed_invariant_check_exit_2(tmp_path, capsys):
-    # the sampled oracle over Q misses a split on this scrambled sum and
-    # fails its own invariant check; the run reports it instead of a traceback
+def test_failed_invariant_check_exit_2(tmp_path, capsys, monkeypatch):
+    # a failed invariant check is a defect of the package; the run reports it
+    # on one line instead of a traceback
+    path = write_doc(tmp_path, "m.txt", make_flash(FlashShape.l(2, 0, 1), P))
+
+    def broken(module):
+        raise InternalError("strand lost its top")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    assert main(["decompose", path]) == 2
+    assert capsys.readouterr() == ("", "error: internal check failed: strand lost its top\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sampled_q_oracle_that_finds_no_split_is_inconclusive(tmp_path, capsys, seed):
+    # the oracle over Q samples its candidates, and on this scrambled sum none
+    # of them splits a piece that is not a flash: it exits 2 naming the error
+    # as its own, with how many candidates it tried
     doc = str(tmp_path / "m.txt")
     expr = ("randomize(L(0,1,1)@1 + L(2,1,0)@2 + L(2,0,1)@5 + L(0,1,0)@3 "
             "+ L(0,0,1)@1, 287157568)")
     assert main(["build", expr, "--field", "0", "-o", doc]) == 0
     capsys.readouterr()
-    code = main(["--report", "json", "decompose", doc, "--certify", "--oracle",
-                 "--oracle-bound", "19"])
+    code = main(["--report", "json", "--seed", str(seed), "decompose", doc, "--certify",
+                 "--oracle", "--oracle-bound", "19"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == "error: internal check failed: leaf dimensions do not match shape L(1,1,0)@1\n"
+    assert re.fullmatch(r"error: oracle inconclusive: \d+ candidate endomorphisms, most of "
+                        r"them drawn at random, split no piece of dimension 5, and that "
+                        r"piece is not a flash \(leaf dimensions do not match shape "
+                        r"L\(1,1,0\)@1\); try another --seed\n", err)
 
 
 def test_margolis(tmp_path, capsys):
@@ -334,7 +354,8 @@ def test_paper_check_passes(capsys):
 
 
 @pytest.mark.parametrize("field, degs, name", [
-    ("2", "1,3", "F2_1-3"), ("5", "2,5", "F5_2-5"), ("0", "1,3", "Q_1-3")])
+    ("2", "1,3", "F2_1-3"), ("5", "2,5", "F5_2-5"), ("17", "1,3", "F17_1-3"),
+    ("0", "1,3", "Q_1-3")])
 def test_paper_check_json_golden(capsys, field, degs, name):
     assert main(["--report", "json", "paper-check", "--N", "6", "--jmax", "8",
                  "--field", field, "--degs", degs]) == 0
@@ -446,6 +467,13 @@ def test_closed_stdout_exits_2_without_a_traceback(report):
         os.close(write)
     assert (run.returncode, run.stderr) == (
         2, "error: standard output was closed before all output was written\n")
+    # started with fd 1 closed, Python sets sys.stdout to None, so nothing
+    # can be written at all
+    run = subprocess.run([sys.executable, "-m", "extmod", "--report", report,
+                          "paper-check", "--N", "2", "--jmax", "3"], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+                         preexec_fn=lambda: os.close(1))
+    assert (run.returncode, run.stderr) == (2, "error: standard output is closed\n")
 
 
 def test_cli_deterministic_output(tmp_path, capsys):

@@ -13,9 +13,10 @@ import pytest
 
 import extmod
 from extmod import linalg, modules, operators, suite
-from extmod.decompose import (Decomposition, Summand, _degree, _match, _Strand, decompose,
-                              endomorphism_basis, idempotent_oracle, multiplicities,
-                              split_free, verify_decomposition, verify_split_free)
+from extmod.decompose import (Decomposition, InternalError, OracleInconclusive, Summand,
+                              _degree, _match, _Strand, decompose, endomorphism_basis,
+                              idempotent_oracle, multiplicities, split_free,
+                              verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
 from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
                             default_params, direct_sum, make_flash, make_free,
@@ -386,6 +387,22 @@ def test_oracle_bound():
     big = counterexample_stage(3, P)
     with pytest.raises(ValueError):
         idempotent_oracle(big, max_total_dim=12)
+
+
+def test_oracle_leaf_that_is_no_flash_is_inconclusive_only_when_sampled(monkeypatch):
+    # an unsplit piece that is not a flash is a defect when every combination
+    # of endomorphisms was tried (F2 here), and inconclusive when they were
+    # sampled (Q)
+    def no_flash(cur, emb):
+        raise InternalError("leaf is no flash")
+
+    monkeypatch.setattr(decompose_mod, "_canonical_leaf", no_flash)
+    m = make_flash(FlashShape.l(1, 0, 1), P)
+    with pytest.raises(InternalError, match="leaf is no flash"):
+        idempotent_oracle(m)
+    with pytest.raises(OracleInconclusive, match=r"^oracle inconclusive: \d+ candidate .* "
+                                                 r"\(leaf is no flash\); try another --seed$"):
+        idempotent_oracle(make_flash(FlashShape.l(1, 0, 1), default_params(0)))
 
 
 def test_oracle_matches_decompose():

@@ -1,13 +1,16 @@
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from extmod import linalg
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _is_prime, _PackedF2, _PackedFp, _Rationals, _row_reduce, hstack,
-                           image, intersect, kernel, preimage_space, quotient_dim,
+                           _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals, _row_reduce,
+                           hstack, image, intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,
@@ -119,6 +122,37 @@ PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 7, 1), (1, 1, 
 
 def _all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["F17", "Q"])
+def test_tuple_apply_matches_the_reference_on_both_routes(field):
+    # m @ v combines the columns v selects while at most half of v is
+    # nonzero, and takes a dot product per row past that: unit vectors and
+    # vectors exactly half nonzero take the first route, dense ones the second
+    rng = random.Random(61)
+    fam = field._family
+
+    def entry():
+        return (rng.randrange(1, 17) if field.characteristic
+                else Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 9)))
+
+    for nrows, ncols in ((1, 1), (3, 2), (5, 6), (4, 7), (6, 12), (3, 70), (0, 4)):
+        mats = [random_matrix(field, nrows, ncols, rng)]
+        if not field.characteristic:
+            mats.append(random_fraction_matrix(nrows, ncols, rng))
+        vecs = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        for _ in range(3):
+            half = set(rng.sample(range(ncols), ncols // 2))
+            vecs.append([entry() if j in half else 0 for j in range(ncols)])
+            vecs.append([entry() for _ in range(ncols)])
+        for m in mats:
+            for vec in vecs:
+                got = fam.apply(m, fam.coerce(vec))
+                want = reference_product(m, Matrix.from_cols(field, [vec], nrows=ncols))
+                assert fam.unpack(got, nrows) == want.col(0)
+                if not field.characteristic:
+                    nums, den = got
+                    assert den > 0 and gcd(den, *nums) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -804,15 +838,32 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
     assert prod.rows and calls[0] == n
 
 
+# the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
+# operations and the chain sweep make no other
+FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "join", "nonzero", "pack", "preimage",
+                "product", "scale", "span", "tail", "tally", "transpose", "unit", "unpack",
+                "written"}
+
+
 def test_families_answer_the_same_calls_with_one_elimination():
+    # a call added to one layout only, or made on a family without every
+    # layout answering it, fails here
     families = (_PackedF2, _PackedFp, _Entries, _Rationals)
-    public = [{name for name in dir(cls) if not name.startswith("_")} for cls in families]
-    assert public[0] == public[1] == public[2] == public[3]
-    assert "span" in public[0]
+    for cls in families:
+        assert {name for name in dir(cls) if not name.startswith("_")} == FAMILY_CALLS, cls
+    made = set()
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        made.update(re.findall(r"\b(?:fam|_family)\.([a-z]\w*)", path.read_text()))
+    assert made == FAMILY_CALLS
     assert not any(hasattr(cls, "eliminate") for cls in families)
     # F2 shares the byte layout and keeps its own XOR row updates
     assert issubclass(_PackedF2, _PackedFp)
     assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_PackedF2))
+    # the tuple layouts write their products, m @ v, preimages, tallies and
+    # tails once, in the base they share
+    shared = {"_dots", "apply", "product", "preimage", "tally", "tail"}
+    assert shared <= set(vars(_IntRows))
+    assert shared.isdisjoint({*vars(_Entries), *vars(_Rationals)})
 
 
 def test_layout_follows_the_characteristic():
