@@ -40,10 +40,12 @@ Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  On bytes each vector is cleared at its
 lowest nonzero entry by the row with that pivot, one XOR over F2 and one
 multiply-add over odd p, and the rows are back-substituted from the last
-pivot to the first; on tuples it is :func:`_row_reduce`.  Over Q it is
-:func:`_integer_rref`, fraction-free on primitive integer rows (Bareiss,
-Math. Comp. 1968), and each pivot row comes out as ``(row, pivot)``, already
-in normal form.  Every ``Matrix`` elimination is one span of its rows:
+pivot to the first.  The tuple layouts share one Gauss–Jordan elimination on
+the vectors' numerators, written once in :class:`_IntRows`: over F_p each
+pivot row is scaled to 1, and over Q the elimination is fraction-free on
+primitive integer rows (Bareiss, Math. Comp. 1968), so each pivot row comes
+out as ``(row, pivot)``, already in normal form.  Every ``Matrix``
+elimination is one span of its rows:
 ``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
 ``solve`` spans the rows of [A | B] at full width, which is inconsistent
 exactly when a pivot falls in B.  ``inverse`` solves against the identity.
@@ -58,7 +60,7 @@ preimage of u under m spans u's rows with each column of m tagged by its
 index, and keeps the tags of the vectors whose column part cancels.  The two
 tuple layouts share one base, :class:`_IntRows`, which reads a vector as
 integer numerators over a denominator (1 over F_p) and writes products,
-m @ v, preimages and tallies once.  A product entry is one integer dot
+m @ v, spans, preimages and tallies once.  A product entry is one integer dot
 product, and m @ v combines the columns of m that v selects while at most
 half of v is nonzero.  A preimage is the head of ker [m | B], B the basis
 matrix of u, read off the integer echelon rows of one span of [m | B] with
@@ -503,8 +505,11 @@ class _IntRows:
 
     ``_read`` reads a vector that way, ``_write`` writes numerators over one
     denominator back to the layout, and ``_write_ratios`` numerators over a
-    denominator each; products, m @ v, preimages, tallies and tails are
-    written once over those three.
+    denominator each; products, m @ v, eliminations, preimages, tallies and
+    tails are written once over those three.  An elimination leaves each
+    layout three steps: ``_pivot_row`` normalises a pivot row, ``_clear``
+    clears another row at its pivot column and ``_echelon`` writes the
+    pivot rows back, which are already normal, without ``_write``'s pass.
     """
 
     def __init__(self, field: Field):
@@ -559,6 +564,44 @@ class _IntRows:
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple:
         return self._dots(a._rows, b._columns())
+
+    def span(self, vectors, n: int) -> tuple[list, list[int]]:
+        """The reduced echelon rows and pivots of the span, by Gauss–Jordan
+        elimination on the vectors' numerators.
+
+        Each pivot row is normalised by ``_pivot_row`` and cleared from every
+        other row by ``_clear``, and ``_echelon`` writes the finished pivot
+        rows to the layout.  Over F_p the pivot becomes 1; over Q a row stays
+        a nonzero integer multiple of the row the F_p steps would give, so
+        the pivots agree, and a pivot row comes out primitive over a positive
+        pivot, which is its normal form.  A row whose pivot is 1 is already
+        normalised in both.
+        """
+        rows = [x for x, _ in map(self._read, vectors)]
+        pivot_row, clear = self._pivot_row, self._clear
+        m = len(rows)
+        pivots: list[int] = []
+        r = 0
+        for c in range(n):
+            pr = None
+            for i in range(r, m):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            top = rows[r]
+            if top[c] != 1:
+                top = rows[r] = pivot_row(top, c)
+            for i in range(m):
+                if i != r and rows[i][c]:
+                    rows[i] = clear(rows[i], top, c)
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        return self._echelon(rows[:r], pivots), pivots
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list, list[int]]:
         """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
@@ -645,11 +688,21 @@ class _Entries(_IntRows):
 
     _write_ratios = _write
 
-    def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
-        """The reduced echelon rows and pivots of the span, by :func:`_row_reduce`."""
-        rows = list(vectors)
-        pivots = _row_reduce(self.field, rows)
-        return list(map(tuple, rows[:len(pivots)])), pivots
+    def _pivot_row(self, row, c: int) -> list:
+        """The pivot row scaled to 1 at column c."""
+        p = self.p
+        inv = pow(row[c], -1, p)
+        return [(x * inv) % p for x in row]
+
+    def _clear(self, row, top, c: int) -> list:
+        """row less its entry at column c times the pivot row top, whose pivot is 1."""
+        p, f = self.p, row[c]
+        return [(x - f * y) % p for x, y in zip(row, top)]
+
+    @staticmethod
+    def _echelon(rows, pivots) -> list[tuple]:
+        """The finished pivot rows in the layout; their entries are canonical."""
+        return list(map(tuple, rows))
 
 
 class _Rationals(_IntRows):
@@ -754,96 +807,32 @@ class _Rationals(_IntRows):
     _write = staticmethod(_normal)
     _write_ratios = staticmethod(_ratios)
 
-    def span(self, vectors, n: int) -> tuple[list[tuple], list[int]]:
-        """The reduced echelon rows and pivots of the span, by :func:`_integer_rref`."""
-        rows, pivots = _integer_rref([x for x, _ in vectors], n)
-        return [(tuple(row), row[c]) for row, c in zip(rows, pivots)], pivots
+    @staticmethod
+    def _pivot_row(row, c: int) -> list:
+        """The pivot row divided by the gcd of its entries, with a positive pivot."""
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        return [x // g for x in row] if g != 1 else row
+
+    @staticmethod
+    def _clear(row, top, c: int) -> list:
+        """(a/g)*row - (f/g)*top, for a and f the entries at column c of top and
+        row and g their gcd, divided by the gcd of its entries (Bareiss)."""
+        a, f = top[c], row[c]
+        g = gcd(a, f)
+        row = [a // g * x - f // g * y for x, y in zip(row, top)]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    @staticmethod
+    def _echelon(rows, pivots) -> list[tuple[tuple, int]]:
+        """The finished pivot rows in the layout, each already normal over its pivot."""
+        return [(tuple(row), row[c]) for row, c in zip(rows, pivots)]
 
 
 QQ = Field(0)
 GF2 = Field(2)
-
-
-def _integer_rref(rows: list, n: int) -> tuple[list, list[int]]:
-    """The reduced echelon rows of integer rows of length n, fraction-free, and their pivots.
-
-    A row with f at the pivot column of the row with pivot a becomes
-    (a/g)*row - (f/g)*top for g = gcd(a, f), then is divided by the gcd of
-    its entries (Bareiss, Math. Comp. 1968).  A row is divided by the gcd of
-    its entries, and negated if its pivot is negative, when it becomes a
-    pivot row, so every pivot row stays primitive with a positive pivot: as
-    a rational row over its pivot it is in normal form.  Each row stays a
-    nonzero multiple of the row the F_p steps would give, so the pivots
-    agree.  ``rows`` is reordered and updated in place, each row replaced
-    rather than changed, so rows may be tuples; the pivot rows come first.
-    """
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        g = gcd(*top)
-        if top[c] < 0:
-            g = -g
-        if g != 1:
-            top = rows[r] = [x // g for x in top]
-        a = top[c]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                g = gcd(a, f)
-                row = [a // g * x - f // g * y for x, y in zip(rows[i], top)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
-def _row_reduce(field: Field, rows: list[list]) -> list[int]:
-    """In-place reduced row echelon form of rows of F_p entries; returns the pivot columns.
-
-    Each pivot row is scaled to a leading 1 and cleared from the others;
-    rows that are updated become lists, the others keep their type.
-    """
-    p = field.characteristic
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        a = rows[r][c]
-        if a != 1:
-            inv = pow(a, -1, p)
-            rows[r] = [(x * inv) % p for x in rows[r]]
-        top = rows[r]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
 
 
 class Matrix:

@@ -17,7 +17,8 @@ A document looks like::
 ``basis`` lines may also pack several ``name degree`` pairs separated by
 commas.  Action lines give the image of one basis vector as a sum of
 ``coeff*name`` terms (coefficient omitted when 1; ``a/b`` rationals in
-characteristic 0).  Undeclared actions are zero.  ``#`` starts a comment.
+characteristic 0).  Undeclared actions are zero.  Each of the four header
+lines appears once.  ``#`` starts a comment.
 Printing a module and parsing the result reproduces it exactly.
 """
 
@@ -57,7 +58,7 @@ def parse_module(text: str) -> Module:
     one XOR or C-level sum of unit vectors); any other line, and any line
     with a fault, is read term by term.
     """
-    header: dict[str, tuple[int | str, int]] = {}  # key: (value, line)
+    header: dict[str, tuple[int | str, int]] = {}  # "field", "deg e1", ...: (value, line)
     basis: list[tuple[str, int, int]] = []  # (name, degree, line)
     actions: list[tuple[str, str, str, int]] = []  # (op, source, expr, line)
     names: dict[str, int] = {}
@@ -97,11 +98,14 @@ def parse_module(text: str) -> Module:
                 basis.append((name, deg, lineno))
         else:
             tokens = line.split()
+            key = " ".join(tokens[:2]) if head == "deg" else head
+            if key in header:
+                raise DocumentError(lineno, f"duplicate header line: {key}")
             if head == "field":
                 if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
                     raise DocumentError(lineno, "expected: field <characteristic>")
                 try:
-                    header["field"] = (int(tokens[1]), lineno)
+                    header[key] = (int(tokens[1]), lineno)
                 except ValueError:
                     # more digits than int() converts, so far above any tested prime
                     raise DocumentError(lineno, f"field characteristic of {len(tokens[1])} "
@@ -110,27 +114,27 @@ def parse_module(text: str) -> Module:
                 if len(tokens) != 3 or tokens[1] not in (E1, E2):
                     raise DocumentError(lineno, "expected: deg e1|e2 <degree>")
                 try:
-                    header[tokens[1]] = (int(tokens[2]), lineno)
+                    header[key] = (int(tokens[2]), lineno)
                 except ValueError:
                     raise DocumentError(lineno, f"bad degree for {tokens[1]}") from None
             elif head == "algebra":
                 if len(tokens) != 2 or tokens[1] not in ("A", "B"):
                     raise DocumentError(lineno, "expected: algebra A|B")
-                header["variant"] = (tokens[1], lineno)
+                header[key] = (tokens[1], lineno)
             else:
                 raise DocumentError(lineno, f"unrecognized directive {head!r}")
 
-    for key, desc in (("field", "field"), (E1, "deg e1"), (E2, "deg e2"),
-                      ("variant", "algebra")):
+    for key in ("field", "deg e1", "deg e2", "algebra"):
         if key not in header:
-            raise DocumentError(1, f"missing header line: {desc}")
-    (p, p_line), (d1, d1_line), (d2, d2_line) = header["field"], header[E1], header[E2]
+            raise DocumentError(1, f"missing header line: {key}")
+    (p, p_line), (d1, d1_line), (d2, d2_line) = (header["field"], header["deg e1"],
+                                                 header["deg e2"])
     try:
         field = Field(p)
     except ValueError as exc:
         raise DocumentError(p_line, str(exc)) from None
     try:
-        params = AlgebraParams(field, d1, d2, header["variant"][0])
+        params = AlgebraParams(field, d1, d2, header["algebra"][0])
     except ValueError as exc:
         # |e1| is at fault when it is not positive, |e2| when it is not above |e1|
         raise DocumentError(d1_line if d1 <= 0 else d2_line, str(exc)) from None

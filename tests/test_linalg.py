@@ -9,7 +9,7 @@ import pytest
 
 from extmod import linalg
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals, _row_reduce,
+                           _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals,
                            hstack, image, intersect, kernel, preimage_space, quotient_dim,
                            standard_complement, sum_space)
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
@@ -184,17 +184,14 @@ def _eliminate_both(field, rows):
     n = len(rows[0]) if rows else 0
     want = [list(r) for r in rows]
     want_piv = reference_row_reduce(field, want, n)
-    if field.characteristic:
-        got = [list(r) for r in rows]
-        piv = _row_reduce(field, got)
-    else:
-        # Q eliminates in its family's span, which returns only the pivot
-        # rows, each primitive over a positive denominator
-        fam = field._family
-        red, piv = fam.span([fam.pack(r) for r in rows], n)
-        assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in red)
-        got = ([list(fam.unpack(v, n)) for v in red]
-               + [[field.zero] * n for _ in range(len(rows) - len(piv))])
+    # one span, which returns only the pivot rows: the tuple layout's at
+    # every prime, the packed ones included, and Q's family's, each row
+    # primitive over a positive denominator
+    fam = field._family if field.characteristic == 0 else _Entries(field)
+    red, piv = fam.span([fam.pack(r) for r in rows], n)
+    assert field.characteristic or all(den > 0 and gcd(den, *nums) == 1 for nums, den in red)
+    got = ([list(fam.unpack(v, n)) for v in red]
+           + [[field.zero] * n for _ in range(len(rows) - len(piv))])
     assert piv == want_piv
     assert got == want
     # over Q every row comes back as Fractions, zero rows included
@@ -859,9 +856,9 @@ def test_families_answer_the_same_calls_with_one_elimination():
     # F2 shares the byte layout and keeps its own XOR row updates
     assert issubclass(_PackedF2, _PackedFp)
     assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_PackedF2))
-    # the tuple layouts write their products, m @ v, preimages, tallies and
-    # tails once, in the base they share
-    shared = {"_dots", "apply", "product", "preimage", "tally", "tail"}
+    # the tuple layouts write their products, m @ v, eliminations,
+    # preimages, tallies and tails once, in the base they share
+    shared = {"_dots", "apply", "product", "span", "preimage", "tally", "tail"}
     assert shared <= set(vars(_IntRows))
     assert shared.isdisjoint({*vars(_Entries), *vars(_Rationals)})
 

@@ -6,6 +6,10 @@ computation on tuples of ``Fraction``s, every vector it returns must be in
 that normal form, and equal subspaces must give equal objects.  Entries are
 drawn as integers, as small fractions, or over distinct denominators near
 10**20, where a row's common denominator is far larger than any entry's.
+
+The F_p tuple layout shares Q's elimination, so its span is checked against
+the list reference too, at a packed prime, the least tuple prime and a
+Mersenne prime whose entries are far wider than a machine word.
 """
 
 from collections import Counter
@@ -16,9 +20,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from extmod.linalg import Field, Matrix, SubspaceBasis, preimage_space
+from extmod.linalg import Field, Matrix, SubspaceBasis, _Entries, preimage_space
 from helpers import reference_apply, reference_product, reference_row_reduce, reference_span
 
 QQ = Field(0)
@@ -34,22 +38,24 @@ KINDS = st.sampled_from(sorted(ENTRIES))
 SCALARS = ENTRIES["mixed"]
 
 
-def _vectors(kind, n, count):
-    return st.lists(st.lists(ENTRIES[kind], min_size=n, max_size=n).map(tuple),
+def _vectors(entry, n, count):
+    return st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple),
                     min_size=count, max_size=count)
 
 
 @st.composite
-def rows_of(draw, nrows=None, ncols=None, max_dim=5):
-    """Rows of Fractions, of one entry kind; with rank bounded by a product, half the time."""
+def rows_of(draw, nrows=None, ncols=None, max_dim=5, field=QQ):
+    """Rows of the field's entries, over Q Fractions of one entry kind; with
+    rank bounded by a product, half the time."""
     nrows = draw(st.integers(0, max_dim)) if nrows is None else nrows
     ncols = draw(st.integers(0, max_dim + 1)) if ncols is None else ncols
-    kind = draw(KINDS)
+    p = field.characteristic
+    entry = st.integers(0, p - 1) if p else ENTRIES[draw(KINDS)]
     if draw(st.booleans()):
-        return draw(_vectors(kind, ncols, nrows))
+        return draw(_vectors(entry, ncols, nrows))
     rank = draw(st.integers(0, 2))
-    left = Matrix(QQ, draw(_vectors(kind, rank, nrows)), ncols=rank)
-    right = Matrix(QQ, draw(_vectors(kind, ncols, rank)), ncols=ncols)
+    left = Matrix(field, draw(_vectors(entry, rank, nrows)), ncols=rank)
+    right = Matrix(field, draw(_vectors(entry, ncols, rank)), ncols=ncols)
     return list(reference_product(left, right).rows)
 
 
@@ -152,6 +158,17 @@ def test_span_and_reduce_match_fractions(rows, data):
             c = v[pr]
             want = [x - c * y for x, y in zip(want, row)]
         assert sub.reduce_vector(v) == tuple(want)
+
+
+# three primes share the examples, so this property draws more of them
+@settings(max_examples=200)
+@given(st.sampled_from((5, 17, 2**61 - 1)).map(Field), st.data())
+def test_tuple_span_matches_reference_at_every_prime(field, data):
+    rows = data.draw(rows_of(field=field))
+    n = len(rows[0]) if rows else 0
+    want = [list(r) for r in rows]
+    pivots = reference_row_reduce(field, want, n)
+    assert _Entries(field).span(rows, n) == ([tuple(r) for r in want[:len(pivots)]], pivots)
 
 
 def _fraction_preimage(m, u):

@@ -163,6 +163,13 @@ BAD_DOCUMENTS = [
     ("bad basis name", "basis 1a 0\n", 1, "bad basis name '1a'"),
     ("bad basis degree", "basis a x\n", 1, "bad degree 'x'"),
     ("duplicate basis name", "basis a 0, a 1\n", 1, "duplicate basis name 'a'"),
+    # a repeated header line is refused, not read over the first
+    ("duplicate field", HEAD.format(f=5) + "e1 x1 = 3*y0\nfield 2\n", 7,
+     "duplicate header line: field"),
+    ("duplicate deg e1", HEAD.format(f=2) + "deg e1 1\n", 6, "duplicate header line: deg e1"),
+    ("duplicate deg e2", "field 2\ndeg e2 3\ndeg e1 1\ndeg e2 5\n", 4,
+     "duplicate header line: deg e2"),
+    ("duplicate algebra", "algebra B\nalgebra A\n", 2, "duplicate header line: algebra"),
     ("deg without value", "field 2\ndeg e1 1\ndeg e2\nalgebra B\n", 3,
      "expected: deg e1|e2 <degree>"),
     ("deg extra token", "field 2\ndeg e1 1\ndeg e2 3 4\nalgebra B\n", 3,
