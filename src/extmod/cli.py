@@ -50,7 +50,8 @@ def _write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from None
+        # the message names the user's path, never the temporary file
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _read_module(path: str) -> Module:
@@ -227,7 +228,7 @@ class _ExprParser:
             dim = (FlashShape.finite(cutoff // params.gap + 1, bool(eps), True).total_dim
                    if cutoff >= 0 else 0)
             return self.sized(start, used, dim, lambda: truncated_infinite_flash(
-                bool(eps), cutoff, params).module)
+                bool(eps), cutoff, params))
         if self.eat("shift("):
             dim, inner = self.nested(start, used)
             self.expect(",")
@@ -295,6 +296,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.oracle and args.oracle_bound < 0:
+        raise CliError(f"--oracle-bound must be non-negative, got {args.oracle_bound}")
     module = _as_variant_b(_read_module(args.file))
     dec = decompose(module)
     payload = {"multiset": {str(k): v for k, v in sorted(dec.multiset().items())}}
@@ -387,14 +390,17 @@ def _cmd_paper_check(args) -> int:
         sp = SuiteParams(args.N, args.jmax, algebra)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    # the largest modules run_checks builds: the stage, and the flash it truncates
-    flash = FlashShape.finite(sp.trunc_degree // algebra.gap + 1, False, True)
-    trunc = (f"--jmax {args.jmax} and --degs {args.degs} set the default truncation degree "
-             f"jmax*gap + |e2| = {sp.trunc_degree}, which")
-    for what, dim in ((f"--N {args.N}", (args.N + 1) * (args.N + 2)), (trunc, flash.total_dim)):
+    # the largest modules run_checks builds: the stage, and the flash that
+    # truncated_infinite_flash builds before cutting it at |e2| + gap
+    window = FlashShape.finite(algebra.deg_e2 // algebra.gap + 2, False, True)
+    for what, dim in ((f"--N {args.N}", (args.N + 1) * (args.N + 2)),
+                      (f"--degs {args.degs}", window.total_dim)):
         if dim > MAX_TERM_DIM:
             raise CliError(f"{what} makes a module of dimension {dim}, "
                            f"above the limit of {MAX_TERM_DIM}")
+    # the report lists jmax + 1 dimensions per item
+    if args.jmax > MAX_TERM_DIM:
+        raise CliError(f"--jmax {args.jmax} is above the limit of {MAX_TERM_DIM}")
     report = run_checks(sp)
     if args.report == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))

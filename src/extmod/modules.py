@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 from .linalg import Field, Matrix, place_blocks
 
@@ -456,34 +455,17 @@ def counterexample_stage(n_max: int, params: AlgebraParams) -> Module:
                        for n in range(n_max + 1)])
 
 
-class TruncatedFlash(NamedTuple):
-    """A truncation of a right-infinite flash plus the shapes it realizes."""
-
-    module: Module
-    realized: tuple[FlashShape, ...]
-
-
 def truncated_infinite_flash(left_top: bool, max_degree: int,
-                             params: AlgebraParams) -> TruncatedFlash:
+                             params: AlgebraParams) -> Module:
     """Quotient of the right-infinite flash by all degrees above the cutoff.
 
-    The result is always finite; ``realized`` records its structure: one main
-    flash containing x_0 plus isolated simples for any bottoms whose
-    connecting tops were cut away.
+    The result is finite: the flash x_0 .. x_m, m = max_degree // gap, with a
+    top after every bottom, cut above ``max_degree``.
     """
     if max_degree < 0:
-        return TruncatedFlash(zero_module(params), ())
-    g, d1, d2 = params.gap, params.deg_e1, params.deg_e2
-    m_x = max_degree // g
-    m_y = (max_degree - d2) // g if max_degree >= d2 else -1
-    lt_eff = left_top and d1 <= max_degree
-    mod = truncate_above(make_flash(FlashShape.finite(m_x + 1, left_top, True), params),
-                         max_degree)
-
-    b_main = min(m_x, m_y + 1) + 1
-    shapes = [FlashShape.finite(b_main, lt_eff, False)]
-    shapes += [FlashShape.simple(j * g) for j in range(m_y + 2, m_x + 1)]
-    return TruncatedFlash(mod, tuple(shapes))
+        return zero_module(params)
+    flash = FlashShape.finite(max_degree // params.gap + 1, left_top, True)
+    return truncate_above(make_flash(flash, params), max_degree)
 
 
 @cache

@@ -7,19 +7,19 @@ argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
 there as dim F_n - dim F_{n+1}, where e1 is zero.  The genuinely infinite
 product is out of computational reach; every quantitative statement below
-concerns a finite stage, where it is exact.  The one infinite flash the suite
-contrasts with the stage is cut at degree j_max * gap + |e2|, derived from the
-stage parameters.
+concerns a finite stage, where it is exact.  The right-infinite flash the
+suite contrasts with the stage is read exactly, off one fixed window of degrees
+that depends on the algebra alone (``_right_infinite_window``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import is_not
 from typing import Any
 
-from .decompose import multiplicities
+from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
                       truncated_infinite_flash)
@@ -40,11 +40,6 @@ class SuiteParams:
         if self.j_max < self.stage_size + 1:
             raise ValueError("j_max must be at least stage_size + 1 so the "
                              "degree-zero chain visibly reaches zero")
-
-    @property
-    def trunc_degree(self) -> int:
-        """The right-infinite flash's cutoff: it keeps the tops joining x_0 to x_{j_max+1}."""
-        return self.j_max * self.algebra.gap + self.algebra.deg_e2
 
 
 @dataclass(frozen=True)
@@ -82,24 +77,41 @@ class ExclusionProbe:
     stable_intersection_at_bottom_nonzero: bool
 
 
+def _right_infinite_window(left_top: bool, params: AlgebraParams) -> tuple[Module, list[int]]:
+    """The right-infinite flash cut at |e2| + gap, and the degrees d <= gap its
+    first chain step moves.
+
+    F_1(d) = e2^{-1}(e1 F_0(d + gap)) reads degrees d, d + gap and d + |e2|, all
+    kept for d <= gap, where the bottoms are x_0 and x_1.  The shift x_k -> x_{k+1}
+    carries the step at x_1 to every later bottom, and e2 kills the tops, so
+    with no degree moved every F_j is the whole infinite flash.
+    """
+    mod = truncated_infinite_flash(left_top, params.deg_e2 + params.gap, params)
+    f0, f1 = islice(_terms(mod), 2)
+    return mod, [d for d in f0 if d <= params.gap and f1[d] != f0[d]]
+
+
 def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
     """The two degree-zero probes deciding which shapes can reach the bottom.
 
-    The shape is rebased at degree 0; a right-infinite flash is realized by
-    its truncation at eight bottoms' worth of degrees, 8 * gap + |e2|.
+    The shape is rebased at degree 0; a right-infinite flash is read off
+    ``_right_infinite_window`` exactly.
     """
     based = FlashShape(shape.kind, shape.bottoms, shape.left_top,
                        shape.right_top, 0)
     if based.kind == "right_infinite":
-        cutoff = 8 * params.gap + params.deg_e2
-        mod = truncated_infinite_flash(based.left_top, cutoff, params).module
+        mod, moved = _right_infinite_window(based.left_top, params)
+        if moved:
+            raise InternalError("the first chain step moves the right-infinite flash "
+                                f"at degrees {moved}")
+        # every F_j is the whole flash, and x_0 spans its degree 0
+        stable_nonzero = True
     elif based.kind == "finite":
         mod = make_flash(based, params)
+        stable_nonzero = stable_intersection(mod)[0].dim > 0
     else:
         raise ValueError("probe applies to finite or right-infinite shapes")
-    e1_nonzero = not mod.action(E1, 0).is_zero()
-    stable_nonzero = stable_intersection(mod)[0].dim > 0
-    return ExclusionProbe(e1_nonzero, stable_nonzero)
+    return ExclusionProbe(not mod.action(E1, 0).is_zero(), stable_nonzero)
 
 
 def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
@@ -215,19 +227,13 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"image_dim": e1_deg0},
         e1_deg0 == 0))
 
-    trunc = truncated_infinite_flash(False, sp.trunc_degree, alg)
-    # with no left top, x_0 alone spans degree 0 of the truncation too
-    zero, _ = _degree_zero(_terms(trunc.module), sp.j_max)
-    stuck = [j for j, sub in enumerate(zero) if not sub.dim]
+    _, moved = _right_infinite_window(False, alg)
     items.append(CheckItem(
         "infinite-flash-contrast",
-        "after truncating the right-infinite flash, x_0 stays in F_j for "
-        "every j <= j_max (the truncation realizes an open-ended flash)",
-        {"missing_at": stuck,
-         "realized": [str(s) for s in trunc.realized],
-         "note": "finite truncation of the right-infinite flash; "
-                 "open right ends make the chain stall at the whole module"},
-        not stuck))
+        "on the right-infinite flash the first chain step moves no degree, "
+        "so x_0 lies in F_j for every j",
+        {"moved": moved},
+        not moved))
 
     # x_0 alone spans degree 0 of L(n,0,0)@0, so the probe's flag is the dimension
     open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg)
@@ -255,7 +261,6 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
     params_desc = {
         "stage_size": sp.stage_size,
         "j_max": sp.j_max,
-        "trunc_degree": sp.trunc_degree,
         "field": alg.field.characteristic,
         "deg_e1": alg.deg_e1,
         "deg_e2": alg.deg_e2,

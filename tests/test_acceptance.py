@@ -136,8 +136,8 @@ def test_criterion_7_exclusion_probes():
 def _criterion_8_modules():
     mods = [counterexample_stage(8, P),
             counterexample_stage(3, default_params(5, 2, 5)),
-            truncated_infinite_flash(False, 23, P).module,
-            truncated_infinite_flash(True, 14, P).module,
+            truncated_infinite_flash(False, 23, P),
+            truncated_infinite_flash(True, 14, P),
             make_free(0, default_params(variant="A")),
             make_free(1, default_params(5, 2, 5, variant="A"))]
     for n in range(9):

@@ -293,6 +293,14 @@ def test_decompose_oracle_above_bound_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "24 > 12" in captured.err
 
 
+def test_decompose_negative_oracle_bound_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, "m.txt", make_flash(FlashShape.l(1, 0, 1), P))
+    assert main(["decompose", path, "--oracle", "--oracle-bound", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: --oracle-bound must be non-negative, got -5\n")
+    # the bound is read only with --oracle
+    assert main(["decompose", path, "--oracle-bound", "-5"]) == 0
+
+
 def test_failed_invariant_check_exit_2(tmp_path, capsys, monkeypatch):
     # a failed invariant check is a defect of the package; the run reports it
     # on one line instead of a traceback
@@ -382,34 +390,37 @@ def test_paper_check_json_schema(capsys):
 @pytest.mark.parametrize("argv, flag, dim", [
     (["--N", "315", "--jmax", "316"], "--N 315", 316 * 317),
     (["--N", "100000000", "--jmax", "100000001"], "--N 100000000", 100000001 * 100000002),
-    # degrees 1,3 have gap 2: the flash truncated at 2 jmax + 3 has 2 (jmax + 2)
-    # basis vectors
-    (["--N", "4", "--jmax", "49999"], "--jmax 49999", 100002),
-    (["--N", "4", "--jmax", "100000000"], "--jmax 100000000", 200000004),
+    # the report lists jmax + 1 dimensions, and --jmax is bounded by itself
+    (["--N", "2", "--jmax", "100001"], "--jmax 100001", None),
+    (["--N", "4", "--jmax", "100000000"], "--jmax 100000000", None),
     (["--N", "4", "--jmax", "100000000", "--field", "5", "--degs", "2,5"],
-     "--jmax 100000000", 200000004),
-    # --degs alone drives the default truncation degree 5*3 + 1000003 = 1000018
-    (["--N", "3", "--jmax", "5", "--degs", "1000000,1000003"],
-     "--jmax 5 and --degs 1000000,1000003", 666680),
+     "--jmax 100000000", None),
+    # --degs alone sizes the right-infinite flash's window: cut at |e2| + gap =
+    # 1000006, it is built from the flash with bottoms x_0 .. x_333335 and a top
+    # after each
+    (["--N", "3", "--jmax", "5", "--degs", "1000000,1000003"], "--degs 1000000,1000003", 666672),
 ])
 def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     # checked against the numbers alone, before anything is built
     code, seconds, peak = _traced_main(["paper-check", *argv])
     assert seconds < 1.0 and peak < 1_000_000
-    err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {flag} ")
-    assert err.endswith(f" makes a module of dimension {dim}, above the limit of {MAX_TERM_DIM}\n")
-    # a truncation too large is named by the flags that derive its degree
-    if flag.startswith("--jmax"):
-        assert " and --degs " in err and " set the default truncation degree jmax*gap + |e2| = " in err
+    what = "is" if dim is None else f"makes a module of dimension {dim},"
+    assert capsys.readouterr().err == f"error: {flag} {what} above the limit of {MAX_TERM_DIM}\n"
+
+
+def test_paper_check_runs_at_the_jmax_limit(capsys):
+    assert main(["--report", "json", "paper-check", "--N", "1", "--jmax", str(MAX_TERM_DIM)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is True
+    assert len(doc["items"][2]["data"]["dims"]) == MAX_TERM_DIM + 1
 
 
 def test_paper_check_usage_errors(capsys):
     assert main(["paper-check", "--N", "3", "--jmax", "3"]) == 2
     assert main(["paper-check", "--N", "2", "--jmax", "4",
                  "--field", "6"]) == 2
-    # the truncation degree is derived from --jmax and --degs, never set
+    # the right-infinite flash is read exactly: no option sets a truncation degree
     assert main(["paper-check", "--N", "2", "--jmax", "4", "--trunc", "20"]) == 2
     assert "unrecognized arguments: --trunc 20" in capsys.readouterr().err
 
@@ -527,9 +538,14 @@ def test_failed_write_leaves_no_file(tmp_path, capsys):
     code = main(["build", "L(1,0)@0", "-o", str(target)])
     assert code == 2
     assert not target.exists()
-    # a good expression but an unwritable target also exits 2, file-free
+    capsys.readouterr()
+    # a good expression but an unwritable target also exits 2, file-free, and
+    # names the target, not the temporary file the write went through
     assert main(["build", "L(1,0,1)@0", "-o", str(target)]) == 2
     assert not target.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert ".extmod-" not in err
     # an existing directory as the target: the write fails at the final rename
     doc = str(tmp_path / "fa.txt")
     assert main(["build", "randomize(free@0 + L(1,0,1)@0, 3)", "-o", doc]) == 0
@@ -540,7 +556,9 @@ def test_failed_write_leaves_no_file(tmp_path, capsys):
     for argv in (["build", "simple@0", "-o", str(taken)],
                  ["split-free", doc, "--complement-out", str(taken)]):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {taken}: ")
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {taken}: Is a directory\n"
+        assert ".extmod-" not in err
         assert [p.name for p in taken.iterdir()] == ["keep.txt"]
         assert (taken / "keep.txt").read_text() == "kept\n"
         assert not list(tmp_path.glob(".extmod-*"))

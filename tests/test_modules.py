@@ -3,6 +3,7 @@ import random
 import pytest
 
 from extmod import modules
+from extmod.decompose import multiplicities
 from extmod.linalg import Field, Matrix
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             counterexample_stage, default_params, direct_sum,
@@ -245,32 +246,31 @@ def test_counterexample_stage():
 
 
 def test_truncated_infinite_flash_d21():
-    t = truncated_infinite_flash(False, 21, P)
-    m = t.module
+    m = truncated_infinite_flash(False, 21, P)
     assert m.dim(20) == 1 and m.dim(21) == 1 and m.dim(22) == 0
     assert m.total_dim == 21  # x0..x10 plus y0..y9
-    assert t.realized == (FlashShape.finite(11, False, False),)
+    assert multiplicities(m) == {FlashShape.finite(11, False, False): 1}
     assert not validate(m)
 
 
 def test_truncated_infinite_flash_small():
     t0 = truncated_infinite_flash(False, 0, P)
-    assert t0.module.dims_by_degree == {0: 1}
-    assert t0.realized == (FlashShape.simple(0),)
+    assert t0.dims_by_degree == {0: 1}
+    assert multiplicities(t0) == {FlashShape.simple(0): 1}
     t3 = truncated_infinite_flash(False, 3, P)
-    assert t3.module.dims_by_degree == {0: 1, 2: 1, 3: 1}
-    assert t3.realized == (FlashShape.finite(2, False, False),)
-    assert truncated_infinite_flash(False, -1, P).module.total_dim == 0
+    assert t3.dims_by_degree == {0: 1, 2: 1, 3: 1}
+    assert multiplicities(t3) == {FlashShape.finite(2, False, False): 1}
+    assert truncated_infinite_flash(False, -1, P).total_dim == 0
 
 
 def test_truncated_infinite_flash_strays():
     # with degrees (1, 4) the cutoff can strand bottoms past the last top
     params = default_params(2, 1, 4)
-    t = truncated_infinite_flash(False, 6, params)
+    m = truncated_infinite_flash(False, 6, params)
     # bottoms at 0, 3, 6; tops at 4 (7 is cut) -> main flash x0,x1,y0 + simple x2
-    assert t.realized == (FlashShape.finite(2, False, False),
-                          FlashShape.simple(6))
-    assert not validate(t.module)
+    assert multiplicities(m) == {FlashShape.finite(2, False, False): 1,
+                                 FlashShape.simple(6): 1}
+    assert not validate(m)
 
 
 def test_truncate_above():

@@ -112,7 +112,7 @@ def test_chain_matches_full_recomputation(char, degs):
               for _ in range(2)]
     cases.append(counterexample_stage(4, params))
     cases += [truncated_infinite_flash(left, 6 * params.gap + params.deg_e2,
-                                       params).module for left in (False, True)]
+                                       params) for left in (False, True)]
     for m in cases:
         ref = reference_chain(m)
         trace = filtration_trace(m)

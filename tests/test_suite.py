@@ -1,13 +1,14 @@
+from itertools import islice
 import json
 import weakref
 
 import pytest
 
 from extmod import modules, operators, suite
-from extmod.decompose import multiplicities
+from extmod.decompose import InternalError, multiplicities
 from extmod.linalg import SubspaceBasis
-from extmod.modules import (FlashShape, counterexample_stage, default_params,
-                            make_flash, truncated_infinite_flash)
+from extmod.modules import (E1, E2, FlashShape, counterexample_stage, default_params,
+                            make_flash, random_basis_change, truncated_infinite_flash)
 from extmod.operators import FiltrationTrace, _terms, filtration, filtration_trace
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
@@ -109,12 +110,12 @@ ALGEBRAS = pytest.mark.parametrize(
 
 @ALGEBRAS
 def test_x0_alone_spans_degree_zero(char, degs):
-    # why membership, the contrast and open-end-exclusion read x_0 in F_j as dim F_j(0) > 0
+    # why membership and open-end-exclusion read x_0 in F_j as dim F_j(0) > 0,
+    # and the right-infinite probe reads x_0 in every F_j as F_j(0) nonzero
     params = default_params(char, *degs)
     mods = [make_flash(FlashShape.l(n, 0, 1), params) for n in range(9)]
     mods += [make_flash(FlashShape.l(n, 0, 0), params) for n in range(9)]
-    mods += [truncated_infinite_flash(False, SuiteParams(n, n + 1, params).trunc_degree,
-                                      params).module for n in range(9)]
+    mods += [suite._right_infinite_window(left, params)[0] for left in (False, True)]
     for m in mods:
         assert m.dim(0) == 1
         assert label_position(m, "x0") == (0, 0)
@@ -123,7 +124,7 @@ def test_x0_alone_spans_degree_zero(char, degs):
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_stage_is_summed_from_the_flashes_already_made(monkeypatch, n):
     # N+1 closed flashes, summed into the stage, N+1 open flashes and one
-    # for the truncated right-infinite flash
+    # for the right-infinite flash's window
     calls = [0]
     real = modules.make_flash
 
@@ -320,9 +321,8 @@ def test_params_invariants():
         SuiteParams(-1, 3, P)
     with pytest.raises(ValueError):
         SuiteParams(3, 3, P)  # chain would not visibly reach zero
-    assert SuiteParams(2, 4, P).trunc_degree == 4 * P.gap + P.deg_e2
     with pytest.raises(TypeError):
-        SuiteParams(2, 4, P, 3)  # the truncation is derived, not set
+        SuiteParams(2, 4, P, 3)  # no parameter sets a truncation degree
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -346,6 +346,14 @@ def test_exclusion_probe_left_tops(shape):
     assert exclusion_probe(shape, P).e1_at_bottom_nonzero
 
 
+@ALGEBRAS
+@pytest.mark.parametrize("left_top", [False, True])
+def test_exclusion_probe_right_infinite(char, degs, left_top):
+    probe = exclusion_probe(FlashShape.right_infinite(left_top, shift=5),
+                            default_params(char, *degs))
+    assert probe == ExclusionProbe(left_top, True)
+
+
 def test_exclusion_probe_ignores_shift():
     probe = exclusion_probe(FlashShape.l(2, 0, 1, shift=9), P)
     assert probe == ExclusionProbe(False, False)
@@ -354,3 +362,79 @@ def test_exclusion_probe_ignores_shift():
 def test_exclusion_probe_rejects_free():
     with pytest.raises(ValueError):
         exclusion_probe(FlashShape.free(0), P)
+
+
+# degrees where the window holds x_0, x_1 and a top (gap 1), where |e1| > gap
+# puts the left top past x_1, where |e1| = gap puts it beside x_1, and where
+# |e2| is not a multiple of the gap
+WINDOW_DEGS = [(1, 3), (2, 5), (3, 4), (2, 3), (1, 2), (4, 9)]
+
+
+@pytest.mark.parametrize("degs", WINDOW_DEGS)
+@pytest.mark.parametrize("char", [2, 5, 0], ids=["F2", "F5", "Q"])
+def test_the_window_agrees_with_longer_truncations(char, degs):
+    # the first chain step reads degrees d, d + gap and d + |e2|, so on a cut at
+    # C it is exact at every d with d + |e2| <= C; there, on cuts at C = W ..
+    # W + 29 past the window W = |e2| + gap, and on scrambles of them, it must
+    # fix every degree, as it does on the right-infinite flash
+    params = default_params(char, *degs)
+    gap, deg_e2 = params.gap, params.deg_e2
+    for left_top in (False, True):
+        window, moved = suite._right_infinite_window(left_top, params)
+        assert moved == []
+        _, w1 = islice(_terms(window), 2)
+        for cut in range(deg_e2 + gap, deg_e2 + gap + 30):
+            m = truncated_infinite_flash(left_top, cut, params)
+            for mod in (m, random_basis_change(m, cut)):
+                f0, f1 = islice(_terms(mod), 2)
+                exact = [d for d in mod.degrees if d + deg_e2 <= cut]
+                assert exact and all(f1[d] == f0[d] for d in exact)
+            # at d <= gap the window keeps every block the step reads, so its
+            # F_1 there is the longer cut's
+            _, f1 = islice(_terms(m), 2)
+            for d in (d for d in window.degrees if d <= gap):
+                assert [window.dim(e) for e in (d, d + gap, d + deg_e2)] == \
+                    [m.dim(e) for e in (d, d + gap, d + deg_e2)]
+                assert window.action(E1, d + gap) == m.action(E1, d + gap)
+                assert window.action(E2, d) == m.action(E2, d)
+                assert w1[d] == f1[d]
+
+
+@pytest.mark.parametrize("wrong", [0, P.gap])
+def test_a_wrong_window_chain_fails_the_contrast(monkeypatch, wrong):
+    # the window's F_1 loses one degree the window holds exactly: the contrast
+    # item reports it, and the probe of a right-infinite flash raises rather
+    # than report a guess
+    real_cut, windows = suite.truncated_infinite_flash, []
+
+    def cut(*args):
+        windows.append(real_cut(*args))
+        return windows[-1]
+
+    def walked(m):
+        terms = _terms(m)
+        if not any(m is w for w in windows):
+            yield from terms
+            return
+        yield next(terms)
+        f1 = next(terms)
+        yield {**f1, wrong: SubspaceBasis.zero(m.field, m.dim(wrong))}
+
+    monkeypatch.setattr(suite, "truncated_infinite_flash", cut)
+    monkeypatch.setattr(suite, "_terms", walked)
+    doc = run_checks(SuiteParams(4, 6, P)).to_json_dict()
+    items = {item["id"]: item for item in doc["items"]}
+    assert items["infinite-flash-contrast"]["data"] == {"moved": [wrong]}
+    assert not items["infinite-flash-contrast"]["pass"]
+    assert all(item["pass"] for item in doc["items"] if item["id"] != "infinite-flash-contrast")
+    assert doc["pass"] is False
+    with pytest.raises(InternalError, match=rf"flash at degrees \[{wrong}\]"):
+        exclusion_probe(FlashShape.right_infinite(False), P)
+
+
+@ALGEBRAS
+def test_the_contrast_does_not_depend_on_jmax(char, degs):
+    params = default_params(char, *degs)
+    items = [run_checks(SuiteParams(3, j_max, params)).items[6] for j_max in (4, 103)]
+    assert items[0] == items[1]
+    assert items[0].data == {"moved": []} and items[0].passed

@@ -45,7 +45,7 @@ def roundtrip_cases():
         make_flash(FlashShape.finite(3, True, True), P),
         counterexample_stage(3, P),
         make_free(2, pa),
-        truncated_infinite_flash(True, 9, P).module,
+        truncated_infinite_flash(True, 9, P),
         random_basis_change(make_flash(FlashShape.l(2, 0, 1), p5), 5),
         random_basis_change(make_flash(FlashShape.l(2, 0, 1), p0), 6),
         random_basis_change(counterexample_stage(2, P), 7),
