@@ -57,7 +57,9 @@ with the entries of v; over F2 that is the XOR of the rows or columns
 selected, after Albrecht, Bard and Hart, "Algorithm 898: Efficient
 multiplication of dense matrices over GF(2)" (ACM TOMS 2010).  A packed
 preimage of u under m spans u's rows with each column of m tagged by its
-index, and keeps the tags of the vectors whose column part cancels.  The two
+index, and keeps the tags of the vectors whose column part cancels; a
+pullback, the preimage under m of u's image under a, puts the images of u's
+rows in that span unreduced, so it is one elimination.  The two
 tuple layouts share one base, :class:`_IntRows`, which reads a vector as
 integer numerators over a denominator (1 over F_p) and writes products,
 m @ v, spans, preimages and tallies once.  A product entry is one integer dot
@@ -66,7 +68,8 @@ half of v is nonzero.  A preimage is the head of ker [m | B], B the basis
 matrix of u, read off the integer echelon rows of one span of [m | B] with
 its columns reversed; a pivot is 1 over F_p, so a head entry there is one
 modular negation.  The tagged span would have about twice the entries to
-eliminate.  In every family a kernel is the preimage of zero.
+eliminate.  A pullback spans the image first there.  In every family a
+kernel is the preimage of zero.
 
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
@@ -381,22 +384,25 @@ class _PackedFp:
         lanes.reverse()
         return [rows[k] for k in lanes], lanes
 
-    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list[int], list[int]]:
-        """Echelon rows and pivots of {v : m @ v in u}, read off one span.
+    def preimage(self, m: "Matrix", u: "SubspaceBasis",
+                 a: "Matrix | None" = None) -> tuple[list[int], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}, or in a(u) given a,
+        read off one span.
 
-        The span is of u's rows and of each column j of m with the unit
-        vector e_j appended past its nrows entries.  The vectors of that span
-        that are zero in the first nrows entries are (0, v) for v in the
-        preimage, so the echelon rows with pivots past them are the
-        preimage's, shifted.
+        The span is of u's rows, or of their images under a as they come, and
+        of each column j of m with the unit vector e_j appended past its
+        nrows entries.  The vectors of that span that are zero in the first
+        nrows entries are (0, v) for v in the preimage, so the echelon rows
+        with pivots past them are the preimage's, shifted.
         """
+        vectors = u._rows if a is None else [self.apply(a, r) for r in u._rows]
         shift = 8 * m.nrows
         tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._columns())]
         # last column first: a column whose head cancels then has its own tag as
         # its lowest entry, as it only picks up the tags of later columns
         tagged.reverse()
         span = SubspaceBasis.from_spanning(self.field, m.nrows + m.ncols,
-                                           [*u._rows, *tagged], _raw=True)
+                                           [*vectors, *tagged], _raw=True)
         head = bisect_left(span.pivot_rows, m.nrows)
         return ([r >> shift for r in span._rows[head:]],
                 [pr - m.nrows for pr in span.pivot_rows[head:]])
@@ -603,10 +609,13 @@ class _IntRows:
                 break
         return self._echelon(rows[:r], pivots), pivots
 
-    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list, list[int]]:
+    def preimage(self, m: "Matrix", u: "SubspaceBasis",
+                 a: "Matrix | None" = None) -> tuple[list, list[int]]:
         """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
 
-        B is the basis matrix of u, and each row of [m | B] is brought to
+        Given a, u is replaced by its image under a first: over integer rows
+        an unreduced image widens [m | B] and grows its entries.  B is the
+        basis matrix of u, and each row of [m | B] is brought to
         integers and reversed.  In the reduced echelon rows of those, the
         first u.dim columns, B's, are all pivots, as B's columns are
         independent.  Each free column fc past them gives the kernel vector
@@ -615,9 +624,11 @@ class _IntRows:
         order, is the preimage's echelon row with its pivot at the column fc
         came from.
         """
+        if a is not None:
+            u = image(a, u)
         k, width = u.dim, m.ncols + u.dim
         brows = self.transpose(u._rows, m.nrows)
-        joined, _ = self._split([self.join(a, b, m.ncols) for a, b in zip(m._rows, brows)])
+        joined, _ = self._split([self.join(x, y, m.ncols) for x, y in zip(m._rows, brows)])
         rows, pivots = self.span([self._write(x[::-1], 1) for x in joined], width)
         past_b = list(zip(self._split(rows)[0], pivots))[bisect_left(pivots, k):]
         free = sorted(set(range(k, width)).difference(pivots), reverse=True)
@@ -1217,6 +1228,14 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
         raise ValueError(f"ambient dimension mismatch: map into F^{m.nrows}, "
                          f"subspace of F^{u.ambient_dim}")
     return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u))
+
+
+def pullback(m: Matrix, a: Matrix, u: SubspaceBasis) -> SubspaceBasis:
+    """The subspace {v : m @ v lies in a(u)}: one elimination on the byte layouts,
+    which span the images of u's rows as they come with the columns of m."""
+    if (u.ambient_dim, a.nrows) != (a.ncols, m.nrows):
+        raise ValueError("ambient dimension mismatch")
+    return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u, a))
 
 
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import SubspaceBasis, image, kernel, preimage_space, vstack
+from .linalg import SubspaceBasis, kernel, preimage_space, pullback, vstack
 from .modules import E1, E2, Module
 
 
@@ -45,32 +45,34 @@ class FiltrationTrace:
 def _terms(m: Module):
     """Yield F_0, F_1, ... through the first term equal to its predecessor.
 
-    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  Step 1 computes every degree.
-    Step j recomputes degree d only if F_{j-1}(d + gap) moved at step j-1 and
-    reuses every other degree's subspace.  Some step moves no degree within
-    total_dim + 1 steps, because each moving step shrinks a decreasing chain.
+    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  A degree e2 kills never moves, so
+    it keeps F_0's subspace in every term.  Step 1 computes every degree e2
+    acts on: the preimage of zero where e1 has no block at d + gap, and
+    otherwise the preimage of the images, so a step is one elimination on
+    the byte layouts.  Step j recomputes such a degree d only if
+    F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
+    other degree's subspace.  Some step moves no degree within total_dim + 1
+    steps, because each moving step shrinks a decreasing chain.
     """
-    p = m.params
+    gap = m.params.gap
+    e1, e2 = m.action_items(E1), m.action_items(E2)
     term = {d: SubspaceBasis.full(m.field, n) for d, n in m.dims_by_degree.items()}
     yield term
-    todo = m.degrees
+    todo = list(e2)
     while True:
         prev, term = term, dict(term)
         moved = []
         for d in todo:
-            source = prev.get(d + p.gap)
-            n = m.dim(d + p.deg_e2)
-            target = SubspaceBasis.zero(m.field, n)
-            if source is not None and source.dim and n:
-                target = image(m.action(E1, d + p.gap), source)
-            sub = preimage_space(m.action(E2, d), target)
+            a, b = e1.get(d + gap), e2[d]
+            sub = (preimage_space(b, SubspaceBasis.zero(m.field, b.nrows)) if a is None
+                   else pullback(b, a, prev[d + gap]))
             if sub != prev[d]:
                 term[d] = sub
                 moved.append(d)
         yield term
         if not moved:
             return
-        todo = [d - p.gap for d in moved if d - p.gap in prev]
+        todo = [d - gap for d in moved if d in e1 and d - gap in e2]
 
 
 def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
@@ -98,8 +100,11 @@ def stable_intersection(m: Module) -> dict[int, SubspaceBasis]:
 
 
 def socle(m: Module) -> dict[int, SubspaceBasis]:
-    """ker e1 intersected with ker e2, degreewise: the kernel of both stacked."""
-    return {d: kernel(vstack([m.action(E1, d), m.action(E2, d)])) for d in m.degrees}
+    """ker e1 intersected with ker e2, degreewise: the kernel of their stored
+    blocks stacked, and the whole degree where neither has one."""
+    e1, e2 = m.action_items(E1), m.action_items(E2)
+    return {d: kernel(vstack([b[d] for b in (e1, e2) if d in b])) if d in e1 or d in e2
+            else SubspaceBasis.full(m.field, n) for d, n in m.dims_by_degree.items()}
 
 
 def margolis_homology(m: Module, which: str) -> dict[int, int]:

@@ -361,13 +361,19 @@ def test_paper_check_passes(capsys):
     assert out.count("[PASS]") == 9
 
 
-@pytest.mark.parametrize("field, degs, name", [
+GOLDEN_JSON = [(n, field, degs, name) for n in (6, 20) for field, degs, name in (
     ("2", "1,3", "F2_1-3"), ("5", "2,5", "F5_2-5"), ("17", "1,3", "F17_1-3"),
-    ("0", "1,3", "Q_1-3")])
-def test_paper_check_json_golden(capsys, field, degs, name):
-    assert main(["--report", "json", "paper-check", "--N", "6", "--jmax", "8",
+    ("0", "1,3", "Q_1-3"))]
+
+
+# the N = 6 rows keep the ids they had before the N = 20 rows joined them
+@pytest.mark.parametrize("n, field, degs, name", GOLDEN_JSON,
+                         ids=[f"{f}-{d}-{name}" + ("" if n == 6 else f"-N{n}")
+                              for n, f, d, name in GOLDEN_JSON])
+def test_paper_check_json_golden(capsys, field, degs, name, n):
+    assert main(["--report", "json", "paper-check", "--N", str(n), "--jmax", str(n + 2),
                  "--field", field, "--degs", degs]) == 0
-    golden = (GOLDEN / f"paper_check_N6_{name}.json").read_text()
+    golden = (GOLDEN / f"paper_check_N{n}_{name}.json").read_text()
     assert capsys.readouterr().out == golden
 
 

@@ -489,11 +489,13 @@ def test_flash_multiplicity_spans_nothing_outside_its_trace(monkeypatch):
     # e1 vanishes on the degree, so ker e1 is the whole degree and the count
     # reads dim F_n - dim F_{n+1} off the trace: no kernel, no intersection
     outside, tracing = [0], [False]
-    real_preimage, real_trace = linalg.preimage_space, suite.filtration_trace
+    real_trace = suite.filtration_trace
 
-    def preimage(*args):
-        outside[0] += not tracing[0]
-        return real_preimage(*args)
+    def counted(real):
+        def preimage(*args):
+            outside[0] += not tracing[0]
+            return real(*args)
+        return preimage
 
     def traced(m):
         tracing[0] = True
@@ -503,7 +505,8 @@ def test_flash_multiplicity_spans_nothing_outside_its_trace(monkeypatch):
             tracing[0] = False
 
     for module in (linalg, operators):
-        monkeypatch.setattr(module, "preimage_space", preimage)
+        for name in ("preimage_space", "pullback"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     monkeypatch.setattr(suite, "filtration_trace", traced)
     stage = counterexample_stage(4, P)
     assert [flash_multiplicity_at_degree(stage, 0, n) for n in range(6)] == [1] * 5 + [0]

@@ -4,9 +4,9 @@ import pytest
 
 from extmod import operators
 from extmod.linalg import Matrix, SubspaceBasis
-from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
+from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
-                            truncated_infinite_flash)
+                            truncate_above, truncated_infinite_flash, with_variant)
 from extmod.operators import (filtration, filtration_trace, margolis_homology,
                               socle, stable_intersection)
 from extmod.modules import counterexample_stage
@@ -113,6 +113,19 @@ def test_chain_matches_full_recomputation(char, degs):
     cases.append(counterexample_stage(4, params))
     cases += [truncated_infinite_flash(left, 6 * params.gap + params.deg_e2,
                                        params) for left in (False, True)]
+    # cuts leave degrees e2 kills and e2 blocks with no e1 block at d + gap,
+    # so the chain skips degrees and pulls back zero targets
+    for _ in range(2):
+        m = flash_sum(random_flash_shapes(rng, 5, 5, 6), params)
+        cases += [truncate_above(m, rng.choice(m.degrees)),
+                  random_basis_change(truncate_above(m, max(m.degrees) - params.deg_e1),
+                                      rng.randrange(10**6))]
+    # free summands over variant A, where e1 e2 does not vanish
+    pa = params.with_variant("A")
+    for _ in range(2):
+        parts = [make_free(rng.randint(0, 6), pa) for _ in range(rng.randint(1, 3))]
+        parts.append(with_variant(flash_sum(random_flash_shapes(rng, 3, 4, 6), params), "A"))
+        cases.append(random_basis_change(direct_sum(parts, pa), rng.randrange(10**6)))
     for m in cases:
         ref = reference_chain(m)
         trace = filtration_trace(m)
@@ -123,44 +136,76 @@ def test_chain_matches_full_recomputation(char, degs):
         assert stable_intersection(m) == ref[-1]
 
 
-def test_chain_recomputes_only_moved_degrees(monkeypatch):
-    # step j touches degree d only if F_{j-1}(d + gap) moved; on the stage
-    # that is one degree fewer each step after the first full one
+def count_pullbacks(monkeypatch):
+    """Record the e2 block of every pull-back the chain makes from now on.
+
+    A step pulls a degree back through ``pullback``, or through
+    ``preimage_space`` where e1 has no block to take images with.
+    """
     calls = []
-    real = operators.preimage_space
+    for name in ("pullback", "preimage_space"):
+        def counted(a, *rest, real=getattr(operators, name)):
+            calls.append(a)
+            return real(a, *rest)
 
-    def counted(a, u):
-        calls.append(a)
-        return real(a, u)
+        monkeypatch.setattr(operators, name, counted)
+    return calls
 
-    monkeypatch.setattr(operators, "preimage_space", counted)
+
+def test_chain_recomputes_only_moved_degrees(monkeypatch):
+    # step 1 pulls back each degree e2 acts on once; step j >= 2 pulls back
+    # degree d only if F_{j-1}(d + gap) moved at step j - 1 and e1 acts there
+    calls = count_pullbacks(monkeypatch)
     n = 10
     stage = counterexample_stage(n, P)
-    assert filtration_trace(stage).stable_index == n + 1
-    # step 1 alone pulls back every degree once
-    assert len(stage.degrees) <= len(calls) <= len(stage.degrees) + (n + 2) * (n + 3) // 2
+    e1, e2 = stage.action_items(E1), stage.action_items(E2)
+    terms = filtration_trace(stage).subspaces
+    assert len(terms) == n + 3
+    # a term shares the object of every degree that did not move
+    later = sum(terms[i][d + P.gap] is not terms[i - 1][d + P.gap]
+                for i in range(1, len(terms) - 1) for d in e2 if d + P.gap in e1)
+    # e2 acts on the stage's n + 1 bottom degrees, 0, gap, ..., n * gap, and the
+    # later steps pull back n (n + 1) / 2 degrees in all
+    assert len(calls) == len(e2) + later == n + 1 + n * (n + 1) // 2
+    assert all(any(a is b for b in e2.values()) for a in calls)
 
 
 def test_filtration_builds_only_terms_up_to_j(monkeypatch):
     # one long flash moves one degree per step for n + 1 steps; term j must
     # cost its own j steps, not the whole chain
-    calls = []
-    real = operators.preimage_space
-
-    def counted(a, u):
-        calls.append(a)
-        return real(a, u)
-
-    monkeypatch.setattr(operators, "preimage_space", counted)
+    calls = count_pullbacks(monkeypatch)
     n = 40
     m = make_flash(FlashShape.l(n, 0, 1), P)
+    e2 = m.action_items(E2)
     assert len(filtration_trace(m).subspaces) == n + 3
-    assert len(calls) >= len(m.degrees) + n
+    assert len(calls) == len(e2) + n
     for j in (0, 1, 2, 5):
         calls.clear()
         filtration(m, j)
-        # step 1 pulls back every degree, each later step the one that moved
-        assert len(calls) == (len(m.degrees) + j - 1 if j else 0), j
+        # step 1 pulls back the n + 1 bottoms, which e2 acts on, and each
+        # later step the one that moved
+        assert len(calls) == (len(e2) + j - 1 if j else 0) == (n + j if j else 0), j
+
+
+@pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_degrees_e2_kills_keep_f0_and_span_nothing(monkeypatch, characteristic):
+    # e2^{-1} of anything is the whole degree where e2 has no block: such a
+    # degree keeps F_0's object in every term and costs the chain no span
+    params = default_params(characteristic)
+    stage = counterexample_stage(6, params)
+    # and a summand e2 kills throughout, x with e1 x = y, far above the stage
+    tops = Module(params, {40: 1, 40 + params.deg_e1: 1},
+                  {40: Matrix(params.field, [[1]])}, {})
+    m = direct_sum([stage, tops], params)
+    killed = [d for d in m.degrees if d not in m.action_items(E2)]
+    assert {40, 40 + params.deg_e1} < set(killed)
+    calls = count_span(monkeypatch, params.field)
+    alone = filtration_trace(stage)
+    spans, calls[0] = calls[0], 0
+    trace = filtration_trace(m)
+    assert calls[0] == spans
+    assert all(t[d] is trace[0][d] for t in trace.subspaces for d in killed)
+    assert [{d: t[d] for d in stage.degrees} for t in trace.subspaces] == list(alone.subspaces)
 
 
 def test_filtration_trace_coerces_only_scalars(monkeypatch):
@@ -172,14 +217,15 @@ def test_filtration_trace_coerces_only_scalars(monkeypatch):
 
 
 def test_filtration_trace_elimination_count(monkeypatch):
-    # one span for each preimage_space and each e1-image it pulls back: 140
-    # on this stage over every field, as many as the tuple elimination made
-    # over F5 before F5 moved to packed rows
-    for characteristic in (2, 5, 17, 0):
+    # the chain pulls back 11 + 55 degrees of this stage, and e1 has a block
+    # for all but one of them; the byte layouts put the e1-images straight
+    # into the preimage's span, one span a pull-back, and the tuple layouts
+    # span each image first
+    for characteristic, spans in ((2, 66), (5, 66), (17, 66 + 65), (0, 66 + 65)):
         params = default_params(characteristic)
         calls = count_span(monkeypatch, params.field)
         filtration_trace(counterexample_stage(10, params))
-        assert 0 < calls[0] <= 140, characteristic
+        assert calls[0] == spans, characteristic
         monkeypatch.undo()
 
 
