@@ -2,11 +2,10 @@
 
 from .linalg import (Field, Matrix, SubspaceBasis, image, intersect, kernel,
                      preimage_space, quotient_dim, sum_space)
-from .modules import (AlgebraParams, FlashShape, Module, counterexample_stage,
-                      default_params, direct_sum, make_flash, make_free,
-                      random_basis_change, shift, truncate_above,
-                      truncated_infinite_flash, validate, with_variant,
-                      zero_module)
+from .modules import (AlgebraParams, FlashShape, Module, default_params,
+                      direct_sum, make_flash, make_free, random_basis_change,
+                      shift, truncate_above, truncated_infinite_flash, validate,
+                      with_variant, zero_module)
 from .operators import (FiltrationTrace, filtration, filtration_trace,
                         margolis_homology, socle, stable_intersection)
 from .decompose import (Decomposition, FreeSplit, Summand, decompose,

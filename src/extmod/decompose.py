@@ -117,29 +117,25 @@ class _Strand:
 
     Even positions 2k are bottoms B_k, odd positions 2k+1 are tops T_k.
     ``strength`` is the admissibility class of the open strand: who may
-    absorb whom during elimination.  While the sweep runs, the vectors are in
+    absorb whom during elimination.  It depends on the left end alone, which
+    never moves, so it is set once.  While the sweep runs, the vectors are in
     the family layout of the module's field (packed ints over F_p for p <= 13,
     tuples elsewhere), and every update goes through that family.
     """
 
-    __slots__ = ("left_pos", "right_pos", "vectors")
+    __slots__ = ("left_pos", "right_pos", "vectors", "strength")
 
     def __init__(self, pos: int, vector):
         self.left_pos = pos
         self.right_pos = pos
         self.vectors = {pos: vector}
+        # dangling-top left ends beat bottom ends; among tops the later start
+        # wins, among bottoms the earlier one does
+        self.strength = (1, pos) if pos % 2 else (0, -pos)
 
     @property
     def left_is_top(self) -> bool:
         return self.left_pos % 2 == 1
-
-    @property
-    def strength(self) -> tuple[int, int]:
-        # dangling-top left ends beat bottom ends; among tops the later start
-        # wins, among bottoms the earlier one does
-        if self.left_is_top:
-            return (1, self.left_pos)
-        return (0, -self.left_pos)
 
     def join(self, other: "_Strand") -> None:
         """Append the strand that starts right after this one ends."""
@@ -167,7 +163,8 @@ def _pivots(cod: list[_Strand], dom: list[_Strand], column):
     Domain strands go weakest first, and each takes the strongest codomain
     strand not yet taken, by ``(strength, -index)``, whose entry
     ``column(ci)[pr]`` is nonzero.  ``column`` is read only when column ci
-    is due, after the caller has eliminated the earlier pivots.
+    is due, after the caller has eliminated the earlier pivots, and is
+    yielded with the pair.
     """
     rows = sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True)
     for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
@@ -175,7 +172,7 @@ def _pivots(cod: list[_Strand], dom: list[_Strand], column):
         pr = next((r for r in rows if col[r]), None)
         if pr is not None:
             rows.remove(pr)
-            yield ci, pr
+            yield ci, pr, col
 
 
 def _match(field: Field, act: Matrix, cod: list[_Strand],
@@ -213,18 +210,17 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     a = [fam.tail(row, k) for row in rows]
     entry, one = fam.entry, field.one
     pairs = []
-    for ci, pr in _pivots(cod, dom, lambda c: [entry(row, c) for row in a]):
+    for ci, pr, col in _pivots(cod, dom, lambda c: [entry(row, c) for row in a]):
         prow = a[pr]
         inv = one
-        if entry(prow, ci) != one:
-            inv = field.inv(entry(prow, ci))
+        if col[pr] != one:
+            inv = field.inv(col[pr])
             dom[ci].scale(inv, fam)
-        for ri, row in enumerate(a):
-            x = entry(row, ci)
+        for ri, x in enumerate(col):
             if ri != pr and x:
                 c = field.mul(x, inv)
                 cod[pr].absorb(cod[ri], c, fam)
-                a[ri] = fam.add_scaled(row, prow, field.neg(c))
+                a[ri] = fam.add_scaled(a[ri], prow, field.neg(c))
         # column ci is now the unit vector at pr, so clearing row pr is the
         # whole column operation
         for cj in range(len(dom)):

@@ -48,7 +48,9 @@ out as ``(row, pivot)``, already in normal form.  Every ``Matrix``
 elimination is one span of its rows:
 ``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
 ``solve`` spans the rows of [A | B] at full width, which is inconsistent
-exactly when a pivot falls in B.  ``inverse`` solves against the identity.
+exactly when a pivot falls in B.  ``inverse`` solves against the identity;
+on bytes a singular matrix is rejected first, by the forward pass alone,
+stopped at the first row that reduces to zero.
 
 Where the cheapest algorithm differs, the byte and the tuple layouts keep
 their own.  On bytes a product row combines the packed rows of the right
@@ -345,15 +347,14 @@ class _PackedFp:
         brows, n = b._rows, a.ncols
         return tuple(self._combine(brows, arow.to_bytes(n, "little")) for arow in a._rows)
 
-    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors.
+    def _forward(self, vectors, stop: bool = False) -> dict[int, int] | None:
+        """The forward pass of a span: echelon rows keyed by their pivot, the
+        lane of their lowest set bit, each stored with a 1 there.
 
-        Rows are keyed by their pivot, the lane of their lowest set bit, and
-        stored with a 1 there.  Each vector is cleared at its lowest lane,
-        holding c, by adding p - c times the row with that pivot, until it is
-        zero or has a pivot of its own.  Then, from the last pivot to the
-        first, each row is cleared at the later pivots in one combination of
-        their rows, which are reduced by then.
+        Each vector is cleared at its lowest lane, holding c, by adding p - c
+        times the row with that pivot, until it is zero or has a pivot of its
+        own.  With ``stop`` the pass ends at the first vector that reduces to
+        zero, and returns None.
         """
         p, inv, reduced = self.p, self._inv, self._reduced
         rows: dict[int, int] = {}
@@ -366,6 +367,24 @@ class _PackedFp:
                     rows[lane] = v if c == 1 else reduced(inv[c] * v)
                     break
                 v = reduced(v + (p - c) * row)
+            else:
+                if stop:
+                    return None
+        return rows
+
+    def forward_dependent(self, vectors) -> bool:
+        """Whether a forward pass over the vectors, stopped at the first that
+        reduces to zero, shows them linearly dependent."""
+        return self._forward(vectors, stop=True) is None
+
+    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors.
+
+        After the forward pass, from the last pivot to the first, each row is
+        cleared at the later pivots in one combination of their rows, which
+        are reduced by then.
+        """
+        p, rows = self.p, self._forward(vectors)
         lanes = sorted(rows, reverse=True)
         later = 0  # the lanes of the pivots after the current one
         for lane in lanes:
@@ -435,14 +454,14 @@ class _PackedF2(_PackedFp):
     def _combine(vectors, coeffs) -> int:
         return reduce(xor, compress(vectors, coeffs), 0)
 
-    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors.
+    @staticmethod
+    def _forward(vectors, stop: bool = False) -> dict[int, int] | None:
+        """The forward pass of a span: echelon rows keyed by their pivot bit,
+        the lowest one they have set.
 
-        Rows are keyed by their pivot bit, the lowest one they have set.  Each
-        vector is cleared at its lowest bit by the row with that pivot until
-        it is zero or has a pivot of its own.  Then, from the last pivot to
-        the first, each row is cleared at the later pivots by their rows,
-        which are reduced by then.
+        Each vector is cleared at its lowest bit by the row with that pivot
+        until it is zero or has a pivot of its own.  With ``stop`` the pass
+        ends at the first vector that reduces to zero, and returns None.
         """
         rows: dict[int, int] = {}
         for v in vectors:
@@ -453,6 +472,18 @@ class _PackedF2(_PackedFp):
                     rows[low] = v
                     break
                 v ^= row
+            else:
+                if stop:
+                    return None
+        return rows
+
+    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors.
+
+        After the forward pass, from the last pivot to the first, each row is
+        cleared at the later pivots by their rows, which are reduced by then.
+        """
+        rows = self._forward(vectors)
         bits = sorted(rows, reverse=True)
         later = 0  # the pivots after the current one
         for bit in bits:
@@ -529,6 +560,12 @@ class _IntRows:
     def tail(self, v, n: int):
         nums, den = self._read(v)
         return self._write(nums[n:], den)
+
+    @staticmethod
+    def forward_dependent(vectors) -> bool:
+        """False: the tuple layouts run no forward pass of their own, and a
+        singular matrix shows in the span that inverts it."""
+        return False
 
     def tally(self, rows, n: int):
         """The sum of the unit vectors of length n at a list of rows."""
@@ -883,8 +920,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        unit = field._family.unit
-        return cls._from_family(field, [unit(i, n) for i in range(n)], n)
+        return cls.units(field, n, range(n))
+
+    @classmethod
+    def units(cls, field: Field, ncols: int, ones) -> "Matrix":
+        """The matrix whose row i is the unit vector at column ones[i], or zero
+        where ones[i] is None, written straight in the family layout."""
+        fam = field._family
+        zero = fam.pack((field.zero,) * ncols)
+        return cls._from_family(field, [zero if j is None else fam.unit(j, ncols)
+                                        for j in ones], ncols)
 
     @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,
@@ -1058,8 +1103,17 @@ class Matrix:
         return sol.col(0) if sol is not None else None
 
     def inverse(self) -> "Matrix | None":
+        """The inverse, or None for a singular matrix.
+
+        On the byte layouts a singular matrix is rejected by the forward pass
+        over its rows, stopped at the first row that reduces to zero, before
+        any identity is built.  On the tuple layouts, where random draws are
+        rarely singular, the span of [self | I] finds it.
+        """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        if self.field._family.forward_dependent(self._rows):
+            return None
         return self.solve(Matrix.identity(self.field, self.nrows))
 
 
@@ -1083,13 +1137,15 @@ def place_blocks(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
 
     Entries no block covers are zero, and no two blocks may share a row.
     Each block row is placed in the family layout between zero vectors joined
-    on either side: over F2 that is a shift and an OR.
+    on either side, the tails of one zero row: over F2 that is a shift and an
+    OR.
     """
     fam = field._family
-    rows = [fam.pack((field.zero,) * ncols)] * nrows
+    zero = fam.pack((field.zero,) * ncols)
+    rows = [zero] * nrows
     for i, j, block in blocks:
         right = j + block.ncols
-        before, after = (fam.pack((field.zero,) * k) for k in (j, ncols - right))
+        before, after = fam.tail(zero, ncols - j), fam.tail(zero, right)
         rows[i:i + block.nrows] = [fam.join(fam.join(before, r, j), after, right)
                                    for r in block._rows]
     return Matrix._from_family(field, rows, ncols)

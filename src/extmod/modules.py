@@ -298,40 +298,6 @@ def zero_module(params: AlgebraParams) -> Module:
     return Module(params, {}, {}, {}, labels={})
 
 
-def _assemble(params: AlgebraParams, elements: list[tuple[str, int, int, int]],
-              a1_arrows: dict, a2_arrows: dict) -> Module:
-    """Build a module from labeled basis elements and unit-coefficient arrows.
-
-    elements: (label, degree, layer, index) with layer 0 = bottoms, 1 = tops;
-    arrows map source label -> target label.
-    """
-    order = sorted(elements, key=lambda e: (e[1], e[2], e[3]))
-    by_degree: dict[int, list[str]] = {}
-    position: dict[str, tuple[int, int]] = {}
-    for label, degree, _, _ in order:
-        slot = by_degree.setdefault(degree, [])
-        position[label] = (degree, len(slot))
-        slot.append(label)
-    dims = {d: len(ls) for d, ls in by_degree.items()}
-    field = params.field
-
-    def build(arrows: dict, step: int) -> dict[int, Matrix]:
-        mats: dict[int, list[list]] = {}
-        for src, tgt in arrows.items():
-            d, j = position[src]
-            td, i = position[tgt]
-            if td != d + step:
-                raise AssertionError("arrow degree mismatch in constructor")
-            rows = mats.setdefault(d, [[field.zero] * dims[d]
-                                       for _ in range(dims.get(d + step, 0))])
-            rows[i][j] = field.one
-        return {d: Matrix(field, rows, ncols=dims[d], _raw=True) for d, rows in mats.items()}
-
-    labels = {d: tuple(ls) for d, ls in by_degree.items()}
-    return Module(params, dims, build(a1_arrows, params.deg_e1),
-                  build(a2_arrows, params.deg_e2), labels=labels)
-
-
 def _top_label(i: int) -> str:
     return f"y{i}" if i >= 0 else "ym1"
 
@@ -341,18 +307,32 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
 
     Basis x_0..x_{b-1} (bottoms) and y_i (tops) with e1 x_{i+1} = e2 x_i = y_i,
     a dangling y_{-1} = e1 x_0 when the left end is a top, and e2 x_{b-1} =
-    y_{b-1} exactly when the right end is one.
+    y_{b-1} exactly when the right end is one.  A degree holds at most one
+    bottom and one top, in that order, and no action sends two basis vectors
+    to one, so each block row is written once, as a unit vector or zero.
     """
     if shape.kind != "finite":
         raise ValueError("make_flash builds finite shapes; "
                          "truncate a right-infinite flash instead")
-    tops = set(shape.top_indices())
-    elements = [(f"x{i}", shape.bottom_degree(i, params), 0, i)
-                for i in range(shape.bottoms)]
-    elements += [(_top_label(i), shape.top_degree(i, params), 1, i) for i in sorted(tops)]
-    a1 = {f"x{i}": _top_label(i - 1) for i in range(shape.bottoms) if i - 1 in tops}
-    a2 = {f"x{i}": _top_label(i) for i in range(shape.bottoms) if i in tops}
-    return _assemble(params, elements, a1, a2)
+    tops = shape.top_indices()
+    labels: dict[int, tuple[str, ...]] = {}
+    for d, _, label in sorted(
+            [(shape.bottom_degree(i, params), 0, f"x{i}") for i in range(shape.bottoms)]
+            + [(shape.top_degree(i, params), 1, _top_label(i)) for i in tops]):
+        labels[d] = labels.get(d, ()) + (label,)
+    dims = {d: len(ls) for d, ls in labels.items()}
+
+    def arrows(step: int, sources) -> dict[int, Matrix]:
+        # x_i is the first vector of its degree, and its image y the last of its own
+        out = {}
+        for i in sources:
+            d = shape.bottom_degree(i, params)
+            out[d] = Matrix.units(params.field, dims[d], [None] * (dims[d + step] - 1) + [0])
+        return out
+
+    e1_sources = [i + 1 for i in tops if i + 1 < shape.bottoms]
+    return Module(params, dims, arrows(params.deg_e1, e1_sources),
+                  arrows(params.deg_e2, [i for i in tops if i >= 0]), labels=labels)
 
 
 def make_free(gen_degree: int, params: AlgebraParams) -> Module:
@@ -376,7 +356,11 @@ def make_free(gen_degree: int, params: AlgebraParams) -> Module:
 
 
 def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Module:
-    """Block-diagonal direct sum; carrier dimensions add degreewise."""
+    """Block-diagonal direct sum; carrier dimensions add degreewise.
+
+    Each summand's stored blocks and labels are placed once, under its own
+    degrees, so the cost is linear in the summands' degrees.
+    """
     if not mods:
         if params is None:
             raise ValueError("empty direct sum needs explicit algebra parameters")
@@ -408,12 +392,10 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
 
     labels = None
     if all(m.labels is not None for m in mods):
-        labels = {}
-        for d in dims:
-            ls: list[str] = []
-            for i, m in enumerate(mods):
-                ls.extend(f"s{i}.{lab}" for lab in (m.labels or {}).get(d, ()))
-            labels[d] = tuple(ls)
+        labels = {d: [] for d in dims}
+        for i, m in enumerate(mods):
+            for d, ls in m.labels.items():
+                labels[d].extend([f"s{i}.{lab}" for lab in ls])
     return Module(params, dims, block(E1, params.deg_e1), block(E2, params.deg_e2),
                   labels=labels)
 
@@ -445,14 +427,6 @@ def truncate_above(m: Module, max_degree: int) -> Module:
         labels = {d: ls for d, ls in m.labels.items() if d <= max_degree}
     return Module(m.params, dims, cut(E1, m.params.deg_e1), cut(E2, m.params.deg_e2),
                   labels=labels)
-
-
-def counterexample_stage(n_max: int, params: AlgebraParams) -> Module:
-    """The finite stage: the direct sum of the closed flashes L(n,0,1), n <= n_max."""
-    if n_max < 0:
-        raise ValueError("stage size must be non-negative")
-    return direct_sum([make_flash(FlashShape.l(n, 0, 1), params)
-                       for n in range(n_max + 1)])
 
 
 def truncated_infinite_flash(left_top: bool, max_degree: int,
@@ -504,10 +478,13 @@ def _draws(rng: random.Random, n: int, count: int):
 
 def _random_invertible(field: Field, n: int,
                        rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random invertible n x n matrix and its inverse, one elimination per draw.
+    """A random invertible n x n matrix and its inverse.
 
     Candidates are drawn row by row, each entry as ``rng.randrange(p)`` over
-    F_p and ``rng.randint(-3, 3)`` over Q would draw it.
+    F_p and ``rng.randint(-3, 3)`` over Q would draw it, so the stream stays
+    that of one call per entry.  ``Matrix.inverse`` rejects a singular draw
+    on the byte layouts after one forward pass over its rows that stops at
+    the first row reducing to zero; only an invertible draw is inverted.
     """
     p = field.characteristic
     for _ in range(10000):
@@ -538,12 +515,9 @@ def random_basis_change(m: Module, seed: int) -> Module:
         change[d], inverse[d] = _random_invertible(m.field, n, rng)
 
     def conj(which: str, step: int) -> dict[int, Matrix]:
-        out = {}
-        for d in m.degrees:
-            if m.dim(d + step) == 0:
-                continue
-            out[d] = inverse[d + step] @ m.action(which, d) @ change[d]
-        return out
+        # an absent block is zero and stays zero
+        return {d: inverse[d + step] @ a @ change[d]
+                for d, a in m.action_items(which).items()}
 
     return Module(m.params, dict(m.dims_by_degree),
                   conj(E1, m.params.deg_e1), conj(E2, m.params.deg_e2), labels=None)

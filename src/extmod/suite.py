@@ -173,7 +173,7 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
         zero, _ = _degree_zero(trace.subspaces, sp.j_max)
         member_failures += [[n, j] for j, sub in enumerate(zero) if (sub.dim > 0) != (j <= n)]
         mods.append(mod)
-    # counterexample_stage, from the flashes already made
+    # the stage: the sum of the closed flashes L(n,0,1), n <= N, already made
     return direct_sum(mods), [
         CheckItem(
             "filtration-shape",

@@ -274,6 +274,85 @@ def flash_sum(shapes, params):
     return direct_sum([make_flash(s, params) for s in shapes], params)
 
 
+def counterexample_stage(n_max: int, params: AlgebraParams) -> Module:
+    """The finite stage: the direct sum of the closed flashes L(n,0,1), n <= n_max."""
+    if n_max < 0:
+        raise ValueError("stage size must be non-negative")
+    return direct_sum([make_flash(FlashShape.l(n, 0, 1), params)
+                       for n in range(n_max + 1)])
+
+
+def reference_flash(shape: FlashShape, params: AlgebraParams) -> Module:
+    """``make_flash`` as it built a flash from labelled basis elements and arrows.
+
+    Basis elements are sorted by (degree, layer, index), bottoms in layer 0
+    and tops in layer 1; each arrow from a source label to a target label
+    sets one entry of a dense list-of-rows block to 1.
+    """
+    tops = set(shape.top_indices())
+
+    def top(i):
+        return f"y{i}" if i >= 0 else "ym1"
+
+    elements = [(f"x{i}", shape.bottom_degree(i, params), 0, i) for i in range(shape.bottoms)]
+    elements += [(top(i), shape.top_degree(i, params), 1, i) for i in sorted(tops)]
+    a1 = {f"x{i}": top(i - 1) for i in range(shape.bottoms) if i - 1 in tops}
+    a2 = {f"x{i}": top(i) for i in range(shape.bottoms) if i in tops}
+    by_degree: dict[int, list[str]] = {}
+    position: dict[str, tuple[int, int]] = {}
+    for label, degree, _, _ in sorted(elements, key=lambda e: (e[1], e[2], e[3])):
+        slot = by_degree.setdefault(degree, [])
+        position[label] = (degree, len(slot))
+        slot.append(label)
+    dims = {d: len(ls) for d, ls in by_degree.items()}
+    field = params.field
+
+    def build(arrows, step):
+        mats: dict[int, list[list]] = {}
+        for src, tgt in arrows.items():
+            d, j = position[src]
+            td, i = position[tgt]
+            assert td == d + step, "arrow degree mismatch"
+            rows = mats.setdefault(d, [[field.zero] * dims[d]
+                                       for _ in range(dims.get(d + step, 0))])
+            rows[i][j] = field.one
+        return {d: Matrix(field, rows, ncols=dims[d]) for d, rows in mats.items()}
+
+    return Module(params, dims, build(a1, params.deg_e1), build(a2, params.deg_e2),
+                  labels={d: tuple(ls) for d, ls in by_degree.items()})
+
+
+def reference_direct_sum(mods):
+    """The labels and the dense blocks of ``direct_sum(mods)``, degree by degree.
+
+    For each degree of the sum, every summand in turn contributes its labels
+    there and its block at its offsets; labels are None when a summand has
+    none, and a lone summand keeps its own.
+    """
+    params = mods[0].params
+    field = params.field
+    degrees = sorted({d for m in mods for d in m.degrees})
+    dims = {d: sum(m.dim(d) for m in mods) for d in degrees}
+    labels = mods[0].labels if len(mods) == 1 else None
+    if len(mods) > 1 and all(m.labels is not None for m in mods):
+        labels = {d: tuple(f"s{i}.{lab}" for i, m in enumerate(mods)
+                           for lab in m.labels.get(d, ())) for d in degrees}
+    blocks = {}
+    for which, step in ((E1, params.deg_e1), (E2, params.deg_e2)):
+        for d in degrees:
+            want = [[field.zero] * dims[d] for _ in range(dims.get(d + step, 0))]
+            roff = coff = 0
+            for m in mods:
+                a = m.action(which, d)
+                for i in range(a.nrows):
+                    for j in range(a.ncols):
+                        want[roff + i][coff + j] = a[i, j]
+                roff += m.dim(d + step)
+                coff += m.dim(d)
+            blocks[which, d] = Matrix(field, want, ncols=dims[d])
+    return labels, blocks
+
+
 def random_variant_b_module(params, max_total_dim, seed, degree_max=7):
     """A random valid variant-B module (not necessarily a flash sum prior).
 

@@ -11,14 +11,13 @@ from collections import Counter
 from extmod.cli import main
 from extmod.decompose import (decompose, idempotent_oracle, split_free,
                               verify_decomposition, verify_split_free)
-from extmod.modules import (E1, E2, FlashShape, counterexample_stage,
-                            default_params, direct_sum, make_flash, make_free,
-                            random_basis_change, truncated_infinite_flash,
-                            with_variant)
+from extmod.modules import (E1, E2, FlashShape, default_params, direct_sum,
+                            make_flash, make_free, random_basis_change,
+                            truncated_infinite_flash, with_variant)
 from extmod.operators import margolis_homology
 from extmod.suite import ExclusionProbe, SuiteParams, exclusion_probe, run_checks
 from extmod.textio import DocumentError, parse_module, print_module
-from helpers import flash_sum, random_flash_shapes
+from helpers import counterexample_stage, flash_sum, random_flash_shapes
 
 P = default_params()
 

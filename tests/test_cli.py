@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -16,6 +17,7 @@ from extmod.decompose import InternalError
 from extmod.linalg import PRIME_TEST_BOUND
 from extmod.modules import FlashShape, default_params, make_flash
 from extmod.textio import parse_module, print_module
+from helpers import counterexample_stage
 
 P = default_params()
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,6 +71,14 @@ GOLDEN_RANDOMIZE = {
                                      "e2 v0_0 = 3*v3_0 + v3_1\n"
                                      "e2 v0_1 = 3*v3_0\n"
                                      "e2 v2_0 = 3*v5_0\n"),
+    17: "field 17\n" + GOLDEN_BASIS + ("e1 v2_0 = 5*v3_0 + 2*v3_1\n"
+                                       "e2 v0_0 = 14*v3_0 + 5*v3_1\n"
+                                       "e2 v0_1 = 3*v3_0 + v3_1\n"
+                                       "e2 v2_0 = 2*v5_0\n"),
+    0: "field 0\n" + GOLDEN_BASIS + ("e1 v2_0 = -9*v3_0 + -6*v3_1\n"
+                                     "e2 v0_0 = -2*v3_0 + -1*v3_1\n"
+                                     "e2 v0_1 = -15*v3_0 + -9*v3_1\n"
+                                     "e2 v2_0 = 3*v5_0\n"),
 }
 
 
@@ -78,6 +88,17 @@ def test_build_randomize_golden(capsys, char):
     assert main(["build", "randomize(L(1,0,1)@0 + L(0,0,1)@0, 11)",
                  "--field", str(char)]) == 0
     assert capsys.readouterr().out == GOLDEN_RANDOMIZE[char]
+
+
+def test_build_randomize_golden_with_many_singular_draws(capsys):
+    # degrees of dimension 14 over F2, where about 70% of the drawn matrices
+    # are singular and rejected: the stream must still skip exactly their entries
+    expr = f"randomize({' + '.join(['L(2,1,1)@0'] * 14)}, 5)"
+    assert main(["build", expr, "--field", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nbasis v0_") == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "73a575d14065ada3d946d3b20adf69f7747f8e875e404007832653ea4c1b8357"
 
 
 OVERLONG = "1" + "0" * 5000
@@ -256,7 +277,6 @@ def test_decompose_json(tmp_path, capsys):
 
 
 def test_filtration_on_stage(tmp_path, capsys):
-    from extmod.modules import counterexample_stage
     path = write_doc(tmp_path, "stage.txt", counterexample_stage(4, P))
     assert main(["filtration", path, "--j", "1", "--degree", "0"]) == 0
     assert capsys.readouterr().out.strip() == "dim 4"

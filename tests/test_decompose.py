@@ -18,14 +18,14 @@ from extmod.decompose import (Decomposition, InternalError, OracleInconclusive, 
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
-from extmod.modules import (E1, E2, FlashShape, Module, counterexample_stage,
-                            default_params, direct_sum, make_flash, make_free,
-                            random_basis_change, shift, validate, with_variant,
-                            zero_module)
+from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
+                            make_flash, make_free, random_basis_change, shift,
+                            validate, with_variant, zero_module)
 from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
-from helpers import (basis_vector, count_coerce, count_span, flash_sum,
-                     random_flash_shapes, random_variant_b_module, reference_match)
+from helpers import (basis_vector, count_coerce, count_span, counterexample_stage,
+                     flash_sum, random_flash_shapes, random_variant_b_module,
+                     reference_match)
 
 P = default_params()
 PA = default_params(variant="A")

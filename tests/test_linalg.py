@@ -688,14 +688,17 @@ def test_matrix_eliminations_match_list_reference(field):
 @pytest.mark.parametrize("field", [F2, F5, F13, F17, QQ], ids=["F2", "F5", "F13", "F17", "Q"])
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
-    # right-hand sides, singular and invertible
+    # right-hand sides, singular and invertible; on the byte layouts a
+    # singular matrix is rejected by a forward pass, before any span
     rng = random.Random(61)
     calls = count_span(monkeypatch, field)
+    byte_layout = isinstance(field._family, _PackedFp)
 
     def once(op, *args):
         calls[0] = 0
         out = op(*args)
-        assert calls[0] == 1
+        assert calls[0] == (0 if op.__name__ == "inverse" and out is None and byte_layout
+                            else 1)
         return out
 
     seen = {"singular": 0, "inverse": 0, "none": 0, "solved": 0}
@@ -837,9 +840,9 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
-FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "join", "nonzero", "pack", "preimage",
-                "product", "scale", "span", "tail", "tally", "transpose", "unit", "unpack",
-                "written"}
+FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "forward_dependent", "join",
+                "nonzero", "pack", "preimage", "product", "scale", "span", "tail", "tally",
+                "transpose", "unit", "unpack", "written"}
 
 
 def test_families_answer_the_same_calls_with_one_elimination():

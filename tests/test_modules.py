@@ -6,11 +6,12 @@ from extmod import modules
 from extmod.decompose import multiplicities
 from extmod.linalg import Field, Matrix
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
-                            counterexample_stage, default_params, direct_sum,
-                            make_flash, make_free, random_basis_change, shift,
-                            truncate_above, truncated_infinite_flash, validate,
-                            with_variant, zero_module)
-from helpers import (label_position, random_flash_shapes, reference_random_invertible,
+                            default_params, direct_sum, make_flash, make_free,
+                            random_basis_change, shift, truncate_above,
+                            truncated_infinite_flash, validate, with_variant,
+                            zero_module)
+from helpers import (counterexample_stage, label_position, random_flash_shapes,
+                     reference_direct_sum, reference_flash, reference_random_invertible,
                      reference_relation_violations)
 
 P = default_params()
@@ -171,19 +172,50 @@ def test_direct_sum_is_block_diagonal(char):
             shift(make_flash(FlashShape.finite(2, True, False), params), 3),
             make_flash(FlashShape.simple(2), params), make_free(0, params)]
     total = direct_sum(mods)
-    for which in (E1, E2):
-        step = params.action_degree(which)
-        for d in total.degrees:
-            want = [[params.field.zero] * total.dim(d) for _ in range(total.dim(d + step))]
-            roff = coff = 0
-            for m in mods:
-                a = m.action(which, d)
-                for i in range(a.nrows):
-                    for j in range(a.ncols):
-                        want[roff + i][coff + j] = a[i, j]
-                roff += m.dim(d + step)
-                coff += m.dim(d)
-            assert total.action(which, d) == Matrix(params.field, want, ncols=total.dim(d))
+    _, blocks = reference_direct_sum(mods)
+    assert {(which, d): total.action(which, d) for which, d in blocks} == blocks
+
+
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+@pytest.mark.parametrize("degs", DEGREE_PAIRS)
+def test_make_flash_matches_reference(char, degs):
+    # every block row written once as a unit vector or zero must give the
+    # module the arrow-and-label construction gave, labels in the same order
+    params = default_params(char, *degs)
+    for bottoms in range(1, 8):
+        for lt in (False, True):
+            for rt in (False, True):
+                for at in (0, 5):
+                    shape = FlashShape.finite(bottoms, lt, rt, at)
+                    m, ref = make_flash(shape, params), reference_flash(shape, params)
+                    assert m.dims_by_degree == ref.dims_by_degree
+                    for which in (E1, E2):
+                        assert m.action_items(which) == ref.action_items(which)
+                        assert all(m.action(which, d) == ref.action(which, d)
+                                   for d in range(at - 10, at + 40))
+                    assert list(m.labels.items()) == list(ref.labels.items())
+                    assert validate(m) == validate(ref) == []
+
+
+@pytest.mark.parametrize("char", [2, 17, 0])
+@pytest.mark.parametrize("degs", [(1, 2), (3, 4)])
+def test_direct_sum_labels_and_blocks_match_per_degree_reference(char, degs):
+    # (1, 2) and (3, 4) put tops and bottoms of flashes at neighbouring shifts
+    # in one degree, so the summands' degrees interleave; a scrambled summand
+    # has no labels, and then neither has the sum
+    params = default_params(char, *degs)
+    rng = random.Random(char * 10 + degs[0])
+    for _ in range(6):
+        mods = [make_flash(shape, params) for shape in random_flash_shapes(rng, 6, 4, 5)]
+        for labelled in (True, False):
+            if not labelled:
+                k = rng.randrange(len(mods))
+                mods[k] = random_basis_change(mods[k], rng.randrange(100))
+                assert mods[k].labels is None
+            total = direct_sum(mods)
+            labels, blocks = reference_direct_sum(mods)
+            assert total.labels == labels
+            assert {(which, d): total.action(which, d) for which, d in blocks} == blocks
 
 
 @pytest.mark.parametrize("char", CHARACTERISTICS)

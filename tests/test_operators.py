@@ -9,11 +9,11 @@ from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_s
                             truncate_above, truncated_infinite_flash, with_variant)
 from extmod.operators import (filtration, filtration_trace, margolis_homology,
                               socle, stable_intersection)
-from extmod.modules import counterexample_stage
 from helpers import (act_image, basis_vector, contains, count_coerce, count_span,
-                     dims, flash_sum, from_labels, full, label_position,
-                     op_preimage, parent_dims, radical, random_flash_shapes,
-                     random_variant_b_module, reference_chain, zero_subspace)
+                     counterexample_stage, dims, flash_sum, from_labels, full,
+                     label_position, op_preimage, parent_dims, radical,
+                     random_flash_shapes, random_variant_b_module, reference_chain,
+                     zero_subspace)
 
 P = default_params()
 PA = default_params(variant="A")

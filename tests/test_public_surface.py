@@ -21,8 +21,6 @@ SRC = Path(extmod.__file__).parent
 # exported names with no caller in the package, each with the reason it stays
 UNCALLED = {
     "default_params": "bench/test_bench.py builds its algebras with it",
-    "counterexample_stage": "run_checks makes the stage from the flashes it has "
-                            "already built; calling it would build them twice",
     "flash_multiplicity_at_degree": "the count beside the exclusion probe, "
                                     "waiting for a caller in paper-check",
     "intersect": "aim 1 and item 1's microbench measure it as a kernel",

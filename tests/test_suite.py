@@ -7,12 +7,13 @@ import pytest
 from extmod import modules, operators, suite
 from extmod.decompose import InternalError, multiplicities
 from extmod.linalg import SubspaceBasis
-from extmod.modules import (E1, E2, FlashShape, counterexample_stage, default_params,
-                            make_flash, random_basis_change, truncated_infinite_flash)
+from extmod.modules import (E1, E2, FlashShape, default_params, make_flash,
+                            random_basis_change, truncated_infinite_flash)
 from extmod.operators import FiltrationTrace, _terms, filtration, filtration_trace
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
-from helpers import basis_vector, label_position, reference_flash_failures
+from helpers import (basis_vector, counterexample_stage, label_position,
+                     reference_flash_failures)
 
 P = default_params()
 

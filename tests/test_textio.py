@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from extmod.modules import (E1, E2, FlashShape, counterexample_stage, default_params,
-                            make_flash, make_free, random_basis_change,
-                            truncated_infinite_flash)
+from extmod.modules import (E1, E2, FlashShape, default_params, make_flash, make_free,
+                            random_basis_change, truncated_infinite_flash)
 from extmod.textio import (DocumentError, _module_labels, parse_module, print_module,
                            to_dot)
-from helpers import flash_sum, random_flash_shapes, reference_parse_module
+from helpers import (counterexample_stage, flash_sum, random_flash_shapes,
+                     reference_parse_module)
 
 P = default_params()
 
