@@ -381,7 +381,7 @@ def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:
         n = m.dim(d)
         if len(vecs) != n:
             problems.append(f"degree {d}: {len(vecs)} vectors for dimension {n}")
-        elif SubspaceBasis.from_spanning(field, n, vecs, _raw=True).dim != n:
+        elif fam.rank(vecs, n) != n:
             problems.append(f"degree {d}: realization vectors are dependent")
     # a vector that does not fit its degree has no image to check
     for si, sh, xs, ys in entered:

@@ -44,22 +44,25 @@ pivot to the first.  The tuple layouts share one Gauss–Jordan elimination on
 the vectors' numerators, written once in :class:`_IntRows`: over F_p each
 pivot row is scaled to 1, and over Q the elimination is fraction-free on
 primitive integer rows (Bareiss, Math. Comp. 1968), so each pivot row comes
-out as ``(row, pivot)``, already in normal form.  Every ``Matrix``
-elimination is one span of its rows:
-``rank`` counts the pivots, ``rref_pivots`` pads the rows with zero rows, and
-``solve`` spans the rows of [A | B] at full width, which is inconsistent
-exactly when a pivot falls in B.  ``inverse`` solves against the identity;
-on bytes a singular matrix is rejected first, by the forward pass alone,
-stopped at the first row that reduces to zero.
+out as ``(row, pivot)``, already in normal form.  Where only a dimension
+is read, the family's ``rank`` is the forward pass alone on bytes and the
+pivot count of a span on tuples; ``Matrix.rank`` and containment use it.
+Every other ``Matrix`` elimination is one span of its rows: ``rref_pivots``
+pads the rows with zero rows, and ``solve`` spans the rows of [A | B] at
+full width, which is inconsistent exactly when a pivot falls in B.
+``inverse`` solves against the identity; on bytes a singular matrix is
+rejected first, by the forward pass alone, stopped at the first row that
+reduces to zero.
 
 Where the cheapest algorithm differs, the byte and the tuple layouts keep
 their own.  On bytes a product row combines the packed rows of the right
 factor with the entries of the left row, and m @ v the packed columns of m
 with the entries of v; over F2 that is the XOR of the rows or columns
 selected, after Albrecht, Bard and Hart, "Algorithm 898: Efficient
-multiplication of dense matrices over GF(2)" (ACM TOMS 2010).  A packed
-preimage of u under m spans u's rows with each column of m tagged by its
-index, and keeps the tags of the vectors whose column part cancels; a
+multiplication of dense matrices over GF(2)" (ACM TOMS 2010); a vector with
+one nonzero entry selects one column.  A packed preimage of u under m spans
+u's rows with each column of m tagged by its index, and keeps the tags of
+the vectors whose column part cancels, the only rows it back-substitutes; a
 pullback, the preimage under m of u's image under a, puts the images of u's
 rows in that span unreduced, so it is one elimination.  The two
 tuple layouts share one base, :class:`_IntRows`, which reads a vector as
@@ -76,8 +79,8 @@ kernel is the preimage of zero.
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
 rows are reduced, so each row is subtracted once, times the vector's entry at
-its pivot.  Containment is a span dimension: u contains w exactly when
-``sum_space(u, w)`` has u's dimension.
+its pivot.  Containment is a rank: u contains w exactly when their rows
+together have u's dimension.
 
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
@@ -339,7 +342,15 @@ class _PackedFp:
         return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
 
     def apply(self, m: "Matrix", v: int) -> int:
-        """m @ v: the packed columns of m combined with v's entries."""
+        """m @ v: the packed columns of m combined with v's entries, or column
+        j times c for a vector whose one nonzero lane j holds c."""
+        if not v:
+            return 0
+        lane = ((v & -v).bit_length() - 1) >> 3
+        c = v >> 8 * lane
+        if c < 256:
+            col = m._columns()[lane]
+            return col if c == 1 else self.scale(col, c)
         return self._combine(m._columns(), v.to_bytes(m.ncols, "little"))
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
@@ -377,15 +388,20 @@ class _PackedFp:
         reduces to zero, shows them linearly dependent."""
         return self._forward(vectors, stop=True) is None
 
-    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors.
+    def rank(self, vectors, n: int) -> int:
+        """The dimension of the span of the vectors: the rows of its forward pass."""
+        return len(self._forward(vectors))
+
+    def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors,
+        those with pivots at or past lane ``head`` alone.
 
         After the forward pass, from the last pivot to the first, each row is
         cleared at the later pivots in one combination of their rows, which
-        are reduced by then.
+        are reduced by then; the rows past ``head`` need no row before it.
         """
         p, rows = self.p, self._forward(vectors)
-        lanes = sorted(rows, reverse=True)
+        lanes = sorted([k for k in rows if k >= head], reverse=True)
         later = 0  # the lanes of the pivots after the current one
         for lane in lanes:
             v = rows[lane]
@@ -420,11 +436,8 @@ class _PackedFp:
         # last column first: a column whose head cancels then has its own tag as
         # its lowest entry, as it only picks up the tags of later columns
         tagged.reverse()
-        span = SubspaceBasis.from_spanning(self.field, m.nrows + m.ncols,
-                                           [*vectors, *tagged], _raw=True)
-        head = bisect_left(span.pivot_rows, m.nrows)
-        return ([r >> shift for r in span._rows[head:]],
-                [pr - m.nrows for pr in span.pivot_rows[head:]])
+        rows, pivots = self.span([*vectors, *tagged], m.nrows + m.ncols, m.nrows)
+        return [r >> shift for r in rows], [pr - m.nrows for pr in pivots]
 
 
 class _PackedF2(_PackedFp):
@@ -477,14 +490,15 @@ class _PackedF2(_PackedFp):
                     return None
         return rows
 
-    def span(self, vectors, n: int) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors.
+    def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors,
+        those with pivots at or past entry ``head`` alone.
 
         After the forward pass, from the last pivot to the first, each row is
         cleared at the later pivots by their rows, which are reduced by then.
         """
-        rows = self._forward(vectors)
-        bits = sorted(rows, reverse=True)
+        rows, cut = self._forward(vectors), 1 << 8 * head
+        bits = sorted([b for b in rows if b >= cut], reverse=True)
         later = 0  # the pivots after the current one
         for bit in bits:
             v = rows[bit]
@@ -607,6 +621,9 @@ class _IntRows:
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple:
         return self._dots(a._rows, b._columns())
+
+    def rank(self, vectors, n: int) -> int:
+        return len(self.span(vectors, n)[1])
 
     def span(self, vectors, n: int) -> tuple[list, list[int]]:
         """The reduced echelon rows and pivots of the span, by Gauss–Jordan
@@ -1045,9 +1062,14 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            out = out @ self
+        # repeated squaring: about 2 log2 k products
+        out, sq = Matrix.identity(self.field, self.nrows), self
+        while k > 0:
+            if k & 1:
+                out = out @ sq
+            k >>= 1
+            if k:
+                sq = sq @ sq
         return out
 
     # -- elimination ----------------------------------------------------------
@@ -1063,7 +1085,7 @@ class Matrix:
         return self.rref_pivots()[0]
 
     def rank(self) -> int:
-        return len(self.field._family.span(self._rows, self.ncols)[1])
+        return self.field._family.rank(self._rows, self.ncols)
 
     def kernel_matrix(self) -> "Matrix":
         """Columns span the null space {v : self @ v = 0}."""
@@ -1246,7 +1268,9 @@ class SubspaceBasis:
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         """Whether other lies in the span: whether adding it leaves the dimension."""
-        return sum_space(self, other).dim == self.dim
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return self.field._family.rank(self._rows + other._rows, self.ambient_dim) == self.dim
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspaceBasis):

@@ -56,7 +56,9 @@ def _terms(m: Module):
     """
     gap = m.params.gap
     e1, e2 = m.action_items(E1), m.action_items(E2)
-    term = {d: SubspaceBasis.full(m.field, n) for d, n in m.dims_by_degree.items()}
+    # F_0 shares one immutable full space among the degrees of each dimension
+    full = {n: SubspaceBasis.full(m.field, n) for n in set(m.dims_by_degree.values())}
+    term = {d: full[n] for d, n in m.dims_by_degree.items()}
     yield term
     todo = list(e2)
     while True:

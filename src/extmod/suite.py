@@ -155,7 +155,9 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
         field, dims = mod.field, mod.dims_by_degree
         # a flash's labels are distinct and name its whole basis
         at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
-        expected = {d: SubspaceBasis.full(field, k) for d, k in dims.items()}
+        # made apart from the trace's F_0, so a wrong F_0 shows; shared per dimension
+        full = {k: SubspaceBasis.full(field, k) for k in set(dims.values())}
+        expected = {d: full[k] for d, k in dims.items()}
         prev, failed = {}, []  # so step 1 compares every degree
         for j in range(1, n + 1):
             moved, i = at[f"x{n - j + 1}"]

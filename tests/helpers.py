@@ -146,19 +146,20 @@ def count_span(monkeypatch, field, cells=None):
     """Count calls of the ``span`` of field's family from now on, in a one-element list.
 
     The count covers every field of that family, as each ``Field`` has its own
-    family object.  With ``cells``, each call also appends its number of
-    vectors times their length.
+    family object.  A span cut at a head, as a byte-layout preimage makes, is
+    passed the cut and counts as one span.  With ``cells``, each call also
+    appends its number of vectors times their length.
     """
     calls = [0]
     cls = type(field._family)
     real = cls.span
 
-    def counted(fam, vectors, n):
+    def counted(fam, vectors, n, *head):
         vectors = list(vectors)
         calls[0] += 1
         if cells is not None:
             cells.append(len(vectors) * n)
-        return real(fam, vectors, n)
+        return real(fam, vectors, n, *head)
 
     monkeypatch.setattr(cls, "span", counted)
     return calls

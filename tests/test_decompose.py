@@ -607,11 +607,15 @@ def test_split_free_eliminations_stay_degree_sized(monkeypatch):
     parts += [with_variant(make_flash(s, pb), "A") for s in shapes]
     m = random_basis_change(direct_sum(parts, params), 11)
     cells = []
-    count_span(monkeypatch, params.field, cells)
+    calls = count_span(monkeypatch, params.field, cells)
     fs = split_free(m)
-    monkeypatch.undo()
     assert fs.free_ranks == {0: 3, 1: 3, 2: 3, 3: 3}
     assert max(cells) <= 3 * max(m.dims_by_degree.values()) ** 2
+    # the certificate reads only ranks, each the forward pass alone on bytes
+    calls[0] = 0
+    assert verify_split_free(m, fs)
+    assert calls[0] == 0
+    monkeypatch.undo()
 
 
 def test_split_free_requires_variant_a():

@@ -10,8 +10,8 @@ import pytest
 from extmod import linalg
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
                            _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals,
-                           hstack, image, intersect, kernel, preimage_space, quotient_dim,
-                           standard_complement, sum_space)
+                           hstack, image, intersect, kernel, preimage_space, pullback,
+                           quotient_dim, standard_complement, sum_space)
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
@@ -413,43 +413,60 @@ def test_f2_from_spanning_matches_list_elimination():
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
-    # each is one call of the family's span, over every layout
+    # each is one call of the family's span, over every layout, and so is a
+    # pullback on the byte layouts; there that span is cut at m's rows, the
+    # head its tagged vectors cancel in
     rng = random.Random(37)
     for field in [F2, F3, F5, F13, F17, QQ]:
         calls = count_span(monkeypatch, field)
+        fam = field._family
+        byte_layout = isinstance(fam, _PackedFp)
         for _ in range(10):
             m = _random_block(field, rng.randint(0, 6), rng.randint(0, 6), rng)
             u = random_subspace(field, m.nrows, rng)
+            a = _random_block(field, m.nrows, rng.randint(0, 6), rng)
+            w = random_subspace(field, a.ncols, rng)
             calls[0] = 0
             kernel(m)
             assert calls[0] == 1
             calls[0] = 0
             preimage_space(m, u)
             assert calls[0] == 1
+            if byte_layout:
+                calls[0] = 0
+                pullback(m, a, w)
+                assert calls[0] == 1
+                heads, span = [], fam.span
+                fam.span = lambda v, n, *head: heads.append(head) or span(v, n, *head)
+                try:
+                    preimage_space(m, u)
+                finally:
+                    del fam.span
+                assert heads == [(m.nrows,)]
         monkeypatch.undo()
 
 
-def test_f2_image_and_preimage_eliminate_once_in_from_spanning(monkeypatch):
-    # from_spanning is the one F2 span elimination, so each call shows there
+def test_f2_image_and_preimage_eliminate_once(monkeypatch):
+    # an image is one from_spanning; a preimage spans its tagged vectors in
+    # the family's span directly, with no from_spanning, and so does a pullback
     rng = random.Random(41)
-    calls = [0]
-    span = SubspaceBasis.from_spanning.__func__
+    calls, spans = [0], count_span(monkeypatch, F2)
+    from_spanning = SubspaceBasis.from_spanning.__func__
 
     def counted(cls, *args, **kwargs):
         calls[0] += 1
-        return span(cls, *args, **kwargs)
+        return from_spanning(cls, *args, **kwargs)
 
     monkeypatch.setattr(SubspaceBasis, "from_spanning", classmethod(counted))
     for _ in range(10):
         m = _random_block(F2, rng.randint(0, 6), rng.randint(0, 6), rng)
         u = random_subspace(F2, m.nrows, rng)
         w = random_subspace(F2, m.ncols, rng)
-        calls[0] = 0
-        preimage_space(m, u)
-        assert calls[0] == 1
-        calls[0] = 0
-        image(m, w)
-        assert calls[0] == 1
+        for op, args, made in ((preimage_space, (m, u), 0), (image, (m, w), 1),
+                               (pullback, (m, m, w), 0)):
+            calls[0] = spans[0] = 0
+            op(*args)
+            assert (calls[0], spans[0]) == (made, 1), op.__name__
 
 
 def test_image_examples():
@@ -697,7 +714,9 @@ def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     def once(op, *args):
         calls[0] = 0
         out = op(*args)
-        assert calls[0] == (0 if op.__name__ == "inverse" and out is None and byte_layout
+        # a rank is the forward pass alone on bytes
+        assert calls[0] == (0 if byte_layout and (op.__name__ == "rank" or
+                                                  op.__name__ == "inverse" and out is None)
                             else 1)
         return out
 
@@ -708,8 +727,7 @@ def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
                 m = random_matrix(field, nrows, ncols, rng)
             else:
                 m = random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng)
-            once(m.rref_pivots)
-            once(m.rank)
+            assert once(m.rank) == len(once(m.rref_pivots)[1])
             once(m.kernel_matrix)
             for rhs in (random_matrix(field, nrows, 3, rng),
                         m @ random_matrix(field, ncols, 2, rng)):
@@ -841,8 +859,8 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
 FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "forward_dependent", "join",
-                "nonzero", "pack", "preimage", "product", "scale", "span", "tail", "tally",
-                "transpose", "unit", "unpack", "written"}
+                "nonzero", "pack", "preimage", "product", "rank", "scale", "span", "tail",
+                "tally", "transpose", "unit", "unpack", "written"}
 
 
 def test_families_answer_the_same_calls_with_one_elimination():
@@ -1030,6 +1048,112 @@ def test_packed_odd_primes_store_reduced_lanes(field):
                 assert reduced([fam.add_scaled(a, b, c) for a, b in zip(m._rows, worst._rows)],
                                ncols)
             assert reduced((m + worst)._rows, ncols) and reduced((m - worst)._rows, ncols)
+
+
+def _unit_rows(field, nrows, ncols, rng):
+    """A block whose rows are zero or a unit vector times a nonzero entry, as
+    the action blocks of a flash are."""
+    p = field.characteristic
+    return Matrix(field, [[rng.randrange(1, p) if j == k else 0 for j in range(ncols)]
+                          for k in (rng.randrange(-1, ncols) for _ in range(nrows))],
+                  ncols=ncols)
+
+
+def _pullback_blocks(field, nrows, ncols, rng):
+    """A random block, a rank-deficient one, the zero block and one of unit rows."""
+    return [random_matrix(field, nrows, ncols, rng),
+            random_matrix(field, nrows, 1, rng) @ random_matrix(field, 1, ncols, rng),
+            Matrix.zeros(field, nrows, ncols), _unit_rows(field, nrows, ncols, rng)]
+
+
+def _targets(field, n, rng):
+    """Zero, the full space, a random subspace and a coordinate one of F^n."""
+    return [SubspaceBasis.zero(field, n), SubspaceBasis.full(field, n),
+            random_subspace(field, n, rng),
+            SubspaceBasis.coordinate(field, n, sorted(rng.sample(range(n), n // 2)))]
+
+
+BYTE_FIELDS = [F2, F3, F5, F13]
+BYTE_IDS = ["F2", "F3", "F5", "F13"]
+
+
+@pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)
+def test_head_cut_preimages_match_list_references(field):
+    # a byte-layout preimage back-substitutes only the rows past its head:
+    # kernel, preimage_space and pullback against the list references on
+    # random, rank-deficient, zero and unit-row blocks, to zero, full,
+    # random and coordinate targets
+    rng = random.Random(97 + field.characteristic)
+    for nrows, ncols, inner in ((0, 0, 0), (0, 5, 3), (5, 0, 2), (1, 1, 1), (4, 6, 5),
+                                (6, 4, 7), (7, 7, 7), (9, 70, 12), (70, 9, 3)):
+        for m in _pullback_blocks(field, nrows, ncols, rng):
+            _assert_same(kernel(m), reference_kernel(m), True)
+            for u in _targets(field, nrows, rng):
+                _assert_same(preimage_space(m, u), reference_preimage(m, u), True)
+            for a in _pullback_blocks(field, nrows, inner, rng):
+                for w in _targets(field, inner, rng):
+                    _assert_same(pullback(m, a, w),
+                                 reference_preimage(m, reference_image_of(a, w)), True)
+
+
+@pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)
+def test_unit_vectors_select_one_column(field):
+    # m @ v for the zero vector, unit vectors at the first and last column and
+    # single entries 2 .. p - 1 reads one column and combines nothing; a
+    # vector with two nonzero entries still combines
+    p, fam = field.characteristic, field._family
+    rng = random.Random(101 + p)
+    combined, combine = [0], fam._combine
+    fam._combine = lambda *args: combined.__setitem__(0, combined[0] + 1) or combine(*args)
+    try:
+        for nrows, ncols in ((0, 1), (1, 1), (5, 1), (4, 9), (3, 70), (70, 3)):
+            for m in _pullback_blocks(field, nrows, ncols, rng):
+                singles = [(0,) * ncols]
+                for j in {0, ncols - 1, rng.randrange(ncols)}:
+                    for c in range(1, p):
+                        singles.append(tuple(c if k == j else 0 for k in range(ncols)))
+                combined[0] = 0
+                for v in singles:
+                    assert m.apply(v) == reference_apply(m, v)
+                assert combined[0] == 0
+                if ncols > 1:
+                    v = (1,) + (0,) * (ncols - 2) + (p - 1,)
+                    assert m.apply(v) == reference_apply(m, v) and combined[0] == 1
+    finally:
+        del fam._combine
+
+
+@pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)
+def test_rank_and_quotient_dim_match_the_span(field):
+    # a rank and a containment are the forward pass alone on bytes: both
+    # against the pivot count of the list elimination
+    rng = random.Random(103 + field.characteristic)
+    for nrows, ncols in ((0, 0), (0, 4), (4, 0), (1, 1), (6, 6), (9, 70), (70, 9)):
+        for m in _pullback_blocks(field, nrows, ncols, rng):
+            count = len(reference_row_reduce(field, [list(r) for r in m.rows], ncols))
+            assert m.rank() == len(m.rref_pivots()[1]) == count
+            for u in _targets(field, ncols, rng):
+                for w in (*_targets(field, ncols, rng), image(m.transpose())):
+                    both = [list(r) for r in u.vectors() + w.vectors()]
+                    if len(reference_row_reduce(field, both, ncols)) == u.dim:
+                        assert quotient_dim(u, w) == u.dim - w.dim
+                    else:
+                        with pytest.raises(ValueError, match="not contained"):
+                            quotient_dim(u, w)
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+def test_power_matches_repeated_products(field):
+    # repeated squaring gives the matrix k products by m give
+    rng = random.Random(107 + field.characteristic)
+    for n in (0, 1, 3, 6):
+        m = random_matrix(field, n, n, rng)
+        want = Matrix.identity(field, n)
+        for k in range(10):
+            assert m.power(k) == want, k
+            want = want @ m
+    with pytest.raises(ValueError):
+        random_matrix(field, 2, 3, rng).power(2)
 
 
 def test_packed_coerce_reduces_outside_values():

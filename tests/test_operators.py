@@ -206,6 +206,10 @@ def test_degrees_e2_kills_keep_f0_and_span_nothing(monkeypatch, characteristic):
     assert calls[0] == spans
     assert all(t[d] is trace[0][d] for t in trace.subspaces for d in killed)
     assert [{d: t[d] for d in stage.degrees} for t in trace.subspaces] == list(alone.subspaces)
+    # F_0 is one full space per dimension, shared by every degree of that dimension
+    f0 = trace[0]
+    assert all(f0[d] == SubspaceBasis.full(params.field, n) for d, n in m.dims_by_degree.items())
+    assert len({id(sub) for sub in f0.values()}) == len(set(m.dims_by_degree.values()))
 
 
 def test_filtration_trace_coerces_only_scalars(monkeypatch):
@@ -219,13 +223,19 @@ def test_filtration_trace_coerces_only_scalars(monkeypatch):
 def test_filtration_trace_elimination_count(monkeypatch):
     # the chain pulls back 11 + 55 degrees of this stage, and e1 has a block
     # for all but one of them; the byte layouts put the e1-images straight
-    # into the preimage's span, one span a pull-back, and the tuple layouts
-    # span each image first
+    # into the preimage's span, one span a pull-back made in the family with
+    # no from_spanning, and the tuple layouts span each image first
     for characteristic, spans in ((2, 66), (5, 66), (17, 66 + 65), (0, 66 + 65)):
         params = default_params(characteristic)
         calls = count_span(monkeypatch, params.field)
+        made = [0]
+        from_spanning = SubspaceBasis.from_spanning.__func__
+        monkeypatch.setattr(SubspaceBasis, "from_spanning", classmethod(
+            lambda cls, *args, **kw: made.__setitem__(0, made[0] + 1)
+            or from_spanning(cls, *args, **kw)))
         filtration_trace(counterexample_stage(10, params))
         assert calls[0] == spans, characteristic
+        assert made[0] == spans - 66, characteristic
         monkeypatch.undo()
 
 
