@@ -161,17 +161,19 @@ def _pivots(cod: list[_Strand], dom: list[_Strand], column):
     """The pivot rule: (ci, pr) pairs, one at a time.
 
     Domain strands go weakest first, and each takes the strongest codomain
-    strand not yet taken, by ``(strength, -index)``, whose entry
-    ``column(ci)[pr]`` is nonzero.  ``column`` is read only when column ci
-    is due, after the caller has eliminated the earlier pivots, and is
-    yielded with the pair.
+    strand not yet taken, by ``(strength, -index)``, whose entry in column
+    ci is nonzero.  ``column(ci)`` gives that column's nonzero entries by
+    row; it is read only when column ci is due, after the caller has
+    eliminated the earlier pivots, and is yielded with the pair.
     """
-    rows = sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True)
+    rank = {r: i for i, r in enumerate(
+        sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True))}
+    free = set(rank)
     for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
         col = column(ci)
-        pr = next((r for r in rows if col[r]), None)
+        pr = min((r for r in col if r in free), key=rank.__getitem__, default=None)
         if pr is not None:
-            rows.remove(pr)
+            free.remove(pr)
             yield ci, pr, col
 
 
@@ -179,16 +181,18 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
            dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
     """Pair domain strands with codomain strands through one action.
 
-    ``a[r]`` holds row r of the coordinates of ``act`` applied to the last
-    vectors of the domain strands over the last vectors of the codomain
-    strands, entry c for ``dom[c]``, as a vector in the field's family layout.
-    Row operations make a codomain strand absorb another, column operations
-    make a domain strand absorb another and normalisation scales the domain
-    strand, until ``a`` is a partial identity.  The pivot column is scaled
-    only through the coefficients of the row operations, and over F2, where
-    every nonzero entry is 1, nothing is scaled at all.  Returns the
-    (codomain, domain) pivot pairs: ``act`` maps the domain strand's last
-    vector onto the codomain strand's.
+    ``cols[c]`` holds the coordinates of ``act`` applied to the last vector
+    of ``dom[c]`` over the last vectors of the codomain strands, entry r for
+    ``cod[r]``, as a vector in the field's family layout: column c of a
+    matrix ``a``.  Row operations make a codomain strand absorb another,
+    column operations make a domain strand absorb another and normalisation
+    scales the domain strand, until ``a`` is a partial identity.  A pivot is
+    read off the nonzero entries of its column, which are the rows it
+    updates; a column is updated only while it is still due, and only where
+    the pivot row is nonzero there.  Over F2, where every nonzero entry is
+    1, nothing is scaled at all.  Returns the (codomain, domain) pivot
+    pairs: ``act`` maps the domain strand's last vector onto the codomain
+    strand's.
     """
     if not dom:
         return []
@@ -198,36 +202,41 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
         if any(map(fam.nonzero, imgs)):
             raise InternalError("action image escapes the socle layer")
         return []
-    k = len(cod)
+    k, n = len(cod), len(dom)
     # one span of the rows of [T | B], with the codomain strands' last vectors
     # as the columns of T and the images as those of B
     rows, piv = fam.span(fam.transpose([s.vectors[s.right_pos] for s in cod] + imgs,
-                                       act.nrows), k + len(dom))
+                                       act.nrows), k + n)
     # T's columns are independent, so the coordinates exist exactly when T's
-    # columns are the pivots; then row r is the unit vector at r followed by a[r]
+    # columns are the pivots; then the rows are [I | a], and a's columns follow
+    # the k unit columns
     if piv != list(range(k)):
         raise InternalError("socle coordinates must exist")
-    a = [fam.tail(row, k) for row in rows]
-    entry, one = fam.entry, field.one
+    cols = list(fam.transpose(rows, k + n)[k:])
+    one, entry, add_scaled = field.one, fam.entry, fam.add_scaled
+    # the columns not yet due, in index order; a column passed over for want
+    # of a pivot is zero, and stays zero
+    pending = list(range(n))
     pairs = []
-    for ci, pr, col in _pivots(cod, dom, lambda c: [entry(row, c) for row in a]):
-        prow = a[pr]
+    for ci, pr, col in _pivots(cod, dom, lambda c: fam.support(cols[c])):
+        pending.remove(ci)
         inv = one
         if col[pr] != one:
             inv = field.inv(col[pr])
             dom[ci].scale(inv, fam)
-        for ri, x in enumerate(col):
-            if ri != pr and x:
-                c = field.mul(x, inv)
-                cod[pr].absorb(cod[ri], c, fam)
-                a[ri] = fam.add_scaled(a[ri], prow, field.neg(c))
-        # column ci is now the unit vector at pr, so clearing row pr is the
-        # whole column operation
-        for cj in range(len(dom)):
-            c = entry(prow, cj)
-            if cj != ci and c:
-                dom[cj].absorb(dom[ci], field.neg(c), fam)
-        a[pr] = fam.unit(ci, len(dom))
+        for ri, x in col.items():
+            if ri != pr:
+                cod[pr].absorb(cod[ri], field.mul(x, inv), fam)
+        # clearing row pr of a column cj with the normalised column ci is the
+        # column operation, and with the row operations above it takes
+        # a[pr][cj] times that column from column cj
+        pcol = cols[ci] if inv == one else fam.scale(cols[ci], inv)
+        for cj in pending:
+            c = entry(cols[cj], pr)
+            if c:
+                c = field.neg(c)
+                dom[cj].absorb(dom[ci], c, fam)
+                cols[cj] = add_scaled(cols[cj], pcol, c)
         pairs.append((cod[pr], dom[ci]))
     return pairs
 

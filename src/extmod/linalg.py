@@ -290,6 +290,11 @@ class _PackedFp:
         return v >> 8 * j & 255
 
     @staticmethod
+    def support(v: int) -> dict[int, int]:
+        """The nonzero entries of v by lane, lowest lane first."""
+        return {j: c for j, c in enumerate(v.to_bytes((v.bit_length() + 7) // 8, "little")) if c}
+
+    @staticmethod
     def unit(i: int, n: int) -> int:
         return 1 << 8 * i
 
@@ -574,6 +579,10 @@ class _IntRows:
     def tail(self, v, n: int):
         nums, den = self._read(v)
         return self._write(nums[n:], den)
+
+    def support(self, v) -> dict:
+        """The nonzero entries of v by index, lowest index first."""
+        return {j: self.entry(v, j) for j, x in enumerate(self._read(v)[0]) if x}
 
     @staticmethod
     def forward_dependent(vectors) -> bool:

@@ -310,6 +310,9 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
     y_{b-1} exactly when the right end is one.  A degree holds at most one
     bottom and one top, in that order, and no action sends two basis vectors
     to one, so each block row is written once, as a unit vector or zero.
+    A block depends only on the dimensions of its source and target degrees,
+    so every degree of one shape, under either action, holds the same
+    immutable block object: at most four of them per flash.
     """
     if shape.kind != "finite":
         raise ValueError("make_flash builds finite shapes; "
@@ -321,13 +324,17 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
             + [(shape.top_degree(i, params), 1, _top_label(i)) for i in tops]):
         labels[d] = labels.get(d, ()) + (label,)
     dims = {d: len(ls) for d, ls in labels.items()}
+    blocks: dict[tuple[int, int], Matrix] = {}
 
     def arrows(step: int, sources) -> dict[int, Matrix]:
         # x_i is the first vector of its degree, and its image y the last of its own
         out = {}
         for i in sources:
             d = shape.bottom_degree(i, params)
-            out[d] = Matrix.units(params.field, dims[d], [None] * (dims[d + step] - 1) + [0])
+            size = dims[d], dims[d + step]
+            if size not in blocks:
+                blocks[size] = Matrix.units(params.field, size[0], [None] * (size[1] - 1) + [0])
+            out[d] = blocks[size]
         return out
 
     e1_sources = [i + 1 for i in tops if i + 1 < shape.bottoms]

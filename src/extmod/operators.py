@@ -25,7 +25,8 @@ class FiltrationTrace:
     ``subspaces`` ends at index ``stable_index + 1``, the first term equal to
     its predecessor; indexing past the end returns the stable term.
     Consecutive terms share the SubspaceBasis object of every degree that did
-    not move.
+    not move, and within a term degrees may share one object, as F_0 does per
+    dimension and a step does for degrees pulled back from the same objects.
     """
 
     subspaces: tuple[dict[int, SubspaceBasis], ...]
@@ -52,7 +53,10 @@ def _terms(m: Module):
     the byte layouts.  Step j recomputes such a degree d only if
     F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
     other degree's subspace.  Some step moves no degree within total_dim + 1
-    steps, because each moving step shrinks a decreasing chain.
+    steps, because each moving step shrinks a decreasing chain.  Degrees with
+    the same e2 block, e1 block and F_{j-1}(d + gap) objects share one
+    pull-back and its result object within a step, so flashes, whose blocks
+    come in a few shared objects, pull back each shape once.
     """
     gap = m.params.gap
     e1, e2 = m.action_items(E1), m.action_items(E2)
@@ -64,10 +68,17 @@ def _terms(m: Module):
     while True:
         prev, term = term, dict(term)
         moved = []
+        # one pull-back per distinct (e2 block, e1 block, target) of the step;
+        # the module and prev hold all three objects, so no id is reused
+        pulled: dict[tuple[int, int, int], SubspaceBasis] = {}
         for d in todo:
-            a, b = e1.get(d + gap), e2[d]
-            sub = (preimage_space(b, SubspaceBasis.zero(m.field, b.nrows)) if a is None
-                   else pullback(b, a, prev[d + gap]))
+            a, b, u = e1.get(d + gap), e2[d], prev.get(d + gap)
+            key = id(b), id(a), id(u)
+            sub = pulled.get(key)
+            if sub is None:
+                sub = pulled[key] = (
+                    preimage_space(b, SubspaceBasis.zero(m.field, b.nrows)) if a is None
+                    else pullback(b, a, u))
             if sub != prev[d]:
                 term[d] = sub
                 moved.append(d)

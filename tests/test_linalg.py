@@ -859,8 +859,23 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
 FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "forward_dependent", "join",
-                "nonzero", "pack", "preimage", "product", "rank", "scale", "span", "tail",
-                "tally", "transpose", "unit", "unpack", "written"}
+                "nonzero", "pack", "preimage", "product", "rank", "scale", "span",
+                "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F13, F17, QQ], ids=["F2", "F3", "F13", "F17", "Q"])
+def test_support_is_the_nonzero_entries_lowest_first(field):
+    fam = field._family
+    rng = random.Random(field.characteristic + 71)
+    for n in (0, 1, 7, 64, 200):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            vec = [(rng.randrange(field.characteristic) if field.characteristic
+                    else Fraction(rng.randint(-300, 300), rng.randint(1, 9)))
+                   if rng.random() < density else 0 for _ in range(n)]
+            v = fam.coerce(vec)
+            got = fam.support(v)
+            assert list(got.items()) == [(j, x) for j, x in enumerate(fam.unpack(v, n)) if x]
+            assert all(fam.entry(v, j) == x for j, x in got.items())
 
 
 def test_families_answer_the_same_calls_with_one_elimination():

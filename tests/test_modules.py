@@ -180,7 +180,9 @@ def test_direct_sum_is_block_diagonal(char):
 @pytest.mark.parametrize("degs", DEGREE_PAIRS)
 def test_make_flash_matches_reference(char, degs):
     # every block row written once as a unit vector or zero must give the
-    # module the arrow-and-label construction gave, labels in the same order
+    # module the arrow-and-label construction gave, labels in the same order;
+    # a block depends only on its source and target dimensions, so the flash
+    # holds one object per block shape, under either action
     params = default_params(char, *degs)
     for bottoms in range(1, 8):
         for lt in (False, True):
@@ -188,6 +190,8 @@ def test_make_flash_matches_reference(char, degs):
                 for at in (0, 5):
                     shape = FlashShape.finite(bottoms, lt, rt, at)
                     m, ref = make_flash(shape, params), reference_flash(shape, params)
+                    blocks = [b for which in (E1, E2) for b in m.action_items(which).values()]
+                    assert len({id(b) for b in blocks}) == len({b.shape for b in blocks}) <= 4
                     assert m.dims_by_degree == ref.dims_by_degree
                     for which in (E1, E2):
                         assert m.action_items(which) == ref.action_items(which)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_chain_matches_full_recomputation(char, degs):
         parts = [make_free(rng.randint(0, 6), pa) for _ in range(rng.randint(1, 3))]
         parts.append(with_variant(flash_sum(random_flash_shapes(rng, 3, 4, 6), params), "A"))
         cases.append(random_basis_change(direct_sum(parts, pa), rng.randrange(10**6)))
+    # single flashes hold one block object per shape, which shift and cuts
+    # pass through, so a step pulls back each distinct (e2 block, e1 block,
+    # target) once and hands its result to every degree that has them
+    for n in range(13):
+        for eps, eps2 in product((0, 1), repeat=2):
+            m = make_flash(FlashShape.l(n, eps, eps2), params)
+            top = max(m.degrees)
+            cases += [m, shift(m, 7), truncate_above(m, top - params.deg_e1),
+                      truncate_above(shift(m, -5), top // 2 - 5)]
     for m in cases:
         ref = reference_chain(m)
         trace = filtration_trace(m)
@@ -176,15 +186,43 @@ def test_filtration_builds_only_terms_up_to_j(monkeypatch):
     calls = count_pullbacks(monkeypatch)
     n = 40
     m = make_flash(FlashShape.l(n, 0, 1), P)
-    e2 = m.action_items(E2)
     assert len(filtration_trace(m).subspaces) == n + 3
-    assert len(calls) == len(e2) + n
+    assert len(calls) == 2 + n
     for j in (0, 1, 2, 5):
         calls.clear()
         filtration(m, j)
-        # step 1 pulls back the n + 1 bottoms, which e2 acts on, and each
-        # later step the one that moved
-        assert len(calls) == (len(e2) + j - 1 if j else 0) == (n + j if j else 0), j
+        # e2 acts on the n + 1 bottoms through one shared block, and e1 on
+        # x_1 .. x_n through another, so step 1 makes two pull-backs: with
+        # e1's block, and of zero at x_n; each later step pulls back the one
+        # degree that moved
+        assert len(calls) == (2 + j - 1 if j else 0), j
+
+
+@pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_a_shared_block_pair_meets_two_targets_in_one_step(monkeypatch, characteristic):
+    # two chains B0 -> T0 <- B1 -> T1 with 2-dimensional degrees, 100 degrees
+    # apart, hold the same identity object as e2 at B0 and as e1 at B1; e2 at
+    # B1 is the identity in one chain and a projection in the other.  Step 1
+    # sends F_1(B1) to 0 in one chain and to a line in the other, so step 2
+    # pulls B0 back through the same two blocks onto two different targets,
+    # which a key without its target would merge
+    params = default_params(characteristic)
+    field = params.field
+    one = Matrix.identity(field, 2)
+    proj = Matrix(field, [[1, 0], [0, 0]])
+    b0, b1 = 0, params.gap
+    t0, t1 = b0 + params.deg_e2, b1 + params.deg_e2
+    dims = {d + at: 2 for d in (b0, b1, t0, t1) for at in (0, 100)}
+    m = Module(params, dims, {b1: one, b1 + 100: one},
+               {b0: one, b1: one, b0 + 100: one, b1 + 100: proj})
+    calls = count_pullbacks(monkeypatch)
+    trace = filtration_trace(m)
+    ref = reference_chain(m)
+    assert trace.subspaces == tuple(ref)
+    assert (trace[2][b0].dim, trace[2][b0 + 100].dim) == (0, 1)
+    # through the identity, step 1 pulls back B0 and B0 + 100 once between
+    # them and B1 onto zero, and step 2 pulls back B0 and B0 + 100 each
+    assert [id(a) for a in calls].count(id(one)) == 1 + 1 + 2
 
 
 @pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])

@@ -80,6 +80,7 @@ def test_entry_calls_match_fractions(rows, data):
         assert FAM.unpack(v, n) == row
         assert all(type(x) is Fraction for x in FAM.unpack(v, n))
         assert [FAM.entry(v, j) for j in range(n)] == list(row)
+        assert list(FAM.support(v).items()) == [(j, x) for j, x in enumerate(row) if x]
         assert FAM.nonzero(v) == any(row)
         for k in range(n + 1):
             assert _normal(FAM.tail(v, k)) and FAM.unpack(FAM.tail(v, k), n - k) == row[k:]
