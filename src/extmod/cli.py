@@ -390,14 +390,11 @@ def _cmd_paper_check(args) -> int:
         sp = SuiteParams(args.N, args.jmax, algebra)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    # the largest modules run_checks builds: the stage, and the flash that
-    # truncated_infinite_flash builds before cutting it at |e2| + gap
-    window = FlashShape.finite(algebra.deg_e2 // algebra.gap + 2, False, True)
-    for what, dim in ((f"--N {args.N}", (args.N + 1) * (args.N + 2)),
-                      (f"--degs {args.degs}", window.total_dim)):
-        if dim > MAX_TERM_DIM:
-            raise CliError(f"{what} makes a module of dimension {dim}, "
-                           f"above the limit of {MAX_TERM_DIM}")
+    # the largest module run_checks builds is the stage
+    dim = (args.N + 1) * (args.N + 2)
+    if dim > MAX_TERM_DIM:
+        raise CliError(f"--N {args.N} makes a module of dimension {dim}, "
+                       f"above the limit of {MAX_TERM_DIM}")
     # the report lists jmax + 1 dimensions per item
     if args.jmax > MAX_TERM_DIM:
         raise CliError(f"--jmax {args.jmax} is above the limit of {MAX_TERM_DIM}")

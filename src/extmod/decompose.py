@@ -43,7 +43,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, SubspaceBasis, hstack, image, kernel,
+from .linalg import (Field, Matrix, SubspaceBasis, image, kernel,
                      standard_complement, sum_space, vstack)
 from .modules import (E1, E2, FlashShape, Module, direct_sum, make_free,
                       validate, zero_module)
@@ -439,17 +439,17 @@ def _hom_system(m: Module) -> tuple[list[list], int]:
             act = m.action(which, d)
             if act.is_zero():
                 continue
+            act_rows, act_cols = act.rows, act.cols()
             for i in range(nt):
                 for j in range(nd):
+                    # t != d, so each unknown appears once per equation
                     row = [field.zero] * nvars
-                    for k in range(nt):
-                        if act[k, j]:
-                            idx = offsets[t] + i * nt + k
-                            row[idx] = field.add(row[idx], act[k, j])
-                    for k in range(nd):
-                        if act[i, k]:
-                            idx = offsets[d] + k * nd + j
-                            row[idx] = field.sub(row[idx], act[i, k])
+                    for k, a in enumerate(act_cols[j]):
+                        if a:
+                            row[offsets[t] + i * nt + k] = a
+                    for k, a in enumerate(act_rows[i]):
+                        if a:
+                            row[offsets[d] + k * nd + j] = field.neg(a)
                     rows.append(row)
     return rows, nvars
 
@@ -469,7 +469,7 @@ def _hom_blocks(m: Module, flat) -> dict[int, Matrix]:
 def endomorphism_basis(m: Module) -> list[dict[int, Matrix]]:
     """A basis of the space of degree-0 graded module endomorphisms."""
     rows, nvars = _hom_system(m)
-    # _hom_system makes every entry with Field.add and Field.sub: canonical
+    # _hom_system writes block entries and their Field.neg: canonical
     ker = Matrix(m.field, rows, ncols=nvars, _raw=True).kernel_matrix()
     return [_hom_blocks(m, col) for col in ker.cols()]
 
@@ -739,7 +739,7 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
         count = sum(part.ncols for part in parts)
         if count != m.dim(d):
             problems.append(f"degree {d}: {count} vectors for dimension {m.dim(d)}")
-        elif count and hstack(parts).rank() != count:
+        elif count and vstack([part.transpose() for part in parts]).rank() != count:
             problems.append(f"degree {d}: free + complement is not a direct sum")
     for name, part, emb in (("free", fs.free_part, fs.free_embedding),
                             ("complement", fs.complement, fs.complement_embedding)):

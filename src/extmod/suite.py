@@ -8,8 +8,8 @@ degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
 there as dim F_n - dim F_{n+1}, where e1 is zero.  The genuinely infinite
 product is out of computational reach; every quantitative statement below
 concerns a finite stage, where it is exact.  The right-infinite flash the
-suite contrasts with the stage is read exactly, off one fixed window of degrees
-that depends on the algebra alone (``_right_infinite_window``).
+suite contrasts with the stage is read exactly, off its fixed five- or
+six-dimensional quotient L(2, eps, 0) (``_right_infinite_window``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Any
 
 from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
-from .modules import (E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash,
-                      truncated_infinite_flash)
+from .modules import E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash
 from .operators import _terms, filtration_trace, stable_intersection
 
 
@@ -78,15 +77,17 @@ class ExclusionProbe:
 
 
 def _right_infinite_window(left_top: bool, params: AlgebraParams) -> tuple[Module, list[int]]:
-    """The right-infinite flash cut at |e2| + gap, and the degrees d <= gap its
-    first chain step moves.
+    """L(2, left_top, 0), and the degrees d <= gap its first chain step moves.
 
-    F_1(d) = e2^{-1}(e1 F_0(d + gap)) reads degrees d, d + gap and d + |e2|, all
-    kept for d <= gap, where the bottoms are x_0 and x_1.  The shift x_k -> x_{k+1}
-    carries the step at x_1 to every later bottom, and e2 kills the tops, so
-    with no degree moved every F_j is the whole infinite flash.
+    L(2, left_top, 0) is the right-infinite flash modulo the span of x_k
+    (k >= 3) and y_k (k >= 2).  At d <= gap, F_1(d) = e2^{-1}(e1 F_0(d + gap))
+    reads e2 from degree d and e1 from d + gap, which hold only x_0, x_1, x_2,
+    y_{-1} and y_0, none quotiented; both land in degree d + |e2|, where the
+    dropped x_k receive nothing, so the preimage is the flash's own.  The shift
+    x_k -> x_{k+1} carries the step at x_1 to every later bottom, and e2 kills
+    the tops, so with no degree moved every F_j is the whole infinite flash.
     """
-    mod = truncated_infinite_flash(left_top, params.deg_e2 + params.gap, params)
+    mod = make_flash(FlashShape.l(2, left_top, 0), params)
     f0, f1 = islice(_terms(mod), 2)
     return mod, [d for d in f0 if d <= params.gap and f1[d] != f0[d]]
 

@@ -389,6 +389,39 @@ def random_variant_b_module(params, max_total_dim, seed, degree_max=7):
     return m
 
 
+def reference_hom_system(m):
+    """The equations phi_{d+|e|} e = e phi_d, one ``Matrix`` entry at a time,
+    accumulated with Field.add and Field.sub, as ``decompose._hom_system`` made them."""
+    field = m.field
+    offsets = {}
+    nvars = 0
+    for d in m.degrees:
+        offsets[d] = nvars
+        nvars += m.dim(d) ** 2
+    rows = []
+    for d in m.degrees:
+        nd = m.dim(d)
+        for which in (E1, E2):
+            t = d + m.params.action_degree(which)
+            nt = m.dim(t)
+            act = m.action(which, d)
+            if act.is_zero():
+                continue
+            for i in range(nt):
+                for j in range(nd):
+                    row = [field.zero] * nvars
+                    for k in range(nt):
+                        if act[k, j]:
+                            idx = offsets[t] + i * nt + k
+                            row[idx] = field.add(row[idx], act[k, j])
+                    for k in range(nd):
+                        if act[i, k]:
+                            idx = offsets[d] + k * nd + j
+                            row[idx] = field.sub(row[idx], act[i, k])
+                    rows.append(row)
+    return rows, nvars
+
+
 def parent_dims(u: dict[int, SubspaceBasis]) -> dict[int, int]:
     """The carrier of a graded subspace: the ambient dimension of each degree."""
     return {d: s.ambient_dim for d, s in u.items()}

@@ -421,10 +421,6 @@ def test_paper_check_json_schema(capsys):
     (["--N", "4", "--jmax", "100000000"], "--jmax 100000000", None),
     (["--N", "4", "--jmax", "100000000", "--field", "5", "--degs", "2,5"],
      "--jmax 100000000", None),
-    # --degs alone sizes the right-infinite flash's window: cut at |e2| + gap =
-    # 1000006, it is built from the flash with bottoms x_0 .. x_333335 and a top
-    # after each
-    (["--N", "3", "--jmax", "5", "--degs", "1000000,1000003"], "--degs 1000000,1000003", 666672),
 ])
 def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     # checked against the numbers alone, before anything is built
@@ -433,6 +429,17 @@ def test_paper_check_rejects_oversized_numbers(capsys, argv, flag, dim):
     assert code == 2
     what = "is" if dim is None else f"makes a module of dimension {dim},"
     assert capsys.readouterr().err == f"error: {flag} {what} above the limit of {MAX_TERM_DIM}\n"
+
+
+def test_paper_check_degrees_size_nothing(capsys):
+    # the right-infinite flash is read off L(2,0,0), 5 vectors at any degrees
+    code, seconds, peak = _traced_main(["paper-check", "--N", "3", "--jmax", "5",
+                                        "--degs", "1000000,1000003"])
+    assert seconds < 1.0 and peak < 1_000_000
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("[PASS]") for line in lines[:-1])
+    assert lines[-1] == "ALL ITEMS PASS"
 
 
 def test_paper_check_runs_at_the_jmax_limit(capsys):

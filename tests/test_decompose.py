@@ -25,7 +25,7 @@ from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
 from helpers import (basis_vector, count_coerce, count_span, counterexample_stage,
                      flash_sum, random_flash_shapes, random_variant_b_module,
-                     reference_match)
+                     reference_hom_system, reference_match)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -452,6 +452,21 @@ def test_endomorphism_basis_coerces_no_entry(monkeypatch, char):
     coerced = Matrix(m.field, rows, ncols=nvars).kernel_matrix()
     assert basis == [decompose_mod._hom_blocks(m, col) for col in coerced.cols()]
     assert idempotent_oracle(m, seed=5).multiset() == Counter(shapes)
+
+
+@pytest.mark.parametrize("char", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_hom_system_matches_the_entrywise_reference(char):
+    # the same equation rows, entry for entry and type for type, so
+    # endomorphism_basis and the oracle's candidate stream do not change
+    params = default_params(char)
+    for seed in range(6):
+        rng = random.Random(seed)
+        mods = [random_variant_b_module(params, 20, seed),
+                random_basis_change(flash_sum(random_flash_shapes(rng, 5, 4, 5), params), seed)]
+        for m in mods:
+            rows = decompose_mod._hom_system(m)
+            assert rows == reference_hom_system(m)
+            assert repr(rows) == repr(reference_hom_system(m))
 
 
 def test_multiplicities_examples():

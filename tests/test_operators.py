@@ -381,6 +381,37 @@ def test_margolis_ranks_each_block_once(monkeypatch, which):
     assert len({id(a) for a in ranked}) == len(ranked) <= len(m.action_items(which))
 
 
+def _placed(field, n, offset, sub):
+    """The vectors of ``sub`` written at coordinates offset .. in dimension n."""
+    return [(field.zero,) * offset + v + (field.zero,) * (n - offset - len(v))
+            for v in sub.vectors()]
+
+
+@pytest.mark.parametrize("char", [2, 5, 0], ids=["F2", "F5", "Q"])
+def test_filtration_commutes_with_direct_sums(char):
+    # every F_j of a + b is F_j(a) + F_j(b), each at its direct_sum offset,
+    # and the sum's chain stops moving when the slower summand's does
+    params = default_params(char)
+    field = params.field
+    rng = random.Random(char)
+    for seed in range(4):
+        drawn = [random_variant_b_module(params, 16, 2 * seed + k) for k in (0, 1)]
+        scrambled = [random_basis_change(flash_sum(random_flash_shapes(rng, 4, 4, 5), params),
+                                         2 * seed + k) for k in (0, 1)]
+        for a, b in (drawn, scrambled):
+            total = direct_sum([a, b])
+            ta, tb, tt = (filtration_trace(m) for m in (a, b, total))
+            assert tt.stable_index == max(ta.stable_index, tb.stable_index)
+            for j in range(tt.stable_index + 2):
+                for d, n in total.dims_by_degree.items():
+                    vecs = []
+                    if d in a.dims_by_degree:
+                        vecs += _placed(field, n, 0, ta[j][d])
+                    if d in b.dims_by_degree:
+                        vecs += _placed(field, n, n - b.dim(d), tb[j][d])
+                    assert tt[j][d] == SubspaceBasis.from_spanning(field, n, vecs)
+
+
 def test_operators_commute_with_shift():
     m = flash_sum([FlashShape.l(2, 0, 1), FlashShape.finite(2, True, False, 1)], P)
     moved = shift(m, 5)

@@ -7,6 +7,9 @@ export is referenced by a ``Name`` or by the attribute of an ``Attribute``
 node; a method only by the attribute, so a local variable spelled like a
 method does not count as its caller.  Docstrings, comments and bare imports
 are not code references.
+
+No module of the package holds an ``assert`` statement: ``python -O`` drops
+them, so an invariant check raises ``InternalError`` instead.
 """
 
 import ast
@@ -30,8 +33,6 @@ UNCALLED = {
 UNCALLED_METHODS = {
     "Matrix.rref": "bench/tracing.py hooks it as an elimination entry point",
     "SubspaceBasis.contains_vector": "bench/tracing.py hooks it",
-    "Matrix.rows": "tests and users read a matrix row by row; the package reads "
-                   "cols() and the rows in the family layout",
 }
 
 
@@ -93,3 +94,10 @@ def test_references_ignore_docstrings_comments_imports_and_own_definitions():
               'def f():\n    return f()\n'
               'class C:\n    def g(self):\n        return self.h, C, f\n')
     assert _referenced([source]) == ({"self", "f"}, {"h"})
+
+
+def test_the_package_holds_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+    assert any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse("assert x")))
