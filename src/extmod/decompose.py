@@ -198,25 +198,14 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
         return []
     fam = field._family
     imgs = [fam.apply(act, s.vectors[s.right_pos]) for s in dom]
-    if not cod:
-        if any(map(fam.nonzero, imgs)):
-            raise InternalError("action image escapes the socle layer")
-        return []
-    k, n = len(cod), len(dom)
-    # one span of the rows of [T | B], with the codomain strands' last vectors
-    # as the columns of T and the images as those of B
-    rows, piv = fam.span(fam.transpose([s.vectors[s.right_pos] for s in cod] + imgs,
-                                       act.nrows), k + n)
-    # T's columns are independent, so the coordinates exist exactly when T's
-    # columns are the pivots; then the rows are [I | a], and a's columns follow
-    # the k unit columns
-    if piv != list(range(k)):
-        raise InternalError("socle coordinates must exist")
-    cols = list(fam.transpose(rows, k + n)[k:])
+    cols = fam.coordinates([s.vectors[s.right_pos] for s in cod], imgs, act.nrows)
+    if cols is None:
+        raise InternalError("socle coordinates must exist" if cod
+                            else "action image escapes the socle layer")
     one, entry, add_scaled = field.one, fam.entry, fam.add_scaled
     # the columns not yet due, in index order; a column passed over for want
     # of a pivot is zero, and stays zero
-    pending = list(range(n))
+    pending = list(range(len(dom)))
     pairs = []
     for ci, pr, col in _pivots(cod, dom, lambda c: fam.support(cols[c])):
         pending.remove(ci)
@@ -460,8 +449,7 @@ def _hom_blocks(m: Module, flat) -> dict[int, Matrix]:
     pos = 0
     for d in m.degrees:
         nd = m.dim(d)
-        out[d] = Matrix(m.field, [flat[pos + i * nd:pos + (i + 1) * nd] for i in range(nd)],
-                        ncols=nd, _raw=True)
+        out[d] = Matrix.from_flat(m.field, flat[pos:pos + nd * nd], nd)
         pos += nd * nd
     return out
 

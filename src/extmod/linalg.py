@@ -50,8 +50,9 @@ pivot count of a span on tuples; ``Matrix.rank`` and containment use it.
 Every other ``Matrix`` elimination is one span of its rows: ``rref_pivots``
 pads the rows with zero rows, and ``solve`` spans the rows of [A | B] at
 full width, which is inconsistent exactly when a pivot falls in B.
-``inverse`` solves against the identity; on bytes a singular matrix is
-rejected first, by the forward pass alone, stopped at the first row that
+``inverse`` reads row i of the inverse as the coordinates of e_i over
+A's rows (see ``coordinates`` below); on bytes that is one forward pass of
+the tagged rows [A | -I], which stops at the first row whose A part
 reduces to zero.
 
 Where the cheapest algorithm differs, the byte and the tuple layouts keep
@@ -59,12 +60,17 @@ their own.  On bytes a product row combines the packed rows of the right
 factor with the entries of the left row, and m @ v the packed columns of m
 with the entries of v; over F2 that is the XOR of the rows or columns
 selected, after Albrecht, Bard and Hart, "Algorithm 898: Efficient
-multiplication of dense matrices over GF(2)" (ACM TOMS 2010); a vector with
-one nonzero entry selects one column.  A packed preimage of u under m spans
-u's rows with each column of m tagged by its index, and keeps the tags of
-the vectors whose column part cancels, the only rows it back-substitutes; a
-pullback, the preimage under m of u's image under a, puts the images of u's
-rows in that span unreduced, so it is one elimination.  The two
+multiplication of dense matrices over GF(2)" (ACM TOMS 2010); a vector or
+a left row with one nonzero entry selects one column or one right row,
+scaled.  ``coordinates`` of vectors over independent t_r forward-reduces
+the tagged rows [t_r | -e_r] and reduces each vector through them in
+ascending pivot order, which leaves [0 | its coordinates]; the tuple
+layouts read them off one span of the transposed [T | V].  A packed
+preimage of u under m spans u's rows with each column of m tagged by its
+index, and keeps the tags of the vectors whose column part cancels, the
+only rows it back-substitutes; a pullback, the preimage under m of u's
+image under a, puts the images of u's rows in that span unreduced, so it
+is one elimination.  The two
 tuple layouts share one base, :class:`_IntRows`, which reads a vector as
 integer numerators over a denominator (1 over F_p) and writes products,
 m @ v, spans, preimages and tallies once.  A product entry is one integer dot
@@ -346,31 +352,34 @@ class _PackedFp:
         data = b"".join(v.to_bytes(n, "little") for v in vectors)
         return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
 
-    def apply(self, m: "Matrix", v: int) -> int:
-        """m @ v: the packed columns of m combined with v's entries, or column
-        j times c for a vector whose one nonzero lane j holds c."""
+    def _combine_by(self, vectors, v: int, n: int) -> int:
+        """The sum of c * vectors[j] over the lanes j of v, of length n, that
+        hold c: for a v with one nonzero lane, that one vector, scaled."""
         if not v:
             return 0
         lane = ((v & -v).bit_length() - 1) >> 3
         c = v >> 8 * lane
         if c < 256:
-            col = m._columns()[lane]
-            return col if c == 1 else self.scale(col, c)
-        return self._combine(m._columns(), v.to_bytes(m.ncols, "little"))
+            return vectors[lane] if c == 1 else self.scale(vectors[lane], c)
+        return self._combine(vectors, v.to_bytes(n, "little"))
+
+    def apply(self, m: "Matrix", v: int) -> int:
+        """m @ v: the packed columns of m combined with v's entries."""
+        return self._combine_by(m._columns(), v, m.ncols)
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
         """The rows of a @ b: the packed rows of b combined with a row of a's entries."""
-        brows, n = b._rows, a.ncols
-        return tuple(self._combine(brows, arow.to_bytes(n, "little")) for arow in a._rows)
+        brows, n, combine = b._rows, a.ncols, self._combine_by
+        return tuple([combine(brows, arow, n) for arow in a._rows])
 
-    def _forward(self, vectors, stop: bool = False) -> dict[int, int] | None:
+    def _forward(self, vectors, stop: int | None = None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot, the
         lane of their lowest set bit, each stored with a 1 there.
 
         Each vector is cleared at its lowest lane, holding c, by adding p - c
         times the row with that pivot, until it is zero or has a pivot of its
-        own.  With ``stop`` the pass ends at the first vector that reduces to
-        zero, and returns None.
+        own.  Given ``stop``, the pass ends at the first vector whose pivot
+        falls at or past that lane, and returns None.
         """
         p, inv, reduced = self.p, self._inv, self._reduced
         rows: dict[int, int] = {}
@@ -380,18 +389,12 @@ class _PackedFp:
                 c = v >> 8 * lane & 255
                 row = rows.get(lane)
                 if row is None:
+                    if stop is not None and lane >= stop:
+                        return None
                     rows[lane] = v if c == 1 else reduced(inv[c] * v)
                     break
                 v = reduced(v + (p - c) * row)
-            else:
-                if stop:
-                    return None
         return rows
-
-    def forward_dependent(self, vectors) -> bool:
-        """Whether a forward pass over the vectors, stopped at the first that
-        reduces to zero, shows them linearly dependent."""
-        return self._forward(vectors, stop=True) is None
 
     def rank(self, vectors, n: int) -> int:
         """The dimension of the span of the vectors: the rows of its forward pass."""
@@ -423,6 +426,35 @@ class _PackedFp:
             later |= 255 << 8 * lane
         lanes.reverse()
         return [rows[k] for k in lanes], lanes
+
+    def coordinates(self, basis, vectors, n: int) -> list[int] | None:
+        """The coordinates of each vector of length n over the basis vectors t_r,
+        or None if those are dependent or a vector lies outside their span: the
+        forward-reduced rows [t_r | -e_r] clear each vector at its lowest lane,
+        in ascending pivot order, down to [0 | its coordinates]."""
+        shift = 8 * n
+        rows = self._forward([t | (self.p - 1) << shift + 8 * r for r, t in enumerate(basis)], n)
+        if rows is None:
+            return None
+        head, out = (1 << shift) - 1, []
+        for v in vectors:
+            v = self._clear_head(v, rows, head)
+            if v is None:
+                return None
+            out.append(v >> shift)
+        return out
+
+    def _clear_head(self, v: int, rows, head: int) -> int | None:
+        """v cleared at its lowest lane in head by the forward row with that
+        pivot until head is zero, or None at a lane that no row clears."""
+        p, add_scaled = self.p, self.add_scaled
+        while v & head:
+            lane = ((v & -v).bit_length() - 1) >> 3
+            row = rows.get(lane)
+            if row is None:
+                return None
+            v = add_scaled(v, row, p - (v >> 8 * lane & 255))
+        return v
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis",
                  a: "Matrix | None" = None) -> tuple[list[int], list[int]]:
@@ -473,13 +505,14 @@ class _PackedF2(_PackedFp):
         return reduce(xor, compress(vectors, coeffs), 0)
 
     @staticmethod
-    def _forward(vectors, stop: bool = False) -> dict[int, int] | None:
+    def _forward(vectors, stop: int | None = None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot bit,
         the lowest one they have set.
 
         Each vector is cleared at its lowest bit by the row with that pivot
-        until it is zero or has a pivot of its own.  With ``stop`` the pass
-        ends at the first vector that reduces to zero, and returns None.
+        until it is zero or has a pivot of its own.  Given ``stop``, the pass
+        ends at the first vector whose pivot falls at or past that entry, and
+        returns None.
         """
         rows: dict[int, int] = {}
         for v in vectors:
@@ -487,12 +520,11 @@ class _PackedF2(_PackedFp):
                 low = v & -v
                 row = rows.get(low)
                 if row is None:
+                    if stop is not None and low >> 8 * stop:
+                        return None
                     rows[low] = v
                     break
                 v ^= row
-            else:
-                if stop:
-                    return None
         return rows
 
     def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
@@ -516,6 +548,16 @@ class _PackedF2(_PackedFp):
             later |= bit
         bits.reverse()
         return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
+
+    @staticmethod
+    def _clear_head(v: int, rows, head: int) -> int | None:
+        """As on odd p, with the rows keyed by pivot bit: each update is one XOR."""
+        while v & head:
+            row = rows.get(v & -v)
+            if row is None:
+                return None
+            v ^= row
+        return v
 
 
 def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
@@ -583,12 +625,6 @@ class _IntRows:
     def support(self, v) -> dict:
         """The nonzero entries of v by index, lowest index first."""
         return {j: self.entry(v, j) for j, x in enumerate(self._read(v)[0]) if x}
-
-    @staticmethod
-    def forward_dependent(vectors) -> bool:
-        """False: the tuple layouts run no forward pass of their own, and a
-        singular matrix shows in the span that inverts it."""
-        return False
 
     def tally(self, rows, n: int):
         """The sum of the unit vectors of length n at a list of rows."""
@@ -671,6 +707,16 @@ class _IntRows:
             if r == m:
                 break
         return self._echelon(rows[:r], pivots), pivots
+
+    def coordinates(self, basis, vectors, n: int) -> list | None:
+        """The coordinates of each vector over the basis, as on bytes: the
+        columns of X in the rows [I | X] of the span of [T | V] transposed,
+        T's columns the basis vectors and V's the vectors."""
+        k, width = len(basis), len(basis) + len(vectors)
+        rows, pivots = self.span(self.transpose([*basis, *vectors], n), width)
+        if pivots != list(range(k)):
+            return None
+        return list(self.transpose(rows, width)[k:])
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis",
                  a: "Matrix | None" = None) -> tuple[list, list[int]]:
@@ -958,6 +1004,13 @@ class Matrix:
                                         for j in ones], ncols)
 
     @classmethod
+    def from_flat(cls, field: Field, values, ncols: int) -> "Matrix":
+        """The matrix whose rows are the runs of ncols canonical entries in values."""
+        pack = field._family.pack
+        return cls._from_family(field, [pack(values[i:i + ncols])
+                                        for i in range(0, len(values), ncols or 1)], ncols)
+
+    @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,
                   _raw: bool = False) -> "Matrix":
         """The matrix with the given columns, which it keeps as its column cache.
@@ -1134,18 +1187,14 @@ class Matrix:
         return sol.col(0) if sol is not None else None
 
     def inverse(self) -> "Matrix | None":
-        """The inverse, or None for a singular matrix.
-
-        On the byte layouts a singular matrix is rejected by the forward pass
-        over its rows, stopped at the first row that reduces to zero, before
-        any identity is built.  On the tuple layouts, where random draws are
-        rarely singular, the span of [self | I] finds it.
-        """
+        """The inverse, or None for a singular matrix: row i holds the
+        coordinates of e_i over the rows of self, so on bytes one forward pass
+        of [self | -I] stops at the first row of self that reduces to zero."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        if self.field._family.forward_dependent(self._rows):
-            return None
-        return self.solve(Matrix.identity(self.field, self.nrows))
+        fam, n = self.field._family, self.nrows
+        rows = fam.coordinates(self._rows, [fam.unit(i, n) for i in range(n)], n)
+        return None if rows is None else Matrix._from_family(self.field, rows, n)
 
 
 def vstack(mats: list[Matrix]) -> Matrix:

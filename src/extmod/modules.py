@@ -461,47 +461,55 @@ def _draw_tables(n: int) -> tuple[bytes, bytes]:
     return table, bytes(b for b in range(256) if table[b] >= n)
 
 
-def _draws(rng: random.Random, n: int, count: int):
-    """The values of ``count`` calls of ``rng.randrange(n)``, leaving rng as they would.
+def _draws(seed: int, n: int):
+    """A function that returns the values of the next ``count`` calls of
+    ``random.Random(seed).randrange(n)``: ``bytes`` for n < 256, else a list.
 
     randrange(n) takes the top k = n.bit_length() bits of one 32-bit
     Mersenne Twister word, and takes another word while the value is >= n.
     For n < 256 those bits lie in the word's top byte, and
-    ``getrandbits(32 * need)`` returns exactly ``need`` words, little-endian.
-    Each value takes at least one word, so asking for one word per missing
-    value never reads past the last word the calls would take.  The result
-    is ``bytes`` for n < 256 and a list of ints otherwise.
+    ``getrandbits(32 * w)`` returns w words, little-endian, in one call.  A
+    call per value costs far more: randrange(2) takes two bits and rejects
+    half the words, so it loops.  So the generator is read ahead at least
+    4096 words at a time.  It is made here from the seed and reached only
+    through the function returned, so the words read past the last value
+    used change nothing a caller can see.
     """
+    rng = random.Random(seed)
     if n >= 256:
-        return [rng.randrange(n) for _ in range(count)]
+        return lambda count: [rng.randrange(n) for _ in range(count)]
     table, delete = _draw_tables(n)
-    out = b""
-    while len(out) < count:
-        need = count - len(out)
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        out += words[3::4].translate(table, delete)
-    return out
+    ahead = b""
+
+    def take(count: int) -> bytes:
+        nonlocal ahead
+        while len(ahead) < count:
+            words = max(4096, count - len(ahead))
+            data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            ahead += data[3::4].translate(table, delete)
+        out, ahead = ahead[:count], ahead[count:]
+        return out
+
+    return take
 
 
-def _random_invertible(field: Field, n: int,
-                       rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A random invertible n x n matrix and its inverse.
+def _random_invertible(field: Field, n: int, draw) -> tuple[Matrix, Matrix]:
+    """A random invertible n x n matrix and its inverse, from the values of
+    ``draw`` (see ``_draws``).
 
-    Candidates are drawn row by row, each entry as ``rng.randrange(p)`` over
-    F_p and ``rng.randint(-3, 3)`` over Q would draw it, so the stream stays
-    that of one call per entry.  ``Matrix.inverse`` rejects a singular draw
-    on the byte layouts after one forward pass over its rows that stops at
-    the first row reducing to zero; only an invertible draw is inverted.
+    Candidates are drawn row by row, each entry as ``randrange(p)`` over F_p
+    and ``randint(-3, 3)`` over Q would draw it, so the values are those of
+    one call per entry.  ``Matrix.inverse`` rejects a singular draw in the
+    forward pass that starts inverting an invertible one.
     """
     p = field.characteristic
     for _ in range(10000):
         # both draws are already canonical field elements: an int is an
         # exact rational, and randint(-3, 3) is -3 + randrange(7)
-        values = _draws(rng, p or 7, n * n)
+        values = draw(n * n)
         if not p:
             values = [v - 3 for v in values]
-        rows = [values[i:i + n] for i in range(0, n * n, n)]
-        mat = Matrix(field, rows, ncols=n, _raw=True)
+        mat = Matrix.from_flat(field, values, n)
         inv = mat.inverse()
         if inv is not None:
             return mat, inv
@@ -512,18 +520,22 @@ def random_basis_change(m: Module, seed: int) -> Module:
     """Conjugate all actions by a seeded random degreewise change of basis.
 
     The result is isomorphic to the input; labels are dropped because the
-    canonical basis no longer means anything.  The random stream is the one
-    ``random.Random(seed).randrange`` gives, so a seed always yields the same
-    module.
+    canonical basis no longer means anything.  The entries are the values
+    one ``random.Random(seed).randrange`` call each would give, degree after
+    degree, so a seed always yields the same module.  Those values come from
+    one stream that reads its generator ahead (see ``_draws``); the generator
+    lives only inside this call, so what it reads past the last value used
+    is never seen.
     """
-    rng = random.Random(seed)
+    draw = _draws(seed, m.field.characteristic or 7)
     change, inverse = {}, {}
     for d, n in m.dims_by_degree.items():
-        change[d], inverse[d] = _random_invertible(m.field, n, rng)
+        change[d], inverse[d] = _random_invertible(m.field, n, draw)
 
     def conj(which: str, step: int) -> dict[int, Matrix]:
-        # an absent block is zero and stays zero
-        return {d: inverse[d + step] @ a @ change[d]
+        # an absent block is zero and stays zero; a @ change[d] first, as a
+        # flash sum's blocks, one unit or zero per row, select its rows
+        return {d: inverse[d + step] @ (a @ change[d])
                 for d, a in m.action_items(which).items()}
 
     return Module(m.params, dict(m.dims_by_degree),

@@ -7,7 +7,7 @@ from fractions import Fraction
 from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
                            preimage_space, standard_complement, sum_space)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
-                            direct_sum, make_flash, validate)
+                            default_params, direct_sum, make_flash, validate)
 from extmod.textio import DocumentError
 
 
@@ -98,6 +98,37 @@ def reference_random_invertible(field, n, rng):
             return (Matrix(field, rows, ncols=n),
                     Matrix(field, [row[n:] for row in aug], ncols=n))
     raise RuntimeError("failed to sample an invertible matrix")
+
+
+def reference_random_basis_change(m, seed):
+    """``modules.random_basis_change`` with one ``randrange`` or ``randint`` per
+    entry: ``reference_random_invertible`` degree after degree on one
+    ``Random(seed)``, each block conjugated by entry-by-entry products."""
+    rng = random.Random(seed)
+    pairs = {d: reference_random_invertible(m.field, n, rng)
+             for d, n in m.dims_by_degree.items()}
+
+    def conj(which, step):
+        return {d: reference_product(pairs[d + step][1], reference_product(a, pairs[d][0]))
+                for d, a in m.action_items(which).items()}
+
+    return Module(m.params, m.dims_by_degree, conj(E1, m.params.deg_e1),
+                  conj(E2, m.params.deg_e2))
+
+
+def scramble_test_module(char, dims, seed=0):
+    """A module over F_char, Q for 0, with dims[d] in degree d and a random
+    e1 and e2 block out of every degree that has a target: no relation holds,
+    but a basis change conjugates every block."""
+    params = default_params(char)
+    rng = random.Random(seed)
+    degs = dict(enumerate(dims))
+
+    def blocks(step):
+        return {d: random_matrix(params.field, degs[d + step], n, rng)
+                for d, n in degs.items() if d + step in degs}
+
+    return Module(params, degs, blocks(params.deg_e1), blocks(params.deg_e2))
 
 
 def count_coerce(monkeypatch):

@@ -705,8 +705,9 @@ def test_matrix_eliminations_match_list_reference(field):
 @pytest.mark.parametrize("field", [F2, F5, F13, F17, QQ], ids=["F2", "F5", "F13", "F17", "Q"])
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
-    # right-hand sides, singular and invertible; on the byte layouts a
-    # singular matrix is rejected by a forward pass, before any span
+    # right-hand sides, singular and invertible; on the byte layouts an
+    # inverse, singular or not, is the tagged forward pass of the unit
+    # vectors' coordinates, and makes no span
     rng = random.Random(61)
     calls = count_span(monkeypatch, field)
     byte_layout = isinstance(field._family, _PackedFp)
@@ -715,9 +716,7 @@ def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
         calls[0] = 0
         out = op(*args)
         # a rank is the forward pass alone on bytes
-        assert calls[0] == (0 if byte_layout and (op.__name__ == "rank" or
-                                                  op.__name__ == "inverse" and out is None)
-                            else 1)
+        assert calls[0] == (0 if byte_layout and op.__name__ in ("rank", "inverse") else 1)
         return out
 
     seen = {"singular": 0, "inverse": 0, "none": 0, "solved": 0}
@@ -858,7 +857,7 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
-FAMILY_CALLS = {"add_scaled", "apply", "coerce", "entry", "forward_dependent", "join",
+FAMILY_CALLS = {"add_scaled", "apply", "coerce", "coordinates", "entry", "join",
                 "nonzero", "pack", "preimage", "product", "rank", "scale", "span",
                 "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
 
@@ -1136,6 +1135,91 @@ def test_unit_vectors_select_one_column(field):
                     assert m.apply(v) == reference_apply(m, v) and combined[0] == 1
     finally:
         del fam._combine
+
+
+def _reference_coordinates(field, basis, vectors, n):
+    """The coordinates of each vector over the basis vectors, all of length n,
+    by the route the chain sweep took before the family call: the list
+    elimination of [T | V], T's columns the basis and V's the vectors, whose
+    rows are [I | X] exactly when they exist; None otherwise."""
+    k, width = len(basis), len(basis) + len(vectors)
+    rows = [[v[i] for v in (*basis, *vectors)] for i in range(n)]
+    if reference_row_reduce(field, rows, width) != list(range(k)):
+        return None
+    return [tuple(row[k + j] for row in rows[:k]) for j in range(len(vectors))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_coordinates_match_the_transposed_span(field):
+    # independent, dependent and empty bases, with vectors inside the span,
+    # outside it and zero, at lengths past one 64-bit word
+    fam = field._family
+    rng = random.Random(107 + field.characteristic)
+    seen = {True: 0, False: 0}
+
+    def combinations(vectors, n, count):
+        span = Matrix.from_cols(field, vectors, nrows=n)
+        return [span.apply(c) for c in random_matrix(field, count, len(vectors), rng).rows]
+
+    for n, k, m in ((0, 0, 0), (0, 0, 2), (1, 0, 1), (1, 1, 3), (5, 3, 4), (9, 9, 6),
+                    (70, 6, 8), (70, 20, 3)):
+        for dependent in (False, True) if k else (False,):
+            basis = list(random_matrix(field, k, n, rng).rows)
+            if dependent:
+                basis[-1:] = combinations(basis[:-1], n, 1)
+            inside = combinations(basis, n, m)
+            outside = list(random_matrix(field, 1, n, rng).rows)
+            for vectors in (inside, inside + outside, [(field.zero,) * n] * m, []):
+                want = _reference_coordinates(field, basis, vectors, n)
+                got = fam.coordinates([fam.pack(v) for v in basis],
+                                      [fam.pack(v) for v in vectors], n)
+                assert (got if got is None else [fam.unpack(x, k) for x in got]) == want
+                seen[want is None] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_inverse_stops_at_a_singular_first_or_last_row(field):
+    # an inverse stops once a row of A reduces to zero: None for a zero first
+    # row and for a last row that is the sum of two others, and for an
+    # invertible A (a product of unit triangular factors) a matrix that A
+    # times gives the identity, entry by entry
+    rng = random.Random(109 + field.characteristic)
+    entries = (field.zero,) * 6 + (field.one, field.coerce(-2))
+
+    def unit_triangular(n, lower):
+        return Matrix(field, [[field.one if i == j else rng.choice(entries)
+                               if (i > j) == lower else field.zero for j in range(n)]
+                              for i in range(n)], ncols=n)
+
+    for n in (0, 1, 64, 65):
+        a = unit_triangular(n, True) @ unit_triangular(n, False)
+        inv = a.inverse()
+        assert reference_product(a, inv) == Matrix.identity(field, n)
+        if n:
+            rows = [list(r) for r in a.rows]
+            assert Matrix(field, [[field.zero] * n] + rows[1:], ncols=n).inverse() is None
+            if n > 1:
+                last = [field.add(x, y) for x, y in zip(rows[0], rows[-2])]
+                assert Matrix(field, rows[:-1] + [last], ncols=n).inverse() is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_products_take_unit_rows_as_rows_of_the_right_factor(field):
+    # rows of the left factor with one nonzero entry holding 1, 2 or p - 1,
+    # zero rows and dense rows, against the entry-by-entry product
+    p = field.characteristic
+    rng = random.Random(113 + p)
+    singles = sorted({field.coerce(c) for c in (1, 2, -1)} - {field.zero})
+    for nrows, inner, ncols in ((0, 3, 4), (4, 0, 3), (5, 1, 7), (6, 9, 70), (3, 70, 5),
+                                (70, 9, 3)):
+        b = random_matrix(field, inner, ncols, rng)
+        rows = [[field.zero] * inner]
+        for j in {0, inner - 1, rng.randrange(inner)} if inner else ():
+            rows += [[c if i == j else field.zero for i in range(inner)] for c in singles]
+        rows += [list(r) for r in random_matrix(field, 2, inner, rng).rows]
+        a = Matrix(field, [rng.choice(rows) for _ in range(nrows)], ncols=inner)
+        assert a @ b == reference_product(a, b)
 
 
 @pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)

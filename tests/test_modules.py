@@ -11,8 +11,9 @@ from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             truncated_infinite_flash, validate, with_variant,
                             zero_module)
 from helpers import (counterexample_stage, label_position, random_flash_shapes,
-                     reference_direct_sum, reference_flash, reference_random_invertible,
-                     reference_relation_violations)
+                     reference_direct_sum, reference_flash, reference_product,
+                     reference_random_basis_change, reference_relation_violations,
+                     scramble_test_module)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -224,46 +225,50 @@ def test_direct_sum_labels_and_blocks_match_per_degree_reference(char, degs):
 
 @pytest.mark.parametrize("char", CHARACTERISTICS)
 def test_random_invertible_draws_like_a_rank_test(char):
-    # sampling through inverse() must consume the random stream exactly as
-    # rejecting candidates by rank did, so seeded scrambles stay the same
+    # each degree's change of basis is the first per-entry draw of full rank:
+    # change[d + step] @ scrambled == block @ change[d] for every block, with
+    # many singular draws rejected over F2
     field = Field(char)
-    for n in (1, 2, 5):
-        rng, ref = random.Random(n), random.Random(n)
-        for _ in range(4):
-            mat, inv = modules._random_invertible(field, n, rng)
+    dims = (1, 2, 5, 2, 1, 5) + ((1, 2, 3, 1, 2, 3) if char == 2 else ())
+    m = scramble_test_module(char, dims)
+    for seed in range(4):
+        ref = random.Random(seed)
+        change = {}
+        for d, n in m.dims_by_degree.items():
             while True:
                 if char:
                     rows = [[ref.randrange(char) for _ in range(n)] for _ in range(n)]
                 else:
                     rows = [[ref.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-                cand = Matrix(field, rows, ncols=n)
-                if cand.rank() == n:
+                change[d] = Matrix(field, rows, ncols=n)
+                if change[d].rank() == n:
                     break
-            assert mat == cand
-            assert mat @ inv == Matrix.identity(field, n)
+        scrambled = random_basis_change(m, seed)
+        for which, step in ((E1, m.params.deg_e1), (E2, m.params.deg_e2)):
+            for d, block in m.action_items(which).items():
+                assert (reference_product(change[d + step], scrambled.action(which, d))
+                        == reference_product(block, change[d]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 128, 255, 256, 1000, 4294967311])
 def test_draws_match_randrange(n):
-    # the same values and the same generator state as one randrange per value
-    rng, ref = random.Random(n), random.Random(n)
-    for count in (0, 1, 2, 31, 500):
-        assert list(modules._draws(rng, n, count)) == [ref.randrange(n) for _ in range(count)]
-        assert rng.getstate() == ref.getstate()
+    # the stream's values are those of one randrange(n) per value on
+    # Random(seed), in requests that end inside and past a read-ahead chunk
+    # of 4096 words
+    take, ref = modules._draws(n, n), random.Random(n)
+    for count in (0, 1, 2, 31, 500, 3000, 5000, 9000):
+        assert list(take(count)) == [ref.randrange(n) for _ in range(count)]
 
 
-@pytest.mark.parametrize("char", [2, 3, 5, 7, 0, 257, 4294967311])
+@pytest.mark.parametrize("char", [2, 3, 5, 7, 13, 17, 0, 257, 4294967311])
 def test_random_invertible_matches_per_entry_reference(char):
-    # batched draws must give every seeded scramble the matrices, inverses and
-    # generator state of one randrange per entry; F2 also runs past 64 columns
-    field = Field(char)
-    sizes = list(range(1, 14)) + ([65, 70] if char == 2 else [])
+    # a seeded scramble equals the one that one randrange or randint per
+    # entry gives, degree after degree on one Random(seed); over F2 the
+    # degrees of dimension 65 and 70 draw more values than a read-ahead chunk
+    sizes = list(range(1, 15)) + ([65, 70] if char == 2 else [])
+    m = scramble_test_module(char, sizes)
     for seed in range(3):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for n in sizes:
-            assert modules._random_invertible(field, n, rng) == \
-                reference_random_invertible(field, n, ref)
-        assert rng.random() == ref.random()
+        assert random_basis_change(m, seed) == reference_random_basis_change(m, seed)
 
 
 def test_shift():
