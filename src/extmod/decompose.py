@@ -472,20 +472,26 @@ def _phi_combine(field: Field, terms: list[tuple[object, dict]]) -> dict[int, Ma
 
 
 def _fitting_split(m: Module, phi: dict[int, Matrix]):
-    """Split M = ker(phi^N) + im(phi^N) when both sides are proper."""
-    n_total = m.total_dim
+    """Split M = ker(phi^N) + im(phi^N) when both sides are proper.
+
+    By Fitting's lemma the kernel and image of phi_d^k stop changing by
+    k = n = dim M_d.  Both sides are proper exactly when some phi_d is
+    neither invertible (rank n) nor nilpotent (phi_d^n = 0), or when both
+    kinds occur.  Most candidates split nothing, so that is decided first,
+    and kernels and images are built only for a split.
+    """
+    # None for an invertible degree, True for a nilpotent one, False for neither
+    kinds = {None if phi[d].rank() == n else phi[d].power(n).is_zero()
+             for d, n in m.dims_by_degree.items()}
+    if False not in kinds and len(kinds) < 2:
+        return None
     kspaces, ispaces = {}, {}
-    kdim = 0
     for d, n in m.dims_by_degree.items():
-        # Fitting's lemma: the kernel and image of phi_d^k stop changing by k = n
         power = phi[d].power(n)
         k, i = kernel(power), image(power)
         if k.dim + i.dim != n or sum_space(k, i).dim != n:
             raise InternalError("Fitting decomposition failed to be direct")
         kspaces[d], ispaces[d] = k, i
-        kdim += k.dim
-    if kdim == 0 or kdim == n_total:
-        return None
     return kspaces, ispaces
 
 

@@ -68,10 +68,12 @@ ascending pivot order, which leaves [0 | its coordinates]; the tuple
 layouts read them off one span of the transposed [T | V].  A packed
 preimage of u under m spans u's rows with each column of m tagged by its
 index, and keeps the tags of the vectors whose column part cancels, the
-only rows it back-substitutes; a pullback, the preimage under m of u's
-image under a, puts the images of u's rows in that span unreduced, so it
-is one elimination.  The two
-tuple layouts share one base, :class:`_IntRows`, which reads a vector as
+only rows it back-substitutes.  The forward pass of the tagged columns does
+not depend on u, so m keeps it from its first preimage, as it keeps its
+columns, and each preimage runs only u's rows into a copy, as an LU
+factorization is reused across right-hand sides; a pullback, the preimage
+under m of u's image under a, runs in the images of u's rows unreduced.
+The two tuple layouts share one base, :class:`_IntRows`, which reads a vector as
 integer numerators over a denominator (1 over F_p) and writes products,
 m @ v, spans, preimages and tallies once.  A product entry is one integer dot
 product, and m @ v combines the columns of m that v selects while at most
@@ -372,17 +374,18 @@ class _PackedFp:
         brows, n, combine = b._rows, a.ncols, self._combine_by
         return tuple([combine(brows, arow, n) for arow in a._rows])
 
-    def _forward(self, vectors, stop: int | None = None) -> dict[int, int] | None:
+    def _forward(self, vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot, the
         lane of their lowest set bit, each stored with a 1 there.
 
         Each vector is cleared at its lowest lane, holding c, by adding p - c
         times the row with that pivot, until it is zero or has a pivot of its
         own.  Given ``stop``, the pass ends at the first vector whose pivot
-        falls at or past that lane, and returns None.
+        falls at or past that lane, and returns None.  Given ``rows``, the
+        forward pass of earlier vectors, the vectors are added to it.
         """
         p, inv, reduced = self.p, self._inv, self._reduced
-        rows: dict[int, int] = {}
+        rows = {} if rows is None else rows
         for v in vectors:
             while v:
                 lane = ((v & -v).bit_length() - 1) >> 3
@@ -400,15 +403,16 @@ class _PackedFp:
         """The dimension of the span of the vectors: the rows of its forward pass."""
         return len(self._forward(vectors))
 
-    def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors,
-        those with pivots at or past lane ``head`` alone.
+    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors, and
+        of the forward ``rows`` given, those with pivots at or past lane
+        ``head`` alone.
 
         After the forward pass, from the last pivot to the first, each row is
         cleared at the later pivots in one combination of their rows, which
         are reduced by then; the rows past ``head`` need no row before it.
         """
-        p, rows = self.p, self._forward(vectors)
+        p, rows = self.p, self._forward(vectors, None, rows)
         lanes = sorted([k for k in rows if k >= head], reverse=True)
         later = 0  # the lanes of the pivots after the current one
         for lane in lanes:
@@ -465,15 +469,18 @@ class _PackedFp:
         of each column j of m with the unit vector e_j appended past its
         nrows entries.  The vectors of that span that are zero in the first
         nrows entries are (0, v) for v in the preimage, so the echelon rows
-        with pivots past them are the preimage's, shifted.
+        with pivots past them are the preimage's, shifted.  The forward pass
+        of the tagged columns does not depend on u: m keeps it from its first
+        preimage, and each preimage adds u's vectors to a copy.
         """
         vectors = u._rows if a is None else [self.apply(a, r) for r in u._rows]
         shift = 8 * m.nrows
-        tagged = [col | 1 << shift + 8 * j for j, col in enumerate(m._columns())]
-        # last column first: a column whose head cancels then has its own tag as
-        # its lowest entry, as it only picks up the tags of later columns
-        tagged.reverse()
-        rows, pivots = self.span([*vectors, *tagged], m.nrows + m.ncols, m.nrows)
+        if m._fwd is None:
+            # last column first: a column whose head cancels then has its own tag
+            # as its lowest entry, as it only picks up the tags of later columns
+            m._fwd = self._forward([col | 1 << shift + 8 * j
+                                    for j, col in enumerate(m._columns())][::-1])
+        rows, pivots = self.span(vectors, m.nrows + m.ncols, m.nrows, dict(m._fwd))
         return [r >> shift for r in rows], [pr - m.nrows for pr in pivots]
 
 
@@ -505,16 +512,16 @@ class _PackedF2(_PackedFp):
         return reduce(xor, compress(vectors, coeffs), 0)
 
     @staticmethod
-    def _forward(vectors, stop: int | None = None) -> dict[int, int] | None:
+    def _forward(vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot bit,
         the lowest one they have set.
 
         Each vector is cleared at its lowest bit by the row with that pivot
         until it is zero or has a pivot of its own.  Given ``stop``, the pass
         ends at the first vector whose pivot falls at or past that entry, and
-        returns None.
+        returns None; given ``rows``, the vectors are added to them.
         """
-        rows: dict[int, int] = {}
+        rows = {} if rows is None else rows
         for v in vectors:
             while v:
                 low = v & -v
@@ -527,14 +534,15 @@ class _PackedF2(_PackedFp):
                 v ^= row
         return rows
 
-    def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors,
-        those with pivots at or past entry ``head`` alone.
+    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors and
+        of the forward ``rows`` given, those with pivots at or past entry
+        ``head`` alone.
 
         After the forward pass, from the last pivot to the first, each row is
         cleared at the later pivots by their rows, which are reduced by then.
         """
-        rows, cut = self._forward(vectors), 1 << 8 * head
+        rows, cut = self._forward(vectors, None, rows), 1 << 8 * head
         bits = sorted([b for b in rows if b >= cut], reverse=True)
         later = 0  # the pivots after the current one
         for bit in bits:
@@ -964,8 +972,10 @@ class Matrix:
     """
 
     # _fcols caches the columns in the family layout, made by one transpose
-    # of the rows on first use; safe because no method changes the rows
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols")
+    # of the rows on first use, and _fwd the forward pass of the tagged
+    # columns a byte-layout preimage starts from; safe because no method
+    # changes the rows
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_fwd")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
         """A matrix from rows of entries; ``_raw`` trusts them to be canonical sequences."""
@@ -981,7 +991,7 @@ class Matrix:
         fam = field._family
         self.field, self.nrows, self.ncols = field, len(rows), ncols
         self._rows = tuple(map(fam.pack if _raw else fam.coerce, rows))
-        self._fcols = None
+        self._fcols = self._fwd = None
 
     # -- constructors --------------------------------------------------------
 
@@ -1026,7 +1036,8 @@ class Matrix:
     def _from_family(cls, field: Field, rows, ncols: int) -> "Matrix":
         """The matrix with these rows in the field's family layout, which it keeps."""
         out = cls.__new__(cls)
-        out.field, out.ncols, out._rows, out._fcols = field, ncols, tuple(rows), None
+        out.field, out.ncols, out._rows = field, ncols, tuple(rows)
+        out._fcols = out._fwd = None
         out.nrows = len(out._rows)
         return out
 

@@ -310,9 +310,10 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
     y_{b-1} exactly when the right end is one.  A degree holds at most one
     bottom and one top, in that order, and no action sends two basis vectors
     to one, so each block row is written once, as a unit vector or zero.
-    A block depends only on the dimensions of its source and target degrees,
-    so every degree of one shape, under either action, holds the same
-    immutable block object: at most four of them per flash.
+    A block depends only on the field and the dimensions of its source and
+    target degrees, each 1 or 2, so every flash takes its blocks from one
+    table of four immutable objects per field (``_unit_blocks``), and a
+    factorization a block keeps serves every flash that holds it.
     """
     if shape.kind != "finite":
         raise ValueError("make_flash builds finite shapes; "
@@ -324,22 +325,23 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
             + [(shape.top_degree(i, params), 1, _top_label(i)) for i in tops]):
         labels[d] = labels.get(d, ()) + (label,)
     dims = {d: len(ls) for d, ls in labels.items()}
-    blocks: dict[tuple[int, int], Matrix] = {}
+    blocks = _unit_blocks(params.field)
 
     def arrows(step: int, sources) -> dict[int, Matrix]:
-        # x_i is the first vector of its degree, and its image y the last of its own
-        out = {}
-        for i in sources:
-            d = shape.bottom_degree(i, params)
-            size = dims[d], dims[d + step]
-            if size not in blocks:
-                blocks[size] = Matrix.units(params.field, size[0], [None] * (size[1] - 1) + [0])
-            out[d] = blocks[size]
-        return out
+        degrees = [shape.bottom_degree(i, params) for i in sources]
+        return {d: blocks[dims[d], dims[d + step]] for d in degrees}
 
     e1_sources = [i + 1 for i in tops if i + 1 < shape.bottoms]
     return Module(params, dims, arrows(params.deg_e1, e1_sources),
                   arrows(params.deg_e2, [i for i in tops if i >= 0]), labels=labels)
+
+
+@cache
+def _unit_blocks(field: Field) -> dict[tuple[int, int], Matrix]:
+    """The flash blocks over a field by the dimensions, 1 or 2, of source and
+    target: x_i, the first vector of its degree, to y, the last of its own."""
+    return {(s, t): Matrix.units(field, s, [None] * (t - 1) + [0])
+            for s in (1, 2) for t in (1, 2)}
 
 
 def make_free(gen_degree: int, params: AlgebraParams) -> Module:

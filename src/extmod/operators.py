@@ -26,7 +26,8 @@ class FiltrationTrace:
     its predecessor; indexing past the end returns the stable term.
     Consecutive terms share the SubspaceBasis object of every degree that did
     not move, and within a term degrees may share one object, as F_0 does per
-    dimension and a step does for degrees pulled back from the same objects.
+    dimension and a step does for degrees pulled back from equal blocks and
+    targets.
     """
 
     subspaces: tuple[dict[int, SubspaceBasis], ...]
@@ -43,7 +44,7 @@ class FiltrationTrace:
         return self.subspaces[self.stable_index]
 
 
-def _terms(m: Module):
+def _terms(m: Module, pulled: dict | None = None):
     """Yield F_0, F_1, ... through the first term equal to its predecessor.
 
     F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  A degree e2 kills never moves, so
@@ -53,10 +54,17 @@ def _terms(m: Module):
     the byte layouts.  Step j recomputes such a degree d only if
     F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
     other degree's subspace.  Some step moves no degree within total_dim + 1
-    steps, because each moving step shrinks a decreasing chain.  Degrees with
-    the same e2 block, e1 block and F_{j-1}(d + gap) objects share one
-    pull-back and its result object within a step, so flashes, whose blocks
-    come in a few shared objects, pull back each shape once.
+    steps, because each moving step shrinks a decreasing chain.
+
+    Degrees with the same e2 block, e1 block and F_{j-1}(d + gap) share one
+    pull-back and its result object.  Without ``pulled`` each step has a dict
+    of its own, keyed on the three objects' ids, which the module and prev
+    keep alive through the step; value keys would hash every row of both
+    blocks at every degree, about a sixth of a large stage's walk.  A caller
+    that walks many chains over one algebra may hand them one dict
+    ``pulled``, keyed on values, as it outlives their objects: flashes share
+    their blocks and targets, so their chains repeat one another, and the
+    dict holds every pull-back they make.
     """
     gap = m.params.gap
     e1, e2 = m.action_items(E1), m.action_items(E2)
@@ -68,15 +76,13 @@ def _terms(m: Module):
     while True:
         prev, term = term, dict(term)
         moved = []
-        # one pull-back per distinct (e2 block, e1 block, target) of the step;
-        # the module and prev hold all three objects, so no id is reused
-        pulled: dict[tuple[int, int, int], SubspaceBasis] = {}
+        memo = {} if pulled is None else pulled
         for d in todo:
-            a, b, u = e1.get(d + gap), e2[d], prev.get(d + gap)
-            key = id(b), id(a), id(u)
-            sub = pulled.get(key)
+            b, a, u = e2[d], e1.get(d + gap), prev.get(d + gap)
+            key = (id(b), id(a), id(u)) if pulled is None else (b, a, u)
+            sub = memo.get(key)
             if sub is None:
-                sub = pulled[key] = (
+                sub = memo[key] = (
                     preimage_space(b, SubspaceBasis.zero(m.field, b.nrows)) if a is None
                     else pullback(b, a, u))
             if sub != prev[d]:
@@ -88,10 +94,15 @@ def _terms(m: Module):
         todo = [d - gap for d in moved if d in e1 and d - gap in e2]
 
 
+def _trace(m: Module, pulled: dict | None = None) -> FiltrationTrace:
+    """The chain to its first repeated term, its pull-backs kept in ``pulled`` (see ``_terms``)."""
+    chain = tuple(_terms(m, pulled))
+    return FiltrationTrace(chain, len(chain) - 2)
+
+
 def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
     """The chain to its first repeated term; ``j_max`` is ignored, kept for old callers."""
-    chain = tuple(_terms(m))
-    return FiltrationTrace(chain, len(chain) - 2)
+    return _trace(m)
 
 
 def filtration(m: Module, j: int) -> dict[int, SubspaceBasis]:

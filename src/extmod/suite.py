@@ -22,7 +22,7 @@ from typing import Any
 from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash
-from .operators import _terms, filtration_trace, stable_intersection
+from .operators import _terms, _trace, filtration_trace
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,10 @@ class ExclusionProbe:
     stable_intersection_at_bottom_nonzero: bool
 
 
-def _right_infinite_window(left_top: bool, params: AlgebraParams) -> tuple[Module, list[int]]:
-    """L(2, left_top, 0), and the degrees d <= gap its first chain step moves.
+def _right_infinite_window(left_top: bool, params: AlgebraParams,
+                           pulled: dict | None = None) -> tuple[Module, list[int]]:
+    """L(2, left_top, 0), and the degrees d <= gap its first chain step moves,
+    its pull-backs kept in ``pulled`` (see ``operators._terms``).
 
     L(2, left_top, 0) is the right-infinite flash modulo the span of x_k
     (k >= 3) and y_k (k >= 2).  At d <= gap, F_1(d) = e2^{-1}(e1 F_0(d + gap))
@@ -88,7 +90,7 @@ def _right_infinite_window(left_top: bool, params: AlgebraParams) -> tuple[Modul
     the tops, so with no degree moved every F_j is the whole infinite flash.
     """
     mod = make_flash(FlashShape.l(2, left_top, 0), params)
-    f0, f1 = islice(_terms(mod), 2)
+    f0, f1 = islice(_terms(mod, pulled), 2)
     return mod, [d for d in f0 if d <= params.gap and f1[d] != f0[d]]
 
 
@@ -98,10 +100,15 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
     The shape is rebased at degree 0; a right-infinite flash is read off
     ``_right_infinite_window`` exactly.
     """
+    return _probe(shape, params, None)
+
+
+def _probe(shape: FlashShape, params: AlgebraParams, pulled: dict | None) -> ExclusionProbe:
+    """``exclusion_probe``, its chain's pull-backs kept in ``pulled``."""
     based = FlashShape(shape.kind, shape.bottoms, shape.left_top,
                        shape.right_top, 0)
     if based.kind == "right_infinite":
-        mod, moved = _right_infinite_window(based.left_top, params)
+        mod, moved = _right_infinite_window(based.left_top, params, pulled)
         if moved:
             raise InternalError("the first chain step moves the right-infinite flash "
                                 f"at degrees {moved}")
@@ -109,7 +116,7 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
         stable_nonzero = True
     elif based.kind == "finite":
         mod = make_flash(based, params)
-        stable_nonzero = stable_intersection(mod)[0].dim > 0
+        stable_nonzero = _trace(mod, pulled).stable[0].dim > 0
     else:
         raise ValueError("probe applies to finite or right-infinite shapes")
     return ExclusionProbe(not mod.action(E1, 0).is_zero(), stable_nonzero)
@@ -143,8 +150,10 @@ def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]
     return [zero[min(j, len(zero) - 1)] for j in range(j_max + 1)], zero[-1]
 
 
-def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
-    """The stage, and two items read off each summand's trace as soon as it is made.
+def _closed_flash_items(sp: SuiteParams,
+                        pulled: dict | None = None) -> tuple[Module, list[CheckItem]]:
+    """The stage, and two items read off each summand's trace as soon as it is
+    made, the traces' pull-backs kept in ``pulled``.
 
     Step j compares only the degrees where the expected F_j or the trace's object
     moved, or where step j-1 failed: the rest hold the objects matched at j-1.
@@ -152,7 +161,7 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
     mods, shape_failures, member_failures = [], [], []
     for n in range(sp.stage_size + 1):
         mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        trace = filtration_trace(mod)
+        trace = _trace(mod, pulled)
         field, dims = mod.field, mod.dims_by_degree
         # a flash's labels are distinct and name its whole basis
         at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
@@ -193,9 +202,16 @@ def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
 
 
 def run_checks(sp: SuiteParams) -> SuiteReport:
-    """Run all nine check items, walking each module's chain only once."""
+    """Run all nine check items, walking each module's chain only once.
+
+    The flashes' chains, closed, open-ended and the right-infinite window,
+    share one pull-back dict: their blocks and targets repeat, so they pull
+    back a few distinct triples in all.  The stage's chain gets none: no
+    flash shares its blocks, and the dict would keep every pull-back it makes.
+    """
     alg = sp.algebra
-    stage, items = _closed_flash_items(sp)
+    pulled: dict = {}
+    stage, items = _closed_flash_items(sp, pulled)
 
     # every stage item below the census reads degree 0 alone: walk the chain, keep no term
     zero, stable = _degree_zero(_terms(stage), sp.j_max)
@@ -230,7 +246,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"image_dim": e1_deg0},
         e1_deg0 == 0))
 
-    _, moved = _right_infinite_window(False, alg)
+    _, moved = _right_infinite_window(False, alg, pulled)
     items.append(CheckItem(
         "infinite-flash-contrast",
         "on the right-infinite flash the first chain step moves no degree, "
@@ -239,7 +255,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         not moved))
 
     # x_0 alone spans degree 0 of L(n,0,0)@0, so the probe's flag is the dimension
-    open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg)
+    open_end_dims = [int(_probe(FlashShape.l(n, 0, 0), alg, pulled)
                          .stable_intersection_at_bottom_nonzero)
                      for n in range(sp.stage_size + 1)]
     items.append(CheckItem(

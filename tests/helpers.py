@@ -4,7 +4,9 @@ import random
 import re
 from fractions import Fraction
 
-from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image,
+from extmod import operators
+from extmod.decompose import InternalError
+from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image, kernel,
                            preimage_space, standard_complement, sum_space)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
                             default_params, direct_sum, make_flash, validate)
@@ -451,6 +453,40 @@ def reference_hom_system(m):
                             row[idx] = field.sub(row[idx], act[i, k])
                     rows.append(row)
     return rows, nvars
+
+
+def reference_fitting_split(m, phi):
+    """M = ker(phi^N) + im(phi^N) split when both sides are proper, as
+    ``decompose._fitting_split`` made it: the kernel and image of phi_d^n
+    built at every degree, n = dim M_d, before the sides are measured."""
+    kspaces, ispaces = {}, {}
+    kdim = 0
+    for d, n in m.dims_by_degree.items():
+        power = phi[d].power(n)
+        k, i = kernel(power), image(power)
+        if k.dim + i.dim != n or sum_space(k, i).dim != n:
+            raise InternalError("Fitting decomposition failed to be direct")
+        kspaces[d], ispaces[d] = k, i
+        kdim += k.dim
+    if kdim == 0 or kdim == m.total_dim:
+        return None
+    return kspaces, ispaces
+
+
+def count_pullbacks(monkeypatch):
+    """Record the e2 block of every pull-back the chain makes from now on.
+
+    A step pulls a degree back through ``pullback``, or through
+    ``preimage_space`` where e1 has no block to take images with.
+    """
+    calls = []
+    for name in ("pullback", "preimage_space"):
+        def counted(a, *rest, real=getattr(operators, name)):
+            calls.append(a)
+            return real(a, *rest)
+
+        monkeypatch.setattr(operators, name, counted)
+    return calls
 
 
 def parent_dims(u: dict[int, SubspaceBasis]) -> dict[int, int]:

@@ -24,8 +24,8 @@ from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_s
 from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
 from helpers import (basis_vector, count_coerce, count_span, counterexample_stage,
-                     flash_sum, random_flash_shapes, random_variant_b_module,
-                     reference_hom_system, reference_match)
+                     flash_sum, random_flash_shapes, random_matrix, random_variant_b_module,
+                     reference_fitting_split, reference_hom_system, reference_match)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -411,6 +411,37 @@ def test_oracle_matches_decompose():
             m = random_variant_b_module(params, 6, 7100 + trial)
             assert decompose(m).multiset() == \
                 idempotent_oracle(m, seed=trial).multiset()
+
+
+@pytest.mark.parametrize("char", [2, 5, 0], ids=["F2", "F5", "Q"])
+def test_fitting_split_matches_the_reference(char):
+    # the split decided degree by degree before any space is built against the
+    # kernels and images built at every degree: the oracle's candidates on
+    # scrambled flash sums, and random blocks that are invertible, nilpotent,
+    # of neither kind or a mixture of those across degrees
+    params = default_params(char)
+    field = params.field
+    rng = random.Random(61 + char)
+    kinds = {"none": 0, "split": 0}
+    for trial in range(6):
+        m = random_basis_change(flash_sum(random_flash_shapes(rng, 4, 3, 4), params), trial)
+        endos = endomorphism_basis(m)
+        phis = list(itertools.islice(decompose_mod._split_candidates(m, endos, rng), 60))
+        for _ in range(20):
+            phi = {}
+            for d, n in m.dims_by_degree.items():
+                pick = rng.randrange(4)
+                strict = [[rng.randrange(3) if j > i else 0 for j in range(n)] for i in range(n)]
+                phi[d] = (Matrix.identity(field, n) if pick == 0
+                          else Matrix(field, strict) if pick == 1
+                          else Matrix.zeros(field, n, n) if pick == 2
+                          else random_matrix(field, n, n, rng))
+            phis.append(phi)
+        for phi in phis:
+            got, want = decompose_mod._fitting_split(m, phi), reference_fitting_split(m, phi)
+            assert got == want
+            kinds["none" if got is None else "split"] += 1
+    assert all(kinds.values()), kinds
 
 
 def _flatten(phi):

@@ -415,7 +415,8 @@ def test_f2_from_spanning_matches_list_elimination():
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
     # each is one call of the family's span, over every layout, and so is a
     # pullback on the byte layouts; there that span is cut at m's rows, the
-    # head its tagged vectors cancel in
+    # head its tagged vectors cancel in, and it is handed only u's rows, with
+    # a copy of the forward pass of the tagged columns that m keeps
     rng = random.Random(37)
     for field in [F2, F3, F5, F13, F17, QQ]:
         calls = count_span(monkeypatch, field)
@@ -437,12 +438,17 @@ def test_kernel_and_preimage_eliminate_once(monkeypatch):
                 pullback(m, a, w)
                 assert calls[0] == 1
                 heads, span = [], fam.span
-                fam.span = lambda v, n, *head: heads.append(head) or span(v, n, *head)
+
+                def spanned(v, n, head, rows):
+                    heads.append((len(v), head, rows is m._fwd, rows == m._fwd))
+                    return span(v, n, head, rows)
+
+                fam.span = spanned
                 try:
                     preimage_space(m, u)
                 finally:
                     del fam.span
-                assert heads == [(m.nrows,)]
+                assert heads == [(u.dim, m.nrows, False, True)]
         monkeypatch.undo()
 
 
@@ -1108,6 +1114,50 @@ def test_head_cut_preimages_match_list_references(field):
                 for w in _targets(field, inner, rng):
                     _assert_same(pullback(m, a, w),
                                  reference_preimage(m, reference_image_of(a, w)), True)
+
+
+def _fresh_tagged_preimage(m, vectors):
+    """{v : m @ v in the span of vectors}, from scratch: the rows past m's rows
+    in the list elimination of the vectors, zero-padded, and of each column j
+    of m with the unit vector e_j appended."""
+    field, nrows, ncols = m.field, m.nrows, m.ncols
+    pad = (field.zero,) * ncols
+    tagged = [tuple(v) + pad for v in vectors]
+    tagged += [col + pad[:j] + (field.one,) + pad[j + 1:] for j, col in enumerate(m.cols())]
+    span = reference_span(field, nrows + ncols, tagged)
+    past = [(v[nrows:], pr - nrows) for v, pr in zip(span.vectors(), span.pivot_rows)
+            if pr >= nrows]
+    return SubspaceBasis(field, ncols, [v for v, _ in past], [pr for _, pr in past])
+
+
+@pytest.mark.parametrize("field", [F2, *PACKED_ODD], ids=["F2", "F3", "F5", "F7", "F11", "F13"])
+def test_factored_preimages_match_a_fresh_tagged_span(field):
+    # a byte-layout matrix keeps the forward pass of its tagged columns from its
+    # first preimage, or its first kernel, and each later preimage or pullback
+    # runs only the target's rows into a copy: several targets through one
+    # matrix object, on random, rank-deficient, zero-row and zero-column blocks
+    rng = random.Random(113 + field.characteristic)
+    for nrows, ncols in ((0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 40)):
+        for first_kernel in (False, True):
+            m = _random_block(field, nrows, ncols, rng)
+            assert m._fwd is None
+            if first_kernel:
+                _assert_same(kernel(m), _fresh_tagged_preimage(m, []), True)
+            fwd = None
+            for u in [*_targets(field, nrows, rng), random_subspace(field, nrows, rng)]:
+                _assert_same(preimage_space(m, u), _fresh_tagged_preimage(m, u.vectors()), True)
+                # made once per matrix object, by its first preimage or kernel
+                fwd = m._fwd if fwd is None else fwd
+                assert m._fwd is fwd
+                kept = dict(m._fwd)
+                inner = rng.randint(0, 6)
+                for a in _pullback_blocks(field, nrows, inner, rng):
+                    w = random_subspace(field, inner, rng)
+                    _assert_same(pullback(m, a, w), _fresh_tagged_preimage(
+                        m, [a.apply(v) for v in w.vectors()]), True)
+                # the kept forward pass is the tagged columns' alone, whatever it served
+                assert m._fwd == kept
+            _assert_same(kernel(m), _fresh_tagged_preimage(m, []), True)
 
 
 @pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)

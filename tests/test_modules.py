@@ -202,6 +202,25 @@ def test_make_flash_matches_reference(char, degs):
                     assert validate(m) == validate(ref) == []
 
 
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+def test_flashes_take_their_blocks_from_one_table(char):
+    # a block depends only on the field and the dimensions, 1 or 2, of its
+    # source and target, so every flash over a field, whatever its shape,
+    # degrees or algebra, holds one of the same four objects, and a
+    # factorization a block keeps serves them all
+    found = {}
+    for degs in DEGREE_PAIRS:
+        params = default_params(char, *degs)
+        for bottoms in range(1, 6):
+            for lt in (False, True):
+                for rt in (False, True):
+                    m = make_flash(FlashShape.finite(bottoms, lt, rt, 3), params)
+                    for which in (E1, E2):
+                        for b in m.action_items(which).values():
+                            assert found.setdefault(b.shape, b) is b
+    assert sorted(found) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 @pytest.mark.parametrize("char", [2, 17, 0])
 @pytest.mark.parametrize("degs", [(1, 2), (3, 4)])
 def test_direct_sum_labels_and_blocks_match_per_degree_reference(char, degs):

@@ -10,8 +10,8 @@ from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_s
                             truncate_above, truncated_infinite_flash, with_variant)
 from extmod.operators import (filtration, filtration_trace, margolis_homology,
                               socle, stable_intersection)
-from helpers import (act_image, basis_vector, contains, count_coerce, count_span,
-                     counterexample_stage, dims, flash_sum, from_labels, full,
+from helpers import (act_image, basis_vector, contains, count_coerce, count_pullbacks,
+                     count_span, counterexample_stage, dims, flash_sum, from_labels, full,
                      label_position, op_preimage, parent_dims, radical,
                      random_flash_shapes, random_variant_b_module, reference_chain,
                      zero_subspace)
@@ -146,20 +146,30 @@ def test_chain_matches_full_recomputation(char, degs):
         assert stable_intersection(m) == ref[-1]
 
 
-def count_pullbacks(monkeypatch):
-    """Record the e2 block of every pull-back the chain makes from now on.
-
-    A step pulls a degree back through ``pullback``, or through
-    ``preimage_space`` where e1 has no block to take images with.
-    """
-    calls = []
-    for name in ("pullback", "preimage_space"):
-        def counted(a, *rest, real=getattr(operators, name)):
-            calls.append(a)
-            return real(a, *rest)
-
-        monkeypatch.setattr(operators, name, counted)
-    return calls
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+def test_chains_that_share_one_pull_back_dict_match_the_reference(monkeypatch, char):
+    # one dict, keyed on values, handed to the chains of many modules over one
+    # algebra: flashes and their cuts, random modules and scrambled flash sums.
+    # Equal triples from different modules share a pull-back, and each chain
+    # still equals its full recomputation; walked again, a chain pulls nothing back
+    params = default_params(char)
+    rng = random.Random(char + 7)
+    cases = [make_flash(FlashShape.l(n, eps, eps2), params)
+             for n in range(6) for eps, eps2 in product((0, 1), repeat=2)]
+    cases += [truncate_above(m, max(m.degrees) - params.deg_e1) for m in cases[4:12]]
+    cases += [random_variant_b_module(params, 10, rng.randrange(10**6)) for _ in range(3)]
+    cases += [random_basis_change(flash_sum(random_flash_shapes(rng, 3, 3, 4), params),
+                                  rng.randrange(10**6)) for _ in range(2)]
+    pulled = {}
+    for m in cases:
+        ref = reference_chain(m)
+        trace = operators._trace(m, pulled)
+        assert trace.subspaces == tuple(ref)
+        assert trace.stable_index == len(ref) - 2
+    calls = count_pullbacks(monkeypatch)
+    assert all(operators._trace(m, pulled).subspaces == tuple(reference_chain(m))
+               for m in cases)
+    assert calls == []
 
 
 def test_chain_recomputes_only_moved_degrees(monkeypatch):

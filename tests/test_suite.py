@@ -12,7 +12,7 @@ from extmod.modules import (FlashShape, default_params, make_flash,
 from extmod.operators import FiltrationTrace, _terms, filtration, filtration_trace
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
-from helpers import (basis_vector, counterexample_stage, label_position,
+from helpers import (basis_vector, count_pullbacks, counterexample_stage, label_position,
                      reference_flash_failures)
 
 P = default_params()
@@ -65,6 +65,40 @@ def test_degree_zero_dims_two_paths_agree():
     assert [sub.dim for sub in zero] == _membership_path_dims(sp)
 
 
+def test_the_suite_pulls_back_each_distinct_flash_step_once(monkeypatch):
+    # one step at a time, the closed flashes' traces make 134 pull-backs at
+    # N = 14, the open-end probes 14 and the window 1.  They share one dict
+    # keyed on values, and every flash takes its blocks from one table, so
+    # all of them make 3: the e2 block through the e1 block onto F^1 and onto
+    # zero, and the kernel at a degree e1 does not reach.  The stage's walk
+    # makes its own N + 1 + N (N + 1) / 2 = 120
+    calls = count_pullbacks(monkeypatch)
+    n = 14
+    assert run_checks(SuiteParams(n, n + 2, P)).passed
+    assert len(calls) == 3 + n + 1 + n * (n + 1) // 2 == 123
+
+
+def test_the_flash_chains_share_one_dict_and_the_stage_gets_none(monkeypatch):
+    # the N + 1 closed flashes, the N + 1 probes and the window hand their
+    # chains one dict; the stage is walked once, with none, as a dict would
+    # keep every pull-back of its walk
+    sp = SuiteParams(5, 7, P)
+    walks = []
+
+    def walked(m, pulled=None):
+        walks.append((m, pulled))
+        return _terms(m, pulled)
+
+    monkeypatch.setattr(operators, "_terms", walked)
+    monkeypatch.setattr(suite, "_terms", walked)
+    assert run_checks(sp).passed
+    stage = counterexample_stage(sp.stage_size, P)
+    assert [pulled for m, pulled in walks if m == stage] == [None]
+    shared = [pulled for m, pulled in walks if m != stage]
+    assert len(shared) == 2 * (sp.stage_size + 1) + 1
+    assert all(pulled is shared[0] for pulled in shared) and shared[0]
+
+
 class _Held(dict):
     """A term copy that takes a weak reference, as a plain dict does not."""
 
@@ -84,9 +118,9 @@ def test_the_stage_chain_is_walked_not_stored(monkeypatch):
         traced.append(m)
         return real_trace(m)
 
-    def walked(m):
+    def walked(m, pulled=None):
         held = []
-        for term in _terms(m):
+        for term in _terms(m, pulled):
             held.append(weakref.ref(kept := _Held(term)))
             if stages and m is stages[0]:
                 alive.append(sum(ref() is not None for ref in held))
@@ -144,13 +178,13 @@ def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
     # F'_1 and F'_2 miss their expected span and x_0 leaves F'_j at j = 2
     wrong = make_flash(FlashShape.l(2, 0, 1), P)
 
-    def traced(m):
+    def traced(m, pulled=None):
         trace = filtration_trace(m)
         if m == wrong:
             return FiltrationTrace(trace.subspaces[1:], trace.stable_index - 1)
         return trace
 
-    monkeypatch.setattr(suite, "filtration_trace", traced)
+    monkeypatch.setattr(suite, "_trace", traced)
     doc = run_checks(SuiteParams(4, 6, P)).to_json_dict()
     items = {item["id"]: item for item in doc["items"]}
     assert items["filtration-shape"]["data"] == {"cases": 10,
@@ -215,7 +249,7 @@ def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturba
     perturb = PERTURBATIONS[perturbation]
     want_shape, want_member = [], []
 
-    def traced(m):
+    def traced(m, pulled=None):
         n = len(want_shape)
         trace = perturb(m, n, filtration_trace(m))
         shape, member = reference_flash_failures(m, trace, n, sp.j_max)
@@ -223,7 +257,7 @@ def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturba
         want_member.append(member)
         return trace
 
-    monkeypatch.setattr(suite, "filtration_trace", traced)
+    monkeypatch.setattr(suite, "_trace", traced)
     _, items = suite._closed_flash_items(sp)
     shape, member = (item.data["failures"] for item in items)
     assert shape == sum(want_shape, [])
@@ -250,7 +284,7 @@ def test_flash_items_cost_is_linear_in_n(monkeypatch):
         counts[1] += 1
         return real_contains(sub, *args, **kwargs)
 
-    def traced(m):
+    def traced(m, pulled=None):
         at_trace.append(list(counts))
         tracing[0] = True
         try:
@@ -261,7 +295,7 @@ def test_flash_items_cost_is_linear_in_n(monkeypatch):
     monkeypatch.setattr(SubspaceBasis, "coordinate", classmethod(coordinate))
     monkeypatch.setattr(SubspaceBasis, "__eq__", eq)
     monkeypatch.setattr(SubspaceBasis, "contains_vector", contains_vector)
-    monkeypatch.setattr(suite, "filtration_trace", traced)
+    monkeypatch.setattr(suite, "_trace", traced)
     _, items = suite._closed_flash_items(SuiteParams(8, 10, P))
     assert all(item.passed for item in items)
     at_trace.append(list(counts))
@@ -282,7 +316,7 @@ def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
     def alive():
         return sum(ref() is not None for ref in made)
 
-    def traced(m):
+    def traced(m, pulled=None):
         if m in closed:
             alive_at_flash.append(alive())
         trace = filtration_trace(m)
@@ -293,7 +327,7 @@ def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
         alive_at_census.append(alive())
         return multiplicities(m)
 
-    monkeypatch.setattr(suite, "filtration_trace", traced)
+    monkeypatch.setattr(suite, "_trace", traced)
     monkeypatch.setattr(suite, "multiplicities", census)
     assert run_checks(sp).passed
     assert len(alive_at_flash) == sp.stage_size + 1
@@ -416,11 +450,11 @@ def test_a_wrong_window_chain_fails_the_contrast(monkeypatch, wrong):
     # the window's F_1 loses one degree the window holds exactly: the contrast
     # item reports it, and the probe of a right-infinite flash raises rather
     # than report a guess.  The open-end flash L(2,0,0) equals the window but
-    # reads its chain through stable_intersection, so it keeps passing
+    # reads its chain through the suite's whole trace, so it keeps passing
     window = make_flash(FlashShape.l(2, 0, 0), P)
 
-    def walked(m):
-        terms = _terms(m)
+    def walked(m, pulled=None):
+        terms = _terms(m, pulled)
         if m != window:
             yield from terms
             return
