@@ -504,9 +504,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except BrokenPipeError:
-        # what is left to write goes to devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output was closed before all output was written", file=sys.stderr)
+        # what is left to write goes to devnull, so the flush at exit cannot
+        # fail; stderr too when it shares the closed pipe, as under `2>&1 | head`
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("error: standard output was closed before all output was written",
+                  file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

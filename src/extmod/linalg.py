@@ -93,7 +93,7 @@ together have u's dimension.
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
 ``reduce_vector`` unpack, and the family's ``entry`` reads one scalar, as
-``kernel_matrix``, ``reduce_vector`` and the sweep's pivot rule do.
+``reduce_vector`` and the sweep's pivot rule do.
 Products, eliminations, containment, preimages and row updates run on
 integers alone, and ``written_cols()`` writes each entry as a document does
 straight from the integers.
@@ -972,10 +972,10 @@ class Matrix:
     """
 
     # _fcols caches the columns in the family layout, made by one transpose
-    # of the rows on first use, and _fwd the forward pass of the tagged
-    # columns a byte-layout preimage starts from; safe because no method
-    # changes the rows
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_fwd")
+    # of the rows on first use, _fwd the forward pass of the tagged columns a
+    # byte-layout preimage starts from, and _hash the hash of the rows; safe
+    # because no method changes the rows
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_fwd", "_hash")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
         """A matrix from rows of entries; ``_raw`` trusts them to be canonical sequences."""
@@ -991,7 +991,7 @@ class Matrix:
         fam = field._family
         self.field, self.nrows, self.ncols = field, len(rows), ncols
         self._rows = tuple(map(fam.pack if _raw else fam.coerce, rows))
-        self._fcols = self._fwd = None
+        self._fcols = self._fwd = self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -1037,7 +1037,7 @@ class Matrix:
         """The matrix with these rows in the field's family layout, which it keeps."""
         out = cls.__new__(cls)
         out.field, out.ncols, out._rows = field, ncols, tuple(rows)
-        out._fcols = out._fwd = None
+        out._fcols = out._fwd = out._hash = None
         out.nrows = len(out._rows)
         return out
 
@@ -1094,7 +1094,9 @@ class Matrix:
                 and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ncols, self._rows))
+        if self._hash is None:
+            self._hash = hash(self._rows)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.characteristic}, {self.nrows}x{self.ncols})"
@@ -1161,18 +1163,16 @@ class Matrix:
         return self.field._family.rank(self._rows, self.ncols)
 
     def kernel_matrix(self) -> "Matrix":
-        """Columns span the null space {v : self @ v = 0}."""
-        f, n = self.field, self.ncols
-        fam = f._family
-        red, piv = fam.span(self._rows, n)
-        cols = []
-        for fc in (c for c in range(n) if c not in piv):
-            v = [f.zero] * n
-            v[fc] = f.one
-            for row, pc in zip(red, piv):
-                v[pc] = f.neg(fam.entry(row, fc))
-            cols.append(fam.pack(v))
-        return Matrix.from_cols(f, cols, nrows=n, _raw=True)
+        """Columns span the null space {v : self @ v = 0}: column j of the
+        free-column basis is 1 at the j-th free column and 0 at the others.
+
+        Read from its last entry back that basis is the reduced echelon one,
+        so it is ``kernel`` of self with its columns reversed, each vector and
+        their order reversed back.
+        """
+        flip = range(self.ncols - 1, -1, -1)
+        basis = kernel(self.transpose().select_rows(flip).transpose()).basis_matrix().transpose()
+        return basis.select_rows(range(basis.nrows - 1, -1, -1)).transpose().select_rows(flip)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -1216,11 +1216,6 @@ def vstack(mats: list[Matrix]) -> Matrix:
     if any(m.ncols != ncols or m.field != field for m in mats):
         raise ValueError("cannot stack matrices of different fields or mismatched sizes")
     return Matrix._from_family(field, [r for m in mats for r in m._rows], ncols)
-
-
-def hstack(mats: list[Matrix]) -> Matrix:
-    """The matrices side by side: the transpose of their transposes stacked."""
-    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def place_blocks(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
@@ -1348,7 +1343,7 @@ class SubspaceBasis:
                 and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.pivot_rows))
+        return hash(self.pivot_rows)
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim {self.dim} of F^{self.ambient_dim})"

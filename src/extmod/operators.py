@@ -26,8 +26,8 @@ class FiltrationTrace:
     its predecessor; indexing past the end returns the stable term.
     Consecutive terms share the SubspaceBasis object of every degree that did
     not move, and within a term degrees may share one object, as F_0 does per
-    dimension and a step does for degrees pulled back from equal blocks and
-    targets.
+    dimension and a step does for degrees pulled back from blocks and targets
+    of equal value.
     """
 
     subspaces: tuple[dict[int, SubspaceBasis], ...]
@@ -56,15 +56,13 @@ def _terms(m: Module, pulled: dict | None = None):
     other degree's subspace.  Some step moves no degree within total_dim + 1
     steps, because each moving step shrinks a decreasing chain.
 
-    Degrees with the same e2 block, e1 block and F_{j-1}(d + gap) share one
-    pull-back and its result object.  Without ``pulled`` each step has a dict
-    of its own, keyed on the three objects' ids, which the module and prev
-    keep alive through the step; value keys would hash every row of both
-    blocks at every degree, about a sixth of a large stage's walk.  A caller
-    that walks many chains over one algebra may hand them one dict
-    ``pulled``, keyed on values, as it outlives their objects: flashes share
-    their blocks and targets, so their chains repeat one another, and the
-    dict holds every pull-back they make.
+    Degrees whose e2 block, e1 block and F_{j-1}(d + gap) are equal in value
+    share one pull-back and its result object; a block keeps its hash, so a
+    key costs no pass over its rows after the first.  Without ``pulled`` each
+    step has a dict of its own.  A caller that walks many chains over one
+    algebra may hand them one dict ``pulled``: flashes share their blocks and
+    targets, so their chains repeat one another, and the dict holds every
+    pull-back they make.
     """
     gap = m.params.gap
     e1, e2 = m.action_items(E1), m.action_items(E2)
@@ -78,8 +76,7 @@ def _terms(m: Module, pulled: dict | None = None):
         moved = []
         memo = {} if pulled is None else pulled
         for d in todo:
-            b, a, u = e2[d], e1.get(d + gap), prev.get(d + gap)
-            key = (id(b), id(a), id(u)) if pulled is None else (b, a, u)
+            b, a, u = key = e2[d], e1.get(d + gap), prev.get(d + gap)
             sub = memo.get(key)
             if sub is None:
                 sub = memo[key] = (

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from extmod import operators
 from extmod.decompose import InternalError
-from extmod.linalg import (Field, Matrix, SubspaceBasis, hstack, image, kernel,
-                           preimage_space, standard_complement, sum_space)
+from extmod.linalg import (Field, Matrix, SubspaceBasis, image, kernel, preimage_space,
+                           standard_complement, sum_space, vstack)
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module, Violation,
                             default_params, direct_sum, make_flash, validate)
 from extmod.textio import DocumentError
@@ -40,6 +40,27 @@ def reference_product(a, b):
     rows = [[sum((x * y for x, y in zip(row, col)), zero) for col in b.cols()]
             for row in a.rows]
     return Matrix(a.field, rows, ncols=b.ncols)
+
+
+def hstack(mats):
+    """The matrices side by side: the transpose of their transposes stacked."""
+    return vstack([m.transpose() for m in mats]).transpose()
+
+
+def reference_kernel_matrix(m):
+    """``Matrix.kernel_matrix`` by its free columns: for each free column fc
+    of the reduced rows, in turn, the vector that is 1 at fc, 0 at the other
+    free columns and minus the row's entry at fc at each pivot column."""
+    f, n = m.field, m.ncols
+    red, piv = m.rref_pivots()
+    cols = []
+    for fc in (c for c in range(n) if c not in piv):
+        v = [f.zero] * n
+        v[fc] = f.one
+        for i, pc in enumerate(piv):
+            v[pc] = f.neg(red[i, fc])
+        cols.append(v)
+    return Matrix.from_cols(f, cols, nrows=n)
 
 
 def reference_apply(m, vec):
@@ -209,14 +230,14 @@ def reference_span(field, ambient_dim, vectors):
 def reference_kernel(m):
     """kernel(m) in two eliminations: the forward free-variable basis, then its
     reduced echelon form."""
-    return reference_span(m.field, m.ncols, m.kernel_matrix().cols())
+    return reference_span(m.field, m.ncols, reference_kernel_matrix(m).cols())
 
 
 def reference_preimage(m, u):
     """{v : m @ v in u} as the canonicalised heads of ker [m | -B], B a basis of u."""
     if u.dim == 0:
         return reference_kernel(m)
-    ker = hstack([m, u.basis_matrix().scaled(-1)]).kernel_matrix()
+    ker = reference_kernel_matrix(hstack([m, u.basis_matrix().scaled(-1)]))
     heads = [col[:m.ncols] for col in ker.cols()]
     return reference_span(m.field, m.ncols, heads)
 
@@ -226,7 +247,7 @@ def reference_intersect(u, v):
     if u.dim == 0 or v.dim == 0:
         return SubspaceBasis.zero(u.field, u.ambient_dim)
     bu = u.basis_matrix()
-    ker = hstack([bu, v.basis_matrix().scaled(-1)]).kernel_matrix()
+    ker = reference_kernel_matrix(hstack([bu, v.basis_matrix().scaled(-1)]))
     vecs = [bu.apply(col[:bu.ncols]) for col in ker.cols()]
     return reference_span(u.field, u.ambient_dim, vecs)
 

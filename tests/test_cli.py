@@ -511,6 +511,17 @@ def test_closed_stdout_exits_2_without_a_traceback(report):
         os.close(write)
     assert (run.returncode, run.stderr) == (
         2, "error: standard output was closed before all output was written\n")
+    # stderr shares the closed pipe, as under `2>&1 | head -c 20`: the message
+    # is lost, and the exit code is still 2
+    for args in (["paper-check", "--N", "2", "--jmax", "3"], ["build", "L(1,0,1)@0"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "extmod", "--report", report, *args],
+                                 stdout=write, stderr=write, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert run.returncode == 2, args
     # started with fd 1 closed, Python sets sys.stdout to None, so nothing
     # can be written at all
     run = subprocess.run([sys.executable, "-m", "extmod", "--report", report,

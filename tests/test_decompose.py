@@ -25,7 +25,8 @@ from extmod.suite import flash_multiplicity_at_degree
 from extmod.textio import parse_module, print_module
 from helpers import (basis_vector, count_coerce, count_span, counterexample_stage,
                      flash_sum, random_flash_shapes, random_matrix, random_variant_b_module,
-                     reference_fitting_split, reference_hom_system, reference_match)
+                     reference_fitting_split, reference_hom_system, reference_kernel_matrix,
+                     reference_match)
 
 P = default_params()
 PA = default_params(variant="A")
@@ -483,6 +484,18 @@ def test_endomorphism_basis_coerces_no_entry(monkeypatch, char):
     coerced = Matrix(m.field, rows, ncols=nvars).kernel_matrix()
     assert basis == [decompose_mod._hom_blocks(m, col) for col in coerced.cols()]
     assert idempotent_oracle(m, seed=5).multiset() == Counter(shapes)
+
+
+@pytest.mark.parametrize("char", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_endomorphism_basis_is_the_free_column_basis(char):
+    # the oracle draws its candidates from this basis in order, so it must be
+    # the free-column null basis of the equations, vector for vector
+    params = default_params(char)
+    for seed in range(8):
+        m = random_variant_b_module(params, 16, seed)
+        rows, nvars = reference_hom_system(m)
+        ker = reference_kernel_matrix(Matrix(m.field, rows, ncols=nvars))
+        assert endomorphism_basis(m) == [decompose_mod._hom_blocks(m, col) for col in ker.cols()]
 
 
 @pytest.mark.parametrize("char", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])

@@ -10,13 +10,13 @@ import pytest
 from extmod import linalg
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
                            _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals,
-                           hstack, image, intersect, kernel, preimage_space, pullback,
-                           quotient_dim, standard_complement, sum_space)
+                           image, intersect, kernel, preimage_space, pullback,
+                           quotient_dim, standard_complement, sum_space, vstack)
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
-                     random_fraction_matrix, random_matrix, random_subspace,
+                     hstack, random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
-                     reference_kernel, reference_preimage, reference_product,
-                     reference_row_reduce, reference_span)
+                     reference_kernel, reference_kernel_matrix, reference_preimage,
+                     reference_product, reference_row_reduce, reference_span)
 
 F2 = Field(2)
 F3, F5, F7, F11, F13, F17 = map(Field, (3, 5, 7, 11, 13, 17))
@@ -1361,6 +1361,70 @@ def test_solve_detects_inconsistency():
     m = Matrix(F2, [[1, 0], [1, 0]])
     rhs = Matrix.from_cols(F2, [(1, 0)])
     assert m.solve(rhs) is None
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F13, F17, QQ],
+                         ids=["F2", "F3", "F5", "F13", "F17", "Q"])
+def test_kernel_matrix_is_the_free_column_basis(field):
+    # the reversed kernel gives the basis the free-column loop gives, column
+    # for column: the oracle's endomorphism basis is read off it
+    rng = random.Random(field.characteristic + 29)
+    cases = [Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 0),
+             Matrix.identity(field, 5), Matrix.zeros(field, 3, 4)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        cases.append(random_matrix(field, nrows, ncols, rng))
+        rank = rng.randint(0, min(nrows, ncols))
+        cases.append(random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng))
+    cases += [random_matrix(field, n, n + extra, rng) for n in (1, 3, 6) for extra in (0, 2)]
+    ranks = set()
+    for m in cases:
+        got, want = m.kernel_matrix(), reference_kernel_matrix(m)
+        assert (got.shape, got) == (want.shape, want)
+        assert got.shape == (m.ncols, m.ncols - m.rank())
+        assert (m @ got).is_zero()
+        ranks.add((m.rank() == min(m.shape), got.ncols == 0))
+    # full rank and rank-deficient, with and without a null space
+    assert ranks == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_equal_values_hash_equal_whatever_built_them(field):
+    # the chain's pull-backs are keyed on (block, block, subspace) values, so
+    # equal matrices and equal subspaces must hash equal however they were made
+    rng = random.Random(field.characteristic + 31)
+    for nrows, ncols in ((0, 3), (3, 0), (1, 1), (4, 6), (7, 3)):
+        m = random_matrix(field, nrows, ncols, rng)
+        same = [Matrix(field, m.rows, ncols=ncols), Matrix.from_cols(field, m.cols(), nrows=nrows),
+                m.transpose().transpose(), m @ Matrix.identity(field, ncols),
+                Matrix.identity(field, nrows) @ m, m + Matrix.zeros(field, nrows, ncols),
+                vstack([m.select_rows(range(nrows // 2)), m.select_rows(range(nrows // 2, nrows))])]
+        if ncols:
+            # runs of no entries cannot tell how many rows they make
+            same.append(Matrix.from_flat(field, [x for row in m.rows for x in row], ncols))
+        assert all(x == m and hash(x) == hash(m) for x in same)
+    assert hash(Matrix.units(field, 3, [2, None, 0])) == hash(Matrix(field, [[0, 0, 1], [0, 0, 0],
+                                                                            [1, 0, 0]]))
+    assert hash(Matrix.identity(field, 4)) == hash(Matrix.units(field, 4, range(4)))
+    for n in (0, 1, 5, 8):
+        u = random_subspace(field, n, rng)
+        combos = (u.basis_matrix() @ random_matrix(field, u.dim, 3, rng)).cols()
+        spanned = [SubspaceBasis.from_spanning(field, n, combos + u.vectors()[::-1]),
+                   image(u.basis_matrix()), SubspaceBasis(field, n, u.vectors(), u.pivot_rows)]
+        assert all(v == u and hash(v) == hash(u) for v in spanned)
+    assert hash(SubspaceBasis.full(field, 4)) == hash(image(Matrix.identity(field, 4)))
+
+
+def test_a_matrix_hashes_its_rows_once():
+    # the hash is kept on the matrix, so a key made again reads it back
+    m = Matrix(F5, [[1, 2, 3], [4, 0, 1]])
+    assert m._hash is None
+    h = hash(m)
+    assert m._hash == h == hash(m._rows)
+    m._hash = h + 1
+    assert hash(m) == h + 1
+    # a matrix made from it starts with no hash of its own
+    assert m.transpose()._hash is None and m.select_rows([0])._hash is None
 
 
 def test_empty_shapes():

@@ -236,6 +236,27 @@ def test_a_shared_block_pair_meets_two_targets_in_one_step(monkeypatch, characte
 
 
 @pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_equal_blocks_held_as_distinct_objects_share_one_pull_back(monkeypatch, characteristic):
+    # two copies, 100 degrees apart, of x -e2-> y <-e1- z, each built from
+    # matrix objects of its own: step 1 meets equal triples at x and x + 100,
+    # so it pulls back once and both degrees share the result
+    params = default_params(characteristic)
+    field = params.field
+    x, z = 0, params.gap
+    y = x + params.deg_e2
+    dims = {d + at: 2 for d in (x, y, z) for at in (0, 100)}
+    e1 = {z + at: Matrix(field, [[1, 0], [0, 0]]) for at in (0, 100)}
+    e2 = {x + at: Matrix.identity(field, 2) for at in (0, 100)}
+    assert e2[x] == e2[x + 100] and e2[x] is not e2[x + 100]
+    m = Module(params, dims, e1, e2)
+    calls = count_pullbacks(monkeypatch)
+    trace = filtration_trace(m)
+    assert trace.subspaces == tuple(reference_chain(m))
+    assert len(calls) == 1
+    assert trace[1][x] is trace[1][x + 100] and trace[1][x].dim == 1
+
+
+@pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
 def test_degrees_e2_kills_keep_f0_and_span_nothing(monkeypatch, characteristic):
     # e2^{-1} of anything is the whole degree where e2 has no block: such a
     # degree keeps F_0's object in every term and costs the chain no span
