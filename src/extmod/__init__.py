@@ -7,7 +7,7 @@ from .modules import (AlgebraParams, FlashShape, Module, default_params,
                       shift, truncate_above, truncated_infinite_flash, validate,
                       with_variant, zero_module)
 from .operators import (FiltrationTrace, filtration, filtration_trace,
-                        margolis_homology, socle, stable_intersection)
+                        margolis_homology, socle)
 from .decompose import (Decomposition, FreeSplit, Summand, decompose,
                         idempotent_oracle, multiplicities, split_free,
                         verify_decomposition, verify_split_free)

@@ -157,26 +157,6 @@ class _Strand:
             mine[pos] = family.add_scaled(mine[pos], theirs[pos], c)
 
 
-def _pivots(cod: list[_Strand], dom: list[_Strand], column):
-    """The pivot rule: (ci, pr) pairs, one at a time.
-
-    Domain strands go weakest first, and each takes the strongest codomain
-    strand not yet taken, by ``(strength, -index)``, whose entry in column
-    ci is nonzero.  ``column(ci)`` gives that column's nonzero entries by
-    row; it is read only when column ci is due, after the caller has
-    eliminated the earlier pivots, and is yielded with the pair.
-    """
-    rank = {r: i for i, r in enumerate(
-        sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True))}
-    free = set(rank)
-    for ci in sorted(range(len(dom)), key=lambda c: dom[c].strength):
-        col = column(ci)
-        pr = min((r for r in col if r in free), key=rank.__getitem__, default=None)
-        if pr is not None:
-            free.remove(pr)
-            yield ci, pr, col
-
-
 def _match(field: Field, act: Matrix, cod: list[_Strand],
            dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
     """Pair domain strands with codomain strands through one action.
@@ -203,11 +183,23 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
         raise InternalError("socle coordinates must exist" if cod
                             else "action image escapes the socle layer")
     one, entry, add_scaled = field.one, fam.entry, fam.add_scaled
+    # the pivot rule: domain strands go weakest first, and each takes the
+    # strongest codomain strand not yet taken, by (strength, -index), whose
+    # entry in its column is nonzero; a column is read only when it is due,
+    # after the earlier pivots have updated it
+    rank = {r: i for i, r in enumerate(
+        sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True))}
+    free = set(rank)
     # the columns not yet due, in index order; a column passed over for want
     # of a pivot is zero, and stays zero
     pending = list(range(len(dom)))
     pairs = []
-    for ci, pr, col in _pivots(cod, dom, lambda c: fam.support(cols[c])):
+    for ci in sorted(pending, key=lambda c: dom[c].strength):
+        col = fam.support(cols[ci])
+        pr = min((r for r in col if r in free), key=rank.__getitem__, default=None)
+        if pr is None:
+            continue
+        free.remove(pr)
         pending.remove(ci)
         inv = one
         if col[pr] != one:

@@ -1137,6 +1137,8 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative power")
         # repeated squaring: about 2 log2 k products
         out, sq = Matrix.identity(self.field, self.nrows), self
         while k > 0:

@@ -34,10 +34,15 @@ class FiltrationTrace:
     stable_index: int
 
     def __getitem__(self, j: int) -> dict[int, SubspaceBasis]:
+        if j < 0:
+            raise ValueError("filtration index must be non-negative")
         # after stabilization every term equals the stable one
         if j >= len(self.subspaces):
             return self.subspaces[self.stable_index]
         return self.subspaces[j]
+
+    def __iter__(self):
+        return iter(self.subspaces)
 
     @property
     def stable(self) -> dict[int, SubspaceBasis]:
@@ -60,9 +65,9 @@ def _terms(m: Module, pulled: dict | None = None):
     share one pull-back and its result object; a block keeps its hash, so a
     key costs no pass over its rows after the first.  Without ``pulled`` each
     step has a dict of its own.  A caller that walks many chains over one
-    algebra may hand them one dict ``pulled``: flashes share their blocks and
-    targets, so their chains repeat one another, and the dict holds every
-    pull-back they make.
+    algebra may hand them one dict ``pulled``, through ``filtration_trace`` or
+    ``suite.exclusion_probe``: flashes share their blocks and targets, so
+    their chains repeat one another, and the dict holds every pull-back.
     """
     gap = m.params.gap
     e1, e2 = m.action_items(E1), m.action_items(E2)
@@ -91,15 +96,12 @@ def _terms(m: Module, pulled: dict | None = None):
         todo = [d - gap for d in moved if d in e1 and d - gap in e2]
 
 
-def _trace(m: Module, pulled: dict | None = None) -> FiltrationTrace:
-    """The chain to its first repeated term, its pull-backs kept in ``pulled`` (see ``_terms``)."""
+def filtration_trace(m: Module, j_max: int | None = None, *,
+                     pulled: dict | None = None) -> FiltrationTrace:
+    """The chain to its first repeated term, its pull-backs kept in ``pulled``
+    (see ``_terms``); ``j_max`` is ignored, kept for ``bench/test_bench.py``."""
     chain = tuple(_terms(m, pulled))
     return FiltrationTrace(chain, len(chain) - 2)
-
-
-def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
-    """The chain to its first repeated term; ``j_max`` is ignored, kept for old callers."""
-    return _trace(m)
 
 
 def filtration(m: Module, j: int) -> dict[int, SubspaceBasis]:
@@ -113,11 +115,6 @@ def filtration(m: Module, j: int) -> dict[int, SubspaceBasis]:
         if i == j:
             break
     return term
-
-
-def stable_intersection(m: Module) -> dict[int, SubspaceBasis]:
-    """The intersection of the whole chain (= its stable term)."""
-    return filtration_trace(m).stable
 
 
 def socle(m: Module) -> dict[int, SubspaceBasis]:

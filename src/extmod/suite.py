@@ -5,10 +5,11 @@ runs every dimension, membership and exclusion check of the splitting
 argument, and assembles a structured report.  Both steps of the paper's
 argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
-there as dim F_n - dim F_{n+1}, where e1 is zero.  The genuinely infinite
-product is out of computational reach; every quantitative statement below
-concerns a finite stage, where it is exact.  The right-infinite flash the
-suite contrasts with the stage is read exactly, off its fixed five- or
+there as dim F_n - dim F_{n+1}, where e1 is zero; ``run_checks`` calls the
+probe and ``filtration_trace`` themselves.  The genuinely infinite product is
+out of computational reach; every quantitative statement below concerns a
+finite stage, where it is exact.  The right-infinite flash the suite
+contrasts with the stage is read exactly, off its fixed five- or
 six-dimensional quotient L(2, eps, 0) (``_right_infinite_window``).
 """
 
@@ -22,7 +23,7 @@ from typing import Any
 from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash
-from .operators import _terms, _trace, filtration_trace
+from .operators import _terms, filtration_trace
 
 
 @dataclass(frozen=True)
@@ -94,17 +95,14 @@ def _right_infinite_window(left_top: bool, params: AlgebraParams,
     return mod, [d for d in f0 if d <= params.gap and f1[d] != f0[d]]
 
 
-def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
+def exclusion_probe(shape: FlashShape, params: AlgebraParams, *,
+                    pulled: dict | None = None) -> ExclusionProbe:
     """The two degree-zero probes deciding which shapes can reach the bottom.
 
     The shape is rebased at degree 0; a right-infinite flash is read off
-    ``_right_infinite_window`` exactly.
+    ``_right_infinite_window`` exactly.  ``pulled`` keeps the chain's
+    pull-backs, as in ``operators._terms``.
     """
-    return _probe(shape, params, None)
-
-
-def _probe(shape: FlashShape, params: AlgebraParams, pulled: dict | None) -> ExclusionProbe:
-    """``exclusion_probe``, its chain's pull-backs kept in ``pulled``."""
     based = FlashShape(shape.kind, shape.bottoms, shape.left_top,
                        shape.right_top, 0)
     if based.kind == "right_infinite":
@@ -116,7 +114,7 @@ def _probe(shape: FlashShape, params: AlgebraParams, pulled: dict | None) -> Exc
         stable_nonzero = True
     elif based.kind == "finite":
         mod = make_flash(based, params)
-        stable_nonzero = _trace(mod, pulled).stable[0].dim > 0
+        stable_nonzero = filtration_trace(mod, pulled=pulled).stable[0].dim > 0
     else:
         raise ValueError("probe applies to finite or right-infinite shapes")
     return ExclusionProbe(not mod.action(E1, 0).is_zero(), stable_nonzero)
@@ -129,6 +127,8 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
     checked first and reported on failure.  With e1 zero on degree d, ker e1
     is the whole degree, so the count is dim F_n(d) - dim F_{n+1}(d).
     """
+    if n < 0:
+        raise ValueError("flash length n must be non-negative")
     if not m.action(E1, d).is_zero():
         raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
     if not m.dim(d):
@@ -161,7 +161,7 @@ def _closed_flash_items(sp: SuiteParams,
     mods, shape_failures, member_failures = [], [], []
     for n in range(sp.stage_size + 1):
         mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        trace = _trace(mod, pulled)
+        trace = filtration_trace(mod, pulled=pulled)
         field, dims = mod.field, mod.dims_by_degree
         # a flash's labels are distinct and name its whole basis
         at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
@@ -255,7 +255,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         not moved))
 
     # x_0 alone spans degree 0 of L(n,0,0)@0, so the probe's flag is the dimension
-    open_end_dims = [int(_probe(FlashShape.l(n, 0, 0), alg, pulled)
+    open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg, pulled=pulled)
                          .stable_intersection_at_bottom_nonzero)
                      for n in range(sp.stage_size + 1)]
     items.append(CheckItem(

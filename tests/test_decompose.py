@@ -542,6 +542,8 @@ def test_flash_multiplicity_exclusions():
     open_end = make_flash(FlashShape.l(2, 0, 0), P)
     with pytest.raises(ValueError, match="stable"):
         flash_multiplicity_at_degree(open_end, 0, 2)
+    with pytest.raises(ValueError, match="flash length"):
+        flash_multiplicity_at_degree(counterexample_stage(3, P), 0, -1)
 
 
 def test_flash_multiplicity_spans_nothing_outside_its_trace(monkeypatch):

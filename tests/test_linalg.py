@@ -1303,6 +1303,8 @@ def test_power_matches_repeated_products(field):
             want = want @ m
     with pytest.raises(ValueError):
         random_matrix(field, 2, 3, rng).power(2)
+    with pytest.raises(ValueError, match="negative"):
+        Matrix(field, [[0, 1], [0, 0]]).power(-1)
 
 
 def test_packed_coerce_reduces_outside_values():

@@ -1,15 +1,13 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
-from extmod import operators
 from extmod.linalg import Matrix, SubspaceBasis
 from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, with_variant)
-from extmod.operators import (filtration, filtration_trace, margolis_homology,
-                              socle, stable_intersection)
+from extmod.operators import filtration, filtration_trace, margolis_homology, socle
 from helpers import (act_image, basis_vector, contains, count_coerce, count_pullbacks,
                      count_span, counterexample_stage, dims, flash_sum, from_labels, full,
                      label_position, op_preimage, parent_dims, radical,
@@ -101,6 +99,15 @@ def test_filtration_chain_decreases_and_stabilizes():
             trace.subspaces[trace.stable_index + 1]
 
 
+def test_a_trace_iterates_its_terms_and_rejects_negative_indices():
+    # indexing past the end returns the stable term, so iteration must not
+    # fall back on indexing: it would never end
+    trace = filtration_trace(make_flash(FlashShape.l(1, 0, 1), P))
+    assert list(islice(iter(trace), len(trace.subspaces) + 1)) == list(trace.subspaces)
+    with pytest.raises(ValueError, match="non-negative"):
+        trace[-1]
+
+
 @pytest.mark.parametrize("degs", [(1, 2), (1, 3), (2, 5)])
 @pytest.mark.parametrize("char", [2, 5, 17, 0])
 def test_chain_matches_full_recomputation(char, degs):
@@ -143,7 +150,7 @@ def test_chain_matches_full_recomputation(char, degs):
         assert trace.stable_index == len(ref) - 2
         for j in range(len(ref) + 2):
             assert filtration(m, j) == ref[min(j, len(ref) - 1)]
-        assert stable_intersection(m) == ref[-1]
+        assert trace.stable == ref[-1]
 
 
 @pytest.mark.parametrize("char", [2, 5, 17, 0])
@@ -163,11 +170,11 @@ def test_chains_that_share_one_pull_back_dict_match_the_reference(monkeypatch, c
     pulled = {}
     for m in cases:
         ref = reference_chain(m)
-        trace = operators._trace(m, pulled)
+        trace = filtration_trace(m, pulled=pulled)
         assert trace.subspaces == tuple(ref)
         assert trace.stable_index == len(ref) - 2
     calls = count_pullbacks(monkeypatch)
-    assert all(operators._trace(m, pulled).subspaces == tuple(reference_chain(m))
+    assert all(filtration_trace(m, pulled=pulled).subspaces == tuple(reference_chain(m))
                for m in cases)
     assert calls == []
 
@@ -336,14 +343,14 @@ def test_open_ended_flash_never_expels_x0():
         trace = filtration_trace(m)
         for j in range(2 * n + 4):
             assert trace[j][0].contains_vector(x0)
-        assert stable_intersection(m) == full(m)
+        assert trace.stable == full(m)
 
 
 def test_stable_intersection_examples():
     stage = counterexample_stage(3, P)
-    assert stable_intersection(stage)[0].dim == 0
+    assert filtration_trace(stage).stable[0].dim == 0
     from extmod.modules import zero_module
-    assert not dims(stable_intersection(zero_module(P)))
+    assert not dims(filtration_trace(zero_module(P)).stable)
 
 
 def test_degree_slices_are_dict_entries():

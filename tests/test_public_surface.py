@@ -24,13 +24,9 @@ SRC = Path(extmod.__file__).parent
 # exported names with no caller in the package, each with the reason it stays
 UNCALLED = {
     "default_params": "bench/test_bench.py builds its algebras with it",
-    "exclusion_probe": "the public probe; paper-check runs its body with the "
-                       "pull-back dict its flash traces share",
     "flash_multiplicity_at_degree": "the count beside the exclusion probe, "
                                     "waiting for a caller in paper-check",
     "intersect": "aim 1 and item 1's microbench measure it as a kernel",
-    "stable_intersection": "the public stable term; paper-check reads it off "
-                           "flash traces that share one pull-back dict",
 }
 
 # public methods of the linear-algebra classes with no caller in the package

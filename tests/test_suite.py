@@ -114,9 +114,9 @@ def test_the_stage_chain_is_walked_not_stored(monkeypatch):
         stages.append(real_sum(mods))
         return stages[-1]
 
-    def trace(m):
+    def trace(m, pulled=None):
         traced.append(m)
-        return real_trace(m)
+        return real_trace(m, pulled=pulled)
 
     def walked(m, pulled=None):
         held = []
@@ -184,7 +184,7 @@ def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
             return FiltrationTrace(trace.subspaces[1:], trace.stable_index - 1)
         return trace
 
-    monkeypatch.setattr(suite, "_trace", traced)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
     doc = run_checks(SuiteParams(4, 6, P)).to_json_dict()
     items = {item["id"]: item for item in doc["items"]}
     assert items["filtration-shape"]["data"] == {"cases": 10,
@@ -257,7 +257,7 @@ def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturba
         want_member.append(member)
         return trace
 
-    monkeypatch.setattr(suite, "_trace", traced)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
     _, items = suite._closed_flash_items(sp)
     shape, member = (item.data["failures"] for item in items)
     assert shape == sum(want_shape, [])
@@ -295,7 +295,7 @@ def test_flash_items_cost_is_linear_in_n(monkeypatch):
     monkeypatch.setattr(SubspaceBasis, "coordinate", classmethod(coordinate))
     monkeypatch.setattr(SubspaceBasis, "__eq__", eq)
     monkeypatch.setattr(SubspaceBasis, "contains_vector", contains_vector)
-    monkeypatch.setattr(suite, "_trace", traced)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
     _, items = suite._closed_flash_items(SuiteParams(8, 10, P))
     assert all(item.passed for item in items)
     at_trace.append(list(counts))
@@ -327,7 +327,7 @@ def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
         alive_at_census.append(alive())
         return multiplicities(m)
 
-    monkeypatch.setattr(suite, "_trace", traced)
+    monkeypatch.setattr(suite, "filtration_trace", traced)
     monkeypatch.setattr(suite, "multiplicities", census)
     assert run_checks(sp).passed
     assert len(alive_at_flash) == sp.stage_size + 1
