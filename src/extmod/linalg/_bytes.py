@@ -1,0 +1,356 @@
+"""The byte layouts: F_p vectors for p <= 13 as ints, entry j in the byte at bit 8j.
+
+``int.from_bytes`` packs a vector in C.  A row update a + c * b of canonical
+vectors is one big-int multiply-add, which carries nothing between bytes
+because each lane is at most (p - 1) + (p - 1)**2 < 256; one
+``bytes.translate`` with the table of x % p reduces it.  A linear
+combination (a product row, m @ v, a back substitution) adds terms c * b to
+an accumulator and reduces it only when one more term could take a lane past
+255, the delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense
+linear algebra over word-size prime fields: the FFLAS and FFPACK packages",
+ACM TOMS 2008).  F2 shares the layout (:class:`_PackedF2`), and adding two
+vectors there is one XOR, which never carries.
+
+A span clears each vector at its lowest nonzero entry by the row with that
+pivot, one XOR over F2 and one multiply-add over odd p, and back-substitutes
+the rows from the last pivot to the first.  A product row combines the
+packed rows of the right factor with the entries of the left row, and m @ v
+the packed columns of m with the entries of v; over F2 that is the XOR of
+the rows or columns selected, after Albrecht, Bard and Hart, "Algorithm 898:
+Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010); a
+vector or a left row with one nonzero entry selects one column or one right
+row, scaled.  ``coordinates`` over independent t_r forward-reduces the
+tagged rows [t_r | -e_r], stopping at a t_r that reduces to zero, and
+reduces each vector through them in ascending pivot order down to
+[0 | its coordinates].  A preimage of u under m spans u's rows with each
+column of m tagged by its index, and keeps the tags of the vectors whose
+column part cancels, the only rows it back-substitutes.  The forward pass of
+the tagged columns does not depend on u, so m keeps it from its first
+preimage, as an LU factorization is reused across right-hand sides, and each
+preimage runs only u's rows into a copy; a pullback, the preimage under m of
+u's image under a, runs in the images of u's rows unreduced.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from itertools import compress
+from operator import xor
+
+from . import Field, Matrix, SubspaceBasis
+
+
+class _PackedFp:
+    """F_p vectors for p <= 13 as ints, entry j in the byte (lane) at bit 8j.
+
+    A row update a + c * b is one big-int multiply-add, its lanes at most
+    (p - 1) + (p - 1)**2 < 256, reduced by one ``bytes.translate``; a linear
+    combination is reduced only when one more term could take a lane past
+    255.  Every vector a method returns has its lanes reduced.
+    """
+
+    nonzero = bool
+
+    def __init__(self, field: Field):
+        self.field = field
+        p = self.p = field.characteristic
+        self._mod = bytes(x % p for x in range(256))
+        self._inv = [0, *(pow(c, -1, p) for c in range(1, p))]
+        # the terms c * b, each adding at most (p - 1)**2 to a lane, that an
+        # accumulator of reduced lanes takes before a lane could pass 255
+        self._room = (256 - p) // (p - 1) ** 2
+
+    @staticmethod
+    def pack(vec) -> int:
+        return int.from_bytes(bytes(vec), "little")
+
+    @staticmethod
+    def unpack(v: int, n: int) -> tuple:
+        return tuple(v.to_bytes(n, "little"))
+
+    written = unpack
+
+    def coerce(self, vec) -> int:
+        """An outside vector, packed with each entry reduced mod p.
+
+        ``bytes`` packs a vector of ints in [0, 256) in C and ``translate``
+        reduces it; anything else is coerced entry by entry.
+        """
+        try:
+            return int.from_bytes(bytes(vec).translate(self._mod), "little")
+        except (TypeError, ValueError):
+            return self.pack(map(self.field.coerce, vec))
+
+    @staticmethod
+    def entry(v: int, j: int) -> int:
+        return v >> 8 * j & 255
+
+    @staticmethod
+    def support(v: int) -> dict[int, int]:
+        """The nonzero entries of v by lane, lowest lane first."""
+        return {j: c for j, c in enumerate(v.to_bytes((v.bit_length() + 7) // 8, "little")) if c}
+
+    @staticmethod
+    def unit(i: int, n: int) -> int:
+        return 1 << 8 * i
+
+    @staticmethod
+    def join(a: int, b: int, n: int) -> int:
+        """The vector a of length n followed by b."""
+        return a | b << 8 * n
+
+    @staticmethod
+    def tail(v: int, n: int) -> int:
+        return v >> 8 * n
+
+    def _reduced(self, v: int) -> int:
+        """v with every lane, each below 256, reduced mod p."""
+        return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "little")
+                              .translate(self._mod), "little")
+
+    def add_scaled(self, a: int, b: int, c) -> int:
+        """a + c * b."""
+        return self._reduced(a + c * b) if c else a
+
+    def scale(self, a: int, c) -> int:
+        return self._reduced(c * a)
+
+    def tally(self, rows, n: int) -> int:
+        """The sum of the unit vectors of length n at a list of rows.
+
+        A plain ``sum`` of 256 - p of them on top of reduced lanes fits in
+        a byte, so it is reduced once per that many rows.
+        """
+        acc, k = 0, 256 - self.p
+        for i in range(0, len(rows), k):
+            acc = self._reduced(sum([1 << 8 * r for r in rows[i:i + k]], acc))
+        return acc
+
+    def _combine(self, vectors, coeffs) -> int:
+        """The sum of c * v over the vectors and their coefficients, reduced."""
+        acc, room = 0, self._room
+        for c, v in zip(compress(coeffs, coeffs), compress(vectors, coeffs)):
+            if not room:
+                acc, room = self._reduced(acc), self._room
+            acc += c * v
+            room -= 1
+        return self._reduced(acc)
+
+    @staticmethod
+    def transpose(vectors, n: int) -> tuple[int, ...]:
+        """The n columns of vectors of length n: column j is every n-th byte from byte j."""
+        data = b"".join(v.to_bytes(n, "little") for v in vectors)
+        return tuple(int.from_bytes(data[j::n], "little") for j in range(n))
+
+    def _combine_by(self, vectors, v: int, n: int) -> int:
+        """The sum of c * vectors[j] over the lanes j of v, of length n, that
+        hold c: for a v with one nonzero lane, that one vector, scaled."""
+        if not v:
+            return 0
+        lane = ((v & -v).bit_length() - 1) >> 3
+        c = v >> 8 * lane
+        if c < 256:
+            return vectors[lane] if c == 1 else self.scale(vectors[lane], c)
+        return self._combine(vectors, v.to_bytes(n, "little"))
+
+    def apply(self, m: "Matrix", v: int) -> int:
+        """m @ v: the packed columns of m combined with v's entries."""
+        return self._combine_by(m._columns(), v, m.ncols)
+
+    def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
+        """The rows of a @ b: the packed rows of b combined with a row of a's entries."""
+        brows, n, combine = b._rows, a.ncols, self._combine_by
+        return tuple([combine(brows, arow, n) for arow in a._rows])
+
+    def _forward(self, vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
+        """The forward pass of a span: echelon rows keyed by their pivot, the
+        lane of their lowest set bit, each stored with a 1 there.
+
+        Each vector is cleared at its lowest lane, holding c, by adding p - c
+        times the row with that pivot, until it is zero or has a pivot of its
+        own.  Given ``stop``, the pass ends at the first vector whose pivot
+        falls at or past that lane, and returns None.  Given ``rows``, the
+        forward pass of earlier vectors, the vectors are added to it.
+        """
+        p, inv, reduced = self.p, self._inv, self._reduced
+        rows = {} if rows is None else rows
+        for v in vectors:
+            while v:
+                lane = ((v & -v).bit_length() - 1) >> 3
+                c = v >> 8 * lane & 255
+                row = rows.get(lane)
+                if row is None:
+                    if stop is not None and lane >= stop:
+                        return None
+                    rows[lane] = v if c == 1 else reduced(inv[c] * v)
+                    break
+                v = reduced(v + (p - c) * row)
+        return rows
+
+    def rank(self, vectors, n: int) -> int:
+        """The dimension of the span of the vectors: the rows of its forward pass."""
+        return len(self._forward(vectors))
+
+    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors, and
+        of the forward ``rows`` given, those with pivots at or past lane
+        ``head`` alone.
+
+        After the forward pass, from the last pivot to the first, each row is
+        cleared at the later pivots in one combination of their rows, which
+        are reduced by then; the rows past ``head`` need no row before it.
+        """
+        p, rows = self.p, self._forward(vectors, None, rows)
+        lanes = sorted([k for k in rows if k >= head], reverse=True)
+        later = 0  # the lanes of the pivots after the current one
+        for lane in lanes:
+            v = rows[lane]
+            hits = v & later
+            terms, coeffs = [v], [1]
+            while hits:
+                k = ((hits & -hits).bit_length() - 1) >> 3
+                c = hits >> 8 * k & 255
+                hits ^= c << 8 * k
+                terms.append(rows[k])
+                coeffs.append(p - c)
+            if len(terms) > 1:
+                rows[lane] = self._combine(terms, coeffs)
+            later |= 255 << 8 * lane
+        lanes.reverse()
+        return [rows[k] for k in lanes], lanes
+
+    def coordinates(self, basis, vectors, n: int) -> list[int] | None:
+        """The coordinates of each vector of length n over the basis vectors t_r,
+        or None if those are dependent or a vector lies outside their span: the
+        forward-reduced rows [t_r | -e_r] clear each vector at its lowest lane,
+        in ascending pivot order, down to [0 | its coordinates]."""
+        shift = 8 * n
+        rows = self._forward([t | (self.p - 1) << shift + 8 * r for r, t in enumerate(basis)], n)
+        if rows is None:
+            return None
+        head, out = (1 << shift) - 1, []
+        for v in vectors:
+            v = self._clear_head(v, rows, head)
+            if v is None:
+                return None
+            out.append(v >> shift)
+        return out
+
+    def _clear_head(self, v: int, rows, head: int) -> int | None:
+        """v cleared at its lowest lane in head by the forward row with that
+        pivot until head is zero, or None at a lane that no row clears."""
+        p, add_scaled = self.p, self.add_scaled
+        while v & head:
+            lane = ((v & -v).bit_length() - 1) >> 3
+            row = rows.get(lane)
+            if row is None:
+                return None
+            v = add_scaled(v, row, p - (v >> 8 * lane & 255))
+        return v
+
+    def preimage(self, m: "Matrix", u: "SubspaceBasis",
+                 a: "Matrix | None" = None) -> tuple[list[int], list[int]]:
+        """Echelon rows and pivots of {v : m @ v in u}, or in a(u) given a,
+        read off one span.
+
+        The span is of u's rows, or of their images under a as they come, and
+        of each column j of m with the unit vector e_j appended past its
+        nrows entries.  The vectors of that span that are zero in the first
+        nrows entries are (0, v) for v in the preimage, so the echelon rows
+        with pivots past them are the preimage's, shifted.  The forward pass
+        of the tagged columns does not depend on u: m keeps it from its first
+        preimage, and each preimage adds u's vectors to a copy.
+        """
+        vectors = u._rows if a is None else [self.apply(a, r) for r in u._rows]
+        shift = 8 * m.nrows
+        if m._fwd is None:
+            # last column first: a column whose head cancels then has its own tag
+            # as its lowest entry, as it only picks up the tags of later columns
+            m._fwd = self._forward([col | 1 << shift + 8 * j
+                                    for j, col in enumerate(m._columns())][::-1])
+        rows, pivots = self.span(vectors, m.nrows + m.ncols, m.nrows, dict(m._fwd))
+        return [r >> shift for r in rows], [pr - m.nrows for pr in pivots]
+
+
+class _PackedF2(_PackedFp):
+    """F2 vectors on the same layout, where adding two vectors is one XOR.
+
+    Every nonzero scalar is 1, so a nonzero multiple of a vector is the
+    vector itself: ``add_scaled`` is one XOR, ``scale`` keeps its argument
+    and a combination is the XOR of the vectors with a nonzero coefficient,
+    after Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication
+    of dense matrices over GF(2)" (ACM TOMS 2010).  XOR never carries
+    between bytes, so nothing is ever reduced.
+    """
+
+    @staticmethod
+    def add_scaled(a: int, b: int, c) -> int:
+        return a ^ b if c else a
+
+    @staticmethod
+    def scale(a: int, c) -> int:
+        return a if c else 0
+
+    @staticmethod
+    def tally(rows, n: int) -> int:
+        return reduce(xor, [1 << 8 * i for i in rows], 0)
+
+    @staticmethod
+    def _combine(vectors, coeffs) -> int:
+        return reduce(xor, compress(vectors, coeffs), 0)
+
+    @staticmethod
+    def _forward(vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
+        """The forward pass of a span: echelon rows keyed by their pivot bit,
+        the lowest one they have set.
+
+        Each vector is cleared at its lowest bit by the row with that pivot
+        until it is zero or has a pivot of its own.  Given ``stop``, the pass
+        ends at the first vector whose pivot falls at or past that entry, and
+        returns None; given ``rows``, the vectors are added to them.
+        """
+        rows = {} if rows is None else rows
+        for v in vectors:
+            while v:
+                low = v & -v
+                row = rows.get(low)
+                if row is None:
+                    if stop is not None and low >> 8 * stop:
+                        return None
+                    rows[low] = v
+                    break
+                v ^= row
+        return rows
+
+    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors and
+        of the forward ``rows`` given, those with pivots at or past entry
+        ``head`` alone.
+
+        After the forward pass, from the last pivot to the first, each row is
+        cleared at the later pivots by their rows, which are reduced by then.
+        """
+        rows, cut = self._forward(vectors, None, rows), 1 << 8 * head
+        bits = sorted([b for b in rows if b >= cut], reverse=True)
+        later = 0  # the pivots after the current one
+        for bit in bits:
+            v = rows[bit]
+            hits = v & later
+            while hits:
+                low = hits & -hits
+                v ^= rows[low]
+                hits ^= low
+            rows[bit] = v
+            later |= bit
+        bits.reverse()
+        return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
+
+    @staticmethod
+    def _clear_head(v: int, rows, head: int) -> int | None:
+        """As on odd p, with the rows keyed by pivot bit: each update is one XOR."""
+        while v & head:
+            row = rows.get(v & -v)
+            if row is None:
+                return None
+            v ^= row
+        return v

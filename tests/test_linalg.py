@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -8,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from extmod import linalg
-from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _Entries,
-                           _IntRows, _is_prime, _PackedF2, _PackedFp, _Rationals,
-                           image, intersect, kernel, preimage_space, pullback,
-                           quotient_dim, standard_complement, sum_space, vstack)
+from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime, image,
+                           intersect, kernel, preimage_space, pullback, quotient_dim,
+                           standard_complement, sum_space, vstack)
+from extmod.linalg._bytes import _PackedF2, _PackedFp
+from extmod.linalg._tuples import _Entries, _IntRows, _Rationals
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      hstack, random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
@@ -890,7 +894,7 @@ def test_families_answer_the_same_calls_with_one_elimination():
     for cls in families:
         assert {name for name in dir(cls) if not name.startswith("_")} == FAMILY_CALLS, cls
     made = set()
-    for path in Path(linalg.__file__).parent.glob("*.py"):
+    for path in Path(linalg.__file__).parent.parent.rglob("*.py"):
         made.update(re.findall(r"\b(?:fam|_family)\.([a-z]\w*)", path.read_text()))
     assert made == FAMILY_CALLS
     assert not any(hasattr(cls, "eliminate") for cls in families)
@@ -911,6 +915,35 @@ def test_layout_follows_the_characteristic():
     # integer rows over one denominator for Q, tuples of entries for p >= 17
     assert type(QQ._family) is _Rationals
     assert all(type(Field(p)._family) is _Entries for p in (17, 19, 257, 2**31 - 1))
+
+
+# a fresh interpreter that writes no bytecode, so each layout module it loads
+# is compiled in it; it prints the layout modules loaded after the package
+# import and after one paper-check run with the given arguments
+LAYOUTS_LOADED = """
+import contextlib, io, json, sys
+import extmod
+from extmod import cli
+def loaded():
+    return [name for name in ("extmod.linalg._bytes", "extmod.linalg._tuples")
+            if name in sys.modules]
+print(loaded())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--report", "json", "paper-check", "--N", "4", "--jmax", "6", *sys.argv[1:]])
+print(code, json.loads(out.getvalue())["pass"], loaded())
+"""
+
+
+@pytest.mark.parametrize("args, layout", [((), "_bytes"), (("--field", "17"), "_tuples"),
+                                          (("--field", "0"), "_tuples")],
+                         ids=["F2", "F17", "Q"])
+def test_a_process_loads_only_the_layout_its_field_picks(args, layout):
+    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[2]))
+    run = subprocess.run([sys.executable, "-B", "-c", LAYOUTS_LOADED, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == ["[]", f"0 True ['extmod.linalg.{layout}']"]
 
 
 # -- packed odd primes -----------------------------------------------------------
@@ -1357,6 +1390,14 @@ def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():
         Matrix.from_cols(F2, [[1, 0], [1]])
     with pytest.raises(ValueError, match="explicit column count"):
         Matrix(F5, [])
+    # a flat run of values must fill whole rows, on every layout
+    for field in (F2, F5, F17, QQ):
+        with pytest.raises(ValueError, match="3 values do not fill rows of 2 columns"):
+            Matrix.from_flat(field, [1, 2, 3], 2)
+        with pytest.raises(ValueError, match="1 values do not fill rows of 0 columns"):
+            Matrix.from_flat(field, [1], 0)
+        assert Matrix.from_flat(field, [], 0).shape == (0, 0)
+        assert Matrix.from_flat(field, [1, 0, 0, 1], 2) == Matrix.identity(field, 2)
 
 
 def test_solve_detects_inconsistency():

@@ -22,7 +22,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from extmod.linalg import Field, Matrix, SubspaceBasis, _Entries, preimage_space
+from extmod.linalg import Field, Matrix, SubspaceBasis, preimage_space
+from extmod.linalg._tuples import _Entries
 from helpers import reference_apply, reference_product, reference_row_reduce, reference_span
 
 QQ = Field(0)

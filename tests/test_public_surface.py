@@ -1,11 +1,12 @@
 """Every name the package exports, and every public method of ``Matrix`` and
 ``SubspaceBasis``, has a caller inside the package.
 
-A caller is a code reference in a module of ``extmod`` other than
-``__init__``, outside the ``def`` or ``class`` that defines the name.  An
-export is referenced by a ``Name`` or by the attribute of an ``Attribute``
-node; a method only by the attribute, so a local variable spelled like a
-method does not count as its caller.  Docstrings, comments and bare imports
+A caller is a code reference in a module of ``extmod`` or of its
+subpackage ``extmod.linalg`` other than the top-level ``__init__``, outside
+the ``def`` or ``class`` that defines the name.  An export is referenced by
+a ``Name`` or by the attribute of an ``Attribute`` node; a method only by
+the attribute, so a local variable spelled like a method does not count as
+its caller.  Docstrings, comments and bare imports
 are not code references.
 
 No module of the package holds an ``assert`` statement: ``python -O`` drops
@@ -51,7 +52,8 @@ def _public_methods() -> dict[str, str]:
 
 
 def _package_modules() -> list[str]:
-    return [path.read_text() for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    # every module of the package and its subpackages, linalg's __init__ too
+    return [path.read_text() for path in SRC.rglob("*.py") if path != SRC / "__init__.py"]
 
 
 def _referenced(sources) -> tuple[set[str], set[str]]:
@@ -97,7 +99,7 @@ def test_references_ignore_docstrings_comments_imports_and_own_definitions():
 
 
 def test_the_package_holds_no_assert_statement():
-    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
     assert any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse("assert x")))
