@@ -717,6 +717,16 @@ def test_invalid_module_raises_at_every_entry_point():
 # -- invariant checks -----------------------------------------------------------
 
 
+def test_package_has_no_assert_statements():
+    # invariant checks raise AssertionError explicitly, so python -O keeps them
+    src = Path(extmod.__file__).parent
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_package_imports_only_the_standard_library():
     # the package promises no runtime dependencies; relative imports are its own
     src = Path(extmod.__file__).parent
