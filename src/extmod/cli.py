@@ -15,6 +15,7 @@ from functools import cache
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 
@@ -38,13 +39,22 @@ class CheckFailure(Exception):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # never leave a partial file behind
+    # never leave a partial file behind; the file gets the mode a plain write
+    # would give it, which the temporary file, made 0600, does not have: an
+    # existing file keeps its mode, and a new one gets 0666 less the umask
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mask = os.umask(0)
+            os.umask(mask)
+            mode = 0o666 & ~mask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".extmod-")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

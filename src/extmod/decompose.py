@@ -301,16 +301,18 @@ def decompose(m: Module) -> Decomposition:
     if m.total_dim == 0:
         return Decomposition(())
     g = m.params.gap
-    pack = m.field._family.pack
+    fam = m.field._family
     soc = socle(m)
     # the vectors of each chain position in the family layout, which the
-    # sweep keeps: no tuple of them outlives this loop
+    # sweep keeps: no tuple of them outlives this loop; the bottoms are the
+    # unit vectors off the socle's pivots, a complement of it
     chains: dict[int, dict[int, list]] = {}
     for d in m.degrees:
-        bott = [pack(v) for v in standard_complement(soc[d])]
+        n, pivots = m.dim(d), set(soc[d].pivot_rows)
+        bott = [fam.unit(i, n) for i in range(n) if i not in pivots]
         if bott:
             chains.setdefault(d % g, {})[2 * (d // g)] = bott
-        tops = [pack(v) for v in soc[d].vectors()]
+        tops = [fam.pack(v) for v in soc[d].vectors()]
         if tops:
             b = d - m.params.deg_e2
             chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops

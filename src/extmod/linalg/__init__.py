@@ -10,8 +10,9 @@ the image of a preimage.  No floating point is used anywhere.
 
 Vectors take one of four layouts, chosen once per ``Field`` from its
 characteristic (``Field._family``), which imports only the module holding
-it, so a process compiles only the layouts its fields pick: packed bytes for
-p <= 13 in :mod:`extmod.linalg._bytes`, tuples for p >= 17 and over Q in
+it, so a process compiles only the layouts its fields pick: packed bits over
+F2 in :mod:`extmod.linalg._bits`, packed bytes for odd p <= 13 in
+:mod:`extmod.linalg._bytes`, tuples for p >= 17 and over Q in
 :mod:`extmod.linalg._tuples`.  The families answer the same calls on
 vectors of canonical entries, given their length n where the layout does not
 carry it, and ``Matrix`` eliminations and products, ``SubspaceBasis``,
@@ -26,8 +27,8 @@ columns it is given as that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  Where only a dimension is read, the
-family's ``rank`` is the forward pass alone on bytes and the pivot count of
-a span on tuples; ``Matrix.rank`` and containment use it.  Every other
+family's ``rank`` is the forward pass alone on bits and bytes and the pivot
+count of a span on tuples; ``Matrix.rank`` and containment use it.  Every other
 ``Matrix`` elimination is one span of its rows: ``rref_pivots`` pads the
 rows with zero rows, and ``solve`` spans the rows of [A | B] at full width,
 which is inconsistent exactly when a pivot falls in B.  ``inverse`` reads
@@ -98,8 +99,9 @@ class Field:
     Elements are plain ints in ``[0, p)`` for prime characteristic and
     ``Fraction`` values in characteristic 0; ``zero`` and ``one`` over Q are
     shared constants, so reading them builds nothing.  The field picks its
-    vector layout: packed bytes for p <= 13, with XOR rows over F2, tuples of
-    entries for p >= 17, and integer rows over one denominator for Q.
+    vector layout: packed bits with XOR rows over F2, packed bytes for odd
+    p <= 13, tuples of entries for p >= 17, and integer rows over one
+    denominator for Q.
     """
 
     characteristic: int
@@ -112,10 +114,12 @@ class Field:
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
         # the one place that picks a vector layout, importing only its module:
-        # bytes while a lane of a + c * b, at most (p - 1) + (p - 1)**2, fits in one
-        if 0 < p * (p - 1) < 256:
-            from ._bytes import _PackedF2, _PackedFp
-            family = _PackedF2 if p == 2 else _PackedFp
+        # bits over F2, and bytes while a lane of a + c * b, at most
+        # (p - 1) + (p - 1)**2, fits in one
+        if p == 2:
+            from ._bits import _Bits as family
+        elif 0 < p * (p - 1) < 256:
+            from ._bytes import _PackedFp as family
         else:
             from ._tuples import _Entries, _Rationals
             family = _Entries if p else _Rationals
@@ -197,7 +201,7 @@ class Matrix:
 
     # _fcols caches the columns in the family layout, made by one transpose
     # of the rows on first use, _fwd the forward pass of the tagged columns a
-    # byte-layout preimage starts from, and _hash the hash of the rows; safe
+    # bit- or byte-layout preimage starts from, and _hash the hash of the rows; safe
     # because no method changes the rows
     __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_fwd", "_hash")
 
@@ -295,9 +299,10 @@ class Matrix:
         unpack, n = self.field._family.unpack, self.nrows
         return [unpack(c, n) for c in self._columns()]
 
-    def written_cols(self) -> list[tuple]:
+    def written_cols(self) -> list:
         """The columns with each entry as a document writes it: an int, or
-        the string "a/b" in lowest terms; over Q no ``Fraction`` is built."""
+        the string "a/b" in lowest terms; over Q no ``Fraction`` is built,
+        and over F2 a column is the ``bytes`` of its 0s and 1s."""
         written, n = self.field._family.written, self.nrows
         return [written(c, n) for c in self._columns()]
 
@@ -427,8 +432,8 @@ class Matrix:
 
     def inverse(self) -> "Matrix | None":
         """The inverse, or None for a singular matrix: row i holds the
-        coordinates of e_i over the rows of self, so on bytes one forward pass
-        of [self | -I] stops at the first row of self that reduces to zero."""
+        coordinates of e_i over the rows of self, so on bits and bytes one forward
+        pass of [self | -I] stops at the first row of self that reduces to zero."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         fam, n = self.field._family, self.nrows
@@ -603,8 +608,8 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
 
 
 def pullback(m: Matrix, a: Matrix, u: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {v : m @ v lies in a(u)}: one elimination on the byte layouts,
-    which span the images of u's rows as they come with the columns of m."""
+    """The subspace {v : m @ v lies in a(u)}: one elimination on the bit and byte
+    layouts, which span the images of u's rows as they come with the columns of m."""
     if (u.ambient_dim, a.nrows) != (a.ncols, m.nrows):
         raise ValueError("ambient dimension mismatch")
     return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u, a))

@@ -1,4 +1,4 @@
-"""The byte layouts: F_p vectors for p <= 13 as ints, entry j in the byte at bit 8j.
+"""The byte layout: F_p vectors for odd p <= 13 as ints, entry j in the byte at bit 8j.
 
 ``int.from_bytes`` packs a vector in C.  A row update a + c * b of canonical
 vectors is one big-int multiply-add, which carries nothing between bytes
@@ -8,21 +8,18 @@ combination (a product row, m @ v, a back substitution) adds terms c * b to
 an accumulator and reduces it only when one more term could take a lane past
 255, the delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense
 linear algebra over word-size prime fields: the FFLAS and FFPACK packages",
-ACM TOMS 2008).  F2 shares the layout (:class:`_PackedF2`), and adding two
-vectors there is one XOR, which never carries.
+ACM TOMS 2008).  F2 has a layout of its own, one bit per entry
+(:mod:`extmod.linalg._bits`).
 
 A span clears each vector at its lowest nonzero entry by the row with that
-pivot, one XOR over F2 and one multiply-add over odd p, and back-substitutes
-the rows from the last pivot to the first.  A product row combines the
-packed rows of the right factor with the entries of the left row, and m @ v
-the packed columns of m with the entries of v; over F2 that is the XOR of
-the rows or columns selected, after Albrecht, Bard and Hart, "Algorithm 898:
-Efficient multiplication of dense matrices over GF(2)" (ACM TOMS 2010); a
-vector or a left row with one nonzero entry selects one column or one right
-row, scaled.  ``coordinates`` over independent t_r forward-reduces the
-tagged rows [t_r | -e_r], stopping at a t_r that reduces to zero, and
-reduces each vector through them in ascending pivot order down to
-[0 | its coordinates].  A preimage of u under m spans u's rows with each
+pivot, one multiply-add, and back-substitutes the rows from the last pivot to
+the first.  A product row combines the packed rows of the right factor with
+the entries of the left row, and m @ v the packed columns of m with the
+entries of v; a vector or a left row with one nonzero entry selects one
+column or one right row, scaled.  ``coordinates`` over independent t_r
+forward-reduces the tagged rows [t_r | -e_r], stopping at a t_r that reduces
+to zero, and reduces each vector through them in ascending pivot order down
+to [0 | its coordinates].  A preimage of u under m spans u's rows with each
 column of m tagged by its index, and keeps the tags of the vectors whose
 column part cancels, the only rows it back-substitutes.  The forward pass of
 the tagged columns does not depend on u, so m keeps it from its first
@@ -33,15 +30,13 @@ u's image under a, runs in the images of u's rows unreduced.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress
-from operator import xor
 
 from . import Field, Matrix, SubspaceBasis
 
 
 class _PackedFp:
-    """F_p vectors for p <= 13 as ints, entry j in the byte (lane) at bit 8j.
+    """F_p vectors for odd p <= 13 as ints, entry j in the byte (lane) at bit 8j.
 
     A row update a + c * b is one big-int multiply-add, its lanes at most
     (p - 1) + (p - 1)**2 < 256, reduced by one ``bytes.translate``; a linear
@@ -228,25 +223,17 @@ class _PackedFp:
         rows = self._forward([t | (self.p - 1) << shift + 8 * r for r, t in enumerate(basis)], n)
         if rows is None:
             return None
+        p, reduced = self.p, self._reduced
         head, out = (1 << shift) - 1, []
         for v in vectors:
-            v = self._clear_head(v, rows, head)
-            if v is None:
-                return None
+            while v & head:
+                lane = ((v & -v).bit_length() - 1) >> 3
+                row = rows.get(lane)
+                if row is None:
+                    return None
+                v = reduced(v + (p - (v >> 8 * lane & 255)) * row)
             out.append(v >> shift)
         return out
-
-    def _clear_head(self, v: int, rows, head: int) -> int | None:
-        """v cleared at its lowest lane in head by the forward row with that
-        pivot until head is zero, or None at a lane that no row clears."""
-        p, add_scaled = self.p, self.add_scaled
-        while v & head:
-            lane = ((v & -v).bit_length() - 1) >> 3
-            row = rows.get(lane)
-            if row is None:
-                return None
-            v = add_scaled(v, row, p - (v >> 8 * lane & 255))
-        return v
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis",
                  a: "Matrix | None" = None) -> tuple[list[int], list[int]]:
@@ -270,87 +257,3 @@ class _PackedFp:
                                     for j, col in enumerate(m._columns())][::-1])
         rows, pivots = self.span(vectors, m.nrows + m.ncols, m.nrows, dict(m._fwd))
         return [r >> shift for r in rows], [pr - m.nrows for pr in pivots]
-
-
-class _PackedF2(_PackedFp):
-    """F2 vectors on the same layout, where adding two vectors is one XOR.
-
-    Every nonzero scalar is 1, so a nonzero multiple of a vector is the
-    vector itself: ``add_scaled`` is one XOR, ``scale`` keeps its argument
-    and a combination is the XOR of the vectors with a nonzero coefficient,
-    after Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication
-    of dense matrices over GF(2)" (ACM TOMS 2010).  XOR never carries
-    between bytes, so nothing is ever reduced.
-    """
-
-    @staticmethod
-    def add_scaled(a: int, b: int, c) -> int:
-        return a ^ b if c else a
-
-    @staticmethod
-    def scale(a: int, c) -> int:
-        return a if c else 0
-
-    @staticmethod
-    def tally(rows, n: int) -> int:
-        return reduce(xor, [1 << 8 * i for i in rows], 0)
-
-    @staticmethod
-    def _combine(vectors, coeffs) -> int:
-        return reduce(xor, compress(vectors, coeffs), 0)
-
-    @staticmethod
-    def _forward(vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
-        """The forward pass of a span: echelon rows keyed by their pivot bit,
-        the lowest one they have set.
-
-        Each vector is cleared at its lowest bit by the row with that pivot
-        until it is zero or has a pivot of its own.  Given ``stop``, the pass
-        ends at the first vector whose pivot falls at or past that entry, and
-        returns None; given ``rows``, the vectors are added to them.
-        """
-        rows = {} if rows is None else rows
-        for v in vectors:
-            while v:
-                low = v & -v
-                row = rows.get(low)
-                if row is None:
-                    if stop is not None and low >> 8 * stop:
-                        return None
-                    rows[low] = v
-                    break
-                v ^= row
-        return rows
-
-    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors and
-        of the forward ``rows`` given, those with pivots at or past entry
-        ``head`` alone.
-
-        After the forward pass, from the last pivot to the first, each row is
-        cleared at the later pivots by their rows, which are reduced by then.
-        """
-        rows, cut = self._forward(vectors, None, rows), 1 << 8 * head
-        bits = sorted([b for b in rows if b >= cut], reverse=True)
-        later = 0  # the pivots after the current one
-        for bit in bits:
-            v = rows[bit]
-            hits = v & later
-            while hits:
-                low = hits & -hits
-                v ^= rows[low]
-                hits ^= low
-            rows[bit] = v
-            later |= bit
-        bits.reverse()
-        return [rows[b] for b in bits], [b.bit_length() // 8 for b in bits]
-
-    @staticmethod
-    def _clear_head(v: int, rows, head: int) -> int | None:
-        """As on odd p, with the rows keyed by pivot bit: each update is one XOR."""
-        while v & head:
-            row = rows.get(v & -v)
-            if row is None:
-                return None
-            v ^= row
-        return v

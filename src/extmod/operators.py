@@ -56,7 +56,7 @@ def _terms(m: Module, pulled: dict | None = None):
     it keeps F_0's subspace in every term.  Step 1 computes every degree e2
     acts on: the preimage of zero where e1 has no block at d + gap, and
     otherwise the preimage of the images, so a step is one elimination on
-    the byte layouts.  Step j recomputes such a degree d only if
+    the bit and byte layouts.  Step j recomputes such a degree d only if
     F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
     other degree's subspace.  Some step moves no degree within total_dim + 1
     steps, because each moving step shrinks a decreasing chain.

@@ -54,8 +54,8 @@ def parse_module(text: str) -> Module:
 
     Each source's column is built once, in the field's family layout, from
     its action line.  A line whose terms all have coefficient 1 is the tally
-    of its names' rows, looked up per target degree (on the byte layouts
-    one XOR or C-level sum of unit vectors); any other line, and any line
+    of its names' rows, looked up per target degree (one XOR per name on
+    the bit layout, a C-level sum of unit vectors on the byte layout); any other line, and any line
     with a fault, is read term by term.
     """
     header: dict[str, tuple[int | str, int]] = {}  # "field", "deg e1", ...: (value, line)

@@ -577,6 +577,32 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_documents_get_the_mode_a_plain_write_gives(tmp_path, capsys, umask):
+    # a new file gets 0666 less the umask, not the 0600 of the temporary file
+    # the write goes through, and an overwritten file keeps its mode
+    old = os.umask(umask)
+    try:
+        new, plain = tmp_path / "new.txt", tmp_path / "plain.txt"
+        assert main(["build", "L(1,0,1)@0", "-o", str(new)]) == 0
+        plain.write_text("x\n")
+        assert new.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o666 & ~umask
+        for mode in (0o640, 0o604, 0o755):
+            new.chmod(mode)
+            assert main(["build", "L(2,0,1)@0", "-o", str(new)]) == 0
+            assert new.stat().st_mode & 0o777 == mode
+            assert parse_module(new.read_text()) == make_flash(FlashShape.l(2, 0, 1), P)
+        # a complement document takes the same route
+        doc, out = str(tmp_path / "fa.txt"), tmp_path / "complement.txt"
+        assert main(["build", "free@0 + L(1,0,1)@0", "-o", doc]) == 0
+        assert main(["split-free", doc, "--complement-out", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert not list(tmp_path.glob(".extmod-*"))
+
+
 def test_failed_write_leaves_no_file(tmp_path, capsys):
     target = tmp_path / "out" / "x.txt"  # parent missing -> open fails
     code = main(["build", "L(1,0)@0", "-o", str(target)])

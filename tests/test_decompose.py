@@ -804,7 +804,7 @@ def test_only_linalg_chooses_a_vector_layout():
                 found.extend(f"{path.name}:{node.lineno}: imports {alias.name} from .linalg"
                              for alias in node.names if alias.name.startswith("_"))
             elif (isinstance(node, ast.ImportFrom) and node.level == 1
-                  and node.module in ("linalg._bytes", "linalg._tuples")):
+                  and node.module in ("linalg._bits", "linalg._bytes", "linalg._tuples")):
                 found.append(f"{path.name}:{node.lineno}: imports from .{node.module}")
             elif isinstance(node, ast.Attribute) and node.attr in STORAGE:
                 found.append(f"{path.name}:{node.lineno}: reads .{node.attr}")

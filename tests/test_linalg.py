@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import random
 import re
@@ -6,6 +8,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from operator import and_, xor
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from extmod import linalg
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime, image,
                            intersect, kernel, preimage_space, pullback, quotient_dim,
                            standard_complement, sum_space, vstack)
-from extmod.linalg._bytes import _PackedF2, _PackedFp
+from extmod.linalg._bits import _Bits
+from extmod.linalg._bytes import _PackedFp
 from extmod.linalg._tuples import _Entries, _IntRows, _Rationals
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      hstack, random_fraction_matrix, random_matrix, random_subspace,
@@ -25,7 +29,7 @@ from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new
 F2 = Field(2)
 F3, F5, F7, F11, F13, F17 = map(Field, (3, 5, 7, 11, 13, 17))
 QQ = Field(0)
-# F5 runs on packed bytes like F2, F17 on tuples like Q
+# F2 runs on packed bits, F5 on packed bytes, F17 on tuples like Q
 FIELDS = [F2, F5, F17, QQ]
 IDS = ["F2", "F5", "F17", "Q"]
 # the odd primes whose vectors are packed
@@ -418,14 +422,14 @@ def test_f2_from_spanning_matches_list_elimination():
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
     # each is one call of the family's span, over every layout, and so is a
-    # pullback on the byte layouts; there that span is cut at m's rows, the
+    # pullback on the packed layouts; there that span is cut at m's rows, the
     # head its tagged vectors cancel in, and it is handed only u's rows, with
     # a copy of the forward pass of the tagged columns that m keeps
     rng = random.Random(37)
     for field in [F2, F3, F5, F13, F17, QQ]:
         calls = count_span(monkeypatch, field)
         fam = field._family
-        byte_layout = isinstance(fam, _PackedFp)
+        packed = isinstance(fam, (_Bits, _PackedFp))
         for _ in range(10):
             m = _random_block(field, rng.randint(0, 6), rng.randint(0, 6), rng)
             u = random_subspace(field, m.nrows, rng)
@@ -437,7 +441,7 @@ def test_kernel_and_preimage_eliminate_once(monkeypatch):
             calls[0] = 0
             preimage_space(m, u)
             assert calls[0] == 1
-            if byte_layout:
+            if packed:
                 calls[0] = 0
                 pullback(m, a, w)
                 assert calls[0] == 1
@@ -715,18 +719,18 @@ def test_matrix_eliminations_match_list_reference(field):
 @pytest.mark.parametrize("field", [F2, F5, F13, F17, QQ], ids=["F2", "F5", "F13", "F17", "Q"])
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
-    # right-hand sides, singular and invertible; on the byte layouts an
+    # right-hand sides, singular and invertible; on the packed layouts an
     # inverse, singular or not, is the tagged forward pass of the unit
     # vectors' coordinates, and makes no span
     rng = random.Random(61)
     calls = count_span(monkeypatch, field)
-    byte_layout = isinstance(field._family, _PackedFp)
+    packed = isinstance(field._family, (_Bits, _PackedFp))
 
     def once(op, *args):
         calls[0] = 0
         out = op(*args)
-        # a rank is the forward pass alone on bytes
-        assert calls[0] == (0 if byte_layout and op.__name__ in ("rank", "inverse") else 1)
+        # a rank is the forward pass alone on bits and bytes
+        assert calls[0] == (0 if packed and op.__name__ in ("rank", "inverse") else 1)
         return out
 
     seen = {"singular": 0, "inverse": 0, "none": 0, "solved": 0}
@@ -845,13 +849,13 @@ def test_matrix_views_match_plain_tuples(field):
 def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
     # rows stay packed from construction through elimination and product
     calls = [0]
-    unpack = _PackedF2.unpack
+    unpack = _Bits.unpack
 
     def counted(v, n):
         calls[0] += 1
         return unpack(v, n)
 
-    monkeypatch.setattr(_PackedF2, "unpack", staticmethod(counted))
+    monkeypatch.setattr(_Bits, "unpack", staticmethod(counted))
     rng = random.Random(71)
     for n in (0, 1, 5, 70):
         inv = Matrix.identity(F2, n).inverse()
@@ -890,7 +894,7 @@ def test_support_is_the_nonzero_entries_lowest_first(field):
 def test_families_answer_the_same_calls_with_one_elimination():
     # a call added to one layout only, or made on a family without every
     # layout answering it, fails here
-    families = (_PackedF2, _PackedFp, _Entries, _Rationals)
+    families = (_Bits, _PackedFp, _Entries, _Rationals)
     for cls in families:
         assert {name for name in dir(cls) if not name.startswith("_")} == FAMILY_CALLS, cls
     made = set()
@@ -898,9 +902,14 @@ def test_families_answer_the_same_calls_with_one_elimination():
         made.update(re.findall(r"\b(?:fam|_family)\.([a-z]\w*)", path.read_text()))
     assert made == FAMILY_CALLS
     assert not any(hasattr(cls, "eliminate") for cls in families)
-    # F2 shares the byte layout and keeps its own XOR row updates
-    assert issubclass(_PackedF2, _PackedFp)
-    assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_PackedF2))
+    # F2 has a layout of its own, in a module that shares nothing with the
+    # byte layout, and writes its own XOR row updates
+    assert _Bits.__module__ == "extmod.linalg._bits" and _Bits.__bases__ == (object,)
+    assert not any(issubclass(_Bits, cls) or issubclass(cls, _Bits) for cls in families[1:])
+    assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_Bits))
+    bits = ast.parse(Path(inspect.getfile(_Bits)).read_text())
+    assert not [node for node in ast.walk(bits) if isinstance(node, ast.ImportFrom)
+                and node.module and "_bytes" in node.module]
     # the tuple layouts write their products, m @ v, eliminations,
     # preimages, tallies and tails once, in the base they share
     shared = {"_dots", "apply", "product", "span", "preimage", "tally", "tail"}
@@ -909,8 +918,9 @@ def test_families_answer_the_same_calls_with_one_elimination():
 
 
 def test_layout_follows_the_characteristic():
-    # bytes while a lane of a + c * b, at most (p - 1) + (p - 1)**2, fits in one
-    assert type(F2._family) is _PackedF2
+    # bits over F2, and bytes while a lane of a + c * b, at most
+    # (p - 1) + (p - 1)**2, fits in one
+    assert type(F2._family) is _Bits
     assert all(type(Field(p)._family) is _PackedFp for p in (3, 5, 7, 11, 13))
     # integer rows over one denominator for Q, tuples of entries for p >= 17
     assert type(QQ._family) is _Rationals
@@ -925,8 +935,8 @@ import contextlib, io, json, sys
 import extmod
 from extmod import cli
 def loaded():
-    return [name for name in ("extmod.linalg._bytes", "extmod.linalg._tuples")
-            if name in sys.modules]
+    return [name for name in ("extmod.linalg._bits", "extmod.linalg._bytes",
+                              "extmod.linalg._tuples") if name in sys.modules]
 print(loaded())
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -935,9 +945,10 @@ print(code, json.loads(out.getvalue())["pass"], loaded())
 """
 
 
-@pytest.mark.parametrize("args, layout", [((), "_bytes"), (("--field", "17"), "_tuples"),
+@pytest.mark.parametrize("args, layout", [((), "_bits"), (("--field", "5"), "_bytes"),
+                                          (("--field", "17"), "_tuples"),
                                           (("--field", "0"), "_tuples")],
-                         ids=["F2", "F17", "Q"])
+                         ids=["F2", "F5", "F17", "Q"])
 def test_a_process_loads_only_the_layout_its_field_picks(args, layout):
     env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[2]))
     run = subprocess.run([sys.executable, "-B", "-c", LAYOUTS_LOADED, *args], env=env,
@@ -1102,6 +1113,145 @@ def test_packed_odd_primes_store_reduced_lanes(field):
                                ncols)
             assert reduced((m + worst)._rows, ncols) and reduced((m - worst)._rows, ncols)
 
+
+# -- the bit layout over F2 ------------------------------------------------------
+
+# widths on either side of CPython's 30-bit digits, where a vector grows into a
+# second or a third digit
+BIT_WIDTHS = (0, 1, 29, 30, 31, 60, 61, 200)
+
+
+def _fit(vectors, n):
+    """Whether every vector is a non-negative int with no bit set past entry n - 1."""
+    return all(v >= 0 and v.bit_length() <= n for v in vectors)
+
+
+def _bit_rows(count, n, rng):
+    """count random rows of n entries; past four, the last four are the zero
+    row, the all-ones row, the first row again and the sum of the first two."""
+    rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(count)]
+    if count > 4:
+        rows[-4:] = [(0,) * n, (1,) * n, rows[0], tuple(map(xor, rows[0], rows[1]))]
+    return rows
+
+
+def _units(n):
+    """The n unit rows of length n."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _list_product(a, b, ncols):
+    """The rows of a @ b, lists of 0/1 rows with ncols columns in b, mod 2."""
+    cols = [[row[j] for row in b] for j in range(ncols)]
+    return [tuple(sum(map(and_, arow, col)) % 2 for col in cols) for arow in a]
+
+
+@pytest.mark.parametrize("n", BIT_WIDTHS)
+def test_bit_layout_packs_and_transposes_like_lists(n):
+    # entry j at bit j: pack, unpack, written, entry, support, coerce, join,
+    # tail and unit against the entries, transpose against the columns of the
+    # lists, and tally against counts mod 2
+    fam, rng = F2._family, random.Random(131 + n)
+    vectors = _bit_rows(6, n, rng) + _units(n)[:1] + _units(n)[-1:]
+    for v in vectors:
+        packed = fam.pack(v)
+        assert _fit([packed], n)
+        assert fam.unpack(packed, n) == v and fam.written(packed, n) == bytes(v)
+        assert [fam.entry(packed, j) for j in range(n)] == list(v)
+        assert fam.support(packed) == {j: 1 for j, x in enumerate(v) if x}
+        assert fam.nonzero(packed) == any(v)
+        # ints past [0, 256), negative ones and Fractions with odd denominators
+        # reduce to the same vector
+        for outside in ([x + 2 * rng.randint(0, 200) for x in v],
+                        [x - 2 * rng.randint(1, 200) for x in v],
+                        [Fraction(x + 2 * rng.randint(-9, 9), 3) for x in v]):
+            assert fam.coerce(outside) == packed
+        w = vectors[rng.randrange(len(vectors))]
+        joined = fam.join(packed, fam.pack(w), n)
+        assert joined == fam.pack(v + w) and fam.tail(joined, n) == fam.pack(w)
+    assert [fam.unit(j, n) for j in range(n)] == [fam.pack(v) for v in _units(n)]
+    for count in (0, 1, 29, 31, 61):
+        rows = _bit_rows(count, n, rng)
+        cols = fam.transpose([fam.pack(r) for r in rows], n)
+        assert cols == tuple(fam.pack([r[j] for r in rows]) for j in range(n))
+        assert _fit(cols, count)
+    # a row listed twice cancels
+    draws = [[]]
+    if n:
+        draws += [[0], [0, 0], [n - 1, 0, n - 1, n - 1], [rng.randrange(n) for _ in range(40)]]
+    for picks in draws:
+        got = fam.tally(picks, n)
+        assert fam.unpack(got, n) == tuple(picks.count(j) % 2 for j in range(n))
+        assert _fit([got], n)
+
+
+@pytest.mark.parametrize("n", BIT_WIDTHS)
+def test_bit_layout_matches_list_eliminations_and_products(n):
+    # product, apply, span, rank, coordinates, preimage and pullback of the
+    # family itself against list references, at widths that cross CPython's
+    # digits; every vector a call returns fits its width
+    fam, rng = F2._family, random.Random(137 + n)
+    for count in (0, 1, 29, 31, 61):
+        rows = _bit_rows(count, n, rng)
+        packed = [fam.pack(r) for r in rows]
+        want = reference_span(F2, n, rows)
+        got_rows, got_pivots = fam.span(packed, n)
+        assert (got_rows, got_pivots) == ([fam.pack(v) for v in want.vectors()],
+                                          list(want.pivot_rows))
+        assert _fit(got_rows, n) and fam.rank(packed, n) == want.dim
+        m = Matrix(F2, rows, ncols=n)
+        for inner in (0, 1, 30, 61):
+            b = _bit_rows(n, inner, rng)
+            got = fam.product(m, Matrix(F2, b, ncols=inner))
+            assert got == tuple(map(fam.pack, _list_product(rows, b, inner)))
+            assert _fit(got, inner)
+        for v in _bit_rows(5, n, rng) + _units(n)[:2]:
+            got = fam.apply(m, fam.pack(v))
+            assert got == fam.pack(tuple(sum(x & y for x, y in zip(r, v)) % 2 for r in rows))
+            assert _fit([got], count)
+        # coordinates over an independent basis, a dependent one, and with a
+        # vector outside the span
+        basis = [fam.pack(v) for v in want.vectors()]
+        coeffs = _bit_rows(4, want.dim, rng)
+        inside = [fam.pack(c) for c in _list_product(coeffs, want.vectors(), n)]
+        got = fam.coordinates(basis, inside, n)
+        assert got == [fam.pack(c) for c in coeffs] and _fit(got, want.dim)
+        if want.dim >= 2:
+            assert fam.coordinates(basis + [basis[0] ^ basis[1]], inside, n) is None
+        if want.dim < n:
+            free = next(j for j in range(n) if j not in want.pivot_rows)
+            assert fam.coordinates(basis, inside + [fam.unit(free, n)], n) is None
+        # preimages and pullbacks through m, to zero, random and full targets
+        for u in (SubspaceBasis.zero(F2, count), random_subspace(F2, count, rng, 8),
+                  SubspaceBasis.full(F2, count)):
+            _assert_bit_preimage(fam.preimage(m, u), rows, u.vectors(), n)
+        for inner in (0, 1, 31):
+            arows = _bit_rows(count, inner, rng)
+            w = random_subspace(F2, inner, rng, 8)
+            image_rows = _list_product(w.vectors(), list(zip(*arows)), count)
+            _assert_bit_preimage(fam.preimage(m, w, Matrix(F2, arows, ncols=inner)),
+                                 rows, image_rows, n)
+
+
+def _assert_bit_preimage(got, rows, target, n):
+    """got, the echelon rows and pivots a preimage returned, is the canonical
+    basis of {v : m v in the span of target}, m the 0/1 rows of n entries.
+
+    The canonical basis of a subspace is its only reduced echelon one, so it
+    is checked without eliminating n vectors of n entries: got is reduced
+    echelon, m maps each of its vectors into the target, and it has the
+    preimage's dimension, n less the rank of m's columns beyond the target.
+    """
+    fam, (got_rows, pivots) = F2._family, got
+    assert _fit(got_rows, n) and pivots == sorted(set(pivots))
+    vectors = [fam.unpack(v, n) for v in got_rows]
+    for v, pr in zip(vectors, pivots):
+        assert not any(v[:pr]) and [v[q] for q in pivots] == [int(q == pr) for q in pivots]
+    dim = reference_span(F2, len(rows), target).dim
+    images = _list_product(vectors, list(zip(*rows)), len(rows))
+    assert reference_span(F2, len(rows), [*target, *images]).dim == dim
+    cols = [tuple(r[j] for r in rows) for j in range(n)]
+    assert len(pivots) == n + dim - reference_span(F2, len(rows), cols + list(target)).dim
 
 def _unit_rows(field, nrows, ncols, rng):
     """A block whose rows are zero or a unit vector times a nonzero entry, as
