@@ -14,23 +14,21 @@ A span clears each vector at its lowest set bit by the row with that pivot,
 one XOR, keeping each row under its pivot bit, and back-substitutes the rows
 from the last pivot to the first.  A product row is the XOR of the rows of
 the right factor that a row of the left one selects, and m @ v the XOR of the
-columns of m that v selects; a vector or a left row with one set bit selects
-one.  ``coordinates`` over independent t_r forward-reduces the tagged rows
-[t_r | e_r], stopping at a t_r that reduces to zero, and reduces each vector
-through them in ascending pivot order down to [0 | its coordinates].  A
-preimage of u under m spans u's rows with each column of m tagged by its
-index, and keeps the tags of the vectors whose column part cancels, the only
-rows it back-substitutes.  The forward pass of the tagged columns does not
-depend on u, so m keeps it from its first preimage, as an LU factorization
-is reused across right-hand sides, and each preimage runs only u's rows into
-a copy; a pullback, the preimage under m of u's image under a, runs in the
-images of u's rows.
+columns of m that v selects.  ``coordinates`` over independent t_r
+forward-reduces the tagged rows [t_r | e_r], stopping at a t_r that reduces
+to zero, and reduces each vector through them in ascending pivot order down
+to [0 | its coordinates].  A preimage of u under m spans u's rows with each
+column of m tagged by its index, and keeps the tags of the vectors whose
+column part cancels, the only rows it back-substitutes.  The forward pass of
+the tagged columns does not depend on u, so m keeps it from its first
+preimage, as an LU factorization is reused across right-hand sides, and each
+preimage runs only u's rows into a copy; a pullback, the preimage under m of
+u's image under a, runs in the images of u's rows.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
 from operator import xor
 
 from . import Field, Matrix, SubspaceBasis
@@ -60,7 +58,7 @@ class _Bits:
 
     @staticmethod
     def unpack(v: int, n: int) -> tuple:
-        return tuple(bin(v | 1 << n)[:2:-1].encode().translate(_ENTRY))
+        return tuple(_Bits.written(v, n))
 
     def coerce(self, vec) -> int:
         """An outside vector, packed with each entry reduced mod 2.
@@ -128,14 +126,7 @@ class _Bits:
 
     @staticmethod
     def _combine(vectors, v: int) -> int:
-        """The XOR of vectors[j] over the set bits j of v.
-
-        The bit loop costs a few operations on v per set bit, and ``compress``
-        over the bytes of v's entries one pass over all of them; past about
-        20 set bits the pass is the cheaper.
-        """
-        if v.bit_count() > 20:
-            return reduce(xor, compress(vectors, bin(v)[:1:-1].encode().translate(_ENTRY)), 0)
+        """The XOR of vectors[j] over the set bits j of v."""
         acc = 0
         while v:
             low = v & -v
@@ -143,19 +134,13 @@ class _Bits:
             v ^= low
         return acc
 
-    def _combine_by(self, vectors, v: int) -> int:
-        """The XOR of vectors[j] over the set bits j of v: for v with one, that vector."""
-        if not v & v - 1:
-            return vectors[v.bit_length() - 1] if v else 0
-        return self._combine(vectors, v)
-
     def apply(self, m: "Matrix", v: int) -> int:
         """m @ v: the XOR of the packed columns of m that v selects."""
-        return self._combine_by(m._columns(), v)
+        return self._combine(m._columns(), v)
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
         """The rows of a @ b: the XOR of the packed rows of b that a row of a selects."""
-        brows, combine = b._rows, self._combine_by
+        brows, combine = b._rows, self._combine
         return tuple([combine(brows, arow) for arow in a._rows])
 
     @staticmethod

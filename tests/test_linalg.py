@@ -1346,12 +1346,14 @@ def test_factored_preimages_match_a_fresh_tagged_span(field):
 @pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)
 def test_unit_vectors_select_one_column(field):
     # m @ v for the zero vector, unit vectors at the first and last column and
-    # single entries 2 .. p - 1 reads one column and combines nothing; a
-    # vector with two nonzero entries still combines
+    # single entries 2 .. p - 1 reads one column: over odd p it combines
+    # nothing, and over F2, where a unit vector is one set bit, it is that
+    # packed column of m; a vector with two nonzero entries still combines
     p, fam = field.characteristic, field._family
     rng = random.Random(101 + p)
     combined, combine = [0], fam._combine
-    fam._combine = lambda *args: combined.__setitem__(0, combined[0] + 1) or combine(*args)
+    if p > 2:
+        fam._combine = lambda *args: combined.__setitem__(0, combined[0] + 1) or combine(*args)
     try:
         for nrows, ncols in ((0, 1), (1, 1), (5, 1), (4, 9), (3, 70), (70, 3)):
             for m in _pullback_blocks(field, nrows, ncols, rng):
@@ -1359,15 +1361,23 @@ def test_unit_vectors_select_one_column(field):
                 for j in {0, ncols - 1, rng.randrange(ncols)}:
                     for c in range(1, p):
                         singles.append(tuple(c if k == j else 0 for k in range(ncols)))
+                    if p == 2:
+                        assert fam.apply(m, fam.unit(j, ncols)) == m._columns()[j]
                 combined[0] = 0
                 for v in singles:
                     assert m.apply(v) == reference_apply(m, v)
                 assert combined[0] == 0
                 if ncols > 1:
                     v = (1,) + (0,) * (ncols - 2) + (p - 1,)
-                    assert m.apply(v) == reference_apply(m, v) and combined[0] == 1
+                    assert m.apply(v) == reference_apply(m, v)
+                    if p == 2:
+                        cols = m._columns()
+                        assert fam.apply(m, fam.pack(v)) == cols[0] ^ cols[-1]
+                    else:
+                        assert combined[0] == 1
     finally:
-        del fam._combine
+        if p > 2:
+            del fam._combine
 
 
 def _reference_coordinates(field, basis, vectors, n):
