@@ -41,11 +41,14 @@ class CheckFailure(Exception):
 def _write_atomic(path: str, text: str) -> None:
     # never leave a partial file behind; the file gets the mode a plain write
     # would give it, which the temporary file, made 0600, does not have: an
-    # existing file keeps its mode, and a new one gets 0666 less the umask
-    directory = os.path.dirname(os.path.abspath(path))
+    # existing file keeps its mode, and a new one gets 0666 less the umask.
+    # Like a plain write it writes through a symbolic link, dangling or not:
+    # the link's target is the file replaced, in the target's directory
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
     try:
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             mask = os.umask(0)
             os.umask(mask)
@@ -55,7 +58,7 @@ def _write_atomic(path: str, text: str) -> None:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.chmod(tmp, mode)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -304,15 +304,15 @@ def decompose(m: Module) -> Decomposition:
     fam = m.field._family
     soc = socle(m)
     # the vectors of each chain position in the family layout, which the
-    # sweep keeps: no tuple of them outlives this loop; the bottoms are the
-    # unit vectors off the socle's pivots, a complement of it
+    # sweep keeps: the bottoms are the unit vectors off the socle's pivots, a
+    # complement of it, and the tops the socle's echelon rows as stored
     chains: dict[int, dict[int, list]] = {}
     for d in m.degrees:
         n, pivots = m.dim(d), set(soc[d].pivot_rows)
         bott = [fam.unit(i, n) for i in range(n) if i not in pivots]
         if bott:
             chains.setdefault(d % g, {})[2 * (d // g)] = bott
-        tops = [fam.pack(v) for v in soc[d].vectors()]
+        tops = soc[d].family_rows()
         if tops:
             b = d - m.params.deg_e2
             chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops

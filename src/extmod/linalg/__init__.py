@@ -20,10 +20,12 @@ carry it, and ``Matrix`` eliminations and products, ``SubspaceBasis``,
 :mod:`extmod.decompose` are written once over them, looking the family up
 once per call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its
 echelon rows, in the family layout only; ``rows``, ``cols()`` and entry
-reads unpack them.  The columns of a ``Matrix`` are one ``transpose`` of its
-rows, made on first use and cached for what reads columns: an image, a
-product on tuples, m @ v and packed preimages.  ``from_cols`` keeps the
-columns it is given as that cache.
+reads unpack them, and ``SubspaceBasis.family_rows()`` hands the echelon
+rows over as stored, to a caller that keeps working in the layout.  The
+columns of a ``Matrix`` are one ``transpose`` of its rows, made on first
+use and cached for what reads columns: an image, a product on tuples,
+m @ v and packed preimages.  ``from_cols`` keeps the columns it is given as
+that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  Where only a dimension is read, the
@@ -539,6 +541,10 @@ class SubspaceBasis:
     def vectors(self) -> list[tuple]:
         unpack, n = self.field._family.unpack, self.ambient_dim
         return [unpack(r, n) for r in self._rows]
+
+    def family_rows(self) -> tuple:
+        """The canonical basis as stored: echelon rows in the field's family layout."""
+        return self._rows
 
     def basis_matrix(self) -> Matrix:
         return Matrix.from_cols(self.field, self._rows, nrows=self.ambient_dim, _raw=True)

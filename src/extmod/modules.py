@@ -182,6 +182,15 @@ class Module:
     absent matrices are zero.  Optional per-degree basis labels are carried
     by the canonical constructors and dropped by basis scrambles; algorithms
     must not depend on them.
+
+    The parts are checked once, where they enter.  ``Module(...)``, which
+    ``parse_module`` and every caller outside this module use, puts them in
+    normal form: dimensions in ascending degree order and positive only,
+    every block of shape (dim(d + |which|), dim(d)) and nonzero, stored in
+    degree order, and labels, if given, a tuple of dim(d) names in every
+    degree.  The constructors here that build their parts in that form
+    (``make_flash``, ``direct_sum``, ``random_basis_change``) pass the
+    private ``_raw=True``, which stores them unchecked.
     """
 
     # _violations caches validate(self).  That is sound because a Module is
@@ -191,14 +200,18 @@ class Module:
 
     def __init__(self, params: AlgebraParams, dims: dict[int, int],
                  a1: dict[int, Matrix], a2: dict[int, Matrix],
-                 labels: dict[int, tuple[str, ...]] | None = None):
+                 labels: dict[int, tuple[str, ...]] | None = None, _raw: bool = False):
         self.params = params
         self._violations: tuple[Violation, ...] | None = None
+        if _raw:
+            self.dims_by_degree, self._a1, self._a2, self.labels = dims, a1, a2, labels
+            return
         self.dims_by_degree = {d: n for d, n in sorted(dims.items()) if n > 0}
         self._a1 = self._normalize_actions(a1, params.deg_e1)
         self._a2 = self._normalize_actions(a2, params.deg_e2)
         if labels is not None:
-            labels = {d: tuple(ls) for d, ls in labels.items() if self.dim(d)}
+            # labels name the whole basis of each degree; others are dropped
+            labels = {d: tuple(labels.get(d, ())) for d in self.dims_by_degree}
             for d, ls in labels.items():
                 if len(ls) != self.dim(d):
                     raise ValueError(f"label count mismatch at degree {d}")
@@ -314,26 +327,38 @@ def make_flash(shape: FlashShape, params: AlgebraParams) -> Module:
     target degrees, each 1 or 2, so every flash takes its blocks from one
     table of four immutable objects per field (``_unit_blocks``), and a
     factorization a block keeps serves every flash that holds it.
+
+    Bottoms step by the gap and so do tops, so degrees, labels and blocks
+    come out in degree order from arithmetic on the shift, the gap and |e2|,
+    in the normal form ``Module`` checks for, and the module is built raw.
     """
     if shape.kind != "finite":
         raise ValueError("make_flash builds finite shapes; "
                          "truncate a right-infinite flash instead")
-    tops = shape.top_indices()
+    b, base, g = shape.bottoms, shape.shift, params.gap
+    tops = range(-1 if shape.left_top else 0, b if shape.right_top else b - 1)
+    # y_i lies |e2| = q gap + r above x_i: in x_{i+q}'s degree, after it, when
+    # r = 0, and else between x_{i+q} and x_{i+q+1}; the tops past x_{b-1}
+    # follow it, however large q is
+    q = params.deg_e2 // g
     labels: dict[int, tuple[str, ...]] = {}
-    for d, _, label in sorted(
-            [(shape.bottom_degree(i, params), 0, f"x{i}") for i in range(shape.bottoms)]
-            + [(shape.top_degree(i, params), 1, _top_label(i)) for i in tops]):
-        labels[d] = labels.get(d, ()) + (label,)
+    for j in range(b):
+        labels[base + j * g] = (f"x{j}",)
+        if j - q in tops:
+            d = base + (j - q) * g + params.deg_e2
+            labels[d] = labels.get(d, ()) + (_top_label(j - q),)
+    for i in range(max(tops.start, b - q), tops.stop):
+        labels[base + i * g + params.deg_e2] = (_top_label(i),)
     dims = {d: len(ls) for d, ls in labels.items()}
     blocks = _unit_blocks(params.field)
 
-    def arrows(step: int, sources) -> dict[int, Matrix]:
-        degrees = [shape.bottom_degree(i, params) for i in sources]
-        return {d: blocks[dims[d], dims[d + step]] for d in degrees}
+    def arrows(step: int, sources: range) -> dict[int, Matrix]:
+        # x_i to y_i under e2, x_{i+1} to y_i under e1
+        return {d: blocks[dims[d], dims[d + step]] for d in range(
+            base + sources.start * g, base + sources.stop * g, g)}
 
-    e1_sources = [i + 1 for i in tops if i + 1 < shape.bottoms]
-    return Module(params, dims, arrows(params.deg_e1, e1_sources),
-                  arrows(params.deg_e2, [i for i in tops if i >= 0]), labels=labels)
+    return Module(params, dims, arrows(params.deg_e1, range(tops.start + 1, b)),
+                  arrows(params.deg_e2, range(0, tops.stop)), labels=labels, _raw=True)
 
 
 @cache
@@ -388,6 +413,7 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
             off[d] = dims.get(d, 0)
             dims[d] = off[d] + n
         offsets.append(off)
+    dims = dict(sorted(dims.items()))
     field = params.field
 
     def block(which: str, step: int) -> dict[int, Matrix]:
@@ -397,16 +423,19 @@ def direct_sum(mods: list[Module], params: AlgebraParams | None = None) -> Modul
             for d, a in m.action_items(which).items():
                 placed.setdefault(d, []).append((off[d + step], off[d], a))
         return {d: place_blocks(field, dims[d + step], dims[d], blocks)
-                for d, blocks in placed.items()}
+                for d, blocks in sorted(placed.items())}
 
     labels = None
     if all(m.labels is not None for m in mods):
-        labels = {d: [] for d in dims}
+        names: dict[int, list[str]] = {d: [] for d in dims}
         for i, m in enumerate(mods):
             for d, ls in m.labels.items():
-                labels[d].extend([f"s{i}.{lab}" for lab in ls])
+                names[d].extend([f"s{i}.{lab}" for lab in ls])
+        labels = {d: tuple(ls) for d, ls in names.items()}
+    # the summands are in normal form, so their sum is: placed nonzero blocks
+    # are nonzero, and each degree's labels name its whole basis
     return Module(params, dims, block(E1, params.deg_e1), block(E2, params.deg_e2),
-                  labels=labels)
+                  labels=labels, _raw=True)
 
 
 def shift(m: Module, d: int) -> Module:
@@ -540,8 +569,9 @@ def random_basis_change(m: Module, seed: int) -> Module:
         return {d: inverse[d + step] @ (a @ change[d])
                 for d, a in m.action_items(which).items()}
 
+    # conjugating a nonzero block by invertible matrices leaves it nonzero
     return Module(m.params, dict(m.dims_by_degree),
-                  conj(E1, m.params.deg_e1), conj(E2, m.params.deg_e2), labels=None)
+                  conj(E1, m.params.deg_e1), conj(E2, m.params.deg_e2), _raw=True)
 
 
 def with_variant(m: Module, variant: str) -> Module:

@@ -603,6 +603,26 @@ def test_written_documents_get_the_mode_a_plain_write_gives(tmp_path, capsys, um
     assert not list(tmp_path.glob(".extmod-*"))
 
 
+def test_written_documents_go_through_a_symbolic_link(tmp_path, capsys):
+    # as a plain write does: the link stays a link and its target, named
+    # relative to the link, gets the document; a dangling link creates its
+    # target; and no temporary file is left beside either
+    (tmp_path / "elsewhere").mkdir()
+    target, link = tmp_path / "elsewhere" / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(Path("elsewhere") / "target.txt")
+    assert main(["build", "L(1,0,1)@0", "-o", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert parse_module(target.read_text()) == make_flash(FlashShape.l(1, 0, 1), P)
+    dangling, missing = tmp_path / "dangling.txt", tmp_path / "elsewhere" / "missing.txt"
+    dangling.symlink_to(missing)
+    assert main(["build", "simple@0", "-o", str(dangling)]) == 0
+    assert dangling.is_symlink()
+    assert parse_module(missing.read_text()) == make_flash(FlashShape.simple(0), P)
+    capsys.readouterr()
+    assert not list(tmp_path.rglob(".extmod-*"))
+
+
 def test_failed_write_leaves_no_file(tmp_path, capsys):
     target = tmp_path / "out" / "x.txt"  # parent missing -> open fails
     code = main(["build", "L(1,0)@0", "-o", str(target)])

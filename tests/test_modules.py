@@ -177,20 +177,70 @@ def test_direct_sum_is_block_diagonal(char):
     assert {(which, d): total.action(which, d) for which, d in blocks} == blocks
 
 
+def _ordered_parts(m):
+    """m's dimensions, blocks and labels as ordered item lists."""
+    return (list(m.dims_by_degree.items()),
+            [list(m.action_items(which).items()) for which in (E1, E2)],
+            None if m.labels is None else list(m.labels.items()))
+
+
+def assert_in_normal_form(m):
+    # the checked constructor, given the parts of a module built raw, must
+    # keep them as they are, in the same order
+    checked = Module(m.params, m.dims_by_degree, m.action_items(E1), m.action_items(E2),
+                     labels=m.labels)
+    assert _ordered_parts(m) == _ordered_parts(checked)
+
+
+def test_checked_constructor_names_a_wrong_shaped_block():
+    f = P.field
+    with pytest.raises(ValueError, match=r"^action matrix at degree 0 has shape \(1, 2\), "
+                                         r"expected \(1, 1\)$"):
+        Module(P, {0: 1, 1: 1}, {0: Matrix(f, [[1, 1]])}, {})
+    with pytest.raises(ValueError, match=r"^action matrix at degree 2 has shape \(1, 1\), "
+                                         r"expected \(0, 1\)$"):
+        Module(P, {0: 1, 2: 1, 3: 1}, {}, {0: Matrix(f, [[1]]), 2: Matrix(f, [[1]])})
+
+
+def test_checked_constructor_counts_labels_in_every_degree():
+    with pytest.raises(ValueError, match="^label count mismatch at degree 0$"):
+        Module(P, {0: 2}, {}, {}, labels={0: ("a",)})
+    with pytest.raises(ValueError, match="^label count mismatch at degree 1$"):
+        Module(P, {0: 1, 1: 1}, {}, {}, labels={0: ("a",)})
+
+
+def test_checked_constructor_drops_zero_blocks_and_nonpositive_dimensions():
+    # degrees given out of order, dimensions 0 and -2, and all-zero blocks,
+    # two of them with no rows or columns; labels as lists, and a label
+    # entry at a degree of dimension 0
+    f = P.field
+    one = Matrix(f, [[1]])
+    m = Module(P, {5: 1, 1: 1, 2: 0, 0: 1, 3: -2},
+               {1: Matrix.zeros(f, 0, 1), 0: one, 5: Matrix.zeros(f, 0, 1)},
+               {2: Matrix.zeros(f, 1, 0), 0: Matrix.zeros(f, 0, 1)},
+               labels={5: ["c"], 2: (), 1: ["b"], 0: ["a"]})
+    assert _ordered_parts(m) == ([(0, 1), (1, 1), (5, 1)], [[(0, one)], []],
+                                 [(0, ("a",)), (1, ("b",)), (5, ("c",))])
+    assert_in_normal_form(m)
+
+
 @pytest.mark.parametrize("char", [2, 5, 17, 0])
 @pytest.mark.parametrize("degs", DEGREE_PAIRS)
 def test_make_flash_matches_reference(char, degs):
     # every block row written once as a unit vector or zero must give the
     # module the arrow-and-label construction gave, labels in the same order;
     # a block depends only on its source and target dimensions, so the flash
-    # holds one object per block shape, under either action
+    # holds one object per block shape, under either action; the flash and
+    # its scramble, both built raw, are in the checked constructor's form
     params = default_params(char, *degs)
     for bottoms in range(1, 8):
         for lt in (False, True):
             for rt in (False, True):
-                for at in (0, 5):
+                for at in (-3, 0, 5):
                     shape = FlashShape.finite(bottoms, lt, rt, at)
                     m, ref = make_flash(shape, params), reference_flash(shape, params)
+                    assert_in_normal_form(m)
+                    assert_in_normal_form(random_basis_change(m, bottoms))
                     blocks = [b for which in (E1, E2) for b in m.action_items(which).values()]
                     assert len({id(b) for b in blocks}) == len({b.shape for b in blocks}) <= 4
                     assert m.dims_by_degree == ref.dims_by_degree
@@ -221,12 +271,13 @@ def test_flashes_take_their_blocks_from_one_table(char):
     assert sorted(found) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("char", [2, 17, 0])
-@pytest.mark.parametrize("degs", [(1, 2), (3, 4)])
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+@pytest.mark.parametrize("degs", [(1, 2), (3, 4), (1, 3), (2, 5)])
 def test_direct_sum_labels_and_blocks_match_per_degree_reference(char, degs):
     # (1, 2) and (3, 4) put tops and bottoms of flashes at neighbouring shifts
     # in one degree, so the summands' degrees interleave; a scrambled summand
-    # has no labels, and then neither has the sum
+    # has no labels, and then neither has the sum; the sum is built raw, from
+    # summands given in no degree order, in the checked constructor's form
     params = default_params(char, *degs)
     rng = random.Random(char * 10 + degs[0])
     for _ in range(6):
@@ -237,6 +288,7 @@ def test_direct_sum_labels_and_blocks_match_per_degree_reference(char, degs):
                 mods[k] = random_basis_change(mods[k], rng.randrange(100))
                 assert mods[k].labels is None
             total = direct_sum(mods)
+            assert_in_normal_form(total)
             labels, blocks = reference_direct_sum(mods)
             assert total.labels == labels
             assert {(which, d): total.action(which, d) for which, d in blocks} == blocks
@@ -287,7 +339,9 @@ def test_random_invertible_matches_per_entry_reference(char):
     sizes = list(range(1, 15)) + ([65, 70] if char == 2 else [])
     m = scramble_test_module(char, sizes)
     for seed in range(3):
-        assert random_basis_change(m, seed) == reference_random_basis_change(m, seed)
+        scrambled = random_basis_change(m, seed)
+        assert scrambled == reference_random_basis_change(m, seed)
+        assert_in_normal_form(scrambled)
 
 
 def test_shift():
