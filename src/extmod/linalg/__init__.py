@@ -20,8 +20,8 @@ carry it, and ``Matrix`` eliminations and products, ``SubspaceBasis``,
 :mod:`extmod.decompose` are written once over them, looking the family up
 once per call.  A ``Matrix`` keeps its rows, and a ``SubspaceBasis`` its
 echelon rows, in the family layout only; ``rows``, ``cols()`` and entry
-reads unpack them, and ``SubspaceBasis.family_rows()`` hands the echelon
-rows over as stored, to a caller that keeps working in the layout.  The
+reads unpack them, and ``family_rows()`` of either hands those rows over
+as stored, to a caller that keeps working in the layout.  The
 columns of a ``Matrix`` are one ``transpose`` of its rows, made on first
 use and cached for what reads columns: an image, a product on tuples,
 m @ v and packed preimages.  ``from_cols`` keeps the columns it is given as
@@ -307,6 +307,10 @@ class Matrix:
         and over F2 a column is the ``bytes`` of its 0s and 1s."""
         written, n = self.field._family.written, self.nrows
         return [written(c, n) for c in self._columns()]
+
+    def family_rows(self) -> tuple:
+        """The rows as stored, in the field's family layout."""
+        return self._rows
 
     def select_rows(self, indices) -> "Matrix":
         """The matrix of the rows at the given indices, in that order."""

@@ -144,27 +144,33 @@ class _Bits:
         return tuple([combine(brows, arow) for arow in a._rows])
 
     @staticmethod
+    def insert(rows: dict[int, int], v: int) -> tuple[int, int] | None:
+        """v cleared at its lowest bit by the rows of a forward pass keyed by
+        pivot bit, one XOR each, until it is zero, then None, or has a pivot
+        of its own: then it is stored and returned with that pivot's index."""
+        while v:
+            low = v & -v
+            row = rows.get(low)
+            if row is None:
+                rows[low] = v
+                return v, low.bit_length() - 1
+            v ^= row
+        return None
+
+    @staticmethod
     def _forward(vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot bit,
-        the lowest one they have set.
+        the lowest one they have set, each vector ``insert``ed in turn.
 
-        Each vector is cleared at its lowest bit by the row with that pivot
-        until it is zero or has a pivot of its own.  Given ``stop``, the pass
-        ends at the first vector whose pivot falls at or past that entry, and
-        returns None.  Given ``rows``, the forward pass of earlier vectors,
-        the vectors are added to it.
+        Given ``stop``, the pass ends at the first vector whose pivot falls
+        at or past that entry, and returns None.  Given ``rows``, the forward
+        pass of earlier vectors, the vectors are added to it.
         """
-        rows = {} if rows is None else rows
+        rows, insert = {} if rows is None else rows, _Bits.insert
         for v in vectors:
-            while v:
-                low = v & -v
-                row = rows.get(low)
-                if row is None:
-                    if stop is not None and low >> stop:
-                        return None
-                    rows[low] = v
-                    break
-                v ^= row
+            new = insert(rows, v)
+            if new and stop is not None and new[1] >= stop:
+                return None
         return rows
 
     def rank(self, vectors, n: int) -> int:

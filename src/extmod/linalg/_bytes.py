@@ -157,29 +157,35 @@ class _PackedFp:
         brows, n, combine = b._rows, a.ncols, self._combine_by
         return tuple([combine(brows, arow, n) for arow in a._rows])
 
+    def insert(self, rows: dict[int, int], v: int) -> tuple[int, int] | None:
+        """v cleared at its lowest lane, holding c, by adding p - c times the
+        row of a forward pass keyed by pivot lane, until it is zero, then
+        None, or has a pivot of its own: then it is stored with a 1 there and
+        returned with that pivot."""
+        p, reduced = self.p, self._reduced
+        while v:
+            lane = ((v & -v).bit_length() - 1) >> 3
+            c = v >> 8 * lane & 255
+            row = rows.get(lane)
+            if row is None:
+                v = rows[lane] = v if c == 1 else reduced(self._inv[c] * v)
+                return v, lane
+            v = reduced(v + (p - c) * row)
+        return None
+
     def _forward(self, vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
         """The forward pass of a span: echelon rows keyed by their pivot, the
-        lane of their lowest set bit, each stored with a 1 there.
+        lane of their lowest set bit, each vector ``insert``ed in turn.
 
-        Each vector is cleared at its lowest lane, holding c, by adding p - c
-        times the row with that pivot, until it is zero or has a pivot of its
-        own.  Given ``stop``, the pass ends at the first vector whose pivot
-        falls at or past that lane, and returns None.  Given ``rows``, the
-        forward pass of earlier vectors, the vectors are added to it.
+        Given ``stop``, the pass ends at the first vector whose pivot falls
+        at or past that lane, and returns None.  Given ``rows``, the forward
+        pass of earlier vectors, the vectors are added to it.
         """
-        p, inv, reduced = self.p, self._inv, self._reduced
-        rows = {} if rows is None else rows
+        rows, insert = {} if rows is None else rows, self.insert
         for v in vectors:
-            while v:
-                lane = ((v & -v).bit_length() - 1) >> 3
-                c = v >> 8 * lane & 255
-                row = rows.get(lane)
-                if row is None:
-                    if stop is not None and lane >= stop:
-                        return None
-                    rows[lane] = v if c == 1 else reduced(inv[c] * v)
-                    break
-                v = reduced(v + (p - c) * row)
+            new = insert(rows, v)
+            if new and stop is not None and new[1] >= stop:
+                return None
         return rows
 
     def rank(self, vectors, n: int) -> int:

@@ -190,6 +190,23 @@ class _IntRows:
                 break
         return self._echelon(rows[:r], pivots), pivots
 
+    def insert(self, rows: dict, v) -> tuple | None:
+        """v's numerators cleared at their first nonzero entry by the rows of a
+        forward pass keyed by pivot, through ``_clear``, until they are zero,
+        then None, or have a pivot of their own: then the row, normalised by
+        ``_pivot_row``, is stored and returned in the layout with that pivot."""
+        x, c = self._read(v)[0], -1
+        while True:
+            c = next((j for j in range(c + 1, len(x)) if x[j]), None)
+            if c is None:
+                return None
+            top = rows.get(c)
+            if top is None:
+                break
+            x = self._clear(x, top, c)
+        rows[c] = x = x if x[c] == 1 else self._pivot_row(x, c)
+        return self._echelon([x], [c])[0], c
+
     def coordinates(self, basis, vectors, n: int) -> list | None:
         """The coordinates of each vector over the basis, as on bytes: the
         columns of X in the rows [I | X] of the span of [T | V] transposed,

@@ -5,9 +5,13 @@ stabilization, the socle, and Margolis homology ker(e)/im(e) for either
 generator.
 
 A graded subspace is a dict from degree to ``SubspaceBasis``; its carrier is
-read off their ambient dimensions.  One generator builds the chain, and it is
-the only image and preimage route here: ``filtration_trace`` runs it to the
-first repeated term, and ``filtration(m, j)`` stops at term j.
+read off their ambient dimensions.  Two generators walk the chain.
+``_terms`` builds the terms F_j by images and preimages, for the readers that
+need subspaces: ``filtration_trace`` runs it to the first repeated term,
+``filtration(m, j)`` stops at term j, and the suite's flash items, probes and
+right-infinite window read it.  ``_annihilators`` grows the annihilators
+G_j = ann F_j instead, for the readers that need only dimensions: the
+suite's stage items and ``flash_multiplicity_at_degree``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,10 @@ def _terms(m: Module, pulled: dict | None = None):
     other degree's subspace.  Some step moves no degree within total_dim + 1
     steps, because each moving step shrinks a decreasing chain.
 
+    F_j shrinks, and an echelon form cannot drop a vector, so a step cannot
+    build on the last one; ``_annihilators`` walks the growing dual chain for
+    readers of dimensions alone.
+
     Degrees whose e2 block, e1 block and F_{j-1}(d + gap) are equal in value
     share one pull-back and its result object; a block keeps its hash, so a
     key costs no pass over its rows after the first.  Without ``pulled`` each
@@ -94,6 +102,55 @@ def _terms(m: Module, pulled: dict | None = None):
         if not moved:
             return
         todo = [d - gap for d in moved if d in e1 and d - gap in e2]
+
+
+def _annihilators(m: Module):
+    """Yield G_0, G_1, ... for G_j = ann F_j, through the first term equal to
+    its predecessor, as one dict grown in place: each degree e2 acts on, to
+    the functionals spanning G_j(d) in the order added, rows in the family
+    layout; G_j(d) is 0 at a degree e2 kills.  dim F_j(d) is dim M_d less
+    their count.
+
+    For a linear map f, ann f^{-1}(W) = f^T(ann W) and ann f(U) =
+    (f^T)^{-1}(ann U), so G_j(d) = {mu e2 : mu e1 in G_{j-1}(d + gap)}, which
+    grows with j.  Degree d keeps one forward pass (the family's ``insert``)
+    of the rows [e1 row i | e2 row i] of its blocks at d + gap and d, to
+    which each round adds [g | 0] for the functionals g the last round added
+    to G(d + gap).  Its vectors with a zero e1 part are [0 | mu e2] for mu e1
+    in G(d + gap), so the rows whose pivot falls past that part have G(d)'s
+    functionals as tails: a new one is a row the round adds there.  A round
+    reduces only the new functionals, one reduction per functional ever
+    added, where the primal chain pulls back every moving degree per step.
+    """
+    fam, gap = m.field._family, m.params.gap
+    e1, e2 = m.action_items(E1), m.action_items(E2)
+    ann = {d: [] for d in e2}
+    passes, todo = {}, {}
+    for d, b in e2.items():
+        a, zero = e1.get(d + gap), fam.pack((m.field.zero,) * b.ncols)
+        head = 0 if a is None else a.ncols
+        passes[d] = {}, head, zero
+        todo[d] = (b.family_rows() if a is None else
+                   [fam.join(x, y, head) for x, y in zip(a.family_rows(), b.family_rows())])
+    yield ann
+    while True:
+        added = {}
+        for d, vectors in todo.items():
+            rows, head, _ = passes[d]
+            got = [fam.insert(rows, v) for v in vectors]
+            new = [fam.tail(v, head) for v, pc in filter(None, got) if pc >= head]
+            if new:
+                ann[d] += new
+                added[d] = new
+        yield ann
+        if not added:
+            return
+        # G(t) grew: the degree t - gap reads it where e2 acts there and e1 on t
+        todo = {}
+        for t, new in added.items():
+            if t in e1 and t - gap in e2:
+                _, head, zero = passes[t - gap]
+                todo[t - gap] = [fam.join(g, zero, head) for g in new]
 
 
 def filtration_trace(m: Module, j_max: int | None = None, *,

@@ -5,8 +5,9 @@ runs every dimension, membership and exclusion check of the splitting
 argument, and assembles a structured report.  Both steps of the paper's
 argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
-there as dim F_n - dim F_{n+1}, where e1 is zero; ``run_checks`` calls the
-probe and ``filtration_trace`` themselves.  The genuinely infinite product is
+there as dim F_n - dim F_{n+1}, where e1 is zero, off the annihilator walk;
+``run_checks`` calls the probe, ``filtration_trace`` and that walk
+themselves.  The genuinely infinite product is
 out of computational reach; every quantitative statement below concerns a
 finite stage, where it is exact.  The right-infinite flash the suite
 contrasts with the stage is read exactly, off its fixed five- or
@@ -23,7 +24,7 @@ from typing import Any
 from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash
-from .operators import _terms, filtration_trace
+from .operators import _annihilators, _terms, filtration_trace
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
 
     Valid when only such flashes touch degree d; the two exclusion probes are
     checked first and reported on failure.  With e1 zero on degree d, ker e1
-    is the whole degree, so the count is dim F_n(d) - dim F_{n+1}(d).
+    is the whole degree, so the count is dim F_n(d) - dim F_{n+1}(d), read
+    with the stable dimension off the annihilator walk, not a whole trace.
     """
     if n < 0:
         raise ValueError("flash length n must be non-negative")
@@ -133,11 +135,24 @@ def flash_multiplicity_at_degree(m: Module, d: int, n: int) -> int:
         raise ValueError(f"exclusion failed: e1 does not vanish on degree {d}")
     if not m.dim(d):
         return 0
-    trace = filtration_trace(m)
-    if trace.stable[d].dim:
+    ranks, _ = _annihilator_ranks(m, d)
+    if ranks[-1] != m.dim(d):
         raise ValueError("exclusion failed: the stable filtration intersection "
                          f"is nonzero at degree {d}")
-    return trace[n][d].dim - trace[n + 1][d].dim
+    # dim F_j(d) = dim M_d - rank G_j(d)
+    last = len(ranks) - 1
+    return ranks[min(n + 1, last)] - ranks[min(n, last)]
+
+
+def _annihilator_ranks(m: Module, d: int) -> tuple[list[int], list]:
+    """rank G_j(d) of G_j = ann F_j for each term of the chain through its
+    first repeat, off ``operators._annihilators``, and the functionals of the
+    last G(d) in the order added: G_j(d) is spanned by the first
+    rank G_j(d) of them."""
+    ranks = []
+    for ann in _annihilators(m):
+        ranks.append(len(ann.get(d, ())))
+    return ranks, ann.get(d, [])
 
 
 def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]:
@@ -206,16 +221,19 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
 
     The flashes' chains, closed, open-ended and the right-infinite window,
     share one pull-back dict: their blocks and targets repeat, so they pull
-    back a few distinct triples in all.  The stage's chain gets none: no
-    flash shares its blocks, and the dict would keep every pull-back it makes.
+    back a few distinct triples in all.  The stage items need only degree 0's
+    dimensions, so they read the annihilator walk (``operators._annihilators``),
+    which pulls nothing back and makes no preimage through the stage's blocks.
     """
     alg = sp.algebra
     pulled: dict = {}
     stage, items = _closed_flash_items(sp, pulled)
 
-    # every stage item below the census reads degree 0 alone: walk the chain, keep no term
-    zero, stable = _degree_zero(_terms(stage), sp.j_max)
-    vec = [sub.dim for sub in zero]
+    # every stage item below the census reads degree 0 alone, off the annihilators
+    # G_j = ann F_j: dim F_j(0) = dim M_0 - rank G_j(0)
+    walked, funcs = _annihilator_ranks(stage, 0)
+    ranks = [walked[min(j, len(walked) - 1)] for j in range(sp.j_max + 1)]
+    vec = [stage.dim(0) - r for r in ranks]
     expected = [max(0, sp.stage_size + 1 - j) for j in range(sp.j_max + 1)]
     items.append(CheckItem(
         "degree-zero-dims",
@@ -224,7 +242,11 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"dims": vec, "expected": expected},
         vec == expected))
 
-    diffs = [quotient_dim(zero[j], zero[j + 1]) for j in range(sp.stage_size + 1)]
+    # annihilators reverse inclusion, and dim F_j / F_{j+1} = dim G_{j+1} / G_j
+    spans = {r: SubspaceBasis.from_spanning(stage.field, stage.dim(0), funcs[:r], _raw=True)
+             for r in ranks[:sp.stage_size + 2]}
+    diffs = [quotient_dim(spans[ranks[j + 1]], spans[ranks[j]])
+             for j in range(sp.stage_size + 1)]
     items.append(CheckItem(
         "quotient-dims",
         "each consecutive degree-zero filtration quotient on the stage is "
@@ -232,12 +254,13 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"diffs": diffs},
         all(d == 1 for d in diffs)))
 
+    stable = stage.dim(0) - walked[-1]
     items.append(CheckItem(
         "intersection",
         "the stable term of the filtration chain vanishes in degree zero "
         "on the stage",
-        {"dim": stable.dim},
-        stable.dim == 0))
+        {"dim": stable},
+        stable == 0))
 
     e1_deg0 = stage.action(E1, 0).rank()
     items.append(CheckItem(

@@ -546,6 +546,20 @@ def test_flash_multiplicity_exclusions():
         flash_multiplicity_at_degree(counterexample_stage(3, P), 0, -1)
 
 
+@pytest.mark.parametrize("char, degs", [(2, (1, 3)), (5, (2, 5)), (0, (1, 3))],
+                         ids=["F2", "F5", "Q"])
+def test_flash_multiplicity_matches_the_primal_count(char, degs):
+    # the count read off the annihilator walk against dim F_n - dim F_{n+1}
+    # on the primal trace, on the stage at N = 12 and on a scrambled copy
+    stage = counterexample_stage(12, default_params(char, *degs))
+    for m in (stage, random_basis_change(stage, 5)):
+        trace = operators.filtration_trace(m)
+        assert trace.stable[0].dim == 0
+        primal = [trace[n][0].dim - trace[n + 1][0].dim for n in range(16)]
+        assert [flash_multiplicity_at_degree(m, 0, n) for n in range(16)] == primal
+        assert primal == [1] * 13 + [0] * 3
+
+
 def test_flash_multiplicity_spans_nothing_outside_its_trace(monkeypatch):
     # e1 vanishes on the degree, so ker e1 is the whole degree and the count
     # reads dim F_n - dim F_{n+1} off the trace: no kernel, no intersection

@@ -871,7 +871,7 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
-FAMILY_CALLS = {"add_scaled", "apply", "coerce", "coordinates", "entry", "join",
+FAMILY_CALLS = {"add_scaled", "apply", "coerce", "coordinates", "entry", "insert", "join",
                 "nonzero", "pack", "preimage", "product", "rank", "scale", "span",
                 "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
 

@@ -7,7 +7,8 @@ from extmod.linalg import Matrix, SubspaceBasis
 from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, with_variant)
-from extmod.operators import filtration, filtration_trace, margolis_homology, socle
+from extmod.operators import (_annihilators, _terms, filtration, filtration_trace,
+                              margolis_homology, socle)
 from helpers import (act_image, basis_vector, contains, count_coerce, count_pullbacks,
                      count_span, counterexample_stage, dims, flash_sum, from_labels, full,
                      label_position, op_preimage, parent_dims, radical,
@@ -177,6 +178,35 @@ def test_chains_that_share_one_pull_back_dict_match_the_reference(monkeypatch, c
     assert all(filtration_trace(m, pulled=pulled).subspaces == tuple(reference_chain(m))
                for m in cases)
     assert calls == []
+
+
+@pytest.mark.parametrize("degs", [(1, 3), (2, 5), (1, 2), (3, 4)])
+@pytest.mark.parametrize("char", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
+def test_annihilator_walk_matches_the_primal_chain(char, degs):
+    # dim F_j(d) = dim M_d - rank G_j(d) for G_j = ann F_j, at every degree and
+    # every step, with as many terms as the primal walk and the full
+    # recomputation, on drawn modules, scrambled flash sums and their cuts
+    params = default_params(char, *degs)
+    rng = random.Random(31 * char + 7 * degs[0] + degs[1])
+    cases = [random_variant_b_module(params, 14, rng.randrange(10**6)) for _ in range(4)]
+    for _ in range(3):
+        m = flash_sum(random_flash_shapes(rng, 5, 4, 6), params)
+        cases += [random_basis_change(m, rng.randrange(10**6)),
+                  random_basis_change(truncate_above(m, max(m.degrees) - params.deg_e1),
+                                      rng.randrange(10**6))]
+    cases.append(counterexample_stage(5, params))
+    no_e1 = killed = 0
+    for m in cases:
+        e1, e2 = m.action_items(E1), m.action_items(E2)
+        no_e1 += any(d + params.gap not in e1 for d in e2)
+        killed += any(d not in e2 for d in m.degrees)
+        ref = reference_chain(m)
+        primal = [{d: sub.dim for d, sub in term.items()} for term in _terms(m)]
+        dual = [{d: n - len(ann.get(d, ())) for d, n in m.dims_by_degree.items()}
+                for ann in _annihilators(m)]
+        assert dual == primal == [{d: sub.dim for d, sub in term.items()} for term in ref]
+    # the cuts leave e2 blocks with no e1 block at d + gap and degrees e2 kills
+    assert no_e1 and killed
 
 
 def test_chain_recomputes_only_moved_degrees(monkeypatch):

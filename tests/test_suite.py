@@ -7,9 +7,10 @@ import pytest
 from extmod import modules, operators, suite
 from extmod.decompose import InternalError, multiplicities
 from extmod.linalg import SubspaceBasis
-from extmod.modules import (FlashShape, default_params, make_flash,
+from extmod.modules import (E2, FlashShape, default_params, make_flash,
                             random_basis_change, truncated_infinite_flash)
-from extmod.operators import FiltrationTrace, _terms, filtration, filtration_trace
+from extmod.operators import (FiltrationTrace, _annihilators, _terms, filtration,
+                              filtration_trace)
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
 from helpers import (basis_vector, count_pullbacks, counterexample_stage, label_position,
@@ -58,11 +59,14 @@ def _membership_path_dims(sp):
 
 
 def test_degree_zero_dims_two_paths_agree():
-    # the walked chain of the direct sum against per-summand membership
+    # the walked chains of the direct sum, primal and dual, against
+    # per-summand membership
     sp = SuiteParams(4, 6, P)
-    zero, _ = suite._degree_zero(_terms(counterexample_stage(sp.stage_size, sp.algebra)),
-                                 sp.j_max)
-    assert [sub.dim for sub in zero] == _membership_path_dims(sp)
+    stage = counterexample_stage(sp.stage_size, sp.algebra)
+    zero, _ = suite._degree_zero(_terms(stage), sp.j_max)
+    ranks, _ = suite._annihilator_ranks(stage, 0)
+    dual = [stage.dim(0) - ranks[min(j, len(ranks) - 1)] for j in range(sp.j_max + 1)]
+    assert [sub.dim for sub in zero] == dual == _membership_path_dims(sp)
 
 
 def test_the_suite_pulls_back_each_distinct_flash_step_once(monkeypatch):
@@ -70,18 +74,18 @@ def test_the_suite_pulls_back_each_distinct_flash_step_once(monkeypatch):
     # N = 14, the open-end probes 14 and the window 1.  They share one dict
     # keyed on values, and every flash takes its blocks from one table, so
     # all of them make 3: the e2 block through the e1 block onto F^1 and onto
-    # zero, and the kernel at a degree e1 does not reach.  The stage's walk
-    # makes its own N + 1 + N (N + 1) / 2 = 120
+    # zero, and the kernel at a degree e1 does not reach.  The stage's items
+    # read the annihilator walk, which pulls nothing back
     calls = count_pullbacks(monkeypatch)
     n = 14
     assert run_checks(SuiteParams(n, n + 2, P)).passed
-    assert len(calls) == 3 + n + 1 + n * (n + 1) // 2 == 123
+    assert len(calls) == 3
 
 
 def test_the_flash_chains_share_one_dict_and_the_stage_gets_none(monkeypatch):
     # the N + 1 closed flashes, the N + 1 probes and the window hand their
-    # chains one dict; the stage is walked once, with none, as a dict would
-    # keep every pull-back of its walk
+    # chains one dict; the stage never enters the primal walk, whose dict
+    # would keep every pull-back of its walk
     sp = SuiteParams(5, 7, P)
     walks = []
 
@@ -93,22 +97,24 @@ def test_the_flash_chains_share_one_dict_and_the_stage_gets_none(monkeypatch):
     monkeypatch.setattr(suite, "_terms", walked)
     assert run_checks(sp).passed
     stage = counterexample_stage(sp.stage_size, P)
-    assert [pulled for m, pulled in walks if m == stage] == [None]
-    shared = [pulled for m, pulled in walks if m != stage]
+    assert all(m != stage for m, _ in walks)
+    shared = [pulled for _, pulled in walks]
     assert len(shared) == 2 * (sp.stage_size + 1) + 1
     assert all(pulled is shared[0] for pulled in shared) and shared[0]
 
 
 class _Held(dict):
-    """A term copy that takes a weak reference, as a plain dict does not."""
+    """A copy of the walk's dict that takes a weak reference, as a plain dict does not."""
 
 
 def test_the_stage_chain_is_walked_not_stored(monkeypatch):
-    # the stage items read degree 0 alone: while the chain is walked only the
-    # term read and the one it steps from are alive, and the stage is never traced
+    # the stage items read degree 0 alone: the annihilator walk grows one dict
+    # in place, step after step, and by the census the suite keeps only the
+    # ranks and degree 0's functionals, not the dict; the stage is never traced
     sp = SuiteParams(6, 8, P)
-    stages, traced, alive = [], [], []
-    real_sum, real_trace = suite.direct_sum, suite.filtration_trace
+    stages, traced, yielded, ids, at_census = [], [], [], [], []
+    real_sum, real_trace, real_census = (suite.direct_sum, suite.filtration_trace,
+                                         suite.multiplicities)
 
     def summed(mods):
         stages.append(real_sum(mods))
@@ -118,23 +124,44 @@ def test_the_stage_chain_is_walked_not_stored(monkeypatch):
         traced.append(m)
         return real_trace(m, pulled=pulled)
 
-    def walked(m, pulled=None):
-        held = []
-        for term in _terms(m, pulled):
-            held.append(weakref.ref(kept := _Held(term)))
-            if stages and m is stages[0]:
-                alive.append(sum(ref() is not None for ref in held))
-            yield kept
+    def walked(m):
+        held = _Held()
+        for ann in _annihilators(m):
+            held.update(ann)
+            if m is stages[0]:
+                yielded.append(weakref.ref(held))
+                ids.append(id(ann))
+            yield held
+
+    def census(m):
+        at_census.extend(ref() for ref in yielded)
+        return real_census(m)
 
     monkeypatch.setattr(suite, "direct_sum", summed)
     monkeypatch.setattr(suite, "filtration_trace", trace)
-    # filtration_trace walks the chain through operators._terms
-    monkeypatch.setattr(operators, "_terms", walked)
-    monkeypatch.setattr(suite, "_terms", walked, raising=False)
+    monkeypatch.setattr(suite, "_annihilators", walked)
+    monkeypatch.setattr(suite, "multiplicities", census)
     assert run_checks(sp).passed
-    assert len(alive) >= sp.stage_size + 2
-    assert max(alive) <= 2
+    # F_0 .. F_{N+1}, then the repeat: one object, alive through the walk, each step
+    assert len(yielded) == sp.stage_size + 3 and len(set(ids)) == 1
+    assert at_census == [None] * len(yielded)
     assert all(m is not stages[0] for m in traced)
+
+
+def test_the_stage_items_build_no_forward_pass_on_the_e2_blocks(monkeypatch):
+    # the annihilator walk makes no preimage through the stage's e2 blocks, so
+    # none of them keeps a factorization through the census
+    sp = SuiteParams(8, 10, P)
+    kept = []
+    real_census = suite.multiplicities
+
+    def census(m):
+        kept.extend(b._fwd for b in m.action_items(E2).values())
+        return real_census(m)
+
+    monkeypatch.setattr(suite, "multiplicities", census)
+    assert run_checks(sp).passed
+    assert kept and kept == [None] * len(kept)
 
 
 # the algebras the flash items are tested over
