@@ -21,9 +21,12 @@ beats longer among top-ended ones.  Both half-steps (e1 onto the previous
 tops, e2 onto the next tops) run the same elimination with one pivot rule:
 the weakest domain strand is matched first, to the strongest codomain strand
 it reaches, so every clearing runs from a weaker strand into a stronger one.
-Every clearing updates the strand's realization vectors, so the finished
-strands are an explicit certified basis of the module and each strand reads
-off directly as one flash summand.
+For :func:`decompose`, every clearing updates the strand's realization
+vectors, so the finished strands are an explicit certified basis of the
+module and each strand reads off directly as one flash summand.  A strand's
+shape depends only on where it starts and ends, and the matching reads only
+the vector at each strand's right end, so :func:`multiplicities` runs the
+same sweep keeping that one vector per strand and no realization.
 
 The idempotent oracle is an independent second route used for
 cross-validation: it knows nothing about strings and splits along Fitting
@@ -121,27 +124,33 @@ class _Strand:
     never moves, so it is set once.  While the sweep runs, the vectors are in
     the family layout of the module's field (packed ints over F_p for p <= 13,
     tuples elsewhere), and every update goes through that family.
+
+    With ``history``, ``vectors`` holds the realization, one vector per
+    position, and every update runs along the whole overlap.  Without it,
+    ``vectors`` holds only the vector at the right end: the one the matching
+    reads.  Every update acts on each position on its own, so that vector
+    comes out the same either way, and so do the pivots and the ends.
     """
 
-    __slots__ = ("left_pos", "right_pos", "vectors", "strength")
+    __slots__ = ("left_pos", "right_pos", "vectors", "strength", "history")
 
-    def __init__(self, pos: int, vector):
+    def __init__(self, pos: int, vector, history: bool = True):
         self.left_pos = pos
         self.right_pos = pos
         self.vectors = {pos: vector}
         # dangling-top left ends beat bottom ends; among tops the later start
         # wins, among bottoms the earlier one does
         self.strength = (1, pos) if pos % 2 else (0, -pos)
-
-    @property
-    def left_is_top(self) -> bool:
-        return self.left_pos % 2 == 1
+        self.history = history
 
     def join(self, other: "_Strand") -> None:
         """Append the strand that starts right after this one ends."""
         if other.left_pos != self.right_pos + 1:
             raise InternalError("joined strands are not adjacent")
-        self.vectors.update(other.vectors)
+        if self.history:
+            self.vectors.update(other.vectors)
+        else:
+            self.vectors = other.vectors
         self.right_pos = other.right_pos
 
     def scale(self, c, family) -> None:
@@ -149,11 +158,13 @@ class _Strand:
             self.vectors[pos] = family.scale(vec, c)
 
     def absorb(self, other: "_Strand", c, family) -> None:
-        """Add c times the other strand's realization along the overlap."""
+        """Add c times the other strand's vectors along the overlap, or at the
+        right end alone for a strand without history."""
         if self.right_pos != other.right_pos or self.strength < other.strength:
             raise InternalError("inadmissible elimination")
         mine, theirs = self.vectors, other.vectors
-        for pos in range(max(self.left_pos, other.left_pos), self.right_pos + 1):
+        first = max(self.left_pos, other.left_pos) if self.history else self.right_pos
+        for pos in range(first, self.right_pos + 1):
             mine[pos] = family.add_scaled(mine[pos], theirs[pos], c)
 
 
@@ -228,21 +239,22 @@ def _degree(residue: int, pos: int, params) -> int:
     return residue + (pos // 2) * params.gap + pos % 2 * params.deg_e2
 
 
-def _sweep_chain(m: Module, residue: int, vecs: dict[int, list]) -> list[Summand]:
+def _sweep_chain(m: Module, residue: int, vecs: dict[int, list],
+                 history: bool = True) -> list[_Strand]:
     """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos.
 
-    The vectors come in the field's family layout, which the strands keep
-    until each finished strand is unpacked once.
+    Returns the finished strands, whose vectors stay in the field's family
+    layout.  With ``history`` each strand keeps its realization; without it,
+    only its last vector, which is all the matching reads.
     """
     field = m.field
-    fam = field._family
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # a position with no vectors after one with none has nothing to match, so
     # only the occupied positions run, each with the one after it, which
     # checks that the strands open there are closed
     for pos in sorted({*vecs, *(p + 1 for p in vecs)}):
-        fresh = [_Strand(pos, v) for v in vecs.get(pos, [])]
+        fresh = [_Strand(pos, v, history) for v in vecs.get(pos, [])]
         if pos % 2 == 0:
             # bottoms: e1 maps the fresh strands onto the open tops
             act = m.action(E1, _degree(residue, pos, m.params))
@@ -257,28 +269,37 @@ def _sweep_chain(m: Module, residue: int, vecs: dict[int, list]) -> list[Summand
             joined[new] = left
         strands.extend(s for s in fresh if s not in joined)
         open_ = [joined.get(s, s) for s in fresh]
-    for s in strands:
-        s.vectors = {pos: fam.unpack(v, m.dim(_degree(residue, pos, m.params)))
-                     for pos, v in s.vectors.items()}
-    return [_summand_from_strand(s, residue, m.params) for s in strands]
+    return strands
 
 
-def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
-    """The summand a finished strand, with its vectors unpacked, reads off as."""
-    vectors = strand.vectors
-    evens = sorted(p for p in vectors if p % 2 == 0)
-    odds = sorted(p for p in vectors if p % 2)
-    if not evens:
+def _strand_shape(strand: _Strand, residue: int, params) -> FlashShape:
+    """The flash shape a finished strand reads off as, from its ends alone:
+    its even positions are the bottoms, and an odd end is a dangling top."""
+    left, right = strand.left_pos, strand.right_pos
+    first = left + left % 2
+    if first > right:
         # a socle vector nothing maps onto: a simple summand
-        (pos,) = odds
-        return Summand(FlashShape.simple(_degree(residue, pos, params)), (vectors[pos],), ())
-    k0 = evens[0] // 2
-    shape = FlashShape.finite(len(evens),
-                              left_top=strand.left_is_top,
-                              right_top=strand.right_pos % 2 == 1,
-                              shift=_degree(residue, evens[0], params))
-    bottoms = tuple(vectors[p] for p in evens)
-    tops = tuple(((p - 1) // 2 - k0, vectors[p]) for p in odds)
+        return FlashShape.simple(_degree(residue, left, params))
+    return FlashShape.finite((right - first) // 2 + 1, left_top=left % 2,
+                             right_top=right % 2, shift=_degree(residue, first, params))
+
+
+def _summand_from_strand(strand: _Strand, residue: int, m: Module) -> Summand:
+    """The summand a finished strand with history reads off as, its vectors
+    unpacked."""
+    params, unpack = m.params, m.field._family.unpack
+
+    def vector(pos: int) -> tuple:
+        return unpack(strand.vectors[pos], m.dim(_degree(residue, pos, params)))
+
+    shape = _strand_shape(strand, residue, params)
+    left, right = strand.left_pos, strand.right_pos
+    if left == right:
+        # a lone bottom or a lone top: a simple summand
+        return Summand(shape, (vector(left),), ())
+    first = left + left % 2
+    bottoms = tuple(vector(p) for p in range(first, right + 1, 2))
+    tops = tuple(((p - first - 1) // 2, vector(p)) for p in range(left | 1, right + 1, 2))
     return Summand(shape, bottoms, tops)
 
 
@@ -288,24 +309,17 @@ def _require_valid(m: Module) -> None:
         raise ValueError("invalid module: " + "; ".join(map(str, bad)))
 
 
-def decompose(m: Module) -> Decomposition:
-    """Split a valid finite variant-B module into lightning flashes.
-
-    The returned multiset of shapes is an isomorphism invariant; the summand
-    vectors are an explicit basis realization checkable with
-    :func:`verify_decomposition`.
-    """
+def _chains(m: Module) -> dict[int, dict[int, list]]:
+    """The vectors of each chain position, by residue, of a valid variant-B
+    module, in the family layout, which the sweep keeps: the bottoms are the
+    unit vectors off the socle's pivots, a complement of it, and the tops the
+    socle's echelon rows as stored."""
     if m.params.variant != "B":
         raise ValueError("decompose works over variant B; run split_free first")
     _require_valid(m)
-    if m.total_dim == 0:
-        return Decomposition(())
     g = m.params.gap
     fam = m.field._family
     soc = socle(m)
-    # the vectors of each chain position in the family layout, which the
-    # sweep keeps: the bottoms are the unit vectors off the socle's pivots, a
-    # complement of it, and the tops the socle's echelon rows as stored
     chains: dict[int, dict[int, list]] = {}
     for d in m.degrees:
         n, pivots = m.dim(d), set(soc[d].pivot_rows)
@@ -316,15 +330,31 @@ def decompose(m: Module) -> Decomposition:
         if tops:
             b = d - m.params.deg_e2
             chains.setdefault(b % g, {})[2 * (b // g) + 1] = tops
-    summands: list[Summand] = []
-    for r in sorted(chains):
-        summands.extend(_sweep_chain(m, r, chains[r]))
+    return chains
+
+
+def decompose(m: Module) -> Decomposition:
+    """Split a valid finite variant-B module into lightning flashes.
+
+    The returned multiset of shapes is an isomorphism invariant; the summand
+    vectors are an explicit basis realization checkable with
+    :func:`verify_decomposition`.
+    """
+    chains = _chains(m)
+    summands = [_summand_from_strand(s, r, m)
+                for r in sorted(chains) for s in _sweep_chain(m, r, chains[r])]
     return Decomposition(tuple(sorted(summands, key=_summand_sort_key)))
 
 
 def multiplicities(m: Module) -> Counter:
-    """The multiset of flash shapes (with shifts) of a variant-B module."""
-    return decompose(m).multiset()
+    """The multiset of flash shapes (with shifts) of a variant-B module.
+
+    It equals ``decompose(m).multiset()``, but the sweep keeps one vector per
+    strand and builds no summand: a strand's ends give its shape.
+    """
+    chains = _chains(m)
+    return Counter(_strand_shape(s, r, m.params)
+                   for r in chains for s in _sweep_chain(m, r, chains[r], history=False))
 
 
 def verify_decomposition(m: Module, dec: Decomposition) -> VerifyResult:

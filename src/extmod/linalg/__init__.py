@@ -227,8 +227,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._from_family(field, (field._family.pack((field.zero,) * ncols),) * nrows,
-                                ncols)
+        """The zero matrix, which keeps its columns from the start, so no
+        transpose runs on it: like its rows, they share one zero vector."""
+        out = cls.units(field, ncols, [None] * nrows)
+        out._fcols = cls.units(field, nrows, [None] * ncols)._rows
+        return out
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .linalg import Field, Matrix, place_blocks
 
@@ -250,7 +250,7 @@ class Module:
         stored = (self._a1 if which == E1 else self._a2).get(d)
         if stored is not None:
             return stored
-        return Matrix.zeros(self.field, self.dim(d + step), self.dim(d))
+        return _zero_block(self.field, self.dim(d + step), self.dim(d))
 
     def action_items(self, which: str) -> dict[int, Matrix]:
         return dict(self._a1 if which == E1 else self._a2)
@@ -367,6 +367,14 @@ def _unit_blocks(field: Field) -> dict[tuple[int, int], Matrix]:
     target: x_i, the first vector of its degree, to y, the last of its own."""
     return {(s, t): Matrix.units(field, s, [None] * (t - 1) + [0])
             for s in (1, 2) for t in (1, 2)}
+
+
+@lru_cache(maxsize=1024)
+def _zero_block(field: Field, nrows: int, ncols: int) -> Matrix:
+    """The zero block an absent action reads as, one per field and shape, as
+    ``_unit_blocks`` shares the flash blocks: no method changes a matrix, and
+    a zero holds one row and one column, so a shared one costs little."""
+    return Matrix.zeros(field, nrows, ncols)
 
 
 def make_free(gen_degree: int, params: AlgebraParams) -> Module:

@@ -524,6 +524,68 @@ def test_multiplicities_examples():
     assert multiplicities(moved) == Counter({FlashShape.l(1, 0, 1, 6): 2})
 
 
+# a left-top, a right-top and a simple summand beside the drawn ones
+ENDED_SHAPES = [FlashShape.finite(2, True, False, 1), FlashShape.finite(3, False, True, 2),
+                FlashShape.simple(4)]
+
+
+@pytest.mark.parametrize("char", [2, 3, 13, 17, 0])
+@pytest.mark.parametrize("degs", [(1, 3), (2, 5), (1, 2), (3, 4)])
+def test_multiplicities_equal_the_decomposition_multiset(char, degs):
+    # the census keeps no realization, yet counts what decompose finds
+    params = default_params(char, *degs)
+    for seed in range(4):
+        rng = random.Random(100 * char + 10 * degs[0] + seed)
+        shapes = random_flash_shapes(rng) + ENDED_SHAPES
+        scrambled = random_basis_change(flash_sum(shapes, params), seed)
+        assert multiplicities(scrambled) == Counter(shapes)
+        for m in (random_variant_b_module(params, 14, 300 + seed), scrambled):
+            assert multiplicities(m) == decompose(m).multiset()
+
+
+@pytest.mark.parametrize("char", [2, 5, 0])
+def test_multiplicities_build_no_realization(monkeypatch, char):
+    params = default_params(char)
+    shapes = random_flash_shapes(random.Random(char), count_max=20) + ENDED_SHAPES
+    m = random_basis_change(flash_sum(shapes, params), 5)
+
+    def forbidden(*args):
+        raise AssertionError("the census built a realization")
+
+    monkeypatch.setattr(type(params.field._family), "unpack", staticmethod(forbidden))
+    monkeypatch.setattr(decompose_mod, "_summand_from_strand", forbidden)
+    sizes = []
+    sweep, match = decompose_mod._sweep_chain, decompose_mod._match
+
+    def sweep_recording(mod, residue, vecs, history=True):
+        finished = sweep(mod, residue, vecs, history)
+        sizes.extend(len(s.vectors) for s in finished)
+        return finished
+
+    def match_recording(field, act, cod, dom):
+        pairs = match(field, act, cod, dom)
+        sizes.extend(len(s.vectors) for s in cod + dom)
+        return pairs
+
+    monkeypatch.setattr(decompose_mod, "_sweep_chain", sweep_recording)
+    monkeypatch.setattr(decompose_mod, "_match", match_recording)
+    assert multiplicities(m) == Counter(shapes)
+    assert len(sizes) > m.total_dim and set(sizes) == {1}
+
+
+def test_multiplicities_reject_what_decompose_rejects():
+    f = P.field
+    # e1 e1 acts as the identity from degree 0 to degree 2
+    bad = Module(P, {0: 1, 1: 1, 2: 1}, {0: Matrix(f, [[1]]), 1: Matrix(f, [[1]])}, {})
+    for m in (make_free(0, PA), bad):
+        messages = []
+        for entry in (decompose, multiplicities):
+            with pytest.raises(ValueError) as err:
+                entry(m)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 def test_flash_multiplicity_at_degree():
     stage = counterexample_stage(4, P)
     for n in range(5):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from extmod import modules
-from extmod.decompose import multiplicities
+from extmod.decompose import decompose, multiplicities, verify_decomposition
 from extmod.linalg import Field, Matrix
 from extmod.modules import (E1, E2, AlgebraParams, FlashShape, Module,
                             default_params, direct_sum, make_flash, make_free,
@@ -498,6 +498,35 @@ def test_relation_check_skips_absent_blocks(monkeypatch):
         assert len(products) == 0
         assert reference_relation_violations(flash) == []
         assert len(products) == 32  # four products in each of eight degrees
+
+
+@pytest.mark.parametrize("char", [2, 5, 17, 0])
+def test_absent_blocks_share_one_zero(char):
+    m = make_flash(FlashShape.l(2, 0, 1), default_params(char))
+    # x_0 (degree 0) has no e1 block, y_0 (degree 3) none onto x_2 (degree
+    # 4), and y_2 (degree 7) no block at all
+    for which, d in ((E1, 0), (E1, 3), (E2, 7)):
+        zero = m.action(which, d)
+        assert zero is m.action(which, d)
+        assert zero == Matrix.zeros(m.field, m.dim(d + m.params.action_degree(which)),
+                                    m.dim(d))
+        assert zero.transpose() == Matrix.zeros(m.field, zero.ncols, zero.nrows)
+        assert zero.is_zero() and not m.action_items(which).get(d)
+    assert m.action(E1, 0) is m.action(E2, 7)  # both of shape (0, 1)
+
+
+def test_certificate_builds_one_zero_per_shape(monkeypatch):
+    stage = counterexample_stage(64, P)
+    dec = decompose(stage)
+    shapes, built = set(), []
+    zero_block, zeros = modules._zero_block, Matrix.zeros.__func__
+    monkeypatch.setattr(modules, "_zero_block",
+                        lambda f, r, c: shapes.add((r, c)) or zero_block(f, r, c))
+    monkeypatch.setattr(Matrix, "zeros",
+                        classmethod(lambda cls, *args: built.append(args) or zeros(cls, *args)))
+    zero_block.cache_clear()
+    assert verify_decomposition(stage, dec)
+    assert 0 < len(built) <= len(shapes)
 
 
 def test_variant_conversion():
