@@ -5,45 +5,48 @@ stabilization, the socle, and Margolis homology ker(e)/im(e) for either
 generator.
 
 A graded subspace is a dict from degree to ``SubspaceBasis``; its carrier is
-read off their ambient dimensions.  Two generators walk the chain.
-``_terms`` builds the terms F_j by images and preimages, for the readers that
-need subspaces: ``filtration_trace`` runs it to the first repeated term,
-``filtration(m, j)`` stops at term j, and the suite's flash items, probes and
-right-infinite window read it.  ``_annihilators`` grows the annihilators
-G_j = ann F_j instead, for the readers that need only dimensions: the
-suite's stage items and ``flash_multiplicity_at_degree``.
+read off their ambient dimensions.  Two walks answer the chain's questions.
+``filtration_trace`` builds every term by images and preimages, for the
+suite's closed flashes and open-end probes; flash chains repeat one
+another's blocks, so they share its pull-backs through one bounded cache.
+``_annihilators`` grows the annihilators G_j = ann F_j instead and pulls
+nothing back: ``filtration(m, j)`` reads F_j off it as the kernel of G_j,
+and the suite's stage items, its right-infinite window and
+``flash_multiplicity_at_degree`` read dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
-from .linalg import SubspaceBasis, kernel, preimage_space, pullback, vstack
+from .linalg import Matrix, SubspaceBasis, kernel, preimage_space, pullback, vstack
 from .modules import E1, E2, Module
 
 
 @dataclass(frozen=True)
 class FiltrationTrace:
-    """The chain F_0 >= F_1 >= ... out to its first repeated term.
+    """The chain F_0 >= F_1 >= ... out to its first repeated term, built by
+    ``filtration_trace``; ``filtration(m, j)`` reads one term off the
+    annihilator walk instead.
 
     ``subspaces`` ends at index ``stable_index + 1``, the first term equal to
-    its predecessor; indexing past the end returns the stable term.
+    its predecessor; an integer index past the end returns the stable term.
     Consecutive terms share the SubspaceBasis object of every degree that did
     not move, and within a term degrees may share one object, as F_0 does per
-    dimension and a step does for degrees pulled back from blocks and targets
-    of equal value.
+    dimension and a step does for degrees with equal blocks and targets.
     """
 
     subspaces: tuple[dict[int, SubspaceBasis], ...]
     stable_index: int
 
     def __getitem__(self, j: int) -> dict[int, SubspaceBasis]:
+        j = index(j)
         if j < 0:
             raise ValueError("filtration index must be non-negative")
         # after stabilization every term equals the stable one
-        if j >= len(self.subspaces):
-            return self.subspaces[self.stable_index]
-        return self.subspaces[j]
+        return self.subspaces[j if j < len(self.subspaces) else self.stable_index]
 
     def __iter__(self):
         return iter(self.subspaces)
@@ -53,55 +56,15 @@ class FiltrationTrace:
         return self.subspaces[self.stable_index]
 
 
-def _terms(m: Module, pulled: dict | None = None):
-    """Yield F_0, F_1, ... through the first term equal to its predecessor.
-
-    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  A degree e2 kills never moves, so
-    it keeps F_0's subspace in every term.  Step 1 computes every degree e2
-    acts on: the preimage of zero where e1 has no block at d + gap, and
-    otherwise the preimage of the images, so a step is one elimination on
-    the bit and byte layouts.  Step j recomputes such a degree d only if
-    F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
-    other degree's subspace.  Some step moves no degree within total_dim + 1
-    steps, because each moving step shrinks a decreasing chain.
-
-    F_j shrinks, and an echelon form cannot drop a vector, so a step cannot
-    build on the last one; ``_annihilators`` walks the growing dual chain for
-    readers of dimensions alone.
-
-    Degrees whose e2 block, e1 block and F_{j-1}(d + gap) are equal in value
-    share one pull-back and its result object; a block keeps its hash, so a
-    key costs no pass over its rows after the first.  Without ``pulled`` each
-    step has a dict of its own.  A caller that walks many chains over one
-    algebra may hand them one dict ``pulled``, through ``filtration_trace`` or
-    ``suite.exclusion_probe``: flashes share their blocks and targets, so
-    their chains repeat one another, and the dict holds every pull-back.
-    """
-    gap = m.params.gap
-    e1, e2 = m.action_items(E1), m.action_items(E2)
-    # F_0 shares one immutable full space among the degrees of each dimension
-    full = {n: SubspaceBasis.full(m.field, n) for n in set(m.dims_by_degree.values())}
-    term = {d: full[n] for d, n in m.dims_by_degree.items()}
-    yield term
-    todo = list(e2)
-    while True:
-        prev, term = term, dict(term)
-        moved = []
-        memo = {} if pulled is None else pulled
-        for d in todo:
-            b, a, u = key = e2[d], e1.get(d + gap), prev.get(d + gap)
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = (
-                    preimage_space(b, SubspaceBasis.zero(m.field, b.nrows)) if a is None
-                    else pullback(b, a, u))
-            if sub != prev[d]:
-                term[d] = sub
-                moved.append(d)
-        yield term
-        if not moved:
-            return
-        todo = [d - gap for d in moved if d in e1 and d - gap in e2]
+@lru_cache(maxsize=256)
+def _pulled(b: Matrix, a: Matrix | None, u: SubspaceBasis | None) -> SubspaceBasis:
+    """The preimage under the e2 block b of a(u), or of zero where e1 has no
+    block (a and u None).  Keyed on values, so degrees, steps and chains with
+    equal blocks and targets share one pull-back and its result object; a
+    block keeps its hash, so a key costs no pass over its rows after the first."""
+    if a is None:
+        return preimage_space(b, SubspaceBasis.zero(b.field, b.nrows))
+    return pullback(b, a, u)
 
 
 def _annihilators(m: Module):
@@ -153,25 +116,58 @@ def _annihilators(m: Module):
                 todo[t - gap] = [fam.join(g, zero, head) for g in new]
 
 
-def filtration_trace(m: Module, j_max: int | None = None, *,
-                     pulled: dict | None = None) -> FiltrationTrace:
-    """The chain to its first repeated term, its pull-backs kept in ``pulled``
-    (see ``_terms``); ``j_max`` is ignored, kept for ``bench/test_bench.py``."""
-    chain = tuple(_terms(m, pulled))
-    return FiltrationTrace(chain, len(chain) - 2)
+def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
+    """F_0, F_1, ... through the first term equal to its predecessor; ``j_max``
+    is ignored, kept for ``bench/test_bench.py``.
+
+    F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  A degree e2 kills never moves, so
+    it keeps F_0's subspace in every term.  Step 1 computes every degree e2
+    acts on: the preimage of zero where e1 has no block at d + gap, and
+    otherwise the preimage of the images, so a step is one elimination on
+    the bit and byte layouts.  Step j recomputes such a degree d only if
+    F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
+    other degree's subspace.  Some step moves no degree within total_dim + 1
+    steps, because each moving step shrinks a decreasing chain.  F_j shrinks,
+    and an echelon form cannot drop a vector, so a step cannot build on the
+    last one, as ``_annihilators`` does on the growing dual chain.
+    """
+    gap = m.params.gap
+    e1, e2 = m.action_items(E1), m.action_items(E2)
+    # F_0 shares one immutable full space among the degrees of each dimension
+    full = {n: SubspaceBasis.full(m.field, n) for n in set(m.dims_by_degree.values())}
+    term = {d: full[n] for d, n in m.dims_by_degree.items()}
+    chain, todo = [term], list(e2)
+    while True:
+        prev, term = term, dict(term)
+        moved = []
+        for d in todo:
+            a = e1.get(d + gap)
+            sub = _pulled(e2[d], a, None if a is None else prev[d + gap])
+            if sub != prev[d]:
+                term[d] = sub
+                moved.append(d)
+        chain.append(term)
+        if not moved:
+            return FiltrationTrace(tuple(chain), len(chain) - 2)
+        todo = [d - gap for d in moved if d in e1 and d - gap in e2]
 
 
 def filtration(m: Module, j: int) -> dict[int, SubspaceBasis]:
-    """Term j of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}); builds only F_0 .. F_j.
-
-    Past the first repeated term every term is the stable one.
-    """
+    """Term j of the chain F_0 = M, F_j = e2^{-1}(e1 F_{j-1}), off j rounds of
+    ``_annihilators``: F_j(d) is the kernel of G_j(d)'s functionals, or the
+    full space, shared per dimension, where G_j(d) is zero.  Past the first
+    repeated term every term is the stable one; j must be an integer."""
+    j = index(j)
     if j < 0:
         raise ValueError("filtration index must be non-negative")
-    for i, term in enumerate(_terms(m)):
+    # one dict, grown in place: its yield i holds G_i
+    for i, ann in enumerate(_annihilators(m)):
         if i == j:
             break
-    return term
+    field, dims = m.field, m.dims_by_degree
+    full = {n: SubspaceBasis.full(field, n) for n in set(dims.values())}
+    return {d: kernel(Matrix.from_cols(field, ann[d], n, _raw=True).transpose())
+            if ann.get(d) else full[n] for d, n in dims.items()}
 
 
 def socle(m: Module) -> dict[int, SubspaceBasis]:

@@ -5,12 +5,14 @@ runs every dimension, membership and exclusion check of the splitting
 argument, and assembles a structured report.  Both steps of the paper's
 argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
-there as dim F_n - dim F_{n+1}, where e1 is zero, off the annihilator walk;
-``run_checks`` calls the probe, ``filtration_trace`` and that walk
-themselves.  The genuinely infinite product is
-out of computational reach; every quantitative statement below concerns a
-finite stage, where it is exact.  The right-infinite flash the suite
-contrasts with the stage is read exactly, off its fixed five- or
+there as dim F_n - dim F_{n+1}, where e1 is zero.  The closed flashes'
+items and the open-end probes read whole terms off ``filtration_trace``,
+whose pull-backs flash chains share through one bounded cache in
+``operators``; the stage items, the right-infinite window and
+``flash_multiplicity_at_degree`` read dimensions off the annihilator walk.  The genuinely infinite
+product is out of computational reach; every quantitative statement below
+concerns a finite stage, where it is exact.  The right-infinite flash the
+suite contrasts with the stage is read exactly, off its fixed five- or
 six-dimensional quotient L(2, eps, 0) (``_right_infinite_window``).
 """
 
@@ -24,7 +26,7 @@ from typing import Any
 from .decompose import InternalError, multiplicities
 from .linalg import SubspaceBasis, quotient_dim
 from .modules import E1, AlgebraParams, FlashShape, Module, direct_sum, make_flash
-from .operators import _annihilators, _terms, filtration_trace
+from .operators import _annihilators, filtration_trace
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,9 @@ class ExclusionProbe:
     stable_intersection_at_bottom_nonzero: bool
 
 
-def _right_infinite_window(left_top: bool, params: AlgebraParams,
-                           pulled: dict | None = None) -> tuple[Module, list[int]]:
-    """L(2, left_top, 0), and the degrees d <= gap its first chain step moves,
-    its pull-backs kept in ``pulled`` (see ``operators._terms``).
+def _right_infinite_window(left_top: bool, params: AlgebraParams) -> tuple[Module, list[int]]:
+    """L(2, left_top, 0), and the degrees d <= gap its first chain step moves:
+    F_1 <= F_0, so those where round 1 of the annihilator walk adds a functional.
 
     L(2, left_top, 0) is the right-infinite flash modulo the span of x_k
     (k >= 3) and y_k (k >= 2).  At d <= gap, F_1(d) = e2^{-1}(e1 F_0(d + gap))
@@ -92,22 +93,21 @@ def _right_infinite_window(left_top: bool, params: AlgebraParams,
     the tops, so with no degree moved every F_j is the whole infinite flash.
     """
     mod = make_flash(FlashShape.l(2, left_top, 0), params)
-    f0, f1 = islice(_terms(mod, pulled), 2)
-    return mod, [d for d in f0 if d <= params.gap and f1[d] != f0[d]]
+    # one dict, grown in place: after two yields it holds G_1
+    *_, ann = islice(_annihilators(mod), 2)
+    return mod, [d for d in mod.dims_by_degree if d <= params.gap and ann.get(d)]
 
 
-def exclusion_probe(shape: FlashShape, params: AlgebraParams, *,
-                    pulled: dict | None = None) -> ExclusionProbe:
+def exclusion_probe(shape: FlashShape, params: AlgebraParams) -> ExclusionProbe:
     """The two degree-zero probes deciding which shapes can reach the bottom.
 
     The shape is rebased at degree 0; a right-infinite flash is read off
-    ``_right_infinite_window`` exactly.  ``pulled`` keeps the chain's
-    pull-backs, as in ``operators._terms``.
+    ``_right_infinite_window`` exactly.
     """
     based = FlashShape(shape.kind, shape.bottoms, shape.left_top,
                        shape.right_top, 0)
     if based.kind == "right_infinite":
-        mod, moved = _right_infinite_window(based.left_top, params, pulled)
+        mod, moved = _right_infinite_window(based.left_top, params)
         if moved:
             raise InternalError("the first chain step moves the right-infinite flash "
                                 f"at degrees {moved}")
@@ -115,7 +115,7 @@ def exclusion_probe(shape: FlashShape, params: AlgebraParams, *,
         stable_nonzero = True
     elif based.kind == "finite":
         mod = make_flash(based, params)
-        stable_nonzero = filtration_trace(mod, pulled=pulled).stable[0].dim > 0
+        stable_nonzero = filtration_trace(mod).stable[0].dim > 0
     else:
         raise ValueError("probe applies to finite or right-infinite shapes")
     return ExclusionProbe(not mod.action(E1, 0).is_zero(), stable_nonzero)
@@ -165,10 +165,9 @@ def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]
     return [zero[min(j, len(zero) - 1)] for j in range(j_max + 1)], zero[-1]
 
 
-def _closed_flash_items(sp: SuiteParams,
-                        pulled: dict | None = None) -> tuple[Module, list[CheckItem]]:
+def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
     """The stage, and two items read off each summand's trace as soon as it is
-    made, the traces' pull-backs kept in ``pulled``.
+    made.
 
     Step j compares only the degrees where the expected F_j or the trace's object
     moved, or where step j-1 failed: the rest hold the objects matched at j-1.
@@ -176,7 +175,7 @@ def _closed_flash_items(sp: SuiteParams,
     mods, shape_failures, member_failures = [], [], []
     for n in range(sp.stage_size + 1):
         mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        trace = filtration_trace(mod, pulled=pulled)
+        trace = filtration_trace(mod)
         field, dims = mod.field, mod.dims_by_degree
         # a flash's labels are distinct and name its whole basis
         at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
@@ -219,15 +218,15 @@ def _closed_flash_items(sp: SuiteParams,
 def run_checks(sp: SuiteParams) -> SuiteReport:
     """Run all nine check items, walking each module's chain only once.
 
-    The flashes' chains, closed, open-ended and the right-infinite window,
-    share one pull-back dict: their blocks and targets repeat, so they pull
-    back a few distinct triples in all.  The stage items need only degree 0's
-    dimensions, so they read the annihilator walk (``operators._annihilators``),
-    which pulls nothing back and makes no preimage through the stage's blocks.
+    The closed and open-ended flashes' traces share the pull-backs
+    ``operators`` caches: their blocks and targets repeat, so they pull back a
+    few distinct triples in all.  The stage items need only degree 0's
+    dimensions and the window only which degrees move, so they read the
+    annihilator walk (``operators._annihilators``), which pulls nothing back
+    and makes no preimage through the stage's blocks.
     """
     alg = sp.algebra
-    pulled: dict = {}
-    stage, items = _closed_flash_items(sp, pulled)
+    stage, items = _closed_flash_items(sp)
 
     # every stage item below the census reads degree 0 alone, off the annihilators
     # G_j = ann F_j: dim F_j(0) = dim M_0 - rank G_j(0)
@@ -269,7 +268,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         {"image_dim": e1_deg0},
         e1_deg0 == 0))
 
-    _, moved = _right_infinite_window(False, alg, pulled)
+    _, moved = _right_infinite_window(False, alg)
     items.append(CheckItem(
         "infinite-flash-contrast",
         "on the right-infinite flash the first chain step moves no degree, "
@@ -278,7 +277,7 @@ def run_checks(sp: SuiteParams) -> SuiteReport:
         not moved))
 
     # x_0 alone spans degree 0 of L(n,0,0)@0, so the probe's flag is the dimension
-    open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg, pulled=pulled)
+    open_end_dims = [int(exclusion_probe(FlashShape.l(n, 0, 0), alg)
                          .stable_intersection_at_bottom_nonzero)
                      for n in range(sp.stage_size + 1)]
     items.append(CheckItem(

@@ -498,8 +498,11 @@ def count_pullbacks(monkeypatch):
     """Record the e2 block of every pull-back the chain makes from now on.
 
     A step pulls a degree back through ``pullback``, or through
-    ``preimage_space`` where e1 has no block to take images with.
+    ``preimage_space`` where e1 has no block to take images with.  The shared
+    pull-back cache is cleared first, so a count does not depend on what ran
+    before it.
     """
+    operators._pulled.cache_clear()
     calls = []
     for name in ("pullback", "preimage_space"):
         def counted(a, *rest, real=getattr(operators, name)):

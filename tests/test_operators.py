@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import islice, product
 
 import pytest
 
+from extmod import operators
 from extmod.linalg import Matrix, SubspaceBasis
 from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             truncate_above, truncated_infinite_flash, with_variant)
-from extmod.operators import (_annihilators, _terms, filtration, filtration_trace,
+from extmod.operators import (_annihilators, filtration, filtration_trace,
                               margolis_homology, socle)
 from helpers import (act_image, basis_vector, contains, count_coerce, count_pullbacks,
                      count_span, counterexample_stage, dims, flash_sum, from_labels, full,
@@ -100,6 +102,61 @@ def test_filtration_chain_decreases_and_stabilizes():
             trace.subspaces[trace.stable_index + 1]
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=["float", "Fraction", "str"])
+def test_a_term_index_must_be_an_integer(bad):
+    # a non-integer names no term: it must raise, not run the chain to its
+    # end and read the stable term, which at degree 0 is 0 where F_1 is 1
+    m = make_flash(FlashShape.l(3, 0, 1), P)
+    trace = filtration_trace(m)
+    with pytest.raises(TypeError):
+        filtration(m, bad)
+    with pytest.raises(TypeError):
+        trace[bad]
+    with pytest.raises(TypeError):
+        trace[len(trace.subspaces) + 0.5]
+    assert filtration(m, 1)[0].dim == filtration(m, True)[0].dim == 1
+    assert trace[1] is trace[True] and trace[1][0].dim == 1
+    assert filtration(m, 1) == trace[1]
+
+
+@pytest.mark.parametrize("degs", [(1, 3), (2, 5), (1, 2), (3, 4)])
+@pytest.mark.parametrize("char", [2, 3, 5, 13, 17, 0], ids=["F2", "F3", "F5", "F13", "F17", "Q"])
+def test_filtration_reads_the_trace_off_the_walk(monkeypatch, char, degs):
+    # F_j as the kernel of G_j = ann F_j equals the trace's term j, subspace
+    # for subspace, at every j up to two past the stable index, on drawn
+    # modules, scrambled flash sums and a scrambled variant-A sum with free
+    # summands; and it makes no pull-back
+    params = default_params(char, *degs)
+    rng = random.Random(97 * char + 11 * degs[0] + degs[1])
+    cases = [random_variant_b_module(params, 24, rng.randrange(10**6)) for _ in range(8)]
+    cases += [random_basis_change(flash_sum(random_flash_shapes(rng, 8, 6, 8), params),
+                                  rng.randrange(10**6)) for _ in range(6)]
+    pa = params.with_variant("A")
+    for _ in range(2):
+        parts = [make_free(rng.randint(0, 6), pa) for _ in range(2)]
+        parts.append(with_variant(flash_sum(random_flash_shapes(rng, 3, 4, 6), params), "A"))
+        cases.append(random_basis_change(direct_sum(parts, pa), rng.randrange(10**6)))
+    traces = [filtration_trace(m) for m in cases]
+
+    def pulled(*args):
+        raise AssertionError("filtration pulled a degree back")
+
+    monkeypatch.setattr(operators, "_pulled", pulled)
+    for m, trace in zip(cases, traces):
+        for j in range(trace.stable_index + 3):
+            assert filtration(m, j) == trace[j], j
+
+
+def test_the_pull_back_cache_stays_bounded():
+    # the unscrambled stage at N = 24 pulls back 25 + 300 distinct triples,
+    # more than the cache holds
+    bound = operators._pulled.cache_parameters()["maxsize"]
+    filtration_trace(counterexample_stage(24, P))
+    info = operators._pulled.cache_info()
+    assert info.misses == 25 + 300 > bound
+    assert info.currsize <= bound
+
+
 def test_a_trace_iterates_its_terms_and_rejects_negative_indices():
     # indexing past the end returns the stable term, so iteration must not
     # fall back on indexing: it would never end
@@ -156,10 +213,11 @@ def test_chain_matches_full_recomputation(char, degs):
 
 @pytest.mark.parametrize("char", [2, 5, 17, 0])
 def test_chains_that_share_one_pull_back_dict_match_the_reference(monkeypatch, char):
-    # one dict, keyed on values, handed to the chains of many modules over one
+    # one cache, keyed on values, shared by the chains of many modules over one
     # algebra: flashes and their cuts, random modules and scrambled flash sums.
     # Equal triples from different modules share a pull-back, and each chain
-    # still equals its full recomputation; walked again, a chain pulls nothing back
+    # still equals its full recomputation; walked again at once, a chain pulls
+    # nothing back
     params = default_params(char)
     rng = random.Random(char + 7)
     cases = [make_flash(FlashShape.l(n, eps, eps2), params)
@@ -168,16 +226,28 @@ def test_chains_that_share_one_pull_back_dict_match_the_reference(monkeypatch, c
     cases += [random_variant_b_module(params, 10, rng.randrange(10**6)) for _ in range(3)]
     cases += [random_basis_change(flash_sum(random_flash_shapes(rng, 3, 3, 4), params),
                                   rng.randrange(10**6)) for _ in range(2)]
-    pulled = {}
+    calls = count_pullbacks(monkeypatch)
     for m in cases:
         ref = reference_chain(m)
-        trace = filtration_trace(m, pulled=pulled)
+        trace = filtration_trace(m)
         assert trace.subspaces == tuple(ref)
         assert trace.stable_index == len(ref) - 2
-    calls = count_pullbacks(monkeypatch)
-    assert all(filtration_trace(m, pulled=pulled).subspaces == tuple(reference_chain(m))
-               for m in cases)
-    assert calls == []
+        calls.clear()
+        assert filtration_trace(m).subspaces == tuple(ref)
+        assert calls == []
+    # the flashes repeat one another's blocks, so their chains pull back fewer
+    # triples together than one at a time
+    alone = 0
+    for m in cases[:24]:
+        operators._pulled.cache_clear()
+        calls.clear()
+        filtration_trace(m)
+        alone += len(calls)
+    operators._pulled.cache_clear()
+    calls.clear()
+    for m in cases[:24]:
+        filtration_trace(m)
+    assert len(calls) < alone
 
 
 @pytest.mark.parametrize("degs", [(1, 3), (2, 5), (1, 2), (3, 4)])
@@ -201,7 +271,7 @@ def test_annihilator_walk_matches_the_primal_chain(char, degs):
         no_e1 += any(d + params.gap not in e1 for d in e2)
         killed += any(d not in e2 for d in m.degrees)
         ref = reference_chain(m)
-        primal = [{d: sub.dim for d, sub in term.items()} for term in _terms(m)]
+        primal = [{d: sub.dim for d, sub in term.items()} for term in filtration_trace(m)]
         dual = [{d: n - len(ann.get(d, ())) for d, n in m.dims_by_degree.items()}
                 for ann in _annihilators(m)]
         assert dual == primal == [{d: sub.dim for d, sub in term.items()} for term in ref]
@@ -229,20 +299,29 @@ def test_chain_recomputes_only_moved_degrees(monkeypatch):
 
 def test_filtration_builds_only_terms_up_to_j(monkeypatch):
     # one long flash moves one degree per step for n + 1 steps; term j must
-    # cost its own j steps, not the whole chain
-    calls = count_pullbacks(monkeypatch)
+    # cost its own j rounds of the annihilator walk, not the whole chain, and
+    # no pull-back at all
     n = 40
     m = make_flash(FlashShape.l(n, 0, 1), P)
-    assert len(filtration_trace(m).subspaces) == n + 3
-    assert len(calls) == 2 + n
-    for j in (0, 1, 2, 5):
-        calls.clear()
-        filtration(m, j)
-        # e2 acts on the n + 1 bottoms through one shared block, and e1 on
-        # x_1 .. x_n through another, so step 1 makes two pull-backs: with
-        # e1's block, and of zero at x_n; each later step pulls back the one
-        # degree that moved
-        assert len(calls) == (2 + j - 1 if j else 0), j
+    trace = filtration_trace(m)
+    assert len(trace.subspaces) == n + 3
+    rounds = []
+
+    def walked(mod):
+        for ann in _annihilators(mod):
+            rounds.append(ann)
+            yield ann
+
+    def pulled(*args):
+        raise AssertionError("filtration pulled a degree back")
+
+    monkeypatch.setattr(operators, "_annihilators", walked)
+    monkeypatch.setattr(operators, "_pulled", pulled)
+    for j in (0, 1, 2, 5, n + 1, n + 9):
+        rounds.clear()
+        assert filtration(m, j) == trace[j]
+        # the walk stops at its first repeat, G_{n+2} = G_{n+1}
+        assert len(rounds) == min(j, n + 2) + 1, j
 
 
 @pytest.mark.parametrize("characteristic", [2, 5, 17, 0], ids=["F2", "F5", "F17", "Q"])
@@ -306,8 +385,11 @@ def test_degrees_e2_kills_keep_f0_and_span_nothing(monkeypatch, characteristic):
     killed = [d for d in m.degrees if d not in m.action_items(E2)]
     assert {40, 40 + params.deg_e1} < set(killed)
     calls = count_span(monkeypatch, params.field)
+    # each trace from a cleared pull-back cache, so both make their own spans
+    operators._pulled.cache_clear()
     alone = filtration_trace(stage)
     spans, calls[0] = calls[0], 0
+    operators._pulled.cache_clear()
     trace = filtration_trace(m)
     assert calls[0] == spans
     assert all(t[d] is trace[0][d] for t in trace.subspaces for d in killed)

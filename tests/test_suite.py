@@ -9,8 +9,7 @@ from extmod.decompose import InternalError, multiplicities
 from extmod.linalg import SubspaceBasis
 from extmod.modules import (E2, FlashShape, default_params, make_flash,
                             random_basis_change, truncated_infinite_flash)
-from extmod.operators import (FiltrationTrace, _annihilators, _terms, filtration,
-                              filtration_trace)
+from extmod.operators import FiltrationTrace, _annihilators, filtration, filtration_trace
 from extmod.suite import (ExclusionProbe, SuiteParams, exclusion_probe,
                           run_checks)
 from helpers import (basis_vector, count_pullbacks, counterexample_stage, label_position,
@@ -63,7 +62,7 @@ def test_degree_zero_dims_two_paths_agree():
     # per-summand membership
     sp = SuiteParams(4, 6, P)
     stage = counterexample_stage(sp.stage_size, sp.algebra)
-    zero, _ = suite._degree_zero(_terms(stage), sp.j_max)
+    zero, _ = suite._degree_zero(filtration_trace(stage), sp.j_max)
     ranks, _ = suite._annihilator_ranks(stage, 0)
     dual = [stage.dim(0) - ranks[min(j, len(ranks) - 1)] for j in range(sp.j_max + 1)]
     assert [sub.dim for sub in zero] == dual == _membership_path_dims(sp)
@@ -71,11 +70,11 @@ def test_degree_zero_dims_two_paths_agree():
 
 def test_the_suite_pulls_back_each_distinct_flash_step_once(monkeypatch):
     # one step at a time, the closed flashes' traces make 134 pull-backs at
-    # N = 14, the open-end probes 14 and the window 1.  They share one dict
-    # keyed on values, and every flash takes its blocks from one table, so
-    # all of them make 3: the e2 block through the e1 block onto F^1 and onto
-    # zero, and the kernel at a degree e1 does not reach.  The stage's items
-    # read the annihilator walk, which pulls nothing back
+    # N = 14 and the open-end probes 14.  They share one cache keyed on
+    # values, and every flash takes its blocks from one table, so all of them
+    # make 3: the e2 block through the e1 block onto F^1 and onto zero, and
+    # the kernel at a degree e1 does not reach.  The stage's items and the
+    # window read the annihilator walk, which pulls nothing back
     calls = count_pullbacks(monkeypatch)
     n = 14
     assert run_checks(SuiteParams(n, n + 2, P)).passed
@@ -83,24 +82,40 @@ def test_the_suite_pulls_back_each_distinct_flash_step_once(monkeypatch):
 
 
 def test_the_flash_chains_share_one_dict_and_the_stage_gets_none(monkeypatch):
-    # the N + 1 closed flashes, the N + 1 probes and the window hand their
-    # chains one dict; the stage never enters the primal walk, whose dict
-    # would keep every pull-back of its walk
+    # the N + 1 closed flashes and the N + 1 probes trace their chains through
+    # the one pull-back cache, and later flashes find their triples there; the
+    # stage and the window never enter the primal walk
     sp = SuiteParams(5, 7, P)
-    walks = []
+    stages, traced, keys = [], [], []
+    real_sum, real_trace, real_pulled = (suite.direct_sum, suite.filtration_trace,
+                                         operators._pulled)
 
-    def walked(m, pulled=None):
-        walks.append((m, pulled))
-        return _terms(m, pulled)
+    def summed(mods):
+        stages.append(real_sum(mods))
+        return stages[-1]
 
-    monkeypatch.setattr(operators, "_terms", walked)
-    monkeypatch.setattr(suite, "_terms", walked)
+    def trace(m):
+        traced.append(m)
+        return real_trace(m)
+
+    def pulled(*key):
+        keys.append(key)
+        return real_pulled(*key)
+
+    monkeypatch.setattr(suite, "direct_sum", summed)
+    monkeypatch.setattr(suite, "filtration_trace", trace)
+    monkeypatch.setattr(operators, "_pulled", pulled)
     assert run_checks(sp).passed
-    stage = counterexample_stage(sp.stage_size, P)
-    assert all(m != stage for m, _ in walks)
-    shared = [pulled for _, pulled in walks]
-    assert len(shared) == 2 * (sp.stage_size + 1) + 1
-    assert all(pulled is shared[0] for pulled in shared) and shared[0]
+    [stage] = stages
+    window = make_flash(FlashShape.l(2, 0, 0), P)
+    assert len(traced) == 2 * (sp.stage_size + 1)
+    assert all(m is not stage for m in traced)
+    # the window equals the open-end flash L(2,0,0), traced once, as a probe
+    assert traced.count(window) == 1
+    blocks = {id(b) for b in stage.action_items(E2).values()}
+    assert keys and not any(id(b) in blocks for b, _, _ in keys)
+    info = real_pulled.cache_info()
+    assert info.misses == 3 and info.hits == len(keys) - 3
 
 
 class _Held(dict):
@@ -120,9 +135,9 @@ def test_the_stage_chain_is_walked_not_stored(monkeypatch):
         stages.append(real_sum(mods))
         return stages[-1]
 
-    def trace(m, pulled=None):
+    def trace(m):
         traced.append(m)
-        return real_trace(m, pulled=pulled)
+        return real_trace(m)
 
     def walked(m):
         held = _Held()
@@ -205,7 +220,7 @@ def test_a_wrong_flash_trace_fails_both_flash_items(monkeypatch):
     # F'_1 and F'_2 miss their expected span and x_0 leaves F'_j at j = 2
     wrong = make_flash(FlashShape.l(2, 0, 1), P)
 
-    def traced(m, pulled=None):
+    def traced(m):
         trace = filtration_trace(m)
         if m == wrong:
             return FiltrationTrace(trace.subspaces[1:], trace.stable_index - 1)
@@ -276,7 +291,7 @@ def test_flash_items_match_the_full_comparison(monkeypatch, char, degs, perturba
     perturb = PERTURBATIONS[perturbation]
     want_shape, want_member = [], []
 
-    def traced(m, pulled=None):
+    def traced(m):
         n = len(want_shape)
         trace = perturb(m, n, filtration_trace(m))
         shape, member = reference_flash_failures(m, trace, n, sp.j_max)
@@ -311,7 +326,7 @@ def test_flash_items_cost_is_linear_in_n(monkeypatch):
         counts[1] += 1
         return real_contains(sub, *args, **kwargs)
 
-    def traced(m, pulled=None):
+    def traced(m):
         at_trace.append(list(counts))
         tracing[0] = True
         try:
@@ -343,7 +358,7 @@ def test_no_trace_outlives_the_items_that_read_it(monkeypatch):
     def alive():
         return sum(ref() is not None for ref in made)
 
-    def traced(m, pulled=None):
+    def traced(m):
         if m in closed:
             alive_at_flash.append(alive())
         trace = filtration_trace(m)
@@ -368,6 +383,23 @@ def test_report_is_deterministic():
     assert a == b
     assert json.dumps(a.to_json_dict(), sort_keys=True) == \
         json.dumps(b.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("char, degs", [(2, (1, 3)), (5, (2, 5)), (17, (1, 3)), (0, (1, 3))],
+                         ids=["F2", "F5", "F17", "Q"])
+def test_report_is_the_same_from_a_cleared_and_a_warm_cache(char, degs):
+    # the pull-back cache outlives a run: a second run finds every flash
+    # triple there, and a run after a larger one finds a cache the larger
+    # one filled, yet each writes the same report
+    params = default_params(char, *degs)
+    sp = SuiteParams(6, 8, params)
+    operators._pulled.cache_clear()
+    cold = json.dumps(run_checks(sp).to_json_dict(), sort_keys=True)
+    warm = json.dumps(run_checks(sp).to_json_dict(), sort_keys=True)
+    assert operators._pulled.cache_info().hits
+    run_checks(SuiteParams(12, 14, params))
+    after = json.dumps(run_checks(sp).to_json_dict(), sort_keys=True)
+    assert cold == warm == after
 
 
 def test_json_shape():
@@ -458,38 +490,40 @@ def test_the_window_agrees_with_longer_truncations(char, degs):
         window, moved = suite._right_infinite_window(left_top, params)
         assert window.total_dim == 5 + left_top
         assert moved == []
-        _, w1 = islice(_terms(window), 2)
+        w1 = filtration_trace(window)[1]
         low = [d for d in window.degrees if d <= gap]
         for cut in range(deg_e2 + gap, deg_e2 + gap + 30):
             m = truncated_infinite_flash(left_top, cut, params)
             for mod in (m, random_basis_change(m, cut)):
-                f0, f1 = islice(_terms(mod), 2)
+                f0, f1 = islice(filtration_trace(mod), 2)
                 exact = [d for d in mod.degrees if d + deg_e2 <= cut]
                 assert exact and all(f1[d] == f0[d] for d in exact)
                 assert [f1[d].dim for d in low] == [w1[d].dim for d in low]
             # the window and the cut share their basis at d <= gap
-            _, f1 = islice(_terms(m), 2)
+            f1 = filtration_trace(m)[1]
             assert [f1[d] for d in low] == [w1[d] for d in low]
 
 
 @pytest.mark.parametrize("wrong", [0, P.gap])
 def test_a_wrong_window_chain_fails_the_contrast(monkeypatch, wrong):
-    # the window's F_1 loses one degree the window holds exactly: the contrast
-    # item reports it, and the probe of a right-infinite flash raises rather
-    # than report a guess.  The open-end flash L(2,0,0) equals the window but
-    # reads its chain through the suite's whole trace, so it keeps passing
+    # the window's G_1 = ann F_1 gains a functional at one degree the window
+    # holds exactly, so F_1 loses it: the contrast item reports it, and the
+    # probe of a right-infinite flash raises rather than report a guess.  The
+    # open-end flash L(2,0,0) equals the window but reads its chain through
+    # the suite's whole trace, so it keeps passing
     window = make_flash(FlashShape.l(2, 0, 0), P)
 
-    def walked(m, pulled=None):
-        terms = _terms(m, pulled)
+    def walked(m):
+        rounds = _annihilators(m)
         if m != window:
-            yield from terms
+            yield from rounds
             return
-        yield next(terms)
-        f1 = next(terms)
-        yield {**f1, wrong: SubspaceBasis.zero(m.field, m.dim(wrong))}
+        yield next(rounds)
+        g1 = next(rounds)
+        unit = m.field._family.unit(0, m.dim(wrong))
+        yield {**g1, wrong: [*g1.get(wrong, ()), unit]}
 
-    monkeypatch.setattr(suite, "_terms", walked)
+    monkeypatch.setattr(suite, "_annihilators", walked)
     doc = run_checks(SuiteParams(4, 6, P)).to_json_dict()
     items = {item["id"]: item for item in doc["items"]}
     assert items["infinite-flash-contrast"]["data"] == {"moved": [wrong]}
