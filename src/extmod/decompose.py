@@ -19,8 +19,11 @@ order on the open ends: a strand whose left end is a dangling top beats every
 bottom-ended strand, longer beats shorter among bottom-ended ones and shorter
 beats longer among top-ended ones.  Both half-steps (e1 onto the previous
 tops, e2 onto the next tops) run the same elimination with one pivot rule:
-the weakest domain strand is matched first, to the strongest codomain strand
-it reaches, so every clearing runs from a weaker strand into a stronger one.
+the codomain strands go strongest first and the domain strands weakest
+first, and each pivot clears its row from every later column.  A due column
+is then zero at every row already taken, so its pivot, its lowest nonzero
+entry, is the strongest codomain strand it reaches: every clearing runs from
+a weaker strand into a stronger one.
 For :func:`decompose`, every clearing updates the strand's realization
 vectors, so the finished strands are an explicit certified basis of the
 module and each strand reads off directly as one flash summand.  A strand's
@@ -173,62 +176,37 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     """Pair domain strands with codomain strands through one action.
 
     ``cols[c]`` holds the coordinates of ``act`` applied to the last vector
-    of ``dom[c]`` over the last vectors of the codomain strands, entry r for
-    ``cod[r]``, as a vector in the field's family layout: column c of a
-    matrix ``a``.  Row operations make a codomain strand absorb another,
-    column operations make a domain strand absorb another and normalisation
-    scales the domain strand, until ``a`` is a partial identity.  A pivot is
-    read off the nonzero entries of its column, which are the rows it
-    updates; a column is updated only while it is still due, and only where
-    the pivot row is nonzero there.  Over F2, where every nonzero entry is
-    1, nothing is scaled at all.  Returns the (codomain, domain) pivot
-    pairs: ``act`` maps the domain strand's last vector onto the codomain
-    strand's.
+    of domain strand c over the last vectors of the codomain strands, entry
+    r for codomain strand r, as a vector in the field's family layout: column
+    c of a matrix ``a``.  Row operations make a codomain strand absorb
+    another, column operations make a domain strand absorb another and
+    normalisation scales the domain strand, until ``a`` is a partial
+    identity.  The family's ``pivot_steps`` runs them on the columns, which
+    come due in order, weakest domain strand first, and this replays them on
+    the strands.  A due column is zero at every taken row, so its pivot is
+    its lowest nonzero entry: the strongest codomain strand it reaches.
+    Returns the (codomain, domain) pivot pairs: ``act`` maps the domain
+    strand's last vector onto the codomain strand's.
     """
     if not dom:
         return []
     fam = field._family
+    # sorted is stable, so strands of equal strength keep their order
+    cod = sorted(cod, key=lambda s: s.strength, reverse=True)
+    dom = sorted(dom, key=lambda s: s.strength)
     imgs = [fam.apply(act, s.vectors[s.right_pos]) for s in dom]
     cols = fam.coordinates([s.vectors[s.right_pos] for s in cod], imgs, act.nrows)
     if cols is None:
         raise InternalError("socle coordinates must exist" if cod
                             else "action image escapes the socle layer")
-    one, entry, add_scaled = field.one, fam.entry, fam.add_scaled
-    # the pivot rule: domain strands go weakest first, and each takes the
-    # strongest codomain strand not yet taken, by (strength, -index), whose
-    # entry in its column is nonzero; a column is read only when it is due,
-    # after the earlier pivots have updated it
-    rank = {r: i for i, r in enumerate(
-        sorted(range(len(cod)), key=lambda r: (cod[r].strength, -r), reverse=True))}
-    free = set(rank)
-    # the columns not yet due, in index order; a column passed over for want
-    # of a pivot is zero, and stays zero
-    pending = list(range(len(dom)))
-    pairs = []
-    for ci in sorted(pending, key=lambda c: dom[c].strength):
-        col = fam.support(cols[ci])
-        pr = min((r for r in col if r in free), key=rank.__getitem__, default=None)
-        if pr is None:
-            continue
-        free.remove(pr)
-        pending.remove(ci)
-        inv = one
-        if col[pr] != one:
-            inv = field.inv(col[pr])
+    one, pairs = field.one, []
+    for ci, pr, inv, row_ops, col_ops in fam.pivot_steps(cols):
+        if inv != one:
             dom[ci].scale(inv, fam)
-        for ri, x in col.items():
-            if ri != pr:
-                cod[pr].absorb(cod[ri], field.mul(x, inv), fam)
-        # clearing row pr of a column cj with the normalised column ci is the
-        # column operation, and with the row operations above it takes
-        # a[pr][cj] times that column from column cj
-        pcol = cols[ci] if inv == one else fam.scale(cols[ci], inv)
-        for cj in pending:
-            c = entry(cols[cj], pr)
-            if c:
-                c = field.neg(c)
-                dom[cj].absorb(dom[ci], c, fam)
-                cols[cj] = add_scaled(cols[cj], pcol, c)
+        for ri, c in row_ops:
+            cod[pr].absorb(cod[ri], c, fam)
+        for cj, c in col_ops:
+            dom[cj].absorb(dom[ci], c, fam)
         pairs.append((cod[pr], dom[ci]))
     return pairs
 
@@ -767,8 +745,8 @@ def verify_split_free(m: Module, fs: FreeSplit) -> VerifyResult:
                 continue
             for which in (E1, E2):
                 step = params.action_degree(which)
-                target = emb.get(d + step, Matrix.zeros(field, m.dim(d + step),
-                                                        part.dim(d + step)))
+                target = (emb[d + step] if d + step in emb else
+                          Matrix.zeros(field, m.dim(d + step), part.dim(d + step)))
                 if m.action(which, d) @ emb[d] != target @ part.action(which, d):
                     problems.append(f"{name} embedding does not commute with {which} at {d}")
     # with both embeddings commuting and jointly a basis, the complement's own

@@ -35,7 +35,8 @@ count of a span on tuples; ``Matrix.rank`` and containment use it.  Every other
 rows with zero rows, and ``solve`` spans the rows of [A | B] at full width,
 which is inconsistent exactly when a pivot falls in B.  ``inverse`` reads
 row i of the inverse as the family's ``coordinates`` of e_i over A's rows.
-In every family a kernel is the preimage of zero.
+In every family a kernel is the preimage of zero.  The chain sweep's
+``pivot_steps`` is written on masks for bits and once for the others.
 
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
@@ -656,3 +657,36 @@ def standard_complement(u: SubspaceBasis) -> list[tuple]:
     fam, n = u.field._family, u.ambient_dim
     pivots = set(u.pivot_rows)
     return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]
+
+
+# -- the chain sweep's elimination ---------------------------------------------
+
+def _pivot_steps(field: Field, cols: list) -> list[tuple]:
+    """The steps that bring the columns ``cols`` to a partial identity.
+
+    Column ci's pivot is its lowest nonzero entry, at row pr, and its step is
+    ``(ci, pr, inv, row_ops, col_ops)``: inv normalises the pivot,
+    ``row_ops`` holds (ri, entry times inv) for each other nonzero entry, and
+    ``col_ops`` (cj, c) for each later column cj nonzero at row pr, which c
+    times the normalised column clears there, in place.  A zero column is
+    passed over.
+    """
+    fam = field._family
+    one, entry, add_scaled, steps = field.one, fam.entry, fam.add_scaled, []
+    for ci, v in enumerate(cols):
+        col = fam.support(v)
+        if not col:
+            continue
+        pr, x = next(iter(col.items()))
+        inv = one if x == one else field.inv(x)
+        pcol = v if inv == one else fam.scale(v, inv)
+        col_ops = []
+        for cj in range(ci + 1, len(cols)):
+            c = entry(cols[cj], pr)
+            if c:
+                c = field.neg(c)
+                cols[cj] = add_scaled(cols[cj], pcol, c)
+                col_ops.append((cj, c))
+        row_ops = [(ri, field.mul(y, inv)) for ri, y in col.items() if ri != pr]
+        steps.append((ci, pr, inv, row_ops, col_ops))
+    return steps

@@ -23,7 +23,10 @@ column part cancels, the only rows it back-substitutes.  The forward pass of
 the tagged columns does not depend on u, so m keeps it from its first
 preimage, as an LU factorization is reused across right-hand sides, and each
 preimage runs only u's rows into a copy; a pullback, the preimage under m of
-u's image under a, runs in the images of u's rows.
+u's image under a, runs in the images of u's rows.  ``pivot_steps``, the
+chain sweep's elimination, takes each column's lowest set bit ``low`` as
+its pivot, its other set bits as its row operations, and clears the pivot
+row from each later column with one test ``col & low`` and one XOR.
 """
 
 from __future__ import annotations
@@ -142,6 +145,22 @@ class _Bits:
         """The rows of a @ b: the XOR of the packed rows of b that a row of a selects."""
         brows, combine = b._rows, self._combine
         return tuple([combine(brows, arow) for arow in a._rows])
+
+    def pivot_steps(self, cols: list[int]) -> list[tuple]:
+        """The steps of ``linalg._pivot_steps`` on masks: a column's pivot is
+        its lowest set bit ``low`` and its row operations its other set bits,
+        and a later column meets the pivot row where ``col & low`` is set and
+        is cleared by one XOR.  Every coefficient is 1."""
+        steps, n = [], len(cols)
+        for ci, col in enumerate(cols):
+            if col:
+                low = col & -col
+                col_ops = [(cj, 1) for cj in range(ci + 1, n) if cols[cj] & low]
+                for cj, _ in col_ops:
+                    cols[cj] ^= col
+                steps.append((ci, low.bit_length() - 1, 1,
+                              [*self.support(col ^ low).items()], col_ops))
+        return steps
 
     @staticmethod
     def insert(rows: dict[int, int], v: int) -> tuple[int, int] | None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from . import Field, Matrix, SubspaceBasis
+from . import Field, Matrix, SubspaceBasis, _pivot_steps
 
 
 class _PackedFp:
@@ -240,6 +240,10 @@ class _PackedFp:
                 v = reduced(v + (p - (v >> 8 * lane & 255)) * row)
             out.append(v >> shift)
         return out
+
+    def pivot_steps(self, cols: list) -> list[tuple]:
+        """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
+        return _pivot_steps(self.field, cols)
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis",
                  a: "Matrix | None" = None) -> tuple[list[int], list[int]]:

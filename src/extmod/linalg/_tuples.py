@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .. import linalg  # image is read on each call, where bench/tracing.py wraps it
-from . import _Q_ZERO, Field, Matrix, SubspaceBasis
+from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _pivot_steps
 
 
 def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
@@ -216,6 +216,10 @@ class _IntRows:
         if pivots != list(range(k)):
             return None
         return list(self.transpose(rows, width)[k:])
+
+    def pivot_steps(self, cols: list) -> list[tuple]:
+        """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
+        return _pivot_steps(self.field, cols)
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis",
                  a: "Matrix | None" = None) -> tuple[list, list[int]]:

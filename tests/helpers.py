@@ -311,6 +311,30 @@ def reference_match(field, act, cod, dom):
     return pairs
 
 
+def reference_pivot_steps(field, cols):
+    """The steps of the families' ``pivot_steps`` on lists of entries, and
+    the columns they leave: each nonzero column in turn takes its lowest
+    nonzero entry as its pivot, and clears that row from every later column
+    with its normalised self."""
+    cols = [list(col) for col in cols]
+    steps = []
+    for ci, col in enumerate(cols):
+        rows = [r for r, x in enumerate(col) if x]
+        if not rows:
+            continue
+        pr = rows[0]
+        inv = field.inv(col[pr])
+        pcol = [field.mul(x, inv) for x in col]
+        col_ops = []
+        for cj in range(ci + 1, len(cols)):
+            c = cols[cj][pr]
+            if c:
+                cols[cj] = [field.sub(x, field.mul(c, y)) for x, y in zip(cols[cj], pcol)]
+                col_ops.append((cj, field.neg(c)))
+        steps.append((ci, pr, inv, [(r, pcol[r]) for r in rows[1:]], col_ops))
+    return steps, [tuple(col) for col in cols]
+
+
 def random_subspace(field, ambient, rng, max_gens=None):
     gens = rng.randint(0, max_gens if max_gens is not None else ambient)
     vectors = [random_matrix(field, 1, ambient, rng).rows[0] for _ in range(gens)]

@@ -18,6 +18,7 @@ from extmod.decompose import (Decomposition, InternalError, OracleInconclusive, 
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
+from extmod.linalg._bits import _Bits
 from extmod.modules import (E1, E2, FlashShape, Module, default_params, direct_sum,
                             make_flash, make_free, random_basis_change, shift,
                             validate, with_variant, zero_module)
@@ -130,7 +131,7 @@ def test_chains_hand_the_sweep_family_layout_vectors(monkeypatch, char):
         assert all(type(v) is int for _, v in vectors)
 
 
-@pytest.mark.parametrize("char", [2, 3, 5, 17, 0])
+@pytest.mark.parametrize("char", [2, 3, 5, 13, 17, 0])
 def test_match_equals_list_reference(monkeypatch, char):
     # the strands hold vectors in the family layout (packed for p <= 13), which
     # the reference gets unpacked
@@ -161,6 +162,22 @@ def test_match_equals_list_reference(monkeypatch, char):
             most_rows, most_cod = max(most_rows, act.nrows), max(most_cod, len(cod))
     if char == 2:
         assert most_rows > 64 and most_cod > 64
+
+
+def test_f2_census_reads_no_entry(monkeypatch):
+    # over F2 the sweep tests a pivot row of the due columns with one mask
+    # each, so the census of the stage reads no single entry
+    calls = [0]
+    entry = _Bits.entry
+
+    def counted(v, j):
+        calls[0] += 1
+        return entry(v, j)
+
+    monkeypatch.setattr(_Bits, "entry", staticmethod(counted))
+    assert multiplicities(counterexample_stage(40, P)) == Counter(
+        {FlashShape.l(n, 0, 1): 1 for n in range(41)})
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("char", [2, 3, 5, 17, 0])

@@ -23,8 +23,9 @@ from extmod.linalg._tuples import _Entries, _IntRows, _Rationals
 from helpers import (count_coerce, count_fraction_arithmetic, count_fraction_new, count_span,
                      hstack, random_fraction_matrix, random_matrix, random_subspace,
                      reference_apply, reference_image_of, reference_intersect,
-                     reference_kernel, reference_kernel_matrix, reference_preimage,
-                     reference_product, reference_row_reduce, reference_span)
+                     reference_kernel, reference_kernel_matrix, reference_pivot_steps,
+                     reference_preimage, reference_product, reference_row_reduce,
+                     reference_span)
 
 F2 = Field(2)
 F3, F5, F7, F11, F13, F17 = map(Field, (3, 5, 7, 11, 13, 17))
@@ -872,8 +873,52 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
 FAMILY_CALLS = {"add_scaled", "apply", "coerce", "coordinates", "entry", "insert", "join",
-                "nonzero", "pack", "preimage", "product", "rank", "scale", "span",
-                "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
+                "nonzero", "pack", "pivot_steps", "preimage", "product", "rank", "scale",
+                "span", "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
+
+
+def _pivot_columns(field, nrows, ncols, rng):
+    """Columns of entries with zero columns, repeated columns (which clear to
+    zero) and non-unit pivots, most entries zero."""
+    def scalar():
+        if field.characteristic:
+            return rng.randrange(1, field.characteristic)
+        return Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6))
+
+    cols = []
+    for _ in range(ncols):
+        pick = rng.random()
+        if pick < 0.15:
+            cols.append([field.zero] * nrows)
+        elif pick < 0.3 and cols:
+            c = scalar()
+            cols.append([field.mul(c, x) for x in rng.choice(cols)])
+        else:
+            density = rng.choice([1 / nrows, 0.1, 0.4])
+            cols.append([scalar() if rng.random() < density else field.zero
+                         for _ in range(nrows)])
+    return cols
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F13, F17, QQ],
+                         ids=["F2", "F3", "F5", "F13", "F17", "Q"])
+def test_pivot_steps_equal_list_reference(field):
+    fam = field._family
+    rng = random.Random(field.characteristic + 89)
+    unscaled = 0
+    for nrows, ncols in ((1, 3), (5, 8), (20, 30), (70, 90), (130, 40)):
+        for _ in range(4):
+            cols = _pivot_columns(field, nrows, ncols, rng)
+            want, want_cols = reference_pivot_steps(field, cols)
+            packed = [fam.coerce(col) for col in cols]
+            got = fam.pivot_steps(packed)
+            assert got == want
+            assert [fam.unpack(v, nrows) for v in packed] == want_cols
+            unscaled += sum(inv != field.one for _, _, inv, _, _ in got)
+            # a due column is zero at every earlier pivot row
+            for k, (ci, _, _, _, _) in enumerate(got):
+                assert not any(want_cols[ci][pr] for _, pr, _, _, _ in got[:k])
+    assert (unscaled > 0) == (field.characteristic != 2)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F13, F17, QQ], ids=["F2", "F3", "F13", "F17", "Q"])
@@ -906,15 +951,19 @@ def test_families_answer_the_same_calls_with_one_elimination():
     # byte layout, and writes its own XOR row updates
     assert _Bits.__module__ == "extmod.linalg._bits" and _Bits.__bases__ == (object,)
     assert not any(issubclass(_Bits, cls) or issubclass(cls, _Bits) for cls in families[1:])
-    assert {"add_scaled", "scale", "_combine", "span"} <= set(vars(_Bits))
+    assert {"add_scaled", "scale", "_combine", "span", "pivot_steps"} <= set(vars(_Bits))
     bits = ast.parse(Path(inspect.getfile(_Bits)).read_text())
     assert not [node for node in ast.walk(bits) if isinstance(node, ast.ImportFrom)
                 and node.module and "_bytes" in node.module]
     # the tuple layouts write their products, m @ v, eliminations,
     # preimages, tallies and tails once, in the base they share
-    shared = {"_dots", "apply", "product", "span", "preimage", "tally", "tail"}
+    shared = {"_dots", "apply", "product", "span", "preimage", "tally", "tail", "pivot_steps"}
     assert shared <= set(vars(_IntRows))
     assert shared.isdisjoint({*vars(_Entries), *vars(_Rationals)})
+    # the byte and tuple layouts hand the chain sweep's elimination to the one
+    # written over the families
+    assert all("_pivot_steps" in cls.pivot_steps.__code__.co_names
+               for cls in (_PackedFp, _IntRows))
 
 
 def test_layout_follows_the_characteristic():
