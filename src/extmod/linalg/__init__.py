@@ -35,8 +35,12 @@ count of a span on tuples; ``Matrix.rank`` and containment use it.  Every other
 rows with zero rows, and ``solve`` spans the rows of [A | B] at full width,
 which is inconsistent exactly when a pivot falls in B.  ``inverse`` reads
 row i of the inverse as the family's ``coordinates`` of e_i over A's rows.
-In every family a kernel is the preimage of zero.  The chain sweep's
-``pivot_steps`` is written on masks for bits and once for the others.
+In every family a kernel is the preimage of zero.  The bit and byte layouts
+differ in the forward pass, ``rank`` and ``preimage`` only in lane width,
+so those three are written once here, over the families' ``insert`` and
+``span``; a packed preimage spans u's rows with each column of m tagged by
+its index.  The chain sweep's ``pivot_steps`` is written on masks for bits
+and once for the others.
 
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
@@ -203,10 +207,9 @@ class Matrix:
     """
 
     # _fcols caches the columns in the family layout, made by one transpose
-    # of the rows on first use, _fwd the forward pass of the tagged columns a
-    # bit- or byte-layout preimage starts from, and _hash the hash of the rows; safe
-    # because no method changes the rows
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_fwd", "_hash")
+    # of the rows on first use, and _hash the hash of the rows; safe because
+    # no method changes the rows
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_fcols", "_hash")
 
     def __init__(self, field: Field, rows, ncols: int | None = None, _raw: bool = False):
         """A matrix from rows of entries; ``_raw`` trusts them to be canonical sequences."""
@@ -222,7 +225,7 @@ class Matrix:
         fam = field._family
         self.field, self.nrows, self.ncols = field, len(rows), ncols
         self._rows = tuple(map(fam.pack if _raw else fam.coerce, rows))
-        self._fcols = self._fwd = self._hash = None
+        self._fcols = self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -273,7 +276,7 @@ class Matrix:
         """The matrix with these rows in the field's family layout, which it keeps."""
         out = cls.__new__(cls)
         out.field, out.ncols, out._rows = field, ncols, tuple(rows)
-        out._fcols = out._fwd = out._hash = None
+        out._fcols = out._hash = None
         out.nrows = len(out._rows)
         return out
 
@@ -621,14 +624,6 @@ def preimage_space(m: Matrix, u: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u))
 
 
-def pullback(m: Matrix, a: Matrix, u: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {v : m @ v lies in a(u)}: one elimination on the bit and byte
-    layouts, which span the images of u's rows as they come with the columns of m."""
-    if (u.ambient_dim, a.nrows) != (a.ncols, m.nrows):
-        raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis._from_family(m.field, m.ncols, *m.field._family.preimage(m, u, a))
-
-
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     """u ∩ v: the image under u's basis matrix of its preimage of v."""
     if u.ambient_dim != v.ambient_dim:
@@ -657,6 +652,46 @@ def standard_complement(u: SubspaceBasis) -> list[tuple]:
     fam, n = u.field._family, u.ambient_dim
     pivots = set(u.pivot_rows)
     return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]
+
+
+# -- the packed layouts' forward pass, rank and preimage -----------------------
+# bound as methods by the bit and byte layouts, whose calls carry the lane width
+
+def _forward(fam, vectors, stop: int | None = None) -> dict | None:
+    """The forward pass of a span: echelon rows keyed by pivot, each vector
+    ``insert``ed in turn.
+
+    Given ``stop``, the pass ends at the first vector whose pivot falls at
+    or past that entry, and returns None.
+    """
+    rows, insert = {}, fam.insert
+    for v in vectors:
+        new = insert(rows, v)
+        if new and stop is not None and new[1] >= stop:
+            return None
+    return rows
+
+
+def _rank(fam, vectors, n: int) -> int:
+    """The dimension of the span of the vectors: the rows of its forward pass."""
+    return len(fam._forward(vectors))
+
+
+def _tagged_preimage(fam, m: Matrix, u: SubspaceBasis) -> tuple[list, list[int]]:
+    """Echelon rows and pivots of {v : m @ v in u}, read off one span.
+
+    The span is of each column j of m with the unit vector e_j appended past
+    its nrows entries, and of u's rows.  The vectors of that span that are
+    zero in the first nrows entries are (0, v) for v in the preimage, so the
+    echelon rows with pivots past them are the preimage's, shifted, and the
+    span back-substitutes those alone.
+    """
+    n, k, join, unit = m.nrows, m.ncols, fam.join, fam.unit
+    # last column first: a column whose head cancels then has its own tag as
+    # its lowest entry, as it only picks up the tags of later columns
+    tagged = [join(col, unit(j, k), n) for j, col in enumerate(m._columns())][::-1]
+    rows, pivots = fam.span(tagged + list(u._rows), n + k, n)
+    return [fam.tail(r, n) for r in rows], [pr - n for pr in pivots]
 
 
 # -- the chain sweep's elimination ---------------------------------------------

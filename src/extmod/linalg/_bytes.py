@@ -19,20 +19,17 @@ entries of v; a vector or a left row with one nonzero entry selects one
 column or one right row, scaled.  ``coordinates`` over independent t_r
 forward-reduces the tagged rows [t_r | -e_r], stopping at a t_r that reduces
 to zero, and reduces each vector through them in ascending pivot order down
-to [0 | its coordinates].  A preimage of u under m spans u's rows with each
-column of m tagged by its index, and keeps the tags of the vectors whose
-column part cancels, the only rows it back-substitutes.  The forward pass of
-the tagged columns does not depend on u, so m keeps it from its first
-preimage, as an LU factorization is reused across right-hand sides, and each
-preimage runs only u's rows into a copy; a pullback, the preimage under m of
-u's image under a, runs in the images of u's rows unreduced.
+to [0 | its coordinates].  The forward pass, ``rank`` and the preimage
+(``linalg._tagged_preimage``: u's rows spanned with each column of m tagged
+by its index) are written once for this layout and the bit one, over
+``insert`` and ``span``.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from . import Field, Matrix, SubspaceBasis, _pivot_steps
+from . import Field, Matrix, _forward, _pivot_steps, _rank, _tagged_preimage
 
 
 class _PackedFp:
@@ -173,35 +170,17 @@ class _PackedFp:
             v = reduced(v + (p - c) * row)
         return None
 
-    def _forward(self, vectors, stop: int | None = None, rows=None) -> dict[int, int] | None:
-        """The forward pass of a span: echelon rows keyed by their pivot, the
-        lane of their lowest set bit, each vector ``insert``ed in turn.
+    _forward, rank, preimage = _forward, _rank, _tagged_preimage
 
-        Given ``stop``, the pass ends at the first vector whose pivot falls
-        at or past that lane, and returns None.  Given ``rows``, the forward
-        pass of earlier vectors, the vectors are added to it.
-        """
-        rows, insert = {} if rows is None else rows, self.insert
-        for v in vectors:
-            new = insert(rows, v)
-            if new and stop is not None and new[1] >= stop:
-                return None
-        return rows
-
-    def rank(self, vectors, n: int) -> int:
-        """The dimension of the span of the vectors: the rows of its forward pass."""
-        return len(self._forward(vectors))
-
-    def span(self, vectors, n: int, head: int = 0, rows=None) -> tuple[list[int], list[int]]:
-        """The reduced echelon rows and pivots of the span of the vectors, and
-        of the forward ``rows`` given, those with pivots at or past lane
-        ``head`` alone.
+    def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows and pivots of the span of the vectors,
+        those with pivots at or past lane ``head`` alone.
 
         After the forward pass, from the last pivot to the first, each row is
         cleared at the later pivots in one combination of their rows, which
         are reduced by then; the rows past ``head`` need no row before it.
         """
-        p, rows = self.p, self._forward(vectors, None, rows)
+        p, rows = self.p, self._forward(vectors)
         lanes = sorted([k for k in rows if k >= head], reverse=True)
         later = 0  # the lanes of the pivots after the current one
         for lane in lanes:
@@ -244,26 +223,3 @@ class _PackedFp:
     def pivot_steps(self, cols: list) -> list[tuple]:
         """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
         return _pivot_steps(self.field, cols)
-
-    def preimage(self, m: "Matrix", u: "SubspaceBasis",
-                 a: "Matrix | None" = None) -> tuple[list[int], list[int]]:
-        """Echelon rows and pivots of {v : m @ v in u}, or in a(u) given a,
-        read off one span.
-
-        The span is of u's rows, or of their images under a as they come, and
-        of each column j of m with the unit vector e_j appended past its
-        nrows entries.  The vectors of that span that are zero in the first
-        nrows entries are (0, v) for v in the preimage, so the echelon rows
-        with pivots past them are the preimage's, shifted.  The forward pass
-        of the tagged columns does not depend on u: m keeps it from its first
-        preimage, and each preimage adds u's vectors to a copy.
-        """
-        vectors = u._rows if a is None else [self.apply(a, r) for r in u._rows]
-        shift = 8 * m.nrows
-        if m._fwd is None:
-            # last column first: a column whose head cancels then has its own tag
-            # as its lowest entry, as it only picks up the tags of later columns
-            m._fwd = self._forward([col | 1 << shift + 8 * j
-                                    for j, col in enumerate(m._columns())][::-1])
-        rows, pivots = self.span(vectors, m.nrows + m.ncols, m.nrows, dict(m._fwd))
-        return [r >> shift for r in rows], [pr - m.nrows for pr in pivots]

@@ -18,8 +18,7 @@ combines the columns of m that v selects while at most half of v is nonzero.
 is the head of ker [m | B], B the basis matrix of u, read off the integer
 echelon rows of one span of [m | B] with its columns reversed; a pivot is 1
 over F_p, so a head entry there is one modular negation.  The tagged span of
-the byte layouts would have about twice the entries to eliminate.  A
-pullback spans the image first.
+the byte layouts would have about twice the entries to eliminate.
 
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
@@ -38,7 +37,6 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from .. import linalg  # image is read on each call, where bench/tracing.py wraps it
 from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _pivot_steps
 
 
@@ -221,13 +219,10 @@ class _IntRows:
         """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
         return _pivot_steps(self.field, cols)
 
-    def preimage(self, m: "Matrix", u: "SubspaceBasis",
-                 a: "Matrix | None" = None) -> tuple[list, list[int]]:
+    def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list, list[int]]:
         """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].
 
-        Given a, u is replaced by its image under a first: over integer rows
-        an unreduced image widens [m | B] and grows its entries.  B is the
-        basis matrix of u, and each row of [m | B] is brought to
+        B is the basis matrix of u, and each row of [m | B] is brought to
         integers and reversed.  In the reduced echelon rows of those, the
         first u.dim columns, B's, are all pivots, as B's columns are
         independent.  Each free column fc past them gives the kernel vector
@@ -236,8 +231,6 @@ class _IntRows:
         order, is the preimage's echelon row with its pivot at the column fc
         came from.
         """
-        if a is not None:
-            u = linalg.image(a, u)
         k, width = u.dim, m.ncols + u.dim
         brows = self.transpose(u._rows, m.nrows)
         joined, _ = self._split([self.join(x, y, m.ncols) for x, y in zip(m._rows, brows)])

@@ -7,8 +7,9 @@ generator.
 A graded subspace is a dict from degree to ``SubspaceBasis``; its carrier is
 read off their ambient dimensions.  Two walks answer the chain's questions.
 ``filtration_trace`` builds every term by images and preimages, for the
-suite's closed flashes and open-end probes; flash chains repeat one
-another's blocks, so they share its pull-backs through one bounded cache.
+suite's closed flashes and open-end probes: a pull-back is the preimage
+under e2 of an image under e1.  Flash chains repeat one another's blocks,
+so they share those pull-backs through one bounded cache.
 ``_annihilators`` grows the annihilators G_j = ann F_j instead and pulls
 nothing back: ``filtration(m, j)`` reads F_j off it as the kernel of G_j,
 and the suite's stage items, its right-infinite window and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
-from .linalg import Matrix, SubspaceBasis, kernel, preimage_space, pullback, vstack
+from .linalg import Matrix, SubspaceBasis, image, kernel, preimage_space, vstack
 from .modules import E1, E2, Module
 
 
@@ -58,13 +59,13 @@ class FiltrationTrace:
 
 @lru_cache(maxsize=256)
 def _pulled(b: Matrix, a: Matrix | None, u: SubspaceBasis | None) -> SubspaceBasis:
-    """The preimage under the e2 block b of a(u), or of zero where e1 has no
-    block (a and u None).  Keyed on values, so degrees, steps and chains with
-    equal blocks and targets share one pull-back and its result object; a
-    block keeps its hash, so a key costs no pass over its rows after the first."""
-    if a is None:
-        return preimage_space(b, SubspaceBasis.zero(b.field, b.nrows))
-    return pullback(b, a, u)
+    """The preimage under the e2 block b of the image a(u), one image and one
+    preimage, or of zero where e1 has no block (a and u None).  Keyed on
+    values, so degrees, steps and chains with equal blocks and targets share
+    one pull-back and its result object; a block keeps its hash, so a key
+    costs no pass over its rows after the first."""
+    target = SubspaceBasis.zero(b.field, b.nrows) if a is None else image(a, u)
+    return preimage_space(b, target)
 
 
 def _annihilators(m: Module):
@@ -122,9 +123,8 @@ def filtration_trace(m: Module, j_max: int | None = None) -> FiltrationTrace:
 
     F_j(d) = e2^{-1}(e1 F_{j-1}(d + gap)).  A degree e2 kills never moves, so
     it keeps F_0's subspace in every term.  Step 1 computes every degree e2
-    acts on: the preimage of zero where e1 has no block at d + gap, and
-    otherwise the preimage of the images, so a step is one elimination on
-    the bit and byte layouts.  Step j recomputes such a degree d only if
+    acts on: the preimage of zero where e1 has no block at d + gap, one
+    elimination, and otherwise the preimage of the image, two.  Step j recomputes such a degree d only if
     F_{j-1}(d + gap) moved at step j-1 and e1 acts there, and reuses every
     other degree's subspace.  Some step moves no degree within total_dim + 1
     steps, because each moving step shrinks a decreasing chain.  F_j shrinks,

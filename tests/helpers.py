@@ -521,19 +521,19 @@ def reference_fitting_split(m, phi):
 def count_pullbacks(monkeypatch):
     """Record the e2 block of every pull-back the chain makes from now on.
 
-    A step pulls a degree back through ``pullback``, or through
-    ``preimage_space`` where e1 has no block to take images with.  The shared
-    pull-back cache is cleared first, so a count does not depend on what ran
-    before it.
+    A step pulls a degree back through one ``preimage_space``, of the image
+    under e1 or of zero where e1 has no block.  The shared pull-back cache is
+    cleared first, so a count does not depend on what ran before it.
     """
     operators._pulled.cache_clear()
     calls = []
-    for name in ("pullback", "preimage_space"):
-        def counted(a, *rest, real=getattr(operators, name)):
-            calls.append(a)
-            return real(a, *rest)
+    real = operators.preimage_space
 
-        monkeypatch.setattr(operators, name, counted)
+    def counted(b, u):
+        calls.append(b)
+        return real(b, u)
+
+    monkeypatch.setattr(operators, "preimage_space", counted)
     return calls
 
 

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from extmod import linalg
+from extmod import linalg, operators
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime, image,
-                           intersect, kernel, preimage_space, pullback, quotient_dim,
-                           standard_complement, sum_space, vstack)
+                           intersect, kernel, preimage_space, quotient_dim, standard_complement,
+                           sum_space, vstack)
 from extmod.linalg._bits import _Bits
 from extmod.linalg._bytes import _PackedFp
 from extmod.linalg._tuples import _Entries, _IntRows, _Rationals
@@ -422,48 +422,25 @@ def test_f2_from_spanning_matches_list_elimination():
 
 
 def test_kernel_and_preimage_eliminate_once(monkeypatch):
-    # each is one call of the family's span, over every layout, and so is a
-    # pullback on the packed layouts; there that span is cut at m's rows, the
-    # head its tagged vectors cancel in, and it is handed only u's rows, with
-    # a copy of the forward pass of the tagged columns that m keeps
+    # each is one call of the family's span, over every layout
     rng = random.Random(37)
     for field in [F2, F3, F5, F13, F17, QQ]:
         calls = count_span(monkeypatch, field)
-        fam = field._family
-        packed = isinstance(fam, (_Bits, _PackedFp))
         for _ in range(10):
             m = _random_block(field, rng.randint(0, 6), rng.randint(0, 6), rng)
             u = random_subspace(field, m.nrows, rng)
-            a = _random_block(field, m.nrows, rng.randint(0, 6), rng)
-            w = random_subspace(field, a.ncols, rng)
             calls[0] = 0
             kernel(m)
             assert calls[0] == 1
             calls[0] = 0
             preimage_space(m, u)
             assert calls[0] == 1
-            if packed:
-                calls[0] = 0
-                pullback(m, a, w)
-                assert calls[0] == 1
-                heads, span = [], fam.span
-
-                def spanned(v, n, head, rows):
-                    heads.append((len(v), head, rows is m._fwd, rows == m._fwd))
-                    return span(v, n, head, rows)
-
-                fam.span = spanned
-                try:
-                    preimage_space(m, u)
-                finally:
-                    del fam.span
-                assert heads == [(u.dim, m.nrows, False, True)]
         monkeypatch.undo()
 
 
 def test_f2_image_and_preimage_eliminate_once(monkeypatch):
     # an image is one from_spanning; a preimage spans its tagged vectors in
-    # the family's span directly, with no from_spanning, and so does a pullback
+    # the family's span directly, with no from_spanning
     rng = random.Random(41)
     calls, spans = [0], count_span(monkeypatch, F2)
     from_spanning = SubspaceBasis.from_spanning.__func__
@@ -477,8 +454,7 @@ def test_f2_image_and_preimage_eliminate_once(monkeypatch):
         m = _random_block(F2, rng.randint(0, 6), rng.randint(0, 6), rng)
         u = random_subspace(F2, m.nrows, rng)
         w = random_subspace(F2, m.ncols, rng)
-        for op, args, made in ((preimage_space, (m, u), 0), (image, (m, w), 1),
-                               (pullback, (m, m, w), 0)):
+        for op, args, made in ((preimage_space, (m, u), 0), (image, (m, w), 1)):
             calls[0] = spans[0] = 0
             op(*args)
             assert (calls[0], spans[0]) == (made, 1), op.__name__
@@ -1236,9 +1212,9 @@ def test_bit_layout_packs_and_transposes_like_lists(n):
 
 @pytest.mark.parametrize("n", BIT_WIDTHS)
 def test_bit_layout_matches_list_eliminations_and_products(n):
-    # product, apply, span, rank, coordinates, preimage and pullback of the
-    # family itself against list references, at widths that cross CPython's
-    # digits; every vector a call returns fits its width
+    # product, apply, span, rank, coordinates and preimage of the family
+    # itself, and the chain's pull-backs, against list references, at widths
+    # that cross CPython's digits; every vector a call returns fits its width
     fam, rng = F2._family, random.Random(137 + n)
     for count in (0, 1, 29, 31, 61):
         rows = _bit_rows(count, n, rng)
@@ -1270,7 +1246,8 @@ def test_bit_layout_matches_list_eliminations_and_products(n):
         if want.dim < n:
             free = next(j for j in range(n) if j not in want.pivot_rows)
             assert fam.coordinates(basis, inside + [fam.unit(free, n)], n) is None
-        # preimages and pullbacks through m, to zero, random and full targets
+        # preimages through m, to zero, random and full targets, and
+        # pull-backs through m of images
         for u in (SubspaceBasis.zero(F2, count), random_subspace(F2, count, rng, 8),
                   SubspaceBasis.full(F2, count)):
             _assert_bit_preimage(fam.preimage(m, u), rows, u.vectors(), n)
@@ -1278,7 +1255,8 @@ def test_bit_layout_matches_list_eliminations_and_products(n):
             arows = _bit_rows(count, inner, rng)
             w = random_subspace(F2, inner, rng, 8)
             image_rows = _list_product(w.vectors(), list(zip(*arows)), count)
-            _assert_bit_preimage(fam.preimage(m, w, Matrix(F2, arows, ncols=inner)),
+            got = operators._pulled(m, Matrix(F2, arows, ncols=inner), w)
+            _assert_bit_preimage((list(got.family_rows()), list(got.pivot_rows)),
                                  rows, image_rows, n)
 
 
@@ -1332,7 +1310,7 @@ BYTE_IDS = ["F2", "F3", "F5", "F13"]
 @pytest.mark.parametrize("field", BYTE_FIELDS, ids=BYTE_IDS)
 def test_head_cut_preimages_match_list_references(field):
     # a byte-layout preimage back-substitutes only the rows past its head:
-    # kernel, preimage_space and pullback against the list references on
+    # kernel, preimage_space and the chain's pull-back against the list references on
     # random, rank-deficient, zero and unit-row blocks, to zero, full,
     # random and coordinate targets
     rng = random.Random(97 + field.characteristic)
@@ -1344,7 +1322,7 @@ def test_head_cut_preimages_match_list_references(field):
                 _assert_same(preimage_space(m, u), reference_preimage(m, u), True)
             for a in _pullback_blocks(field, nrows, inner, rng):
                 for w in _targets(field, inner, rng):
-                    _assert_same(pullback(m, a, w),
+                    _assert_same(operators._pulled(m, a, w),
                                  reference_preimage(m, reference_image_of(a, w)), True)
 
 
@@ -1364,31 +1342,23 @@ def _fresh_tagged_preimage(m, vectors):
 
 @pytest.mark.parametrize("field", [F2, *PACKED_ODD], ids=["F2", "F3", "F5", "F7", "F11", "F13"])
 def test_factored_preimages_match_a_fresh_tagged_span(field):
-    # a byte-layout matrix keeps the forward pass of its tagged columns from its
-    # first preimage, or its first kernel, and each later preimage or pullback
-    # runs only the target's rows into a copy: several targets through one
-    # matrix object, on random, rank-deficient, zero-row and zero-column blocks
+    # a packed preimage or pull-back is the tail of one span of the target's
+    # rows and m's tagged columns, whatever ran through m before it: several
+    # targets through one matrix object, after its first kernel or not, on
+    # random, rank-deficient, zero-row and zero-column blocks
     rng = random.Random(113 + field.characteristic)
     for nrows, ncols in ((0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 40)):
         for first_kernel in (False, True):
             m = _random_block(field, nrows, ncols, rng)
-            assert m._fwd is None
             if first_kernel:
                 _assert_same(kernel(m), _fresh_tagged_preimage(m, []), True)
-            fwd = None
             for u in [*_targets(field, nrows, rng), random_subspace(field, nrows, rng)]:
                 _assert_same(preimage_space(m, u), _fresh_tagged_preimage(m, u.vectors()), True)
-                # made once per matrix object, by its first preimage or kernel
-                fwd = m._fwd if fwd is None else fwd
-                assert m._fwd is fwd
-                kept = dict(m._fwd)
                 inner = rng.randint(0, 6)
                 for a in _pullback_blocks(field, nrows, inner, rng):
                     w = random_subspace(field, inner, rng)
-                    _assert_same(pullback(m, a, w), _fresh_tagged_preimage(
+                    _assert_same(operators._pulled(m, a, w), _fresh_tagged_preimage(
                         m, [a.apply(v) for v in w.vectors()]), True)
-                # the kept forward pass is the tagged columns' alone, whatever it served
-                assert m._fwd == kept
             _assert_same(kernel(m), _fresh_tagged_preimage(m, []), True)
 
 

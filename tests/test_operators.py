@@ -410,10 +410,11 @@ def test_filtration_trace_coerces_only_scalars(monkeypatch):
 
 def test_filtration_trace_elimination_count(monkeypatch):
     # the chain pulls back 11 + 55 degrees of this stage, and e1 has a block
-    # for all but one of them; the byte layouts put the e1-images straight
-    # into the preimage's span, one span a pull-back made in the family with
-    # no from_spanning, and the tuple layouts span each image first
-    for characteristic, spans in ((2, 66), (5, 66), (17, 66 + 65), (0, 66 + 65)):
+    # for all but one of them; in every layout a pull-back spans the e1-image
+    # with one from_spanning, then the preimage with one span made in the
+    # family with no from_spanning
+    spans = 66 + 65
+    for characteristic in (2, 5, 17, 0):
         params = default_params(characteristic)
         calls = count_span(monkeypatch, params.field)
         made = [0]

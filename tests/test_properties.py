@@ -10,6 +10,10 @@ drawn as integers, as small fractions, or over distinct denominators near
 The F_p tuple layout shares Q's elimination, so its span is checked against
 the list reference too, at a packed prime, the least tuple prime and a
 Mersenne prime whose entries are far wider than a machine word.
+
+Every layout's preimage is checked by span and rank alone, without another
+preimage: the bit layout over F2, the byte layout at its least and largest
+p, the tuple layouts over F17 and Q.
 """
 
 from collections import Counter
@@ -22,7 +26,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from extmod.linalg import Field, Matrix, SubspaceBasis, preimage_space
+from extmod.linalg import Field, Matrix, SubspaceBasis, image, preimage_space, sum_space
 from extmod.linalg._tuples import _Entries
 from helpers import reference_apply, reference_product, reference_row_reduce, reference_span
 
@@ -197,6 +201,22 @@ def test_preimage_matches_fraction_kernel(rows, data):
     got, want = preimage_space(m, u), _fraction_preimage(m, u)
     assert all(map(_normal, got._rows))
     assert (got.vectors(), got.pivot_rows) == (want.vectors(), want.pivot_rows)
+
+
+# five fields share the examples, so this property draws more of them
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3, 13, 17, 0)).map(Field), st.data())
+def test_preimage_meets_its_dimension_and_maps_into_the_target(field, data):
+    # dim m^{-1}(u) = dim ker m + dim(u ∩ im m) = ncols + dim u - dim(u + im m),
+    # and m maps the preimage into u: together they pin the preimage, read
+    # off spans and ranks alone
+    nrows, ncols = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 10))
+    m = Matrix(field, data.draw(rows_of(nrows, ncols, field=field)), ncols=ncols)
+    u = SubspaceBasis.from_spanning(field, nrows,
+                                    data.draw(rows_of(ncols=nrows, max_dim=10, field=field)))
+    got = preimage_space(m, u)
+    assert got.dim == ncols + u.dim - sum_space(u, image(m)).dim
+    assert u.contains_subspace(image(m, got))
 
 
 @given(rows_of(ncols=5), st.data())

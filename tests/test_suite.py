@@ -164,19 +164,28 @@ def test_the_stage_chain_is_walked_not_stored(monkeypatch):
 
 
 def test_the_stage_items_build_no_forward_pass_on_the_e2_blocks(monkeypatch):
-    # the annihilator walk makes no preimage through the stage's e2 blocks, so
-    # none of them keeps a factorization through the census
+    # the annihilator walk makes no preimage through the stage's e2 blocks:
+    # none of them reaches the family's preimage, where the forward pass of
+    # its tagged columns would be built
     sp = SuiteParams(8, 10, P)
-    kept = []
+    blocks, pulled = [], []
     real_census = suite.multiplicities
+    cls = type(P.field._family)
+    real_preimage = cls.preimage
 
     def census(m):
-        kept.extend(b._fwd for b in m.action_items(E2).values())
+        blocks.extend(m.action_items(E2).values())
         return real_census(m)
 
+    def preimage(fam, m, u):
+        pulled.append(m)
+        return real_preimage(fam, m, u)
+
     monkeypatch.setattr(suite, "multiplicities", census)
+    monkeypatch.setattr(cls, "preimage", preimage)
     assert run_checks(sp).passed
-    assert kept and kept == [None] * len(kept)
+    assert blocks and pulled
+    assert not any(b is m for b in blocks for m in pulled)
 
 
 # the algebras the flash items are tested over
