@@ -7,13 +7,13 @@ generator.
 A graded subspace is a dict from degree to ``SubspaceBasis``; its carrier is
 read off their ambient dimensions.  Two walks answer the chain's questions.
 ``filtration_trace`` builds every term by images and preimages, for the
-suite's closed flashes and open-end probes: a pull-back is the preimage
-under e2 of an image under e1.  Flash chains repeat one another's blocks,
-so they share those pull-backs through one bounded cache.
-``_annihilators`` grows the annihilators G_j = ann F_j instead and pulls
-nothing back: ``filtration(m, j)`` reads F_j off it as the kernel of G_j,
-and the suite's stage items, its right-infinite window and
-``flash_multiplicity_at_degree`` read dimensions.
+suite's open-end probes: a pull-back is the preimage under e2 of an image
+under e1.  Flash chains repeat one another's blocks, so they share those
+pull-backs through one bounded cache.  ``_annihilators`` grows the
+annihilators G_j = ann F_j instead and pulls nothing back:
+``filtration(m, j)`` reads F_j off it as the kernel of G_j, the suite's
+closed-flash and stage items read one walk of the stage, and its
+right-infinite window and ``flash_multiplicity_at_degree`` dimensions.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _pulled(b: Matrix, a: Matrix | None, u: SubspaceBasis | None) -> SubspaceBas
     """The preimage under the e2 block b of the image a(u), one image and one
     preimage, or of zero where e1 has no block (a and u None).  Keyed on
     values, so degrees, steps and chains with equal blocks and targets share
-    one pull-back and its result object; a block keeps its hash, so a key
-    costs no pass over its rows after the first."""
+    one pull-back and its result object (the suite's open-end probes make
+    one in all); a block keeps its hash, so a key reads its rows once."""
     target = SubspaceBasis.zero(b.field, b.nrows) if a is None else image(a, u)
     return preimage_space(b, target)
 

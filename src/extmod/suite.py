@@ -6,21 +6,22 @@ argument, and assembles a structured report.  Both steps of the paper's
 argument live here: ``exclusion_probe`` decides which flash shapes can reach
 degree zero, and ``flash_multiplicity_at_degree`` counts the closed flashes
 there as dim F_n - dim F_{n+1}, where e1 is zero.  The closed flashes'
-items and the open-end probes read whole terms off ``filtration_trace``,
-whose pull-backs flash chains share through one bounded cache in
-``operators``; the stage items, the right-infinite window and
-``flash_multiplicity_at_degree`` read dimensions off the annihilator walk.  The genuinely infinite
-product is out of computational reach; every quantitative statement below
-concerns a finite stage, where it is exact.  The right-infinite flash the
-suite contrasts with the stage is read exactly, off its fixed five- or
-six-dimensional quotient L(2, eps, 0) (``_right_infinite_window``).
+items and the stage items read one annihilator walk of the stage, and the
+window and ``flash_multiplicity_at_degree`` dimensions off their own; the
+open-end probes trace their flashes with ``filtration_trace``, whose
+pull-backs ``operators`` caches.  The genuinely infinite product is out of
+computational reach; every quantitative statement below concerns a finite
+stage, where it is exact.  The right-infinite flash the suite contrasts
+with the stage is read exactly, off its fixed five- or six-dimensional
+quotient L(2, eps, 0) (``_right_infinite_window``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import is_not
+from itertools import accumulate, islice
+from math import inf
 from typing import Any
 
 from .decompose import InternalError, multiplicities
@@ -155,82 +156,79 @@ def _annihilator_ranks(m: Module, d: int) -> tuple[list[int], list]:
     return ranks, ann.get(d, [])
 
 
-def _degree_zero(terms, j_max: int) -> tuple[list[SubspaceBasis], SubspaceBasis]:
-    """Degree 0 of F_0 .. F_{j_max} and of the stable term.
+def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem], list[int], list]:
+    """The stage, its two closed-flash items, and rank G_j(0) through the first
+    repeat with degree 0's functionals in the order added, off one walk.
 
-    ``terms`` is a chain out to its first repeated term, read one term at a
-    time; only each term's degree-0 slice is kept.
+    The stage's blocks are block diagonal, so each functional the walk adds
+    lies on one flash, and the walk adds independent ones, so a flash's
+    count is its rank.  On L(n,0,1), G_j = ann F_j is spanned by the x_k^*
+    with n + 1 - k <= j: F_j is as expected when by round j the flash holds
+    j functionals, each a multiple of one x_k^* due by then.  Past the
+    walk's end its last state holds.
     """
-    zero = [t[0] for t in terms]
-    return [zero[min(j, len(zero) - 1)] for j in range(j_max + 1)], zero[-1]
-
-
-def _closed_flash_items(sp: SuiteParams) -> tuple[Module, list[CheckItem]]:
-    """The stage, and two items read off each summand's trace as soon as it is
-    made.
-
-    Step j compares only the degrees where the expected F_j or the trace's object
-    moved, or where step j-1 failed: the rest hold the objects matched at j-1.
-    """
-    mods, shape_failures, member_failures = [], [], []
-    for n in range(sp.stage_size + 1):
-        mod = make_flash(FlashShape.l(n, 0, 1), sp.algebra)
-        trace = filtration_trace(mod)
-        field, dims = mod.field, mod.dims_by_degree
-        # a flash's labels are distinct and name its whole basis
-        at = {label: (d, i) for d, ls in mod.labels.items() for i, label in enumerate(ls)}
-        # made apart from the trace's F_0, so a wrong F_0 shows; shared per dimension
-        full = {k: SubspaceBasis.full(field, k) for k in set(dims.values())}
-        expected = {d: full[k] for d, k in dims.items()}
-        prev, failed = {}, []  # so step 1 compares every degree
-        for j in range(1, n + 1):
-            moved, i = at[f"x{n - j + 1}"]
-            expected[moved] = SubspaceBasis.coordinate(
-                field, dims[moved], [k for k in expected[moved].pivot_rows if k != i])
-            cur = trace[j]
-            replaced = compress(cur, map(is_not, cur.values(), map(prev.get, cur)))
-            failed = [d for d in {moved, *failed, *replaced} if cur.get(d) != expected.get(d)]
-            # step 1 compared every degree, ambient dimension included, and an
-            # uncompared degree holds its object from j-1: only keys can go wrong unseen
-            if failed or cur.keys() != dims.keys():
-                shape_failures.append([n, j])
-            prev = cur
-        # x_0 alone spans degree 0, so it lies in F_j exactly when F_j(0) is nonzero
-        zero, _ = _degree_zero(trace.subspaces, sp.j_max)
-        member_failures += [[n, j] for j, sub in enumerate(zero) if (sub.dim > 0) != (j <= n)]
-        mods.append(mod)
-    # the stage: the sum of the closed flashes L(n,0,1), n <= N, already made
-    return direct_sum(mods), [
+    # the stage: the sum of the closed flashes L(n,0,1), n <= N
+    size = sp.stage_size + 1
+    stage = direct_sum([make_flash(FlashShape.l(n, 0, 1), sp.algebra) for n in range(size)])
+    fam = stage.field._family
+    # per flash, the rounds its functionals were added and were due; out[n],
+    # the first round that adds a functional touching x_0 of flash n
+    added, out = [([], []) for _ in range(size)], [inf] * size
+    ranks, seen = [], {}
+    for j, ann in enumerate(_annihilators(stage)):
+        for d, funcs in ann.items():
+            for g in funcs[seen.get(d, 0):]:
+                s = fam.support(g)
+                # "s{n}.x{k}", or "x{k}" where direct_sum returned the one flash
+                flash, _, name = stage.labels[d][next(iter(s))].rpartition(".")
+                n = int(flash[1:]) if flash else 0
+                rounds, dues = added[n]
+                rounds.append(j)
+                # x_k^* is due at round n + 1 - k; a top's or a mixed functional never is
+                dues.append(n + 1 - int(name[1:]) if name[0] == "x" and len(s) == 1 else inf)
+                if d == 0:
+                    # degree 0 holds x_0 of each flash, in flash order
+                    for i in s:
+                        out[i] = min(out[i], j)
+            seen[d] = len(funcs)
+        ranks.append(len(ann.get(0, ())))
+    shape_failures = []
+    for n, (rounds, dues) in enumerate(added):
+        need = list(accumulate(dues, max))
+        shape_failures += [[n, j] for j in range(1, n + 1)
+                           if bisect_right(rounds, j) != j or need[j - 1] > j]
+    # x_0 alone spans degree 0: it lies in F_j exactly when j < out[n]
+    member_failures = [[n, j] for n, o in enumerate(out)
+                       for j in range(min(n + 1, o), min(max(n + 1, o), sp.j_max + 1))]
+    return stage, [
         CheckItem(
             "filtration-shape",
             "on the closed flash with bottoms x_0..x_n, F_j is spanned by every "
             "top together with x_0..x_{n-j}, for 0 < j <= n",
-            {"cases": sum(range(sp.stage_size + 1)), "failures": shape_failures},
+            {"cases": sum(range(size)), "failures": shape_failures},
             not shape_failures),
         CheckItem(
             "membership",
             "x_0 of the closed flash L(n,0,1) lies in F_j exactly when j <= n",
-            {"cases": (sp.stage_size + 1) * (sp.j_max + 1),
-             "failures": member_failures},
-            not member_failures)]
+            {"cases": size * (sp.j_max + 1), "failures": member_failures},
+            not member_failures)], ranks, ann.get(0, [])
 
 
 def run_checks(sp: SuiteParams) -> SuiteReport:
     """Run all nine check items, walking each module's chain only once.
 
-    The closed and open-ended flashes' traces share the pull-backs
-    ``operators`` caches: their blocks and targets repeat, so they pull back a
-    few distinct triples in all.  The stage items need only degree 0's
-    dimensions and the window only which degrees move, so they read the
-    annihilator walk (``operators._annihilators``), which pulls nothing back
-    and makes no preimage through the stage's blocks.
+    The closed-flash items and the stage items read one annihilator walk of
+    the stage (``operators._annihilators``), which pulls nothing back and
+    makes no preimage through the stage's blocks; the window reads which
+    degrees its first round moves.  The open-end probes trace their flashes
+    with ``filtration_trace``, whose pull-backs ``operators`` caches: their
+    blocks and targets repeat, so they pull back one distinct triple in all.
     """
     alg = sp.algebra
-    stage, items = _closed_flash_items(sp)
+    stage, items, walked, funcs = _closed_flash_items(sp)
 
     # every stage item below the census reads degree 0 alone, off the annihilators
     # G_j = ann F_j: dim F_j(0) = dim M_0 - rank G_j(0)
-    walked, funcs = _annihilator_ranks(stage, 0)
     ranks = [walked[min(j, len(walked) - 1)] for j in range(sp.j_max + 1)]
     vec = [stage.dim(0) - r for r in ranks]
     expected = [max(0, sp.stage_size + 1 - j) for j in range(sp.j_max + 1)]

@@ -661,8 +661,8 @@ def reference_flash_failures(mod: Module, trace, n: int, j_max: int):
     """``filtration-shape`` and ``membership`` failures of L(n,0,1), in full.
 
     Every F_j is compared with its whole expected span in every degree, and
-    x_0 is tested against every term, as ``suite`` did before it compared
-    only the degrees that move.
+    x_0 is tested against every term: the reference the suite's count of
+    each flash's functionals on the stage walk is checked against.
     """
     shape = []
     for j in range(1, n + 1):
