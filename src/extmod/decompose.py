@@ -24,12 +24,21 @@ first, and each pivot clears its row from every later column.  A due column
 is then zero at every row already taken, so its pivot, its lowest nonzero
 entry, is the strongest codomain strand it reaches: every clearing runs from
 a weaker strand into a stronger one.
-For :func:`decompose`, every clearing updates the strand's realization
-vectors, so the finished strands are an explicit certified basis of the
-module and each strand reads off directly as one flash summand.  A strand's
-shape depends only on where it starts and ends, and the matching reads only
-the vector at each strand's right end, so :func:`multiplicities` runs the
-same sweep keeping that one vector per strand and no realization.
+Each chain position owns a fixed run of lanes, from the running sum of the
+widths before it, and a strand is one vector over the lanes of its
+positions, in the family layout of the module's field.  The sweep replays
+each pivot step in one update per side: the codomain strand absorbs the
+step's row operations, and the domain strand is spread into every later
+column's, one family call per pair.  Those calls delay the normalisation
+of a Q vector, and each strand updated is settled once per update of the
+codomain strand and once per match for the domain strands, since a strand
+takes many operations per match.  For :func:`decompose`, every clearing
+updates the strand's realization, so the finished strands are an explicit
+certified basis of the module and each strand reads off directly as one
+flash summand, unpacked once.  A strand's shape depends only on where it
+starts and ends, and the matching reads only the vector at each strand's
+right end, so :func:`multiplicities` runs the same sweep keeping the lanes
+of that one position per strand and no realization.
 
 The idempotent oracle is an independent second route used for
 cross-validation: it knows nothing about strings and splits along Fitting
@@ -118,75 +127,148 @@ def _summand_sort_key(s: Summand):
 # the chain sweep
 
 
+class _Chain:
+    """The lanes of one chain, which its strands share.
+
+    Chain position pos holds its vector, of ``widths[pos]`` entries, at lanes
+    ``offsets[pos]`` onward: the running sum of the widths of the positions
+    before it.  ``zero`` is one zero row of all the lanes in the family
+    layout, whose tails pad a strand that starts later than the one it is
+    added to.  Without ``history`` a strand keeps its right end alone.
+    """
+
+    __slots__ = ("field", "fam", "widths", "offsets", "size", "zero", "history")
+
+    def __init__(self, field: Field, widths: dict[int, int], history: bool = True):
+        self.field, self.fam, self.widths, self.history = field, field._family, widths, history
+        self.offsets, self.size = {}, 0
+        for pos in sorted(widths):
+            self.offsets[pos] = self.size
+            self.size += widths[pos]
+        self.zero = self.fam.pack((field.zero,) * self.size)
+
+
 class _Strand:
     """A summand under construction: a contiguous run of chain positions.
 
     Even positions 2k are bottoms B_k, odd positions 2k+1 are tops T_k.
     ``strength`` is the admissibility class of the open strand: who may
     absorb whom during elimination.  It depends on the left end alone, which
-    never moves, so it is set once.  While the sweep runs, the vectors are in
-    the family layout of the module's field (packed ints over F_p for p <= 13,
-    tuples elsewhere), and every update goes through that family.
+    never moves, so it is set once.
 
-    With ``history``, ``vectors`` holds the realization, one vector per
-    position, and every update runs along the whole overlap.  Without it,
-    ``vectors`` holds only the vector at the right end: the one the matching
-    reads.  Every update acts on each position on its own, so that vector
-    comes out the same either way, and so do the pivots and the ends.
+    A strand is one vector over its chain's lanes, ``lanes``, in the family
+    layout of the module's field (packed ints over F_p for p <= 13, tuples
+    elsewhere): the vectors of its positions from the one at chain lane
+    ``base`` to its right end, which starts at lane ``last``, in its own
+    frame, lane ``base`` first.  With the chain's ``history`` that run starts
+    at the left end, so it is the realization, and every update runs along
+    the whole overlap of two strands, one family ``add_delayed`` after the
+    other strand's vector is cut or padded to the same first lane; the
+    family's ``settle`` then normalises a Q strand once per run of updates
+    (over Q all the strand's positions share one denominator).  Without it,
+    the run is the right end alone: the vector the matching reads.  Every
+    update acts on each position on its own, so that vector comes out the
+    same either way, and so do the pivots and the ends.
     """
 
-    __slots__ = ("left_pos", "right_pos", "vectors", "strength", "history")
+    __slots__ = ("chain", "left_pos", "right_pos", "base", "last", "lanes", "strength")
 
-    def __init__(self, pos: int, vector, history: bool = True):
-        self.left_pos = pos
-        self.right_pos = pos
-        self.vectors = {pos: vector}
+    def __init__(self, chain: _Chain, pos: int, vector):
+        self.chain = chain
+        self.left_pos = self.right_pos = pos
+        self.base = self.last = chain.offsets[pos]
+        self.lanes = vector
         # dangling-top left ends beat bottom ends; among tops the later start
         # wins, among bottoms the earlier one does
         self.strength = (1, pos) if pos % 2 else (0, -pos)
-        self.history = history
+
+    def right_end(self):
+        """The vector at the right end, the one the matching reads."""
+        if self.last == self.base:
+            return self.lanes
+        return self.chain.fam.tail(self.lanes, self.last - self.base)
+
+    def vectors(self) -> dict[int, tuple]:
+        """The kept vectors by position, unpacked: one unpack of the lanes,
+        sliced at the chain's offsets."""
+        chain, base = self.chain, self.base
+        offsets, widths = chain.offsets, chain.widths
+        flat = chain.fam.unpack(self.lanes, self.last + widths[self.right_pos] - base)
+        out = {}
+        for pos in range(self.left_pos if chain.history else self.right_pos, self.right_pos + 1):
+            at = offsets[pos] - base
+            out[pos] = flat[at:at + widths[pos]]
+        return out
 
     def join(self, other: "_Strand") -> None:
         """Append the strand that starts right after this one ends."""
         if other.left_pos != self.right_pos + 1:
             raise InternalError("joined strands are not adjacent")
-        if self.history:
-            self.vectors.update(other.vectors)
+        if self.chain.history:
+            self.lanes = self.chain.fam.join(self.lanes, other.lanes, other.base - self.base)
         else:
-            self.vectors = other.vectors
-        self.right_pos = other.right_pos
+            self.lanes, self.base = other.lanes, other.base
+        self.right_pos, self.last = other.right_pos, other.last
 
-    def scale(self, c, family) -> None:
-        for pos, vec in self.vectors.items():
-            self.vectors[pos] = family.scale(vec, c)
+    def _lanes_from(self, base: int):
+        """The lanes from chain lane ``base`` on: cut at the front, or padded
+        there with zeros."""
+        chain, k = self.chain, self.base - base
+        if k < 0:
+            return chain.fam.tail(self.lanes, -k)
+        return chain.fam.join(chain.fam.tail(chain.zero, chain.size - k), self.lanes, k)
 
-    def absorb(self, other: "_Strand", c, family) -> None:
-        """Add c times the other strand's vectors along the overlap, or at the
-        right end alone for a strand without history."""
-        if self.right_pos != other.right_pos or self.strength < other.strength:
-            raise InternalError("inadmissible elimination")
-        mine, theirs = self.vectors, other.vectors
-        first = max(self.left_pos, other.left_pos) if self.history else self.right_pos
-        for pos in range(first, self.right_pos + 1):
-            mine[pos] = family.add_scaled(mine[pos], theirs[pos], c)
+    def absorb(self, strands: list["_Strand"], ops) -> None:
+        """Add c times strands[i] along the overlap for each (i, c) of ops:
+        the row operations of one pivot step, each checked admissible, and
+        settle the sum once."""
+        fam = self.chain.fam
+        add, lanes, base = fam.add_delayed, self.lanes, self.base
+        right, strength = self.right_pos, self.strength
+        for i, c in ops:
+            other = strands[i]
+            if other.right_pos != right or strength < other.strength:
+                raise InternalError("inadmissible elimination")
+            theirs = other.lanes if other.base == base else other._lanes_from(base)
+            lanes = add(lanes, theirs, c)
+        self.lanes = fam.settle(lanes)
+
+    def spread(self, inv, strands: list["_Strand"], ops) -> None:
+        """Scale by inv, then add c times this strand to strands[j] along the
+        overlap for each (j, c) of ops: the normalisation and the column
+        operations of one pivot step, each checked admissible.  The targets
+        are left unsettled, for ``_match`` to settle once."""
+        chain = self.chain
+        if inv != chain.field.one:
+            self.lanes = chain.fam.scale(self.lanes, inv)
+        add, lanes, base = chain.fam.add_delayed, self.lanes, self.base
+        right, strength = self.right_pos, self.strength
+        for j, c in ops:
+            other = strands[j]
+            if other.right_pos != right or other.strength < strength:
+                raise InternalError("inadmissible elimination")
+            mine = lanes if other.base == base else self._lanes_from(other.base)
+            other.lanes = add(other.lanes, mine, c)
 
 
 def _match(field: Field, act: Matrix, cod: list[_Strand],
            dom: list[_Strand]) -> list[tuple[_Strand, _Strand]]:
     """Pair domain strands with codomain strands through one action.
 
-    ``cols[c]`` holds the coordinates of ``act`` applied to the last vector
-    of domain strand c over the last vectors of the codomain strands, entry
-    r for codomain strand r, as a vector in the field's family layout: column
+    ``cols[c]`` holds the coordinates of ``act`` applied to the right end
+    of domain strand c over the right ends of the codomain strands, entry r
+    for codomain strand r, as a vector in the field's family layout: column
     c of a matrix ``a``.  Row operations make a codomain strand absorb
     another, column operations make a domain strand absorb another and
     normalisation scales the domain strand, until ``a`` is a partial
     identity.  The family's ``pivot_steps`` runs them on the columns, which
-    come due in order, weakest domain strand first, and this replays them on
-    the strands.  A due column is zero at every taken row, so its pivot is
-    its lowest nonzero entry: the strongest codomain strand it reaches.
-    Returns the (codomain, domain) pivot pairs: ``act`` maps the domain
-    strand's last vector onto the codomain strand's.
+    come due in order, weakest domain strand first, and this replays each
+    step on the strands in one update per side: the pivot's codomain strand
+    absorbs the step's row operations, and its domain strand is normalised
+    and spread into every later column's.  A due column is zero at every
+    taken row, so its pivot is its lowest nonzero entry: the strongest
+    codomain strand it reaches.  Returns the (codomain, domain) pivot pairs:
+    ``act`` maps the domain strand's right end onto the codomain strand's.
     """
     if not dom:
         return []
@@ -194,20 +276,26 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     # sorted is stable, so strands of equal strength keep their order
     cod = sorted(cod, key=lambda s: s.strength, reverse=True)
     dom = sorted(dom, key=lambda s: s.strength)
-    imgs = [fam.apply(act, s.vectors[s.right_pos]) for s in dom]
-    cols = fam.coordinates([s.vectors[s.right_pos] for s in cod], imgs, act.nrows)
+    # the right ends; no call where the lanes hold the right end alone
+    imgs = [fam.apply(act, s.lanes if s.last == s.base else s.right_end()) for s in dom]
+    ends = [s.lanes if s.last == s.base else s.right_end() for s in cod]
+    cols = fam.coordinates(ends, imgs, act.nrows)
     if cols is None:
         raise InternalError("socle coordinates must exist" if cod
                             else "action image escapes the socle layer")
-    one, pairs = field.one, []
+    one, pairs, unsettled = field.one, [], False
     for ci, pr, inv, row_ops, col_ops in fam.pivot_steps(cols):
-        if inv != one:
-            dom[ci].scale(inv, fam)
-        for ri, c in row_ops:
-            cod[pr].absorb(cod[ri], c, fam)
-        for cj, c in col_ops:
-            dom[cj].absorb(dom[ci], c, fam)
+        if row_ops:
+            cod[pr].absorb(cod, row_ops)
+        if col_ops or inv != one:
+            dom[ci].spread(inv, dom, col_ops)
+            unsettled = True
         pairs.append((cod[pr], dom[ci]))
+    # a domain strand takes one column operation from each earlier pivot
+    # that reaches it, each added unsettled: it is settled once, here
+    if unsettled:
+        for s in dom:
+            s.lanes = fam.settle(s.lanes)
     return pairs
 
 
@@ -221,18 +309,21 @@ def _sweep_chain(m: Module, residue: int, vecs: dict[int, list],
                  history: bool = True) -> list[_Strand]:
     """Reduce one chain; ``vecs[pos]`` are its vectors at chain position pos.
 
-    Returns the finished strands, whose vectors stay in the field's family
-    layout.  With ``history`` each strand keeps its realization; without it,
-    only its last vector, which is all the matching reads.
+    Returns the finished strands, each one vector over the chain's lanes in
+    the field's family layout.  With ``history`` each strand keeps its
+    realization; without it, only its right end, which is all the matching
+    reads.
     """
     field = m.field
+    chain = _Chain(field, {pos: m.dim(_degree(residue, pos, m.params)) for pos in vecs},
+                   history)
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # a position with no vectors after one with none has nothing to match, so
     # only the occupied positions run, each with the one after it, which
     # checks that the strands open there are closed
     for pos in sorted({*vecs, *(p + 1 for p in vecs)}):
-        fresh = [_Strand(pos, v, history) for v in vecs.get(pos, [])]
+        fresh = [_Strand(chain, pos, v) for v in vecs.get(pos, [])]
         if pos % 2 == 0:
             # bottoms: e1 maps the fresh strands onto the open tops
             act = m.action(E1, _degree(residue, pos, m.params))
@@ -262,22 +353,18 @@ def _strand_shape(strand: _Strand, residue: int, params) -> FlashShape:
                              right_top=right % 2, shift=_degree(residue, first, params))
 
 
-def _summand_from_strand(strand: _Strand, residue: int, m: Module) -> Summand:
+def _summand_from_strand(strand: _Strand, residue: int, params) -> Summand:
     """The summand a finished strand with history reads off as, its vectors
     unpacked."""
-    params, unpack = m.params, m.field._family.unpack
-
-    def vector(pos: int) -> tuple:
-        return unpack(strand.vectors[pos], m.dim(_degree(residue, pos, params)))
-
+    vectors = strand.vectors()
     shape = _strand_shape(strand, residue, params)
     left, right = strand.left_pos, strand.right_pos
     if left == right:
         # a lone bottom or a lone top: a simple summand
-        return Summand(shape, (vector(left),), ())
+        return Summand(shape, (vectors[left],), ())
     first = left + left % 2
-    bottoms = tuple(vector(p) for p in range(first, right + 1, 2))
-    tops = tuple(((p - first - 1) // 2, vector(p)) for p in range(left | 1, right + 1, 2))
+    bottoms = tuple(vectors[p] for p in range(first, right + 1, 2))
+    tops = tuple(((p - first - 1) // 2, vectors[p]) for p in range(left | 1, right + 1, 2))
     return Summand(shape, bottoms, tops)
 
 
@@ -319,7 +406,7 @@ def decompose(m: Module) -> Decomposition:
     :func:`verify_decomposition`.
     """
     chains = _chains(m)
-    summands = [_summand_from_strand(s, r, m)
+    summands = [_summand_from_strand(s, r, m.params)
                 for r in sorted(chains) for s in _sweep_chain(m, r, chains[r])]
     return Decomposition(tuple(sorted(summands, key=_summand_sort_key)))
 

@@ -255,9 +255,7 @@ class Matrix:
         """The matrix whose rows are the runs of ncols canonical entries in values."""
         if len(values) % ncols if ncols else values:
             raise ValueError(f"{len(values)} values do not fill rows of {ncols} columns")
-        pack = field._family.pack
-        return cls._from_family(field, [pack(values[i:i + ncols])
-                                        for i in range(0, len(values), ncols or 1)], ncols)
+        return cls._from_family(field, field._family.pack_rows(values, ncols), ncols)
 
     @classmethod
     def from_cols(cls, field: Field, cols, nrows: int | None = None,

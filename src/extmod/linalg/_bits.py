@@ -8,7 +8,8 @@ TOMS 2010).  A vector of at most 30 entries is one CPython digit, where XOR,
 ``v & -v`` and hashing take their fast paths.  Packing, unpacking and
 ``transpose`` stay in C: a vector is packed as the binary digits of an int,
 ``int(s, 2)`` of its entries reversed and translated to digits by
-``bytes.translate``, and unpacked from ``bin``.
+``bytes.translate``, and unpacked from ``bin``; ``pack_rows`` packs a
+whole flat run of rows as one int and cuts the rows out of it.
 
 A span clears each vector at its lowest set bit by the row with that pivot,
 one XOR, keeping each row under its pivot bit, and back-substitutes the rows
@@ -50,6 +51,14 @@ class _Bits:
     def pack(vec) -> int:
         """The vector of entries in [0, 256) as an int, each entry taken mod 2."""
         return int(bytes(vec)[::-1].translate(_DIGIT) or b"0", 2)
+
+    @staticmethod
+    def pack_rows(values, n: int) -> list[int]:
+        """The runs of n entries in values, each packed: all of them packed
+        as one int in one conversion, and each run cut out of it by a shift
+        and a mask."""
+        flat, mask = _Bits.pack(values), (1 << n) - 1
+        return [flat >> k & mask for k in range(0, len(values), n or 1)]
 
     @staticmethod
     def written(v: int, n: int) -> bytes:
@@ -101,6 +110,13 @@ class _Bits:
     @staticmethod
     def add_scaled(a: int, b: int, c) -> int:
         return a ^ b if c else a
+
+    # an XOR leaves nothing to reduce, so no update is left to settle
+    add_delayed = add_scaled
+
+    @staticmethod
+    def settle(v: int) -> int:
+        return v
 
     @staticmethod
     def scale(a: int, c) -> int:

@@ -56,6 +56,11 @@ class _PackedFp:
     def pack(vec) -> int:
         return int.from_bytes(bytes(vec), "little")
 
+    def pack_rows(self, values, n: int) -> list[int]:
+        """The runs of n entries in values, each packed."""
+        pack = self.pack
+        return [pack(values[i:i + n]) for i in range(0, len(values), n or 1)]
+
     @staticmethod
     def unpack(v: int, n: int) -> tuple:
         return tuple(v.to_bytes(n, "little"))
@@ -103,6 +108,14 @@ class _PackedFp:
     def add_scaled(self, a: int, b: int, c) -> int:
         """a + c * b."""
         return self._reduced(a + c * b) if c else a
+
+    # a lane holds one more term only once reduced, so each update is
+    # reduced at once and none is left to settle
+    add_delayed = add_scaled
+
+    @staticmethod
+    def settle(v: int) -> int:
+        return v
 
     def scale(self, a: int, c) -> int:
         return self._reduced(c * a)

@@ -26,6 +26,10 @@ Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``reduce_vector`` and the sweep's pivot rule do.  Products, eliminations,
 containment, preimages and row updates run on integers alone, and
 ``written_cols()`` writes each entry as a document does straight from them.
+``add_delayed`` is ``add_scaled`` without its search for a common factor,
+which ``settle`` makes once after a run of updates of one vector, as the
+chain sweep does; over F_p, as in the packed layouts, every update is
+already reduced, and ``settle`` returns its vector.
 """
 
 from __future__ import annotations
@@ -77,6 +81,19 @@ def _ratios(nums, dens) -> tuple[tuple, int]:
     return tuple([x // g * (den // q) for x, g, q in zip(nums, gs, qs)]), den
 
 
+def _scaled_sum(a, b, c) -> tuple[list, int, int]:
+    """The numerators and the denominator of a + c * b, for Q vectors a and b
+    and a nonzero scalar c, over the lcm of a's denominator and that of
+    c * b, and an h with every prime at which they can share a factor."""
+    (x, d), (y, e) = a, b
+    num, cd = c.numerator, c.denominator
+    g = gcd(num, e)
+    f = e // g * cd
+    h = gcd(d, f)
+    s, t = f // h, num // g * (d // h)
+    return [s * u + t * w for u, w in zip(x, y)], d // h * f, h * cd
+
+
 class _IntRows:
     """What the two tuple layouts share: a vector read as integer numerators
     over a denominator, which is 1 over F_p.
@@ -97,6 +114,11 @@ class _IntRows:
     def _split(self, vectors) -> tuple[tuple, tuple]:
         """The numerators and the denominators of the vectors, read in one pass."""
         return tuple(zip(*map(self._read, vectors))) or ((), ())
+
+    def pack_rows(self, values, n: int) -> list:
+        """The runs of n entries in values, each packed."""
+        pack = self.pack
+        return [pack(values[i:i + n]) for i in range(0, len(values), n or 1)]
 
     def tail(self, v, n: int):
         nums, den = self._read(v)
@@ -284,6 +306,13 @@ class _Entries(_IntRows):
         p = self.p
         return tuple([(x + c * y) % p for x, y in zip(a, b)])
 
+    # every entry is reduced mod p at once: no update is left to settle
+    add_delayed = add_scaled
+
+    @staticmethod
+    def settle(v: tuple) -> tuple:
+        return v
+
     def scale(self, a: tuple, c) -> tuple:
         p = self.p
         return tuple([(c * x) % p for x in a])
@@ -326,9 +355,11 @@ class _Rationals(_IntRows):
 
     A vector is ``(nums, den)``: a tuple of ints and an int den > 0 with
     ``gcd(den, *nums) == 1``, entry j being nums[j] / den.  That normal form
-    is unique, so equality and hashing of vectors stay exact.  Every call but
-    ``unpack`` and ``entry`` runs on ints; scalars may be ``Fraction``s or
-    ints, read through their numerator and denominator.
+    is unique, so equality and hashing of vectors stay exact.  Only
+    ``add_delayed`` may return a vector with a common factor left in, which
+    ``settle`` divides out.  Every call but ``unpack`` and ``entry`` runs on
+    ints; scalars may be ``Fraction``s or ints, read through their numerator
+    and denominator.
     """
 
     @staticmethod
@@ -389,15 +420,21 @@ class _Rationals(_IntRows):
         there: a vector whose denominator has grown large is not run through
         a gcd of its size on every update.
         """
+        return _normal(*_scaled_sum(a, b, c)) if c else a
+
+    @staticmethod
+    def add_delayed(a, b, c) -> tuple[tuple, int]:
+        """a + c * b as ``add_scaled`` forms it, with its common factor left
+        in: ``settle`` divides it out once after a run of these."""
         if not c:
             return a
-        (x, d), (y, e) = a, b
-        num, cd = c.numerator, c.denominator
-        g = gcd(num, e)
-        f = e // g * cd
-        h = gcd(d, f)
-        s, t = f // h, num // g * (d // h)
-        return _normal([s * u + t * w for u, w in zip(x, y)], d // h * f, h * cd)
+        nums, den, _ = _scaled_sum(a, b, c)
+        return tuple(nums), den
+
+    @staticmethod
+    def settle(v) -> tuple[tuple, int]:
+        """v in normal form: its common factor divided out."""
+        return _normal(*v)
 
     @staticmethod
     def scale(a, c) -> tuple[tuple, int]:

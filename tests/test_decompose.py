@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import itertools
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 import extmod
 from extmod import linalg, modules, operators, suite
 from extmod.decompose import (Decomposition, InternalError, OracleInconclusive, Summand,
-                              _degree, _match, _Strand, decompose, endomorphism_basis,
+                              _Chain, _degree, _match, _Strand, decompose,
+                              endomorphism_basis,
                               idempotent_oracle, multiplicities, split_free,
                               verify_decomposition, verify_split_free)
 from extmod.linalg import Matrix
@@ -75,36 +78,39 @@ def test_f2_certificate_coerces_no_entry(monkeypatch):
     assert calls[0] == 0
 
 
-def _copy_strand(s, unpack=None):
-    """A copy of a strand; with ``unpack(pos, v)``, its vectors unpacked."""
-    out = _Strand(s.left_pos, None)
-    out.right_pos = s.right_pos
-    out.vectors = {pos: v if unpack is None else unpack(pos, v)
-                   for pos, v in s.vectors.items()}
-    return out
+class _Reference:
+    """A strand as ``helpers.reference_match`` reads and updates it: its ends,
+    its strength and its vectors by position, read off its lanes."""
+
+    def __init__(self, s):
+        self.left_pos, self.right_pos, self.strength = s.left_pos, s.right_pos, s.strength
+        self.vectors = s.vectors()
 
 
 def _match_calls(monkeypatch, m):
-    """Every ``_match`` call of ``decompose(m)``: the action, copies of the
-    strands as they came in, and the vector length at each chain position."""
+    """Every ``_match`` call of ``decompose(m)``: the action and copies of
+    the strands as they came in."""
     calls = []
-    widths = [None]
-    sweep, match = decompose_mod._sweep_chain, decompose_mod._match
-
-    def sweep_recording(mod, residue, vecs):
-        widths[0] = {pos: mod.dim(_degree(residue, pos, mod.params)) for pos in vecs}
-        return sweep(mod, residue, vecs)
+    match = decompose_mod._match
 
     def match_recording(field, act, cod, dom):
-        calls.append((act, [_copy_strand(s) for s in cod],
-                      [_copy_strand(s) for s in dom], widths[0]))
+        calls.append((act, list(map(copy.copy, cod)), list(map(copy.copy, dom))))
         return match(field, act, cod, dom)
 
-    monkeypatch.setattr(decompose_mod, "_sweep_chain", sweep_recording)
     monkeypatch.setattr(decompose_mod, "_match", match_recording)
     decompose(m)
     monkeypatch.undo()
     return calls
+
+
+def _strand(chain, pos, vectors):
+    """The strand from chain position pos holding the given vectors, one per
+    position, built by joins as the sweep builds it."""
+    pack = chain.field._family.pack
+    out = _Strand(chain, pos, pack(vectors[0]))
+    for k, vec in enumerate(vectors[1:], pos + 1):
+        out.join(_Strand(chain, k, pack(vec)))
+    return out
 
 
 @pytest.mark.parametrize("char", [2, 5, 17, 0])
@@ -133,8 +139,8 @@ def test_chains_hand_the_sweep_family_layout_vectors(monkeypatch, char):
 
 @pytest.mark.parametrize("char", [2, 3, 5, 13, 17, 0])
 def test_match_equals_list_reference(monkeypatch, char):
-    # the strands hold vectors in the family layout (packed for p <= 13), which
-    # the reference gets unpacked
+    # a strand is one vector over the chain's lanes in the family layout
+    # (packed for p <= 13); the reference gets its positions' vectors unpacked
     params = default_params(char)
     field = params.field
     rng = random.Random(61)
@@ -147,18 +153,17 @@ def test_match_equals_list_reference(monkeypatch, char):
         mods.append(random_basis_change(flash_sum(wide, params), 7))
     most_rows = most_cod = 0
     for m in mods:
-        for act, cod, dom, widths in _match_calls(monkeypatch, m):
-            def unpack(pos, v, widths=widths):
-                return field._family.unpack(v, widths[pos])
-
-            want_cod = [_copy_strand(s, unpack) for s in cod]
-            want_dom = [_copy_strand(s, unpack) for s in dom]
+        for act, cod, dom in _match_calls(monkeypatch, m):
+            want_cod = [_Reference(s) for s in cod]
+            want_dom = [_Reference(s) for s in dom]
             want = reference_match(field, act, want_cod, want_dom)
             got = _match(field, act, cod, dom)
             assert ([(cod.index(c), dom.index(d)) for c, d in got]
                     == [(want_cod.index(c), want_dom.index(d)) for c, d in want])
-            assert ([_copy_strand(s, unpack).vectors for s in cod + dom]
+            assert ([s.vectors() for s in cod + dom]
                     == [s.vectors for s in want_cod + want_dom])
+            # every update left unsettled is settled by the end of the match
+            assert all(field._family.settle(s.lanes) == s.lanes for s in cod + dom)
             most_rows, most_cod = max(most_rows, act.nrows), max(most_cod, len(cod))
     if char == 2:
         assert most_rows > 64 and most_cod > 64
@@ -180,15 +185,76 @@ def test_f2_census_reads_no_entry(monkeypatch):
     assert calls[0] == 0
 
 
+def _scalar(field, rng):
+    """A random nonzero scalar of the field."""
+    if field.characteristic:
+        return rng.randrange(1, field.characteristic)
+    return Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("char", [2, 3, 13, 17, 0])
+def test_strand_updates_cut_or_pad_the_other_strand(char):
+    # a strand is one vector over the chain's lanes from its first position
+    # on; an update with a strand that began earlier cuts that one's lanes at
+    # the updated strand's first lane (tail), and with one that began later
+    # pads it with zeros up to there, so each position gets its own update
+    field = default_params(char).field
+    fam, rng = field._family, random.Random(char + 71)
+    widths = {0: 2, 1: 3, 2: 1, 3: 4}
+
+    def vectors(first):
+        return {pos: tuple(_scalar(field, rng) if rng.random() < 0.7 else field.zero
+                           for _ in range(widths[pos])) for pos in range(first, 4)}
+
+    def added(mine, theirs, c):
+        """mine plus c times theirs, position by position on theirs."""
+        return {pos: tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, theirs[pos]))
+                if pos in theirs else v for pos, v in mine.items()}
+
+    def scaled(mine, c):
+        return {pos: tuple(field.mul(c, x) for x in v) for pos, v in mine.items()}
+
+    for case in ("absorb earlier", "absorb later", "spread earlier", "spread later"):
+        chain = _Chain(field, widths)
+        # strengths: a top-started strand beats bottom-started ones, and the
+        # bottom-started one from position 0 beats the one from position 2
+        want = {"early": vectors(0), "top": vectors(1), "late": vectors(2)}
+        got = {name: _strand(chain, min(vecs), list(vecs.values()))
+               for name, vecs in want.items()}
+        c, inv = _scalar(field, rng), _scalar(field, rng)
+        if case == "absorb earlier":
+            # top began after early: early's lanes are cut at top's first lane
+            got["top"].absorb([got["early"]], [(0, c)])
+            want["top"] = added(want["top"], want["early"], c)
+        elif case == "absorb later":
+            got["early"].absorb([got["late"]], [(0, c)])
+            want["early"] = added(want["early"], want["late"], c)
+        elif case == "spread earlier":
+            got["early"].spread(inv, [got["top"]], [(0, c)])
+            want["early"] = scaled(want["early"], inv)
+            want["top"] = added(want["top"], want["early"], c)
+        else:
+            got["late"].spread(inv, [got["early"]], [(0, c)])
+            want["late"] = scaled(want["late"], inv)
+            want["early"] = added(want["early"], want["late"], c)
+        # a column operation leaves its target unsettled, as _match settles
+        # each domain strand once at its end
+        for name, s in got.items():
+            assert s.vectors() == want[name], (case, name)
+            s.lanes = fam.settle(s.lanes)
+            assert s.lanes == fam.pack([x for v in want[name].values() for x in v])
+            assert s.right_end() == fam.pack(want[name][3])
+
+
 @pytest.mark.parametrize("char", [2, 3, 5, 17, 0])
 def test_match_rejects_images_off_the_socle_coordinates(char):
     field = default_params(char).field
-    vector = field._family.pack
+    lone, pair = _Chain(field, {0: 1}), _Chain(field, {0: 2, 1: 2})
     with pytest.raises(AssertionError, match="action image escapes the socle layer"):
-        _match(field, Matrix(field, [[1]]), [], [_Strand(0, vector((1,)))])
+        _match(field, Matrix(field, [[1]]), [], [_strand(lone, 0, [(1,)])])
     with pytest.raises(AssertionError, match="socle coordinates must exist"):
-        _match(field, Matrix.identity(field, 2), [_Strand(1, vector((1, 0)))],
-               [_Strand(0, vector((0, 1)))])
+        _match(field, Matrix.identity(field, 2), [_strand(pair, 1, [(1, 0)])],
+               [_strand(pair, 0, [(0, 1)])])
 
 
 def test_sweep_visits_only_occupied_positions(monkeypatch):
@@ -571,23 +637,24 @@ def test_multiplicities_build_no_realization(monkeypatch, char):
 
     monkeypatch.setattr(type(params.field._family), "unpack", staticmethod(forbidden))
     monkeypatch.setattr(decompose_mod, "_summand_from_strand", forbidden)
-    sizes = []
+    right_ends = []
     sweep, match = decompose_mod._sweep_chain, decompose_mod._match
 
+    # a strand's lanes start at its right end: they hold that one vector
     def sweep_recording(mod, residue, vecs, history=True):
         finished = sweep(mod, residue, vecs, history)
-        sizes.extend(len(s.vectors) for s in finished)
+        right_ends.extend(s.base == s.last for s in finished)
         return finished
 
     def match_recording(field, act, cod, dom):
         pairs = match(field, act, cod, dom)
-        sizes.extend(len(s.vectors) for s in cod + dom)
+        right_ends.extend(s.base == s.last for s in cod + dom)
         return pairs
 
     monkeypatch.setattr(decompose_mod, "_sweep_chain", sweep_recording)
     monkeypatch.setattr(decompose_mod, "_match", match_recording)
     assert multiplicities(m) == Counter(shapes)
-    assert len(sizes) > m.total_dim and set(sizes) == {1}
+    assert len(right_ends) > m.total_dim and all(right_ends)
 
 
 def test_multiplicities_reject_what_decompose_rejects():
@@ -907,22 +974,57 @@ def test_only_linalg_chooses_a_vector_layout():
 
 
 def test_inadmissible_absorb_raises_under_optimize():
+    # a pivot step's row operations and its column operations are each one
+    # strand update, which checks every pair it runs: an inadmissible pair
+    # after an admissible one still raises, with asserts compiled out
     code = """
-from extmod.decompose import _Strand
+from extmod.decompose import InternalError, _Chain, _Strand
 from extmod.linalg import Field
 if __debug__:
     raise SystemExit("not running under -O")
-# over F2 the sweep's strands hold packed vectors
-fam = Field(2)._family
-strong = _Strand(1, fam.pack((1,)))
-strong.join(_Strand(2, fam.pack((1,))))
-weak = _Strand(2, fam.pack((1,)))
-try:
-    weak.absorb(strong, 1, fam)
-except AssertionError:
-    print("raised")
+# over F2 the sweep's strands hold packed vectors, one lane per position here
+chain = _Chain(Field(2), {0: 1, 1: 1, 2: 1})
+early = _Strand(chain, 0, 1)
+early.join(_Strand(chain, 1, 1))
+early.join(_Strand(chain, 2, 1))
+strong = _Strand(chain, 1, 1)
+strong.join(_Strand(chain, 2, 1))
+weak, other = _Strand(chain, 2, 1), _Strand(chain, 2, 1)
+for update in (lambda: weak.absorb([other, strong], [(0, 1), (1, 1)]),
+               lambda: early.spread(1, [strong, weak], [(0, 1), (1, 1)])):
+    try:
+        update()
+    except InternalError:
+        print("raised")
 """
     env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout.strip()) == (0, "raised"), out.stderr
+    assert (out.returncode, out.stdout.split()) == (0, ["raised", "raised"]), out.stderr
+
+
+def test_census_replays_each_pivot_step_in_two_strand_updates(monkeypatch):
+    # one update folds a step's row operations into its codomain strand and
+    # one spreads its domain strand into every later column's; on the
+    # scrambled stage a step has far more than two operations
+    m = random_basis_change(counterexample_stage(40, P), 1)
+    steps, ops, updates = [0], [0], [0]
+    pivot_steps = _Bits.pivot_steps
+
+    def counted_steps(self, cols):
+        out = pivot_steps(self, cols)
+        steps[0] += len(out)
+        ops[0] += sum(len(row_ops) + len(col_ops) for _, _, _, row_ops, col_ops in out)
+        return out
+
+    def counted(update):
+        def run(*args):
+            updates[0] += 1
+            return update(*args)
+        return run
+
+    monkeypatch.setattr(_Bits, "pivot_steps", counted_steps)
+    for name in ("absorb", "spread"):
+        monkeypatch.setattr(_Strand, name, counted(getattr(_Strand, name)))
+    assert multiplicities(m) == Counter({FlashShape.l(n, 0, 1): 1 for n in range(41)})
+    assert 0 < updates[0] <= 2 * steps[0] < ops[0]

@@ -848,9 +848,10 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
-FAMILY_CALLS = {"add_scaled", "apply", "coerce", "coordinates", "entry", "insert", "join",
-                "nonzero", "pack", "pivot_steps", "preimage", "product", "rank", "scale",
-                "span", "support", "tail", "tally", "transpose", "unit", "unpack", "written"}
+FAMILY_CALLS = {"add_delayed", "add_scaled", "apply", "coerce", "coordinates", "entry",
+                "insert", "join", "nonzero", "pack", "pack_rows", "pivot_steps", "preimage",
+                "product", "rank", "scale", "settle", "span", "support", "tail", "tally",
+                "transpose", "unit", "unpack", "written"}
 
 
 def _pivot_columns(field, nrows, ncols, rng):
@@ -895,6 +896,32 @@ def test_pivot_steps_equal_list_reference(field):
             for k, (ci, _, _, _, _) in enumerate(got):
                 assert not any(want_cols[ci][pr] for _, pr, _, _, _ in got[:k])
     assert (unscaled > 0) == (field.characteristic != 2)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F13, F17, QQ], ids=["F2", "F3", "F13", "F17", "Q"])
+def test_delayed_updates_settle_to_the_updates(field):
+    # a run of add_delayed, settled once, is the same run of add_scaled; over
+    # Q the delayed sum keeps its common factor until it is settled
+    fam, rng = field._family, random.Random(field.characteristic + 29)
+
+    def scalar():
+        if field.characteristic:
+            return rng.randrange(1, field.characteristic)
+        return Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6))
+
+    for n in (1, 4, 40):
+        vecs = [fam.coerce([scalar() if rng.random() < 0.6 else 0 for _ in range(n)])
+                for _ in range(6)]
+        got = want = vecs[0]
+        for v in vecs[1:]:
+            c = scalar()
+            got, want = fam.add_delayed(got, v, c), fam.add_scaled(want, v, c)
+        assert fam.settle(got) == want
+        assert fam.settle(want) == want
+    if field is QQ:
+        half = fam.coerce([Fraction(1, 2), Fraction(1, 2)])
+        delayed = fam.add_delayed(half, fam.coerce([Fraction(1, 2), Fraction(-1, 2)]), 1)
+        assert delayed == ((2, 0), 2) and fam.settle(delayed) == fam.pack([1, 0])
 
 
 @pytest.mark.parametrize("field", [F2, F3, F13, F17, QQ], ids=["F2", "F3", "F13", "F17", "Q"])
@@ -1577,6 +1604,17 @@ def test_matrix_rejects_ragged_rows_and_a_wrong_column_count():
             Matrix.from_flat(field, [1], 0)
         assert Matrix.from_flat(field, [], 0).shape == (0, 0)
         assert Matrix.from_flat(field, [1, 0, 0, 1], 2) == Matrix.identity(field, 2)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F13, F17, QQ], ids=["F2", "F3", "F13", "F17", "Q"])
+def test_pack_rows_packs_each_run_of_a_flat_draw(field):
+    # Matrix.from_flat hands the whole flat run to one family call, which
+    # packs each row as pack does, past 64 columns too and with no columns
+    fam, rng = field._family, random.Random(field.characteristic + 13)
+    for nrows, ncols in ((0, 0), (0, 4), (1, 1), (3, 5), (4, 70)):
+        rows = [[field.coerce(rng.randrange(-3, 4)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        assert fam.pack_rows([x for row in rows for x in row], ncols) == list(map(fam.pack, rows))
 
 
 def test_solve_detects_inconsistency():
