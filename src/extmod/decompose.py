@@ -130,22 +130,26 @@ def _summand_sort_key(s: Summand):
 class _Chain:
     """The lanes of one chain, which its strands share.
 
-    Chain position pos holds its vector, of ``widths[pos]`` entries, at lanes
-    ``offsets[pos]`` onward: the running sum of the widths of the positions
-    before it.  ``zero`` is one zero row of all the lanes in the family
-    layout, whose tails pad a strand that starts later than the one it is
-    added to.  Without ``history`` a strand keeps its right end alone.
+    With ``widths``, chain position pos holds its vector, of ``widths[pos]``
+    entries, at lanes ``offsets[pos]`` onward: the running sum of the widths
+    of the positions before it.  ``zero`` is one zero row of all the lanes
+    in the family layout, whose tails pad a strand that starts later than
+    the one it is added to.  Without them the chain keeps no ``history``: a
+    strand keeps its right end alone, at lane 0, so any two strands that
+    meet share their first lane, and no offset is read and nothing padded.
     """
 
     __slots__ = ("field", "fam", "widths", "offsets", "size", "zero", "history")
 
-    def __init__(self, field: Field, widths: dict[int, int], history: bool = True):
-        self.field, self.fam, self.widths, self.history = field, field._family, widths, history
+    def __init__(self, field: Field, widths: dict[int, int] | None = None):
+        self.field, self.fam, self.widths = field, field._family, widths
+        self.history = widths is not None
         self.offsets, self.size = {}, 0
-        for pos in sorted(widths):
-            self.offsets[pos] = self.size
-            self.size += widths[pos]
-        self.zero = self.fam.pack((field.zero,) * self.size)
+        if self.history:
+            for pos in sorted(widths):
+                self.offsets[pos] = self.size
+                self.size += widths[pos]
+            self.zero = self.fam.pack((field.zero,) * self.size)
 
 
 class _Strand:
@@ -176,7 +180,7 @@ class _Strand:
     def __init__(self, chain: _Chain, pos: int, vector):
         self.chain = chain
         self.left_pos = self.right_pos = pos
-        self.base = self.last = chain.offsets[pos]
+        self.base = self.last = chain.offsets[pos] if chain.history else 0
         self.lanes = vector
         # dangling-top left ends beat bottom ends; among tops the later start
         # wins, among bottoms the earlier one does
@@ -189,13 +193,13 @@ class _Strand:
         return self.chain.fam.tail(self.lanes, self.last - self.base)
 
     def vectors(self) -> dict[int, tuple]:
-        """The kept vectors by position, unpacked: one unpack of the lanes,
-        sliced at the chain's offsets."""
+        """The vectors by position, unpacked: one unpack of the lanes, sliced
+        at the chain's offsets.  Only a chain with history has them."""
         chain, base = self.chain, self.base
         offsets, widths = chain.offsets, chain.widths
         flat = chain.fam.unpack(self.lanes, self.last + widths[self.right_pos] - base)
         out = {}
-        for pos in range(self.left_pos if chain.history else self.right_pos, self.right_pos + 1):
+        for pos in range(self.left_pos, self.right_pos + 1):
             at = offsets[pos] - base
             out[pos] = flat[at:at + widths[pos]]
         return out
@@ -315,8 +319,8 @@ def _sweep_chain(m: Module, residue: int, vecs: dict[int, list],
     reads.
     """
     field = m.field
-    chain = _Chain(field, {pos: m.dim(_degree(residue, pos, m.params)) for pos in vecs},
-                   history)
+    chain = _Chain(field, {pos: m.dim(_degree(residue, pos, m.params)) for pos in vecs}
+                   if history else None)
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # a position with no vectors after one with none has nothing to match, so

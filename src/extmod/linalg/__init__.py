@@ -33,11 +33,14 @@ family's ``rank`` is the forward pass alone on bits and bytes and the pivot
 count of a span on tuples; ``Matrix.rank`` and containment use it.  Every other
 ``Matrix`` elimination is one span of its rows: ``rref_pivots`` pads the
 rows with zero rows, and ``solve`` spans the rows of [A | B] at full width,
-which is inconsistent exactly when a pivot falls in B.  ``inverse`` reads
-row i of the inverse as the family's ``coordinates`` of e_i over A's rows.
-In every family a kernel is the preimage of zero.  The bit and byte layouts
-differ in the forward pass, ``rank`` and ``preimage`` only in lane width,
-so those three are written once here, over the families' ``insert`` and
+which is inconsistent exactly when a pivot falls in B.  ``inverse`` is the
+family's: on bytes and tuples, and on sparse or large blocks over F2, row
+i of the inverse is the ``coordinates`` of e_i over A's rows, written once
+here as ``_inverse``; a dense F2 block runs bit-sliced Gauss–Jordan on
+[A | I] (:mod:`extmod.linalg._bits`).  In every family a kernel is the
+preimage of zero.  The bit and byte layouts differ in the forward pass,
+``rank`` and ``preimage`` only in lane width, so those three are written
+once here, over the families' ``insert`` and
 ``span``; a packed preimage spans u's rows with each column of m tagged by
 its index.  The chain sweep's ``pivot_steps`` is written on masks for bits
 and once for the others.
@@ -442,14 +445,17 @@ class Matrix:
         return sol.col(0) if sol is not None else None
 
     def inverse(self) -> "Matrix | None":
-        """The inverse, or None for a singular matrix: row i holds the
-        coordinates of e_i over the rows of self, so on bits and bytes one forward
-        pass of [self | -I] stops at the first row of self that reduces to zero."""
+        """The inverse, or None for a singular matrix: the family's
+        ``inverse`` of the rows.  Over F2 a dense block runs Gauss–Jordan on
+        [self | I] bit-sliced, a whole column cleared at a time, and stops
+        at the first column no free row reaches; elsewhere row i holds the
+        coordinates of e_i over the rows of self, and on bytes one forward
+        pass of [self | -I] stops at the first row of self that reduces to
+        zero."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        fam, n = self.field._family, self.nrows
-        rows = fam.coordinates(self._rows, [fam.unit(i, n) for i in range(n)], n)
-        return None if rows is None else Matrix._from_family(self.field, rows, n)
+        rows = self.field._family.inverse(self._rows, self.nrows)
+        return None if rows is None else Matrix._from_family(self.field, rows, self.nrows)
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
@@ -652,8 +658,10 @@ def standard_complement(u: SubspaceBasis) -> list[tuple]:
     return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]
 
 
-# -- the packed layouts' forward pass, rank and preimage -----------------------
-# bound as methods by the bit and byte layouts, whose calls carry the lane width
+# -- the packed layouts' forward pass, rank and preimage, and the inverse -------
+# bound as methods by the bit and byte layouts, whose calls carry the lane
+# width; the byte and tuple layouts answer an inverse with ``_inverse``, and
+# the bit layout falls back to it where it does not slice
 
 def _forward(fam, vectors, stop: int | None = None) -> dict | None:
     """The forward pass of a span: echelon rows keyed by pivot, each vector
@@ -673,6 +681,12 @@ def _forward(fam, vectors, stop: int | None = None) -> dict | None:
 def _rank(fam, vectors, n: int) -> int:
     """The dimension of the span of the vectors: the rows of its forward pass."""
     return len(fam._forward(vectors))
+
+
+def _inverse(fam, rows, n: int) -> list | None:
+    """The rows of the inverse of the n x n matrix with these rows, or None
+    if it is singular: row i holds the coordinates of e_i over the rows."""
+    return fam.coordinates(rows, [fam.unit(i, n) for i in range(n)], n)
 
 
 def _tagged_preimage(fam, m: Matrix, u: SubspaceBasis) -> tuple[list, list[int]]:

@@ -15,7 +15,22 @@ A span clears each vector at its lowest set bit by the row with that pivot,
 one XOR, keeping each row under its pivot bit, and back-substitutes the rows
 from the last pivot to the first.  A product row is the XOR of the rows of
 the right factor that a row of the left one selects, and m @ v the XOR of the
-columns of m that v selects.  ``coordinates`` over independent t_r
+columns of m that v selects.
+
+Products and inverses of dense blocks are bit-sliced, for M4RI's
+word-level parallelism: a whole block is one int, with one slot of s bits
+per row, row i at bit s * i.  One big-int step then acts on every row at
+once: ``whole >> j & starts`` marks, with a 1 at the start of its slot,
+each row whose bit j is set, and its product with a vector v of at most s
+bits is a copy of v in each marked slot, which never overlap or carry, so
+XORing it in adds v to exactly those rows.  A product ``a @ b`` takes one
+such multiply-XOR per row of b, and an inverse, Gauss–Jordan on [A | I]
+column by column, one per column for each of A's block and its tags.  Each
+method keeps the row loop where slicing loses: where the left factor has
+few set bits for the block's size (a flash's unit rows, a permutation) and
+where the block is large, as each multiply grows with it; the bounds are
+measured, and both paths give the same rows.  ``coordinates`` over
+independent t_r
 forward-reduces the tagged rows [t_r | e_r], stopping at a t_r that reduces
 to zero, and reduces each vector through them in ascending pivot order down
 to [0 | its coordinates].  The forward pass, ``rank`` and the preimage
@@ -32,11 +47,36 @@ from __future__ import annotations
 from functools import reduce
 from operator import xor
 
-from . import Field, Matrix, _forward, _rank, _tagged_preimage
+from . import Field, Matrix, _forward, _inverse, _rank, _tagged_preimage
 
 # an entry x in [0, 256) as the binary digit of x mod 2, and a digit as its entry
 _DIGIT = bytes(48 + (x & 1) for x in range(256))
 _ENTRY = bytes.maketrans(b"01", b"\x00\x01")
+
+# the largest bit-sliced inverse that beats the row loop on dense blocks,
+# singular or not (see ``_Bits.inverse``)
+_INVERSE_WIDTH = 112
+
+
+def _sliced(rows, s: int) -> int:
+    """The rows, each of at most s bits, side by side in one int: row i in
+    the slot of s bits from bit s * i."""
+    whole = 0
+    for row in reversed(rows):
+        whole = whole << s | row
+    return whole
+
+
+def _slots(whole: int, m: int, s: int) -> list[int]:
+    """The m slots of s bits of ``whole``, lowest first: each cut out by a
+    shift and a mask."""
+    mask = (1 << s) - 1
+    return [whole >> k & mask for k in range(0, m * s, s)]
+
+
+def _starts(m: int, s: int) -> int:
+    """A 1 at the first bit of each of m slots of s > 0 bits."""
+    return ((1 << m * s) - 1) // ((1 << s) - 1)
 
 
 class _Bits:
@@ -57,8 +97,7 @@ class _Bits:
         """The runs of n entries in values, each packed: all of them packed
         as one int in one conversion, and each run cut out of it by a shift
         and a mask."""
-        flat, mask = _Bits.pack(values), (1 << n) - 1
-        return [flat >> k & mask for k in range(0, len(values), n or 1)]
+        return _slots(_Bits.pack(values), len(values) // n, n) if n else []
 
     @staticmethod
     def written(v: int, n: int) -> bytes:
@@ -124,9 +163,9 @@ class _Bits:
 
     @staticmethod
     def tally(rows, n: int) -> int:
-        """The sum of the unit vectors of length n at a list of rows: a row
-        listed twice cancels."""
-        return reduce(xor, [1 << i for i in rows], 0)
+        """The sum of the unit vectors of length n at some rows: a row listed
+        twice cancels."""
+        return reduce(xor, map((1).__lshift__, rows), 0)
 
     @staticmethod
     def transpose(vectors, n: int) -> tuple[int, ...]:
@@ -155,9 +194,44 @@ class _Bits:
         return self._combine(m._columns(), v)
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple[int, ...]:
-        """The rows of a @ b: the XOR of the packed rows of b that a row of a selects."""
-        brows, combine = b._rows, self._combine
-        return tuple([combine(brows, arow) for arow in a._rows])
+        """The rows of a @ b, row i the XOR of the rows b_j of b that row i of
+        a selects.
+
+        Bit-sliced, a's rows sit side by side in slots of s bits, s the wider
+        of the two factors, and for each row b_j one multiply-XOR adds b_j
+        to every slot whose row selects it: ``whole >> j & starts`` has a 1
+        at the start of exactly those slots, and its product with b_j, of at
+        most s bits, is their copies of b_j, which never overlap or carry.
+        That is a.ncols big-int steps where the row loop takes one XOR per
+        set bit of a.  The row loop stays where a has too few set bits for
+        the sliced block, of w = a.nrows * s bits, to pay: a few per row
+        and per step on small blocks (a flash's unit rows select one row
+        each), more as packing and cutting the rows copy a longer block per
+        row, and as each step's multiply widens with w and b.ncols.
+        """
+        arows, brows, m, k, n = a._rows, b._rows, a.nrows, a.ncols, b.ncols
+        s = k if k > n else n
+        w = m * s
+        # the set bits at which the two paths cost the same, fitted to timings
+        # of both on blocks up to 256 x 256, sparse and dense, and on tall ones
+        # up to 3000 rows; a left factor of at most 64 entries is not counted,
+        # as slicing does not pay there even when it is dense
+        cut = m + m * w // 2048 + k * (3 + w * (n + 64) // 131072)
+        if m * k <= 64 or sum(map(int.bit_count, arows)) <= cut:
+            out = []
+            for arow in arows:
+                acc = 0
+                while arow:
+                    low = arow & -arow
+                    acc ^= brows[low.bit_length() - 1]
+                    arow ^= low
+                out.append(acc)
+            return tuple(out)
+        whole, starts, acc = _sliced(arows, s), _starts(m, s), 0
+        for j, row in enumerate(brows):
+            if row:
+                acc ^= (whole >> j & starts) * row
+        return tuple(_slots(acc, m, s))
 
     def pivot_steps(self, cols: list[int]) -> list[tuple]:
         """The steps of ``linalg._pivot_steps`` on masks: a column's pivot is
@@ -190,6 +264,45 @@ class _Bits:
         return None
 
     _forward, rank, preimage = _forward, _rank, _tagged_preimage
+
+    def inverse(self, rows, n: int) -> list[int] | None:
+        """The rows of the inverse of the n x n matrix with these rows, or None
+        if it is singular.
+
+        Bit-sliced, Gauss–Jordan runs column by column on [A | I], held as
+        two ints with one slot of n bits per row: A's rows and their tags.
+        At column c the free rows with bit c set are one AND, and the lowest
+        of them, row r, clears bit c from every other row that has it with
+        one multiply-XOR, as in ``product``; r is then taken.  A column that
+        no free row reaches shows A singular, so A's block is cleared first
+        and the tags replay its steps only once A is known invertible.  Row
+        c of the inverse is the tag of the row taken at column c.  That is
+        two multiplies per column where the row loop (``linalg._inverse``)
+        takes one XOR per row update, so the row loop stays where A is
+        large, or has fewer than n / 24 set bits per row (a permutation
+        from n = 25 on), where its updates are few.
+        """
+        if not 0 < n <= _INVERSE_WIDTH or sum(map(int.bit_count, rows)) < n * n // 24:
+            return _inverse(self, rows, n)
+        starts, mask = _starts(n, n), (1 << n) - 1
+        block, free, steps = _sliced(rows, n), starts, []
+        for c in range(n):
+            col = block >> c & starts
+            hits = col & free
+            if not hits:
+                return None
+            low = hits & -hits
+            at = low.bit_length() - 1
+            others = col ^ low
+            if others:
+                block ^= others * (block >> at & mask)
+            free ^= low
+            steps.append((others, at))
+        tags = _starts(n, n + 1)
+        for others, at in steps:
+            if others:
+                tags ^= others * (tags >> at & mask)
+        return [tags >> at & mask for _, at in steps]
 
     def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors,

@@ -22,14 +22,15 @@ to zero, and reduces each vector through them in ascending pivot order down
 to [0 | its coordinates].  The forward pass, ``rank`` and the preimage
 (``linalg._tagged_preimage``: u's rows spanned with each column of m tagged
 by its index) are written once for this layout and the bit one, over
-``insert`` and ``span``.
+``insert`` and ``span``, and ``inverse`` (``linalg._inverse``: the
+coordinates of the unit vectors) once for this layout and the tuple ones.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
 
-from . import Field, Matrix, _forward, _pivot_steps, _rank, _tagged_preimage
+from . import Field, Matrix, _forward, _inverse, _pivot_steps, _rank, _tagged_preimage
 
 
 class _PackedFp:
@@ -121,14 +122,14 @@ class _PackedFp:
         return self._reduced(c * a)
 
     def tally(self, rows, n: int) -> int:
-        """The sum of the unit vectors of length n at a list of rows.
+        """The sum of the unit vectors of length n at some rows.
 
         A plain ``sum`` of 256 - p of them on top of reduced lanes fits in
         a byte, so it is reduced once per that many rows.
         """
-        acc, k = 0, 256 - self.p
-        for i in range(0, len(rows), k):
-            acc = self._reduced(sum([1 << 8 * r for r in rows[i:i + k]], acc))
+        acc, units = 0, map((1).__lshift__, map((8).__mul__, rows))
+        while chunk := list(islice(units, 256 - self.p)):
+            acc = self._reduced(sum(chunk, acc))
         return acc
 
     def _combine(self, vectors, coeffs) -> int:
@@ -183,7 +184,7 @@ class _PackedFp:
             v = reduced(v + (p - c) * row)
         return None
 
-    _forward, rank, preimage = _forward, _rank, _tagged_preimage
+    _forward, inverse, rank, preimage = _forward, _inverse, _rank, _tagged_preimage
 
     def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors,

@@ -41,7 +41,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _pivot_steps
+from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _inverse, _pivot_steps
 
 
 def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
@@ -129,7 +129,7 @@ class _IntRows:
         return {j: self.entry(v, j) for j, x in enumerate(self._read(v)[0]) if x}
 
     def tally(self, rows, n: int):
-        """The sum of the unit vectors of length n at a list of rows."""
+        """The sum of the unit vectors of length n at some rows."""
         vec = [0] * n
         for i, k in Counter(rows).items():
             vec[i] = k
@@ -236,6 +236,8 @@ class _IntRows:
         if pivots != list(range(k)):
             return None
         return list(self.transpose(rows, width)[k:])
+
+    inverse = _inverse
 
     def pivot_steps(self, cols: list) -> list[tuple]:
         """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""

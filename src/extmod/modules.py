@@ -539,7 +539,10 @@ def _random_invertible(field: Field, n: int, draw) -> tuple[Matrix, Matrix]:
     Candidates are drawn row by row, each entry as ``randrange(p)`` over F_p
     and ``randint(-3, 3)`` over Q would draw it, so the values are those of
     one call per entry.  ``Matrix.inverse`` rejects a singular draw in the
-    forward pass that starts inverting an invertible one.
+    elimination that inverts an invertible one: over F2, where a dense draw
+    is bit-sliced, at the first column no free row reaches, before its tags
+    are touched, and elsewhere in the forward pass of [A | -I].  The inverse
+    is unique, so which path runs changes neither it nor the draws.
     """
     p = field.characteristic
     for _ in range(10000):

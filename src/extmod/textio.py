@@ -53,10 +53,11 @@ def parse_module(text: str) -> Module:
     """Parse a module document; validates the result before returning it.
 
     Each source's column is built once, in the field's family layout, from
-    its action line.  A line whose terms all have coefficient 1 is the tally
-    of its names' rows, looked up per target degree (one XOR per name on
-    the bit layout, a C-level sum of unit vectors on the byte layout); any other line, and any line
-    with a fault, is read term by term.
+    its action line.  A line whose terms all have coefficient 1, written
+    ``a + b + ...`` as a document writes them, is the tally of its names'
+    rows, looked up per target degree in one C-level pass (a reduce of XORs
+    on the bit layout, a sum of unit vectors on the byte layout); any other
+    line, any other spacing, and any line with a fault, is read term by term.
     """
     header: dict[str, tuple[int | str, int]] = {}  # "field", "deg e1", ...: (value, line)
     basis: list[tuple[str, int, int]] = []  # (name, degree, line)
@@ -169,10 +170,12 @@ def parse_module(text: str) -> Module:
         rows = row_of.get(tdeg)
         if rows is not None and "*" not in expr:
             try:
-                block[scol] = fam.tally([rows[t.strip()] for t in expr.split("+")], ntarget)
+                block[scol] = fam.tally(map(rows.__getitem__, expr.split(" + ")), ntarget)
                 continue
             except KeyError:
-                pass  # an empty term or a name not in tdeg: the loop below names it
+                # other spacing, an empty term or a name not in tdeg: the
+                # loop below reads it, or names the fault
+                pass
         try:
             terms = _split_terms(expr)
         except ValueError:

@@ -640,10 +640,14 @@ def test_multiplicities_build_no_realization(monkeypatch, char):
     right_ends = []
     sweep, match = decompose_mod._sweep_chain, decompose_mod._match
 
-    # a strand's lanes start at its right end: they hold that one vector
+    # a strand's lanes start at its right end: they hold that one vector, and
+    # its chain reads no width and lays out no lanes
     def sweep_recording(mod, residue, vecs, history=True):
         finished = sweep(mod, residue, vecs, history)
         right_ends.extend(s.base == s.last for s in finished)
+        chains = {s.chain for s in finished}
+        assert all(c.widths is None and not c.offsets and not hasattr(c, "zero")
+                   for c in chains)
         return finished
 
     def match_recording(field, act, cod, dom):

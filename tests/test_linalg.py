@@ -17,6 +17,7 @@ from extmod import linalg, operators
 from extmod.linalg import (PRIME_TEST_BOUND, Field, Matrix, SubspaceBasis, _is_prime, image,
                            intersect, kernel, preimage_space, quotient_dim, standard_complement,
                            sum_space, vstack)
+from extmod.linalg import _bits
 from extmod.linalg._bits import _Bits
 from extmod.linalg._bytes import _PackedFp
 from extmod.linalg._tuples import _Entries, _IntRows, _Rationals
@@ -635,6 +636,143 @@ def test_f2_inverse_and_rank_match_list_reference():
     assert seen_singular and seen_invertible
 
 
+def _sliced_calls(monkeypatch):
+    """Count the blocks the bit layout slices, in a one-element list: a
+    product or an inverse that runs bit-sliced packs its block once through
+    ``_bits._sliced``, and the row loop never does."""
+    calls = [0]
+    sliced = _bits._sliced
+
+    def counted(rows, s):
+        calls[0] += 1
+        return sliced(rows, s)
+
+    monkeypatch.setattr(_bits, "_sliced", counted)
+    return calls
+
+
+def _list_inverse(m):
+    """The inverse of an F2 matrix read off the list elimination of [m | I],
+    or None if it is singular."""
+    n = m.nrows
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
+    if len(reference_row_reduce(F2, aug, n)) < n:
+        return None
+    return Matrix(F2, [row[n:] for row in aug], ncols=n)
+
+
+def _bit_matrix(nrows, ncols, rng, density=0.5):
+    return Matrix(F2, [[int(rng.random() < density) for _ in range(ncols)]
+                       for _ in range(nrows)], ncols=ncols)
+
+
+def test_f2_sliced_product_matches_the_reference_on_both_sides_of_its_bound(monkeypatch):
+    # the row loop on empty factors, a 1 x 1, identities, permutations and
+    # partial permutations on the left (a flash's unit rows), a sparse left
+    # factor, a wide right one, a tall, thin left one and a full 8 x 8 one;
+    # bit-sliced on dense left factors, with identities and permutations on
+    # the right; and densities across the bound at three sizes, each meeting
+    # both paths
+    rng = random.Random(151)
+    calls = _sliced_calls(monkeypatch)
+
+    def check(a, b, sliced):
+        calls[0] = 0
+        got = a @ b
+        assert got == reference_product(a, b)
+        assert got._rows == tuple(map(F2._family.pack, got.rows))
+        if sliced is not None:
+            assert calls[0] == sliced, (a.shape, b.shape)
+        return calls[0]
+
+    for nrows, inner, ncols in ((0, 3, 4), (4, 0, 3), (3, 4, 0), (1, 1, 1)):
+        check(_bit_matrix(nrows, inner, rng), _bit_matrix(inner, ncols, rng), 0)
+    check(Matrix(F2, [[1]]), Matrix(F2, [[1]]), 0)
+    for n in (12, 40):
+        dense, perm = _bit_matrix(n, n, rng), list(range(n))
+        rng.shuffle(perm)
+        partial = [j if rng.random() < 0.7 else None for j in perm]
+        for unit_rows in (Matrix.identity(F2, n), Matrix.units(F2, n, perm),
+                          Matrix.units(F2, n, partial)):
+            check(unit_rows, dense, 0)
+            check(dense, unit_rows, 1)
+        check(dense, dense, 1)
+        check(_bit_matrix(n, n, rng, 0.05), dense, 0)
+    # a dense left factor whose slots a wide right factor widens, one so
+    # tall that packing and cutting its rows outweighs their few set bits,
+    # and one of 64 entries, below any gain
+    check(_bit_matrix(12, 12, rng), _bit_matrix(12, 400, rng), 0)
+    check(_bit_matrix(12, 12, rng), _bit_matrix(12, 60, rng), 1)
+    check(_bit_matrix(8, 8, rng, 1.0), _bit_matrix(8, 8, rng), 0)
+    check(_bit_matrix(3000, 4, rng), _bit_matrix(4, 4, rng), 0)
+    check(_bit_matrix(200, 4, rng), _bit_matrix(4, 4, rng), 1)
+    for n in (9, 24, 33):
+        paths = {check(_bit_matrix(n, n, rng, density), _bit_matrix(n, n, rng), None)
+                 for density in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5)}
+        assert paths == {0, 1}, n
+
+
+def test_f2_sliced_inverse_matches_the_list_inverse_on_both_sides_of_its_bounds(monkeypatch):
+    # the row loop on 0 x 0, identities and permutations past the density
+    # bound, sparse invertible blocks and blocks past the width bound;
+    # bit-sliced on both 1 x 1s, small identities and permutations, and
+    # dense blocks invertible, singular at the first column only, at the
+    # last column only, with a repeated row and of rank n - 1, up to the
+    # width bound
+    rng = random.Random(157)
+    calls = _sliced_calls(monkeypatch)
+    width = _bits._INVERSE_WIDTH
+
+    def check(m, sliced, invertible=None):
+        calls[0] = 0
+        got = m.inverse()
+        assert calls[0] == sliced, (m.shape, sliced)
+        # past the list reference's reach the row loop stands in for it
+        want = _list_inverse(m) if m.nrows <= 40 else linalg._inverse(
+            F2._family, m._rows, m.nrows)
+        if m.nrows > 40 and want is not None:
+            want = Matrix._from_family(F2, want, m.nrows)
+        assert got == want
+        if invertible is not None:
+            assert (got is not None) == invertible, m.shape
+        if got is not None:
+            assert got._rows == tuple(map(F2._family.pack, got.rows))
+            assert got @ m == Matrix.identity(F2, m.nrows)
+
+    check(Matrix.identity(F2, 0), 0, True)
+    check(Matrix(F2, [[0]]), 1, False)
+    check(Matrix(F2, [[1]]), 1, True)
+    # n set bits are under n * n / 24 at n = 32, not at n = 8
+    for n, sliced in ((8, 1), (32, 0)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for m in (Matrix.identity(F2, n), Matrix.units(F2, n, perm)):
+            check(m, sliced, True)
+        # a permutation with one more bit stays invertible and sparse
+        rows = [[int(j == perm[i] or (i, j) == (0, perm[1])) for j in range(n)]
+                for i in range(n)]
+        check(Matrix(F2, rows), sliced, True)
+
+    def invertible(n):
+        while True:
+            m = _bit_matrix(n, n, rng)
+            if _list_inverse(m) is not None if n <= 40 else m.rank() == n:
+                return m
+
+    for n in (3, 5, 16, 31, 40, width, width + 1):
+        sliced = int(n <= width)
+        a = invertible(n)
+        check(a, sliced, True)
+        rows = [list(r) for r in a.rows]
+        # a zero first column stops the elimination at once; a last column
+        # that sums the first two stops it only at the last column
+        check(Matrix(F2, [[0] + r[1:] for r in rows]), sliced, False)
+        check(Matrix(F2, [r[:-1] + [r[0] ^ r[1]] for r in rows]), sliced, False)
+        # a repeated row, and a product through n - 1 columns
+        check(Matrix(F2, rows[:-1] + [rows[0]]), sliced, False)
+        check(_bit_matrix(n, n - 1, rng) @ _bit_matrix(n - 1, n, rng), sliced, False)
+
+
 def _reference_solve(field, a, b):
     """X with a @ X = b read off the list elimination of [a | b], or None."""
     n = a.ncols
@@ -697,8 +835,9 @@ def test_matrix_eliminations_match_list_reference(field):
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
     # right-hand sides, singular and invertible; on the packed layouts an
-    # inverse, singular or not, is the tagged forward pass of the unit
-    # vectors' coordinates, and makes no span
+    # inverse, singular or not, makes no span: on bytes it is the tagged
+    # forward pass of the unit vectors' coordinates, and on bits that pass
+    # or, on a dense block, bit-sliced Gauss–Jordan on [A | I]
     rng = random.Random(61)
     calls = count_span(monkeypatch, field)
     packed = isinstance(field._family, (_Bits, _PackedFp))
@@ -849,9 +988,9 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
 # the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
 # operations and the chain sweep make no other
 FAMILY_CALLS = {"add_delayed", "add_scaled", "apply", "coerce", "coordinates", "entry",
-                "insert", "join", "nonzero", "pack", "pack_rows", "pivot_steps", "preimage",
-                "product", "rank", "scale", "settle", "span", "support", "tail", "tally",
-                "transpose", "unit", "unpack", "written"}
+                "insert", "inverse", "join", "nonzero", "pack", "pack_rows", "pivot_steps",
+                "preimage", "product", "rank", "scale", "settle", "span", "support", "tail",
+                "tally", "transpose", "unit", "unpack", "written"}
 
 
 def _pivot_columns(field, nrows, ncols, rng):
@@ -964,9 +1103,12 @@ def test_families_answer_the_same_calls_with_one_elimination():
     assert shared <= set(vars(_IntRows))
     assert shared.isdisjoint({*vars(_Entries), *vars(_Rationals)})
     # the byte and tuple layouts hand the chain sweep's elimination to the one
-    # written over the families
+    # written over the families, and answer an inverse with the coordinates
+    # of the unit vectors, written once; the bit layout falls back to it
     assert all("_pivot_steps" in cls.pivot_steps.__code__.co_names
                for cls in (_PackedFp, _IntRows))
+    assert _PackedFp.inverse is _IntRows.inverse is linalg._inverse
+    assert "_inverse" in _Bits.inverse.__code__.co_names
 
 
 def test_layout_follows_the_characteristic():

@@ -335,8 +335,10 @@ def test_draws_match_randrange(n):
 def test_random_invertible_matches_per_entry_reference(char):
     # a seeded scramble equals the one that one randrange or randint per
     # entry gives, degree after degree on one Random(seed); over F2 the
-    # degrees of dimension 65 and 70 draw more values than a read-ahead chunk
-    sizes = list(range(1, 15)) + ([65, 70] if char == 2 else [])
+    # degrees of dimension 65 and 70 draw more values than a read-ahead
+    # chunk, and those of dimension 112 and 113, apart from the others so
+    # that no block joins them, straddle the largest bit-sliced inverse
+    sizes = list(range(1, 15)) + ([65, 70, 0, 0, 0, 112, 0, 0, 0, 113] if char == 2 else [])
     m = scramble_test_module(char, sizes)
     for seed in range(3):
         scrambled = random_basis_change(m, seed)

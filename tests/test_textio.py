@@ -127,6 +127,9 @@ BAD_LINES = [
     ("bad coefficient", "e1 x1 = a*y0", "bad coefficient 'a'"),
     ("unknown unit name", "e1 x1 = zz", "unknown basis name 'zz'"),
     ("unknown name after known", "e1 x1 = y0 + zz", "unknown basis name 'zz'"),
+    ("unknown name unspaced", "e1 x1 = y0+zz", "unknown basis name 'zz'"),
+    ("unknown name widely spaced", "e1 x1 = y0  +  zz", "unknown basis name 'zz'"),
+    ("empty term unspaced", "e1 x1 = y0++y1", "malformed combination 'y0++y1'"),
     ("unknown scaled name", "e1 x1 = 2*zz", "unknown basis name 'zz'"),
     ("unknown source", "e1 zz = y0", "unknown basis name 'zz'"),
     ("degree inconsistency", "e1 x0 = x1",
