@@ -312,9 +312,11 @@ class Matrix:
     def written_cols(self) -> list:
         """The columns with each entry as a document writes it: an int, or
         the string "a/b" in lowest terms; over Q no ``Fraction`` is built,
-        and over F2 a column is the ``bytes`` of its 0s and 1s."""
-        written, n = self.field._family.written, self.nrows
-        return [written(c, n) for c in self._columns()]
+        and over F2 a column is the ``bytes`` of its 0s and 1s.  A zero
+        column, found on its packed form, is None."""
+        fam, n = self.field._family, self.nrows
+        written, nonzero = fam.written, fam.nonzero
+        return [written(c, n) if nonzero(c) else None for c in self._columns()]
 
     def family_rows(self) -> tuple:
         """The rows as stored, in the field's family layout."""

@@ -83,6 +83,7 @@ class _Bits:
     """F2 vectors as ints, entry j at bit j: every row update is one XOR."""
 
     nonzero = bool
+    binary = True  # every entry is 0 or 1
 
     def __init__(self, field: Field):
         self.field = field
@@ -162,10 +163,15 @@ class _Bits:
         return a if c else 0
 
     @staticmethod
-    def tally(rows, n: int) -> int:
-        """The sum of the unit vectors of length n at some rows: a row listed
-        twice cancels."""
-        return reduce(xor, map((1).__lshift__, rows), 0)
+    def tally_units(n: int) -> list[int]:
+        """What ``tally`` takes for each of rows 0 .. n - 1: its unit vector."""
+        return list(map((1).__lshift__, range(n)))
+
+    @staticmethod
+    def tally(units, n: int) -> int:
+        """The sum of some of the ``tally_units`` of length n: one XOR each,
+        so a unit listed twice cancels."""
+        return reduce(xor, units, 0)
 
     @staticmethod
     def transpose(vectors, n: int) -> tuple[int, ...]:

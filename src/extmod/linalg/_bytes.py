@@ -43,6 +43,7 @@ class _PackedFp:
     """
 
     nonzero = bool
+    binary = False
 
     def __init__(self, field: Field):
         self.field = field
@@ -121,13 +122,18 @@ class _PackedFp:
     def scale(self, a: int, c) -> int:
         return self._reduced(c * a)
 
-    def tally(self, rows, n: int) -> int:
-        """The sum of the unit vectors of length n at some rows.
+    @staticmethod
+    def tally_units(n: int) -> list[int]:
+        """What ``tally`` takes for each of rows 0 .. n - 1: its unit vector."""
+        return list(map((1).__lshift__, range(0, 8 * n, 8)))
+
+    def tally(self, units, n: int) -> int:
+        """The sum of some of the ``tally_units`` of length n.
 
         A plain ``sum`` of 256 - p of them on top of reduced lanes fits in
-        a byte, so it is reduced once per that many rows.
+        a byte, so it is reduced once per that many units.
         """
-        acc, units = 0, map((1).__lshift__, map((8).__mul__, rows))
+        acc, units = 0, iter(units)
         while chunk := list(islice(units, 256 - self.p)):
             acc = self._reduced(sum(chunk, acc))
         return acc

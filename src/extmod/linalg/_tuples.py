@@ -107,6 +107,8 @@ class _IntRows:
     pivot rows back, which are already normal, without ``_write``'s pass.
     """
 
+    binary = False
+
     def __init__(self, field: Field):
         self.field = field
         self.p = field.characteristic
@@ -128,10 +130,14 @@ class _IntRows:
         """The nonzero entries of v by index, lowest index first."""
         return {j: self.entry(v, j) for j, x in enumerate(self._read(v)[0]) if x}
 
-    def tally(self, rows, n: int):
-        """The sum of the unit vectors of length n at some rows."""
+    # what ``tally`` takes for each of rows 0 .. n - 1: its index
+    tally_units = staticmethod(range)
+
+    def tally(self, units, n: int):
+        """The sum of the unit vectors of length n at some of the
+        ``tally_units``, which are row indices."""
         vec = [0] * n
-        for i, k in Counter(rows).items():
+        for i, k in Counter(units).items():
             vec[i] = k
         return self._write(vec, 1)
 

@@ -892,12 +892,13 @@ def _check_views(m, ref, ncols):
     assert m.rows == ref
     assert tuple(m.cols()) == refcols
     assert tuple(m.col(j) for j in range(ncols)) == refcols
-    # each entry as a document writes it: an int, or "a/b" in lowest terms
+    # each entry as a document writes it: an int, or "a/b" in lowest terms;
+    # a zero column is None
     written = m.written_cols()
-    assert [tuple(map(str, col)) for col in written] == [tuple(map(str, col))
-                                                         for col in refcols]
+    assert [col and tuple(map(str, col)) for col in written] == [
+        tuple(map(str, col)) if any(col) else None for col in refcols]
     assert all(type(x) is (int if Fraction(y).denominator == 1 else str)
-               for col, refcol in zip(written, refcols) for x, y in zip(col, refcol))
+               for col, refcol in zip(written, refcols) if col for x, y in zip(col, refcol))
     assert all(m[i, j] == x and type(m[i, j]) is type(x)
                for i, row in enumerate(ref) for j, x in enumerate(row))
     plain = Matrix(field, ref, ncols=ncols)
@@ -985,12 +986,13 @@ def test_f2_identity_inverse_and_products_unpack_nothing(monkeypatch):
     assert prod.rows and calls[0] == n
 
 
-# the calls each vector layout answers; Matrix, SubspaceBasis, the subspace
-# operations and the chain sweep make no other
+# the calls each vector layout answers, and its one flag (``binary``: every
+# entry is 0 or 1); Matrix, SubspaceBasis, the subspace operations, the chain
+# sweep and the document reader make no other
 FAMILY_CALLS = {"add_delayed", "add_scaled", "apply", "coerce", "coordinates", "entry",
                 "insert", "inverse", "join", "nonzero", "pack", "pack_rows", "pivot_steps",
                 "preimage", "product", "rank", "scale", "settle", "span", "support", "tail",
-                "tally", "transpose", "unit", "unpack", "written"}
+                "tally", "tally_units", "transpose", "unit", "unpack", "written", "binary"}
 
 
 def _pivot_columns(field, nrows, ncols, rng):
@@ -1344,7 +1346,7 @@ def _list_product(a, b, ncols):
 def test_bit_layout_packs_and_transposes_like_lists(n):
     # entry j at bit j: pack, unpack, written, entry, support, coerce, join,
     # tail and unit against the entries, transpose against the columns of the
-    # lists, and tally against counts mod 2
+    # lists, and tally of the tally_units against counts mod 2
     fam, rng = F2._family, random.Random(131 + n)
     vectors = _bit_rows(6, n, rng) + _units(n)[:1] + _units(n)[-1:]
     for v in vectors:
@@ -1373,8 +1375,10 @@ def test_bit_layout_packs_and_transposes_like_lists(n):
     draws = [[]]
     if n:
         draws += [[0], [0, 0], [n - 1, 0, n - 1, n - 1], [rng.randrange(n) for _ in range(40)]]
+    units = fam.tally_units(n)
+    assert units == [fam.unit(j, n) for j in range(n)] and fam.binary
     for picks in draws:
-        got = fam.tally(picks, n)
+        got = fam.tally([units[j] for j in picks], n)
         assert fam.unpack(got, n) == tuple(picks.count(j) % 2 for j in range(n))
         assert _fit([got], n)
 

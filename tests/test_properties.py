@@ -14,6 +14,10 @@ Mersenne prime whose entries are far wider than a machine word.
 Every layout's preimage is checked by span and rank alone, without another
 preimage: the bit layout over F2, the byte layout at its least and largest
 p, the tuple layouts over F17 and Q.
+
+Module documents round-trip drawn modules: random variant-B modules,
+scrambled flash sums and variant-A sums with free summands, over F2, F5,
+F17 and Q.
 """
 
 from collections import Counter
@@ -28,7 +32,11 @@ from hypothesis import given, settings, strategies as st
 
 from extmod.linalg import Field, Matrix, SubspaceBasis, image, preimage_space, sum_space
 from extmod.linalg._tuples import _Entries
-from helpers import reference_apply, reference_product, reference_row_reduce, reference_span
+from extmod.modules import (FlashShape, default_params, direct_sum, make_flash, make_free,
+                            random_basis_change)
+from extmod.textio import parse_module, print_module
+from helpers import (flash_sum, random_variant_b_module, reference_apply, reference_product,
+                     reference_row_reduce, reference_span)
 
 QQ = Field(0)
 FAM = QQ._family
@@ -96,7 +104,9 @@ def test_entry_calls_match_fractions(rows, data):
     if n:
         picks = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
         counts = Counter(picks)
-        assert FAM.tally(picks, n) == FAM.pack([Fraction(counts[i]) for i in range(n)])
+        units = FAM.tally_units(n)
+        assert FAM.tally([units[i] for i in picks], n) == FAM.pack([Fraction(counts[i])
+                                                                    for i in range(n)])
         i = data.draw(st.integers(0, n - 1))
         assert FAM.unit(i, n) == FAM.pack([Fraction(j == i) for j in range(n)])
 
@@ -237,3 +247,37 @@ def test_scaled_spanning_sets_give_equal_objects(rows, data):
     exact = [[int(x) if x.denominator == 1 else x for x in col] for col in m.cols()]
     t = Matrix.from_cols(QQ, exact, nrows=len(rows))
     assert t == m and hash(t) == hash(m)
+
+
+SHAPES = st.builds(FlashShape.finite, st.integers(1, 4), st.booleans(), st.booleans(),
+                   st.integers(0, 6))
+
+
+@st.composite
+def drawn_modules(draw):
+    """A random variant-B module, a scrambled flash sum or a variant-A sum
+    with free summands, scrambled or not, over F2, F5, F17 or Q."""
+    p = draw(st.sampled_from((2, 5, 17, 0)))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(("variant B", "flash sum", "variant A")))
+    if kind == "variant B":
+        return random_variant_b_module(default_params(p), 16, seed)
+    shapes = draw(st.lists(SHAPES, min_size=1, max_size=4))
+    if kind == "flash sum":
+        return random_basis_change(flash_sum(shapes, default_params(p)), seed)
+    params = default_params(p, variant="A")
+    frees = [make_free(d, params) for d in draw(st.lists(st.integers(0, 6), min_size=1,
+                                                         max_size=3))]
+    m = direct_sum(draw(st.permutations([make_flash(s, params) for s in shapes] + frees)), params)
+    return random_basis_change(m, seed) if draw(st.booleans()) else m
+
+
+# four fields and three kinds of module share the examples
+@settings(max_examples=200)
+@given(drawn_modules())
+def test_documents_round_trip_drawn_modules(m):
+    # parse(print(m)) == m, and printing the parsed module gives the same text
+    text = print_module(m)
+    parsed = parse_module(text)
+    assert parsed == m
+    assert print_module(parsed) == text

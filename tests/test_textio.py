@@ -36,6 +36,18 @@ def test_comments_and_blank_lines():
     assert parse_module(doc).dims_by_degree == {0: 1}
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_only_newline_and_carriage_return_break_lines(sep):
+    # str.splitlines breaks at each of these too; here each stays inside its
+    # line: in a comment it is part of the comment, between tokens it is
+    # whitespace
+    lines = M1_DOC.splitlines()
+    lines[4] = lines[4].replace(", ", "," + sep)
+    lines[5] += f"  # the e1 line{sep}e1 zz = y0"
+    assert parse_module("\n".join(lines)) == make_flash(FlashShape.l(1, 0, 1), P)
+
+
 def roundtrip_cases():
     p5 = default_params(5)
     p0 = default_params(0)
@@ -188,6 +200,14 @@ BAD_DOCUMENTS = [
      "generator degrees must satisfy 0 < |e1| < |e2|, got 2, 2"),
     ("degree zero", "field 2\ndeg e2 1\ndeg e1 0\nalgebra B\n", 3,
      "generator degrees must satisfy 0 < |e1| < |e2|, got 0, 1"),
+    # only \n, \r\n and \r break a line: a form feed is whitespace, and
+    # U+0085 in a comment is part of it
+    ("form feed inside a line", HEAD.format(f=2).replace(", y0", ",\fy0") + "e1 zz = y0\n", 6,
+     "unknown basis name 'zz'"),
+    ("next line in a comment", HEAD.format(f=2) + "e1 x1 = y0  # a\x85more\ne1 zz = y0\n", 7,
+     "unknown basis name 'zz'"),
+    ("lines broken by \\r\\n and \\r", HEAD.format(f=2).replace("\n", "\r\n")
+     + "e2 x0 = y0\re2 x0 = y0\r\n", 7, "duplicate action for e2 x0"),
 ]
 
 
@@ -216,10 +236,23 @@ def _assert_parsers_agree(doc):
     return got
 
 
+def _spelled(line, rng):
+    """The line with its spaces, some of them tabs, doubled at random, after
+    some leading spaces half the time, and with a trailing comment that holds
+    '=', '+' and '*' half the time."""
+    line = "".join(rng.choice((c, c + c, "\t")) if c == " " else c for c in line)
+    if rng.random() < 0.5:
+        line = " " * rng.randrange(1, 4) + line
+    if rng.random() < 0.5:
+        line += rng.choice(("#", "  # e1 a = 2*b + c", "\t# note"))
+    return line
+
+
 def _restated(m, rng):
     """A document for m with every action line written another way: terms in
     random order, coefficients off their canonical residue or in lowest terms,
-    split into repeated terms, and spacing varied."""
+    split into repeated terms, '=' with or without spaces; and every line
+    spelled another way by ``_spelled``, ending in \n or \r\n."""
     p = m.field.characteristic
     labels = _module_labels(m)
     head = [line for line in print_module(m).splitlines()
@@ -247,10 +280,11 @@ def _restated(m, rng):
                         terms.append(f"{c - p if p else c}*{tgt}")
                 if terms:
                     rng.shuffle(terms)
-                    plus = rng.choice(("+", " + ", "  +"))
-                    acts.append(f"{which} {src} ={plus.join(terms)}")
+                    plus = rng.choice(("+", " + ", "  +", "\t+ "))
+                    equals = rng.choice(("=", " = ", " =", "\t=\t"))
+                    acts.append(f"{which} {src}{equals}{plus.join(terms)}")
     rng.shuffle(acts)
-    return "\n".join(head + acts) + "\n"
+    return "".join(_spelled(line, rng) + rng.choice(("\n", "\r\n")) for line in head + acts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 0], ids=["F2", "F3", "F5", "F13", "F17", "Q"])
