@@ -29,19 +29,20 @@ that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  Where only a dimension is read, the
-family's ``rank`` is the forward pass alone on bits and bytes and the pivot
-count of a span on tuples; ``Matrix.rank`` and containment use it.  Every other
-``Matrix`` elimination is one span of its rows: ``rref_pivots`` pads the
-rows with zero rows, and ``solve`` spans the rows of [A | B] at full width,
-which is inconsistent exactly when a pivot falls in B.  ``inverse`` is the
-family's: on bytes and tuples, and on sparse or large blocks over F2, row
-i of the inverse is the ``coordinates`` of e_i over A's rows, written once
-here as ``_inverse``; a dense F2 block runs bit-sliced Gauss–Jordan on
-[A | I] (:mod:`extmod.linalg._bits`).  In every family a kernel is the
-preimage of zero.  The bit and byte layouts differ in the forward pass,
-``rank`` and ``preimage`` only in lane width, so those three are written
-once here, over the families' ``insert`` and
-``span``; a packed preimage spans u's rows with each column of m tagged by
+family's ``rank`` is the forward pass alone, on every layout;
+``Matrix.rank`` and containment use it.  Every other ``Matrix`` elimination
+is one span of its rows: ``rref_pivots`` pads the rows with zero rows, and
+``solve`` spans the rows of [A | B] at full width, which is inconsistent
+exactly when a pivot falls in B.  ``inverse`` is the family's: on bytes and
+tuples, and on sparse or large blocks over F2, row i of the inverse is the
+``coordinates`` of e_i over A's rows, written once here as ``_inverse``; a
+dense F2 block runs bit-sliced Gauss–Jordan on [A | I]
+(:mod:`extmod.linalg._bits`).  In every family a kernel is the preimage of
+zero.  The forward pass and ``rank`` are written once here for every layout,
+over the families' ``insert``, which clears a vector by the pivot rows found
+so far and never above a pivot.  The bit and byte layouts differ in
+``preimage`` only in lane width, so it is written once here too, over
+``span``: a packed preimage spans u's rows with each column of m tagged by
 its index.  The chain sweep's ``pivot_steps`` is written on masks for bits
 and once for the others.
 
@@ -170,10 +171,6 @@ class Field:
     def add(self, a, b):
         p = self.characteristic
         return (a + b) % p if p else a + b
-
-    def sub(self, a, b):
-        p = self.characteristic
-        return (a - b) % p if p else a - b
 
     def mul(self, a, b):
         p = self.characteristic
@@ -660,10 +657,11 @@ def standard_complement(u: SubspaceBasis) -> list[tuple]:
     return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]
 
 
-# -- the packed layouts' forward pass, rank and preimage, and the inverse -------
-# bound as methods by the bit and byte layouts, whose calls carry the lane
-# width; the byte and tuple layouts answer an inverse with ``_inverse``, and
-# the bit layout falls back to it where it does not slice
+# -- the forward pass and rank, the packed preimage and the inverse -----------
+# bound as methods by the layouts: every one answers a rank with ``_rank``,
+# the bit and byte ones, whose calls carry the lane width, a preimage with
+# ``_tagged_preimage``; the byte and tuple layouts answer an inverse with
+# ``_inverse``, and the bit layout falls back to it where it does not slice
 
 def _forward(fam, vectors, stop: int | None = None) -> dict | None:
     """The forward pass of a span: echelon rows keyed by pivot, each vector

@@ -33,10 +33,11 @@ measured, and both paths give the same rows.  ``coordinates`` over
 independent t_r
 forward-reduces the tagged rows [t_r | e_r], stopping at a t_r that reduces
 to zero, and reduces each vector through them in ascending pivot order down
-to [0 | its coordinates].  The forward pass, ``rank`` and the preimage
+to [0 | its coordinates].  The forward pass and ``rank`` are written once
+for every layout, over ``insert``, and the preimage
 (``linalg._tagged_preimage``: u's rows spanned with each column of m tagged
-by its index) are written once for this layout and the byte one, over
-``insert`` and ``span``.  ``pivot_steps``, the chain sweep's elimination,
+by its index) once for this layout and the byte one, over ``span``.
+``pivot_steps``, the chain sweep's elimination,
 takes each column's lowest set bit ``low`` as its pivot, its other set bits
 as its row operations, and clears the pivot row from each later column with
 one test ``col & low`` and one XOR.

@@ -19,11 +19,11 @@ entries of v; a vector or a left row with one nonzero entry selects one
 column or one right row, scaled.  ``coordinates`` over independent t_r
 forward-reduces the tagged rows [t_r | -e_r], stopping at a t_r that reduces
 to zero, and reduces each vector through them in ascending pivot order down
-to [0 | its coordinates].  The forward pass, ``rank`` and the preimage
-(``linalg._tagged_preimage``: u's rows spanned with each column of m tagged
-by its index) are written once for this layout and the bit one, over
-``insert`` and ``span``, and ``inverse`` (``linalg._inverse``: the
-coordinates of the unit vectors) once for this layout and the tuple ones.
+to [0 | its coordinates].  The forward pass and ``rank`` are written once
+for every layout, over ``insert``, the preimage (``linalg._tagged_preimage``:
+u's rows spanned with each column of m tagged by its index) once for this
+layout and the bit one, over ``span``, and ``inverse`` (``linalg._inverse``:
+the coordinates of the unit vectors) once for this layout and the tuple ones.
 """
 
 from __future__ import annotations

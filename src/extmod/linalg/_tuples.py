@@ -12,8 +12,11 @@ m @ v, spans, preimages and tallies once.  A span is one Gauss–Jordan
 elimination on the numerators: over F_p each pivot row is scaled to 1, and
 over Q the elimination is fraction-free on primitive integer rows (Bareiss,
 Math. Comp. 1968), so each pivot row comes out as ``(row, pivot)``, already
-in normal form.  A product entry is one integer dot product, and m @ v
-combines the columns of m that v selects while at most half of v is nonzero.
+in normal form.  A rank is the forward pass every layout shares
+(``linalg._rank``): each vector is cleared through ``insert`` by the pivot
+rows found so far, and nothing is cleared above a pivot.  A product entry is
+one integer dot product, and m @ v combines the columns of m that v selects
+while at most half of v is nonzero.
 ``coordinates`` are read off one span of the transposed [T | V].  A preimage
 is the head of ker [m | B], B the basis matrix of u, read off the integer
 echelon rows of one span of [m | B] with its columns reversed; a pivot is 1
@@ -41,7 +44,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _inverse, _pivot_steps
+from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _forward, _inverse, _pivot_steps, _rank
 
 
 def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
@@ -175,8 +178,7 @@ class _IntRows:
     def product(self, a: "Matrix", b: "Matrix") -> tuple:
         return self._dots(a._rows, b._columns())
 
-    def rank(self, vectors, n: int) -> int:
-        return len(self.span(vectors, n)[1])
+    _forward, inverse, rank = _forward, _inverse, _rank
 
     def span(self, vectors, n: int) -> tuple[list, list[int]]:
         """The reduced echelon rows and pivots of the span, by Gauss–Jordan
@@ -242,8 +244,6 @@ class _IntRows:
         if pivots != list(range(k)):
             return None
         return list(self.transpose(rows, width)[k:])
-
-    inverse = _inverse
 
     def pivot_steps(self, cols: list) -> list[tuple]:
         """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""

@@ -301,7 +301,7 @@ def reference_match(field, act, cod, dom):
             c = row[ci]
             if ri != pr and c:
                 absorb(cod[pr], cod[ri], c)
-                a[ri] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, prow)]
+                a[ri] = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(row, prow)]
         for cj, c in enumerate(prow):
             if cj != ci and c:
                 absorb(dom[cj], dom[ci], field.neg(c))
@@ -329,8 +329,9 @@ def reference_pivot_steps(field, cols):
         for cj in range(ci + 1, len(cols)):
             c = cols[cj][pr]
             if c:
-                cols[cj] = [field.sub(x, field.mul(c, y)) for x, y in zip(cols[cj], pcol)]
-                col_ops.append((cj, field.neg(c)))
+                c = field.neg(c)
+                cols[cj] = [field.add(x, field.mul(c, y)) for x, y in zip(cols[cj], pcol)]
+                col_ops.append((cj, c))
         steps.append((ci, pr, inv, [(r, pcol[r]) for r in rows[1:]], col_ops))
     return steps, [tuple(col) for col in cols]
 
@@ -495,7 +496,7 @@ def reference_hom_system(m):
                     for k in range(nd):
                         if act[i, k]:
                             idx = offsets[d] + k * nd + j
-                            row[idx] = field.sub(row[idx], act[i, k])
+                            row[idx] = field.add(row[idx], field.neg(act[i, k]))
                     rows.append(row)
     return rows, nvars
 

@@ -834,8 +834,9 @@ def test_matrix_eliminations_match_list_reference(field):
 @pytest.mark.parametrize("field", [F2, F5, F13, F17, QQ], ids=["F2", "F5", "F13", "F17", "Q"])
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
-    # right-hand sides, singular and invertible; on the packed layouts an
-    # inverse, singular or not, makes no span: on bytes it is the tagged
+    # right-hand sides, singular and invertible; a rank makes no span on any
+    # layout, as it is the forward pass alone, and on the packed layouts an
+    # inverse, singular or not, makes none either: on bytes it is the tagged
     # forward pass of the unit vectors' coordinates, and on bits that pass
     # or, on a dense block, bit-sliced Gauss–Jordan on [A | I]
     rng = random.Random(61)
@@ -845,8 +846,8 @@ def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     def once(op, *args):
         calls[0] = 0
         out = op(*args)
-        # a rank is the forward pass alone on bits and bytes
-        assert calls[0] == (0 if packed and op.__name__ in ("rank", "inverse") else 1)
+        spanless = op.__name__ == "rank" or packed and op.__name__ == "inverse"
+        assert calls[0] == (0 if spanless else 1)
         return out
 
     seen = {"singular": 0, "inverse": 0, "none": 0, "solved": 0}
@@ -1196,7 +1197,7 @@ def _list_residue(field, u, vec):
     v = list(map(field.coerce, vec))
     for row, pr in zip(u.vectors(), u.pivot_rows):
         c = v[pr]
-        v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+        v = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(v, row)]
     return tuple(v)
 
 
@@ -1674,6 +1675,49 @@ def test_rank_and_quotient_dim_match_the_span(field):
                     else:
                         with pytest.raises(ValueError, match="not contained"):
                             quotient_dim(u, w)
+
+
+def _rank_inputs(field, rng):
+    """Blocks of every kind a rank meets: random, rank-deficient, with
+    repeated rows, zero and empty, and entries over distinct 400-bit
+    denominators, which over Q make every row's denominator their lcm."""
+    p = field.characteristic
+
+    def long_entry():
+        den = rng.getrandbits(400) | 1
+        while p and den % p == 0:
+            den += 2
+        return Fraction(rng.randint(-9, 9), den)
+
+    def long_matrix(nrows, ncols):
+        return Matrix(field, [[long_entry() for _ in range(ncols)] for _ in range(nrows)],
+                      ncols=ncols)
+
+    for nrows, ncols in ((0, 0), (0, 5), (4, 0), (1, 1), (6, 6), (9, 14), (14, 9), (40, 70)):
+        base = random_matrix(field, nrows, ncols, rng)
+        yield base
+        for rank in (1, 3):
+            yield random_matrix(field, nrows, rank, rng) @ random_matrix(field, rank, ncols, rng)
+        yield Matrix(field, [rng.choice(base.rows[:3]) for _ in range(nrows)], ncols=ncols)
+        yield Matrix.zeros(field, nrows, ncols)
+        if nrows * ncols <= 126:
+            yield long_matrix(nrows, 2) @ long_matrix(2, ncols)
+        if nrows * ncols <= 36:
+            yield long_matrix(nrows, ncols)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F13, F17, Field(2**61 - 1), QQ],
+                         ids=["F2", "F5", "F13", "F17", "M61", "Q"])
+def test_rank_is_the_pivot_count_of_the_span_and_the_list_elimination(field):
+    # one forward pass serves every layout's rank: the bits, the bytes at
+    # their least and largest p, and the tuples at the least tuple prime, a
+    # Mersenne prime wider than a machine word, and over Q
+    fam = field._family
+    rng = random.Random(131 + field.characteristic % 1000)
+    for m in _rank_inputs(field, rng):
+        count = len(reference_row_reduce(field, [list(r) for r in m.rows], m.ncols))
+        assert fam.rank(m._rows, m.ncols) == len(fam.span(m._rows, m.ncols)[1]) == count
+        assert m.rank() == count
 
 
 @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])

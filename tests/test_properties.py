@@ -7,9 +7,11 @@ that normal form, and equal subspaces must give equal objects.  Entries are
 drawn as integers, as small fractions, or over distinct denominators near
 10**20, where a row's common denominator is far larger than any entry's.
 
-The F_p tuple layout shares Q's elimination, so its span is checked against
-the list reference too, at a packed prime, the least tuple prime and a
-Mersenne prime whose entries are far wider than a machine word.
+A Q rank, read off the forward pass, is checked against the pivot count of
+a ``Fraction`` elimination.  The F_p tuple layout shares Q's elimination, so
+its span is checked against the list reference too, at a packed prime, the
+least tuple prime and a Mersenne prime whose entries are far wider than a
+machine word.
 
 Every layout's preimage is checked by span and rank alone, without another
 preimage: the bit layout over F2, the byte layout at its least and largest
@@ -174,6 +176,17 @@ def test_span_and_reduce_match_fractions(rows, data):
             c = v[pr]
             want = [x - c * y for x, y in zip(want, row)]
         assert sub.reduce_vector(v) == tuple(want)
+
+
+@given(rows_of(), st.data())
+def test_rank_matches_fraction_elimination(rows, data):
+    # the forward pass's pivot count, with a drawn row repeated or not
+    n = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    if rows and data.draw(st.booleans()):
+        rows = rows + [data.draw(st.sampled_from(rows))]
+    want = len(_reference_rref(rows, n)[1])
+    assert FAM.rank([FAM.pack(r) for r in rows], n) == want
+    assert Matrix(QQ, rows, ncols=n).rank() == want
 
 
 # three primes share the examples, so this property draws more of them

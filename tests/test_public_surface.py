@@ -1,5 +1,5 @@
-"""Every name the package exports, and every public method of ``Matrix`` and
-``SubspaceBasis``, has a caller inside the package.
+"""Every name the package exports, and every public method of ``Field``,
+``Matrix`` and ``SubspaceBasis``, has a caller inside the package.
 
 A caller is a code reference in a module of ``extmod`` or of its
 subpackage ``extmod.linalg`` other than the top-level ``__init__``, outside
@@ -18,7 +18,7 @@ from pathlib import Path
 from types import FunctionType
 
 import extmod
-from extmod.linalg import Matrix, SubspaceBasis
+from extmod.linalg import Field, Matrix, SubspaceBasis
 
 SRC = Path(extmod.__file__).parent
 
@@ -44,9 +44,9 @@ def _exported() -> set[str]:
 
 
 def _public_methods() -> dict[str, str]:
-    """Each public method, class method or property of the two classes, by its
+    """Each public method, class method or property of the three classes, by its
     qualified name."""
-    return {f"{cls.__name__}.{name}": name for cls in (Matrix, SubspaceBasis)
+    return {f"{cls.__name__}.{name}": name for cls in (Field, Matrix, SubspaceBasis)
             for name, attr in vars(cls).items() if not name.startswith("_")
             and isinstance(attr, (FunctionType, classmethod, staticmethod, property))}
 
@@ -84,7 +84,8 @@ def test_every_export_has_a_caller_in_the_package():
 
 
 def test_every_public_linalg_method_has_a_caller_in_the_package():
-    assert {"Matrix.solve", "SubspaceBasis.dim", "SubspaceBasis.zero"} <= _public_methods().keys()
+    assert {"Field.inv", "Matrix.solve", "SubspaceBasis.dim",
+            "SubspaceBasis.zero"} <= _public_methods().keys()
     _, attrs = _referenced(_package_modules())
     uncalled = {qual for qual, name in _public_methods().items() if name not in attrs}
     assert sorted(uncalled - UNCALLED_METHODS.keys()) == [], "public with no caller in extmod"
