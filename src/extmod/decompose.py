@@ -280,9 +280,8 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     # sorted is stable, so strands of equal strength keep their order
     cod = sorted(cod, key=lambda s: s.strength, reverse=True)
     dom = sorted(dom, key=lambda s: s.strength)
-    # the right ends; no call where the lanes hold the right end alone
-    imgs = [fam.apply(act, s.lanes if s.last == s.base else s.right_end()) for s in dom]
-    ends = [s.lanes if s.last == s.base else s.right_end() for s in cod]
+    imgs = [fam.apply(act, s.right_end()) for s in dom]
+    ends = [s.right_end() for s in cod]
     cols = fam.coordinates(ends, imgs, act.nrows)
     if cols is None:
         raise InternalError("socle coordinates must exist" if cod

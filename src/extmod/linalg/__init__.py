@@ -24,8 +24,8 @@ reads unpack them, and ``family_rows()`` of either hands those rows over
 as stored, to a caller that keeps working in the layout.  The
 columns of a ``Matrix`` are one ``transpose`` of its rows, made on first
 use and cached for what reads columns: an image, a product on tuples,
-m @ v and packed preimages.  ``from_cols`` keeps the columns it is given as
-that cache.
+m @ v on bits and bytes, and packed preimages.  ``from_cols`` keeps the
+columns it is given as that cache.
 
 Each family has one elimination, ``span``: the reduced echelon rows and
 pivots of the span of some vectors.  Where only a dimension is read, the
@@ -37,14 +37,17 @@ exactly when a pivot falls in B.  ``inverse`` is the family's: on bytes and
 tuples, and on sparse or large blocks over F2, row i of the inverse is the
 ``coordinates`` of e_i over A's rows, written once here as ``_inverse``; a
 dense F2 block runs bit-sliced Gauss–Jordan on [A | I]
-(:mod:`extmod.linalg._bits`).  In every family a kernel is the preimage of
-zero.  The forward pass and ``rank`` are written once here for every layout,
-over the families' ``insert``, which clears a vector by the pivot rows found
-so far and never above a pivot.  The bit and byte layouts differ in
-``preimage`` only in lane width, so it is written once here too, over
-``span``: a packed preimage spans u's rows with each column of m tagged by
-its index.  The chain sweep's ``pivot_steps`` is written on masks for bits
-and once for the others.
+(:mod:`extmod.linalg._bits`).  The coordinates are one span of the
+transposed [T | V] on bytes and tuples, written once here as
+``_coordinates``, and over F2 a forward pass of the tagged rows [t_r | e_r].
+In every family a kernel is the preimage of zero.  The forward pass and
+``rank`` are written once here for every layout, over the families'
+``insert``, which clears a vector by the pivot rows found so far and never
+above a pivot.  The bit and byte layouts differ in ``preimage`` only in lane
+width, so it is written once here too, over ``span``: a packed preimage
+spans u's rows with each column of m tagged by its index.  The chain sweep's
+``pivot_steps`` and ``pack_rows`` are written for bits and once here for
+the others.
 
 A residue, ``SubspaceBasis.reduce_vector``, is one pass over the echelon
 rows in every layout, through the family's ``entry`` and ``add_scaled``: the
@@ -448,9 +451,9 @@ class Matrix:
         ``inverse`` of the rows.  Over F2 a dense block runs Gauss–Jordan on
         [self | I] bit-sliced, a whole column cleared at a time, and stops
         at the first column no free row reaches; elsewhere row i holds the
-        coordinates of e_i over the rows of self, and on bytes one forward
-        pass of [self | -I] stops at the first row of self that reduces to
-        zero."""
+        coordinates of e_i over the rows of self: one span on bytes and
+        tuples, and over F2 a forward pass of [self | I] that stops at the
+        first row of self that reduces to zero."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         rows = self.field._family.inverse(self._rows, self.nrows)
@@ -657,11 +660,13 @@ def standard_complement(u: SubspaceBasis) -> list[tuple]:
     return [fam.unpack(fam.unit(i, n), n) for i in range(n) if i not in pivots]
 
 
-# -- the forward pass and rank, the packed preimage and the inverse -----------
+# -- the routines the layouts share -------------------------------------------
 # bound as methods by the layouts: every one answers a rank with ``_rank``,
 # the bit and byte ones, whose calls carry the lane width, a preimage with
-# ``_tagged_preimage``; the byte and tuple layouts answer an inverse with
-# ``_inverse``, and the bit layout falls back to it where it does not slice
+# ``_tagged_preimage``; the byte and tuple layouts answer ``coordinates``,
+# ``pack_rows`` and ``pivot_steps`` with the routines of those names, and an
+# inverse with ``_inverse``, which the bit layout falls back to where it does
+# not slice
 
 def _forward(fam, vectors, stop: int | None = None) -> dict | None:
     """The forward pass of a span: echelon rows keyed by pivot, each vector
@@ -689,6 +694,24 @@ def _inverse(fam, rows, n: int) -> list | None:
     return fam.coordinates(rows, [fam.unit(i, n) for i in range(n)], n)
 
 
+def _coordinates(fam, basis, vectors, n: int) -> list | None:
+    """The coordinates of each vector of length n over the basis vectors, or
+    None if those are dependent or a vector lies outside their span: the
+    columns of X in the rows [I | X] of one span of [T | V] transposed, T's
+    columns the basis vectors and V's the vectors."""
+    k, width = len(basis), len(basis) + len(vectors)
+    rows, pivots = fam.span(fam.transpose([*basis, *vectors], n), width)
+    if pivots != list(range(k)):
+        return None
+    return list(fam.transpose(rows, width)[k:])
+
+
+def _pack_rows(fam, values, n: int) -> list:
+    """The runs of n entries in values, each packed."""
+    pack = fam.pack
+    return [pack(values[i:i + n]) for i in range(0, len(values), n or 1)]
+
+
 def _tagged_preimage(fam, m: Matrix, u: SubspaceBasis) -> tuple[list, list[int]]:
     """Echelon rows and pivots of {v : m @ v in u}, read off one span.
 
@@ -708,7 +731,7 @@ def _tagged_preimage(fam, m: Matrix, u: SubspaceBasis) -> tuple[list, list[int]]
 
 # -- the chain sweep's elimination ---------------------------------------------
 
-def _pivot_steps(field: Field, cols: list) -> list[tuple]:
+def _pivot_steps(fam, cols: list) -> list[tuple]:
     """The steps that bring the columns ``cols`` to a partial identity.
 
     Column ci's pivot is its lowest nonzero entry, at row pr, and its step is
@@ -718,7 +741,7 @@ def _pivot_steps(field: Field, cols: list) -> list[tuple]:
     times the normalised column clears there, in place.  A zero column is
     passed over.
     """
-    fam = field._family
+    field = fam.field
     one, entry, add_scaled, steps = field.one, fam.entry, fam.add_scaled, []
     for ci, v in enumerate(cols):
         col = fam.support(v)

@@ -15,7 +15,7 @@ A span clears each vector at its lowest set bit by the row with that pivot,
 one XOR, keeping each row under its pivot bit, and back-substitutes the rows
 from the last pivot to the first.  A product row is the XOR of the rows of
 the right factor that a row of the left one selects, and m @ v the XOR of the
-columns of m that v selects.
+columns of m that v selects, each one ``_combine``.
 
 Products and inverses of dense blocks are bit-sliced, for M4RI's
 word-level parallelism: a whole block is one int, with one slot of s bits
@@ -225,15 +225,8 @@ class _Bits:
         # as slicing does not pay there even when it is dense
         cut = m + m * w // 2048 + k * (3 + w * (n + 64) // 131072)
         if m * k <= 64 or sum(map(int.bit_count, arows)) <= cut:
-            out = []
-            for arow in arows:
-                acc = 0
-                while arow:
-                    low = arow & -arow
-                    acc ^= brows[low.bit_length() - 1]
-                    arow ^= low
-                out.append(acc)
-            return tuple(out)
+            combine = self._combine
+            return tuple([combine(brows, arow) for arow in arows])
         whole, starts, acc = _sliced(arows, s), _starts(m, s), 0
         for j, row in enumerate(brows):
             if row:

@@ -16,21 +16,21 @@ pivot, one multiply-add, and back-substitutes the rows from the last pivot to
 the first.  A product row combines the packed rows of the right factor with
 the entries of the left row, and m @ v the packed columns of m with the
 entries of v; a vector or a left row with one nonzero entry selects one
-column or one right row, scaled.  ``coordinates`` over independent t_r
-forward-reduces the tagged rows [t_r | -e_r], stopping at a t_r that reduces
-to zero, and reduces each vector through them in ascending pivot order down
-to [0 | its coordinates].  The forward pass and ``rank`` are written once
-for every layout, over ``insert``, the preimage (``linalg._tagged_preimage``:
-u's rows spanned with each column of m tagged by its index) once for this
-layout and the bit one, over ``span``, and ``inverse`` (``linalg._inverse``:
-the coordinates of the unit vectors) once for this layout and the tuple ones.
+column or one right row, scaled.  The forward pass and ``rank`` are written
+once for every layout, over ``insert``, the preimage
+(``linalg._tagged_preimage``: u's rows spanned with each column of m tagged
+by its index) once for this layout and the bit one, over ``span``, and
+``coordinates`` (one span of the transposed [T | V]), ``inverse`` (the
+coordinates of the unit vectors), ``pack_rows`` and ``pivot_steps`` once
+for this layout and the tuple ones.
 """
 
 from __future__ import annotations
 
 from itertools import compress, islice
 
-from . import Field, Matrix, _forward, _inverse, _pivot_steps, _rank, _tagged_preimage
+from . import (Field, Matrix, _coordinates, _forward, _inverse, _pack_rows, _pivot_steps, _rank,
+               _tagged_preimage)
 
 
 class _PackedFp:
@@ -57,11 +57,6 @@ class _PackedFp:
     @staticmethod
     def pack(vec) -> int:
         return int.from_bytes(bytes(vec), "little")
-
-    def pack_rows(self, values, n: int) -> list[int]:
-        """The runs of n entries in values, each packed."""
-        pack = self.pack
-        return [pack(values[i:i + n]) for i in range(0, len(values), n or 1)]
 
     @staticmethod
     def unpack(v: int, n: int) -> tuple:
@@ -191,6 +186,7 @@ class _PackedFp:
         return None
 
     _forward, inverse, rank, preimage = _forward, _inverse, _rank, _tagged_preimage
+    coordinates, pack_rows, pivot_steps = _coordinates, _pack_rows, _pivot_steps
 
     def span(self, vectors, n: int, head: int = 0) -> tuple[list[int], list[int]]:
         """The reduced echelon rows and pivots of the span of the vectors,
@@ -218,28 +214,3 @@ class _PackedFp:
             later |= 255 << 8 * lane
         lanes.reverse()
         return [rows[k] for k in lanes], lanes
-
-    def coordinates(self, basis, vectors, n: int) -> list[int] | None:
-        """The coordinates of each vector of length n over the basis vectors t_r,
-        or None if those are dependent or a vector lies outside their span: the
-        forward-reduced rows [t_r | -e_r] clear each vector at its lowest lane,
-        in ascending pivot order, down to [0 | its coordinates]."""
-        shift = 8 * n
-        rows = self._forward([t | (self.p - 1) << shift + 8 * r for r, t in enumerate(basis)], n)
-        if rows is None:
-            return None
-        p, reduced = self.p, self._reduced
-        head, out = (1 << shift) - 1, []
-        for v in vectors:
-            while v & head:
-                lane = ((v & -v).bit_length() - 1) >> 3
-                row = rows.get(lane)
-                if row is None:
-                    return None
-                v = reduced(v + (p - (v >> 8 * lane & 255)) * row)
-            out.append(v >> shift)
-        return out
-
-    def pivot_steps(self, cols: list) -> list[tuple]:
-        """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
-        return _pivot_steps(self.field, cols)

@@ -14,14 +14,15 @@ over Q the elimination is fraction-free on primitive integer rows (Bareiss,
 Math. Comp. 1968), so each pivot row comes out as ``(row, pivot)``, already
 in normal form.  A rank is the forward pass every layout shares
 (``linalg._rank``): each vector is cleared through ``insert`` by the pivot
-rows found so far, and nothing is cleared above a pivot.  A product entry is
-one integer dot product, and m @ v combines the columns of m that v selects
-while at most half of v is nonzero.
-``coordinates`` are read off one span of the transposed [T | V].  A preimage
-is the head of ker [m | B], B the basis matrix of u, read off the integer
-echelon rows of one span of [m | B] with its columns reversed; a pivot is 1
-over F_p, so a head entry there is one modular negation.  The tagged span of
-the byte layouts would have about twice the entries to eliminate.
+rows found so far, and nothing is cleared above a pivot.  An entry of a
+product, or of m @ v, is one integer dot product.  ``coordinates`` (one span
+of the transposed [T | V]), ``inverse``, ``pack_rows`` and ``pivot_steps``
+are written once in :mod:`extmod.linalg` for these layouts and the byte
+one.  A preimage is the head of ker [m | B], B the basis matrix of u, read
+off the integer echelon rows of one span of [m | B] with its columns
+reversed; a pivot is 1 over F_p, so a head entry there is one modular
+negation.  The tagged span of the byte layouts would have about twice the
+entries to eliminate.
 
 Over Q a ``Fraction`` is built only where an entry leaves the layout:
 ``rows``, ``cols()``, ``m[i, j]``, ``apply``, ``SubspaceBasis.vectors()`` and
@@ -40,11 +41,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from . import _Q_ZERO, Field, Matrix, SubspaceBasis, _forward, _inverse, _pivot_steps, _rank
+from . import (_Q_ZERO, Field, Matrix, SubspaceBasis, _coordinates, _forward, _inverse,
+               _pack_rows, _pivot_steps, _rank)
 
 
 def _normal(nums, den: int, h: int | None = None) -> tuple[tuple, int]:
@@ -120,11 +121,6 @@ class _IntRows:
         """The numerators and the denominators of the vectors, read in one pass."""
         return tuple(zip(*map(self._read, vectors))) or ((), ())
 
-    def pack_rows(self, values, n: int) -> list:
-        """The runs of n entries in values, each packed."""
-        pack = self.pack
-        return [pack(values[i:i + n]) for i in range(0, len(values), n or 1)]
-
     def tail(self, v, n: int):
         nums, den = self._read(v)
         return self._write(nums[n:], den)
@@ -157,28 +153,14 @@ class _IntRows:
                      for x, d in zip(*self._split(rows)))
 
     def apply(self, m: "Matrix", v):
-        """m @ v.
-
-        When at most half of v's entries are nonzero, the columns of m they
-        select are combined over the lcm of those columns' denominators, as
-        the byte layouts combine packed columns; otherwise each entry is a
-        dot product with a row of m.
-        """
-        nums, den = self._read(v)
-        if 2 * nums.count(0) < len(nums):
-            return self._dots((v,), m._rows)[0]
-        cols = list(map(self._read, compress(m._columns(), nums)))
-        common = lcm(*[e for _, e in cols])
-        acc = [0] * m.nrows
-        for c, (y, e) in zip(compress(nums, nums), cols):
-            t = c * (common // e)
-            acc = [a + t * w for a, w in zip(acc, y)]
-        return self._write(acc, den * common)
+        """m @ v: each entry a dot product of v with a row of m."""
+        return self._dots((v,), m._rows)[0]
 
     def product(self, a: "Matrix", b: "Matrix") -> tuple:
         return self._dots(a._rows, b._columns())
 
     _forward, inverse, rank = _forward, _inverse, _rank
+    coordinates, pack_rows, pivot_steps = _coordinates, _pack_rows, _pivot_steps
 
     def span(self, vectors, n: int) -> tuple[list, list[int]]:
         """The reduced echelon rows and pivots of the span, by Gauss–Jordan
@@ -234,20 +216,6 @@ class _IntRows:
             x = self._clear(x, top, c)
         rows[c] = x = x if x[c] == 1 else self._pivot_row(x, c)
         return self._echelon([x], [c])[0], c
-
-    def coordinates(self, basis, vectors, n: int) -> list | None:
-        """The coordinates of each vector over the basis, as on bytes: the
-        columns of X in the rows [I | X] of the span of [T | V] transposed,
-        T's columns the basis vectors and V's the vectors."""
-        k, width = len(basis), len(basis) + len(vectors)
-        rows, pivots = self.span(self.transpose([*basis, *vectors], n), width)
-        if pivots != list(range(k)):
-            return None
-        return list(self.transpose(rows, width)[k:])
-
-    def pivot_steps(self, cols: list) -> list[tuple]:
-        """The chain sweep's elimination steps on the columns (``linalg._pivot_steps``)."""
-        return _pivot_steps(self.field, cols)
 
     def preimage(self, m: "Matrix", u: "SubspaceBasis") -> tuple[list, list[int]]:
         """Echelon rows and pivots of {v : m @ v in u}: the heads of ker [m | B].

@@ -541,8 +541,9 @@ def _random_invertible(field: Field, n: int, draw) -> tuple[Matrix, Matrix]:
     one call per entry.  ``Matrix.inverse`` rejects a singular draw in the
     elimination that inverts an invertible one: over F2, where a dense draw
     is bit-sliced, at the first column no free row reaches, before its tags
-    are touched, and elsewhere in the forward pass of [A | -I].  The inverse
-    is unique, so which path runs changes neither it nor the draws.
+    are touched, or else in the forward pass of [A | I], and elsewhere in
+    the one span of [A^T | I], whose pivots then miss a column of A^T.  The
+    inverse is unique, so which path runs changes neither it nor the draws.
     """
     p = field.characteristic
     for _ in range(10000):

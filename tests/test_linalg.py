@@ -136,9 +136,8 @@ def _all_fractions(rows):
 
 @pytest.mark.parametrize("field", [F17, QQ], ids=["F17", "Q"])
 def test_tuple_apply_matches_the_reference_on_both_routes(field):
-    # m @ v combines the columns v selects while at most half of v is
-    # nonzero, and takes a dot product per row past that: unit vectors and
-    # vectors exactly half nonzero take the first route, dense ones the second
+    # m @ v, one dot product per row, on unit vectors, vectors exactly half
+    # nonzero and dense ones, and over Q on matrices of mixed denominators
     rng = random.Random(61)
     fam = field._family
 
@@ -835,18 +834,19 @@ def test_matrix_eliminations_match_list_reference(field):
 def test_each_matrix_elimination_is_one_family_span(monkeypatch, field):
     # on random and rank-deficient blocks, with consistent and inconsistent
     # right-hand sides, singular and invertible; a rank makes no span on any
-    # layout, as it is the forward pass alone, and on the packed layouts an
-    # inverse, singular or not, makes none either: on bytes it is the tagged
-    # forward pass of the unit vectors' coordinates, and on bits that pass
-    # or, on a dense block, bit-sliced Gauss–Jordan on [A | I]
+    # layout, as it is the forward pass alone, and over F2 an inverse,
+    # singular or not, makes none either: it is the tagged forward pass of
+    # the unit vectors' coordinates or, on a dense block, bit-sliced
+    # Gauss–Jordan on [A | I]; on bytes and tuples it is the one span of
+    # those coordinates
     rng = random.Random(61)
     calls = count_span(monkeypatch, field)
-    packed = isinstance(field._family, (_Bits, _PackedFp))
+    bits = isinstance(field._family, _Bits)
 
     def once(op, *args):
         calls[0] = 0
         out = op(*args)
-        spanless = op.__name__ == "rank" or packed and op.__name__ == "inverse"
+        spanless = op.__name__ == "rank" or bits and op.__name__ == "inverse"
         assert calls[0] == (0 if spanless else 1)
         return out
 
@@ -1090,7 +1090,10 @@ def test_families_answer_the_same_calls_with_one_elimination():
     made = set()
     for path in Path(linalg.__file__).parent.parent.rglob("*.py"):
         made.update(re.findall(r"\b(?:fam|_family)\.([a-z]\w*)", path.read_text()))
-    assert made == FAMILY_CALLS
+    # besides the calls, a routine written once over the families reads the
+    # one attribute that every layout object holds: the field it was made for
+    assert made == FAMILY_CALLS | {"field"}
+    assert all(f._family.field is f for f in (F2, F5, F17, QQ))
     assert not any(hasattr(cls, "eliminate") for cls in families)
     # F2 has a layout of its own, in a module that shares nothing with the
     # byte layout, and writes its own XOR row updates
@@ -1105,11 +1108,14 @@ def test_families_answer_the_same_calls_with_one_elimination():
     shared = {"_dots", "apply", "product", "span", "preimage", "tally", "tail", "pivot_steps"}
     assert shared <= set(vars(_IntRows))
     assert shared.isdisjoint({*vars(_Entries), *vars(_Rationals)})
-    # the byte and tuple layouts hand the chain sweep's elimination to the one
-    # written over the families, and answer an inverse with the coordinates
-    # of the unit vectors, written once; the bit layout falls back to it
-    assert all("_pivot_steps" in cls.pivot_steps.__code__.co_names
-               for cls in (_PackedFp, _IntRows))
+    # the byte and tuple layouts bind the routines written once over the
+    # families: the chain sweep's elimination, the coordinates (one span of
+    # the transposed [T | V]), the packing of a flat run of rows, and an
+    # inverse as the coordinates of the unit vectors, which the bit layout
+    # falls back to
+    assert _PackedFp.pivot_steps is _IntRows.pivot_steps is linalg._pivot_steps
+    assert _PackedFp.coordinates is _IntRows.coordinates is linalg._coordinates
+    assert _PackedFp.pack_rows is _IntRows.pack_rows is linalg._pack_rows
     assert _PackedFp.inverse is _IntRows.inverse is linalg._inverse
     assert "_inverse" in _Bits.inverse.__code__.co_names
 
@@ -1585,7 +1591,8 @@ def _reference_coordinates(field, basis, vectors, n):
     return [tuple(row[k + j] for row in rows[:k]) for j in range(len(vectors))]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+# F3 and F13 too: the byte layout's extremes of lane room, 63 and 1 terms
+@pytest.mark.parametrize("field", [*FIELDS, F3, F13], ids=[*IDS, "F3", "F13"])
 def test_coordinates_match_the_transposed_span(field):
     # independent, dependent and empty bases, with vectors inside the span,
     # outside it and zero, at lengths past one 64-bit word
@@ -1614,12 +1621,13 @@ def test_coordinates_match_the_transposed_span(field):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("field", [*FIELDS, F3, F13], ids=[*IDS, "F3", "F13"])
 def test_inverse_stops_at_a_singular_first_or_last_row(field):
-    # an inverse stops once a row of A reduces to zero: None for a zero first
-    # row and for a last row that is the sum of two others, and for an
-    # invertible A (a product of unit triangular factors) a matrix that A
-    # times gives the identity, entry by entry
+    # an inverse is None for a zero first row and for a last row that is the
+    # sum of two others, whether it stops at that row (the forward pass over
+    # F2) or finds it in one span (bytes and tuples), and for an invertible A
+    # (a product of unit triangular factors) a matrix that A times gives the
+    # identity, entry by entry
     rng = random.Random(109 + field.characteristic)
     entries = (field.zero,) * 6 + (field.one, field.coerce(-2))
 
