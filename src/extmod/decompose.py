@@ -26,19 +26,18 @@ entry, is the strongest codomain strand it reaches: every clearing runs from
 a weaker strand into a stronger one.
 Each chain position owns a fixed run of lanes, from the running sum of the
 widths before it, and a strand is one vector over the lanes of its
-positions, in the family layout of the module's field.  The sweep replays
-each pivot step in one update per side: the codomain strand absorbs the
-step's row operations, and the domain strand is spread into every later
-column's, one family call per pair.  Those calls delay the normalisation
-of a Q vector, and each strand updated is settled once per update of the
-codomain strand and once per match for the domain strands, since a strand
-takes many operations per match.  For :func:`decompose`, every clearing
-updates the strand's realization, so the finished strands are an explicit
-certified basis of the module and each strand reads off directly as one
-flash summand, unpacked once.  A strand's shape depends only on where it
-starts and ends, and the matching reads only the vector at each strand's
-right end, so :func:`multiplicities` runs the same sweep keeping the lanes
-of that one position per strand and no realization.
+positions, in the family layout of the module's field.  Every clearing is one
+checked ``_Strand.absorb``, one family call: the pivot's codomain strand
+absorbs each codomain strand a step's row operations name, and each later
+column's domain strand the normalised pivot one.  Those calls delay the
+normalisation of a Q vector: the codomain strand is settled once per step,
+and the domain strands once per match, since they take many operations.
+For :func:`decompose`, every clearing updates the strand's realization, so
+the finished strands are an explicit certified basis of the module and each
+strand reads off directly as one flash summand, unpacked once.  A strand's
+shape depends only on where it starts and ends, and the matching reads only
+the vector at each strand's right end, so :func:`multiplicities` runs the
+same sweep keeping the lanes of that one position per strand.
 
 The idempotent oracle is an independent second route used for
 cross-validation: it knows nothing about strings and splits along Fitting
@@ -128,7 +127,7 @@ def _summand_sort_key(s: Summand):
 
 
 class _Chain:
-    """The lanes of one chain, which its strands share.
+    """The lanes of one chain, which its strands share, and its first position.
 
     With ``widths``, chain position pos holds its vector, of ``widths[pos]``
     entries, at lanes ``offsets[pos]`` onward: the running sum of the widths
@@ -139,10 +138,10 @@ class _Chain:
     meet share their first lane, and no offset is read and nothing padded.
     """
 
-    __slots__ = ("field", "fam", "widths", "offsets", "size", "zero", "history")
+    __slots__ = ("fam", "first", "widths", "offsets", "size", "zero", "history")
 
-    def __init__(self, field: Field, widths: dict[int, int] | None = None):
-        self.field, self.fam, self.widths = field, field._family, widths
+    def __init__(self, field: Field, first: int, widths: dict[int, int] | None = None):
+        self.fam, self.first, self.widths = field._family, first, widths
         self.history = widths is not None
         self.offsets, self.size = {}, 0
         if self.history:
@@ -183,14 +182,13 @@ class _Strand:
         self.base = self.last = chain.offsets[pos] if chain.history else 0
         self.lanes = vector
         # dangling-top left ends beat bottom ends; among tops the later start
-        # wins, among bottoms the earlier one does
-        self.strength = (1, pos) if pos % 2 else (0, -pos)
+        # wins, among bottoms the earlier one does: ints from the chain's
+        # first position, tops from 1 up and bottoms from 0 down
+        self.strength = pos - chain.first + 1 if pos % 2 else chain.first - pos
 
     def right_end(self):
         """The vector at the right end, the one the matching reads."""
-        if self.last == self.base:
-            return self.lanes
-        return self.chain.fam.tail(self.lanes, self.last - self.base)
+        return self.lanes if self.last == self.base else self._lanes_from(self.last)
 
     def vectors(self) -> dict[int, tuple]:
         """The vectors by position, unpacked: one unpack of the lanes, sliced
@@ -222,37 +220,15 @@ class _Strand:
             return chain.fam.tail(self.lanes, -k)
         return chain.fam.join(chain.fam.tail(chain.zero, chain.size - k), self.lanes, k)
 
-    def absorb(self, strands: list["_Strand"], ops) -> None:
-        """Add c times strands[i] along the overlap for each (i, c) of ops:
-        the row operations of one pivot step, each checked admissible, and
-        settle the sum once."""
-        fam = self.chain.fam
-        add, lanes, base = fam.add_delayed, self.lanes, self.base
-        right, strength = self.right_pos, self.strength
-        for i, c in ops:
-            other = strands[i]
-            if other.right_pos != right or strength < other.strength:
-                raise InternalError("inadmissible elimination")
-            theirs = other.lanes if other.base == base else other._lanes_from(base)
-            lanes = add(lanes, theirs, c)
-        self.lanes = fam.settle(lanes)
-
-    def spread(self, inv, strands: list["_Strand"], ops) -> None:
-        """Scale by inv, then add c times this strand to strands[j] along the
-        overlap for each (j, c) of ops: the normalisation and the column
-        operations of one pivot step, each checked admissible.  The targets
-        are left unsettled, for ``_match`` to settle once."""
-        chain = self.chain
-        if inv != chain.field.one:
-            self.lanes = chain.fam.scale(self.lanes, inv)
-        add, lanes, base = chain.fam.add_delayed, self.lanes, self.base
-        right, strength = self.right_pos, self.strength
-        for j, c in ops:
-            other = strands[j]
-            if other.right_pos != right or other.strength < strength:
-                raise InternalError("inadmissible elimination")
-            mine = lanes if other.base == base else self._lanes_from(other.base)
-            other.lanes = add(other.lanes, mine, c)
+    def absorb(self, other: "_Strand", c, add) -> None:
+        """Add c times other along the overlap with ``add``, the family's
+        ``add_delayed``, left for the caller to settle: a clearing, which runs
+        only from a strand with the same right end that is no stronger."""
+        if other.right_pos != self.right_pos or self.strength < other.strength:
+            raise InternalError("inadmissible elimination")
+        base = self.base
+        self.lanes = add(self.lanes, other.lanes if other.base == base
+                         else other._lanes_from(base), c)
 
 
 def _match(field: Field, act: Matrix, cod: list[_Strand],
@@ -267,9 +243,9 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     normalisation scales the domain strand, until ``a`` is a partial
     identity.  The family's ``pivot_steps`` runs them on the columns, which
     come due in order, weakest domain strand first, and this replays each
-    step on the strands in one update per side: the pivot's codomain strand
-    absorbs the step's row operations, and its domain strand is normalised
-    and spread into every later column's.  A due column is zero at every
+    step on the strands, one ``absorb`` per operation: the pivot's codomain
+    strand absorbs those its row operations name, and each later column's
+    domain strand the normalised pivot one.  A due column is zero at every
     taken row, so its pivot is its lowest nonzero entry: the strongest
     codomain strand it reaches.  Returns the (codomain, domain) pivot pairs:
     ``act`` maps the domain strand's right end onto the codomain strand's.
@@ -286,14 +262,19 @@ def _match(field: Field, act: Matrix, cod: list[_Strand],
     if cols is None:
         raise InternalError("socle coordinates must exist" if cod
                             else "action image escapes the socle layer")
-    one, pairs, unsettled = field.one, [], False
+    one, add, pairs, unsettled = field.one, fam.add_delayed, [], False
     for ci, pr, inv, row_ops, col_ops in fam.pivot_steps(cols):
+        target, source = cod[pr], dom[ci]
         if row_ops:
-            cod[pr].absorb(cod, row_ops)
-        if col_ops or inv != one:
-            dom[ci].spread(inv, dom, col_ops)
-            unsettled = True
-        pairs.append((cod[pr], dom[ci]))
+            for i, c in row_ops:
+                target.absorb(cod[i], c, add)
+            target.lanes = fam.settle(target.lanes)
+        if inv != one:
+            source.lanes = fam.scale(source.lanes, inv)
+        for j, c in col_ops:
+            dom[j].absorb(source, c, add)
+        unsettled = unsettled or inv != one or bool(col_ops)
+        pairs.append((target, source))
     # a domain strand takes one column operation from each earlier pivot
     # that reaches it, each added unsettled: it is settled once, here
     if unsettled:
@@ -318,8 +299,8 @@ def _sweep_chain(m: Module, residue: int, vecs: dict[int, list],
     reads.
     """
     field = m.field
-    chain = _Chain(field, {pos: m.dim(_degree(residue, pos, m.params)) for pos in vecs}
-                   if history else None)
+    chain = _Chain(field, min(vecs), {pos: m.dim(_degree(residue, pos, m.params))
+                                      for pos in vecs} if history else None)
     strands: list[_Strand] = []
     open_: list[_Strand] = []
     # a position with no vectors after one with none has nothing to match, so

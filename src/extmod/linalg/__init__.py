@@ -33,14 +33,13 @@ family's ``rank`` is the forward pass alone, on every layout;
 ``Matrix.rank`` and containment use it.  Every other ``Matrix`` elimination
 is one span of its rows: ``rref_pivots`` pads the rows with zero rows, and
 ``solve`` spans the rows of [A | B] at full width, which is inconsistent
-exactly when a pivot falls in B.  ``inverse`` is the family's: on bytes and
-tuples, and on sparse or large blocks over F2, row i of the inverse is the
-``coordinates`` of e_i over A's rows, written once here as ``_inverse``; a
-dense F2 block runs bit-sliced Gauss–Jordan on [A | I]
-(:mod:`extmod.linalg._bits`).  The coordinates are one span of the
-transposed [T | V] on bytes and tuples, written once here as
-``_coordinates``, and over F2 a forward pass of the tagged rows [t_r | e_r].
-In every family a kernel is the preimage of zero.  The forward pass and
+exactly when a pivot falls in B.  ``inverse`` is the family's: row i of the
+inverse is the ``coordinates`` of e_i over A's rows, written once here as
+``_inverse``, but an F2 block that the bit layout's slicing rule picks runs
+bit-sliced Gauss–Jordan on [A | I] (:mod:`extmod.linalg._bits`).  The
+coordinates are one span of the transposed [T | V] on bytes and tuples,
+written once here as ``_coordinates``, and over F2 a forward pass of the
+tagged rows [t_r | e_r].  In every family a kernel is the preimage of zero.  The forward pass and
 ``rank`` are written once here for every layout, over the families'
 ``insert``, which clears a vector by the pivot rows found so far and never
 above a pivot.  The bit and byte layouts differ in ``preimage`` only in lane
@@ -448,12 +447,12 @@ class Matrix:
 
     def inverse(self) -> "Matrix | None":
         """The inverse, or None for a singular matrix: the family's
-        ``inverse`` of the rows.  Over F2 a dense block runs Gauss–Jordan on
-        [self | I] bit-sliced, a whole column cleared at a time, and stops
-        at the first column no free row reaches; elsewhere row i holds the
-        coordinates of e_i over the rows of self: one span on bytes and
-        tuples, and over F2 a forward pass of [self | I] that stops at the
-        first row of self that reduces to zero."""
+        ``inverse`` of the rows.  Row i holds the coordinates of e_i over
+        the rows of self: one span on bytes and tuples, and over F2 a
+        forward pass of [self | I] that stops at the first row of self that
+        reduces to zero, or, where the bit layout's slicing rule picks it,
+        Gauss–Jordan on [self | I] bit-sliced, a whole column cleared at a
+        time, which stops at the first column no free row reaches."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         rows = self.field._family.inverse(self._rows, self.nrows)

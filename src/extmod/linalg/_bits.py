@@ -25,12 +25,11 @@ each row whose bit j is set, and its product with a vector v of at most s
 bits is a copy of v in each marked slot, which never overlap or carry, so
 XORing it in adds v to exactly those rows.  A product ``a @ b`` takes one
 such multiply-XOR per row of b, and an inverse, Gauss–Jordan on [A | I]
-column by column, one per column for each of A's block and its tags.  Each
-method keeps the row loop where slicing loses: where the left factor has
-few set bits for the block's size (a flash's unit rows, a permutation) and
-where the block is large, as each multiply grows with it; the bounds are
-measured, and both paths give the same rows.  ``coordinates`` over
-independent t_r
+column by column, one per column for each of A's block and its tags.  One
+rule, ``_slices``, picks the path for both: the row loop takes one XOR per
+set bit, and a sliced step grows with its block, so slicing pays once the
+block has enough set bits per row for its steps and its slot width.  Both
+paths give the same rows.  ``coordinates`` over independent t_r
 forward-reduces the tagged rows [t_r | e_r], stopping at a t_r that reduces
 to zero, and reduces each vector through them in ascending pivot order down
 to [0 | its coordinates].  The forward pass and ``rank`` are written once
@@ -54,10 +53,6 @@ from . import Field, Matrix, _forward, _inverse, _rank, _tagged_preimage
 _DIGIT = bytes(48 + (x & 1) for x in range(256))
 _ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
-# the largest bit-sliced inverse that beats the row loop on dense blocks,
-# singular or not (see ``_Bits.inverse``)
-_INVERSE_WIDTH = 112
-
 
 def _sliced(rows, s: int) -> int:
     """The rows, each of at most s bits, side by side in one int: row i in
@@ -78,6 +73,16 @@ def _slots(whole: int, m: int, s: int) -> list[int]:
 def _starts(m: int, s: int) -> int:
     """A 1 at the first bit of each of m slots of s > 0 bits."""
     return ((1 << m * s) - 1) // ((1 << s) - 1)
+
+
+def _slices(rows, steps: int, s: int) -> bool:
+    """Whether ``steps`` multiply-XORs on these rows, in slots of s bits,
+    beat the row loop's one XOR per set bit: each multiply grows with the
+    slots, so that takes a few set bits per row plus a share of steps * s.
+    The divisor is fitted to timings of both paths on the F2 products and
+    inverses of ``decompose`` runs and of scrambles up to 256 wide: a
+    half-set square block slices up to about 150 wide."""
+    return sum(map(int.bit_count, rows)) > len(rows) * (3 + steps * s // 320)
 
 
 class _Bits:
@@ -209,22 +214,13 @@ class _Bits:
         to every slot whose row selects it: ``whole >> j & starts`` has a 1
         at the start of exactly those slots, and its product with b_j, of at
         most s bits, is their copies of b_j, which never overlap or carry.
-        That is a.ncols big-int steps where the row loop takes one XOR per
-        set bit of a.  The row loop stays where a has too few set bits for
-        the sliced block, of w = a.nrows * s bits, to pay: a few per row
-        and per step on small blocks (a flash's unit rows select one row
-        each), more as packing and cutting the rows copy a longer block per
-        row, and as each step's multiply widens with w and b.ncols.
+        That is a.ncols steps where the row loop takes one XOR per set bit
+        of a; ``_slices`` picks the path (a flash's unit rows, one set bit
+        each, keep the row loop).
         """
         arows, brows, m, k, n = a._rows, b._rows, a.nrows, a.ncols, b.ncols
         s = k if k > n else n
-        w = m * s
-        # the set bits at which the two paths cost the same, fitted to timings
-        # of both on blocks up to 256 x 256, sparse and dense, and on tall ones
-        # up to 3000 rows; a left factor of at most 64 entries is not counted,
-        # as slicing does not pay there even when it is dense
-        cut = m + m * w // 2048 + k * (3 + w * (n + 64) // 131072)
-        if m * k <= 64 or sum(map(int.bit_count, arows)) <= cut:
+        if not _slices(arows, k, s):
             combine = self._combine
             return tuple([combine(brows, arow) for arow in arows])
         whole, starts, acc = _sliced(arows, s), _starts(m, s), 0
@@ -245,8 +241,12 @@ class _Bits:
                 col_ops = [(cj, 1) for cj in range(ci + 1, n) if cols[cj] & low]
                 for cj, _ in col_ops:
                     cols[cj] ^= col
-                steps.append((ci, low.bit_length() - 1, 1,
-                              [*self.support(col ^ low).items()], col_ops))
+                rest, row_ops = col ^ low, []
+                while rest:
+                    bit = rest & -rest
+                    row_ops.append((bit.bit_length() - 1, 1))
+                    rest ^= bit
+                steps.append((ci, low.bit_length() - 1, 1, row_ops, col_ops))
         return steps
 
     @staticmethod
@@ -277,12 +277,11 @@ class _Bits:
         no free row reaches shows A singular, so A's block is cleared first
         and the tags replay its steps only once A is known invertible.  Row
         c of the inverse is the tag of the row taken at column c.  That is
-        two multiplies per column where the row loop (``linalg._inverse``)
-        takes one XOR per row update, so the row loop stays where A is
-        large, or has fewer than n / 24 set bits per row (a permutation
-        from n = 25 on), where its updates are few.
+        n steps, and n more for the tags of an invertible A (most random
+        draws are not), where the row loop (``linalg._inverse``) takes one
+        XOR per row update; ``_slices`` picks the path.
         """
-        if not 0 < n <= _INVERSE_WIDTH or sum(map(int.bit_count, rows)) < n * n // 24:
+        if not _slices(rows, n, n):
             return _inverse(self, rows, n)
         starts, mask = _starts(n, n), (1 << n) - 1
         block, free, steps = _sliced(rows, n), starts, []

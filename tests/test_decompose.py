@@ -106,7 +106,7 @@ def _match_calls(monkeypatch, m):
 def _strand(chain, pos, vectors):
     """The strand from chain position pos holding the given vectors, one per
     position, built by joins as the sweep builds it."""
-    pack = chain.field._family.pack
+    pack = chain.fam.pack
     out = _Strand(chain, pos, pack(vectors[0]))
     for k, vec in enumerate(vectors[1:], pos + 1):
         out.join(_Strand(chain, k, pack(vec)))
@@ -214,42 +214,40 @@ def test_strand_updates_cut_or_pad_the_other_strand(char):
     def scaled(mine, c):
         return {pos: tuple(field.mul(c, x) for x in v) for pos, v in mine.items()}
 
-    for case in ("absorb earlier", "absorb later", "spread earlier", "spread later"):
-        chain = _Chain(field, widths)
+    # each case is one clearing, with its source normalised first or not, as
+    # _match normalises a pivot's domain strand before the later columns'
+    # strands absorb it
+    for target, source, normalised in itertools.product(
+            ("top", "early"), ("early", "late"), (False, True)):
+        if target == source:
+            continue
+        chain = _Chain(field, 0, widths)
         # strengths: a top-started strand beats bottom-started ones, and the
         # bottom-started one from position 0 beats the one from position 2
         want = {"early": vectors(0), "top": vectors(1), "late": vectors(2)}
         got = {name: _strand(chain, min(vecs), list(vecs.values()))
                for name, vecs in want.items()}
         c, inv = _scalar(field, rng), _scalar(field, rng)
-        if case == "absorb earlier":
-            # top began after early: early's lanes are cut at top's first lane
-            got["top"].absorb([got["early"]], [(0, c)])
-            want["top"] = added(want["top"], want["early"], c)
-        elif case == "absorb later":
-            got["early"].absorb([got["late"]], [(0, c)])
-            want["early"] = added(want["early"], want["late"], c)
-        elif case == "spread earlier":
-            got["early"].spread(inv, [got["top"]], [(0, c)])
-            want["early"] = scaled(want["early"], inv)
-            want["top"] = added(want["top"], want["early"], c)
-        else:
-            got["late"].spread(inv, [got["early"]], [(0, c)])
-            want["late"] = scaled(want["late"], inv)
-            want["early"] = added(want["early"], want["late"], c)
-        # a column operation leaves its target unsettled, as _match settles
-        # each domain strand once at its end
+        if normalised:
+            got[source].lanes = fam.scale(got[source].lanes, inv)
+            want[source] = scaled(want[source], inv)
+        # top began after early: early's lanes are cut at top's first lane;
+        # late began after early: late's lanes are padded up to early's
+        got[target].absorb(got[source], c, fam.add_delayed)
+        want[target] = added(want[target], want[source], c)
+        # a clearing leaves its target unsettled, for _match to settle
         for name, s in got.items():
-            assert s.vectors() == want[name], (case, name)
+            case = (target, source, normalised, name)
+            assert s.vectors() == want[name], case
             s.lanes = fam.settle(s.lanes)
-            assert s.lanes == fam.pack([x for v in want[name].values() for x in v])
-            assert s.right_end() == fam.pack(want[name][3])
+            assert s.lanes == fam.pack([x for v in want[name].values() for x in v]), case
+            assert s.right_end() == fam.pack(want[name][3]), case
 
 
 @pytest.mark.parametrize("char", [2, 3, 5, 17, 0])
 def test_match_rejects_images_off_the_socle_coordinates(char):
     field = default_params(char).field
-    lone, pair = _Chain(field, {0: 1}), _Chain(field, {0: 2, 1: 2})
+    lone, pair = _Chain(field, 0, {0: 1}), _Chain(field, 0, {0: 2, 1: 2})
     with pytest.raises(AssertionError, match="action image escapes the socle layer"):
         _match(field, Matrix(field, [[1]]), [], [_strand(lone, 0, [(1,)])])
     with pytest.raises(AssertionError, match="socle coordinates must exist"):
@@ -978,42 +976,45 @@ def test_only_linalg_chooses_a_vector_layout():
 
 
 def test_inadmissible_absorb_raises_under_optimize():
-    # a pivot step's row operations and its column operations are each one
-    # strand update, which checks every pair it runs: an inadmissible pair
-    # after an admissible one still raises, with asserts compiled out
+    # every clearing is one absorb, which checks its pair: in a row clearing
+    # and in a column clearing, an inadmissible pair after an admissible one
+    # still raises, with asserts compiled out
     code = """
 from extmod.decompose import InternalError, _Chain, _Strand
 from extmod.linalg import Field
 if __debug__:
     raise SystemExit("not running under -O")
 # over F2 the sweep's strands hold packed vectors, one lane per position here
-chain = _Chain(Field(2), {0: 1, 1: 1, 2: 1})
+chain = _Chain(Field(2), 0, {0: 1, 1: 1, 2: 1})
+add = chain.fam.add_delayed
 early = _Strand(chain, 0, 1)
 early.join(_Strand(chain, 1, 1))
 early.join(_Strand(chain, 2, 1))
 strong = _Strand(chain, 1, 1)
 strong.join(_Strand(chain, 2, 1))
 weak, other = _Strand(chain, 2, 1), _Strand(chain, 2, 1)
-for update in (lambda: weak.absorb([other, strong], [(0, 1), (1, 1)]),
-               lambda: early.spread(1, [strong, weak], [(0, 1), (1, 1)])):
+# a row clearing: weak absorbs its peer, then the stronger strand
+# a column clearing: strong absorbs the weaker early one, then weak does
+for clearing in ([(weak, other), (weak, strong)], [(strong, early), (weak, early)]):
     try:
-        update()
+        for target, source in clearing:
+            target.absorb(source, 1, add)
     except InternalError:
-        print("raised")
+        print("raised", target is weak)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(extmod.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout.split()) == (0, ["raised", "raised"]), out.stderr
+    assert (out.returncode, out.stdout.split()) == (0, ["raised", "True"] * 2), out.stderr
 
 
-def test_census_replays_each_pivot_step_in_two_strand_updates(monkeypatch):
-    # one update folds a step's row operations into its codomain strand and
-    # one spreads its domain strand into every later column's; on the
-    # scrambled stage a step has far more than two operations
+def test_census_settles_once_per_step_and_once_per_domain_strand_per_match(monkeypatch):
+    # every clearing is one absorb, left unsettled: a pivot step settles its
+    # codomain strand once, and a match settles each of its domain strands
+    # once at its end; on the scrambled stage a step has far more operations
     m = random_basis_change(counterexample_stage(40, P), 1)
-    steps, ops, updates = [0], [0], [0]
-    pivot_steps = _Bits.pivot_steps
+    steps, ops, domains, settles = [0], [0], [0], [0]
+    pivot_steps, match, settle = _Bits.pivot_steps, decompose_mod._match, _Bits.settle
 
     def counted_steps(self, cols):
         out = pivot_steps(self, cols)
@@ -1021,14 +1022,16 @@ def test_census_replays_each_pivot_step_in_two_strand_updates(monkeypatch):
         ops[0] += sum(len(row_ops) + len(col_ops) for _, _, _, row_ops, col_ops in out)
         return out
 
-    def counted(update):
-        def run(*args):
-            updates[0] += 1
-            return update(*args)
-        return run
+    def counted_match(field, act, cod, dom):
+        domains[0] += len(dom)
+        return match(field, act, cod, dom)
+
+    def counted_settle(v):
+        settles[0] += 1
+        return settle(v)
 
     monkeypatch.setattr(_Bits, "pivot_steps", counted_steps)
-    for name in ("absorb", "spread"):
-        monkeypatch.setattr(_Strand, name, counted(getattr(_Strand, name)))
+    monkeypatch.setattr(decompose_mod, "_match", counted_match)
+    monkeypatch.setattr(_Bits, "settle", staticmethod(counted_settle))
     assert multiplicities(m) == Counter({FlashShape.l(n, 0, 1): 1 for n in range(41)})
-    assert 0 < updates[0] <= 2 * steps[0] < ops[0]
+    assert 0 < settles[0] <= steps[0] + domains[0] < ops[0]

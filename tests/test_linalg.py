@@ -668,10 +668,10 @@ def _bit_matrix(nrows, ncols, rng, density=0.5):
 def test_f2_sliced_product_matches_the_reference_on_both_sides_of_its_bound(monkeypatch):
     # the row loop on empty factors, a 1 x 1, identities, permutations and
     # partial permutations on the left (a flash's unit rows), a sparse left
-    # factor, a wide right one, a tall, thin left one and a full 8 x 8 one;
-    # bit-sliced on dense left factors, with identities and permutations on
-    # the right; and densities across the bound at three sizes, each meeting
-    # both paths
+    # factor and a wide right one; bit-sliced on dense left factors, with
+    # identities and permutations on the right; and densities across the
+    # bound at three sizes, each meeting both paths.  A row must pass 3 set
+    # bits plus a share of a.ncols times the slot width (``_bits._slices``)
     rng = random.Random(151)
     calls = _sliced_calls(monkeypatch)
 
@@ -697,14 +697,20 @@ def test_f2_sliced_product_matches_the_reference_on_both_sides_of_its_bound(monk
             check(dense, unit_rows, 1)
         check(dense, dense, 1)
         check(_bit_matrix(n, n, rng, 0.05), dense, 0)
-    # a dense left factor whose slots a wide right factor widens, one so
-    # tall that packing and cutting its rows outweighs their few set bits,
-    # and one of 64 entries, below any gain
+    # a 16 x 16 left factor with 3 set bits per row, and with 4
+    for per_row, sliced in ((3, 0), (4, 1)):
+        rows = [[int(j in picked) for j in range(16)]
+                for picked in (rng.sample(range(16), per_row) for _ in range(16))]
+        check(Matrix(F2, rows), _bit_matrix(16, 16, rng), sliced)
+    # a dense left factor whose slots a wide right factor widens, a full
+    # 8 x 8 one, and tall, thin ones: half dense they have 2 set bits per
+    # row, and at 0.9 they pass the 3
     check(_bit_matrix(12, 12, rng), _bit_matrix(12, 400, rng), 0)
-    check(_bit_matrix(12, 12, rng), _bit_matrix(12, 60, rng), 1)
-    check(_bit_matrix(8, 8, rng, 1.0), _bit_matrix(8, 8, rng), 0)
+    check(_bit_matrix(12, 12, rng), _bit_matrix(12, 40, rng), 1)
+    check(_bit_matrix(8, 8, rng, 1.0), _bit_matrix(8, 8, rng), 1)
     check(_bit_matrix(3000, 4, rng), _bit_matrix(4, 4, rng), 0)
-    check(_bit_matrix(200, 4, rng), _bit_matrix(4, 4, rng), 1)
+    check(_bit_matrix(200, 4, rng), _bit_matrix(4, 4, rng), 0)
+    check(_bit_matrix(200, 4, rng, 0.9), _bit_matrix(4, 4, rng), 1)
     for n in (9, 24, 33):
         paths = {check(_bit_matrix(n, n, rng, density), _bit_matrix(n, n, rng), None)
                  for density in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5)}
@@ -712,15 +718,15 @@ def test_f2_sliced_product_matches_the_reference_on_both_sides_of_its_bound(monk
 
 
 def test_f2_sliced_inverse_matches_the_list_inverse_on_both_sides_of_its_bounds(monkeypatch):
-    # the row loop on 0 x 0, identities and permutations past the density
-    # bound, sparse invertible blocks and blocks past the width bound;
-    # bit-sliced on both 1 x 1s, small identities and permutations, and
-    # dense blocks invertible, singular at the first column only, at the
-    # last column only, with a repeated row and of rank n - 1, up to the
-    # width bound
+    # the row loop on 0 x 0, both 1 x 1s, identities and permutations (one
+    # set bit per row, under the 3 a row must pass), 3 x 3 blocks and dense
+    # blocks past the bound, 256 wide; bit-sliced on full lower triangles
+    # and on dense blocks invertible, singular at the first column only, at
+    # the last column only, with a repeated row and of rank n - 1, from 16
+    # to 144 wide.  The inverse counts as n steps of slot width n
+    # (``_bits._slices``), so a dense block slices up to about 150
     rng = random.Random(157)
     calls = _sliced_calls(monkeypatch)
-    width = _bits._INVERSE_WIDTH
 
     def check(m, sliced, invertible=None):
         calls[0] = 0
@@ -739,18 +745,18 @@ def test_f2_sliced_inverse_matches_the_list_inverse_on_both_sides_of_its_bounds(
             assert got @ m == Matrix.identity(F2, m.nrows)
 
     check(Matrix.identity(F2, 0), 0, True)
-    check(Matrix(F2, [[0]]), 1, False)
-    check(Matrix(F2, [[1]]), 1, True)
-    # n set bits are under n * n / 24 at n = 32, not at n = 8
-    for n, sliced in ((8, 1), (32, 0)):
+    check(Matrix(F2, [[0]]), 0, False)
+    check(Matrix(F2, [[1]]), 0, True)
+    for n in (8, 32):
         perm = list(range(n))
         rng.shuffle(perm)
         for m in (Matrix.identity(F2, n), Matrix.units(F2, n, perm)):
-            check(m, sliced, True)
+            check(m, 0, True)
         # a permutation with one more bit stays invertible and sparse
         rows = [[int(j == perm[i] or (i, j) == (0, perm[1])) for j in range(n)]
                 for i in range(n)]
-        check(Matrix(F2, rows), sliced, True)
+        check(Matrix(F2, rows), 0, True)
+        check(Matrix(F2, [[int(j <= i) for j in range(n)] for i in range(n)]), 1, True)
 
     def invertible(n):
         while True:
@@ -758,8 +764,7 @@ def test_f2_sliced_inverse_matches_the_list_inverse_on_both_sides_of_its_bounds(
             if _list_inverse(m) is not None if n <= 40 else m.rank() == n:
                 return m
 
-    for n in (3, 5, 16, 31, 40, width, width + 1):
-        sliced = int(n <= width)
+    for n, sliced in ((3, 0), (16, 1), (31, 1), (40, 1), (144, 1), (256, 0)):
         a = invertible(n)
         check(a, sliced, True)
         rows = [list(r) for r in a.rows]

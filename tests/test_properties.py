@@ -20,11 +20,19 @@ p, the tuple layouts over F17 and Q.
 Module documents round-trip drawn modules: random variant-B modules,
 scrambled flash sums and variant-A sums with free summands, over F2, F5,
 F17 and Q.
+
+The bit layout's products and inverses give the same rows on its row loop
+and on its bit-sliced path, each forced in turn, on drawn shapes and
+densities, invertible and singular.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import xor
+from unittest import mock
 
 import pytest
 
@@ -32,7 +40,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from extmod.linalg import Field, Matrix, SubspaceBasis, image, preimage_space, sum_space
+from extmod.linalg import Field, Matrix, SubspaceBasis, _bits, image, preimage_space, sum_space
 from extmod.linalg._tuples import _Entries
 from extmod.modules import (FlashShape, default_params, direct_sum, make_flash, make_free,
                             random_basis_change)
@@ -294,3 +302,56 @@ def test_documents_round_trip_drawn_modules(m):
     parsed = parse_module(text)
     assert parsed == m
     assert print_module(parsed) == text
+
+
+F2 = Field(2)
+DENSITIES = st.sampled_from((0.02, 0.1, 0.3, 0.5, 0.9))
+# the bits of a block come from a drawn seed: drawing each one would take more
+# entropy than hypothesis allows an example
+SEEDS = st.integers(0, 2**32).map(random.Random)
+
+
+def _bit_rows(rng, nrows, ncols, density):
+    return [sum(1 << j for j in range(ncols) if rng.random() < density) for _ in range(nrows)]
+
+
+def _on_both_paths(call):
+    """call() with the bit layout's slicing rule forced off, then on."""
+    out = []
+    for sliced in (False, True):
+        with mock.patch.object(_bits, "_slices", lambda rows, steps, s: sliced):
+            out.append(call())
+    return out
+
+
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 80), DENSITIES, SEEDS)
+def test_f2_products_give_the_same_rows_on_either_path(m, k, n, density, rng):
+    a = Matrix._from_family(F2, _bit_rows(rng, m, k, density), k)
+    b = Matrix._from_family(F2, _bit_rows(rng, k, n, 0.5), n)
+    loop, sliced = _on_both_paths(lambda: F2._family.product(a, b))
+    assert loop == sliced
+    assert Matrix._from_family(F2, loop, n) == reference_product(a, b)
+
+
+@given(st.integers(1, 80), DENSITIES, st.sampled_from(("drawn", "invertible", "low rank")),
+       SEEDS)
+def test_f2_inverses_give_the_same_rows_on_either_path(n, density, kind, rng):
+    # drawn rows are mostly singular; row additions to a permutation keep
+    # it invertible; rows summed from fewer than n rows are singular
+    if kind == "drawn":
+        rows = _bit_rows(rng, n, n, density)
+    elif kind == "invertible":
+        rows = [1 << j for j in rng.sample(range(n), n)]
+        for _ in range(int(density * n * n)):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            rows[i] ^= rows[j] if i != j else 0
+    else:
+        basis = _bit_rows(rng, rng.randrange(n), n, density)
+        rows = [reduce(xor, (r for r in basis if rng.random() < 0.5), 0) for _ in range(n)]
+    loop, sliced = _on_both_paths(lambda: F2._family.inverse(rows, n))
+    assert loop == sliced
+    if kind != "drawn":
+        assert (loop is not None) == (kind == "invertible")
+    if loop is not None:
+        inv, a = Matrix._from_family(F2, loop, n), Matrix._from_family(F2, rows, n)
+        assert inv @ a == Matrix.identity(F2, n)
